@@ -13,10 +13,8 @@ contracts cheaply enough for every CI run:
    gates).
 2. **Speedup floor** (``--min-speedup``): best-of-N batch wall time must
    beat columnar by the given factor. The floor only makes sense where
-   the bulk path exists, so pass it on the numpy leg; on the
-   ``REPRO_NO_NUMPY`` leg the pure-Python fallback has no hit-run
-   scanner and the smoke checks identity only (pass ``--min-speedup 0``
-   or omit it).
+   the fast loop runs: without numpy ``simulate_batch`` replays on the
+   columnar core and the smoke would compare it with itself.
 
 The measured times land in a small JSON artifact (``--out``) so CI can
 upload them next to the BENCH summary; schema ``repro-warm-smoke/1``.
@@ -24,7 +22,6 @@ upload them next to the BENCH summary; schema ``repro-warm-smoke/1``.
 Usage::
 
     python scripts/warm_bench_smoke.py --min-speedup 1.5 --out warm.json
-    REPRO_NO_NUMPY=1 python scripts/warm_bench_smoke.py --out warm-pp.json
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--min-speedup", type=float, default=0.0,
         help="fail unless batch beats columnar by this factor "
-        "(0 = identity check only; keep 0 on the REPRO_NO_NUMPY leg)",
+        "(0 = identity check only)",
     )
     parser.add_argument(
         "--rounds", type=int, default=3, help="best-of-N rounds per engine"
@@ -114,7 +111,7 @@ def main(argv: Optional[list] = None) -> int:
             encoding="utf-8",
         )
 
-    leg = "numpy" if has_numpy else "pure-python"
+    leg = "numpy" if has_numpy else "no numpy: columnar core"
     print(
         f"warm smoke [{leg}]: batch {batch_time * 1e3:.0f} ms, columnar "
         f"{columnar_time * 1e3:.0f} ms ({speedup:.2f}x), "

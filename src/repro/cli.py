@@ -239,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="input file(s); 'diff' takes exactly two; "
                      "'timeline' reads --trace-out JSON, 'report' reads "
                      "--timeseries streams, 'validate' auto-detects "
-                     "events vs span-trace files")
+                     "events, span-trace, timeseries and manifest files")
     obs.add_argument("-n", "--count", type=int, default=10, metavar="N",
                      help="[tail] number of trailing events to print")
     obs.add_argument("--json", action="store_true",
@@ -929,12 +929,15 @@ def _sniff_obs_file(path: str) -> str:
 
     ``"trace"`` for Chrome Trace Event Format JSON (a ``--trace-out``
     payload), ``"timeseries"`` for a ``repro-timeseries/1`` stream,
-    ``"events"`` otherwise (the ``repro-events/1`` default).
+    ``"manifest"`` for a ``repro-manifest/1`` run manifest, ``"events"``
+    otherwise (the ``repro-events/1`` default).
     """
     with open(path, "r", encoding="utf-8") as handle:
         head = handle.read(4096)
     if '"traceEvents"' in head:
         return "trace"
+    if '"repro-manifest/1"' in head:
+        return "manifest"
     if '"repro-timeseries/1"' in head:
         return "timeseries"
     return "events"
@@ -1012,6 +1015,22 @@ def _run_obs(args: argparse.Namespace) -> int:
                         f"{path}: valid timeseries "
                         f"({len(data['samples'])} sample(s))"
                     )
+                continue
+            if kind == "manifest":
+                from repro.obs.schema import validate_manifest
+
+                try:
+                    with open(path, "r", encoding="utf-8") as handle:
+                        errors = validate_manifest(json.load(handle))
+                except ValueError as exc:
+                    errors = [f"invalid JSON ({exc})"]
+                for error in errors:
+                    print(f"{path}: {error}")
+                if errors:
+                    failed = True
+                    print(f"{path}: INVALID ({len(errors)} error(s))")
+                else:
+                    print(f"{path}: valid manifest")
                 continue
             errors, counts = validate_events_file(path)
             total = sum(counts.values())

@@ -9,13 +9,8 @@ worse* — once caches are large enough that the extra remote hits (342 ms vs
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
-
 from repro.experiments.report import ExperimentReport
-from repro.experiments.sweep import SweepResult, run_capacity_sweep
-from repro.experiments.workload import capacities_for, workload_trace
-from repro.simulation.simulator import SimulationConfig
-from repro.trace.record import Trace
+from repro.experiments.sweep import SweepResult, capacity_sweep_driver
 
 EXPERIMENT_ID = "fig3"
 
@@ -34,25 +29,7 @@ def build_report(sweep: SweepResult) -> ExperimentReport:
     return report
 
 
-def run(
-    scale: str = "default",
-    seed: int = 42,
-    trace: Optional[Trace] = None,
-    capacities: Optional[Sequence[Tuple[str, int]]] = None,
-    base_config: Optional[SimulationConfig] = None,
-    jobs: Optional[int] = None,
-    memo=None,
-    engine: Optional[str] = None,
-    events_dir: Optional[str] = None,
-    snapshot_interval: float = 0.0,
-    progress=None,
-) -> ExperimentReport:
-    """Regenerate Figure 3 (4-cache distributed group, LRU, both schemes)."""
-    trace = trace if trace is not None else workload_trace(scale, seed)
-    capacities = capacities if capacities is not None else capacities_for(scale)
-    sweep = run_capacity_sweep(
-        trace, capacities, base_config=base_config, jobs=jobs, memo=memo,
-        engine=engine, events_dir=events_dir, snapshot_interval=snapshot_interval,
-        progress=progress,
-    )
-    return build_report(sweep)
+run = capacity_sweep_driver(
+    build_report,
+    "Regenerate Figure 3 (4-cache distributed group, LRU, both schemes).",
+)

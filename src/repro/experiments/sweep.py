@@ -10,9 +10,11 @@ on that to avoid re-simulating.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
+from repro.experiments.report import ExperimentReport
+from repro.experiments.workload import capacities_for, workload_trace
 from repro.simulation.results import SimulationResult
 from repro.simulation.simulator import SimulationConfig, run_simulation
 from repro.trace.record import Trace
@@ -173,3 +175,48 @@ def run_capacity_sweep(
                 )
             )
     return SweepResult(points)
+
+
+def capacity_sweep_driver(
+    build_report: Callable[[SweepResult], ExperimentReport],
+    summary: str,
+    capacity_labels: Optional[Iterable[str]] = None,
+) -> Callable[..., ExperimentReport]:
+    """The ``run()`` entry point of a driver that projects one capacity sweep.
+
+    ``run`` replays the ``scale``/``seed`` workload (or ``trace``) over the
+    scale's capacity grid (or ``capacities``), passes everything else to
+    :func:`run_capacity_sweep`, and returns ``build_report(sweep)``.
+    ``capacity_labels`` restricts the *default* grid to those labels;
+    explicit ``capacities`` are used as given. ``summary`` becomes the
+    docstring.
+    """
+    keep = None if capacity_labels is None else set(capacity_labels)
+
+    def run(
+        scale: str = "default",
+        seed: int = 42,
+        trace: Optional[Trace] = None,
+        capacities: Optional[Sequence[Tuple[str, int]]] = None,
+        base_config: Optional[SimulationConfig] = None,
+        jobs: Optional[int] = None,
+        memo=None,
+        engine: Optional[str] = None,
+        events_dir: Optional[str] = None,
+        snapshot_interval: float = 0.0,
+        progress=None,
+    ) -> ExperimentReport:
+        trace = trace if trace is not None else workload_trace(scale, seed)
+        if capacities is None:
+            capacities = capacities_for(scale)
+            if keep is not None:
+                capacities = [c for c in capacities if c[0] in keep]
+        sweep = run_capacity_sweep(
+            trace, capacities, base_config=base_config, jobs=jobs, memo=memo,
+            engine=engine, events_dir=events_dir,
+            snapshot_interval=snapshot_interval, progress=progress,
+        )
+        return build_report(sweep)
+
+    run.__doc__ = summary
+    return run

@@ -10,13 +10,10 @@ documents stay for much longer", i.e. EA reduces disk-space contention.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
 
 from repro.experiments.report import ExperimentReport
-from repro.experiments.sweep import SweepResult, run_capacity_sweep
-from repro.experiments.workload import TABLE1_CAPACITIES, capacities_for, workload_trace
-from repro.simulation.simulator import SimulationConfig
-from repro.trace.record import Trace
+from repro.experiments.sweep import SweepResult, capacity_sweep_driver
+from repro.experiments.workload import TABLE1_CAPACITIES
 
 EXPERIMENT_ID = "table1"
 
@@ -43,28 +40,8 @@ def build_report(sweep: SweepResult) -> ExperimentReport:
     return report
 
 
-def run(
-    scale: str = "default",
-    seed: int = 42,
-    trace: Optional[Trace] = None,
-    capacities: Optional[Sequence[Tuple[str, int]]] = None,
-    base_config: Optional[SimulationConfig] = None,
-    jobs: Optional[int] = None,
-    memo=None,
-    engine: Optional[str] = None,
-    events_dir: Optional[str] = None,
-    snapshot_interval: float = 0.0,
-    progress=None,
-) -> ExperimentReport:
-    """Regenerate Table 1 (capacities stop at 100 MB, as in the paper)."""
-    trace = trace if trace is not None else workload_trace(scale, seed)
-    if capacities is None:
-        available = capacities_for(scale)
-        table1_labels = {label for label, _ in TABLE1_CAPACITIES}
-        capacities = [c for c in available if c[0] in table1_labels]
-    sweep = run_capacity_sweep(
-        trace, capacities, base_config=base_config, jobs=jobs, memo=memo,
-        engine=engine, events_dir=events_dir, snapshot_interval=snapshot_interval,
-        progress=progress,
-    )
-    return build_report(sweep)
+run = capacity_sweep_driver(
+    build_report,
+    "Regenerate Table 1 (capacities stop at 100 MB, as in the paper).",
+    capacity_labels=[label for label, _ in TABLE1_CAPACITIES],
+)

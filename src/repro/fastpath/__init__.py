@@ -158,27 +158,15 @@ def columnar_unsupported_reason(config: object) -> Optional[str]:
     reason means the caller should use the object engine; the dispatcher in
     :func:`repro.simulation.simulator.run_simulation` logs the reason and
     falls back transparently. Unknown scheme/policy/tie names also fall
-    back so the object engine raises its canonical errors.
+    back so the object engine raises its canonical errors. The batch
+    engine shares this envelope exactly; which of its two loops a config
+    takes is :func:`repro.fastpath.batch.batch_fastloop_reason`.
     """
     for rule in FALLBACK_MATRIX:
         reason = rule.check(config)
         if reason is not None:
             return reason
     return None
-
-
-def batch_unsupported_reason(config: object) -> Optional[str]:
-    """Why ``config`` cannot run on the batch engine, or None if it can.
-
-    The batch engine shares the columnar envelope *exactly*: any config
-    its vectorised fast loop does not cover replays on the chunked
-    columnar core inside :func:`repro.fastpath.batch.simulate_batch`
-    (byte-identically), so dispatch interprets the same
-    :data:`FALLBACK_MATRIX`. Whether a config takes the fast loop or the
-    columnar core is reported separately by
-    :func:`repro.fastpath.batch.batch_fastloop_reason`.
-    """
-    return columnar_unsupported_reason(config)
 
 
 from repro.fastpath.engine import simulate_columnar  # noqa: E402
@@ -196,7 +184,6 @@ __all__ = [
     "LFUVictimHeap",
     "RingAgeTracker",
     "batch_fastloop_reason",
-    "batch_unsupported_reason",
     "columnar_unsupported_reason",
     "simulate_batch",
     "simulate_columnar",

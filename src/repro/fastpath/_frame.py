@@ -1,0 +1,333 @@
+"""The replay frame both fast engines run inside.
+
+Everything *around* the per-request protocol kernel is the same for
+:func:`repro.fastpath.engine.simulate_columnar` and the batch fast loop:
+the envelope guards, the topology and capacity split, the per-cache
+tally columns, the scheme and latency constants, client→leaf growth, the
+streamed-chunk leaf/size columns, the span-wrapped chunk stream, the
+per-chunk timeseries sample and the :class:`SimulationResult` assembly.
+:class:`ReplayFrame` holds the one copy. An engine builds a frame, binds
+the fields its loop touches to locals once (so the hot closures still see
+plain locals), replays, and asks the frame for the result.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, List, Optional, Tuple
+
+from repro.cache.stats import CacheStats
+from repro.errors import SimulationError, TraceError
+from repro.fastpath import columnar_unsupported_reason
+from repro.fastpath.interning import InternedChunk, client_leaf_positions
+from repro.network.bus import MessageCounters
+from repro.network.latency import ComponentLatencyModel, ConstantLatencyModel
+from repro.network.topology import StarTopology, two_level_tree
+from repro.simulation.metrics import GroupMetrics, average_cache_expiration_age
+from repro.simulation.results import SimulationResult
+from repro.trace.record import Trace
+
+
+#: Requests per chunk when replaying a streamed source that does not name
+#: a chunk size. Large enough to amortise per-chunk column building,
+#: small enough that the resident columns stay tens of megabytes.
+DEFAULT_CHUNK_SIZE = 1 << 18
+
+
+def _chunk_stream(trace, chunk_size: Optional[int], spans=None) -> Iterator[Tuple]:
+    """Yield ``(chunk, cached_source)`` pairs for the replay loop.
+
+    ``cached_source`` is the backing :class:`InternedTrace` when the chunk
+    covers a whole materialised trace — the engine then uses the per-trace
+    memoised columns (record sizes, digits, leaf assignment) instead of
+    recomputing them. Streamed sources (anything exposing
+    ``interned_chunks(chunk_size)``) and genuinely chunked traces yield
+    ``None`` and the engine derives per-chunk columns from the intern
+    deltas.
+
+    ``spans`` (an optional :class:`repro.obs.spans.SpanTracer`) is handed
+    to sources that accept it, so generation/decoding work inside the
+    source shows up as child spans of the engine's source spans; sources
+    without span support are called plain.
+    """
+    if isinstance(trace, Trace):
+        if spans is not None:
+            with spans.span("intern", "source"):
+                interned = trace.interned()
+        else:
+            interned = trace.interned()
+        if chunk_size is None or chunk_size >= max(interned.num_records, 1):
+            whole = InternedChunk(
+                doc_ids=interned.doc_ids,
+                sizes=interned.sizes,
+                timestamps=interned.timestamps,
+                clients=interned.clients,
+                new_urls=interned.urls,
+                new_client_names=interned.client_names,
+                base_docs=0,
+                base_clients=0,
+                base_records=0,
+            )
+            # Share the per-doc protocol columns already computed at intern
+            # time instead of re-deriving them from the URL strings.
+            whole._new_url_lens = interned.url_lens
+            whole._new_icp_probe_bytes = interned.icp_probe_bytes
+            return iter(((whole, interned),))
+        return ((chunk, None) for chunk in interned.chunks(chunk_size))
+    size = chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE
+    if spans is not None:
+        try:
+            # Generator functions validate keywords at call time, so an
+            # unsupported source raises here, not mid-iteration.
+            chunks = trace.interned_chunks(size, spans=spans)
+        except TypeError:
+            chunks = trace.interned_chunks(size)
+    else:
+        chunks = trace.interned_chunks(size)
+    return ((chunk, None) for chunk in chunks)
+
+
+def check_envelope(config, engine: str) -> None:
+    """Raise unless ``config`` is inside the shared fast-engine envelope."""
+    reason = columnar_unsupported_reason(config)
+    if reason is not None:
+        raise SimulationError(
+            f"config unsupported by the {engine} engine: {reason}"
+        )
+    if config.patch_size <= 0:
+        # Same guard (and message) patch_zero_sizes raises in the object path.
+        raise TraceError(f"patch_size must be positive, got {config.patch_size}")
+
+
+class ReplayFrame:
+    """Config-derived constants and per-cache tallies of one replay."""
+
+    def __init__(self, config, engine: str):
+        check_envelope(config, engine)
+        self.config = config
+        self.engine = engine
+        self.patch = config.patch_size
+        self.partitioner = config.partitioner
+
+        # Topology, capacities, partitioning.
+        self.hierarchical = config.architecture == "hierarchical"
+        if self.hierarchical:
+            topology = two_level_tree(config.num_caches, config.num_parents)
+        else:
+            topology = StarTopology(config.num_caches)
+        self.num_caches = num_caches = topology.num_caches
+        self.leaves = leaves = topology.leaves()
+        self.num_leaves = len(leaves)
+        self.parent = [topology.parent_of(i) for i in range(num_caches)]
+        self.probe_targets: List[tuple] = [() for _ in range(num_caches)]
+        for leaf in leaves:
+            targets = list(topology.siblings_of(leaf))
+            if self.hierarchical and self.parent[leaf] is not None:
+                targets.append(self.parent[leaf])
+            self.probe_targets[leaf] = tuple(targets)
+
+        # Equal split, same arithmetic as build_caches with unit weights.
+        weights = [1.0] * num_caches
+        total_weight = sum(weights)
+        self.capacity = [
+            int(config.aggregate_capacity * w / total_weight) for w in weights
+        ]
+        if any(share <= 0 for share in self.capacity):
+            raise SimulationError(
+                f"aggregate capacity {config.aggregate_capacity} too small for "
+                f"{num_caches} caches with shares {weights}"
+            )
+
+        # "cacheN" Via-header lengths, matching build_caches' naming.
+        self.sender_len = [5 + len(str(i)) for i in range(num_caches)]
+
+        # Client id -> leaf, grown with the client intern table.
+        self.client_leaf: List[int] = []
+
+        # Per-cache occupancy and stats columns (CacheStats fields).
+        self.used = [0] * num_caches
+        self.copies = [0] * num_caches
+        self.st_lookups = [0] * num_caches
+        self.st_local_hits = [0] * num_caches
+        self.st_local_misses = [0] * num_caches
+        self.st_remote_served = [0] * num_caches
+        self.st_admissions = [0] * num_caches
+        self.st_rejections = [0] * num_caches
+        self.st_evictions = [0] * num_caches
+        self.st_bytes_local = [0] * num_caches
+        self.st_bytes_remote = [0] * num_caches
+        self.st_bytes_admitted = [0] * num_caches
+        self.st_bytes_evicted = [0] * num_caches
+        self.st_declined = [0] * num_caches
+        self.st_promo_granted = [0] * num_caches
+        self.st_promo_withheld = [0] * num_caches
+
+        # Bus counters: [icp_q, icp_r, http_req, http_resp, icp_B, hdr_B, body_B]
+        self.bus = [0, 0, 0, 0, 0, 0, 0]
+        # Metrics: [requests, local, remote, miss, B_req, B_local, B_remote, B_miss]
+        self.met = [0, 0, 0, 0, 0, 0, 0, 0]
+        self.latency_sum = 0.0
+
+        # Scheme / latency / strategy parameters.
+        self.ea = config.scheme == "ea"
+        self.tie_requester = config.tie_break == "requester"
+        self.replica_cap = config.max_replica_fraction if self.ea else None
+        self.max_age_strategy = config.responder_strategy == "max_age"
+        self.constant_latency = config.latency == "constant"
+        if self.constant_latency:
+            model = ConstantLatencyModel()
+            self.lat_local = model.local_hit
+            self.lat_remote = model.remote_hit
+            self.lat_miss = model.miss
+            self.lan_bw = self.wan_bw = 1.0  # unused
+        else:
+            model = ComponentLatencyModel()
+            self.lat_local = model.local_service
+            self.lat_remote = model.icp_rtt + model.proxy_http_setup
+            self.lat_miss = model.icp_rtt + model.origin_http_setup
+            self.lan_bw = model.lan_bandwidth
+            self.wan_bw = model.wan_bandwidth
+        self.warmup = config.warmup_requests
+
+    def chunks(self, trace, chunk_size: Optional[int], spans) -> Iterator[Tuple]:
+        """The replay's ``(chunk, cached_source)`` stream (see
+        :func:`_chunk_stream`).
+
+        With a span tracer the stream is bracketed by one
+        ``engine:<name>`` span, every source pull (generation/decoding)
+        is timed, and each chunk's replay — the consumer's loop body —
+        runs inside a ``chunk`` span.
+        """
+        stream = _chunk_stream(trace, chunk_size, spans)
+        if spans is None:
+            yield from stream
+            return
+        # Imported lazily so untraced replay never touches repro.obs.
+        from repro.obs.spans import source_label
+
+        requests = 0
+        spans.begin(f"engine:{self.engine}", "engine")
+        for item in spans.wrap_source(stream, source_label(trace)):
+            spans.begin("chunk", "replay")
+            yield item
+            requests += item[0].num_records
+            spans.end(records=item[0].num_records)
+        spans.end(requests=requests)
+
+    def chunk_columns(self, chunk, cached_source) -> Tuple[list, list]:
+        """``(leaf, record size)`` per chunk request.
+
+        A whole materialised trace (``cached_source``) serves the
+        per-trace memoised columns; a streamed chunk derives them from
+        its intern deltas.
+        """
+        if cached_source is not None:
+            return (
+                cached_source.leaf_column(self.partitioner, self.leaves),
+                cached_source.record_sizes(self.patch),
+            )
+        leaves = self.leaves
+        num_leaves = self.num_leaves
+        if self.partitioner == "round-robin-request":
+            base_record = chunk.base_records
+            leaf_column = [
+                leaves[(base_record + i) % num_leaves]
+                for i in range(chunk.num_records)
+            ]
+        else:
+            # Grow the client -> leaf table by the chunk's new clients.
+            client_leaf = self.client_leaf
+            new_clients = chunk.new_client_names
+            if self.partitioner == "hash":
+                client_leaf.extend(
+                    leaves[pos]
+                    for pos in client_leaf_positions(new_clients, num_leaves)
+                )
+            else:  # round-robin-client: intern order == appearance order
+                base_client = len(client_leaf)
+                client_leaf.extend(
+                    leaves[(base_client + i) % num_leaves]
+                    for i in range(len(new_clients))
+                )
+            leaf_column = [client_leaf[client] for client in chunk.clients]
+        record_sizes = chunk.sizes
+        if 0 in record_sizes:
+            patch = self.patch
+            record_sizes = [patch if size == 0 else size for size in record_sizes]
+        return leaf_column, record_sizes
+
+    def sample(self, timeseries, requests: int, t_last: float, **regimes) -> None:
+        """Hand ``timeseries`` one cumulative counter reading."""
+        timeseries.sample(
+            requests=requests,
+            local_hits=sum(self.st_local_hits),
+            remote_hits=sum(self.st_remote_served),
+            evictions=sum(self.st_evictions),
+            admissions=sum(self.st_admissions),
+            declined=sum(self.st_declined),
+            promoted=sum(self.st_promo_granted),
+            bytes_local=sum(self.st_bytes_local),
+            bytes_remote=sum(self.st_bytes_remote),
+            body_bytes=self.bus[6],
+            residency_bytes=sum(self.used),
+            t_last=t_last,
+            **regimes,
+        )
+
+    def result(self, ages: List[float], unique_documents: int) -> SimulationResult:
+        """Assemble the object-core result dataclasses from the tallies."""
+        met = self.met
+        bus = self.bus
+        metrics = GroupMetrics(
+            requests=met[0],
+            local_hits=met[1],
+            remote_hits=met[2],
+            misses=met[3],
+            bytes_requested=met[4],
+            bytes_local_hit=met[5],
+            bytes_remote_hit=met[6],
+            bytes_miss=met[7],
+            total_measured_latency=self.latency_sum,
+        )
+        counters = MessageCounters(
+            icp_queries=bus[0],
+            icp_replies=bus[1],
+            http_requests=bus[2],
+            http_responses=bus[3],
+            icp_bytes=bus[4],
+            http_header_bytes=bus[5],
+            http_body_bytes=bus[6],
+        )
+        cache_stats = [
+            CacheStats(
+                lookups=self.st_lookups[c],
+                local_hits=self.st_local_hits[c],
+                local_misses=self.st_local_misses[c],
+                remote_hits_served=self.st_remote_served[c],
+                admissions=self.st_admissions[c],
+                rejections=self.st_rejections[c],
+                evictions=self.st_evictions[c],
+                bytes_served_local=self.st_bytes_local[c],
+                bytes_served_remote=self.st_bytes_remote[c],
+                bytes_admitted=self.st_bytes_admitted[c],
+                bytes_evicted=self.st_bytes_evicted[c],
+                placements_declined=self.st_declined[c],
+                promotions_granted=self.st_promo_granted[c],
+                promotions_withheld=self.st_promo_withheld[c],
+            )
+            for c in range(self.num_caches)
+        ]
+        total_copies = sum(self.copies)
+        replication = total_copies / unique_documents if unique_documents else 0.0
+        return SimulationResult(
+            config=self.config.to_dict(),
+            metrics=metrics,
+            message_counters=counters,
+            cache_stats=cache_stats,
+            expiration_ages=ages,
+            avg_cache_expiration_age=average_cache_expiration_age(ages),
+            unique_documents=unique_documents,
+            total_copies=total_copies,
+            replication_factor=replication,
+            estimated_latency=metrics.estimated_latency(),
+            manifest=None,
+        )

@@ -6,9 +6,7 @@ request-independent computation out of the per-request loop into
 whole-chunk batch precomputation:
 
 * **Leaf assignment, patched record sizes, Content-Length digit counts**
-  — per-request columns computed in one vectorised pass (numpy when
-  available, pure-Python list columns otherwise; see
-  :mod:`repro.fastpath.numeric`).
+  — per-request columns computed in one vectorised numpy pass.
 * **Wire-length components** — the request-header byte count of a remote
   fetch and the full origin request+response header bytes depend only on
   the (doc, leaf) pair, so they are precomputed per request and summed by
@@ -70,9 +68,11 @@ chunking choice.
 
 The vectorised fast loop covers the paper's evaluation envelope —
 distributed architecture, LRU replacement, pure expiration-age windows
-(``count``/``cumulative``), no observer. Everything else inside the
-engine envelope (hierarchical escalation, LFU, time windows, an attached
-``RunRecorder``) replays on the chunked columnar core via
+(``count``/``cumulative``), no observer — and needs numpy (see
+:mod:`repro.fastpath.numeric`). Everything else inside the engine
+envelope (hierarchical escalation, LFU, time windows, an attached
+``RunRecorder``, a platform without numpy) replays on the chunked
+columnar core via
 :func:`repro.fastpath.engine.simulate_columnar`, which is already
 byte-identical — :func:`batch_fastloop_reason` reports which path a
 config takes. Configs outside the shared envelope raise, exactly like
@@ -86,17 +86,10 @@ from array import array
 from heapq import heappop, heappush
 from typing import List, Optional
 
-from repro.cache.stats import CacheStats
-from repro.errors import SimulationError, TraceError
-from repro.fastpath import columnar_unsupported_reason
-from repro.fastpath.engine import _chunk_stream, simulate_columnar
-from repro.fastpath.interning import client_leaf_positions
+from repro.fastpath._frame import ReplayFrame, check_envelope
+from repro.fastpath.engine import simulate_columnar
 from repro.fastpath.numeric import load_numpy
-from repro.network.bus import MessageCounters
-from repro.network.latency import ComponentLatencyModel, ConstantLatencyModel
-from repro.network.topology import StarTopology
 from repro.protocol.http import format_expiration_age
-from repro.simulation.metrics import GroupMetrics, average_cache_expiration_age
 from repro.simulation.results import SimulationResult
 
 _INF = math.inf
@@ -108,7 +101,8 @@ def batch_fastloop_reason(config, obs=None) -> Optional[str]:
 
     Purely informational (both paths are byte-identical); the run
     manifest and ``repro analyze`` surface it so fast-loop coverage is
-    observable.
+    observable. The last row reads the platform, not the config: the
+    fast loop is numpy code.
     """
     if obs is not None:
         return "an attached observer requires the event-emitting columnar loop"
@@ -118,6 +112,8 @@ def batch_fastloop_reason(config, obs=None) -> Optional[str]:
         return "lfu victim accounting replays on the columnar core"
     if config.window_mode not in ("count", "cumulative"):
         return "time-window age reads have trim side effects; columnar core"
+    if load_numpy() is None:
+        return "numpy unavailable (not installed, or REPRO_NO_NUMPY set); columnar core"
     return None
 
 
@@ -149,12 +145,7 @@ def simulate_batch(
     granularity, with the wall-clock reads quarantined inside
     ``repro.obs``. Results are byte-identical with or without them.
     """
-    reason = columnar_unsupported_reason(config)
-    if reason is not None:
-        raise SimulationError(f"config unsupported by the batch engine: {reason}")
-    if config.patch_size <= 0:
-        # Same guard (and message) patch_zero_sizes raises in the object path.
-        raise TraceError(f"patch_size must be positive, got {config.patch_size}")
+    check_envelope(config, "batch")
     loop_reason = batch_fastloop_reason(config, obs)
     if loop_reason is not None:
         # Envelope configs the fast loop does not vectorise replay on the
@@ -168,66 +159,163 @@ def simulate_batch(
     return _simulate_fast(config, trace, chunk_size, regimes, spans, timeseries)
 
 
+class _FastState(ReplayFrame):
+    """The replay frame plus the fast loop's flat doc-major state.
+
+    ``slot = doc * NC + cache``; growth per chunk is a pure extend, so
+    slot numbering never changes. ``seq[slot]`` is the global index of
+    the request that last touched the copy; ``heaps[c]`` orders eviction
+    candidates lazily (see the module docstring).
+    """
+
+    def __init__(self, config, np):
+        super().__init__(config, "batch")
+        self.np = np
+        self.cap = self.capacity[0]  # equal shares: one scalar serves every admit check
+        self.num_docs = 0
+        # Per-slot metadata lives in buffer-protocol columns — ``array`` /
+        # ``bytearray`` — so the scalar protocol path (miss_path/_admit,
+        # which runs once per *state-changing* request and dominates
+        # evicting replay) gets Python-speed element access, while the
+        # warm/cold regimes take zero-copy ``np.frombuffer`` views for bulk
+        # scatters. Views are created where needed and dropped before the
+        # next growth (a buffer with an exported view cannot be resized).
+        # ``array("d")`` holds C doubles, so ``lh`` arithmetic stays bit-
+        # and serialisation-identical to the object core's floats.
+        self.present_b = bytearray()  # residency bitmap
+        self.dsz = array("q")  # resident copy size
+        self.lh = array("d")  # last-touch timestamp
+        self.seq = array("q")  # last-touch global request index
+        self.pred = bytearray()  # warm-scanner prediction marks
+        self.heaps: List[list] = [[] for _ in range(self.num_caches)]
+
+        # Per-doc protocol columns (engine-owned copies, grown per chunk).
+        self.url_len_g = _NpGrow(np)
+        self.icp_g = _NpGrow(np)
+        self.first_size_g = _NpGrow(np)  # -1 until a doc's first request lands
+        self.sender_np = np.array(self.sender_len, dtype=np.int64)
+        self.pow10 = np.power(10, np.arange(1, 19, dtype=np.int64))
+        # Outcome-code-indexed latency components (index 1 unused).
+        self.lat_lookup = np.array(
+            [self.lat_local, 0.0, self.lat_remote, self.lat_miss]
+        )
+
+        # Cold regime (see module docstring): sound while no eviction has
+        # ever happened anywhere, which this engine guarantees by
+        # construction — the flag latches off *before* the first request
+        # that could evict runs. EA with tie_break="responder" never
+        # stores on a remote hit, so seen slots would not all be resident;
+        # that shape replays on the loop.
+        self.cold = not self.ea or self.tie_requester
+        # Per doc: min leaf holding a copy (-1 until first seen). Cold-only.
+        self.first_min_g = _NpGrow(np)
+        # Deferred last-touch fixups from cold segments: (slot, touch
+        # index, timestamp) arrays, applied only if the general loop
+        # (which reads lh/seq at evictions) ever takes over. ``seq`` is
+        # touch-monotone, so replaying fixups oldest-first under a
+        # ``g > seq[slot]`` guard commutes with any direct writes the cold
+        # replay already made (responder promotions). Slots are unique
+        # within each tuple, so the masked scatters are conflict-free.
+        self.pending: List[tuple] = []
+
+    def grow(self, chunk) -> None:
+        """Extend every per-doc/per-slot column by the chunk's intern delta."""
+        new_urls = chunk.new_urls
+        if new_urls:
+            np = self.np
+            add = len(new_urls)
+            self.num_docs += add
+            grown = add * self.num_caches
+            self.present_b.extend(bytes(grown))
+            self.pred.extend(bytes(grown))
+            # Zero-fill appends (8-byte elements for the q/d arrays); no
+            # numpy view of these buffers is live here — the vector
+            # paths create theirs after growth and drop them before the
+            # next chunk.
+            self.dsz.frombytes(bytes(8 * grown))
+            self.lh.frombytes(bytes(8 * grown))
+            self.seq.frombytes(bytes(8 * grown))
+            self.first_min_g.extend(np, np.full(add, -1, dtype=np.int64))
+            self.url_len_g.extend(np, chunk.new_url_lens)
+            self.icp_g.extend(np, chunk.new_icp_probe_bytes)
+            self.first_size_g.extend(np, np.full(add, -1, dtype=np.int64))
+
+    def columns(self, chunk, cached_source):
+        """The chunk's batch precompute (see :func:`_columns_np`).
+
+        Memoised on the interned trace for whole-trace replay — sweeps
+        re-replay the same trace at many capacities.
+        """
+        if cached_source is None:
+            return _columns_np(self, chunk, None)
+        memo = cached_source.derived_cache()
+        key = (
+            "batch_cols", self.patch, self.partitioner, tuple(self.leaves),
+            self.num_caches,
+        )
+        cols = memo.get(key)
+        if cols is None:
+            cols = memo[key] = _columns_np(self, chunk, cached_source)
+        return cols
+
+    def flush_pending(self) -> None:
+        """Apply the cold segments' deferred last-touch fixups."""
+        if not self.pending:
+            return
+        np = self.np
+        seq_v = np.frombuffer(self.seq, dtype=np.int64)
+        lh_v = np.frombuffer(self.lh)
+        for slots_p, gs_p, tss_p in self.pending:
+            m = gs_p > seq_v[slots_p]
+            sm = slots_p[m]
+            seq_v[sm] = gs_p[m]
+            lh_v[sm] = tss_p[m]
+        self.pending.clear()
+
+
 def _simulate_fast(
     config, trace, chunk_size: Optional[int], regimes: Optional[dict] = None,
     spans=None, timeseries=None,
 ) -> SimulationResult:
     """The vectorised fast loop (distributed + LRU + pure windows, no obs)."""
     np = load_numpy()
-    patch = config.patch_size
-    partitioner = config.partitioner
+    st = _FastState(config, np)
 
-    # ---------------------------------------------------------------- #
-    # Topology, capacities, partitioning (mirrors simulate_columnar)
-    # ---------------------------------------------------------------- #
-    topology = StarTopology(config.num_caches)
-    num_caches = topology.num_caches
-    leaves = topology.leaves()
-    num_leaves = len(leaves)
-    rr_request = partitioner == "round-robin-request"
-    hash_partitioner = partitioner == "hash"
-    probe_targets = [tuple(topology.siblings_of(leaf)) for leaf in leaves]
-    num_targets = num_caches - 1
-
-    # Equal split, same arithmetic as build_caches with unit weights.
-    weights = [1.0] * num_caches
-    total_weight = sum(weights)
-    capacity = [int(config.aggregate_capacity * w / total_weight) for w in weights]
-    if any(share <= 0 for share in capacity):
-        raise SimulationError(
-            f"aggregate capacity {config.aggregate_capacity} too small for "
-            f"{num_caches} caches with shares {weights}"
-        )
-    cap = capacity[0]  # equal shares: one scalar serves every admit check
-
-    # "cacheN" Via-header lengths, matching build_caches' naming.
-    sender_len = [5 + len(str(i)) for i in range(num_caches)]
-
-    # ---------------------------------------------------------------- #
-    # Flat doc-major state: slot = doc * NC + cache. Growth per chunk is
-    # a pure extend — slot numbering never changes. ``seq[slot]`` is the
-    # global index of the request that last touched the copy; ``heaps[c]``
-    # orders candidates lazily (see the module docstring).
-    # ---------------------------------------------------------------- #
-    NC = num_caches
-    num_docs = 0
+    # Frame and state fields the per-request kernel touches, bound once so
+    # its closures see plain locals.
+    NC = st.num_caches
+    probe_targets = st.probe_targets
+    cap = st.cap
+    sender_len = st.sender_len
     # repro: domains[present_b=cache-slot->any:uint8, pred=cache-slot->any:uint8]
     # repro: domains[dsz=cache-slot->byte-size:int64, lh=cache-slot->age-tick:float64]
     # repro: domains[seq=cache-slot->global-seq:int64]
-    present_b = bytearray()
-    # Per-slot metadata lives in buffer-protocol columns — ``array`` /
-    # ``bytearray`` — so the scalar protocol path (miss_path/_admit,
-    # which runs once per *state-changing* request and dominates
-    # evicting replay) gets Python-speed element access, while the
-    # warm/cold regimes take zero-copy ``np.frombuffer`` views for bulk
-    # scatters. Views are created where needed and dropped before the
-    # next growth (a buffer with an exported view cannot be resized).
-    # ``array("d")`` holds C doubles, so ``lh`` arithmetic stays bit-
-    # and serialisation-identical to the object core's floats.
-    dsz = array("q")  # resident copy size
-    lh = array("d")  # last-touch timestamp
-    seq = array("q")  # last-touch global request index
-    pred = bytearray() if np is not None else None
+    present_b = st.present_b
+    dsz = st.dsz
+    lh = st.lh
+    seq = st.seq
+    pred = st.pred
+    heaps = st.heaps
+    used = st.used
+    copies = st.copies
+    st_remote_served = st.st_remote_served
+    st_admissions = st.st_admissions
+    st_rejections = st.st_rejections
+    st_evictions = st.st_evictions
+    st_bytes_remote = st.st_bytes_remote
+    st_bytes_admitted = st.st_bytes_admitted
+    st_bytes_evicted = st.st_bytes_evicted
+    st_declined = st.st_declined
+    st_promo_granted = st.st_promo_granted
+    st_promo_withheld = st.st_promo_withheld
+    bus = st.bus
+    ea = st.ea
+    tie_requester = st.tie_requester
+    replica_cap = st.replica_cap
+    rc_on = replica_cap is not None
+    max_age_strategy = st.max_age_strategy
+    fmt_age = format_expiration_age
+
     # Warm-scanner shared cells (see warm_loop). ``pred_conflict`` is set
     # when an eviction invalidated the current block's classifications;
     # ``flush_cb`` holds the active block's flush closure so _admit can
@@ -241,9 +329,6 @@ def _simulate_fast(
     blk_state: List = [None, None, 0, 0]
     touched: dict = {}
     sr_hits = [0]  # run members resolved by scalar_run's residency recheck
-    heaps: List[list] = [[] for _ in range(NC)]
-    used = [0] * NC
-    copies = [0] * NC
 
     # Inline expiration-age window state (same arithmetic sequence as
     # RingAgeTracker / the object deque tracker, so sums are bit-equal).
@@ -259,72 +344,6 @@ def _simulate_fast(
     # only when an eviction records into the window, so reads are O(1).
     cur_age = [_INF] * NC
     age_len = [3] * NC  # len("inf")
-
-    # Per-doc protocol columns (engine-owned copies, grown per chunk).
-    url_len_l: List[int] = []
-    icp_l: List[int] = []
-    client_leaf: List[int] = []
-    if np is not None:
-        url_len_g = _NpGrow(np)
-        icp_g = _NpGrow(np)
-        client_leaf_g = _NpGrow(np)
-        first_size_g = _NpGrow(np)  # -1 until a doc's first request lands
-        leaves_np = np.array(leaves, dtype=np.intp)
-        sender_np = np.array(sender_len, dtype=np.int64)
-        pow10 = np.power(10, np.arange(1, 19, dtype=np.int64))
-    else:
-        url_len_g = icp_g = client_leaf_g = first_size_g = None
-        leaves_np = sender_np = pow10 = None
-
-    # Per-cache stats columns (CacheStats fields).
-    st_lookups = [0] * NC
-    st_local_hits = [0] * NC
-    st_local_misses = [0] * NC
-    st_remote_served = [0] * NC
-    st_admissions = [0] * NC
-    st_rejections = [0] * NC
-    st_evictions = [0] * NC
-    st_bytes_local = [0] * NC
-    st_bytes_remote = [0] * NC
-    st_bytes_admitted = [0] * NC
-    st_bytes_evicted = [0] * NC
-    st_declined = [0] * NC
-    st_promo_granted = [0] * NC
-    st_promo_withheld = [0] * NC
-
-    # Bus counters: [icp_q, icp_r, http_req, http_resp, icp_B, hdr_B, body_B]
-    bus = [0, 0, 0, 0, 0, 0, 0]
-    # Metrics: [requests, local, remote, miss, B_req, B_local, B_remote, B_miss]
-    met = [0, 0, 0, 0, 0, 0, 0, 0]
-    latency_sum = [0.0]
-
-    # ---------------------------------------------------------------- #
-    # Scheme / latency / strategy parameters
-    # ---------------------------------------------------------------- #
-    ea = config.scheme == "ea"
-    tie_requester = config.tie_break == "requester"
-    replica_cap = config.max_replica_fraction if ea else None
-    rc_on = replica_cap is not None
-    max_age_strategy = config.responder_strategy == "max_age"
-    constant_latency = config.latency == "constant"
-    if constant_latency:
-        model = ConstantLatencyModel()
-        lat_local = model.local_hit
-        lat_remote = model.remote_hit
-        lat_miss = model.miss
-        lan_bw = wan_bw = 1.0  # unused
-    else:
-        model = ComponentLatencyModel()
-        lat_local = model.local_service
-        lat_remote = model.icp_rtt + model.proxy_http_setup
-        lat_miss = model.icp_rtt + model.origin_http_setup
-        lan_bw = model.lan_bandwidth
-        wan_bw = model.wan_bandwidth
-    if np is not None:
-        # Outcome-code-indexed latency components (index 1 unused).
-        lat_lookup = np.array([lat_local, 0.0, lat_remote, lat_miss])
-    fmt_age = format_expiration_age
-    warmup = config.warmup_requests
     sdig: dict = {}  # stored-size -> len(str(size)), bounded by doc count
 
     # Rebound per chunk; miss_path reads them as free variables.
@@ -337,42 +356,7 @@ def _simulate_fast(
     # Lean mode is only sound while *every* request so far matched its
     # doc's first-seen size: one deviating chunk can leave a stored size
     # that differs from the size column, so the flag latches off.
-    sizes_consistent = True
-
-    # Cold regime (see module docstring): sound while no eviction has ever
-    # happened anywhere, which this engine guarantees by construction — the
-    # flag latches off *before* the first request that could evict runs.
-    # EA with tie_break="responder" never stores on a remote hit, so seen
-    # slots would not all be resident; that shape replays on the loop.
-    cold = np is not None and (not ea or tie_requester)
-    # Per doc: min leaf holding a copy (-1 until first seen). Cold-only
-    # state, and cold is numpy-only, so this is always a numpy column.
-    if np is not None:
-        first_min_g = _NpGrow(np)
-        first_min = first_min_g.view()  # repro: domains[first_min=interned-id->any:int64]
-    else:
-        first_min_g = None
-        first_min = None
-    # Deferred last-touch fixups from cold segments: (slot, touch index,
-    # timestamp) arrays, applied only if the general loop (which reads
-    # lh/seq at evictions) ever takes over. ``seq`` is touch-monotone, so
-    # replaying fixups oldest-first under a ``g > seq[slot]`` guard
-    # commutes with any direct writes the cold loop already made
-    # (responder promotions). Slots are unique within each tuple, so the
-    # masked scatters below are conflict-free.
-    pending: List[tuple] = []
-
-    def flush_pending() -> None:
-        if not pending:
-            return
-        seq_v = np.frombuffer(seq, dtype=np.int64)
-        lh_v = np.frombuffer(lh)
-        for slots_p, gs_p, tss_p in pending:
-            m = gs_p > seq_v[slots_p]
-            sm = slots_p[m]
-            seq_v[sm] = gs_p[m]
-            lh_v[sm] = tss_p[m]
-        pending.clear()
+    lean = True
 
     def miss_path(i: int, slot: int, now: float) -> None:
         """Everything after a failed local lookup for request ``i``.
@@ -484,7 +468,7 @@ def _simulate_fast(
                 if not present_b[victim]:
                     heappop(heap_c)  # evicted earlier; entry is dead
                     continue
-                if pred is not None and pred[victim]:
+                if pred[victim]:
                     # The candidate carries a deferred warm-block hit
                     # touch (or an outstanding hit prediction): bring
                     # the block's consumed touches current, then
@@ -757,606 +741,379 @@ def _simulate_fast(
         # protocol path, so the breakdown reports them as hit-run work.
         return hit_req + sr_hits[0], scal_req - sr_hits[0]
 
-    # Regime tallies (requests handled per path; see ``regimes``).
-    reg_cold = 0
-    reg_hit = 0
-    reg_scalar = 0
+    # Requests handled per path (see ``regimes``).
+    tally = {"cold": 0, "hit_run": 0, "scalar": 0}
 
     # ---------------------------------------------------------------- #
     # Chunked replay
     # ---------------------------------------------------------------- #
     traced = spans is not None
-    sampling = timeseries is not None
-    chunks = _chunk_stream(trace, chunk_size, spans)
-    if traced:
-        # Imported lazily so untraced replay never touches repro.obs.
-        from repro.obs.spans import source_label
-
-        spans.begin("engine:batch", "engine")
-        chunks = spans.wrap_source(chunks, source_label(trace))
-    grand_total = 0
-    for chunk, cached_source in chunks:
+    for chunk, cached_source in st.chunks(trace, chunk_size, spans):
         n = chunk.num_records
-        if traced:
-            spans.begin("chunk", "replay")
-        new_urls = chunk.new_urls
-        if new_urls:
-            add = len(new_urls)
-            num_docs += add
-            url_len_l.extend(chunk.new_url_lens)
-            icp_l.extend(chunk.new_icp_probe_bytes)
-            grown = add * NC
-            present_b.extend(bytes(grown))
-            # Zero-fill appends (8-byte elements for the q/d arrays); no
-            # numpy view of these buffers is live here — the vector
-            # paths create theirs after growth and drop them before the
-            # next chunk.
-            dsz.frombytes(bytes(8 * grown))
-            lh.frombytes(bytes(8 * grown))
-            seq.frombytes(bytes(8 * grown))
-            if np is not None:
-                pred.extend(bytes(grown))
-                first_min_g.extend(np, np.full(add, -1, dtype=np.int64))
-                first_min = first_min_g.view()
-                url_len_g.extend(np, chunk.new_url_lens)
-                icp_g.extend(np, chunk.new_icp_probe_bytes)
-                first_size_g.extend(np, np.full(add, -1, dtype=np.int64))
-        new_clients = chunk.new_client_names
-        if new_clients and not rr_request:
-            base_client = len(client_leaf)
-            if hash_partitioner:
-                fresh = [
-                    leaves[pos]
-                    for pos in client_leaf_positions(new_clients, num_leaves)
-                ]
-            else:  # round-robin-client: intern order == appearance order
-                fresh = [
-                    leaves[(base_client + k) % num_leaves]
-                    for k in range(len(new_clients))
-                ]
-            client_leaf.extend(fresh)
-            if np is not None:
-                client_leaf_g.extend(np, fresh)
+        st.grow(chunk)
         if not n:
-            if traced:
-                spans.end(records=0)
             continue
 
-        # ------------------------------------------------------------ #
         # Batch precompute: per-request columns + run segmentation.
-        # Memoised on the interned trace for whole-trace replay (sweeps
-        # re-replay the same trace at many capacities).
-        # ------------------------------------------------------------ #
         if traced:
             spans.begin("columns", "replay")
-        memo_key = None
-        cols = None
-        if cached_source is not None:
-            memo_key = (
-                "batch_cols", np is not None, patch, partitioner,
-                tuple(leaves), NC,
-            )
-            cols = cached_source.derived_cache().get(memo_key)
-        if cols is None:
-            if np is not None:
-                cols = _columns_np(
-                    np, chunk, cached_source, patch, partitioner, leaves,
-                    leaves_np, sender_np, pow10, NC, num_leaves,
-                    client_leaf_g, url_len_g, icp_g, first_size_g,
-                )
-            else:
-                cols = _columns_py(
-                    chunk, cached_source, patch, partitioner, leaves,
-                    sender_len, NC, num_leaves, client_leaf, url_len_l, icp_l,
-                )
-            if memo_key is not None:
-                cached_source.derived_cache()[memo_key] = cols
-        (starts_l, sslots_l, sts_l, ends_l, leaf_l, rsz_l, post, cconst, npx) = cols
+        (starts_l, sslots_l, sts_l, ends_l, leaf_l, rsz_l, post, cconst, npx) = (
+            st.columns(chunk, cached_source)
+        )
         if traced:
             spans.end()
-        sizes_consistent = sizes_consistent and cconst
-        lean = sizes_consistent
+        lean = lean and cconst
         ts_l = chunk.timestamps
         gbase = chunk.base_records
-        if np is not None:
-            # repro: domains[docs_np=chunk-offset->interned-id:intp]
-            # repro: domains[slots_np=chunk-offset->cache-slot:intp]
-            # repro: domains[ts_np=chunk-offset->age-tick:float64]
-            # repro: domains[fsreq_np=chunk-offset->byte-size:int64]
-            docs_np, slots_np, ts_np, fsreq_np, runs_np = npx
-
+        runs_np = npx[4]
         out = bytearray(n)
-        served_np = None  # set by the cold path: first-size served column
+        served_np = None  # set after a cold prefix: first-size served column
         tail_start = 0  # first request index the general loop replays
 
-        # ------------------------------------------------------------ #
         # Cold-regime prefix: replay first-slot-occurrences only, up to
         # the split where an admission would first evict/reject/decline.
-        # ------------------------------------------------------------ #
-        if cold:
+        if st.cold:
             if traced:
                 spans.begin("cold", "regime")
-            leaf_np = post[0]
-            grp = None
-            if cached_source is not None:
-                gkey = ("batch_grp", partitioner, tuple(leaves), NC)
-                grp = cached_source.derived_cache().get(gkey)
-            if grp is None:
-                order = np.argsort(slots_np, kind="stable")
-                ss = slots_np[order]
-                bnd = np.empty(n, dtype=bool)
-                bnd[0] = True
-                if n > 1:
-                    bnd[1:] = ss[1:] != ss[:-1]
-                gpos = np.flatnonzero(bnd)
-                gend = np.empty(len(gpos), dtype=np.intp)
-                gend[:-1] = gpos[1:]
-                gend[-1] = n
-                # Stable sort keeps each group's original indices ascending,
-                # so group boundaries give first/last occurrence directly.
-                grp = (ss[gpos], order[gpos], order[gend - 1])
-                if cached_source is not None:
-                    cached_source.derived_cache()[gkey] = grp
-            # repro: domains[grp_slot=any->cache-slot:intp, grp_first=any->chunk-offset:intp]
-            # repro: domains[grp_last=any->chunk-offset:intp]
-            grp_slot, grp_first, grp_last = grp
-            # Cold invariant: a slot was seen before iff it is resident.
-            # (No reference to the frombuffer view may outlive this
-            # statement — present_b.extend() would raise BufferError.)
-            new_g = np.frombuffer(present_b, dtype=np.uint8)[grp_slot] == 0
-            ev_ord = np.argsort(grp_first[new_g])
-            ev_idx = grp_first[new_g][ev_ord]
-            ev_slot = grp_slot[new_g][ev_ord]
-            ev_doc = docs_np[ev_idx]
-            ev_size = fsreq_np[ev_idx]  # admitted size is always the first size
-            ev_leaf = leaf_np[ev_idx]
-            split = n
-            bad = ev_size > cap
-            if rc_on:
-                bad = bad | (ev_size > replica_cap * cap)
-            if bool(bad.any()):
-                split = int(ev_idx[int(np.argmax(bad))])
-            for c in range(NC):
-                cm = ev_leaf == c
-                cs = np.cumsum(ev_size[cm], dtype=np.int64)
-                k = int(np.searchsorted(cs, cap - used[c], side="right"))
-                if k < len(cs):
-                    oidx = int(ev_idx[cm][k])
-                    if oidx < split:
-                        split = oidx
-            if split:
-                ecount = int(np.searchsorted(ev_idx, split))
-                if ecount:
-                    # Vectorised first-occurrence replay. Events are
-                    # regrouped by doc (stable sort keeps time order
-                    # inside each group); the serving sibling of every
-                    # non-compulsory event is the doc's running-minimum
-                    # holding leaf — the ascending probe scan under
-                    # all-inf ages picks the minimum holding sibling —
-                    # seeded with the carried-over ``first_min`` state.
-                    e_idx = ev_idx[:ecount]
-                    e_slot = ev_slot[:ecount]
-                    e_leaf = ev_leaf[:ecount]
-                    e_size = ev_size[:ecount]
-                    e_ts = ts_np[e_idx]
-                    e_g = e_idx + gbase
-                    dorder = np.argsort(ev_doc[:ecount], kind="stable")
-                    d_doc = ev_doc[:ecount][dorder]
-                    d_leaf = e_leaf[dorder]
-                    gstart = np.empty(ecount, dtype=bool)
-                    gstart[0] = True
-                    gstart[1:] = d_doc[1:] != d_doc[:-1]
-                    # bool input would otherwise promote to the platform
-                    # default integer (int32 on Windows).
-                    gid = np.cumsum(gstart, dtype=np.int64) - 1
-                    # Segmented inclusive running minimum of the leaf
-                    # column via offset max-accumulate: group offsets
-                    # dominate the encoded values, so earlier groups can
-                    # never leak into later ones. NC encodes "no holder".
-                    enc = gid * (NC + 1) + (NC - d_leaf)
-                    run_incl = NC - (np.maximum.accumulate(enc) - gid * (NC + 1))
-                    seed = first_min[d_doc[gstart]]
-                    seed = np.where(seed < 0, NC, seed)
-                    shifted = np.empty(ecount, dtype=np.int64)
-                    shifted[0] = NC
-                    shifted[1:] = run_incl[:-1]
-                    before = np.minimum(
-                        seed[gid], np.where(gstart, NC, shifted)
-                    )
-                    compulsory = before >= NC
-                    gendm = np.empty(ecount, dtype=bool)
-                    gendm[:-1] = gstart[1:]
-                    gendm[-1] = True
-                    first_min[d_doc[gstart]] = np.minimum(
-                        seed, run_incl[gendm]
-                    )
-                    d_idx = e_idx[dorder]
-                    ov = np.frombuffer(out, dtype=np.uint8)
-                    ov[d_idx] = np.where(compulsory, 3, 2)
-                    del ov
-                    rem = ~compulsory
-                    if bool(rem.any()):
-                        fm_r = before[rem]
-                        sz_r = e_size[dorder][rem]
-                        # 76 + Content-Length digits + sender header.
-                        bus[5] += int((
-                            np.searchsorted(pow10, sz_r, side="right")
-                            + 77
-                            + sender_np[fm_r]
-                        ).sum())
-                        rcnt = np.bincount(fm_r, minlength=NC)
-                        rbyt = np.bincount(fm_r, weights=sz_r, minlength=NC)
-                        for c in range(NC):
-                            k = int(rcnt[c])
-                            if k:
-                                st_remote_served[c] += k
-                                st_bytes_remote[c] += int(rbyt[c])
-                                if ea:
-                                    # Equal (inf) ages: never granted.
-                                    st_promo_withheld[c] += k
-                                else:
-                                    st_promo_granted[c] += k
-                    # Admissions: slots are unique (first occurrences),
-                    # so the scatters are conflict-free. (The residency
-                    # view must not outlive this block.)
-                    pb = np.frombuffer(present_b, dtype=np.uint8)
-                    pb[e_slot] = 1
-                    del pb
-                    dszv = np.frombuffer(dsz, dtype=np.int64)
-                    lhv = np.frombuffer(lh)
-                    seqv = np.frombuffer(seq, dtype=np.int64)
-                    dszv[e_slot] = e_size
-                    lhv[e_slot] = e_ts
-                    seqv[e_slot] = e_g
-                    acnt = np.bincount(e_leaf, minlength=NC)
-                    abyt = np.bincount(e_leaf, weights=e_size, minlength=NC)
-                    for c in range(NC):
-                        k = int(acnt[c])
-                        if not k:
-                            continue
-                        cm = e_leaf == c
-                        # Cold-regime heaps are append-only with globally
-                        # ascending touch indices, so the entry list is
-                        # sorted — and a sorted list is a valid min-heap.
-                        heaps[c].extend(
-                            zip(e_g[cm].tolist(), e_slot[cm].tolist())
-                        )
-                        used[c] += int(abyt[c])
-                        st_admissions[c] += k
-                        st_bytes_admitted[c] += int(abyt[c])
-                        copies[c] += k
-                    if not ea and bool(rem.any()):
-                        # Responder promotions touch the serving slot.
-                        # Applied *after* the admission scatter: a slot
-                        # admitted earlier in this batch can be
-                        # promotion-touched later, and the latest touch
-                        # must win. Duplicates share a doc group, so
-                        # array order is time order and fancy assignment
-                        # resolves last-wins.
-                        rslot_r = e_slot[dorder][rem] - d_leaf[rem] + fm_r
-                        lhv[rslot_r] = e_ts[dorder][rem]
-                        seqv[rslot_r] = e_g[dorder][rem]
-                    del dszv, lhv, seqv
-                served_np = fsreq_np  # never mutated: may be memo-shared
-                if split == n:
-                    tail_start = n
-                    pending.append(
-                        (grp_slot, grp_last + gbase, ts_np[grp_last])
-                    )
-                else:
-                    tail_start = split
-                    sl_p = slots_np[:split]
-                    order_p = np.argsort(sl_p, kind="stable")
-                    ssp = sl_p[order_p]
-                    bnd = np.empty(split, dtype=bool)
-                    bnd[0] = True
-                    if split > 1:
-                        bnd[1:] = ssp[1:] != ssp[:-1]
-                    gpos = np.flatnonzero(bnd)
-                    gend = np.empty(len(gpos), dtype=np.intp)
-                    gend[:-1] = gpos[1:]
-                    gend[-1] = split
-                    p_last = order_p[gend - 1]
-                    pending.append(
-                        (ssp[gpos], p_last + gbase, ts_np[p_last])
-                    )
-            if split < n:
-                # The next admission can evict: ages stop being inf, so
-                # the regime is over for good. The general loop needs the
-                # exact last-touch state, so apply the deferred fixups.
-                flush_pending()
-                cold = False
-                if split:
-                    # Rebuild run segmentation for the tail only. A run
-                    # straddling the split re-enters as a fresh run start,
-                    # which the loop handles identically.
-                    tn = n - split
-                    tkeep = np.empty(tn, dtype=bool)
-                    tkeep[0] = True
-                    if tn > 1:
-                        tkeep[1:] = slots_np[split + 1 :] != slots_np[split:-1]
-                    tstarts = np.flatnonzero(tkeep) + split
-                    starts_l = tstarts.tolist()
-                    ends_l = starts_l[1:]
-                    ends_l.append(n)
-                    sslots_l = slots_np[tstarts].tolist()
-                    sts_l = ts_np[tstarts].tolist()
-                    tends = np.empty(len(tstarts), dtype=np.intp)
-                    tends[:-1] = tstarts[1:]
-                    tends[-1] = n
-                    runs_np = (
-                        tstarts, tends, slots_np[tstarts], ts_np[tends - 1]
-                    )
+            tail_start, tail_runs = _cold_prefix(
+                st, n, gbase, cached_source, npx, post[0], out
+            )
+            if tail_start:
+                served_np = npx[3]  # never mutated: may be memo-shared
+            if tail_runs is not None:
+                starts_l, sslots_l, sts_l, ends_l, runs_np = tail_runs
             if traced:
                 spans.end(requests=tail_start)
+        tally["cold"] += tail_start
 
-        # The served column is only materialised when the stateful path
-        # (whose miss branch records into it) actually runs; in numpy
-        # mode it is an int64 array so bulk hit-runs can fill member
-        # spans with one np.repeat scatter (lean mode derives every
-        # served size from the precomputed column instead, so the writes
-        # are dead there — the zeros allocation is one memset).
-        reg_cold += tail_start
-        if np is None:
-            served = [0] * n
-        elif tail_start < n:
-            served = np.zeros(n, dtype=np.int64)
-        else:
-            served = []
-
-        # ------------------------------------------------------------ #
         # The stateful tail: run starts only. A run whose first request
         # leaves the doc resident collapses — members are local hits
-        # whose only state effect is the final touch index and last-hit.
-        # With numpy the warm scanner bulk-processes whole all-hit run
-        # prefixes (see warm_loop); the pure-Python fallback replays
-        # every run through the scalar path below.
-        # ------------------------------------------------------------ #
-        if traced and tail_start < n:
-            spans.begin("warm", "regime")
-            warm_hit_base = reg_hit
-            warm_scal_base = reg_scalar
-        if tail_start >= n:
-            pass  # fully cold chunk: no stateful loop at all
-        elif np is not None:
+        # whose only state effect is the final touch index and last-hit;
+        # the warm scanner bulk-processes whole all-hit run prefixes (see
+        # warm_loop). The served column is only materialised when this
+        # path (whose miss branch records into it) actually runs: an
+        # int64 array, so bulk hit-runs can fill member spans with one
+        # np.repeat scatter (lean mode derives every served size from the
+        # precomputed column instead, so the writes are dead there — the
+        # zeros allocation is one memset).
+        if tail_start < n:
+            served = np.zeros(n, dtype=np.int64)
+            if traced:
+                spans.begin("warm", "regime")
             hit_req, scal_req = warm_loop()
-            reg_hit += hit_req
-            reg_scalar += scal_req
-        else:
-            reg_scalar += n
-            for i, slot, now, e in zip(starts_l, sslots_l, sts_l, ends_l):
-                if present_b[slot]:
-                    sz = dsz[slot]
-                    served[i] = sz
-                    lh[slot] = now
-                    seq[slot] = gbase + i
-                    if e - i > 1:
-                        lh[slot] = ts_l[e - 1]
-                        seq[slot] = gbase + e - 1
-                        served[i + 1 : e] = [sz] * (e - i - 1)
-                    continue
-                miss_path(i, slot, now)
-                if e - i > 1:
-                    if present_b[slot]:
-                        # Stored: the rest of the run collapses to local hits.
-                        sz = dsz[slot]
-                        lh[slot] = ts_l[e - 1]
-                        seq[slot] = gbase + e - 1
-                        served[i + 1 : e] = [sz] * (e - i - 1)
-                    else:
-                        # Rejected/declined: each member re-misses until one
-                        # admission sticks, then the tail collapses.
-                        j = i + 1
-                        while j < e:
-                            if present_b[slot]:
-                                sz = dsz[slot]
-                                served[j] = sz
-                                lh[slot] = ts_l[j]
-                                seq[slot] = gbase + j
-                                if e - j > 1:
-                                    lh[slot] = ts_l[e - 1]
-                                    seq[slot] = gbase + e - 1
-                                    served[j + 1 : e] = [sz] * (e - j - 1)
-                                break
-                            miss_path(j, slot, ts_l[j])
-                            j += 1
-        if traced and tail_start < n:
-            spans.end(
-                hit_run=reg_hit - warm_hit_base,
-                scalar=reg_scalar - warm_scal_base,
-            )
+            tally["hit_run"] += hit_req
+            tally["scalar"] += scal_req
+            if traced:
+                spans.end(hit_run=hit_req, scalar=scal_req)
 
-        # ------------------------------------------------------------ #
         # Outcome post-pass: bus, per-cache stats, metrics, latency.
-        # ------------------------------------------------------------ #
         if traced:
             spans.begin("post", "replay")
-        base_records = gbase
-        w_start = warmup - base_records
-        if w_start < 0:
-            w_start = 0
-        elif w_start > n:
-            w_start = n
-        if np is not None:
-            # repro: domains[leaf_np=chunk-offset->any:intp]
-            # repro: domains[icp_req_np=chunk-offset->byte-size:int64]
-            # repro: domains[remote_base_np=chunk-offset->byte-size:int64]
-            # repro: domains[origin_hdr_np=chunk-offset->byte-size:int64]
-            # repro: domains[rsz_np=chunk-offset->byte-size:int64]
-            leaf_np, icp_req_np, remote_base_np, origin_hdr_np, rsz_np = post
-            out_np = np.frombuffer(out, dtype=np.uint8)
-            if served_np is None:
-                served_np = rsz_np if lean else served
-            elif not lean and tail_start < n:
-                # Cold prefix served from the first-size column; the
-                # stateful tail recorded into the served array. Copy
-                # before patching: the column may be memo-shared.
-                served_np = served_np.copy()
-                served_np[tail_start:] = served[tail_start:]
-            nonlocal_mask = out_np != 0
-            nl = int(nonlocal_mask.sum())
-            if nl:
-                remote_mask = out_np == 2
-                miss_mask = out_np == 3
-                bus[0] += num_targets * nl
-                bus[1] += num_targets * nl
-                bus[2] += nl
-                bus[3] += nl
-                bus[4] += num_targets * int(icp_req_np[nonlocal_mask].sum())
-                bus[5] += int(remote_base_np[remote_mask].sum())
-                bus[5] += int(origin_hdr_np[miss_mask].sum())
-                bus[6] += int(served_np[nonlocal_mask].sum())
-            local_mask = out_np == 0
-            lookup_counts = np.bincount(leaf_np, minlength=NC)
-            hit_counts = np.bincount(leaf_np[local_mask], minlength=NC)
-            leaf_loc = leaf_np[local_mask]
-            srv_loc = served_np[local_mask]
-            for c in range(NC):
-                st_lookups[c] += int(lookup_counts[c])
-                hits_c = int(hit_counts[c])
-                st_local_hits[c] += hits_c
-                st_local_misses[c] += int(lookup_counts[c]) - hits_c
-                st_bytes_local[c] += int(srv_loc[leaf_loc == c].sum())
-            m = n - w_start
-            if m:
-                outm = out_np[w_start:]
-                srvm = served_np[w_start:]
-                loc_m = outm == 0
-                rem_m = outm == 2
-                mis_m = outm == 3
-                met[0] += m
-                met[1] += int(loc_m.sum())
-                met[2] += int(rem_m.sum())
-                met[3] += int(mis_m.sum())
-                met[4] += int(srvm.sum())
-                met[5] += int(srvm[loc_m].sum())
-                met[6] += int(srvm[rem_m].sum())
-                met[7] += int(srvm[mis_m].sum())
-                vals = lat_lookup[outm]
-                if not constant_latency:
-                    srvf = srvm.astype(np.float64)
-                    add_term = srvf / np.where(rem_m, lan_bw, wan_bw)
-                    vals = np.where(loc_m, vals, vals + add_term)
-                fold = np.empty(m + 1, dtype=np.float64)
-                fold[0] = latency_sum[0]
-                fold[1:] = vals
-                np.add.accumulate(fold, out=fold)
-                latency_sum[0] = float(fold[m])
-        else:
-            icp_req_l, remote_base_l, origin_hdr_l = post
-            _post_py(
-                n, out, served, leaf_l, icp_req_l, remote_base_l, origin_hdr_l,
-                w_start, num_targets, constant_latency,
-                lat_local, lat_remote, lat_miss, lan_bw, wan_bw,
-                bus, met, latency_sum,
-                st_lookups, st_local_hits, st_local_misses, st_bytes_local,
-            )
+        if served_np is None:
+            served_np = post[4] if lean else served
+        elif not lean and tail_start < n:
+            # Cold prefix served from the first-size column; the
+            # stateful tail recorded into the served array. Copy
+            # before patching: the column may be memo-shared.
+            served_np = served_np.copy()
+            served_np[tail_start:] = served[tail_start:]
+        _post_pass(st, n, gbase, out, served_np, post)
         if traced:
-            spans.end()  # post
-            spans.end(records=n)  # chunk
-        grand_total = gbase + n
-        if sampling:
-            timeseries.sample(
-                requests=grand_total,
-                local_hits=sum(st_local_hits),
-                remote_hits=sum(st_remote_served),
-                evictions=sum(st_evictions),
-                admissions=sum(st_admissions),
-                declined=sum(st_declined),
-                promoted=sum(st_promo_granted),
-                bytes_local=sum(st_bytes_local),
-                bytes_remote=sum(st_bytes_remote),
-                body_bytes=bus[6],
-                residency_bytes=sum(used),
-                t_last=float(ts_l[n - 1]),
-                cold=reg_cold,
-                hit_run=reg_hit,
-                scalar=reg_scalar,
-            )
-    if traced:
-        spans.end(requests=grand_total)
+            spans.end()
+        if timeseries is not None:
+            st.sample(timeseries, gbase + n, float(ts_l[n - 1]), **tally)
 
-    # ---------------------------------------------------------------- #
-    # Result assembly (object-core dataclasses; identical serialisation)
-    # ---------------------------------------------------------------- #
-    metrics = GroupMetrics(
-        requests=met[0],
-        local_hits=met[1],
-        remote_hits=met[2],
-        misses=met[3],
-        bytes_requested=met[4],
-        bytes_local_hit=met[5],
-        bytes_remote_hit=met[6],
-        bytes_miss=met[7],
-        total_measured_latency=latency_sum[0],
-    )
-    counters = MessageCounters(
-        icp_queries=bus[0],
-        icp_replies=bus[1],
-        http_requests=bus[2],
-        http_responses=bus[3],
-        icp_bytes=bus[4],
-        http_header_bytes=bus[5],
-        http_body_bytes=bus[6],
-    )
-    cache_stats = [
-        CacheStats(
-            lookups=st_lookups[c],
-            local_hits=st_local_hits[c],
-            local_misses=st_local_misses[c],
-            remote_hits_served=st_remote_served[c],
-            admissions=st_admissions[c],
-            rejections=st_rejections[c],
-            evictions=st_evictions[c],
-            bytes_served_local=st_bytes_local[c],
-            bytes_served_remote=st_bytes_remote[c],
-            bytes_admitted=st_bytes_admitted[c],
-            bytes_evicted=st_bytes_evicted[c],
-            placements_declined=st_declined[c],
-            promotions_granted=st_promo_granted[c],
-            promotions_withheld=st_promo_withheld[c],
-        )
-        for c in range(NC)
-    ]
     if regimes is not None:
-        regimes["cold"] = reg_cold
-        regimes["hit_run"] = reg_hit
-        regimes["scalar"] = reg_scalar
-    if count_mode:
-        # float(): the window sums may be np.float64 once the numpy-backed
-        # lh column feeds the age arithmetic; values are bit-identical.
-        ages = [
-            float(rsum[c] / rcount[c]) if rcount[c] else _INF for c in range(NC)
-        ]
-    else:
-        ages = [float(csum[c] / tot[c]) if tot[c] else _INF for c in range(NC)]
-    if np is not None and num_docs:
+        regimes.update(tally)
+    # cur_age is refreshed after every eviction, so it holds the final
+    # ages. float(): the window sums may be np.float64 once the
+    # numpy-backed lh column feeds the age arithmetic; values are
+    # bit-identical.
+    ages = [float(age) for age in cur_age]
+    unique_documents = 0
+    if st.num_docs:
         held = np.frombuffer(present_b, dtype=np.uint8)
-        unique_documents = int((held.reshape(num_docs, NC) != 0).any(axis=1).sum())
-    else:
-        unique_documents = sum(
-            1 for d in range(num_docs)
-            if any(present_b[d * NC : (d + 1) * NC])
+        unique_documents = int(
+            (held.reshape(st.num_docs, NC) != 0).any(axis=1).sum()
         )
-    total_copies = sum(copies)
-    replication = total_copies / unique_documents if unique_documents else 0.0
-    return SimulationResult(
-        config=config.to_dict(),
-        metrics=metrics,
-        message_counters=counters,
-        cache_stats=cache_stats,
-        expiration_ages=ages,
-        avg_cache_expiration_age=average_cache_expiration_age(ages),
-        unique_documents=unique_documents,
-        total_copies=total_copies,
-        replication_factor=replication,
-        estimated_latency=metrics.estimated_latency(),
-        manifest=None,
-    )
+    return st.result(ages, unique_documents)
+
+
+# repro: domains[present_b=cache-slot->any:uint8, dsz=cache-slot->byte-size:int64]
+# repro: domains[lh=cache-slot->age-tick:float64, seq=cache-slot->global-seq:int64]
+# repro: domains[gbase=global-seq, out=chunk-offset->any:uint8]
+# repro: domains[docs_np=chunk-offset->interned-id:intp]
+# repro: domains[slots_np=chunk-offset->cache-slot:intp]
+# repro: domains[ts_np=chunk-offset->age-tick:float64]
+# repro: domains[fsreq_np=chunk-offset->byte-size:int64]
+# repro: domains[leaf_np=chunk-offset->any:intp, first_min=interned-id->any:int64]
+# repro: domains[pow10=any->any:int64, sender_np=any->byte-size:int64]
+def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
+    """Replay the cold-regime prefix of one chunk, fully vectorised.
+
+    Writes the prefix's outcome bytes into ``out`` and its admissions,
+    remote serves and deferred touch fixups into ``st``. Returns
+    ``(split, tail_runs)``: ``split`` is the first request index the
+    stateful loop must replay (``n`` when the whole chunk stayed cold —
+    the regime latches off otherwise), ``tail_runs`` the run columns
+    re-segmented from ``split`` (None when ``split`` is 0 or ``n``).
+    """
+    np = st.np
+    NC = st.num_caches
+    cap = st.cap
+    ea = st.ea
+    replica_cap = st.replica_cap
+    present_b = st.present_b
+    dsz = st.dsz
+    lh = st.lh
+    seq = st.seq
+    used = st.used
+    pow10 = st.pow10
+    sender_np = st.sender_np
+    first_min = st.first_min_g.view()
+    docs_np, slots_np, ts_np, fsreq_np, _runs = npx
+    if cached_source is None:
+        grp = _slot_groups(np, slots_np)
+    else:
+        memo = cached_source.derived_cache()
+        gkey = ("batch_grp", st.partitioner, tuple(st.leaves), NC)
+        grp = memo.get(gkey)
+        if grp is None:
+            grp = memo[gkey] = _slot_groups(np, slots_np)
+    # repro: domains[grp_slot=any->cache-slot:intp, grp_first=any->chunk-offset:intp]
+    # repro: domains[grp_last=any->chunk-offset:intp]
+    grp_slot, grp_first, grp_last = grp
+    # Cold invariant: a slot was seen before iff it is resident.
+    # (No reference to the frombuffer view may outlive this
+    # statement — present_b.extend() would raise BufferError.)
+    new_g = np.frombuffer(present_b, dtype=np.uint8)[grp_slot] == 0
+    ev_ord = np.argsort(grp_first[new_g])
+    ev_idx = grp_first[new_g][ev_ord]
+    ev_slot = grp_slot[new_g][ev_ord]
+    ev_doc = docs_np[ev_idx]
+    ev_size = fsreq_np[ev_idx]  # admitted size is always the first size
+    ev_leaf = leaf_np[ev_idx]
+    split = n
+    bad = ev_size > cap
+    if replica_cap is not None:
+        bad = bad | (ev_size > replica_cap * cap)
+    if bool(bad.any()):
+        split = int(ev_idx[int(np.argmax(bad))])
+    for c in range(NC):
+        cm = ev_leaf == c
+        cs = np.cumsum(ev_size[cm], dtype=np.int64)
+        k = int(np.searchsorted(cs, cap - used[c], side="right"))
+        if k < len(cs):
+            oidx = int(ev_idx[cm][k])
+            if oidx < split:
+                split = oidx
+    if split:
+        ecount = int(np.searchsorted(ev_idx, split))
+        if ecount:
+            # Vectorised first-occurrence replay. Events are
+            # regrouped by doc (stable sort keeps time order
+            # inside each group); the serving sibling of every
+            # non-compulsory event is the doc's running-minimum
+            # holding leaf — the ascending probe scan under
+            # all-inf ages picks the minimum holding sibling —
+            # seeded with the carried-over ``first_min`` state.
+            e_idx = ev_idx[:ecount]
+            e_slot = ev_slot[:ecount]
+            e_leaf = ev_leaf[:ecount]
+            e_size = ev_size[:ecount]
+            e_ts = ts_np[e_idx]
+            e_g = e_idx + gbase
+            dorder = np.argsort(ev_doc[:ecount], kind="stable")
+            d_doc = ev_doc[:ecount][dorder]
+            d_leaf = e_leaf[dorder]
+            gstart = np.empty(ecount, dtype=bool)
+            gstart[0] = True
+            gstart[1:] = d_doc[1:] != d_doc[:-1]
+            # bool input would otherwise promote to the platform
+            # default integer (int32 on Windows).
+            gid = np.cumsum(gstart, dtype=np.int64) - 1
+            # Segmented inclusive running minimum of the leaf
+            # column via offset max-accumulate: group offsets
+            # dominate the encoded values, so earlier groups can
+            # never leak into later ones. NC encodes "no holder".
+            enc = gid * (NC + 1) + (NC - d_leaf)
+            run_incl = NC - (np.maximum.accumulate(enc) - gid * (NC + 1))
+            seed = first_min[d_doc[gstart]]
+            seed = np.where(seed < 0, NC, seed)
+            shifted = np.empty(ecount, dtype=np.int64)
+            shifted[0] = NC
+            shifted[1:] = run_incl[:-1]
+            before = np.minimum(
+                seed[gid], np.where(gstart, NC, shifted)
+            )
+            compulsory = before >= NC
+            gendm = np.empty(ecount, dtype=bool)
+            gendm[:-1] = gstart[1:]
+            gendm[-1] = True
+            first_min[d_doc[gstart]] = np.minimum(
+                seed, run_incl[gendm]
+            )
+            d_idx = e_idx[dorder]
+            ov = np.frombuffer(out, dtype=np.uint8)
+            ov[d_idx] = np.where(compulsory, 3, 2)
+            del ov
+            rem = ~compulsory
+            if bool(rem.any()):
+                fm_r = before[rem]
+                sz_r = e_size[dorder][rem]
+                # 76 + Content-Length digits + sender header.
+                st.bus[5] += int((
+                    np.searchsorted(pow10, sz_r, side="right")
+                    + 77
+                    + sender_np[fm_r]
+                ).sum())
+                rcnt = np.bincount(fm_r, minlength=NC)
+                rbyt = np.bincount(fm_r, weights=sz_r, minlength=NC)
+                for c in range(NC):
+                    k = int(rcnt[c])
+                    if k:
+                        st.st_remote_served[c] += k
+                        st.st_bytes_remote[c] += int(rbyt[c])
+                        if ea:
+                            # Equal (inf) ages: never granted.
+                            st.st_promo_withheld[c] += k
+                        else:
+                            st.st_promo_granted[c] += k
+            # Admissions: slots are unique (first occurrences),
+            # so the scatters are conflict-free. (The residency
+            # view must not outlive this block.)
+            pb = np.frombuffer(present_b, dtype=np.uint8)
+            pb[e_slot] = 1
+            del pb
+            dszv = np.frombuffer(dsz, dtype=np.int64)
+            lhv = np.frombuffer(lh)
+            seqv = np.frombuffer(seq, dtype=np.int64)
+            dszv[e_slot] = e_size
+            lhv[e_slot] = e_ts
+            seqv[e_slot] = e_g
+            acnt = np.bincount(e_leaf, minlength=NC)
+            abyt = np.bincount(e_leaf, weights=e_size, minlength=NC)
+            for c in range(NC):
+                k = int(acnt[c])
+                if not k:
+                    continue
+                cm = e_leaf == c
+                # Cold-regime heaps are append-only with globally
+                # ascending touch indices, so the entry list is
+                # sorted — and a sorted list is a valid min-heap.
+                st.heaps[c].extend(
+                    zip(e_g[cm].tolist(), e_slot[cm].tolist())
+                )
+                used[c] += int(abyt[c])
+                st.st_admissions[c] += k
+                st.st_bytes_admitted[c] += int(abyt[c])
+                st.copies[c] += k
+            if not ea and bool(rem.any()):
+                # Responder promotions touch the serving slot.
+                # Applied *after* the admission scatter: a slot
+                # admitted earlier in this batch can be
+                # promotion-touched later, and the latest touch
+                # must win. Duplicates share a doc group, so
+                # array order is time order and fancy assignment
+                # resolves last-wins.
+                rslot_r = e_slot[dorder][rem] - d_leaf[rem] + fm_r
+                lhv[rslot_r] = e_ts[dorder][rem]
+                seqv[rslot_r] = e_g[dorder][rem]
+            del dszv, lhv, seqv
+        if split == n:
+            st.pending.append((grp_slot, grp_last + gbase, ts_np[grp_last]))
+        else:
+            p_slot, _p_first, p_last = _slot_groups(np, slots_np[:split])
+            st.pending.append((p_slot, p_last + gbase, ts_np[p_last]))
+    if split == n:
+        return n, None
+    # The next admission can evict: ages stop being inf, so the regime is
+    # over for good. The general loop needs the exact last-touch state, so
+    # apply the deferred fixups.
+    st.flush_pending()
+    st.cold = False
+    if not split:
+        return 0, None
+    # Rebuild run segmentation for the tail only. A run straddling the split
+    # re-enters as a fresh run start, which the loop handles identically.
+    return split, _run_columns(np, slots_np, ts_np, split, n)
+
+
+# repro: domains[leaf_np=chunk-offset->any:intp]
+# repro: domains[icp_req_np=chunk-offset->byte-size:int64]
+# repro: domains[remote_base_np=chunk-offset->byte-size:int64]
+# repro: domains[origin_hdr_np=chunk-offset->byte-size:int64]
+# repro: domains[gbase=global-seq, out=chunk-offset->any:uint8]
+# repro: domains[served_np=chunk-offset->byte-size:int64]
+def _post_pass(st, n, gbase, out, served_np, post):
+    """Fold one chunk's outcome columns into the frame's tallies.
+
+    ``out`` holds one outcome byte per request (0 local hit / 2 remote
+    hit / 3 origin miss) and ``served_np`` the served size; bus counters,
+    per-cache lookup stats, metrics and the ordered latency fold are all
+    computed from those columns in bulk.
+    """
+    np = st.np
+    NC = st.num_caches
+    num_targets = NC - 1  # every sibling is probed
+    bus = st.bus
+    met = st.met
+    w_start = min(max(st.warmup - gbase, 0), n)  # first measured request
+    leaf_np, icp_req_np, remote_base_np, origin_hdr_np, _rsz_np = post
+    out_np = np.frombuffer(out, dtype=np.uint8)
+    nonlocal_mask = out_np != 0
+    nl = int(nonlocal_mask.sum())
+    if nl:
+        remote_mask = out_np == 2
+        miss_mask = out_np == 3
+        bus[0] += num_targets * nl
+        bus[1] += num_targets * nl
+        bus[2] += nl
+        bus[3] += nl
+        bus[4] += num_targets * int(icp_req_np[nonlocal_mask].sum())
+        bus[5] += int(remote_base_np[remote_mask].sum())
+        bus[5] += int(origin_hdr_np[miss_mask].sum())
+        bus[6] += int(served_np[nonlocal_mask].sum())
+    local_mask = out_np == 0
+    lookup_counts = np.bincount(leaf_np, minlength=NC)
+    hit_counts = np.bincount(leaf_np[local_mask], minlength=NC)
+    leaf_loc = leaf_np[local_mask]
+    srv_loc = served_np[local_mask]
+    for c in range(NC):
+        st.st_lookups[c] += int(lookup_counts[c])
+        hits_c = int(hit_counts[c])
+        st.st_local_hits[c] += hits_c
+        st.st_local_misses[c] += int(lookup_counts[c]) - hits_c
+        st.st_bytes_local[c] += int(srv_loc[leaf_loc == c].sum())
+    m = n - w_start
+    if m:
+        outm = out_np[w_start:]
+        srvm = served_np[w_start:]
+        loc_m = outm == 0
+        rem_m = outm == 2
+        mis_m = outm == 3
+        met[0] += m
+        met[1] += int(loc_m.sum())
+        met[2] += int(rem_m.sum())
+        met[3] += int(mis_m.sum())
+        met[4] += int(srvm.sum())
+        met[5] += int(srvm[loc_m].sum())
+        met[6] += int(srvm[rem_m].sum())
+        met[7] += int(srvm[mis_m].sum())
+        vals = st.lat_lookup[outm]
+        if not st.constant_latency:
+            srvf = srvm.astype(np.float64)
+            add_term = srvf / np.where(rem_m, st.lan_bw, st.wan_bw)
+            vals = np.where(loc_m, vals, vals + add_term)
+        fold = np.empty(m + 1, dtype=np.float64)
+        fold[0] = st.latency_sum
+        fold[1:] = vals
+        np.add.accumulate(fold, out=fold)
+        st.latency_sum = float(fold[m])
 
 
 class _NpGrow:
-    """Amortised-growth numpy column (int64 by default).
+    """Amortised-growth int64 numpy column.
 
     Streamed replay extends per-doc/per-slot columns every chunk;
     rebuilding a numpy array from the python list each time would be
@@ -1367,8 +1124,8 @@ class _NpGrow:
 
     __slots__ = ("buf", "used")
 
-    def __init__(self, np, dtype: str = "int64"):
-        self.buf = np.empty(1024, dtype=dtype)
+    def __init__(self, np):
+        self.buf = np.empty(1024, dtype=np.int64)
         self.used = 0
 
     def extend(self, np, values) -> None:
@@ -1387,51 +1144,82 @@ class _NpGrow:
         return self.buf[: self.used]
 
 
-# repro: domains[pow10=any->any:int64, leaves_np=any->any:intp]
-# repro: domains[sender_np=any->byte-size:int64]
-# repro: domains[url_len_g=interned-id->byte-size:int64]
-# repro: domains[icp_g=interned-id->byte-size:int64]
-# repro: domains[first_size_g=interned-id->byte-size:int64]
-def _columns_np(
-    np, chunk, cached_source, patch, partitioner, leaves,
-    leaves_np, sender_np, pow10, NC, num_leaves,
-    client_leaf_g, url_len_g, icp_g, first_size_g,
-):
-    """Vectorised per-chunk columns + run segmentation (numpy path)."""
+def _segments(np, values):
+    """``(starts, ends)`` of the maximal runs of equal consecutive values."""
+    n = len(values)
+    change = np.empty(n, dtype=bool)
+    change[0] = True
+    if n > 1:
+        change[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(change)
+    ends = np.empty(len(starts), dtype=np.intp)
+    ends[:-1] = starts[1:]
+    ends[-1] = n
+    return starts, ends
+
+
+# repro: domains[slots=any->cache-slot:intp]
+def _slot_groups(np, slots):
+    """``(slot, first index, last index)`` per distinct slot in ``slots``."""
+    order = np.argsort(slots, kind="stable")
+    ss = slots[order]
+    # Stable sort keeps each group's original indices ascending, so group
+    # boundaries give first/last occurrence directly.
+    gpos, gend = _segments(np, ss)
+    return ss[gpos], order[gpos], order[gend - 1]
+
+
+# repro: domains[slots_np=chunk-offset->cache-slot:intp]
+# repro: domains[ts_np=chunk-offset->age-tick:float64]
+# repro: domains[starts_np=any->chunk-offset:intp, ends_np=any->chunk-offset:intp]
+def _run_columns(np, slots_np, ts_np, lo, n):
+    """Run-length segmentation of requests ``lo..n`` by slot.
+
+    Returns ``(starts_l, sslots_l, sts_l, ends_l, runs)``: list columns
+    (run start, slot, first timestamp, run end) for the scalar kernel,
+    and ``runs`` — the same boundaries as arrays plus each run's final
+    member timestamp — for the warm-regime bulk scanner. (A run's final
+    sequence number is ends-1 + the chunk's base, added at replay time:
+    memoised columns stay chunk-position-independent.)
+    """
+    starts_np, ends_np = _segments(np, slots_np[lo:n])
+    starts_np += lo
+    ends_np += lo
+    rslots = slots_np[starts_np]
+    runs = (starts_np, ends_np, rslots, ts_np[ends_np - 1])
+    starts_l = starts_np.tolist()
+    ends_l = starts_l[1:]  # shares the int objects with starts_l
+    ends_l.append(n)
+    return starts_l, rslots.tolist(), ts_np[starts_np].tolist(), ends_l, runs
+
+
+# repro: domains[pow10=any->any:int64, sender_np=any->byte-size:int64]
+# repro: domains[url_len=interned-id->byte-size:int64]
+# repro: domains[icp=interned-id->byte-size:int64]
+# repro: domains[fs=interned-id->byte-size:int64]
+def _columns_np(st, chunk, cached_source):
+    """Vectorised per-chunk columns + run segmentation."""
+    np = st.np
+    NC = st.num_caches
+    pow10 = st.pow10
+    sender_np = st.sender_np
+    url_len = st.url_len_g.view()
+    icp = st.icp_g.view()
     n = chunk.num_records
     # repro: domains[leaf_np=chunk-offset->any:intp, rsz_np=chunk-offset->byte-size:int64]
     docs_np = np.array(chunk.doc_ids, dtype=np.intp)  # repro: domains[docs_np=chunk-offset->interned-id:intp]
     ts_np = np.array(chunk.timestamps, dtype=np.float64)  # repro: domains[ts_np=chunk-offset->age-tick:float64]
-    if cached_source is not None:
-        leaf_l = cached_source.leaf_column(partitioner, leaves)
-        leaf_np = np.array(leaf_l, dtype=np.intp)
-        rsz_l = cached_source.record_sizes(patch)
-        rsz_np = np.array(rsz_l, dtype=np.int64)
-    else:
-        if partitioner == "round-robin-request":
-            base = chunk.base_records
-            leaf_np = leaves_np[
-                np.arange(base, base + n, dtype=np.intp) % num_leaves
-            ]
-        else:
-            leaf_np = client_leaf_g.view()[
-                np.array(chunk.clients, dtype=np.intp)
-            ].astype(np.intp)
-        leaf_l = leaf_np.tolist()
-        sz_np = np.array(chunk.sizes, dtype=np.int64)
-        if bool((sz_np == 0).any()):
-            rsz_np = np.where(sz_np == 0, patch, sz_np)
-        else:
-            rsz_np = sz_np
-        rsz_l = rsz_np.tolist()
+    leaf_l, rsz_l = st.chunk_columns(chunk, cached_source)
+    leaf_np = np.array(leaf_l, dtype=np.intp)
+    rsz_np = np.array(rsz_l, dtype=np.int64)
     digits_np = np.searchsorted(pow10, rsz_np, side="right") + 1
-    remote_base_np = url_len_g.view()[docs_np] + sender_np[leaf_np] + 50
+    remote_base_np = url_len[docs_np] + sender_np[leaf_np] + 50
     origin_hdr_np = remote_base_np + 24 + digits_np
-    icp_req_np = icp_g.view()[docs_np]
+    icp_req_np = icp[docs_np]
     # Lean-mode eligibility: every doc's patched size constant so far.
     # First-occurrence assignment: reversed fancy indexing makes the
     # earliest duplicate win; docs seen in prior chunks keep their value.
-    fs = first_size_g.view()
+    fs = st.first_size_g.view()
     known = fs[docs_np]
     unseen = known < 0
     if bool(unseen.any()):
@@ -1439,145 +1227,9 @@ def _columns_np(
         known = fs[docs_np]
     lean = bool((known == rsz_np).all())
     slots_np = docs_np * NC + leaf_np  # repro: domains[slots_np=chunk-offset->cache-slot:intp]
-    keep = np.empty(n, dtype=bool)  # repro: domains[keep=chunk-offset->any:bool]
-    keep[0] = True
-    if n > 1:
-        keep[1:] = slots_np[1:] != slots_np[:-1]
-    starts_np = np.flatnonzero(keep)  # repro: domains[starts_np=any->chunk-offset:intp]
-    starts_l = starts_np.tolist()
-    ends_l = starts_l[1:]
-    ends_l.append(n)
-    sslots_l = slots_np[starts_np].tolist()
-    sts_l = ts_np[starts_np].tolist()
-    ends_np = np.empty(len(starts_np), dtype=np.intp)  # repro: domains[ends_np=any->chunk-offset:intp]
-    ends_np[:-1] = starts_np[1:]
-    ends_np[-1] = n
-    # Run columns for the warm-regime bulk scanner: per-run slot plus the
-    # final member's timestamp (its sequence number is ends-1 + the
-    # chunk's base, added at replay time — the memoised columns must stay
-    # chunk-position-independent only in what varies per replay).
-    runs = (starts_np, ends_np, slots_np[starts_np], ts_np[ends_np - 1])
+    starts_l, sslots_l, sts_l, ends_l, runs = _run_columns(np, slots_np, ts_np, 0, n)
     post = (leaf_np, icp_req_np, remote_base_np, origin_hdr_np, rsz_np)
     # ``known`` is the per-request first-seen-size column — the size any
     # resident copy of the doc holds while the cold regime lasts.
     npx = (docs_np, slots_np, ts_np, known, runs)
     return (starts_l, sslots_l, sts_l, ends_l, leaf_l, rsz_l, post, lean, npx)
-
-
-def _columns_py(
-    chunk, cached_source, patch, partitioner, leaves,
-    sender_len, NC, num_leaves, client_leaf, url_len_l, icp_l,
-):
-    """Pure-Python per-chunk columns (numpy absent / REPRO_NO_NUMPY)."""
-    n = chunk.num_records
-    docs = chunk.doc_ids
-    ts_l = chunk.timestamps
-    if cached_source is not None:
-        leaf_l = cached_source.leaf_column(partitioner, leaves)
-        rsz_l = cached_source.record_sizes(patch)
-        digits_l = cached_source.size_digits(patch)
-    else:
-        if partitioner == "round-robin-request":
-            base = chunk.base_records
-            leaf_l = [leaves[(base + k) % num_leaves] for k in range(n)]
-        else:
-            leaf_l = [client_leaf[client] for client in chunk.clients]
-        sizes = chunk.sizes
-        if 0 in sizes:
-            rsz_l = [patch if size == 0 else size for size in sizes]
-        else:
-            rsz_l = sizes
-        digits_l = [len(str(size)) for size in rsz_l]
-    remote_base_l = [
-        url_len_l[doc] + sender_len[leaf] + 50
-        for doc, leaf in zip(docs, leaf_l)
-    ]
-    origin_hdr_l = [
-        rb + 24 + dg for rb, dg in zip(remote_base_l, digits_l)
-    ]
-    icp_req_l = [icp_l[doc] for doc in docs]
-    slots_l = [doc * NC + leaf for doc, leaf in zip(docs, leaf_l)]
-    starts_l = []
-    sslots_l = []
-    sts_l = []
-    prev = -1
-    for idx, slot in enumerate(slots_l):
-        if slot != prev:
-            starts_l.append(idx)
-            sslots_l.append(slot)
-            sts_l.append(ts_l[idx])
-            prev = slot
-    ends_l = starts_l[1:]
-    ends_l.append(n)
-    post = (icp_req_l, remote_base_l, origin_hdr_l)
-    # The serial fallback always replays the full loop (explicit served
-    # column); lean/cold modes are numpy-path specialisations only.
-    return (starts_l, sslots_l, sts_l, ends_l, leaf_l, rsz_l, post, False, None)
-
-
-def _post_py(
-    n, out, served, leaf_l, icp_req_l, remote_base_l, origin_hdr_l,
-    w_start, num_targets, constant_latency,
-    lat_local, lat_remote, lat_miss, lan_bw, wan_bw,
-    bus, met, latency_sum,
-    st_lookups, st_local_hits, st_local_misses, st_bytes_local,
-):
-    """Serial outcome post-pass (fallback path); same fold order as the
-    columnar engine's inline accounting, so floats are bit-equal."""
-    lat = latency_sum[0]
-    nl = 0
-    bus4 = 0
-    bus5 = 0
-    bus6 = 0
-    m0 = m1 = m2 = m3 = m4 = m5 = m6 = m7 = 0
-    for i in range(n):
-        o = out[i]
-        c = leaf_l[i]
-        s = served[i]
-        st_lookups[c] += 1
-        if o == 0:
-            st_local_hits[c] += 1
-            st_bytes_local[c] += s
-        else:
-            st_local_misses[c] += 1
-            nl += 1
-            bus4 += icp_req_l[i]
-            bus5 += remote_base_l[i] if o == 2 else origin_hdr_l[i]
-            bus6 += s
-        if i >= w_start:
-            m0 += 1
-            m4 += s
-            if o == 0:
-                lat += lat_local
-                m1 += 1
-                m5 += s
-            elif o == 2:
-                if constant_latency:
-                    lat += lat_remote
-                else:
-                    lat += lat_remote + s / lan_bw
-                m2 += 1
-                m6 += s
-            else:
-                if constant_latency:
-                    lat += lat_miss
-                else:
-                    lat += lat_miss + s / wan_bw
-                m3 += 1
-                m7 += s
-    bus[0] += num_targets * nl
-    bus[1] += num_targets * nl
-    bus[2] += nl
-    bus[3] += nl
-    bus[4] += num_targets * bus4
-    bus[5] += bus5
-    bus[6] += bus6
-    met[0] += m0
-    met[1] += m1
-    met[2] += m2
-    met[3] += m3
-    met[4] += m4
-    met[5] += m5
-    met[6] += m6
-    met[7] += m7
-    latency_sum[0] = lat

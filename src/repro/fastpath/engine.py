@@ -38,80 +38,13 @@ it and falls back to the object engine.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.cache.stats import CacheStats
-from repro.errors import SimulationError, TraceError
-from repro.fastpath import columnar_unsupported_reason
-from repro.fastpath.interning import InternedChunk, client_leaf_positions
+from repro.fastpath._frame import DEFAULT_CHUNK_SIZE, ReplayFrame  # noqa: F401
 from repro.fastpath.ringtracker import RingAgeTracker
 from repro.fastpath.structures import IntrusiveLRUList, LFUVictimHeap
-from repro.network.bus import MessageCounters
-from repro.network.latency import ComponentLatencyModel, ConstantLatencyModel
-from repro.network.topology import StarTopology, two_level_tree
 from repro.protocol.http import format_expiration_age
-from repro.simulation.metrics import GroupMetrics, average_cache_expiration_age
 from repro.simulation.results import SimulationResult
-from repro.trace.record import Trace
-
-#: Requests per chunk when replaying a streamed source that does not name
-#: a chunk size. Large enough to amortise per-chunk column building,
-#: small enough that the resident columns stay tens of megabytes.
-DEFAULT_CHUNK_SIZE = 1 << 18
-
-
-def _chunk_stream(trace, chunk_size: Optional[int], spans=None) -> Iterator[Tuple]:
-    """Yield ``(chunk, cached_source)`` pairs for the replay loop.
-
-    ``cached_source`` is the backing :class:`InternedTrace` when the chunk
-    covers a whole materialised trace — the engine then uses the per-trace
-    memoised columns (record sizes, digits, leaf assignment) instead of
-    recomputing them. Streamed sources (anything exposing
-    ``interned_chunks(chunk_size)``) and genuinely chunked traces yield
-    ``None`` and the engine derives per-chunk columns from the intern
-    deltas.
-
-    ``spans`` (an optional :class:`repro.obs.spans.SpanTracer`) is handed
-    to sources that accept it, so generation/decoding work inside the
-    source shows up as child spans of the engine's source spans; sources
-    without span support are called plain.
-    """
-    if isinstance(trace, Trace):
-        if spans is not None:
-            with spans.span("intern", "source"):
-                interned = trace.interned()
-        else:
-            interned = trace.interned()
-        if chunk_size is None or chunk_size >= max(interned.num_records, 1):
-            whole = InternedChunk(
-                doc_ids=interned.doc_ids,
-                sizes=interned.sizes,
-                timestamps=interned.timestamps,
-                clients=interned.clients,
-                new_urls=interned.urls,
-                new_client_names=interned.client_names,
-                base_docs=0,
-                base_clients=0,
-                base_records=0,
-            )
-            # Share the per-doc protocol columns already computed at intern
-            # time instead of re-deriving them from the URL strings.
-            whole._new_url_lens = interned.url_lens
-            whole._new_icp_probe_bytes = interned.icp_probe_bytes
-            return iter(((whole, interned),))
-        return ((chunk, None) for chunk in interned.chunks(chunk_size))
-    size = chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE
-    if spans is not None:
-        try:
-            # Generator functions validate keywords at call time, so an
-            # unsupported source raises here, not mid-iteration.
-            chunks = trace.interned_chunks(size, spans=spans)
-        except TypeError:
-            chunks = trace.interned_chunks(size)
-    else:
-        chunks = trace.interned_chunks(size)
-    return ((chunk, None) for chunk in chunks)
-
 
 def simulate_columnar(
     config, trace, obs=None, chunk_size: Optional[int] = None,
@@ -150,48 +83,12 @@ def simulate_columnar(
             one cumulative counter reading per replayed chunk. Same
             out-of-band contract as ``spans``.
     """
-    reason = columnar_unsupported_reason(config)
-    if reason is not None:
-        raise SimulationError(f"config unsupported by the columnar engine: {reason}")
-    if config.patch_size <= 0:
-        # Same guard (and message) patch_zero_sizes raises in the object path.
-        raise TraceError(f"patch_size must be positive, got {config.patch_size}")
-    patch = config.patch_size
-    partitioner = config.partitioner
-
-    # ---------------------------------------------------------------- #
-    # Topology, capacities, partitioning
-    # ---------------------------------------------------------------- #
-    hierarchical = config.architecture == "hierarchical"
-    if hierarchical:
-        topology = two_level_tree(config.num_caches, config.num_parents)
-    else:
-        topology = StarTopology(config.num_caches)
-    num_caches = topology.num_caches
-    leaves = topology.leaves()
-    num_leaves = len(leaves)
-    rr_request = partitioner == "round-robin-request"
-    hash_partitioner = partitioner == "hash"
-    parent = [topology.parent_of(i) for i in range(num_caches)]
-    probe_targets: List[tuple] = [() for _ in range(num_caches)]
-    for leaf in leaves:
-        targets = list(topology.siblings_of(leaf))
-        if hierarchical and parent[leaf] is not None:
-            targets.append(parent[leaf])
-        probe_targets[leaf] = tuple(targets)
-
-    # Equal split, same arithmetic as build_caches with unit weights.
-    weights = [1.0] * num_caches
-    total_weight = sum(weights)
-    capacity = [int(config.aggregate_capacity * w / total_weight) for w in weights]
-    if any(share <= 0 for share in capacity):
-        raise SimulationError(
-            f"aggregate capacity {config.aggregate_capacity} too small for "
-            f"{num_caches} caches with shares {weights}"
-        )
-
-    # "cacheN" Via-header lengths, matching build_caches' naming.
-    sender_len = [5 + len(str(i)) for i in range(num_caches)]
+    frame = ReplayFrame(config, "columnar")
+    num_caches = frame.num_caches
+    parent = frame.parent
+    probe_targets = frame.probe_targets
+    capacity = frame.capacity
+    sender_len = frame.sender_len
 
     # ---------------------------------------------------------------- #
     # Per-cache columnar state — empty, grown by each chunk's intern delta
@@ -203,8 +100,8 @@ def simulate_columnar(
     entry_time: List[List[float]] = [[] for _ in range(num_caches)]
     last_hit: List[List[float]] = [[] for _ in range(num_caches)]
     hit_count: List[List[int]] = [[] for _ in range(num_caches)]
-    used = [0] * num_caches
-    copies = [0] * num_caches
+    used = frame.used
+    copies = frame.copies
     if lru_kind:
         order: List = [IntrusiveLRUList(0) for _ in range(num_caches)]
     else:
@@ -221,65 +118,49 @@ def simulate_columnar(
     age_of = [tracker.cache_expiration_age for tracker in trackers]
     record_age = [tracker.record for tracker in trackers]
 
-    # Per-doc protocol columns and per-client leaf assignment, grown with
-    # the intern tables (engine-owned copies; chunk deltas append here).
+    # Per-doc protocol columns, grown with the intern table (engine-owned
+    # copies; chunk deltas append here).
     url_len: List[int] = []
     icp_pair: List[int] = []
     url_of: List[str] = []
-    client_leaf: List[int] = []
 
-    # Per-cache stats columns (CacheStats fields).
-    st_lookups = [0] * num_caches
-    st_local_hits = [0] * num_caches
-    st_local_misses = [0] * num_caches
-    st_remote_served = [0] * num_caches
-    st_admissions = [0] * num_caches
-    st_rejections = [0] * num_caches
-    st_evictions = [0] * num_caches
-    st_bytes_local = [0] * num_caches
-    st_bytes_remote = [0] * num_caches
-    st_bytes_admitted = [0] * num_caches
-    st_bytes_evicted = [0] * num_caches
-    st_declined = [0] * num_caches
-    st_promo_granted = [0] * num_caches
-    st_promo_withheld = [0] * num_caches
+    st_lookups = frame.st_lookups
+    st_local_hits = frame.st_local_hits
+    st_local_misses = frame.st_local_misses
+    st_remote_served = frame.st_remote_served
+    st_admissions = frame.st_admissions
+    st_rejections = frame.st_rejections
+    st_evictions = frame.st_evictions
+    st_bytes_local = frame.st_bytes_local
+    st_bytes_remote = frame.st_bytes_remote
+    st_bytes_admitted = frame.st_bytes_admitted
+    st_bytes_evicted = frame.st_bytes_evicted
+    st_declined = frame.st_declined
+    st_promo_granted = frame.st_promo_granted
+    st_promo_withheld = frame.st_promo_withheld
+    bus = frame.bus
+    met = frame.met
+    latency_sum = 0.0
 
-    # Bus counters: [icp_q, icp_r, http_req, http_resp, icp_B, hdr_B, body_B]
-    bus = [0, 0, 0, 0, 0, 0, 0]
-    # Metrics: [requests, local, remote, miss, B_req, B_local, B_remote, B_miss]
-    met = [0, 0, 0, 0, 0, 0, 0, 0]
-    latency_sum = [0.0]
-
-    # ---------------------------------------------------------------- #
-    # Scheme / latency / strategy parameters
-    # ---------------------------------------------------------------- #
-    ea = config.scheme == "ea"
-    tie_requester = config.tie_break == "requester"
-    replica_cap = config.max_replica_fraction if ea else None
-    max_age_strategy = config.responder_strategy == "max_age"
-    constant_latency = config.latency == "constant"
-    if constant_latency:
-        model = ConstantLatencyModel()
-        lat_local = model.local_hit
-        lat_remote = model.remote_hit
-        lat_miss = model.miss
-        lan_bw = wan_bw = 1.0  # unused
-    else:
-        model = ComponentLatencyModel()
-        lat_local = model.local_service
-        lat_remote = model.icp_rtt + model.proxy_http_setup
-        lat_miss = model.icp_rtt + model.origin_http_setup
-        lan_bw = model.lan_bandwidth
-        wan_bw = model.wan_bandwidth
+    ea = frame.ea
+    tie_requester = frame.tie_requester
+    replica_cap = frame.replica_cap
+    max_age_strategy = frame.max_age_strategy
+    constant_latency = frame.constant_latency
+    lat_local = frame.lat_local
+    lat_remote = frame.lat_remote
+    lat_miss = frame.lat_miss
+    lan_bw = frame.lan_bw
+    wan_bw = frame.wan_bw
     fmt_age = format_expiration_age
-    warmup = config.warmup_requests
+    warmup = frame.warmup
 
     # ---------------------------------------------------------------- #
     # Observability (hoisted: the disabled path costs one bool test)
     # ---------------------------------------------------------------- #
     rec = obs
     emit = rec is not None
-    probe_hit_hops = 1 if hierarchical else 0
+    probe_hit_hops = 1 if frame.hierarchical else 0
     kind_local = "local_hit"
     kind_remote = "remote_hit"
     kind_miss = "miss"
@@ -446,18 +327,7 @@ def simulate_columnar(
     # allocation request loop runs over the chunk's columns
     # ---------------------------------------------------------------- #
     processed = 0
-    traced = spans is not None
-    sampling = timeseries is not None
-    chunks = _chunk_stream(trace, chunk_size, spans)
-    if traced:
-        # Imported lazily so untraced replay never touches repro.obs.
-        from repro.obs.spans import source_label
-
-        spans.begin("engine:columnar", "engine")
-        chunks = spans.wrap_source(chunks, source_label(trace))
-    for chunk, cached_source in chunks:
-        if traced:
-            spans.begin("chunk", "replay")
+    for chunk, cached_source in frame.chunks(trace, chunk_size, spans):
         new_urls = chunk.new_urls
         if new_urls:
             add = len(new_urls)
@@ -476,40 +346,10 @@ def simulate_columnar(
                 hit_count[c].extend(zero_ints)
                 order[c].grow(num_docs)
 
+        leaf_column, record_sizes = frame.chunk_columns(chunk, cached_source)
         if cached_source is not None:
-            # Whole materialised trace: per-trace memoised columns.
-            leaf_column = cached_source.leaf_column(partitioner, leaves)
-            record_sizes = cached_source.record_sizes(patch)
-            size_digits = cached_source.size_digits(patch)
+            size_digits = cached_source.size_digits(frame.patch)
         else:
-            new_clients = chunk.new_client_names
-            if new_clients and not rr_request:
-                base_client = len(client_leaf)
-                if hash_partitioner:
-                    client_leaf.extend(
-                        leaves[pos]
-                        for pos in client_leaf_positions(new_clients, num_leaves)
-                    )
-                else:  # round-robin-client: intern order == appearance order
-                    client_leaf.extend(
-                        leaves[(base_client + i) % num_leaves]
-                        for i in range(len(new_clients))
-                    )
-            if rr_request:
-                base_record = chunk.base_records
-                leaf_column = [
-                    leaves[(base_record + i) % num_leaves]
-                    for i in range(chunk.num_records)
-                ]
-            else:
-                leaf_column = [client_leaf[client] for client in chunk.clients]
-            chunk_sizes = chunk.sizes
-            if 0 in chunk_sizes:
-                record_sizes = [
-                    patch if size == 0 else size for size in chunk_sizes
-                ]
-            else:
-                record_sizes = chunk_sizes
             size_digits = [len(str(size)) for size in record_sizes]
 
         for cache, doc, now, record_size, digits in zip(
@@ -535,7 +375,7 @@ def simulate_columnar(
                 if processed > warmup:
                     met[0] += 1
                     met[4] += size
-                    latency_sum[0] += lat_local
+                    latency_sum += lat_local
                     met[1] += 1
                     met[5] += size
                 if emit:
@@ -615,9 +455,9 @@ def simulate_columnar(
                     met[0] += 1
                     met[4] += size
                     if constant_latency:
-                        latency_sum[0] += lat_remote
+                        latency_sum += lat_remote
                     else:
-                        latency_sum[0] += lat_remote + size / lan_bw
+                        latency_sum += lat_remote + size / lan_bw
                     met[2] += 1
                     met[6] += size
                 if emit:
@@ -646,9 +486,9 @@ def simulate_columnar(
                     met[0] += 1
                     met[4] += record_size
                     if constant_latency:
-                        latency_sum[0] += lat_miss
+                        latency_sum += lat_miss
                     else:
-                        latency_sum[0] += lat_miss + record_size / wan_bw
+                        latency_sum += lat_miss + record_size / wan_bw
                     met[3] += 1
                     met[7] += record_size
                 if emit:
@@ -693,16 +533,16 @@ def simulate_columnar(
                 met[4] += size
                 if found_at is not None:
                     if constant_latency:
-                        latency_sum[0] += lat_remote
+                        latency_sum += lat_remote
                     else:
-                        latency_sum[0] += lat_remote + size / lan_bw
+                        latency_sum += lat_remote + size / lan_bw
                     met[2] += 1
                     met[6] += size
                 else:
                     if constant_latency:
-                        latency_sum[0] += lat_miss
+                        latency_sum += lat_miss
                     else:
-                        latency_sum[0] += lat_miss + size / wan_bw
+                        latency_sum += lat_miss + size / wan_bw
                     met[3] += 1
                     met[7] += size
             if emit:
@@ -712,82 +552,17 @@ def simulate_columnar(
                     size, found_at, stored_here, False, hops,
                 )
 
-        if traced:
-            spans.end(records=chunk.num_records)
-        if sampling:
-            timeseries.sample(
-                requests=processed,
-                local_hits=sum(st_local_hits),
-                remote_hits=sum(st_remote_served),
-                evictions=sum(st_evictions),
-                admissions=sum(st_admissions),
-                declined=sum(st_declined),
-                promoted=sum(st_promo_granted),
-                bytes_local=sum(st_bytes_local),
-                bytes_remote=sum(st_bytes_remote),
-                body_bytes=bus[6],
-                residency_bytes=sum(used),
-                t_last=float(chunk.timestamps[-1]) if chunk.num_records else 0.0,
+        if timeseries is not None:
+            frame.sample(
+                timeseries, processed,
+                float(chunk.timestamps[-1]) if chunk.num_records else 0.0,
             )
-    if traced:
-        spans.end(requests=processed)
 
-    # ---------------------------------------------------------------- #
-    # Result assembly (object-core dataclasses; identical serialisation)
-    # ---------------------------------------------------------------- #
-    metrics = GroupMetrics(
-        requests=met[0],
-        local_hits=met[1],
-        remote_hits=met[2],
-        misses=met[3],
-        bytes_requested=met[4],
-        bytes_local_hit=met[5],
-        bytes_remote_hit=met[6],
-        bytes_miss=met[7],
-        total_measured_latency=latency_sum[0],
-    )
-    counters = MessageCounters(
-        icp_queries=bus[0],
-        icp_replies=bus[1],
-        http_requests=bus[2],
-        http_responses=bus[3],
-        icp_bytes=bus[4],
-        http_header_bytes=bus[5],
-        http_body_bytes=bus[6],
-    )
-    cache_stats = [
-        CacheStats(
-            lookups=st_lookups[c],
-            local_hits=st_local_hits[c],
-            local_misses=st_local_misses[c],
-            remote_hits_served=st_remote_served[c],
-            admissions=st_admissions[c],
-            rejections=st_rejections[c],
-            evictions=st_evictions[c],
-            bytes_served_local=st_bytes_local[c],
-            bytes_served_remote=st_bytes_remote[c],
-            bytes_admitted=st_bytes_admitted[c],
-            bytes_evicted=st_bytes_evicted[c],
-            placements_declined=st_declined[c],
-            promotions_granted=st_promo_granted[c],
-            promotions_withheld=st_promo_withheld[c],
-        )
-        for c in range(num_caches)
-    ]
+    # _resolve refers to itself, so its closure cell is a reference cycle
+    # that would pin every state column above until the cyclic collector
+    # runs; clearing the cell lets the state die by refcount on return.
+    _resolve = None
+    frame.latency_sum = latency_sum
     ages = [age_of[c](None) for c in range(num_caches)]
     unique_documents = sum(1 for held in zip(*present) if any(held))
-    total_copies = sum(copies)
-    replication = total_copies / unique_documents if unique_documents else 0.0
-    return SimulationResult(
-        config=config.to_dict(),
-        metrics=metrics,
-        message_counters=counters,
-        cache_stats=cache_stats,
-        expiration_ages=ages,
-        avg_cache_expiration_age=average_cache_expiration_age(ages),
-        unique_documents=unique_documents,
-        total_copies=total_copies,
-        replication_factor=replication,
-        estimated_latency=metrics.estimated_latency(),
-        manifest=None,
-    )
+    return frame.result(ages, unique_documents)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from repro.errors import TraceError
 from repro.protocol import icp
 from repro.protocol.http import _utf8_length
 from repro.trace.record import TraceRecord
@@ -226,7 +227,7 @@ class InternedTrace:
         ``chunk_size`` must be positive.
         """
         if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+            raise TraceError(f"chunk_size must be positive, got {chunk_size}")
         doc_ids = self.doc_ids
         clients = self.clients
         base_docs = 0

@@ -1,16 +1,14 @@
-"""Optional numpy acceleration gate for the batch engine.
+"""Optional numpy acceleration gate.
 
-numpy is an *optional extra*: the batch engine vectorises its whole-trace
-precompute and post-pass reductions with it when importable, and falls
-back to pure-Python column building (``array``-module/list columns, the
-same arithmetic serially) when it is not. Results are bit-identical on
-both paths — the ordered float accumulations use ``cumsum`` (a strict
-left-to-right fold, unlike ``sum``'s pairwise reduction) precisely so the
-vectorised fold matches the serial one.
+numpy is an *optional extra*. The batch engine's fast loop and the packed
+trace decoder's bulk paths are numpy code; without it the batch engine
+replays on the chunked columnar core (see
+:func:`repro.fastpath.batch.batch_fastloop_reason`) and the decoder uses
+its ``array``-module path — byte-identically, at reduced speed.
 
-Set ``REPRO_NO_NUMPY=1`` to force the fallback path with numpy installed
-(the CI matrix leg proving the fallback uses this; the container image
-cannot uninstall the extra).
+Set ``REPRO_NO_NUMPY=1`` to take the no-numpy paths with numpy installed
+(the CI matrix leg proving them uses this; the container image cannot
+uninstall the extra).
 
 The index-domain analyzer (``repro analyze domains``, docs/ANALYSIS.md)
 treats locals bound from this gate — ``np = load_numpy()`` — as the numpy

@@ -3,7 +3,8 @@
 A manifest pins down everything needed to reproduce or audit one
 simulation run: the config hash (same canonical-JSON digest the sweep memo
 store keys on), the trace fingerprint, which engine was requested and
-which actually ran (fallback is observable), the seed, measured wall time,
+which actually ran (fallback is observable), why a batch run left its
+fast loop (``fastloop_reason``), the seed, measured wall time,
 and — when an event stream was written — the file's SHA-256, line count,
 and per-type event counts.
 
@@ -80,8 +81,16 @@ def build_manifest(
     events_path: Optional[str] = None,
     event_counts: Optional[Dict[str, int]] = None,
     peak_memory_bytes: Optional[int] = None,
+    fastloop_reason: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Assemble a ``repro-manifest/1`` dict for one completed run.
+
+    ``fastloop_reason`` is what
+    :func:`repro.fastpath.batch.batch_fastloop_reason` returned for a
+    batch run that replayed on the columnar core (``None`` when the fast
+    loop ran, and for the other engines): which loop runs depends on the
+    platform as well as the config, so ``engine_resolved`` alone does not
+    say.
 
     ``peak_memory_bytes`` is the :mod:`tracemalloc` high-water mark when
     the session tracked it (``None`` otherwise) — like wall time, an
@@ -102,6 +111,7 @@ def build_manifest(
         "trace": trace_fingerprint,
         "engine_requested": engine_requested,
         "engine_resolved": engine_resolved,
+        "fastloop_reason": fastloop_reason,
         "seed": config.seed,
         "wall_time_s": wall_time_s,
         "peak_memory_bytes": peak_memory_bytes,

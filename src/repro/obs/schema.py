@@ -1,4 +1,4 @@
-"""Validation for the ``repro-events/1`` JSONL stream.
+"""Validation for the ``repro-events/1`` JSONL stream and run manifests.
 
 The validator is deliberately strict about *structure* — every line must
 be a JSON object whose keys exactly match the schema for its event type,
@@ -6,7 +6,8 @@ with type-checked values — because downstream tooling (``repro obs
 summarize``/``diff``, CI smoke gates) treats the stream as a stable
 machine interface. Cross-engine byte identity is enforced separately by
 the differential tests; this module answers the cheaper question "is this
-file a well-formed event stream at all".
+file a well-formed event stream at all". :func:`validate_manifest` asks
+the same of a ``repro-manifest/1`` object.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from repro.obs.events import EVENTS_SCHEMA
+from repro.obs.manifest import MANIFEST_SCHEMA
 
 Predicate = Callable[[Any], bool]
 
@@ -41,6 +43,14 @@ def _is_age(value: Any) -> bool:
 
 def _is_opt_int(value: Any) -> bool:
     return value is None or _is_int(value)
+
+
+def _is_opt_str(value: Any) -> bool:
+    return value is None or isinstance(value, str)
+
+
+def _is_opt_dict(value: Any) -> bool:
+    return value is None or isinstance(value, dict)
 
 
 def _is_kind(value: Any) -> bool:
@@ -141,6 +151,22 @@ _FIELDS: Dict[str, Dict[str, Predicate]] = {
     },
 }
 _FIELDS["placement/child"] = _FIELDS["placement/parent"]
+
+#: Keys of a ``repro-manifest/1`` object (see :mod:`repro.obs.manifest`).
+_MANIFEST_FIELDS: Dict[str, Predicate] = {
+    "schema": _is_str,
+    "config": _is_str,
+    "trace": _is_str,
+    "engine_requested": _is_str,
+    "engine_resolved": _is_str,
+    "fastloop_reason": _is_opt_str,
+    "seed": _is_int,
+    "wall_time_s": _is_num,
+    "peak_memory_bytes": _is_opt_int,
+    "snapshot_interval": _is_num,
+    "events": _is_opt_dict,
+    "result_sha256": _is_str,
+}
 
 _SNAPSHOT_ROW_FIELDS: Dict[str, Predicate] = {
     "cache": _is_int,
@@ -248,3 +274,15 @@ def validate_events_file(path: str) -> Tuple[List[str], Dict[str, int]]:
     """:func:`validate_stream` over a file on disk."""
     with open(path, "r", encoding="utf-8") as handle:
         return validate_stream(handle)
+
+
+def validate_manifest(obj: Any) -> List[str]:
+    """Structural errors for one decoded manifest object (empty when valid)."""
+    if not isinstance(obj, dict):
+        return ["manifest is not a JSON object"]
+    errors = _check_fields(obj, _MANIFEST_FIELDS, "manifest")
+    if obj.get("schema") != MANIFEST_SCHEMA:
+        errors.append(
+            f"manifest: schema is {obj.get('schema')!r}, expected {MANIFEST_SCHEMA!r}"
+        )
+    return errors

@@ -139,17 +139,25 @@ class ObservedRun:
         if self._ts_sink is not None:
             self._ts_sink.close()
             self._ts_sink = None
+        engine = resolved_engine(self.config)
+        fastloop_reason = None
+        if engine == "batch":
+            # Same inputs the engine dispatched on: config, observer, platform.
+            from repro.fastpath.batch import batch_fastloop_reason
+
+            fastloop_reason = batch_fastloop_reason(self.config, self.recorder)
         result.manifest = build_manifest(
             self.config,
             self._trace_fp,
             engine_requested=self.config.engine,
-            engine_resolved=resolved_engine(self.config),
+            engine_resolved=engine,
             wall_time_s=wall_time,
             result=result,
             snapshot_interval=self.snapshot_interval,
             events_path=self.events_path,
             event_counts=counts,
             peak_memory_bytes=peak_memory,
+            fastloop_reason=fastloop_reason,
         )
         return result
 

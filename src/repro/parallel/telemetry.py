@@ -47,6 +47,15 @@ class TaskReport:
     regimes: Optional[Dict[str, object]] = None
     peak_memory_bytes: Optional[int] = None
 
+    @property
+    def fastloop_reason(self) -> Optional[str]:
+        """Why the point's batch replay ran on the columnar core — the
+        string :func:`repro.fastpath.batch.batch_fastloop_reason` returned.
+        None when the fast loop ran (or the point has no ``regimes``)."""
+        if self.regimes is None:
+            return None
+        return self.regimes.get("fallback_reason")  # type: ignore[return-value]
+
 
 @dataclass(frozen=True)
 class SweepProgress:
@@ -167,6 +176,10 @@ class SweepTelemetry:
                 + (f", {regimes['fallbacks']} fallback point(s)"
                    if regimes["fallbacks"] else "")
             )
+            for reason in sorted(
+                {r.fastloop_reason for r in self.reports if r.fastloop_reason}
+            ):
+                lines.append(f"    fast loop not engaged: {reason}")
         peak = self.peak_memory_bytes
         if peak is not None:
             lines.append(f"  peak worker memory: {peak:,} bytes (tracemalloc)")

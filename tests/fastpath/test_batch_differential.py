@@ -136,16 +136,32 @@ def test_adhoc_cold_regime(uniform_trace):
 
 
 def test_no_numpy_fallback_is_identical(monkeypatch, bu_style_trace):
-    """REPRO_NO_NUMPY forces the pure-Python columns; results match."""
+    """Without numpy there is no fast loop: the dispatch row says so, the
+    columnar core replays, and results match the numpy run."""
+    from repro.fastpath import batch_fastloop_reason
+
     config = SimulationConfig(
         scheme="ea", num_caches=4, aggregate_capacity=CAPACITY
     )
     expected = simulate_batch(config, bu_style_trace).to_json()
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert simulate_batch(config, bu_style_trace).to_json() == expected
+    reason = batch_fastloop_reason(config)
+    assert reason is not None and "numpy" in reason
+    regimes: dict = {}
+    assert (
+        simulate_batch(config, bu_style_trace, regimes=regimes).to_json()
+        == expected
+    )
+    assert regimes == {"fallback_reason": reason}
     assert (
         simulate_batch(config, bu_style_trace, chunk_size=250).to_json() == expected
     )
+    # Config-driven rows still win, so the reason is platform-stable for them.
+    hierarchical = SimulationConfig(
+        scheme="ea", num_caches=4, aggregate_capacity=CAPACITY,
+        architecture="hierarchical",
+    )
+    assert "hierarchical" in batch_fastloop_reason(hierarchical)
 
 
 def test_run_simulation_dispatches_to_batch(bu_style_trace):

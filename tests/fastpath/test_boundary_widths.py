@@ -77,7 +77,7 @@ def test_tiny_capacity_churns_past_int32():
 
 
 def test_no_numpy_fallback_matches_past_int32(monkeypatch):
-    """The pure-Python columns agree with numpy across the boundary."""
+    """The no-numpy replay (columnar core) agrees with numpy across the boundary."""
     trace = giant_trace()
     config = SimulationConfig(
         scheme="ea", num_caches=4, aggregate_capacity=GIANT * 6

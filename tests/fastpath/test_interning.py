@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.fastpath.interning import InternedTrace
 from repro.protocol import icp
 from repro.trace import Trace, TraceRecord
@@ -70,3 +72,12 @@ def test_empty_trace_interns_to_empty_columns():
     assert interned.num_docs == 0
     assert interned.num_clients == 0
     assert interned.has_zero_sizes is False
+
+
+def test_chunks_rejects_nonpositive_chunk_size_with_trace_error():
+    """Same typed error every streamed source raises for this condition."""
+    from repro.errors import TraceError
+
+    interned = InternedTrace.from_records(_records())
+    with pytest.raises(TraceError, match="chunk_size must be positive"):
+        next(interned.chunks(0))

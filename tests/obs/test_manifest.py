@@ -84,6 +84,31 @@ class TestBuildManifest:
         assert result.manifest["engine_requested"] == "columnar"
         assert result.manifest["engine_resolved"] == "columnar"
 
+    def test_fastloop_reason_records_the_loop_that_ran(
+        self, obs_trace, tmp_path, monkeypatch
+    ):
+        """null when the batch fast loop ran (and for the other engines);
+        otherwise the string batch_fastloop_reason returned."""
+        from repro.fastpath import batch_fastloop_reason
+        from repro.fastpath.numeric import load_numpy
+        from repro.obs.schema import validate_manifest
+
+        batch = SimulationConfig(scheme="ea", aggregate_capacity=700_000, engine="batch")
+        plain = run_observed(batch, obs_trace).manifest
+        assert plain["fastloop_reason"] == batch_fastloop_reason(batch)
+        if load_numpy() is not None:
+            assert plain["fastloop_reason"] is None
+        with_events = run_observed(
+            batch, obs_trace, events_path=str(tmp_path / "run.jsonl")
+        ).manifest
+        assert "observer" in with_events["fastloop_reason"]
+        assert run_observed(CONFIG, obs_trace).manifest["fastloop_reason"] is None
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        no_numpy = run_observed(batch, obs_trace).manifest
+        assert "numpy" in no_numpy["fastloop_reason"]
+        for manifest in (plain, with_events, no_numpy):
+            assert validate_manifest(manifest) == []
+
     def test_manifest_excluded_from_result_serialisation(self, obs_trace):
         """The manifest rides along as a side channel: wall time is
         non-deterministic, so it must never leak into to_json."""

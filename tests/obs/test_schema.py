@@ -6,7 +6,12 @@ import io
 import json
 
 from repro.obs.events import RunRecorder
-from repro.obs.schema import validate_event, validate_events_file, validate_stream
+from repro.obs.schema import (
+    validate_event,
+    validate_events_file,
+    validate_manifest,
+    validate_stream,
+)
 
 
 def recorded_stream() -> str:
@@ -144,3 +149,46 @@ class TestValidateEvent:
     def test_snapshot_row_must_be_object(self):
         errors = validate_event({"e": "snapshot", "t": 1.0, "caches": [7]})
         assert any("caches[0] is not an object" in e for e in errors)
+
+
+class TestValidateManifest:
+    def _manifest(self, **overrides):
+        manifest = {
+            "schema": "repro-manifest/1",
+            "config": "c" * 64,
+            "trace": "t" * 64,
+            "engine_requested": "batch",
+            "engine_resolved": "batch",
+            "fastloop_reason": None,
+            "seed": 42,
+            "wall_time_s": 0.25,
+            "peak_memory_bytes": None,
+            "snapshot_interval": 0.0,
+            "events": None,
+            "result_sha256": "r" * 64,
+        }
+        manifest.update(overrides)
+        return manifest
+
+    def test_valid_with_and_without_a_reason(self):
+        assert validate_manifest(self._manifest()) == []
+        assert validate_manifest(
+            self._manifest(fastloop_reason="numpy unavailable")
+        ) == []
+
+    def test_fastloop_reason_is_required_and_typed(self):
+        missing = self._manifest()
+        del missing["fastloop_reason"]
+        assert validate_manifest(missing) == [
+            "manifest: missing keys ['fastloop_reason']"
+        ]
+        assert validate_manifest(self._manifest(fastloop_reason=3)) == [
+            "manifest: bad value for 'fastloop_reason': 3"
+        ]
+
+    def test_wrong_schema_and_shape(self):
+        assert validate_manifest([]) == ["manifest is not a JSON object"]
+        errors = validate_manifest(self._manifest(schema="repro-manifest/0"))
+        assert errors == [
+            "manifest: schema is 'repro-manifest/0', expected 'repro-manifest/1'"
+        ]

@@ -174,6 +174,10 @@ class TestRegimeOccupancy:
         summary = telemetry.summary()
         assert "batch regimes: cold 120" in summary
         assert "1 fallback point(s)" in summary
+        assert "fast loop not engaged: obs attached" in summary
+        assert [r.fastloop_reason for r in telemetry.reports] == [
+            None, None, "obs attached", None,
+        ]
 
     def test_peak_memory_is_worker_max(self):
         telemetry = SweepTelemetry(

@@ -45,6 +45,20 @@ class TestSimulateEvents:
         assert main(["obs", "validate", str(events_file)]) == 0
         assert "valid (" in capsys.readouterr().out
 
+    def test_manifest_validates(self, tmp_path, capsys):
+        events_file = tmp_path / "run.jsonl"
+        assert simulate_with_events(events_file, engine="batch") == 0
+        manifest_path = tmp_path / "run.jsonl.manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert "observer" in manifest["fastloop_reason"]
+        capsys.readouterr()
+        assert main(["obs", "validate", str(manifest_path)]) == 0
+        assert "valid manifest" in capsys.readouterr().out
+        del manifest["fastloop_reason"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["obs", "validate", str(manifest_path)]) == 1
+        assert "missing keys ['fastloop_reason']" in capsys.readouterr().out
+
     def test_sanitized_run_can_record_events(self, tmp_path, capsys):
         path = tmp_path / "san.jsonl"
         assert simulate_with_events(path, extra=("--sanitize",)) == 0

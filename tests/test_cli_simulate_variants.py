@@ -36,6 +36,14 @@ class TestSimulateVariants:
         ])
         assert code == 0
 
+    def test_chunk_size_zero_is_a_clean_error(self, capsys):
+        code = main([
+            "simulate", "--scale", "tiny", "--engine", "batch",
+            "--chunk-size", "0",
+        ])
+        assert code == 2
+        assert "error: chunk_size must be positive" in capsys.readouterr().err
+
     def test_json_includes_architecture(self, capsys):
         main([
             "simulate", "--architecture", "hierarchical", "--caches", "2",
