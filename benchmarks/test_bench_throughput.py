@@ -169,6 +169,33 @@ def test_bench_batch_cold_requests_per_second(benchmark, cold_trace):
     assert result.metrics.requests == len(cold_trace)
 
 
+def test_bench_synthetic_stream_chunks(benchmark):
+    """Source throughput of streamed replay: the synthetic stream drawn
+    straight into interned chunks (stream shape and chunk size of the
+    ``stream_replay`` workload of ``benchmarks/e2e``, a quarter of its
+    length). Records per second is ``100_000 / median``.
+    """
+    from repro.trace.stream import SyntheticTraceStream
+
+    config = SyntheticTraceConfig(
+        num_requests=100_000,
+        num_documents=20_000,
+        num_clients=256,
+        zipf_alpha=0.9,
+        zero_size_fraction=0.02,
+        seed=42,
+    )
+
+    def run():
+        return sum(
+            chunk.num_records
+            for chunk in SyntheticTraceStream(config).interned_chunks(50_000)
+        )
+
+    records = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    assert records == config.num_requests
+
+
 @pytest.fixture(scope="module")
 def bu_trace():
     """The BU-scale trace (575,775 requests): the ISSUE's warm-regime

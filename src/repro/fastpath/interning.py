@@ -24,10 +24,9 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.errors import TraceError
 from repro.protocol import icp
 from repro.protocol.http import _utf8_length
-from repro.trace.record import TraceRecord
+from repro.trace.record import TraceRecord, require_chunk_size
 
 
 def client_leaf_positions(client_names: Sequence[str], num_leaves: int) -> List[int]:
@@ -226,8 +225,7 @@ class InternedTrace:
         construction. ``chunk_size >= num_records`` yields a single chunk;
         ``chunk_size`` must be positive.
         """
-        if chunk_size <= 0:
-            raise TraceError(f"chunk_size must be positive, got {chunk_size}")
+        require_chunk_size(chunk_size)
         doc_ids = self.doc_ids
         clients = self.clients
         base_docs = 0

@@ -36,7 +36,10 @@ identity requires.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import mmap
+import os
 import struct
 from array import array
 from typing import BinaryIO, Iterator, List, Optional, Tuple
@@ -89,56 +92,71 @@ def write_packed(path: str, source, chunk_size: Optional[int] = None) -> Tuple[i
     whatever ``chunk_size`` yields (default :data:`DEFAULT_PACK_CHUNK`);
     replay is chunking-invariant, so the choice only shapes reader
     memory, not results.
-    """
-    import hashlib
 
+    The file is written beside ``path`` and renamed over it only once the
+    footer is down, so a pack that fails or is interrupted leaves
+    whatever was at ``path`` untouched and no partial file behind.
+    """
     size = chunk_size if chunk_size is not None else DEFAULT_PACK_CHUNK
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            totals = _write_stream(fh, source.interned_chunks(size))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    return totals
+
+
+def _write_stream(fh: BinaryIO, chunks) -> Tuple[int, int, int]:
+    """Write header, every chunk of ``chunks`` and the footer to ``fh``."""
     digest = hashlib.sha256()
     total_records = total_docs = total_clients = 0
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
-        for chunk in source.interned_chunks(size):
-            n = chunk.num_records
-            url_blob = _pack_strings(chunk.new_urls)
-            client_blob = _pack_strings(chunk.new_client_names)
-            payload = b"".join(
-                (
-                    array("q", chunk.doc_ids).tobytes(),
-                    array("q", chunk.sizes).tobytes(),
-                    array("d", chunk.timestamps).tobytes(),
-                    array("q", chunk.clients).tobytes(),
-                    _U64.pack(len(url_blob)),
-                    url_blob,
-                    _U64.pack(len(client_blob)),
-                    client_blob,
-                )
-            )
-            fh.write(
-                _CHUNK_HEAD.pack(
-                    _CHUNK_MARK,
-                    n,
-                    len(chunk.new_urls),
-                    len(chunk.new_client_names),
-                    chunk.base_docs,
-                    chunk.base_clients,
-                    chunk.base_records,
-                )
-            )
-            fh.write(payload)
-            digest.update(payload)
-            total_records += n
-            total_docs += len(chunk.new_urls)
-            total_clients += len(chunk.new_client_names)
-        fh.write(
-            _FOOTER.pack(
-                _FOOT_MARK,
-                total_records,
-                total_docs,
-                total_clients,
-                digest.digest(),
-                MAGIC,
+    fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
+    for chunk in chunks:
+        n = chunk.num_records
+        url_blob = _pack_strings(chunk.new_urls)
+        client_blob = _pack_strings(chunk.new_client_names)
+        payload = b"".join(
+            (
+                array("q", chunk.doc_ids).tobytes(),
+                array("q", chunk.sizes).tobytes(),
+                array("d", chunk.timestamps).tobytes(),
+                array("q", chunk.clients).tobytes(),
+                _U64.pack(len(url_blob)),
+                url_blob,
+                _U64.pack(len(client_blob)),
+                client_blob,
             )
         )
+        fh.write(
+            _CHUNK_HEAD.pack(
+                _CHUNK_MARK,
+                n,
+                len(chunk.new_urls),
+                len(chunk.new_client_names),
+                chunk.base_docs,
+                chunk.base_clients,
+                chunk.base_records,
+            )
+        )
+        fh.write(payload)
+        digest.update(payload)
+        total_records += n
+        total_docs += len(chunk.new_urls)
+        total_clients += len(chunk.new_client_names)
+    fh.write(
+        _FOOTER.pack(
+            _FOOT_MARK,
+            total_records,
+            total_docs,
+            total_clients,
+            digest.digest(),
+            MAGIC,
+        )
+    )
     return total_records, total_docs, total_clients
 
 
@@ -162,6 +180,16 @@ class PackedTraceReader:
     def __init__(self, path: str):
         self.path = path
         self._fh: BinaryIO = open(path, "rb")
+        self._buf = b""
+        try:
+            self._open_validated()
+        except BaseException:
+            # A rejected file must not keep its handle and mapping open.
+            self.close()
+            raise
+
+    def _open_validated(self) -> None:
+        path = self.path
         try:
             self._buf = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (ValueError, OSError):  # zero-length or mmap-less platform

@@ -114,6 +114,16 @@ def validate_monotone(records: Iterable[TraceRecord]) -> List[TraceRecord]:
     return out
 
 
+def require_chunk_size(chunk_size: int) -> None:
+    """Raise :class:`TraceError` unless ``chunk_size`` is positive.
+
+    Every ``interned_chunks`` entry point calls this *before* returning
+    its iterator, so a bad size fails at the call, not at the first pull.
+    """
+    if chunk_size <= 0:
+        raise TraceError(f"chunk_size must be positive, got {chunk_size}")
+
+
 @dataclass
 class Trace:
     """A materialised, validated request trace.
@@ -199,6 +209,7 @@ class Trace:
         synthetic generation) expose this same method without ever
         materialising the full trace; see :mod:`repro.trace.stream`.
         """
+        require_chunk_size(chunk_size)
         if spans is not None:
             with spans.span("intern", "source"):
                 interned = self.interned()

@@ -28,11 +28,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
-from repro.trace.record import TraceRecord
-from repro.trace.synthetic import BULikeTraceGenerator, SyntheticTraceConfig
+from repro.trace.record import TraceRecord, require_chunk_size
+from repro.trace.synthetic import (
+    BULikeTraceGenerator,
+    SyntheticTraceConfig,
+    client_name,
+    document_url,
+)
 
 
 def source_fingerprint(source, strict: bool = False) -> str:
@@ -110,8 +115,10 @@ class RecordStream:
         inside the generation-vs-replay wall split. Telemetry only; the
         emitted chunks are identical with or without it.
         """
-        if chunk_size <= 0:
-            raise TraceError(f"chunk_size must be positive, got {chunk_size}")
+        require_chunk_size(chunk_size)
+        return self._interned_chunks(chunk_size, spans)
+
+    def _interned_chunks(self, chunk_size: int, spans) -> Iterator["InternedChunk"]:
         # Imported here: repro.fastpath sits above the trace layer.
         from repro.fastpath.interning import ChunkingInterner
 
@@ -139,12 +146,43 @@ class RecordStream:
                 yield interner.intern_chunk(batch)
 
 
+# repro: domains[numbers=chunk-offset->doc-id, dense_of=doc-id->interned-id]
+# repro: domains[ids=chunk-offset->interned-id, number=doc-id, dense=interned-id]
+def _densify(
+    numbers: List[int], dense_of: List[int], base: int, name: Callable[[int], str]
+) -> Tuple[List[int], List[str]]:
+    """Map one block column of universe numbers to first-appearance ids.
+
+    ``dense_of`` is the number -> dense id table (``-1`` = not seen yet),
+    updated in place; ``base`` is how many ids are already assigned.
+    Returns the dense column and the names of the numbers first seen in
+    it, in id order — ``name`` is called only for those.
+    """
+    ids = [dense_of[number] for number in numbers]
+    new_names: List[str] = []
+    # Hop between the unseen positions at C speed; a number that repeats
+    # within the block finds its id in the table the second time.
+    at = -1
+    try:
+        while True:
+            at = ids.index(-1, at + 1)
+            number = numbers[at]
+            dense = dense_of[number]
+            if dense < 0:
+                dense = dense_of[number] = base + len(new_names)
+                new_names.append(name(number))
+            ids[at] = dense
+    except ValueError:
+        return ids, new_names
+
+
 class SyntheticTraceStream(RecordStream):
     """Chunked synthetic generation: the BU-like workload as a stream.
 
-    Wraps :meth:`BULikeTraceGenerator.iter_records` — the *same* emission
-    loop ``generate_trace`` materialises, so the RNG consumption order and
-    every emitted record are identical by construction::
+    The chunk view of :meth:`BULikeTraceGenerator.draw_blocks` — the
+    *same* draw loop ``generate_trace`` wraps in records, so the RNG
+    consumption order and every emitted request are identical by
+    construction::
 
         stream = SyntheticTraceStream(SyntheticTraceConfig(num_requests=10**8))
         result = run_simulation(config, stream)   # O(chunk) request memory
@@ -158,6 +196,7 @@ class SyntheticTraceStream(RecordStream):
         super().__init__(
             generator.iter_records, num_records=generator.config.num_requests
         )
+        self._generator = generator
         self.config = generator.config
         # The config fully determines every emitted record (one seeded
         # RNG), so its canonical JSON is a sound content address for the
@@ -167,6 +206,51 @@ class SyntheticTraceStream(RecordStream):
         )
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         self.fingerprint = f"synthetic:{digest}"
+
+    def interned_chunks(
+        self, chunk_size: int, spans=None
+    ) -> Iterator["InternedChunk"]:
+        """Draw the stream straight into ``chunk_size``-record chunks.
+
+        Identical, field for field, to interning the record view — but no
+        record, URL or session string is built per request: each drawn
+        block *is* a chunk once its document and client numbers are
+        mapped to first-appearance dense ids through two integer tables,
+        and a URL or client name is formatted only when its number first
+        appears. There is no interning pass, so ``spans`` receives no
+        ``intern`` span here; the engine's source span is all generation.
+        """
+        require_chunk_size(chunk_size)
+        return self._drawn_chunks(chunk_size)
+
+    def _drawn_chunks(self, chunk_size: int) -> Iterator["InternedChunk"]:
+        # Imported here: repro.fastpath sits above the trace layer.
+        from repro.fastpath.interning import InternedChunk
+
+        dense_doc = [-1] * self.config.num_documents
+        dense_client = [-1] * self.config.num_clients
+        base_docs = base_clients = base_records = 0
+        for timestamps, clients, documents, sizes, _ in self._generator.draw_blocks(
+            chunk_size
+        ):
+            doc_ids, new_urls = _densify(documents, dense_doc, base_docs, document_url)
+            client_ids, new_client_names = _densify(
+                clients, dense_client, base_clients, client_name
+            )
+            yield InternedChunk(
+                doc_ids=doc_ids,
+                sizes=sizes,
+                timestamps=timestamps,
+                clients=client_ids,
+                new_urls=new_urls,
+                new_client_names=new_client_names,
+                base_docs=base_docs,
+                base_clients=base_clients,
+                base_records=base_records,
+            )
+            base_docs += len(new_urls)
+            base_clients += len(new_client_names)
+            base_records += len(doc_ids)
 
 
 __all__ = [

@@ -24,10 +24,11 @@ identical configs yield identical traces.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.trace.record import Trace, TraceRecord
@@ -124,6 +125,19 @@ def bu_like_config(seed: int = 42) -> SyntheticTraceConfig:
     )
 
 
+def _cdf(weights: List[float]) -> List[float]:
+    """Running sum of ``weights`` normalised to end at exactly 1.0."""
+    total = math.fsum(weights)
+    cdf = list(itertools.accumulate([w / total for w in weights]))
+    cdf[-1] = 1.0  # guard against float round-off
+    return cdf
+
+
+def _zipf_cdf(n: int, alpha: float) -> List[float]:
+    """CDF over ranks 1..n with probability proportional to ``k**-alpha``."""
+    return _cdf([k ** -alpha for k in range(1, n + 1)])
+
+
 class ZipfSampler:
     """Draws ranks 1..n from a Zipf(alpha) law via inverse-CDF lookup.
 
@@ -135,36 +149,30 @@ class ZipfSampler:
         if n <= 0:
             raise TraceError("ZipfSampler requires n >= 1")
         self._rng = rng
-        weights = [k ** -alpha for k in range(1, n + 1)]
-        total = math.fsum(weights)
-        self._cdf: List[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            self._cdf.append(acc)
-        self._cdf[-1] = 1.0  # guard against float round-off
+        self._cdf = _zipf_cdf(n, alpha)
 
     def sample(self) -> int:
         """Return a rank in [0, n)."""
         return bisect.bisect_left(self._cdf, self._rng.random())
 
 
-class _ClientState:
-    """Per-client recency stack and session bookkeeping."""
+def client_name(number: int) -> str:
+    """Client id string of synthetic client ``number``."""
+    return f"host{number % 37}/user{number}"
 
-    __slots__ = ("recent", "last_time", "session_index")
 
-    def __init__(self) -> None:
-        self.recent: List[int] = []
-        self.last_time = -math.inf
-        self.session_index = 0
+def document_url(number: int) -> str:
+    """URL of synthetic document ``number``."""
+    return f"http://origin{number % 97}.example.com/doc/{number}"
 
-    def touch(self, doc: int, depth: int) -> None:
-        if doc in self.recent:
-            self.recent.remove(doc)
-        self.recent.append(doc)
-        if len(self.recent) > depth:
-            self.recent.pop(0)
+
+#: Requests the record view draws at a time (bounds its column memory).
+_RECORD_VIEW_BLOCK = 4096
+
+#: One drawn block, as parallel columns indexed by offset into the block:
+#: timestamps, client numbers (``0..num_clients-1``), document numbers
+#: (``0..num_documents-1``), sizes, and per-client session indices.
+Block = Tuple[List[float], List[int], List[int], List[int], List[int]]
 
 
 class BULikeTraceGenerator:
@@ -173,6 +181,11 @@ class BULikeTraceGenerator:
     Usage::
 
         trace = BULikeTraceGenerator(SyntheticTraceConfig(seed=7)).generate()
+
+    :meth:`draw_blocks` is the only place the request stream is drawn;
+    :meth:`iter_records` (and so :meth:`generate`) and
+    :meth:`repro.trace.stream.SyntheticTraceStream.interned_chunks` are
+    two views over its columns, so they cannot disagree on a request.
     """
 
     def __init__(self, config: Optional[SyntheticTraceConfig] = None):
@@ -186,83 +199,138 @@ class BULikeTraceGenerator:
         """
         cfg = self.config
         mu = math.log(cfg.mean_size) - cfg.size_sigma ** 2 / 2.0
+        sigma, cap, lognormal = cfg.size_sigma, cfg.max_size, rng.lognormvariate
         sizes = []
         for _ in range(cfg.num_documents):
-            size = int(rng.lognormvariate(mu, cfg.size_sigma))
-            sizes.append(min(max(size, 64), cfg.max_size))
+            size = int(lognormal(mu, sigma))
+            # min(max(size, 64), cap), spelt without the two calls: every
+            # stream open pays this once per document.
+            if size < 64:
+                size = 64
+            sizes.append(cap if size > cap else size)
         return sizes
+
+    # Block columns are indexed by offset into the block; documents are
+    # raw universe numbers here, interning is the chunk view's business.
+    # repro: domains[timestamps=chunk-offset->age-tick, documents=chunk-offset->doc-id]
+    # repro: domains[sizes=chunk-offset->byte-size, doc_sizes=doc-id->byte-size]
+    # repro: domains[doc_of_rank=any->doc-id, doc=doc-id]
+    def draw_blocks(self, block_size: int) -> Iterator[Block]:
+        """Draw the request stream, ``block_size`` requests at a time.
+
+        All randomness flows from one ``random.Random(config.seed)``, in a
+        fixed order: rank shuffle, document sizes, client weights, then per
+        request the inter-arrival gap, the client, the re-reference coin
+        (only when the client has history), the stack walk or the Zipf
+        rank, and the zero-size coin (only when the fraction is non-zero).
+        The block size never changes what is drawn, only where the columns
+        are cut. Request memory is O(block); the per-document and
+        per-client tables scale with the universe, not the request count.
+        """
+        cfg = self.config
+        rng = random.Random(cfg.seed)
+        rand = rng.random
+        bisect_left = bisect.bisect_left
+        rank_cdf = _zipf_cdf(cfg.num_documents, cfg.zipf_alpha)
+
+        # Shuffle the rank->document mapping so popular documents are not
+        # clustered at low ids (which would correlate with partitioners
+        # that hash on the id).
+        doc_of_rank = list(range(cfg.num_documents))
+        rng.shuffle(doc_of_rank)
+        doc_sizes = self._document_sizes(rng)
+
+        # Client activity is itself skewed: a few heavy users dominate
+        # real proxy traces. Lognormal weights reproduce that.
+        client_cdf = _cdf([rng.lognormvariate(0.0, 1.0) for _ in range(cfg.num_clients)])
+
+        # Per-client state, indexed by client number: the recency stack
+        # (oldest first), the last request time, the session index.
+        recents: List[List[int]] = [[] for _ in range(cfg.num_clients)]
+        last_times = [-math.inf] * cfg.num_clients
+        session_of = [0] * cfg.num_clients
+
+        rate = 1.0 / cfg.mean_interarrival
+        locality = cfg.temporal_locality
+        depth = cfg.locality_stack_depth
+        session_gap = cfg.session_gap
+        zero_fraction = cfg.zero_size_fraction
+        expovariate = rng.expovariate
+        now = cfg.start_time
+
+        for start in range(0, cfg.num_requests, block_size):
+            timestamps: List[float] = []
+            clients: List[int] = []
+            documents: List[int] = []
+            sizes: List[int] = []
+            sessions: List[int] = []
+            for _ in range(min(block_size, cfg.num_requests - start)):
+                now += expovariate(rate)
+                ci = bisect_left(client_cdf, rand())
+                recent = recents[ci]
+
+                if recent and rand() < locality:
+                    # Re-reference: geometric preference for the most
+                    # recent documents in the client's stack.
+                    idx = len(recent) - 1
+                    while idx > 0 and rand() < 0.5:
+                        idx -= 1
+                    doc = recent.pop(idx)
+                    recent.append(doc)
+                else:
+                    doc = doc_of_rank[bisect_left(rank_cdf, rand())]
+                    if doc in recent:
+                        recent.remove(doc)
+                    recent.append(doc)
+                    if len(recent) > depth:
+                        del recent[0]
+
+                if now - last_times[ci] > session_gap:
+                    session_of[ci] += 1
+                last_times[ci] = now
+
+                size = doc_sizes[doc]
+                if zero_fraction and rand() < zero_fraction:
+                    size = 0
+                timestamps.append(now)
+                clients.append(ci)
+                documents.append(doc)
+                sizes.append(size)
+                sessions.append(session_of[ci])
+            yield timestamps, clients, documents, sizes, sessions
 
     def generate(self) -> Trace:
         """Produce the full trace as a :class:`~repro.trace.record.Trace`."""
         return Trace(list(self.iter_records()))
 
-    def iter_records(self):
+    def iter_records(self) -> Iterator[TraceRecord]:
         """Yield the trace's records one at a time, in trace order.
 
-        This is the same emission loop :meth:`generate` materialises — one
-        shared code path, so the RNG consumption order (and therefore every
-        record) is identical by construction. Streamed replay via
-        :class:`repro.trace.stream.SyntheticTraceStream` builds on this to
-        drive arbitrarily long workloads with O(chunk) request memory (the
-        per-document and per-client tables still scale with the universe,
-        not the request count).
+        The record view of :meth:`draw_blocks`: each drawn row wrapped in
+        a :class:`TraceRecord`, with client, URL and session strings
+        formatted once per client, document and session rather than once
+        per request.
         """
         cfg = self.config
-        rng = random.Random(cfg.seed)
-        sampler = ZipfSampler(cfg.num_documents, cfg.zipf_alpha, rng)
-
-        # Shuffle the rank->document mapping so popular documents are not
-        # clustered at low ids (which would correlate with partitioners
-        # that hash on the id).
-        doc_ids = list(range(cfg.num_documents))
-        rng.shuffle(doc_ids)
-        sizes = self._document_sizes(rng)
-
-        # Client activity is itself skewed: a few heavy users dominate
-        # real proxy traces. Lognormal weights reproduce that.
-        weights = [rng.lognormvariate(0.0, 1.0) for _ in range(cfg.num_clients)]
-        clients = [f"host{i % 37}/user{i}" for i in range(cfg.num_clients)]
-        client_cdf: List[float] = []
-        acc = 0.0
-        total_w = math.fsum(weights)
-        for w in weights:
-            acc += w / total_w
-            client_cdf.append(acc)
-        client_cdf[-1] = 1.0
-
-        states: Dict[int, _ClientState] = {i: _ClientState() for i in range(cfg.num_clients)}
-        now = cfg.start_time
-
-        for _ in range(cfg.num_requests):
-            now += rng.expovariate(1.0 / cfg.mean_interarrival)
-            ci = bisect.bisect_left(client_cdf, rng.random())
-            state = states[ci]
-
-            if state.recent and rng.random() < cfg.temporal_locality:
-                # Re-reference: geometric preference for the most recent
-                # documents in the client's stack.
-                idx = len(state.recent) - 1
-                while idx > 0 and rng.random() < 0.5:
-                    idx -= 1
-                doc = state.recent[idx]
-            else:
-                doc = doc_ids[sampler.sample()]
-            state.touch(doc, cfg.locality_stack_depth)
-
-            if now - state.last_time > cfg.session_gap:
-                state.session_index += 1
-            state.last_time = now
-
-            size = sizes[doc]
-            if cfg.zero_size_fraction and rng.random() < cfg.zero_size_fraction:
-                size = 0
-            yield TraceRecord(
-                timestamp=now,
-                client_id=clients[ci],
-                url=f"http://origin{doc % 97}.example.com/doc/{doc}",
-                size=size,
-                session_id=f"s{ci}.{state.session_index}",
-            )
+        names = [client_name(i) for i in range(cfg.num_clients)]
+        urls: List[Optional[str]] = [None] * cfg.num_documents
+        session_ids = [""] * cfg.num_clients
+        session_seen = [-1] * cfg.num_clients
+        for block in self.draw_blocks(_RECORD_VIEW_BLOCK):
+            for now, ci, doc, size, session in zip(*block):
+                url = urls[doc]
+                if url is None:
+                    url = urls[doc] = document_url(doc)
+                if session != session_seen[ci]:
+                    session_seen[ci] = session
+                    session_ids[ci] = f"s{ci}.{session}"
+                yield TraceRecord(
+                    timestamp=now,
+                    client_id=names[ci],
+                    url=url,
+                    size=size,
+                    session_id=session_ids[ci],
+                )
 
 
 def generate_trace(config: Optional[SyntheticTraceConfig] = None) -> Trace:

@@ -8,8 +8,12 @@ to replay of the original trace, and every structural corruption is a
 
 from __future__ import annotations
 
+import gc
+import os
 import pickle
 import struct
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,52 @@ def test_corrupt_chunk_marker(packed_path, tmp_path):
     with PackedTraceReader(str(path)) as reader:
         with pytest.raises(TraceError, match="chunk"):
             list(reader.interned_chunks(1))
+
+
+def _rejected_files(good: bytes):
+    """One file per ``raise TraceError`` of the reader's constructor."""
+    return {
+        "truncated": MAGIC,
+        "bad magic": b"NOPE" + bytes(96),
+        "version": struct.pack("<4sHHQ", MAGIC, 99, 0, 0) + bytes(64),
+        "footer": good[:-3],
+    }
+
+
+@pytest.mark.parametrize("match", ("truncated", "bad magic", "version", "footer"))
+def test_rejected_file_is_closed(packed_path, tmp_path, match):
+    """A constructor that raises keeps neither the handle nor the mmap."""
+    path = tmp_path / "rejected.rpct"
+    path.write_bytes(_rejected_files(Path(packed_path).read_bytes())[match])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(TraceError, match=match):
+            PackedTraceReader(str(path))
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
+
+
+class _BreaksMidPack:
+    """A source that yields one good chunk and then fails."""
+
+    def __init__(self, trace):
+        self._trace = trace
+
+    def interned_chunks(self, chunk_size):
+        yield next(iter(self._trace.interned_chunks(chunk_size)))
+        raise OSError("source went away")
+
+
+@pytest.mark.parametrize("failure", ("bad chunk size", "mid-pack"))
+def test_failed_pack_leaves_destination_untouched(trace, packed_path, tmp_path, failure):
+    """A pack that raises neither clobbers a good file nor leaves litter."""
+    good = Path(packed_path).read_bytes()
+    if failure == "bad chunk size":
+        with pytest.raises(TraceError, match="chunk_size"):
+            write_packed(packed_path, SyntheticTraceStream(CFG), chunk_size=0)
+    else:
+        with pytest.raises(OSError, match="went away"):
+            write_packed(packed_path, _BreaksMidPack(trace), chunk_size=700)
+    assert Path(packed_path).read_bytes() == good
+    assert os.listdir(tmp_path) == [os.path.basename(packed_path)]
