@@ -5,9 +5,11 @@ through :func:`~repro.obs.session.run_observed` with no event sink must
 cost within 2% of the plain engine call. These four benchmarks measure
 baseline (plain) vs disabled-instrumentation runs for both engines on the
 EA scheme; ``scripts/check_bench_regression.py --pair`` turns the
-baseline/disabled ratio into a CI gate. Enabled-path cost (events to disk)
-is deliberately *not* gated — it buys a full audit stream and is expected
-to cost real time.
+baseline/disabled ratio into a CI gate. The enabled path is measured too
+(``test_bench_obs_enabled_columnar``: every per-decision line serialised
+into a counting sink) but *not* pair-gated — it buys a full audit stream,
+and its cost is proportional to event volume rather than a fixed fraction
+of the replay.
 
 Workload and config match ``test_bench_throughput.py``'s end-to-end
 benchmarks so the numbers are comparable across families.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.events import RunRecorder
 from repro.obs.session import run_observed
 from repro.simulation.simulator import SimulationConfig, run_simulation
 from repro.trace import SyntheticTraceConfig, generate_trace
@@ -93,6 +96,31 @@ def test_bench_obs_disabled_columnar(benchmark, obs_trace):
     result = benchmark.pedantic(run, rounds=ROUNDS, warmup_rounds=1, iterations=1)
     assert result.metrics.requests == len(obs_trace)
     assert result.manifest is not None and result.manifest["events"] is None
+
+
+class CountingSink:
+    """Text sink that counts writes (one per line) and keeps nothing."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += 1
+
+
+def test_bench_obs_enabled_columnar(benchmark, obs_trace):
+    """Columnar run with a ``RunRecorder`` attached: serialisation included,
+    file I/O not. Compare with ``test_bench_obs_baseline_columnar``."""
+
+    def run():
+        sink = CountingSink()
+        recorder = RunRecorder(sink)
+        run_simulation(COLUMNAR_CONFIG, obs_trace, obs=recorder)
+        return recorder, sink
+
+    recorder, sink = benchmark.pedantic(run, rounds=ROUNDS, warmup_rounds=1, iterations=1)
+    assert recorder.counts["request"] == len(obs_trace)
+    assert sink.lines == sum(recorder.counts.values())
 
 
 def test_bench_obs_baseline_batch(benchmark, obs_trace):

@@ -35,6 +35,7 @@ same ``repro-findings/1`` JSON with ``--json``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -465,24 +466,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     recorder = observed.recorder if observed is not None else None
     timeseries = observed.timeseries if observed is not None else None
     sanitizer = None
-    if args.sanitize:
-        # Sanitizing needs the simulator instance for the report (and forces
-        # the object engine anyway — the dispatcher would fall back).
-        if not hasattr(trace, "records"):
-            raise ReproError(
-                "--sanitize runs the object engine, which replays "
-                "materialised traces only (not packed/streamed sources)"
+    # Leaving the block closes the observed run's sinks, allocation tracer
+    # and root span when the replay raises; finish() has done so otherwise.
+    with observed if observed is not None else contextlib.nullcontext():
+        if args.sanitize:
+            # Sanitizing needs the simulator instance for the report (and
+            # forces the object engine anyway — the dispatcher would fall back).
+            if not hasattr(trace, "records"):
+                raise ReproError(
+                    "--sanitize runs the object engine, which replays "
+                    "materialised traces only (not packed/streamed sources)"
+                )
+            simulator = CooperativeSimulator(config, obs=recorder)
+            result = simulator.run(trace)
+            sanitizer = simulator.sanitizer
+        else:
+            result = run_simulation(
+                config, trace, obs=recorder, chunk_size=args.chunk_size,
+                spans=spans, timeseries=timeseries,
             )
-        simulator = CooperativeSimulator(config, obs=recorder)
-        result = simulator.run(trace)
-        sanitizer = simulator.sanitizer
-    else:
-        result = run_simulation(
-            config, trace, obs=recorder, chunk_size=args.chunk_size,
-            spans=spans, timeseries=timeseries,
-        )
-    if observed is not None:
-        result = observed.finish(result)
+        if observed is not None:
+            result = observed.finish(result)
     if args.json:
         print(result.to_json())
     else:

@@ -10,11 +10,28 @@ one-sided placement decisions the paper's argument rests on.
 
 Byte identity across engines is achieved *by construction*: both the
 object core and the columnar engine call the same :class:`RunRecorder`
-methods, at protocol-equivalent points, with scalar arguments; every line
-is serialised here, with one fixed key order per event type and the
-``"inf"`` sentinel for infinite ages (the same convention as
-:meth:`repro.simulation.results.SimulationResult.to_dict`). The
-differential tests in ``tests/obs`` then only need to compare file text.
+methods, at protocol-equivalent points, with scalar arguments, and every
+line is serialised here. The differential tests in ``tests/obs`` then only
+need to compare file text.
+
+Serialisation contract. Every line equals
+``json.dumps(payload, separators=(",", ":")) + "\\n"`` for the payload dict
+whose keys are that event type's row of :data:`repro.obs.schema._FIELDS`,
+in that order, with the ``"inf"`` sentinel for infinite ages (the same
+convention as :meth:`repro.simulation.results.SimulationResult.to_dict`),
+and the recorder issues exactly one ``sink.write`` per line (sinks count
+lines by writes). The six per-decision emitters — an observed replay calls
+them a few hundred thousand times — do not build that dict: each is one
+format expression with fixed key text, ``float.__repr__`` / ``int.__repr__``
+for numbers (what :mod:`json` itself calls), ``encode_basestring_ascii``
+for strings and the ``true`` / ``false`` / ``null`` literals. That is
+exact for what an engine passes (finite ``float``/``int`` times, ``int``
+cache/size/hops/responder, ``float`` ages including ±inf, real ``bool``
+verdicts, any ``str``); a value outside it — another type, a subclass, a
+non-finite non-age float — is handed to ``json.dumps`` on its own, so the
+line is the oracle's for those too. Only the framing events ``run``,
+``end`` and ``snapshot`` still go through ``json.dumps`` whole: they are
+O(1) / O(ticks) per run and ``snapshot`` carries a nested list.
 
 Determinism rules (docs/ANALYSIS.md) apply to event payloads: timestamps
 are **simulation time only** — the recorder never reads a wall clock.
@@ -29,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.placement import ages_equal, classify_age_comparison
@@ -46,6 +64,31 @@ def age_json(age: float) -> Any:
     if math.isinf(age):
         return "inf"
     return age
+
+
+_INF = math.inf
+# The converters the templates call: what ``json`` itself uses for an exact
+# ``float`` / ``int`` / ``str``, and ``json.dumps`` for any other value.
+_float = float.__repr__
+_int = int.__repr__
+_quote = encode_basestring_ascii
+_FLAG = ("false", "true")
+_other = json.dumps
+
+#: JSON text of :func:`age_json`'s sentinel. A cache that has not evicted
+#: yet reports ``+inf`` on every exchange, so at a capacity that fits the
+#: working set most ages are this string.
+_AGE_INF = _other(age_json(_INF))
+
+
+def _age(age: Any) -> str:
+    """JSON text of an expiration age, as ``json.dumps(age_json(age))``."""
+    if type(age) is float:
+        if -_INF < age < _INF:
+            return _float(age)
+        if age == _INF or age == -_INF:
+            return _AGE_INF
+    return _other(age_json(age))
 
 
 def age_ranks(ages: Sequence[float]) -> List[int]:
@@ -98,8 +141,18 @@ class RunRecorder:
     # ------------------------------------------------------------------ #
 
     def _emit(self, kind: str, payload: Dict[str, Any]) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self._write(json.dumps(payload, separators=(",", ":")) + "\n")
+        """Serialise a framing event (``run``, ``end``, ``snapshot``).
+
+        Only those three come through here — once per run or per snapshot
+        tick. The per-decision emitters below format their line directly
+        (module docstring) and call :meth:`_line`.
+        """
+        self._line(kind, json.dumps(payload, separators=(",", ":")) + "\n")
+
+    def _line(self, kind: str, line: str) -> None:
+        counts = self.counts
+        counts[kind] = counts.get(kind, 0) + 1
+        self._write(line)
 
     # ------------------------------------------------------------------ #
     # Stream framing
@@ -124,6 +177,13 @@ class RunRecorder:
 
     # ------------------------------------------------------------------ #
     # Per-request events (called by both engines at mirrored points)
+    #
+    # One template per event type, one key per source line: the value's
+    # exact type picks the converter ``json`` would use, anything else is
+    # ``json.dumps``-ed on its own. The tests are spelt out in the template
+    # rather than wrapped in helpers: at ~10 values a line, a Python-level
+    # call per value was a tenth of an observed replay. Only ages, which a
+    # quarter of the lines carry, go through one (``_age``).
     # ------------------------------------------------------------------ #
 
     def request(
@@ -140,20 +200,23 @@ class RunRecorder:
     ) -> None:
         """Final outcome of one client request (last event per request)."""
         self._requests += 1
-        self._emit(
+        if responder is None:
+            who = "null"
+        else:
+            who = _int(responder) if type(responder) is int else _other(responder)
+        self._line(
             "request",
-            {
-                "e": "request",
-                "t": t,
-                "cache": cache,
-                "url": url,
-                "kind": kind,
-                "size": size,
-                "responder": responder,
-                "stored": stored,
-                "refreshed": refreshed,
-                "hops": hops,
-            },
+            f'{{"e":"request"'
+            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
+            f',"url":{_quote(url) if type(url) is str else _other(url)}'
+            f',"kind":{_quote(kind) if type(kind) is str else _other(kind)}'
+            f',"size":{_int(size) if type(size) is int else _other(size)}'
+            f',"responder":{who}'
+            f',"stored":{_FLAG[stored] if type(stored) is bool else _other(stored)}'
+            f',"refreshed":{_FLAG[refreshed] if type(refreshed) is bool else _other(refreshed)}'
+            f',"hops":{_int(hops) if type(hops) is int else _other(hops)}'
+            f'}}\n',
         )
 
     def placement_remote(
@@ -172,39 +235,37 @@ class RunRecorder:
         ``stored`` is what actually happened (admission can still reject a
         scheme-approved copy); ``cmp`` orders requester vs responder age.
         """
-        self._emit(
+        self._line(
             "placement",
-            {
-                "e": "placement",
-                "t": t,
-                "role": "remote",
-                "cache": cache,
-                "url": url,
-                "size": size,
-                "requester_age": age_json(requester_age),
-                "responder_age": age_json(responder_age),
-                "cmp": classify_age_comparison(requester_age, responder_age),
-                "stored": stored,
-                "refreshed": refreshed,
-            },
+            f'{{"e":"placement"'
+            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"role":"remote"'
+            f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
+            f',"url":{_quote(url) if type(url) is str else _other(url)}'
+            f',"size":{_int(size) if type(size) is int else _other(size)}'
+            f',"requester_age":{_age(requester_age)}'
+            f',"responder_age":{_age(responder_age)}'
+            f',"cmp":{_quote(classify_age_comparison(requester_age, responder_age))}'
+            f',"stored":{_FLAG[stored] if type(stored) is bool else _other(stored)}'
+            f',"refreshed":{_FLAG[refreshed] if type(refreshed) is bool else _other(refreshed)}'
+            f'}}\n',
         )
 
     def placement_origin(
         self, t: float, cache: int, url: str, size: int, own_age: float, stored: bool
     ) -> None:
         """Store verdict for a document fetched directly from the origin."""
-        self._emit(
+        self._line(
             "placement",
-            {
-                "e": "placement",
-                "t": t,
-                "role": "origin",
-                "cache": cache,
-                "url": url,
-                "size": size,
-                "own_age": age_json(own_age),
-                "stored": stored,
-            },
+            f'{{"e":"placement"'
+            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"role":"origin"'
+            f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
+            f',"url":{_quote(url) if type(url) is str else _other(url)}'
+            f',"size":{_int(size) if type(size) is int else _other(size)}'
+            f',"own_age":{_age(own_age)}'
+            f',"stored":{_FLAG[stored] if type(stored) is bool else _other(stored)}'
+            f'}}\n',
         )
 
     def placement_node(
@@ -224,20 +285,19 @@ class RunRecorder:
         node compared itself against (the child's request age for a parent,
         the upstream response age for a child).
         """
-        self._emit(
+        self._line(
             "placement",
-            {
-                "e": "placement",
-                "t": t,
-                "role": role,
-                "cache": cache,
-                "url": url,
-                "size": size,
-                "own_age": age_json(own_age),
-                "peer_age": age_json(peer_age),
-                "cmp": classify_age_comparison(own_age, peer_age),
-                "stored": stored,
-            },
+            f'{{"e":"placement"'
+            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"role":{_quote(role) if type(role) is str else _other(role)}'
+            f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
+            f',"url":{_quote(url) if type(url) is str else _other(url)}'
+            f',"size":{_int(size) if type(size) is int else _other(size)}'
+            f',"own_age":{_age(own_age)}'
+            f',"peer_age":{_age(peer_age)}'
+            f',"cmp":{_quote(classify_age_comparison(own_age, peer_age))}'
+            f',"stored":{_FLAG[stored] if type(stored) is bool else _other(stored)}'
+            f'}}\n',
         )
 
     def promotion(
@@ -250,32 +310,30 @@ class RunRecorder:
         granted: bool,
     ) -> None:
         """Responder-side fresh-lease verdict on a remote serve."""
-        self._emit(
+        self._line(
             "promotion",
-            {
-                "e": "promotion",
-                "t": t,
-                "cache": cache,
-                "url": url,
-                "requester_age": age_json(requester_age),
-                "responder_age": age_json(responder_age),
-                "cmp": classify_age_comparison(responder_age, requester_age),
-                "granted": granted,
-            },
+            f'{{"e":"promotion"'
+            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
+            f',"url":{_quote(url) if type(url) is str else _other(url)}'
+            f',"requester_age":{_age(requester_age)}'
+            f',"responder_age":{_age(responder_age)}'
+            f',"cmp":{_quote(classify_age_comparison(responder_age, requester_age))}'
+            f',"granted":{_FLAG[granted] if type(granted) is bool else _other(granted)}'
+            f'}}\n',
         )
 
     def eviction(self, t: float, cache: int, url: str, size: int, age: float) -> None:
         """One victim removed, with the document age fed to the EA tracker."""
-        self._emit(
+        self._line(
             "evict",
-            {
-                "e": "evict",
-                "t": t,
-                "cache": cache,
-                "url": url,
-                "size": size,
-                "age": age_json(age),
-            },
+            f'{{"e":"evict"'
+            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
+            f',"url":{_quote(url) if type(url) is str else _other(url)}'
+            f',"size":{_int(size) if type(size) is int else _other(size)}'
+            f',"age":{_age(age)}'
+            f'}}\n',
         )
 
     # ------------------------------------------------------------------ #

@@ -34,6 +34,11 @@ from repro.trace.stream import source_fingerprint
 class ObservedRun:
     """Event sink + wall timer for one run; call :meth:`finish` exactly once.
 
+    The session owns what it opens — both sinks, the allocation tracer if
+    it started one, its root span — and :meth:`release` gives all of it back.
+    :meth:`finish` ends with ``release()``; use the session as a context
+    manager so a replay that raises releases them too.
+
     Args:
         config: The run's configuration (hashed into the header/manifest).
         trace: The trace about to be replayed — a :class:`Trace` or any
@@ -79,12 +84,26 @@ class ObservedRun:
         self.timeseries = None
         self._sink = None
         self._ts_sink = None
-        self._trace_fp = source_fingerprint(trace)
-        if events_path is not None:
-            self._sink = open(events_path, "w", encoding="utf-8", newline="\n")
-            self.recorder = RunRecorder(self._sink, snapshot_interval)
-            self.recorder.begin(config_hash(config), self._trace_fp)
         self._tracing_memory = False
+        self._span_depth: Optional[int] = None
+        self._trace_fp = source_fingerprint(trace)
+        try:
+            self._open(config, track_memory, timeseries_path)
+        except BaseException:
+            self.release()
+            raise
+        # Reachable only via the call graph's receiver-agnostic __init__
+        # tier, never from an engine: wall time is measured outside the
+        # simulation by design (the manifest's one volatile field).
+        self._start = time.perf_counter()  # repro: noqa[RPR111]
+
+    def _open(
+        self, config: SimulationConfig, track_memory: bool, timeseries_path: Optional[str]
+    ) -> None:
+        if self.events_path is not None:
+            self._sink = open(self.events_path, "w", encoding="utf-8", newline="\n")
+            self.recorder = RunRecorder(self._sink, self.snapshot_interval)
+            self.recorder.begin(config_hash(config), self._trace_fp)
         if track_memory:
             import tracemalloc
 
@@ -105,12 +124,40 @@ class ObservedRun:
             self.timeseries.begin(
                 config_hash(config), self._trace_fp, resolved_engine(config)
             )
-        if spans is not None:
-            spans.begin("run", "run")
-        # Reachable only via the call graph's receiver-agnostic __init__
-        # tier, never from an engine: wall time is measured outside the
-        # simulation by design (the manifest's one volatile field).
-        self._start = time.perf_counter()  # repro: noqa[RPR111]
+        if self.spans is not None:
+            self._span_depth = self.spans.depth
+            self.spans.begin("run", "run")
+
+    def release(self) -> None:
+        """Release everything the session opened; safe to call repeatedly.
+
+        Closes both sinks, stops the allocation tracer if this session
+        started it, and ends the root span together with any span a failed
+        engine left open under it. After a replay that raised, the events
+        file stays on disk flushed and closed — a valid prefix without its
+        ``end`` trailer, which ``repro obs validate`` reports.
+        """
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
+        if self._ts_sink is not None:
+            self._ts_sink.close()
+            self._ts_sink = None
+        if self._tracing_memory:
+            import tracemalloc
+
+            tracemalloc.stop()
+            self._tracing_memory = False
+        if self._span_depth is not None:
+            while self.spans.depth > self._span_depth:
+                self.spans.end()
+            self._span_depth = None
+
+    def __enter__(self) -> "ObservedRun":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.release()
 
     def finish(self, result: SimulationResult) -> SimulationResult:
         """Close the stream, build the manifest, attach it to ``result``."""
@@ -122,23 +169,16 @@ class ObservedRun:
             import tracemalloc
 
             peak_memory = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            self._tracing_memory = False
         if self.spans is not None:
             self.spans.end(requests=result.metrics.requests)
         counts = None
         if self.recorder is not None:
             self.recorder.end()
             counts = self.recorder.counts
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
         if self.timeseries is not None:
             self.timeseries.end()
             self.timeseries = None
-        if self._ts_sink is not None:
-            self._ts_sink.close()
-            self._ts_sink = None
+        self.release()
         engine = resolved_engine(self.config)
         fastloop_reason = None
         if engine == "batch":
@@ -201,7 +241,7 @@ def run_observed(
         from repro.obs.spans import SpanTracer
 
         spans = SpanTracer()
-    observed = ObservedRun(
+    with ObservedRun(
         config,
         trace,
         events_path=events_path,
@@ -209,18 +249,18 @@ def run_observed(
         track_memory=track_memory,
         spans=spans,
         timeseries_path=timeseries_path,
-    )
-    result = observed.finish(
-        run_simulation(
-            config,
-            trace,
-            obs=observed.recorder,
-            chunk_size=chunk_size,
-            regimes=regimes,
-            spans=spans,
-            timeseries=observed.timeseries,
+    ) as observed:
+        result = observed.finish(
+            run_simulation(
+                config,
+                trace,
+                obs=observed.recorder,
+                chunk_size=chunk_size,
+                regimes=regimes,
+                spans=spans,
+                timeseries=observed.timeseries,
+            )
         )
-    )
     if manifest_path is not None:
         write_manifest(result.manifest, manifest_path)
     if trace_out is not None:

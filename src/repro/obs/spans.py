@@ -61,6 +61,11 @@ class SpanTracer:
         self.labels: Dict[int, str] = {}
         self._stack: List[SpanRow] = []
 
+    @property
+    def depth(self) -> int:
+        """Spans currently open — what an owner unwinds to after a failure."""
+        return len(self._stack)
+
     def begin(self, name: str, cat: str = "run") -> None:
         """Open a span as a child of the currently open span."""
         # Telemetry-only monotonic clock; never feeds simulation state.

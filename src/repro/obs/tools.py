@@ -30,6 +30,16 @@ def _parse_event(path: str, number: int, line: str) -> Dict[str, Any]:
     return event
 
 
+def _label(path: str, number: int, event: Dict[str, Any], key: str) -> str:
+    """The string field that names an event's tally row, or ObsError."""
+    value = event.get(key)
+    if not isinstance(value, str):
+        raise ObsError(
+            f"{path}:{number}: {event['e']} event needs a string {key!r}, got {value!r}"
+        )
+    return value
+
+
 def tail_events(path: str, count: int = 10) -> List[str]:
     """The last ``count`` lines of an event file, newline-stripped.
 
@@ -59,8 +69,10 @@ def summarize_events(path: str) -> Dict[str, Any]:
     p50/p95/p99 bucket-estimated quantiles) of request sizes, evicted
     sizes, and evicted document ages.
 
-    Raises :class:`ObsError` for empty files and corrupted lines, with
-    the line number of the first bad record.
+    Raises :class:`ObsError` for empty files, corrupted lines and fields
+    the roll-up cannot tally (a ``request`` without its ``kind``, a
+    ``placement`` without its ``role``, a non-numeric ``evict`` size),
+    with the line number of the first bad record.
     """
     counts: Dict[str, int] = {}
     kinds: Dict[str, int] = {}
@@ -80,6 +92,8 @@ def summarize_events(path: str) -> Dict[str, Any]:
         for number, line in enumerate(handle, start=1):
             event = _parse_event(path, number, line)
             kind = event.get("e", "?")
+            if not isinstance(kind, str):
+                raise ObsError(f"{path}:{number}: event type 'e' is {kind!r}, expected a string")
             counts[kind] = counts.get(kind, 0) + 1
             t = event.get("t")
             if isinstance(t, (int, float)):
@@ -87,7 +101,8 @@ def summarize_events(path: str) -> Dict[str, Any]:
                     t_first = t
                 t_last = t
             if kind == "request":
-                kinds[event["kind"]] = kinds.get(event["kind"], 0) + 1
+                outcome = _label(path, number, event, "kind")
+                kinds[outcome] = kinds.get(outcome, 0) + 1
                 if event.get("stored"):
                     stored_requests += 1
                 size = event.get("size")
@@ -95,7 +110,7 @@ def summarize_events(path: str) -> Dict[str, Any]:
                     request_sizes.observe(size)
             elif kind == "placement":
                 bucket = placements.setdefault(
-                    event["role"], {"attempted": 0, "stored": 0}
+                    _label(path, number, event, "role"), {"attempted": 0, "stored": 0}
                 )
                 bucket["attempted"] += 1
                 if event.get("stored"):
@@ -108,9 +123,12 @@ def summarize_events(path: str) -> Dict[str, Any]:
                     ties += 1
             elif kind == "evict":
                 size = event.get("size", 0)
+                if not isinstance(size, (int, float)):
+                    raise ObsError(
+                        f"{path}:{number}: evict event needs a numeric 'size', got {size!r}"
+                    )
                 evicted_bytes += size
-                if isinstance(size, (int, float)):
-                    evict_sizes.observe(size)
+                evict_sizes.observe(size)
                 age = event.get("age")
                 if isinstance(age, (int, float)):
                     evict_ages.observe(age)

@@ -34,11 +34,19 @@ def obs_trace() -> Trace:
 
 
 def stream_for(
-    config: SimulationConfig, trace: Trace, engine: str, snapshot_interval: float = 0.0
+    config: SimulationConfig,
+    trace: Trace,
+    engine: str,
+    snapshot_interval: float = 0.0,
+    recorder_cls=RunRecorder,
 ):
-    """Replay ``trace`` on one engine with events on; returns (text, result)."""
+    """Replay ``trace`` on one engine with events on; returns (text, result).
+
+    ``recorder_cls`` swaps in the serialisation oracle
+    (:class:`tests.obs.reference_recorder.ReferenceRecorder`).
+    """
     sink = io.StringIO()
-    recorder = RunRecorder(sink, snapshot_interval)
+    recorder = recorder_cls(sink, snapshot_interval)
     recorder.begin(config_hash(config), trace.fingerprint())
     if engine == "columnar":
         result = simulate_columnar(config, trace, obs=recorder)

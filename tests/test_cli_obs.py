@@ -195,6 +195,30 @@ class TestObsCorruptInputs:
         assert main(["obs", "summarize", str(path)]) == 2
         assert "malformed event line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, complaint",
+        [
+            ('{"e":"request","t":1.0}', "request event needs a string 'kind'"),
+            ('{"e":"request","kind":["miss"]}', "request event needs a string 'kind'"),
+            ('{"e":"placement"}', "placement event needs a string 'role'"),
+            ('{"e":"evict","size":"x"}', "evict event needs a numeric 'size'"),
+            ('{"e":["evict"]}', "event type 'e' is ['evict']"),
+        ],
+    )
+    def test_summarize_well_formed_json_with_a_bad_field(
+        self, line, complaint, tmp_path, events_file, capsys
+    ):
+        """Valid JSON, unusable field: still ``path:line``, never a traceback."""
+        path = tmp_path / "badfield.jsonl"
+        lines = events_file.read_text(encoding="utf-8").splitlines()
+        lines[4] = line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["obs", "summarize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:5: ")
+        assert complaint in err
+        assert "Traceback" not in err
+
     def test_timeline_on_non_trace_json(self, tmp_path, capsys):
         path = tmp_path / "not-a-trace.json"
         path.write_text('{"traceEvents": 7}', encoding="utf-8")
