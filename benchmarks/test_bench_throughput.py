@@ -200,9 +200,10 @@ def test_bench_synthetic_stream_chunks(benchmark):
 def bu_trace():
     """The BU-scale trace (575,775 requests): the ISSUE's warm-regime
     acceptance workload. At 488 MB aggregate the replay *evicts* (the
-    unique footprint slightly overflows), so the batch engine runs its
-    full three-regime pipeline: vectorised cold prefix, hit-run bulk
-    scanning, and scalar protocol handling around every eviction."""
+    unique footprint slightly overflows), so the batch engine runs all
+    three regimes: a vectorised cold prefix (94% of the requests), the
+    one-off materialisation of the per-cache ``OrderedDict`` LRUs, then
+    resident runs and the scalar protocol path around every eviction."""
     from repro.trace import bu_like_config
 
     return generate_trace(bu_like_config())
@@ -237,7 +238,10 @@ def test_bench_batch_speedup_warm(bu_trace):
     *evicting* replay (cold already cleared 3x in PR 7). Same shape as
     ``test_bench_batch_speedup_cold``: best-of-three wall times, byte
     identity asserted alongside the timing, and a non-vacuity check that
-    the workload really evicts at this capacity.
+    the workload really evicts at this capacity. This is the point where
+    the exact-LRU kernel pays most for leaving the cold regime (~45,000
+    residents materialised to serve ~4,000 scalar requests): 3.5-3.6x
+    measured.
     """
     import time
 

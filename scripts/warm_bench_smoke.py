@@ -3,8 +3,8 @@
 
 Runs a small hit-dominated *evicting* workload — high Zipf skew over a
 footprint a few times the configured capacity, so the replay spends most
-requests in hit-runs while admissions and evictions keep invalidating
-blocks — through both fast engines, and enforces the two warm-regime
+requests in resident runs while admissions and evictions keep reordering
+the LRUs — through both fast engines, and enforces the two warm-regime
 contracts cheaply enough for every CI run:
 
 1. **Byte-identity**: batch and columnar `SimulationResult` JSON must be
@@ -40,11 +40,10 @@ from repro.trace import bu_like_config, generate_trace
 
 #: The BU-scale workload at the BENCH_8 warm acceptance capacity: the
 #: unique footprint slightly overflows 488 MB, so the replay evicts (a
-#: few hundred times over 575k requests) while staying hit-dominated —
-#: the regime the hit-run scanner exists for. Smaller synthetic
-#: workloads evict *uniformly* (every scan block conflicts), which
-#: smokes the conflict-storm path instead; this is the smallest workload
-#: whose eviction pattern matches what warm replay actually looks like.
+#: few hundred times over 575k requests) while staying hit-dominated.
+#: Smaller synthetic workloads evict *uniformly*, which smokes the
+#: scalar path instead; this is the smallest workload whose eviction
+#: pattern matches what warm replay actually looks like.
 WORKLOAD = bu_like_config(seed=42)
 
 CAPACITY = 488 << 20

@@ -698,17 +698,18 @@ def _print_batch_regimes(regimes: dict, stats, elapsed: float) -> None:
 
     Request counts come from the engine (it tallies, never clocks — see
     ``docs/ANALYSIS.md`` on determinism); wall-time shares come from the
-    profiler's attribution to the engine's named frames: ``scalar_run``
+    profiler's attribution to the engine's named frames: ``miss_path``
     cumulative time is the scalar protocol path, the rest of
-    ``warm_loop`` is the hit-run bulk scanner, and everything else
-    (vectorised cold replay, precompute, post-pass) is the remainder.
+    ``warm_loop`` is its resident runs (one LRU touch each), and
+    everything else (vectorised cold replay, precompute, post-pass) is
+    the remainder.
     """
     if "fallback_reason" in regimes:
         print(f"batch fast loop not engaged: {regimes['fallback_reason']}")
         return
     counts = [
         ("cold", regimes.get("cold", 0)),
-        ("hit-run bulk", regimes.get("hit_run", 0)),
+        ("resident runs", regimes.get("hit_run", 0)),
         ("scalar", regimes.get("scalar", 0)),
     ]
     total = sum(c for _, c in counts) or 1
@@ -720,14 +721,14 @@ def _print_batch_regimes(regimes: dict, stats, elapsed: float) -> None:
     for (fname, _line, func), entry in stats.stats.items():
         if fname == "batch.py" and func == "warm_loop":
             warm_c = entry[3]
-        elif fname == "batch.py" and func == "scalar_run":
+        elif fname == "batch.py" and func == "miss_path":
             scalar_c = entry[3]
-    bulk = max(warm_c - scalar_c, 0.0)
+    resident = max(warm_c - scalar_c, 0.0)
     rest = max(elapsed - warm_c, 0.0)
     wall = elapsed or 1.0
     print(
         "batch wall-time share: "
-        f"hit-run bulk {bulk:.3f}s ({100.0 * bulk / wall:.1f}%), "
+        f"resident runs {resident:.3f}s ({100.0 * resident / wall:.1f}%), "
         f"scalar path {scalar_c:.3f}s ({100.0 * scalar_c / wall:.1f}%), "
         f"cold+precompute+post-pass {rest:.3f}s ({100.0 * rest / wall:.1f}%)"
     )

@@ -14,36 +14,28 @@ whole-chunk batch precomputation:
 * **Flat slot addressing** — per-(cache, doc) state lives in single flat
   arrays indexed ``slot = doc * num_caches + cache``, so the hit path
   costs one index computation, no nested list hops.
-* **Lazy LRU** — recency is not a linked list but a per-cache min-heap
-  over ``(touch_index, slot)`` pairs plus a flat ``seq`` array holding
-  each resident copy's latest touch index (the global request index). A
-  hit refreshes recency with *one* array store; the heap is only
-  consulted at eviction time, where stale entries (``seq`` moved on) are
-  lazily re-pushed. The accepted victim is exactly the resident slot
-  with the minimum current touch index — the LRU list's victim — so
-  eviction order (and therefore every expiration age) is identical.
+* **Exact O(1) LRU** — once any cache has filled, recency is one
+  ``collections.OrderedDict`` per cache mapping ``slot -> last-touch
+  timestamp`` (a C-implemented linked list, as in the object core's
+  :class:`~repro.cache.replacement.LRUPolicy`): a local hit is ``od[slot] = ts; od.move_to_end(slot)``, an admission is
+  ``od[slot] = now`` and an eviction is ``od.popitem(last=False)``. The
+  order is the true touch order at every instant, so the victim (and
+  therefore every expiration age) is the LRU list's victim by
+  construction — no stale entries, nothing deferred.
 * **Run-length segmentation** — consecutive requests for the same (doc,
   leaf) pair cannot change any observable decision after the first one
   resolves to a resident copy, so the stateful loop iterates *run starts*
   only; members are accounted in the vectorised post-pass.
-* **Hit-run bulk scanning (the warm regime)** — once any cache has
-  filled, replay still spends most of its time on *local hits on
-  already-resident documents* (Zipf skew), whose only state effects are
-  the two recency stores. The ``present_b`` byte table doubles as a
-  dense residency bitmap: a vectorised gather classifies a whole block
-  of pending runs at once (``resident[slot] != 0``), only the
-  predicted-miss runs (miss, remote hit, admission, eviction) replay
-  through the scalar protocol path, and all the predicted-hit runs'
-  recency touches are applied in *one* fancy-indexed scatter per block
-  (duplicate slots resolve last-wins, which is exactly the scalar
-  loop's final state). Deferred touches are protected by per-slot
-  prediction marks: if an eviction ever selects a marked slot, the
-  block's consumed touches are flushed on the spot and the remaining
-  classifications are discarded and redone. Local hits can never change
-  placement in this protocol — EA placement and promotion decisions
-  only happen on *remote* hits, which are local misses at the
-  requesting leaf and therefore terminate the run under the residency
-  test; the residency bitmap **is** the promotion-armed mask.
+* **Resident runs (the warm regime)** — replay still spends most of its
+  time on *local hits on already-resident documents* (Zipf skew).
+  ``warm_loop`` is one pass over the run columns: a run whose slot is
+  resident (one ``present_b`` byte) costs one LRU touch at its last
+  member's timestamp; any other run takes the scalar protocol path
+  (``miss_path``: probe scan, remote serve + placement, or origin fetch +
+  admission), its members re-missing until an admission sticks. Local
+  hits can never change placement in this protocol — EA placement and
+  promotion decisions only happen on *remote* hits, which are local
+  misses at the requesting leaf.
 * **First-occurrence / compulsory-miss masks (the cold regime)** — while
   no cache has ever filled, every expiration age is ``inf``, EA placement
   decisions are constants, every admission succeeds, and a request can
@@ -83,7 +75,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from heapq import heappop, heappush
+from collections import OrderedDict
 from typing import List, Optional
 
 from repro.fastpath._frame import ReplayFrame, check_envelope
@@ -132,8 +124,8 @@ def simulate_batch(
 
     ``regimes``, when given a dict, receives the per-regime request
     counts after the run: ``cold`` (vectorised first-occurrence replay),
-    ``hit_run`` (bulk-scanned warm hit runs), and ``scalar``
-    (per-request protocol path). Configs that replay on the chunked
+    ``hit_run`` (members of warm resident runs: local hits covered by
+    one LRU touch per run), and ``scalar`` (per-request protocol path). Configs that replay on the chunked
     columnar core instead record ``fallback_reason``. Counts only — the
     engine never reads a clock; ``repro profile`` derives wall-time
     shares from the profiler's per-function attribution.
@@ -163,9 +155,10 @@ class _FastState(ReplayFrame):
     """The replay frame plus the fast loop's flat doc-major state.
 
     ``slot = doc * NC + cache``; growth per chunk is a pure extend, so
-    slot numbering never changes. ``seq[slot]`` is the global index of
-    the request that last touched the copy; ``heaps[c]`` orders eviction
-    candidates lazily (see the module docstring).
+    slot numbering never changes. Recency has one representation per
+    regime: while cold, the ``lh``/``seq`` columns (last-touch timestamp
+    and global request index, written by vectorised scatters); from the
+    transition on, ``lru[c]`` (see :meth:`leave_cold`).
     """
 
     def __init__(self, config, np):
@@ -177,17 +170,18 @@ class _FastState(ReplayFrame):
         # ``bytearray`` — so the scalar protocol path (miss_path/_admit,
         # which runs once per *state-changing* request and dominates
         # evicting replay) gets Python-speed element access, while the
-        # warm/cold regimes take zero-copy ``np.frombuffer`` views for bulk
+        # cold regime takes zero-copy ``np.frombuffer`` views for bulk
         # scatters. Views are created where needed and dropped before the
         # next growth (a buffer with an exported view cannot be resized).
         # ``array("d")`` holds C doubles, so ``lh`` arithmetic stays bit-
         # and serialisation-identical to the object core's floats.
         self.present_b = bytearray()  # residency bitmap
         self.dsz = array("q")  # resident copy size
-        self.lh = array("d")  # last-touch timestamp
-        self.seq = array("q")  # last-touch global request index
-        self.pred = bytearray()  # warm-scanner prediction marks
-        self.heaps: List[list] = [[] for _ in range(self.num_caches)]
+        self.lh = array("d")  # last-touch timestamp (cold regime only)
+        self.seq = array("q")  # last-touch global request index (cold only)
+        # Per cache: resident slot -> last-touch timestamp, least recently
+        # touched first. Empty until the cold regime ends.
+        self.lru: List[OrderedDict] = [OrderedDict() for _ in range(self.num_caches)]
 
         # Per-doc protocol columns (engine-owned copies, grown per chunk).
         self.url_len_g = _NpGrow(np)
@@ -211,7 +205,7 @@ class _FastState(ReplayFrame):
         self.first_min_g = _NpGrow(np)
         # Deferred last-touch fixups from cold segments: (slot, touch
         # index, timestamp) arrays, applied only if the general loop
-        # (which reads lh/seq at evictions) ever takes over. ``seq`` is
+        # (which needs exact recency at evictions) ever takes over. ``seq`` is
         # touch-monotone, so replaying fixups oldest-first under a
         # ``g > seq[slot]`` guard commutes with any direct writes the cold
         # replay already made (responder promotions). Slots are unique
@@ -227,14 +221,14 @@ class _FastState(ReplayFrame):
             self.num_docs += add
             grown = add * self.num_caches
             self.present_b.extend(bytes(grown))
-            self.pred.extend(bytes(grown))
             # Zero-fill appends (8-byte elements for the q/d arrays); no
             # numpy view of these buffers is live here — the vector
             # paths create theirs after growth and drop them before the
             # next chunk.
             self.dsz.frombytes(bytes(8 * grown))
-            self.lh.frombytes(bytes(8 * grown))
-            self.seq.frombytes(bytes(8 * grown))
+            if self.cold:
+                self.lh.frombytes(bytes(8 * grown))
+                self.seq.frombytes(bytes(8 * grown))
             self.first_min_g.extend(np, np.full(add, -1, dtype=np.int64))
             self.url_len_g.extend(np, chunk.new_url_lens)
             self.icp_g.extend(np, chunk.new_icp_probe_bytes)
@@ -258,11 +252,18 @@ class _FastState(ReplayFrame):
             cols = memo[key] = _columns_np(self, chunk, cached_source)
         return cols
 
-    def flush_pending(self) -> None:
-        """Apply the cold segments' deferred last-touch fixups."""
-        if not self.pending:
-            return
+    def leave_cold(self) -> None:
+        """End the cold regime: hand recency from the columns to ``lru``.
+
+        Applies the cold segments' deferred last-touch fixups, then fills
+        each cache's ``OrderedDict`` with its resident slots in ascending
+        ``seq`` order (a request touches at most one slot per cache, so
+        the order is total). O(residents), once per replay; the columns
+        are released — nothing reads them again.
+        """
         np = self.np
+        # repro: domains[seq_v=cache-slot->global-seq:int64, lh_v=cache-slot->age-tick:float64]
+        # repro: domains[slots_p=any->cache-slot:intp, resident=any->cache-slot:intp]
         seq_v = np.frombuffer(self.seq, dtype=np.int64)
         lh_v = np.frombuffer(self.lh)
         for slots_p, gs_p, tss_p in self.pending:
@@ -271,6 +272,14 @@ class _FastState(ReplayFrame):
             seq_v[sm] = gs_p[m]
             lh_v[sm] = tss_p[m]
         self.pending.clear()
+        resident = np.flatnonzero(np.frombuffer(self.present_b, dtype=np.uint8))
+        resident = resident[np.argsort(seq_v[resident])]
+        owner = resident % self.num_caches
+        for c, od in enumerate(self.lru):
+            mine = resident[owner == c]
+            od.update(zip(mine.tolist(), lh_v[mine].tolist()))
+        self.cold = False
+        self.lh = self.seq = None
 
 
 def _simulate_fast(
@@ -287,15 +296,10 @@ def _simulate_fast(
     probe_targets = st.probe_targets
     cap = st.cap
     sender_len = st.sender_len
-    # repro: domains[present_b=cache-slot->any:uint8, pred=cache-slot->any:uint8]
-    # repro: domains[dsz=cache-slot->byte-size:int64, lh=cache-slot->age-tick:float64]
-    # repro: domains[seq=cache-slot->global-seq:int64]
+    # repro: domains[present_b=cache-slot->any:uint8, dsz=cache-slot->byte-size:int64]
     present_b = st.present_b
     dsz = st.dsz
-    lh = st.lh
-    seq = st.seq
-    pred = st.pred
-    heaps = st.heaps
+    lru = st.lru
     used = st.used
     copies = st.copies
     st_remote_served = st.st_remote_served
@@ -316,20 +320,6 @@ def _simulate_fast(
     max_age_strategy = st.max_age_strategy
     fmt_age = format_expiration_age
 
-    # Warm-scanner shared cells (see warm_loop). ``pred_conflict`` is set
-    # when an eviction invalidated the current block's classifications;
-    # ``flush_cb`` holds the active block's flush closure so _admit can
-    # apply deferred hit touches before evicting a marked slot;
-    # ``touched`` records the newest scalar (touch index, timestamp) per
-    # slot inside a block so the block-end scatter cannot roll a
-    # promotion refresh back to an older bulk value.
-    pred_conflict = [False]
-    flushed = [False]
-    flush_cb: List = [None]
-    blk_state: List = [None, None, 0, 0]
-    touched: dict = {}
-    sr_hits = [0]  # run members resolved by scalar_run's residency recheck
-
     # Inline expiration-age window state (same arithmetic sequence as
     # RingAgeTracker / the object deque tracker, so sums are bit-equal).
     count_mode = config.window_mode == "count"
@@ -347,10 +337,9 @@ def _simulate_fast(
     sdig: dict = {}  # stored-size -> len(str(size)), bounded by doc count
 
     # Rebound per chunk; miss_path reads them as free variables.
-    # repro: domains[gbase=global-seq, out=chunk-offset->any:uint8]
+    # repro: domains[out=chunk-offset->any:uint8]
     leaf_l: List[int] = []
     rsz_l: List[int] = []
-    gbase = 0
     out = bytearray()
     served: List[int] = []
     # Lean mode is only sound while *every* request so far matched its
@@ -426,13 +415,13 @@ def _simulate_fast(
             st_bytes_remote[responder] += size
             if refresh:
                 st_promo_granted[responder] += 1
-                lh[rslot] = now
-                seq[rslot] = gbase + i
-                touched[rslot] = (gbase + i, now)
+                od = lru[responder]
+                od[rslot] = now
+                od.move_to_end(rslot)
             else:
                 st_promo_withheld[responder] += 1
             if store:
-                _admit(cache, slot, size, now, gbase + i)
+                _admit(cache, slot, size, now)
             else:
                 st_declined[cache] += 1
             out[i] = 2
@@ -443,11 +432,11 @@ def _simulate_fast(
         # engine's own-age decision read is side-effect-free in pure
         # window modes, so only the admission remains.
         size = rsz_l[i]
-        _admit(cache, slot, size, now, gbase + i)
+        _admit(cache, slot, size, now)
         out[i] = 3
         served[i] = size
 
-    def _admit(cache: int, slot: int, size: int, now: float, g: int) -> None:
+    def _admit(cache: int, slot: int, size: int, now: float) -> None:
         """Mirror of ProxyCache.admit for a non-resident doc.
 
         The refresh branch is unreachable here (every caller just saw
@@ -458,36 +447,17 @@ def _simulate_fast(
             st_rejections[cache] += 1
             return
         in_use = used[cache]
+        od = lru[cache]
         if in_use + size > cap:
             evicted = 0
             ebytes = 0
             rg = ring[cache]
-            heap_c = heaps[cache]
             while in_use + size > cap:
-                s, victim = heap_c[0]
-                if not present_b[victim]:
-                    heappop(heap_c)  # evicted earlier; entry is dead
-                    continue
-                if pred[victim]:
-                    # The candidate carries a deferred warm-block hit
-                    # touch (or an outstanding hit prediction): bring
-                    # the block's consumed touches current, then
-                    # re-examine — the flushed recency may reschedule
-                    # it. The flush aborts the rest of the block.
-                    flush_cb[0]()
-                    continue
-                cur = seq[victim]
-                if cur != s:
-                    # Touched since pushed: reschedule at its live index.
-                    heappop(heap_c)
-                    heappush(heap_c, (cur, victim))
-                    continue
-                # Live minimum touch index == the LRU list's victim.
-                heappop(heap_c)
+                victim, last = od.popitem(last=False)
                 present_b[victim] = 0
                 vs = dsz[victim]
                 in_use -= vs
-                age = now - lh[victim]
+                age = now - last
                 # Window record: same +=/-= sequence as RingAgeTracker.
                 if count_mode:
                     rsum[cache] += age
@@ -517,229 +487,46 @@ def _simulate_fast(
             age_len[cache] = -1
         present_b[slot] = 1
         dsz[slot] = size
-        lh[slot] = now
-        seq[slot] = g
-        heappush(heaps[cache], (g, slot))
+        od[slot] = now
         used[cache] = in_use + size
         st_admissions[cache] += 1
         st_bytes_admitted[cache] += size
         copies[cache] += 1
 
-    def scalar_run(r: int) -> int:
-        """Replay run ``r`` through the per-request protocol path.
-
-        Dispatched by the warm scanner for runs classified non-resident
-        at block-scan time. The classification can be stale in the hit
-        direction by the time the run is reached (an admission earlier
-        in the block made the slot resident), so a live recheck turns
-        those into plain hit runs. Otherwise the first request misses;
-        once an admission sticks, the remaining members collapse to
-        local hits whose only state effect is the final touch. Returns
-        the member count; members resolved by the residency recheck or
-        by run collapse after a sticking admission — requests that
-        never individually execute the protocol path — are additionally
-        tallied in ``sr_hits`` so the regime breakdown reports them as
-        hit-run work, not scalar fallback. A named function (not
-        inlined in the scanner) so ``repro profile`` attributes
-        scalar-path wall time to one frame.
-        """
-        i = starts_l[r]
-        slot = sslots_l[r]
-        e = ends_l[r]
-        if present_b[slot]:
-            lh[slot] = ts_l[e - 1]
-            seq[slot] = gbase + e - 1
-            if not lean:
-                served[i:e] = dsz[slot]
-            sr_hits[0] += e - i
-            return e - i
-        miss_path(i, slot, sts_l[r])
-        if e - i > 1:
-            if present_b[slot]:
-                lh[slot] = ts_l[e - 1]
-                seq[slot] = gbase + e - 1
-                if not lean:
-                    served[i + 1 : e] = dsz[slot]
-                sr_hits[0] += e - i - 1
-            else:
-                # Rejected/declined: each member re-misses until one
-                # admission sticks, then the tail collapses.
-                j = i + 1
-                while j < e:
-                    if present_b[slot]:
-                        lh[slot] = ts_l[e - 1]
-                        seq[slot] = gbase + e - 1
-                        if not lean:
-                            served[j:e] = dsz[slot]
-                        sr_hits[0] += e - j
-                        break
-                    miss_path(j, slot, ts_l[j])
-                    j += 1
-        return e - i
-
     def warm_loop():
-        """Warm-regime scanner: block classification, deferred bulk touches.
+        """The stateful tail of one chunk: one pass over its run columns.
 
-        Classifies runs in fixed-size blocks with one gather against the
-        live residency bitmap (``present_b`` viewed as uint8 — mutations
-        from :func:`_admit`/:func:`miss_path` are visible through the
-        view), replays only the predicted-miss runs through
-        :func:`scalar_run`, and applies all the predicted-hit runs'
-        lazy-LRU touches in one fancy-indexed scatter per block after
-        the scalar work (a slot recurring among the hits resolves
-        last-wins under fancy assignment — numpy applies values in index
-        order — which is exactly the scalar loop's final state).
-
-        Deferring the hit touches within a block is sound because
-        nothing reads them until an eviction selects one of the touched
-        slots: every predicted-hit slot carries a ``pred`` mark, and
-        :func:`_admit` invokes the flush closure before evicting a
-        marked slot, which applies the consumed touches immediately and
-        aborts the rest of the block for reclassification
-        (``pred_conflict``). Predicted-miss runs can only go stale in
-        the hit direction (an earlier admission), handled by the live
-        recheck in :func:`scalar_run`. Promotion refreshes landing on
-        scatter-covered slots are reconciled by the ``touched`` fixup —
-        the newest touch index wins, matching scalar order. Returns
-        (hit_run_requests, scalar_requests) for the chunk tail.
+        A run whose slot is not resident sends its members through
+        :func:`miss_path` one by one until an admission sticks (a
+        rejected or declined copy re-misses). From the first resident
+        member on, the rest of the run is local hits, whose only state
+        effect is one LRU touch at the last member's timestamp. Returns
+        ``(hit_run_requests, scalar_requests)``: members covered by a
+        touch, and members that executed the protocol path.
         """
-        # repro: domains[starts_r=any->chunk-offset:intp, ends_r=any->chunk-offset:intp]
-        # repro: domains[rslots=any->cache-slot:intp, rlast_ts=any->age-tick:float64]
-        starts_r, ends_r, rslots, rlast_ts = runs_np
-        rlast_g = ends_r + (gbase - 1)
-        nruns = len(starts_r)
         hit_req = 0
         scal_req = 0
-        sr_hits[0] = 0
-        # No reference to these views may survive the chunk body — the
-        # backing buffers' extend() on the next chunk would raise
-        # BufferError. They are locals of this call, which returns
-        # before the next chunk grows anything.
-        res = np.frombuffer(present_b, dtype=np.uint8)
-        dszv = np.frombuffer(dsz, dtype=np.int64)
-        lhv = np.frombuffer(lh)
-        seqv = np.frombuffer(seq, dtype=np.int64)
-        predv = np.frombuffer(pred, dtype=np.uint8)
-        r = int(np.searchsorted(starts_r, tail_start)) if tail_start else 0
-        B = 1024
-        # Deferral credit: the block scatter machinery only pays for
-        # itself when blocks complete. Conflict aborts burn credit;
-        # conflict-free mixed blocks and pure-hit blocks (the signature
-        # of a stable residency set) earn it back. At zero credit mixed
-        # blocks replay fully scalar — eviction-churn regimes then run
-        # at plain per-run cost instead of thrashing classification.
-        credit = 4
-
-        def fill_served(sg, s, e) -> None:
-            # Non-lean only: fill each bulk hit run's member span with
-            # the resident copy's stored size. Spans are disjoint from
-            # the scalar runs' own served writes, so order is free.
-            lens = e - s
-            tot = int(lens.sum())
-            if not tot:
-                return
-            off = np.cumsum(lens, dtype=np.int64)
-            idx = np.arange(tot, dtype=np.intp) + np.repeat(s - (off - lens), lens)
-            served[idx] = np.repeat(dszv[sg], lens)
-
-        def apply_touches(sl_b, hitm_b, r0, upto) -> None:
-            # Scatter the consumed hit prefix's touches, then re-assert
-            # any newer scalar touches (promotion refreshes) the scatter
-            # may have rolled back, and retire the block's marks.
-            cons = upto - r0
-            if cons:
-                m = hitm_b[:cons]
-                sg = sl_b[:cons][m]
-                lhv[sg] = rlast_ts[r0:upto][m]
-                seqv[sg] = rlast_g[r0:upto][m]
-            if touched:
-                for slot, gt in touched.items():
-                    if gt[0] > seq[slot]:
-                        seq[slot] = gt[0]
-                        lh[slot] = gt[1]
-                touched.clear()
-            predv[sl_b] = 0
-
-        def flush_block() -> None:
-            apply_touches(
-                blk_state[0], blk_state[1], blk_state[2], blk_state[3]
-            )
-            flushed[0] = True
-            pred_conflict[0] = True
-
-        flush_cb[0] = flush_block
-        while r < nruns:
-            blk = B if r + B <= nruns else nruns - r
-            sl = rslots[r : r + blk]
-            hitm = res[sl] != 0
-            nh = int(hitm.sum())
-            if nh == blk:
-                # Pure hit block: one scatter pair, no scalar work, no
-                # marks needed — nothing below can read stale recency
-                # because nothing below runs.
-                lhv[sl] = rlast_ts[r : r + blk]
-                seqv[sl] = rlast_g[r : r + blk]
-                if not lean:
-                    fill_served(sl, starts_r[r : r + blk], ends_r[r : r + blk])
-                hit_req += ends_l[r + blk - 1] - starts_l[r]
-                r += blk
-                if B < 8192:
-                    B <<= 1
-                if credit < 8:
-                    credit += 1
-                continue
-            if nh * 4 < blk or not credit:
-                # Churn block (hits scarce): replay every run through
-                # the scalar path with live residency checks — no
-                # deferral, no marks, no conflicts possible. This keeps
-                # eviction-heavy regimes at the plain per-run cost
-                # instead of thrashing the block machinery.
-                for p in range(r, r + blk):
-                    scal_req += scalar_run(p)
-                r += blk
-                continue
-            mpos = np.flatnonzero(~hitm)
-            predv[sl] = hitm
-            flushed[0] = False
-            pred_conflict[0] = False
-            blk_state[0] = sl
-            blk_state[1] = hitm
-            blk_state[2] = r
-            stop = r + blk
-            blk_scal = 0
-            for p in (mpos + r).tolist():
-                blk_state[3] = p
-                blk_scal += scalar_run(p)
-                if pred_conflict[0]:
-                    # An eviction invalidated the outstanding
-                    # predictions; reclassify from the next run with a
-                    # smaller block so conflict storms stay cheap.
-                    stop = p + 1
-                    if B > 128:
-                        B >>= 1
-                    credit = credit - 2 if credit > 2 else 0
-                    break
-            else:
-                if B < 8192:
-                    B <<= 1
-                if credit < 8:
-                    credit += 1
-            if not flushed[0]:
-                apply_touches(sl, hitm, r, stop)
+        for r in range(len(starts_l)):
+            slot = sslots_l[r]
+            i = starts_l[r]
+            e = ends_l[r]
+            if not present_b[slot]:
+                miss_path(i, slot, sts_l[r])
+                j = i + 1
+                while j < e and not present_b[slot]:
+                    miss_path(j, slot, ts_l[j])
+                    j += 1
+                scal_req += j - i
+                if j == e:
+                    continue
+                i = j
+            od = lru[leaf_l[i]]
+            od[slot] = ts_l[e - 1]
+            od.move_to_end(slot)
             if not lean:
-                cons = stop - r
-                m = hitm[:cons]
-                fill_served(
-                    sl[:cons][m], starts_r[r:stop][m], ends_r[r:stop][m]
-                )
-            scal_req += blk_scal
-            hit_req += ends_l[stop - 1] - starts_l[r] - blk_scal
-            r = stop
-        flush_cb[0] = None
-        # Reclassify the residency-recheck hit-runs: they were tallied
-        # through scalar_run's return value but never entered the
-        # protocol path, so the breakdown reports them as hit-run work.
-        return hit_req + sr_hits[0], scal_req - sr_hits[0]
+                served[i:e] = dsz[slot]
+            hit_req += e - i
+        return hit_req, scal_req
 
     # Requests handled per path (see ``regimes``).
     tally = {"cold": 0, "hit_run": 0, "scalar": 0}
@@ -764,8 +551,7 @@ def _simulate_fast(
             spans.end()
         lean = lean and cconst
         ts_l = chunk.timestamps
-        gbase = chunk.base_records
-        runs_np = npx[4]
+        gbase = chunk.base_records  # repro: domains[gbase=global-seq]
         out = bytearray(n)
         served_np = None  # set after a cold prefix: first-size served column
         tail_start = 0  # first request index the general loop replays
@@ -781,21 +567,16 @@ def _simulate_fast(
             if tail_start:
                 served_np = npx[3]  # never mutated: may be memo-shared
             if tail_runs is not None:
-                starts_l, sslots_l, sts_l, ends_l, runs_np = tail_runs
+                starts_l, sslots_l, sts_l, ends_l = tail_runs
             if traced:
                 spans.end(requests=tail_start)
         tally["cold"] += tail_start
 
-        # The stateful tail: run starts only. A run whose first request
-        # leaves the doc resident collapses — members are local hits
-        # whose only state effect is the final touch index and last-hit;
-        # the warm scanner bulk-processes whole all-hit run prefixes (see
-        # warm_loop). The served column is only materialised when this
-        # path (whose miss branch records into it) actually runs: an
-        # int64 array, so bulk hit-runs can fill member spans with one
-        # np.repeat scatter (lean mode derives every served size from the
+        # The stateful tail (see warm_loop). The served column is only
+        # materialised when this path (whose miss branch records into it)
+        # actually runs; lean mode derives every served size from the
         # precomputed column instead, so the writes are dead there — the
-        # zeros allocation is one memset).
+        # zeros allocation is one memset.
         if tail_start < n:
             served = np.zeros(n, dtype=np.int64)
             if traced:
@@ -825,18 +606,14 @@ def _simulate_fast(
 
     if regimes is not None:
         regimes.update(tally)
-    # cur_age is refreshed after every eviction, so it holds the final
-    # ages. float(): the window sums may be np.float64 once the
-    # numpy-backed lh column feeds the age arithmetic; values are
-    # bit-identical.
-    ages = [float(age) for age in cur_age]
     unique_documents = 0
     if st.num_docs:
         held = np.frombuffer(present_b, dtype=np.uint8)
         unique_documents = int(
             (held.reshape(st.num_docs, NC) != 0).any(axis=1).sum()
         )
-    return st.result(ages, unique_documents)
+    # cur_age is refreshed after every eviction, so it holds the final ages.
+    return st.result(cur_age, unique_documents)
 
 
 # repro: domains[present_b=cache-slot->any:uint8, dsz=cache-slot->byte-size:int64]
@@ -871,7 +648,7 @@ def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
     pow10 = st.pow10
     sender_np = st.sender_np
     first_min = st.first_min_g.view()
-    docs_np, slots_np, ts_np, fsreq_np, _runs = npx
+    docs_np, slots_np, ts_np, fsreq_np = npx
     if cached_source is None:
         grp = _slot_groups(np, slots_np)
     else:
@@ -997,13 +774,6 @@ def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
                 k = int(acnt[c])
                 if not k:
                     continue
-                cm = e_leaf == c
-                # Cold-regime heaps are append-only with globally
-                # ascending touch indices, so the entry list is
-                # sorted — and a sorted list is a valid min-heap.
-                st.heaps[c].extend(
-                    zip(e_g[cm].tolist(), e_slot[cm].tolist())
-                )
                 used[c] += int(abyt[c])
                 st.st_admissions[c] += k
                 st.st_bytes_admitted[c] += int(abyt[c])
@@ -1028,10 +798,8 @@ def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
     if split == n:
         return n, None
     # The next admission can evict: ages stop being inf, so the regime is
-    # over for good. The general loop needs the exact last-touch state, so
-    # apply the deferred fixups.
-    st.flush_pending()
-    st.cold = False
+    # over for good. The general loop needs the exact recency order.
+    st.leave_cold()
     if not split:
         return 0, None
     # Rebuild run segmentation for the tail only. A run straddling the split
@@ -1171,26 +939,19 @@ def _slot_groups(np, slots):
 
 # repro: domains[slots_np=chunk-offset->cache-slot:intp]
 # repro: domains[ts_np=chunk-offset->age-tick:float64]
-# repro: domains[starts_np=any->chunk-offset:intp, ends_np=any->chunk-offset:intp]
+# repro: domains[starts_np=any->chunk-offset:intp]
 def _run_columns(np, slots_np, ts_np, lo, n):
     """Run-length segmentation of requests ``lo..n`` by slot.
 
-    Returns ``(starts_l, sslots_l, sts_l, ends_l, runs)``: list columns
-    (run start, slot, first timestamp, run end) for the scalar kernel,
-    and ``runs`` — the same boundaries as arrays plus each run's final
-    member timestamp — for the warm-regime bulk scanner. (A run's final
-    sequence number is ends-1 + the chunk's base, added at replay time:
-    memoised columns stay chunk-position-independent.)
+    Returns the list columns ``(starts_l, sslots_l, sts_l, ends_l)`` —
+    run start, slot, first timestamp, run end — that ``warm_loop`` walks.
     """
-    starts_np, ends_np = _segments(np, slots_np[lo:n])
+    starts_np = _segments(np, slots_np[lo:n])[0]
     starts_np += lo
-    ends_np += lo
-    rslots = slots_np[starts_np]
-    runs = (starts_np, ends_np, rslots, ts_np[ends_np - 1])
     starts_l = starts_np.tolist()
     ends_l = starts_l[1:]  # shares the int objects with starts_l
     ends_l.append(n)
-    return starts_l, rslots.tolist(), ts_np[starts_np].tolist(), ends_l, runs
+    return starts_l, slots_np[starts_np].tolist(), ts_np[starts_np].tolist(), ends_l
 
 
 # repro: domains[pow10=any->any:int64, sender_np=any->byte-size:int64]
@@ -1227,9 +988,9 @@ def _columns_np(st, chunk, cached_source):
         known = fs[docs_np]
     lean = bool((known == rsz_np).all())
     slots_np = docs_np * NC + leaf_np  # repro: domains[slots_np=chunk-offset->cache-slot:intp]
-    starts_l, sslots_l, sts_l, ends_l, runs = _run_columns(np, slots_np, ts_np, 0, n)
+    starts_l, sslots_l, sts_l, ends_l = _run_columns(np, slots_np, ts_np, 0, n)
     post = (leaf_np, icp_req_np, remote_base_np, origin_hdr_np, rsz_np)
     # ``known`` is the per-request first-seen-size column — the size any
     # resident copy of the doc holds while the cold regime lasts.
-    npx = (docs_np, slots_np, ts_np, known, runs)
+    npx = (docs_np, slots_np, ts_np, known)
     return (starts_l, sslots_l, sts_l, ends_l, leaf_l, rsz_l, post, lean, npx)

@@ -99,30 +99,34 @@ def _run_task(
         if not tracemalloc.is_tracing():
             tracemalloc.start()
             tracing_memory = True
-    # Telemetry-only wall time: reported per worker, never simulated with.
-    start = time.perf_counter()  # repro: noqa[RPR111]
-    if events_path is None and snapshot_interval == 0.0:
-        result = run_simulation(config, _WORKER_TRACE, regimes=regimes, spans=spans)
-    else:
-        # Imported lazily so plain sweeps never pay the obs import.
-        from repro.obs.session import run_observed
+    try:
+        # Telemetry-only wall time: reported per worker, never simulated with.
+        start = time.perf_counter()  # repro: noqa[RPR111]
+        if events_path is None and snapshot_interval == 0.0:
+            result = run_simulation(
+                config, _WORKER_TRACE, regimes=regimes, spans=spans
+            )
+        else:
+            # Imported lazily so plain sweeps never pay the obs import.
+            from repro.obs.session import run_observed
 
-        result = run_observed(
-            config,
-            _WORKER_TRACE,
-            events_path=events_path,
-            snapshot_interval=snapshot_interval,
-            regimes=regimes,
-            spans=spans,
-        )
-    wall = time.perf_counter() - start  # repro: noqa[RPR111]
-    extra: Dict[str, Any] = {}
-    if regimes:
-        extra["regimes"] = regimes
-    if track_memory:
-        import tracemalloc
-
-        extra["peak_memory_bytes"] = tracemalloc.get_traced_memory()[1]
+            result = run_observed(
+                config,
+                _WORKER_TRACE,
+                events_path=events_path,
+                snapshot_interval=snapshot_interval,
+                regimes=regimes,
+                spans=spans,
+            )
+        wall = time.perf_counter() - start  # repro: noqa[RPR111]
+        extra: Dict[str, Any] = {}
+        if regimes:
+            extra["regimes"] = regimes
+        if track_memory:
+            extra["peak_memory_bytes"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        # A raising point must not leave the tracer it started running in
+        # a pooled worker (or, with jobs=1, in the caller's process).
         if tracing_memory:
             tracemalloc.stop()
     if spans is not None:

@@ -16,6 +16,7 @@ import tracemalloc
 
 import pytest
 
+from repro.fastpath.batch import batch_fastloop_reason
 from repro.obs.registry import ObsError
 from repro.obs.timeseries import (
     TIMESERIES_SCHEMA,
@@ -216,8 +217,9 @@ class TestEngineIntegration:
         hits = result.metrics.local_hits + result.metrics.remote_hits
         assert sum(s["hits"] for s in samples) == hits
         assert records[-1]["requests"] == result.metrics.requests
-        if engine == "batch":
-            regime_total = sum(
-                sum(s["regime"].values()) for s in samples if "regime" in s
-            )
+        if engine == "batch" and batch_fastloop_reason(config) is None:
+            regime_total = sum(sum(s["regime"].values()) for s in samples)
             assert regime_total == result.metrics.requests
+        else:
+            # The columnar core (also batch's no-numpy fallback) has no regimes.
+            assert not any("regime" in s for s in samples)

@@ -215,6 +215,28 @@ class TestSweepObservability:
         simulated = [r for r in sweep.telemetry.reports if not r.memoized]
         assert all(r.peak_memory_bytes > 0 for r in simulated)
 
+    @pytest.mark.parametrize("already_tracing", [False, True])
+    def test_raising_point_leaves_tracemalloc_as_found(
+        self, trace, monkeypatch, already_tracing
+    ):
+        import tracemalloc
+
+        from repro.parallel import runner
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("point failed")
+
+        monkeypatch.setattr(runner, "run_simulation", boom)
+        assert not tracemalloc.is_tracing()
+        if already_tracing:
+            tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="point failed"):
+                run_capacity_sweep(trace, CAPACITIES, jobs=1, track_memory=True)
+            assert tracemalloc.is_tracing() is already_tracing
+        finally:
+            tracemalloc.stop()
+
     def test_worker_spans_merge_onto_labeled_lanes(self, trace):
         from repro.obs.spans import SpanTracer, validate_trace_events
 
