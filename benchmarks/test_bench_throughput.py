@@ -169,6 +169,50 @@ def test_bench_batch_cold_requests_per_second(benchmark, cold_trace):
     assert result.metrics.requests == len(cold_trace)
 
 
+@pytest.fixture(scope="module")
+def packed_cold_trace(tmp_path_factory):
+    """The ``packed_replay`` stream of ``benchmarks/e2e`` (gate scale),
+    packed once: what the benchmark below reads back each round."""
+    from repro.trace.columnar_io import write_packed
+    from repro.trace.stream import SyntheticTraceStream
+
+    config = SyntheticTraceConfig(
+        num_requests=400_000,
+        num_documents=20_000,
+        num_clients=256,
+        zipf_alpha=0.9,
+        zero_size_fraction=0.02,
+        seed=42,
+    )
+    path = str(tmp_path_factory.mktemp("packed") / "cold.rpct")
+    write_packed(path, SyntheticTraceStream(config), chunk_size=50_000)
+    return path, config.num_requests
+
+
+def test_bench_packed_cold_requests_per_second(benchmark, packed_cold_trace):
+    """Packed-file replay at a capacity that holds everything: ``.rpct``
+    decode -> buffer-backed chunks -> numpy columns -> cold regime, with no
+    per-request Python object on the way. Requests per second is
+    ``400_000 / median``.
+    """
+    from repro.trace.columnar_io import PackedTraceReader
+
+    path, requests = packed_cold_trace
+    config = SimulationConfig(
+        scheme="ea", aggregate_capacity=8192 << 20, engine="batch"
+    )
+
+    def run():
+        regimes: dict = {}
+        with PackedTraceReader(path) as reader:
+            result = run_simulation(config, reader, regimes=regimes)
+        return result, regimes
+
+    result, regimes = benchmark.pedantic(run, rounds=7, iterations=1, warmup_rounds=1)
+    assert result.metrics.requests == requests
+    assert regimes == {"cold": requests, "hit_run": 0, "scalar": 0}
+
+
 def test_bench_synthetic_stream_chunks(benchmark):
     """Source throughput of streamed replay: the synthetic stream drawn
     straight into interned chunks (stream shape and chunk size of the

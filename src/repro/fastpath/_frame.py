@@ -66,11 +66,11 @@ def _chunk_stream(trace, chunk_size: Optional[int], spans=None) -> Iterator[Tupl
                 base_docs=0,
                 base_clients=0,
                 base_records=0,
+                # Share the per-doc protocol columns already computed at
+                # intern time instead of re-deriving them.
+                new_url_lens=interned.url_lens,
+                new_icp_probe_bytes=interned.icp_probe_bytes,
             )
-            # Share the per-doc protocol columns already computed at intern
-            # time instead of re-deriving them from the URL strings.
-            whole._new_url_lens = interned.url_lens
-            whole._new_icp_probe_bytes = interned.icp_probe_bytes
             return iter(((whole, interned),))
         return ((chunk, None) for chunk in interned.chunks(chunk_size))
     size = chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE
@@ -140,8 +140,10 @@ class ReplayFrame:
         # "cacheN" Via-header lengths, matching build_caches' naming.
         self.sender_len = [5 + len(str(i)) for i in range(num_caches)]
 
-        # Client id -> leaf, grown with the client intern table.
+        # Client id -> leaf, grown with the client intern table (and its
+        # numpy image, rebuilt by chunk_columns_np when the table grew).
         self.client_leaf: List[int] = []
+        self._client_leaf_np = None
 
         # Per-cache occupancy and stats columns (CacheStats fields).
         self.used = [0] * num_caches
@@ -213,47 +215,80 @@ class ReplayFrame:
             spans.end(records=item[0].num_records)
         spans.end(requests=requests)
 
+    def _client_leaves(self, chunk) -> List[int]:
+        """The client -> leaf table, grown by the chunk's new clients."""
+        client_leaf = self.client_leaf
+        leaves = self.leaves
+        num_leaves = self.num_leaves
+        new_clients = chunk.new_client_names
+        if self.partitioner == "hash":
+            client_leaf.extend(
+                leaves[pos]
+                for pos in client_leaf_positions(new_clients, num_leaves)
+            )
+        else:  # round-robin-client: intern order == appearance order
+            base_client = len(client_leaf)
+            client_leaf.extend(
+                leaves[(base_client + i) % num_leaves]
+                for i in range(len(new_clients))
+            )
+        return client_leaf
+
     def chunk_columns(self, chunk, cached_source) -> Tuple[list, list]:
-        """``(leaf, record size)`` per chunk request.
+        """``(leaf, record size)`` per chunk request, as lists.
 
         A whole materialised trace (``cached_source``) serves the
         per-trace memoised columns; a streamed chunk derives them from
-        its intern deltas.
+        its intern deltas (:meth:`chunk_columns_np` is the same
+        derivation over numpy columns).
         """
         if cached_source is not None:
             return (
                 cached_source.leaf_column(self.partitioner, self.leaves),
                 cached_source.record_sizes(self.patch),
             )
-        leaves = self.leaves
-        num_leaves = self.num_leaves
         if self.partitioner == "round-robin-request":
+            leaves = self.leaves
+            num_leaves = self.num_leaves
             base_record = chunk.base_records
             leaf_column = [
                 leaves[(base_record + i) % num_leaves]
                 for i in range(chunk.num_records)
             ]
         else:
-            # Grow the client -> leaf table by the chunk's new clients.
-            client_leaf = self.client_leaf
-            new_clients = chunk.new_client_names
-            if self.partitioner == "hash":
-                client_leaf.extend(
-                    leaves[pos]
-                    for pos in client_leaf_positions(new_clients, num_leaves)
-                )
-            else:  # round-robin-client: intern order == appearance order
-                base_client = len(client_leaf)
-                client_leaf.extend(
-                    leaves[(base_client + i) % num_leaves]
-                    for i in range(len(new_clients))
-                )
+            client_leaf = self._client_leaves(chunk)
             leaf_column = [client_leaf[client] for client in chunk.clients]
         record_sizes = chunk.sizes
         if 0 in record_sizes:
             patch = self.patch
             record_sizes = [patch if size == 0 else size for size in record_sizes]
         return leaf_column, record_sizes
+
+    # repro: domains[clients_np=chunk-offset->any:int64, sizes_np=chunk-offset->byte-size:int64]
+    # repro: domains[leaf_np=chunk-offset->any:intp, table=any->any:intp, leaves_np=any->any:intp]
+    def chunk_columns_np(self, np, chunk, clients_np, sizes_np) -> tuple:
+        """:meth:`chunk_columns` for a streamed chunk, over numpy columns.
+
+        ``clients_np`` / ``sizes_np`` are the chunk's own columns
+        (:meth:`InternedChunk.columns_np`). The leaf column is one take
+        through the client -> leaf table (or the record index modulo the
+        leaf count), the patched sizes one ``np.where``.
+        """
+        if self.partitioner == "round-robin-request":
+            leaves_np = np.array(self.leaves, dtype=np.intp)
+            index = np.arange(
+                chunk.base_records,
+                chunk.base_records + chunk.num_records,
+                dtype=np.int64,
+            )
+            leaf_np = leaves_np[index % self.num_leaves]
+        else:
+            client_leaf = self._client_leaves(chunk)
+            table = self._client_leaf_np
+            if table is None or len(table) != len(client_leaf):
+                table = self._client_leaf_np = np.array(client_leaf, dtype=np.intp)
+            leaf_np = table[clients_np]
+        return leaf_np, np.where(sizes_np == 0, self.patch, sizes_np)
 
     def sample(self, timeseries, requests: int, t_last: float, **regimes) -> None:
         """Hand ``timeseries`` one cumulative counter reading."""

@@ -336,7 +336,8 @@ def _simulate_fast(
     age_len = [3] * NC  # len("inf")
     sdig: dict = {}  # stored-size -> len(str(size)), bounded by doc count
 
-    # Rebound per chunk; miss_path reads them as free variables.
+    # Rebound per chunk; miss_path reads them as free variables (the
+    # lists only for a chunk whose stateful tail runs).
     # repro: domains[out=chunk-offset->any:uint8]
     leaf_l: List[int] = []
     rsz_l: List[int] = []
@@ -541,16 +542,15 @@ def _simulate_fast(
         if not n:
             continue
 
-        # Batch precompute: per-request columns + run segmentation.
+        # Batch precompute: the per-request numpy columns.
         if traced:
             spans.begin("columns", "replay")
-        (starts_l, sslots_l, sts_l, ends_l, leaf_l, rsz_l, post, cconst, npx) = (
-            st.columns(chunk, cached_source)
-        )
+        cols = st.columns(chunk, cached_source)
         if traced:
             spans.end()
-        lean = lean and cconst
-        ts_l = chunk.timestamps
+        post = cols.post
+        npx = cols.npx
+        lean = lean and cols.lean
         gbase = chunk.base_records  # repro: domains[gbase=global-seq]
         out = bytearray(n)
         served_np = None  # set after a cold prefix: first-size served column
@@ -561,26 +561,27 @@ def _simulate_fast(
         if st.cold:
             if traced:
                 spans.begin("cold", "regime")
-            tail_start, tail_runs = _cold_prefix(
+            tail_start = _cold_prefix(
                 st, n, gbase, cached_source, npx, post[0], out
             )
             if tail_start:
                 served_np = npx[3]  # never mutated: may be memo-shared
-            if tail_runs is not None:
-                starts_l, sslots_l, sts_l, ends_l = tail_runs
             if traced:
                 spans.end(requests=tail_start)
         tally["cold"] += tail_start
 
-        # The stateful tail (see warm_loop). The served column is only
-        # materialised when this path (whose miss branch records into it)
-        # actually runs; lean mode derives every served size from the
-        # precomputed column instead, so the writes are dead there — the
-        # zeros allocation is one memset.
+        # The stateful tail (see warm_loop), the only consumer of Python
+        # lists: a chunk that stayed cold never builds them. The served
+        # column is only materialised when this path (whose miss branch
+        # records into it) actually runs; lean mode derives every served
+        # size from the precomputed column instead, so the writes are dead
+        # there — the zeros allocation is one memset.
         if tail_start < n:
-            served = np.zeros(n, dtype=np.int64)
             if traced:
                 spans.begin("warm", "regime")
+            leaf_l, rsz_l, ts_l = cols.scalar_lists()
+            starts_l, sslots_l, sts_l, ends_l = cols.runs(np, tail_start)
+            served = np.zeros(n, dtype=np.int64)
             hit_req, scal_req = warm_loop()
             tally["hit_run"] += hit_req
             tally["scalar"] += scal_req
@@ -602,7 +603,7 @@ def _simulate_fast(
         if traced:
             spans.end()
         if timeseries is not None:
-            st.sample(timeseries, gbase + n, float(ts_l[n - 1]), **tally)
+            st.sample(timeseries, gbase + n, float(npx[2][n - 1]), **tally)
 
     if regimes is not None:
         regimes.update(tally)
@@ -629,11 +630,9 @@ def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
     """Replay the cold-regime prefix of one chunk, fully vectorised.
 
     Writes the prefix's outcome bytes into ``out`` and its admissions,
-    remote serves and deferred touch fixups into ``st``. Returns
-    ``(split, tail_runs)``: ``split`` is the first request index the
-    stateful loop must replay (``n`` when the whole chunk stayed cold —
-    the regime latches off otherwise), ``tail_runs`` the run columns
-    re-segmented from ``split`` (None when ``split`` is 0 or ``n``).
+    remote serves and deferred touch fixups into ``st``. Returns the
+    split: the first request index the stateful loop must replay (``n``
+    when the whole chunk stayed cold — the regime latches off otherwise).
     """
     np = st.np
     NC = st.num_caches
@@ -795,16 +794,11 @@ def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
         else:
             p_slot, _p_first, p_last = _slot_groups(np, slots_np[:split])
             st.pending.append((p_slot, p_last + gbase, ts_np[p_last]))
-    if split == n:
-        return n, None
-    # The next admission can evict: ages stop being inf, so the regime is
-    # over for good. The general loop needs the exact recency order.
-    st.leave_cold()
-    if not split:
-        return 0, None
-    # Rebuild run segmentation for the tail only. A run straddling the split
-    # re-enters as a fresh run start, which the loop handles identically.
-    return split, _run_columns(np, slots_np, ts_np, split, n)
+    if split < n:
+        # The next admission can evict: ages stop being inf, so the regime
+        # is over for good. The general loop needs the exact recency order.
+        st.leave_cold()
+    return split
 
 
 # repro: domains[leaf_np=chunk-offset->any:intp]
@@ -954,25 +948,85 @@ def _run_columns(np, slots_np, ts_np, lo, n):
     return starts_l, slots_np[starts_np].tolist(), ts_np[starts_np].tolist(), ends_l
 
 
+class _ChunkColumns:
+    """One chunk's batch precompute (see :func:`_columns_np`).
+
+    ``post`` and ``npx`` are the numpy columns the cold regime and the
+    post-pass consume; ``lean`` says every request matched its doc's
+    first-seen size. The Python lists only ``warm_loop`` / ``miss_path``
+    index — per-request leaf, patched size and timestamp, and the run
+    columns — are built on first request and kept (the object is
+    memoised with the trace for whole-trace replay), so a chunk that
+    stays cold allocates no per-request Python object.
+    """
+
+    __slots__ = ("post", "npx", "lean", "_chunk", "_lists", "_runs")
+
+    def __init__(self, chunk, post, npx, lean, leaf_l=None, rsz_l=None):
+        self.post = post
+        self.npx = npx
+        self.lean = lean
+        self._chunk = chunk
+        # The whole-trace path passes the trace-level memoised lists it
+        # shares with the columnar core; a streamed chunk's come from its
+        # numpy columns.
+        self._lists = None if leaf_l is None else (leaf_l, rsz_l, chunk.timestamps)
+        self._runs = None
+
+    def scalar_lists(self):
+        """``(leaf_l, rsz_l, ts_l)``: per-request lists for the scalar path."""
+        if self._lists is None:
+            self._lists = (
+                self.post[0].tolist(), self.post[4].tolist(), self._chunk.timestamps,
+            )
+        return self._lists
+
+    def runs(self, np, lo):
+        """Run columns of requests ``lo..n`` (see :func:`_run_columns`).
+
+        A tail cut by the cold split is re-segmented from ``lo`` — a run
+        straddling the split re-enters as a fresh run start, which the
+        loop handles identically; the whole-chunk segmentation is kept.
+        """
+        if lo or self._runs is None:
+            _docs_np, slots_np, ts_np, _known = self.npx
+            runs = _run_columns(np, slots_np, ts_np, lo, len(slots_np))
+            if lo:
+                return runs
+            self._runs = runs
+        return self._runs
+
+
 # repro: domains[pow10=any->any:int64, sender_np=any->byte-size:int64]
 # repro: domains[url_len=interned-id->byte-size:int64]
 # repro: domains[icp=interned-id->byte-size:int64]
 # repro: domains[fs=interned-id->byte-size:int64]
 def _columns_np(st, chunk, cached_source):
-    """Vectorised per-chunk columns + run segmentation."""
+    """Vectorised per-chunk columns (a :class:`_ChunkColumns`).
+
+    A streamed chunk's columns stay numpy from the chunk's own buffers
+    on; the whole-trace path converts the trace-level memoised lists it
+    shares with the columnar core (once per trace: the result is
+    memoised too).
+    """
     np = st.np
     NC = st.num_caches
     pow10 = st.pow10
     sender_np = st.sender_np
     url_len = st.url_len_g.view()
     icp = st.icp_g.view()
-    n = chunk.num_records
+    # repro: domains[docs_np=chunk-offset->interned-id:intp, ts_np=chunk-offset->age-tick:float64]
     # repro: domains[leaf_np=chunk-offset->any:intp, rsz_np=chunk-offset->byte-size:int64]
-    docs_np = np.array(chunk.doc_ids, dtype=np.intp)  # repro: domains[docs_np=chunk-offset->interned-id:intp]
-    ts_np = np.array(chunk.timestamps, dtype=np.float64)  # repro: domains[ts_np=chunk-offset->age-tick:float64]
-    leaf_l, rsz_l = st.chunk_columns(chunk, cached_source)
-    leaf_np = np.array(leaf_l, dtype=np.intp)
-    rsz_np = np.array(rsz_l, dtype=np.int64)
+    if cached_source is None:
+        leaf_l = rsz_l = None
+        docs_np, sizes_np, ts_np, clients_np = chunk.columns_np(np)
+        leaf_np, rsz_np = st.chunk_columns_np(np, chunk, clients_np, sizes_np)
+    else:
+        leaf_l, rsz_l = st.chunk_columns(chunk, cached_source)
+        docs_np = np.array(chunk.doc_ids, dtype=np.intp)
+        ts_np = np.array(chunk.timestamps, dtype=np.float64)
+        leaf_np = np.array(leaf_l, dtype=np.intp)
+        rsz_np = np.array(rsz_l, dtype=np.int64)
     digits_np = np.searchsorted(pow10, rsz_np, side="right") + 1
     remote_base_np = url_len[docs_np] + sender_np[leaf_np] + 50
     origin_hdr_np = remote_base_np + 24 + digits_np
@@ -988,9 +1042,8 @@ def _columns_np(st, chunk, cached_source):
         known = fs[docs_np]
     lean = bool((known == rsz_np).all())
     slots_np = docs_np * NC + leaf_np  # repro: domains[slots_np=chunk-offset->cache-slot:intp]
-    starts_l, sslots_l, sts_l, ends_l = _run_columns(np, slots_np, ts_np, 0, n)
     post = (leaf_np, icp_req_np, remote_base_np, origin_hdr_np, rsz_np)
     # ``known`` is the per-request first-seen-size column — the size any
     # resident copy of the doc holds while the cold regime lasts.
     npx = (docs_np, slots_np, ts_np, known)
-    return (starts_l, sslots_l, sts_l, ends_l, leaf_l, rsz_l, post, lean, npx)
+    return _ChunkColumns(chunk, post, npx, lean, leaf_l, rsz_l)

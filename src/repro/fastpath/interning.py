@@ -9,8 +9,10 @@ round-robin-client partitioner a modulo over the client id.
 
 Derived per-document columns that the protocol accounting needs — UTF-8
 URL byte length and the ICP query+reply datagram size — are precomputed
-here from the real protocol functions, so the engine never touches a URL
-string during replay.
+here, the length with the protocol's own function and the datagram size
+from that length through :mod:`repro.protocol.icp`'s overhead constants
+(:func:`icp_probe_bytes`), so the engine never touches a URL string
+during replay.
 
 Derived *per-run* columns (patched record sizes, Content-Length digit
 counts, the partitioner's leaf assignment) are memoised per parameter set
@@ -22,11 +24,31 @@ capacities, and recomputing an O(n) column per point was measurable
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from array import array
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.protocol import icp
 from repro.protocol.http import _utf8_length
 from repro.trace.record import TraceRecord, require_chunk_size
+
+
+#: The per-request columns of a chunk, in ``.rpct`` order, and the
+#: ``array`` type code of each when it is held as a typed buffer.
+COLUMN_NAMES = ("doc_ids", "sizes", "timestamps", "clients")
+COLUMN_CODES = "qqdq"
+
+#: ICP bytes of one probe (query + reply) beyond twice the URL's length.
+_ICP_PROBE_OVERHEAD = icp.QUERY_OVERHEAD + icp.REPLY_OVERHEAD
+
+
+# repro: domains[url_lens=interned-id->byte-size]
+def icp_probe_bytes(url_lens: Sequence[int]) -> List[int]:
+    """ICP query + reply datagram bytes per URL, from UTF-8 URL lengths.
+
+    ``query_wire_length(url) + reply_wire_length(url)`` is affine in the
+    URL's byte length; both datagrams carry the URL once.
+    """
+    return [2 * length + _ICP_PROBE_OVERHEAD for length in url_lens]
 
 
 def client_leaf_positions(client_names: Sequence[str], num_leaves: int) -> List[int]:
@@ -103,9 +125,7 @@ class InternedTrace:
         self.urls = urls
         self.client_names = client_names
         self.url_lens = [_utf8_length(url) for url in urls]
-        self.icp_probe_bytes = [
-            icp.query_wire_length(url) + icp.reply_wire_length(url) for url in urls
-        ]
+        self.icp_probe_bytes = icp_probe_bytes(self.url_lens)
         self.num_records = len(doc_ids)
         self.num_docs = len(urls)
         self.num_clients = len(client_names)
@@ -261,15 +281,31 @@ class InternedChunk:
     base_docs+len(new_urls)-1``, resp. clients); the consumer grows its
     per-doc state by exactly these deltas before replaying the chunk.
 
+    **Column contract.** The four per-request columns are given either as
+    Python lists (interners, the synthetic stream, slices of an interned
+    trace) or as typed buffers — ``array('q')`` doc ids, sizes and
+    clients, ``array('d')`` timestamps (:data:`COLUMN_CODES`), which is
+    how the packed-trace reader hands them over. Whether a chunk is
+    buffer-backed is this class's business alone; consumers pick the view
+    they need and never convert themselves:
+
+    * ``doc_ids`` / ``sizes`` / ``timestamps`` / ``clients`` are always
+      lists. Over a buffer-backed chunk each is built on first access and
+      kept, so a consumer that never asks (the batch engine while a chunk
+      stays cold) allocates no per-request Python object.
+    * :meth:`columns_np` gives the four columns as numpy arrays — views
+      of the buffers, or one ``np.array`` per list.
+    * :meth:`column_bytes` gives their ``.rpct`` byte images.
+
     Derived per-new-doc columns (UTF-8 URL length, ICP probe bytes) are
-    computed lazily from the real protocol functions, once per chunk.
+    computed lazily, once per chunk, unless the producer already holds
+    them (the packed reader reads the lengths off the file's own string
+    prefixes; a whole interned trace shares its per-doc tables).
     """
 
     __slots__ = (
-        "doc_ids",
-        "sizes",
-        "timestamps",
-        "clients",
+        "_buffers",
+        "_lists",
         "new_urls",
         "new_client_names",
         "base_docs",
@@ -286,28 +322,110 @@ class InternedChunk:
     # repro: domains[base_docs=interned-id, base_records=global-seq]
     def __init__(
         self,
-        doc_ids: List[int],
-        sizes: List[int],
-        timestamps: List[float],
-        clients: List[int],
+        doc_ids: Union[List[int], array],
+        sizes: Union[List[int], array],
+        timestamps: Union[List[float], array],
+        clients: Union[List[int], array],
         new_urls: List[str],
         new_client_names: List[str],
         base_docs: int,
         base_clients: int,
         base_records: int,
+        new_url_lens: Optional[List[int]] = None,
+        new_icp_probe_bytes: Optional[List[int]] = None,
     ):
-        self.doc_ids = doc_ids
-        self.sizes = sizes
-        self.timestamps = timestamps
-        self.clients = clients
+        if isinstance(doc_ids, array):
+            self._buffers: Optional[Tuple[array, ...]] = (
+                doc_ids, sizes, timestamps, clients,
+            )
+            self._lists: List[Optional[list]] = [None, None, None, None]
+        else:
+            self._buffers = None
+            self._lists = [doc_ids, sizes, timestamps, clients]
         self.new_urls = new_urls
         self.new_client_names = new_client_names
         self.base_docs = base_docs
         self.base_clients = base_clients
         self.base_records = base_records
         self.num_records = len(doc_ids)
-        self._new_url_lens: List[int] = []
-        self._new_icp_probe_bytes: List[int] = []
+        self._new_url_lens = new_url_lens
+        self._new_icp_probe_bytes = new_icp_probe_bytes
+
+    def _list_column(self, index: int) -> list:
+        """Column ``index`` as a list, materialised from its buffer once."""
+        column = self._lists[index]
+        if column is None:
+            column = self._lists[index] = self._buffers[index].tolist()
+        return column
+
+    @property
+    def doc_ids(self) -> List[int]:
+        """Dense document id per request."""
+        return self._list_column(0)
+
+    @property
+    def sizes(self) -> List[int]:
+        """Raw record size per request (zero sizes not patched)."""
+        return self._list_column(1)
+
+    @property
+    def timestamps(self) -> List[float]:
+        """Arrival time per request."""
+        return self._list_column(2)
+
+    @property
+    def clients(self) -> List[int]:
+        """Dense client id per request."""
+        return self._list_column(3)
+
+    @property
+    def listed_columns(self) -> Tuple[str, ...]:
+        """Names of the request columns that exist as lists right now.
+
+        All four for a list-backed chunk; for a buffer-backed one, those a
+        consumer has asked for so far (observability of the lazy views:
+        the tests of the cold regime and of re-packing read it).
+        """
+        return tuple(
+            name
+            for name, column in zip(COLUMN_NAMES, self._lists)
+            if column is not None
+        )
+
+    # repro: domains[doc_ids=chunk-offset->interned-id:int64, sizes=chunk-offset->byte-size:int64]
+    # repro: domains[timestamps=chunk-offset->age-tick:float64, clients=chunk-offset->any:int64]
+    def columns_np(self, np) -> tuple:
+        """``(doc_ids, sizes, timestamps, clients)`` as numpy arrays.
+
+        int64 / int64 / float64 / int64. Over a buffer-backed chunk these
+        are zero-copy views (read-only by convention: the buffers are the
+        chunk's); over lists, one ``np.array`` each.
+        """
+        if self._buffers is not None:
+            as_array, columns = np.frombuffer, self._buffers
+        else:
+            as_array, columns = np.array, self._lists
+        doc_ids, sizes, timestamps, clients = (
+            as_array(column, dtype=dtype)
+            for column, dtype in zip(
+                columns, (np.int64, np.int64, np.float64, np.int64)
+            )
+        )
+        return doc_ids, sizes, timestamps, clients
+
+    def column_bytes(self) -> Tuple[bytes, ...]:
+        """The four columns' native int64/float64 byte images, in order.
+
+        What a packed trace stores; a buffer-backed chunk is written from
+        its buffers, without going through lists.
+        """
+        buffers = self._buffers
+        if buffers is None:
+            buffers = tuple(
+                array(code, column)
+                for code, column in zip(COLUMN_CODES, self._lists)
+            )
+        return tuple(buffer.tobytes() for buffer in buffers)
 
     @property
     def new_url_lens(self) -> List[int]:
@@ -316,7 +434,7 @@ class InternedChunk:
         Hot-path column, computed once per chunk and read-only by
         convention in the engines; copying per access would defeat it.
         """
-        if not self._new_url_lens and self.new_urls:
+        if self._new_url_lens is None:
             self._new_url_lens = [_utf8_length(url) for url in self.new_urls]
         return self._new_url_lens  # repro: noqa[RPR134]
 
@@ -326,11 +444,8 @@ class InternedChunk:
 
         Same read-only-by-convention contract as :attr:`new_url_lens`.
         """
-        if not self._new_icp_probe_bytes and self.new_urls:
-            self._new_icp_probe_bytes = [
-                icp.query_wire_length(url) + icp.reply_wire_length(url)
-                for url in self.new_urls
-            ]
+        if self._new_icp_probe_bytes is None:
+            self._new_icp_probe_bytes = icp_probe_bytes(self.new_url_lens)
         return self._new_icp_probe_bytes  # repro: noqa[RPR134]
 
 

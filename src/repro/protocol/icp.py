@@ -49,6 +49,14 @@ class ICPOpcode(enum.IntEnum):
 _HAS_REQUESTER_FIELD = frozenset({ICPOpcode.QUERY})
 
 
+#: Datagram bytes of a QUERY / of a HIT-MISS reply beyond the URL's own
+#: UTF-8 bytes: the header and the NUL terminator, plus the QUERY's
+#: requester field. Engines that already hold URL byte lengths (the
+#: interned columns) account probe bytes from these without the string.
+QUERY_OVERHEAD = _HEADER.size + 4 + 1
+REPLY_OVERHEAD = _HEADER.size + 1
+
+
 def _utf8_length(text: str) -> int:
     """Byte length of ``text`` encoded as UTF-8, without materialising it."""
     return len(text) if text.isascii() else len(text.encode("utf-8"))
@@ -61,12 +69,12 @@ def query_wire_length(url: str) -> int:
     NUL-terminated URL. The simulator's probe fast path uses this to account
     wire bytes without building the datagram.
     """
-    return _HEADER.size + 4 + _utf8_length(url) + 1
+    return QUERY_OVERHEAD + _utf8_length(url)
 
 
 def reply_wire_length(url: str) -> int:
     """Datagram length of an ICP HIT/MISS reply for ``url``."""
-    return _HEADER.size + _utf8_length(url) + 1
+    return REPLY_OVERHEAD + _utf8_length(url)
 
 
 @dataclass(frozen=True)

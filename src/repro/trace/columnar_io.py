@@ -19,11 +19,18 @@ Layout (all integers little-endian)::
     footer   "FOOT" | u64 total_records | u64 total_docs
              | u64 total_clients | 32-byte sha256 | "RPCT"
 
-The fixed-width numeric columns make the reader *mmap-backed*: chunks are
-decoded straight out of the page cache with ``numpy.frombuffer`` (an
-``array('q')``/``array('d')`` fallback covers numpy-less runs) and handed
-to the engines as plain lists, so resident memory stays O(chunk) no
-matter the file size. The footer carries stream totals — progress bars
+The fixed-width numeric columns make the reader *mmap-backed*: each
+column of a chunk is copied out of the page cache into a typed buffer
+(``array('q')`` / ``array('d')``, one ``frombytes`` — the same path with
+or without numpy) and handed to
+:class:`~repro.fastpath.interning.InternedChunk` as that buffer. The
+chunk owns what happens next: the batch engine takes numpy views of the
+buffers, the columnar core asks for lists and gets them built on first
+access, and :func:`write_packed` writes a buffer-backed chunk's bytes
+back out unchanged. Resident memory stays O(chunk) no matter the file
+size. The UTF-8 length of every stored string is its own ``u32`` prefix,
+so the per-document URL lengths the engines need are read, not
+recomputed. The footer carries stream totals — progress bars
 and manifests know ``num_records`` without scanning — plus a *columnar
 fingerprint*: the sha256 of every chunk payload, verifying integrity and
 content-addressing the replay-relevant columns (the record-level
@@ -45,7 +52,6 @@ from array import array
 from typing import BinaryIO, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
-from repro.fastpath.numeric import load_numpy
 
 MAGIC = b"RPCT"
 VERSION = 1
@@ -69,19 +75,6 @@ def _pack_strings(strings) -> bytes:
         parts.append(_U32.pack(len(raw)))
         parts.append(raw)
     return b"".join(parts)
-
-
-def _unpack_strings(blob: bytes, count: int) -> List[str]:
-    out: List[str] = []
-    off = 0
-    for _ in range(count):
-        (ln,) = _U32.unpack_from(blob, off)
-        off += 4
-        out.append(blob[off : off + ln].decode("utf-8"))
-        off += ln
-    if off != len(blob):
-        raise TraceError("packed trace: string blob length mismatch")
-    return out
 
 
 def write_packed(path: str, source, chunk_size: Optional[int] = None) -> Tuple[int, int, int]:
@@ -121,10 +114,7 @@ def _write_stream(fh: BinaryIO, chunks) -> Tuple[int, int, int]:
         client_blob = _pack_strings(chunk.new_client_names)
         payload = b"".join(
             (
-                array("q", chunk.doc_ids).tobytes(),
-                array("q", chunk.sizes).tobytes(),
-                array("d", chunk.timestamps).tobytes(),
-                array("q", chunk.clients).tobytes(),
+                *chunk.column_bytes(),
                 _U64.pack(len(url_blob)),
                 url_blob,
                 _U64.pack(len(client_blob)),
@@ -232,11 +222,60 @@ class PackedTraceReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def _corrupt(self, detail: str, off: int) -> TraceError:
+        return TraceError(f"packed trace {self.path!r}: {detail} at offset {off}")
+
+    # repro: domains[off=byte-size, end=byte-size, pos=byte-size, blob_len=byte-size]
+    def _read_strings(
+        self, off: int, end: int, count: int, what: str
+    ) -> Tuple[List[str], List[int], int]:
+        """Decode the ``count``-string blob whose ``u64`` length sits at ``off``.
+
+        Returns the strings, their UTF-8 byte lengths (the stored
+        prefixes) and the offset just past the blob. Every length is
+        checked against the bytes actually there (``end`` = start of the
+        footer) before it is used.
+        """
+        buf = self._buf
+        if off + 8 > end:
+            raise self._corrupt(f"{what} blob length missing", off)
+        (blob_len,) = _U64.unpack_from(buf, off)
+        start = off + 8
+        if start + blob_len > end:
+            raise self._corrupt(
+                f"{what} blob of {blob_len} bytes runs past the chunk data", off
+            )
+        blob = buf[start : start + blob_len]
+        strings: List[str] = []
+        lengths: List[int] = []
+        pos = 0
+        try:
+            for _ in range(count):
+                if pos + 4 > blob_len:
+                    raise self._corrupt(
+                        f"{what} string prefix outside its blob", start + pos
+                    )
+                (length,) = _U32.unpack_from(blob, pos)
+                if pos + 4 + length > blob_len:
+                    raise self._corrupt(
+                        f"{what} string of {length} bytes overruns its blob",
+                        start + pos,
+                    )
+                strings.append(blob[pos + 4 : pos + 4 + length].decode("utf-8"))
+                lengths.append(length)
+                pos += 4 + length
+        except UnicodeDecodeError as exc:
+            # ``pos`` still addresses the prefix of the string that failed.
+            raise self._corrupt(
+                f"{what} string is not UTF-8 ({exc.reason})", start + pos
+            ) from None
+        if pos != blob_len:
+            raise self._corrupt(f"{what} blob length mismatch", off)
+        return strings, lengths, start + blob_len
+
     # Decoded columns carry the same domains the packer wrote: chunk-local
     # request offsets over global interned ids, with byte offsets into the
     # backing mmap kept strictly in the byte-size domain.
-    # repro: domains[doc_ids=chunk-offset->interned-id, sizes=chunk-offset->byte-size]
-    # repro: domains[timestamps=chunk-offset->age-tick, clients=chunk-offset->any]
     # repro: domains[off=byte-size, width=byte-size, records_seen=global-seq]
     # repro: domains[base_docs=interned-id, base_records=global-seq]
     def interned_chunks(
@@ -244,31 +283,32 @@ class PackedTraceReader:
     ) -> Iterator["InternedChunk"]:
         """Decode stored chunks in order (``chunk_size`` ignored; see above).
 
+        Chunks come out buffer-backed (typed ``array`` columns; see
+        :class:`~repro.fastpath.interning.InternedChunk`), with their new
+        URLs' byte lengths taken from the stored prefixes.
+
         ``spans`` (an optional :class:`repro.obs.spans.SpanTracer`) times
         each chunk's decode as a ``decode`` span with record/byte
         counters — a child of the engine's source span. Telemetry only.
         """
-        from repro.fastpath.interning import InternedChunk
+        from repro.fastpath.interning import COLUMN_CODES, InternedChunk
 
-        np = load_numpy()
         buf = self._buf
         end = len(buf) - _FOOTER.size
         off = _HEADER.size
         records_seen = 0
         traced = spans is not None
         while off < end:
+            chunk_start = off
             if traced:
-                chunk_start = off
                 spans.begin("decode", "source")
             if off + _CHUNK_HEAD.size > end:
-                raise TraceError(f"packed trace {self.path!r}: chunk truncated")
+                raise self._corrupt("chunk truncated", off)
             mark, n, new_docs, new_clients, base_docs, base_clients, base_records = (
                 _CHUNK_HEAD.unpack_from(buf, off)
             )
             if mark != _CHUNK_MARK:
-                raise TraceError(
-                    f"packed trace {self.path!r}: bad chunk marker at {off}"
-                )
+                raise self._corrupt("bad chunk marker", off)
             if base_records != records_seen:
                 raise TraceError(
                     f"packed trace {self.path!r}: chunk base_records "
@@ -276,40 +316,29 @@ class PackedTraceReader:
                 )
             off += _CHUNK_HEAD.size
             width = n * 8
-            if np is not None:
-                doc_ids = np.frombuffer(buf, np.int64, n, off).tolist()
-                sizes = np.frombuffer(buf, np.int64, n, off + width).tolist()
-                timestamps = np.frombuffer(buf, np.float64, n, off + 2 * width).tolist()
-                clients = np.frombuffer(buf, np.int64, n, off + 3 * width).tolist()
-            else:
-                cols = []
-                for i, code in enumerate("qqdq"):
-                    col = array(code)
-                    col.frombytes(bytes(buf[off + i * width : off + (i + 1) * width]))
-                    cols.append(col.tolist())
-                doc_ids, sizes, timestamps, clients = cols
-            off += 4 * width
-            (blob_len,) = _U64.unpack_from(buf, off)
-            off += 8
-            new_urls = _unpack_strings(bytes(buf[off : off + blob_len]), new_docs)
-            off += blob_len
-            (blob_len,) = _U64.unpack_from(buf, off)
-            off += 8
-            new_client_names = _unpack_strings(
-                bytes(buf[off : off + blob_len]), new_clients
+            if off + len(COLUMN_CODES) * width > end:
+                raise self._corrupt(
+                    f"chunk of {n} records runs past the chunk data", chunk_start
+                )
+            columns = []
+            for code in COLUMN_CODES:
+                column = array(code)
+                column.frombytes(buf[off : off + width])
+                columns.append(column)
+                off += width
+            new_urls, new_url_lens, off = self._read_strings(off, end, new_docs, "url")
+            new_client_names, _, off = self._read_strings(
+                off, end, new_clients, "client"
             )
-            off += blob_len
             records_seen += n
             chunk = InternedChunk(
-                doc_ids=doc_ids,
-                sizes=sizes,
-                timestamps=timestamps,
-                clients=clients,
+                *columns,
                 new_urls=new_urls,
                 new_client_names=new_client_names,
                 base_docs=base_docs,
                 base_clients=base_clients,
                 base_records=base_records,
+                new_url_lens=new_url_lens,
             )
             if traced:
                 spans.end(records=n, bytes=off - chunk_start)

@@ -1,12 +1,14 @@
 """Warm-regime differential tests for the batch engine.
 
-The hit-run bulk scanner (block classification against the residency
-bitmap, deferred lazy-LRU scatters, prediction marks with
-flush-on-eviction) is exactly the machinery that engages once caches
-fill — so these matrices run *evicting* workloads, where every block
-can conflict and every EA decision reads live expiration ages. The
-satellite-task contracts covered here: hit-runs spanning chunk
-boundaries, the EA promotion-armed (residency) classification — a
+Once a cache has filled, the batch engine keeps exact LRU recency in one
+``OrderedDict`` per cache and walks the run-length-compressed requests
+in a single pass (``warm_loop``): a run on a resident slot is one
+recency touch, any other run sends its members through the scalar
+protocol path until an admission sticks. That machinery only engages on
+*evicting* workloads, where every EA decision reads live expiration
+ages — so these matrices evict. The contracts covered here: resident
+runs spanning chunk boundaries (a run cut by a boundary re-enters as a
+fresh run), the EA promotion-armed classification — a
 promotion-eligible hit is a local miss at the requesting leaf and must
 terminate the run — high-churn small-capacity matrices, and obs
 event-stream/manifest identity on warm workloads.
@@ -43,7 +45,7 @@ POLICIES = ("lru", "lfu")
 def warm_trace() -> Trace:
     """Hit-dominated evicting workload: high Zipf skew over a footprint
     a few times the test capacity, so replay spends most requests in
-    hit-runs while admissions/evictions keep invalidating blocks."""
+    resident runs while admissions/evictions keep turning runs over."""
     return generate_trace(
         SyntheticTraceConfig(
             num_requests=6_000,

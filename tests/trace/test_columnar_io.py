@@ -9,6 +9,7 @@ to replay of the original trace, and every structural corruption is a
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import pickle
 import struct
@@ -102,7 +103,7 @@ def test_replay_identity(trace, packed_path, engine):
 
 
 def test_no_numpy_decode_is_identical(packed_path, monkeypatch):
-    """The array-module decode path yields the same chunks."""
+    """One decode path: the list views agree with and without numpy."""
     with PackedTraceReader(packed_path) as reader:
         with_np = _chunk_tuples(reader, 700)
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
@@ -189,6 +190,133 @@ def test_rejected_file_is_closed(packed_path, tmp_path, match):
         gc.collect()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert not leaks, [str(w.message) for w in leaks]
+
+
+_HEAD = struct.Struct("<4sQQQQQQ")  # chunk head, after the 16-byte file header
+_FOOTER_BYTES = 64
+
+
+def _first_chunk_offsets(blob: bytes) -> dict:
+    """Byte offsets of the first stored chunk's structural fields."""
+    _mark, n, _docs, _clients, *_ = _HEAD.unpack_from(blob, 16)
+    columns = 16 + _HEAD.size
+    url_blob_len = columns + 32 * n
+    (url_bytes,) = struct.unpack_from("<Q", blob, url_blob_len)
+    return {
+        "n": 16 + 4,
+        "columns": columns,
+        "records": n,
+        "url_blob_len": url_blob_len,
+        "first_url_prefix": url_blob_len + 8,
+        "client_blob_len": url_blob_len + 8 + url_bytes,
+    }
+
+
+def _corrupted(good: bytes, case: str) -> bytes:
+    """``good`` with one structural field of its first chunk broken."""
+    at = _first_chunk_offsets(good)
+    blob = bytearray(good)
+    if case == "n claims more records than the file holds":
+        struct.pack_into("<Q", blob, at["n"], at["records"] + 10**6)
+    elif case == "n overflows any file":
+        struct.pack_into("<Q", blob, at["n"], 2**64 - 1)
+    elif case == "url blob length too long":
+        struct.pack_into("<Q", blob, at["url_blob_len"], 10**12)
+    elif case == "url blob length one short":
+        (length,) = struct.unpack_from("<Q", blob, at["url_blob_len"])
+        struct.pack_into("<Q", blob, at["url_blob_len"], length - 1)
+    elif case == "client blob length too long":
+        struct.pack_into("<Q", blob, at["client_blob_len"], 10**12)
+    elif case == "string prefix overruns":
+        struct.pack_into("<I", blob, at["first_url_prefix"], 0xFFFFFFF0)
+    elif case == "string prefix one short":
+        (length,) = struct.unpack_from("<I", blob, at["first_url_prefix"])
+        struct.pack_into("<I", blob, at["first_url_prefix"], length - 1)
+    elif case == "url byte is not utf-8":
+        blob[at["first_url_prefix"] + 4] = 0xFF
+    elif case == "truncated mid-column":
+        cut = at["columns"] + 8 * at["records"] + 5
+        blob = blob[:cut] + blob[-_FOOTER_BYTES:]
+    else:  # pragma: no cover - a typo in the parametrisation
+        raise AssertionError(case)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("numpy_leg", ("numpy", "no numpy"))
+@pytest.mark.parametrize(
+    "case",
+    (
+        "n claims more records than the file holds",
+        "n overflows any file",
+        "url blob length too long",
+        "url blob length one short",
+        "client blob length too long",
+        "string prefix overruns",
+        "string prefix one short",
+        "url byte is not utf-8",
+        "truncated mid-column",
+    ),
+)
+def test_corrupt_structure_is_a_trace_error(
+    packed_path, tmp_path, monkeypatch, case, numpy_leg
+):
+    """Every structural read is bounds-checked: a broken count, length,
+    prefix or byte is a TraceError naming the file and where — never a
+    struct.error / ValueError / UnicodeDecodeError out of the decoder —
+    and the reader still lets go of its handle and mapping."""
+    if numpy_leg == "no numpy":
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+    path = tmp_path / "corrupt.rpct"
+    path.write_bytes(_corrupted(Path(packed_path).read_bytes(), case))
+    config = SimulationConfig(aggregate_capacity=1_000_000, engine="batch")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with PackedTraceReader(str(path)) as reader:
+            with pytest.raises(TraceError, match="at offset [0-9]+") as decoding:
+                list(reader.interned_chunks(1))
+            with pytest.raises(TraceError, match="at offset [0-9]+"):
+                run_simulation(config, reader)
+        assert reader._fh.closed and reader._buf.closed
+        gc.collect()
+    assert str(path) in str(decoding.value)
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
+
+
+class RecordingSource:
+    """A streamed source that remembers the chunks it handed out."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.chunks = []
+
+    def interned_chunks(self, chunk_size):
+        for chunk in self._inner.interned_chunks(chunk_size):
+            self.chunks.append(chunk)
+            yield chunk
+
+
+@pytest.mark.parametrize("chunk_size", (700, 4096))
+def test_repack_is_byte_identical_and_builds_no_lists(trace, tmp_path, chunk_size):
+    """pack -> read -> pack: a buffer-backed chunk is written from its
+    buffers, so the file repeats byte for byte and no list column is made."""
+    first = str(tmp_path / "first.rpct")
+    second = str(tmp_path / "second.rpct")
+    write_packed(first, trace, chunk_size=chunk_size)
+    with PackedTraceReader(first) as reader:
+        source = RecordingSource(reader)
+        write_packed(second, source, chunk_size=chunk_size)
+        fingerprint = reader.fingerprint
+    digests = [
+        hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in (first, second)
+    ]
+    assert digests[0] == digests[1]
+    with PackedTraceReader(second) as reader:
+        assert reader.fingerprint == fingerprint
+    assert len(source.chunks) == -(-CFG.num_requests // chunk_size)
+    assert all(chunk.listed_columns == () for chunk in source.chunks)
 
 
 class _BreaksMidPack:
