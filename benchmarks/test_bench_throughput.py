@@ -99,6 +99,35 @@ def test_bench_columnar_requests_per_second(benchmark, micro_trace, scheme):
     assert result.to_json() == object_result.to_json()
 
 
+def test_bench_columnar_hier_lfu_requests_per_second(benchmark, micro_trace):
+    """The columnar core on the configs that never enter the batch fast
+    loop: hierarchical escalation with LFU replacement (the ``variant_grid``
+    workload of ``benchmarks/e2e``), at the capacity of the two entries
+    above, where it evicts 1 766 times in 5 000 requests — the admission
+    step's victim search, window record and age cell refresh are what this
+    entry adds to them.
+    """
+    config = SimulationConfig(
+        scheme="ea",
+        architecture="hierarchical",
+        policy="lfu",
+        num_caches=4,
+        aggregate_capacity=1 << 20,
+        seed=5,
+        engine="columnar",
+    )
+    micro_trace.interned()
+
+    def run():
+        return run_simulation(config, micro_trace)
+
+    result = benchmark.pedantic(run, rounds=7, iterations=1, warmup_rounds=1)
+    assert result.metrics.requests == len(micro_trace)
+    assert sum(s.evictions for s in result.cache_stats) > 1_000
+    object_result = CooperativeSimulator(config).run(micro_trace)
+    assert result.to_json() == object_result.to_json()
+
+
 @pytest.mark.parametrize("scheme", ["adhoc", "ea"])
 def test_bench_batch_requests_per_second(benchmark, micro_trace, scheme):
     """Batch-engine counterpart, same config/trace as the other two.

@@ -130,6 +130,12 @@ class _HeapPolicy(ReplacementPolicy):
     Subclasses define :meth:`_priority`; lower priorities are evicted first.
     Stale heap records (from re-pushes after hits) are skipped on pop by
     comparing against the latest priority recorded per URL.
+
+    Every hit pushes, and a record leaves only when it surfaces at a
+    victim search, so the heap grows with hits, not with residents. That
+    is left as it is on purpose: this class is the oracle
+    :class:`repro.fastpath.structures.LFUVictimHeap` (one record per
+    resident doc, re-keyed at the search) is tested against.
     """
 
     def __init__(self) -> None:

@@ -4,9 +4,14 @@ One function, :func:`simulate_columnar`, replays a trace through the exact
 protocol sequence of the object core — local lookup, ICP probe, remote or
 origin HTTP fetch, placement decisions, hierarchical escalation — over
 columnar state: per-cache parallel arrays indexed by dense doc id, an
-array-backed intrusive LRU list or lazy LFU heap for victim order, and a
-ring-buffer expiration-age tracker per cache. The replay loop performs no
-per-request allocation (lint rule RPR009 enforces this statically).
+array-backed intrusive LRU list or an LFU heap of one record per resident
+doc for victim order, and a ring-buffer expiration-age tracker per cache.
+The replay loop performs no per-request allocation (lint rule RPR009
+enforces this statically): a hit, under either policy, is a handful of
+list writes — the LFU heap is touched by admissions (one push), evictions
+(one pop) and the re-key of a stale top at the victim search, never by a
+hit (see :class:`repro.fastpath.structures.LFUVictimHeap`, whose columns
+the admission step binds and works on directly).
 
 Traces replay either whole (the classic path, using the per-trace memoised
 columns) or as a stream of :class:`repro.fastpath.interning.InternedChunk`
@@ -17,10 +22,21 @@ differential tests assert this, events included).
 
 Byte identity with the object core is the contract, not an aspiration:
 
-* Every expiration-age *read* the object core performs is mirrored here in
-  the same order — in the time-window mode a read trims the window (a side
-  effect), so even decision reads whose value is unused (the ad-hoc
-  scheme's audit fields) must happen.
+* Every expiration-age *read* the object core performs is mirrored here.
+  With ``window_mode`` ``count`` or ``cumulative`` a cache's age changes
+  only when that cache records an eviction, so the admission step
+  refreshes one cell per cache after its eviction loop (the value
+  :meth:`RingAgeTracker.record` hands back) and every read — placement
+  and promotion decisions, responder choice, snapshot rows — is a list
+  read; the length of the age's wire text is a second cell, formatted at
+  the first header that carries the refreshed age (so
+  ``format_expiration_age`` still checks every distinct age that reaches
+  the wire), and the digit count of a stored size is memoised per size.
+  With ``window_mode="time"`` a read trims the window — a side effect,
+  and the order of trims and records shows in the float sum — so there
+  every read stays a tracker call in the object core's order, including
+  the reads whose value is unused (the ad-hoc scheme's audit fields), and
+  no cell is consulted.
 * Window sums follow the same ``+=``/``-=`` sequence as the deque tracker
   (see :mod:`repro.fastpath.ringtracker`), so ages are bit-equal floats.
 * HTTP/ICP wire lengths use the same arithmetic as
@@ -38,13 +54,17 @@ it and falls back to the object engine.
 
 from __future__ import annotations
 
+import math
+from heapq import heappop, heappush, heapreplace
 from typing import List, Optional
 
-from repro.fastpath._frame import DEFAULT_CHUNK_SIZE, ReplayFrame  # noqa: F401
+from repro.errors import CacheConfigurationError
+from repro.fastpath._frame import ReplayFrame
 from repro.fastpath.ringtracker import RingAgeTracker
 from repro.fastpath.structures import IntrusiveLRUList, LFUVictimHeap
 from repro.protocol.http import format_expiration_age
 from repro.simulation.results import SimulationResult
+
 
 def simulate_columnar(
     config, trace, obs=None, chunk_size: Optional[int] = None,
@@ -70,8 +90,9 @@ def simulate_columnar(
             on its zero-overhead path (one hoisted bool guard per branch).
         chunk_size: Replay the trace in interned chunks of this many
             requests. ``None`` replays a materialised trace whole (and a
-            streamed source in :data:`DEFAULT_CHUNK_SIZE` chunks). Results
-            and event streams are byte-identical for every choice.
+            streamed source in
+            :data:`repro.fastpath._frame.DEFAULT_CHUNK_SIZE` chunks).
+            Results and event streams are byte-identical for every choice.
         spans: Optional :class:`repro.obs.spans.SpanTracer`. The engine
             opens one ``engine:columnar`` span, times each source pull
             (generation/decoding) and each chunk replay, and attaches
@@ -116,7 +137,22 @@ def simulate_columnar(
         for _ in range(num_caches)
     ]
     age_of = [tracker.cache_expiration_age for tracker in trackers]
-    record_age = [tracker.record for tracker in trackers]
+    # One cache's state columns, bound once for _admit (the lists and
+    # bytearrays grow in place, so the bindings stay valid across chunks).
+    columns = [
+        (present[c], doc_size[c], entry_time[c], last_hit[c], hit_count[c],
+         order[c], trackers[c].record)
+        for c in range(num_caches)
+    ]
+    # Age cells (module docstring): refreshed by _admit after an eviction
+    # loop, read everywhere else — unless the window is a time window,
+    # where every read is a tracker call and the cells are never consulted.
+    pure_window = config.window_mode != "time"
+    cur_age = [math.inf] * num_caches
+    # Wire-text length of cur_age: len("inf") to start with; -1 sends the
+    # reader to _age_text_len (after a refresh; in time mode, always).
+    age_len = [3 if pure_window else -1] * num_caches
+    size_len: dict = {}  # stored size -> len(str(size)), bounded by doc count
 
     # Per-doc protocol columns, grown with the intern table (engine-owned
     # copies; chunk deltas append here).
@@ -169,7 +205,7 @@ def simulate_columnar(
         """Per-cache gauge rows mirroring CooperativeSimulator._snapshot_rows."""
         return [
             (
-                age_of[c](due),
+                cur_age[c] if pure_window else age_of[c](due),
                 used[c],
                 copies[c],
                 st_lookups[c],
@@ -184,44 +220,66 @@ def simulate_columnar(
     # Shared operations (closures over the columnar state)
     # ---------------------------------------------------------------- #
 
+    def _age_text_len(cache: int, age: float) -> int:
+        """Wire length of ``cache``'s expiration age, for a reader that found
+        ``age_len[cache]`` unset: the first use since a refresh in the pure
+        window modes (which fills the cell), every use in time mode."""
+        length = len(fmt_age(age))
+        if pure_window:
+            age_len[cache] = length
+        return length
+
     def _admit(cache: int, doc: int, size: int, now: float) -> bool:
         """Mirror of ProxyCache.admit; returns AdmitOutcome.admitted."""
-        held = present[cache]
+        held, sizes_c, entry_c, last_c, hits_c, order_c, record_c = columns[cache]
         if held[doc]:
             # Already cached: refresh instead of re-admitting.
-            last_hit[cache][doc] = now
-            bumped = hit_count[cache][doc] + 1
-            hit_count[cache][doc] = bumped
+            last_c[doc] = now
+            bumped = hits_c[doc] + 1
+            hits_c[doc] = bumped
             if lru_kind:
-                order[cache].touch(doc)
+                order_c.touch(doc)
             else:
-                order[cache].push(doc, bumped)
+                order_c.push(doc, bumped)
             return True
         cap = capacity[cache]
         if size > cap:
             st_rejections[cache] += 1
             return False
         in_use = used[cache]
+        if not lru_kind:
+            # LFUVictimHeap's columns: the victim search, the pop and the
+            # admission push below are its victim / remove / push, run on
+            # these bindings without the three calls per eviction.
+            heap = order_c.heap
+            live_count = order_c.live_count
+            live_seq = order_c.live_seq
         if in_use + size > cap:
-            sizes_c = doc_size[cache]
-            last_c = last_hit[cache]
-            entry_c = entry_time[cache]
-            hits_c = hit_count[cache]
-            order_c = order[cache]
-            record_c = record_age[cache]
             evicted = 0
             evicted_bytes = 0
             while in_use + size > cap:
-                victim = order_c.head() if lru_kind else order_c.victim()
+                if lru_kind:
+                    victim = order_c.head()
+                    order_c.remove(victim)
+                    age = now - last_c[victim]
+                else:
+                    if not heap:
+                        raise CacheConfigurationError(
+                            "heap policy state corrupted: no live records"
+                        )
+                    while True:
+                        _count, seq, victim = heap[0]
+                        live = live_seq[victim]
+                        if live == seq:
+                            break
+                        heapreplace(heap, (live_count[victim], live, victim))  # stale key
+                    heappop(heap)
+                    live_seq[victim] = -1
+                    age = (now - entry_c[victim]) / hits_c[victim]
                 held[victim] = 0
                 victim_size = sizes_c[victim]
                 in_use -= victim_size
-                order_c.remove(victim)
-                if lru_kind:
-                    age = now - last_c[victim]
-                else:
-                    age = (now - entry_c[victim]) / hits_c[victim]
-                record_c(age, now)
+                refreshed = record_c(age, now)
                 if emit:
                     rec.eviction(now, cache, url_of[victim], victim_size, age)
                 evicted += 1
@@ -229,16 +287,23 @@ def simulate_columnar(
             st_evictions[cache] += evicted
             st_bytes_evicted[cache] += evicted_bytes
             copies[cache] -= evicted
+            if pure_window:
+                cur_age[cache] = refreshed
+                age_len[cache] = -1
         held[doc] = 1
-        doc_size[cache][doc] = size
-        entry_time[cache][doc] = now
-        last_hit[cache][doc] = now
-        hit_count[cache][doc] = 1
+        sizes_c[doc] = size
+        entry_c[doc] = now
+        last_c[doc] = now
+        hits_c[doc] = 1
         used[cache] = in_use + size
         if lru_kind:
-            order[cache].push(doc)
+            order_c.push(doc)
         else:
-            order[cache].push(doc, 1)
+            seq = order_c.seq + 1
+            order_c.seq = seq
+            live_seq[doc] = seq
+            live_count[doc] = 1
+            heappush(heap, (1, seq, doc))
         st_admissions[cache] += 1
         st_bytes_admitted[cache] += size
         copies[cache] += 1
@@ -272,19 +337,29 @@ def simulate_columnar(
         if present[node][doc]:
             # EA promotes only a longer-lived copy; ad-hoc always refreshes
             # (and performs no age read for the decision).
-            refresh = age_of[node](now) > requester_age if ea else True
+            if not ea:
+                refresh = True
+            elif pure_window:
+                refresh = cur_age[node] > requester_age
+            else:
+                refresh = age_of[node](now) > requester_age
             size = _serve_remote(node, doc, now, refresh)
-            node_age = age_of[node](now)
-            age_text = fmt_age(node_age)
+            node_age = cur_age[node] if pure_window else age_of[node](now)
+            text_len = age_len[node]
+            if text_len < 0:
+                text_len = _age_text_len(node, node_age)
+            digits_len = size_len.get(size)
+            if digits_len is None:
+                digits_len = size_len[size] = len(str(size))
             bus[3] += 1
-            bus[5] += 70 + len(str(size)) + sender_len[node] + len(age_text)
+            bus[5] += 70 + digits_len + sender_len[node] + text_len
             bus[6] += size
             if emit:
                 rec.promotion(now, node, url_of[doc], requester_age, node_age, refresh)
             return size, node, node_age, 1
 
         grandparent = parent[node]
-        node_age = age_of[node](now)
+        node_age = cur_age[node] if pure_window else age_of[node](now)
         if grandparent is None:
             # Root: fetch from the origin (request and response carry no age).
             bus[2] += 1
@@ -296,15 +371,17 @@ def simulate_columnar(
             found_at = None
             hops = 1
         else:
-            age_text = fmt_age(node_age)
+            text_len = age_len[node]
+            if text_len < 0:
+                text_len = _age_text_len(node, node_age)
             bus[2] += 1
-            bus[5] += url_len[doc] + sender_len[node] + len(age_text) + 50
+            bus[5] += url_len[doc] + sender_len[node] + text_len + 50
             size, found_at, _upstream, above = _resolve(
                 grandparent, doc, record_size, digits, node_age, now
             )
             hops = above + 1
         # Parent-store rule: both schemes read the node's own age.
-        own_age = age_of[node](now)
+        own_age = cur_age[node] if pure_window else age_of[node](now)
         if (own_age > requester_age) if ea else True:
             stored_node = _admit(node, doc, size, now)
         else:
@@ -315,10 +392,15 @@ def simulate_columnar(
                 now, "parent", node, url_of[doc], size, own_age, requester_age,
                 stored_node,
             )
-        node_age = age_of[node](now)
-        age_text = fmt_age(node_age)
+        node_age = cur_age[node] if pure_window else age_of[node](now)
+        text_len = age_len[node]
+        if text_len < 0:
+            text_len = _age_text_len(node, node_age)
+        digits_len = size_len.get(size)
+        if digits_len is None:
+            digits_len = size_len[size] = len(str(size))
         bus[3] += 1
-        bus[5] += 70 + len(str(size)) + sender_len[node] + len(age_text)
+        bus[5] += 70 + digits_len + sender_len[node] + text_len
         bus[6] += size
         return size, found_at, node_age, hops
 
@@ -397,17 +479,23 @@ def simulate_columnar(
                 # Remote hit via probe (same path for both architectures).
                 if max_age_strategy:
                     responder = holders[0]
-                    best_age = age_of[responder](now)
+                    best_age = cur_age[responder] if pure_window else age_of[responder](now)
                     for candidate in holders[1:]:
-                        candidate_age = age_of[candidate](now)
+                        candidate_age = (
+                            cur_age[candidate] if pure_window else age_of[candidate](now)
+                        )
                         if candidate_age > best_age:
                             responder = candidate
                             best_age = candidate_age
                 else:  # "first": lowest index
                     responder = min(holders)
                 # Scheme decision (both schemes read requester then responder).
-                requester_age = age_of[cache](now)
-                responder_age = age_of[responder](now)
+                if pure_window:
+                    requester_age = cur_age[cache]
+                    responder_age = cur_age[responder]
+                else:
+                    requester_age = age_of[cache](now)
+                    responder_age = age_of[responder](now)
                 if ea:
                     if requester_age > responder_age:
                         store = True
@@ -427,13 +515,20 @@ def simulate_columnar(
                 ):
                     store = False
                     refresh = True
-                age_text = fmt_age(requester_age)
+                text_len = age_len[cache]
+                if text_len < 0:
+                    text_len = _age_text_len(cache, requester_age)
                 bus[2] += 1
-                bus[5] += url_len[doc] + sender_len[cache] + len(age_text) + 50
+                bus[5] += url_len[doc] + sender_len[cache] + text_len + 50
                 _serve_remote(responder, doc, now, refresh)
-                age_text = fmt_age(responder_age)
+                text_len = age_len[responder]
+                if text_len < 0:
+                    text_len = _age_text_len(responder, responder_age)
+                digits_len = size_len.get(size)
+                if digits_len is None:
+                    digits_len = size_len[size] = len(str(size))
                 bus[3] += 1
-                bus[5] += 70 + len(str(size)) + sender_len[responder] + len(age_text)
+                bus[5] += 70 + digits_len + sender_len[responder] + text_len
                 bus[6] += size
                 if emit:
                     rec.promotion(
@@ -475,7 +570,8 @@ def simulate_columnar(
                 bus[3] += 1
                 bus[5] += 50 + digits
                 bus[6] += record_size
-                own_age = age_of[cache](now)  # origin_fetch decision reads the own age
+                # origin_fetch decision reads the own age
+                own_age = cur_age[cache] if pure_window else age_of[cache](now)
                 stored_here = _admit(cache, doc, record_size, now)
                 if emit:
                     rec.placement_origin(
@@ -499,15 +595,17 @@ def simulate_columnar(
                 continue
 
             # Hierarchical escalation: all probes negative, parent resolves.
-            requester_age = age_of[cache](now)
-            age_text = fmt_age(requester_age)
+            requester_age = cur_age[cache] if pure_window else age_of[cache](now)
+            text_len = age_len[cache]
+            if text_len < 0:
+                text_len = _age_text_len(cache, requester_age)
             bus[2] += 1
-            bus[5] += url_len[doc] + sender_len[cache] + len(age_text) + 50
+            bus[5] += url_len[doc] + sender_len[cache] + text_len + 50
             size, found_at, upstream_age, hops = _resolve(
                 up, doc, record_size, digits, requester_age, now
             )
             # Child-store rule (both schemes read the child's own age).
-            child_age = age_of[cache](now)
+            child_age = cur_age[cache] if pure_window else age_of[cache](now)
             if ea:
                 if child_age > upstream_age:
                     store = True

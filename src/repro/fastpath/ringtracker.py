@@ -35,7 +35,8 @@ _INITIAL_TIME_CAPACITY = 64
 class RingAgeTracker:
     """Drop-in :class:`ExpirationAgeTracker` replacement on a ring buffer.
 
-    The engine feeds it pre-computed document ages via :meth:`record`;
+    The engine feeds it pre-computed document ages via :meth:`record`,
+    which answers with the cache's refreshed expiration age;
     :meth:`record_eviction` keeps the object tracker's record-based API for
     parity tests and external callers.
     """
@@ -91,27 +92,41 @@ class RingAgeTracker:
     # ------------------------------------------------------------------ #
 
     def record(self, age: float, evict_time: float) -> float:
-        """Fold one eviction (pre-computed document age) into the window."""
-        self._total_evictions += 1
-        self._cumulative_sum += age
+        """Fold one eviction (pre-computed document age) into the window.
+
+        Returns the cache expiration age that now holds — what
+        :meth:`cache_expiration_age` would answer at ``evict_time``. In the
+        cumulative and count modes that value stands until the next
+        ``record``, so the engine keeps it in a cell and never calls back
+        for it; in the time mode any later read may trim the window.
+        """
+        total = self._total_evictions + 1
+        self._total_evictions = total
+        cumulative_sum = self._cumulative_sum + age
+        self._cumulative_sum = cumulative_sum
         mode = self.window_mode
         if mode == "cumulative":
-            return age
+            return cumulative_sum / total
         if mode == "count":
             # Same arithmetic order as the deque tracker: add the new age,
             # then subtract the displaced oldest one.
-            self._window_sum += age
+            window_sum = self._window_sum + age
+            count = self._count
             capacity = self._capacity
             head = self._head
-            if self._count == capacity:
-                self._window_sum -= self._ages[head]
-                self._ages[head] = age
+            if count == capacity:
+                ages = self._ages
+                window_sum -= ages[head]
+                ages[head] = age
                 self._head = head + 1 if head + 1 < capacity else 0
             else:
-                self._ages[(head + self._count) % capacity] = age
-                self._count += 1
-            return age
-        # time mode: append (growing if full), then trim lazily.
+                self._ages[(head + count) % capacity] = age
+                count += 1
+                self._count = count
+            self._window_sum = window_sum
+            return window_sum / count
+        # time mode: append (growing if full), then trim lazily. The trim
+        # cannot reach the victim just appended, so the window is not empty.
         if self._count == self._capacity:
             self._grow()
         slot = (self._head + self._count) % self._capacity
@@ -120,11 +135,14 @@ class RingAgeTracker:
         self._count += 1
         self._window_sum += age
         self._trim_time(evict_time)
-        return age
+        return self._window_sum / self._count
 
     def record_eviction(self, record: EvictionRecord) -> float:
-        """Object-tracker-compatible entry point: score then record."""
-        return self.record(document_expiration_age(record, self.kind), record.evict_time)
+        """Object-tracker-compatible entry point: score, record, return the
+        document's age."""
+        age = document_expiration_age(record, self.kind)
+        self.record(age, record.evict_time)
+        return age
 
     def _grow(self) -> None:
         """Double the time-mode ring, unrolling it to start at index 0."""

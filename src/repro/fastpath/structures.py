@@ -3,14 +3,15 @@
 These mirror the object policies' victim semantics exactly —
 :class:`IntrusiveLRUList` reproduces :class:`repro.cache.replacement.LRUPolicy`
 (an ``OrderedDict`` by recency) and :class:`LFUVictimHeap` reproduces
-:class:`repro.cache.replacement.LFUPolicy` (a lazy min-heap keyed on
-``(hit_count, push_seq)``) — but are indexed by integer doc id so the
-replay loop never hashes a string and never allocates per operation.
+:class:`repro.cache.replacement.LFUPolicy` (a min-heap keyed on
+``(hit_count, push_seq)``, re-keyed at the victim search instead of
+re-pushed on every hit) — but are indexed by integer doc id so the replay
+loop never hashes a string and never allocates per request.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Iterator, List, Tuple
 
 from repro.errors import CacheConfigurationError
@@ -118,47 +119,80 @@ class IntrusiveLRUList:
 
 
 class LFUVictimHeap:
-    """Lazy min-heap over ``(hit_count, push_seq, doc)`` triples.
+    """Min-heap of ``(hit_count, seq, doc)`` holding one record per resident doc.
 
     Identical victim order to :class:`repro.cache.replacement.LFUPolicy`:
     lowest hit count wins, ties broken by the oldest push (least recent
-    refresh). Each push records a per-doc live sequence number; heap
-    records whose sequence is stale are skipped on pop. Since sequence
-    numbers are unique per push, matching the sequence is exactly the
-    object policy's ``(priority, seq)`` match.
+    refresh). The object policy pushes a fresh record on every hit and
+    skips the stale ones when it pops; here a hit only advances the doc's
+    *live* ``(count, seq)`` — the sequence counter ticks at exactly the
+    pushes the policy's does, since it breaks the ties — and the record
+    stays where it is. Counts and sequences only ever rise, so a record's
+    key is a lower bound on its doc's live key: :meth:`victim` re-keys a
+    stale top in place and stops at the first current record, which
+    therefore carries the lowest live key. The heap never outgrows the
+    resident set, whatever the hit count.
+
+    ``heap``, ``live_count``, ``live_seq`` and ``seq`` are public the way
+    :class:`IntrusiveLRUList`'s arrays are: the columnar core binds them in
+    its admission step and runs :meth:`push` / :meth:`victim` /
+    :meth:`remove` on them without the calls. The lists are only ever
+    mutated in place, so a binding stays valid across :meth:`grow`.
     """
 
-    __slots__ = ("_heap", "_live_seq", "_seq")
+    __slots__ = ("heap", "live_count", "live_seq", "seq")
 
     def __init__(self, num_docs: int):
-        self._heap: List[Tuple[int, int, int]] = []
-        self._live_seq: List[int] = [-1] * num_docs
-        self._seq = 0
+        self.heap: List[Tuple[int, int, int]] = []
+        self.live_count: List[int] = [0] * num_docs
+        self.live_seq: List[int] = [-1] * num_docs  # -1: not resident
+        self.seq = 0
+
+    def __len__(self) -> int:
+        """Heap records held — one per resident doc."""
+        return len(self.heap)
 
     def grow(self, num_docs: int) -> None:
         """Extend capacity to ``num_docs`` docs (streamed-chunk intern delta)."""
-        add = num_docs - len(self._live_seq)
+        add = num_docs - len(self.live_seq)
         if add > 0:
-            self._live_seq.extend([-1] * add)
+            self.live_count.extend([0] * add)
+            self.live_seq.extend([-1] * add)
 
     def push(self, doc: int, count: int) -> None:
-        """(Re-)insert ``doc`` with its current hit count."""
-        self._seq += 1
-        seq = self._seq
-        self._live_seq[doc] = seq
-        heappush(self._heap, (count, seq, doc))
+        """Admit ``doc``, or advance a resident doc's live key (a hit)."""
+        seq = self.seq + 1
+        self.seq = seq
+        live_seq = self.live_seq
+        admission = live_seq[doc] < 0
+        live_seq[doc] = seq
+        self.live_count[doc] = count
+        if admission:
+            heappush(self.heap, (count, seq, doc))
 
     def remove(self, doc: int) -> None:
-        """Mark ``doc``'s heap records stale (eviction)."""
-        self._live_seq[doc] = -1
+        """Drop ``doc``'s record (eviction).
+
+        One pop for the doc :meth:`victim` just returned — the only
+        removal the engine performs; any other doc costs a rebuild.
+        """
+        self.live_seq[doc] = -1
+        heap = self.heap
+        if heap and heap[0][2] == doc:
+            heappop(heap)
+        else:
+            heap[:] = [record for record in heap if record[2] != doc]
+            heapify(heap)
 
     def victim(self) -> int:
-        """The live doc with the lowest ``(hit_count, push_seq)``."""
-        heap = self._heap
-        live = self._live_seq
-        while heap:
+        """The resident doc with the lowest live ``(hit_count, seq)``."""
+        heap = self.heap
+        if not heap:
+            raise CacheConfigurationError("heap policy state corrupted: no live records")
+        live_seq = self.live_seq
+        while True:
             _count, seq, doc = heap[0]
-            if live[doc] == seq:
+            live = live_seq[doc]
+            if live == seq:
                 return doc
-            heappop(heap)  # stale record
-        raise CacheConfigurationError("heap policy state corrupted: no live records")
+            heapreplace(heap, (self.live_count[doc], live, doc))  # stale key

@@ -137,6 +137,26 @@ def test_record_fast_path_equals_record_eviction():
     assert via_record.snapshot() == via_eviction.snapshot()
 
 
+@pytest.mark.parametrize(
+    "window_kwargs",
+    [
+        {"window_mode": "cumulative"},
+        {"window_mode": "count", "window_size": 1},
+        {"window_mode": "count", "window_size": 7},
+        {"window_mode": "time", "window_seconds": 120.0},
+    ],
+)
+def test_record_returns_the_refreshed_cache_age(window_kwargs):
+    """What record() hands back is the age both trackers report at that
+    instant — the value the engine keeps in its per-cache cell."""
+    deque_tracker, ring = _pair(kind="lfu", **window_kwargs)
+    for record in _random_evictions(random.Random(12), 300):
+        deque_tracker.record_eviction(record)
+        refreshed = ring.record(record.lfu_expiration_age, record.evict_time)
+        assert refreshed == deque_tracker.cache_expiration_age(record.evict_time)
+        assert refreshed == ring.cache_expiration_age(record.evict_time)
+
+
 def test_validation_matches_object_tracker():
     """Same rejects, same messages as ExpirationAgeTracker.__init__."""
     cases = [

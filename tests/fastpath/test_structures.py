@@ -146,3 +146,45 @@ class TestLFUVictimHeap:
         heap.remove(0)
         with pytest.raises(CacheConfigurationError, match="no live records"):
             heap.victim()
+
+
+class TestLFUVictimHeapFootprint:
+    """One heap record per resident doc, however many hits it takes."""
+
+    def test_hits_do_not_grow_the_heap(self):
+        rng = random.Random(5)
+        heap = LFUVictimHeap(50)
+        policy = LFUPolicy()
+        entries = {doc: _entry(doc, now=0.0) for doc in range(50)}
+        for doc, entry in entries.items():
+            heap.push(doc, entry.hit_count)
+            policy.on_admit(entry)
+        for step in range(10_000):
+            doc = rng.randrange(50)
+            entries[doc].record_hit(float(step))
+            heap.push(doc, entries[doc].hit_count)
+            policy.on_hit(entries[doc])
+        assert len(heap) == 50
+        # ... and the records left behind still yield the policy's order.
+        for remaining in range(50, 0, -1):
+            assert len(heap) == remaining
+            victim = heap.victim()
+            assert victim == _doc_of(policy.select_victim())
+            heap.remove(victim)
+            policy.on_evict(entries.pop(victim))
+
+    def test_removing_a_doc_that_is_not_the_victim(self):
+        heap = LFUVictimHeap(4)
+        for doc in range(4):
+            heap.push(doc, 1)
+        heap.push(0, 2)  # stale record for 0 stays on top
+        heap.remove(2)
+        assert len(heap) == 3
+        assert heap.victim() == 1
+        heap.remove(1)
+        assert heap.victim() == 3
+        heap.push(2, 1)  # re-admission starts a fresh record
+        assert len(heap) == 3
+        assert heap.victim() == 3
+        heap.remove(3)
+        assert heap.victim() == 2

@@ -39,17 +39,19 @@ def stream_for(
     engine: str,
     snapshot_interval: float = 0.0,
     recorder_cls=RunRecorder,
+    chunk_size=None,
 ):
     """Replay ``trace`` on one engine with events on; returns (text, result).
 
     ``recorder_cls`` swaps in the serialisation oracle
-    (:class:`tests.obs.reference_recorder.ReferenceRecorder`).
+    (:class:`tests.obs.reference_recorder.ReferenceRecorder`);
+    ``chunk_size`` makes the columnar engine replay in interned chunks.
     """
     sink = io.StringIO()
     recorder = recorder_cls(sink, snapshot_interval)
     recorder.begin(config_hash(config), trace.fingerprint())
     if engine == "columnar":
-        result = simulate_columnar(config, trace, obs=recorder)
+        result = simulate_columnar(config, trace, obs=recorder, chunk_size=chunk_size)
     else:
         result = CooperativeSimulator(config, obs=recorder).run(trace)
     recorder.end()
