@@ -702,7 +702,8 @@ def _print_batch_regimes(regimes: dict, stats, elapsed: float) -> None:
     cumulative time is the scalar protocol path, the rest of
     ``warm_loop`` is its resident runs (one LRU touch each), and
     everything else (vectorised cold replay, precompute, post-pass) is
-    the remainder.
+    the remainder. A share whose frame is missing from the stats although
+    its regime handled requests prints ``n/a``, never a measured-looking 0.
     """
     if "fallback_reason" in regimes:
         print(f"batch fast loop not engaged: {regimes['fallback_reason']}")
@@ -717,20 +718,34 @@ def _print_batch_regimes(regimes: dict, stats, elapsed: float) -> None:
         "batch regime breakdown (requests): "
         + ", ".join(f"{k} {c:,} ({100.0 * c / total:.1f}%)" for k, c in counts)
     )
-    warm_c = scalar_c = 0.0
-    for (fname, _line, func), entry in stats.stats.items():
-        if fname == "batch.py" and func == "warm_loop":
-            warm_c = entry[3]
-        elif fname == "batch.py" and func == "miss_path":
-            scalar_c = entry[3]
-    resident = max(warm_c - scalar_c, 0.0)
-    rest = max(elapsed - warm_c, 0.0)
+    frames = {
+        func: entry[3]
+        for (fname, _line, func), entry in stats.stats.items()
+        if fname == "batch.py" and func in ("warm_loop", "miss_path")
+    }
+    # A regime that handled requests ran its frame: if the profiler has no
+    # such frame (renamed, inlined), its time is unknown, not zero.
+    ran = {
+        "warm_loop": regimes.get("hit_run", 0) + regimes.get("scalar", 0) > 0,
+        "miss_path": regimes.get("scalar", 0) > 0,
+    }
     wall = elapsed or 1.0
+
+    def share(label: str, seconds: float, *read_from: str) -> str:
+        for name in read_from:
+            if ran[name] and name not in frames:
+                return f"{label} n/a (frame {name} not found)"
+        return f"{label} {seconds:.3f}s ({100.0 * seconds / wall:.1f}%)"
+
+    warm_c = frames.get("warm_loop", 0.0)
+    scalar_c = frames.get("miss_path", 0.0)
     print(
         "batch wall-time share: "
-        f"resident runs {resident:.3f}s ({100.0 * resident / wall:.1f}%), "
-        f"scalar path {scalar_c:.3f}s ({100.0 * scalar_c / wall:.1f}%), "
-        f"cold+precompute+post-pass {rest:.3f}s ({100.0 * rest / wall:.1f}%)"
+        + ", ".join((
+            share("resident runs", max(warm_c - scalar_c, 0.0), "warm_loop", "miss_path"),
+            share("scalar path", scalar_c, "miss_path"),
+            share("cold+precompute+post-pass", max(elapsed - warm_c, 0.0), "warm_loop"),
+        ))
     )
 
 

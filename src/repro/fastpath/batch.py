@@ -17,7 +17,8 @@ whole-chunk batch precomputation:
 * **Exact O(1) LRU** — once any cache has filled, recency is one
   ``collections.OrderedDict`` per cache mapping ``slot -> last-touch
   timestamp`` (a C-implemented linked list, as in the object core's
-  :class:`~repro.cache.replacement.LRUPolicy`): a local hit is ``od[slot] = ts; od.move_to_end(slot)``, an admission is
+  :class:`~repro.cache.replacement.LRUPolicy`): a local hit is
+  ``od[slot] = ts; od.move_to_end(slot)``, an admission is
   ``od[slot] = now`` and an eviction is ``od.popitem(last=False)``. The
   order is the true touch order at every instant, so the victim (and
   therefore every expiration age) is the LRU list's victim by
@@ -26,16 +27,21 @@ whole-chunk batch precomputation:
   leaf) pair cannot change any observable decision after the first one
   resolves to a resident copy, so the stateful loop iterates *run starts*
   only; members are accounted in the vectorised post-pass.
-* **Resident runs (the warm regime)** — replay still spends most of its
-  time on *local hits on already-resident documents* (Zipf skew).
-  ``warm_loop`` is one pass over the run columns: a run whose slot is
-  resident (one ``present_b`` byte) costs one LRU touch at its last
-  member's timestamp; any other run takes the scalar protocol path
-  (``miss_path``: probe scan, remote serve + placement, or origin fetch +
-  admission), its members re-missing until an admission sticks. Local
-  hits can never change placement in this protocol — EA placement and
-  promotion decisions only happen on *remote* hits, which are local
-  misses at the requesting leaf.
+* **Resident runs (the warm regime)** — ``warm_loop`` is one pass over
+  the run columns. A run whose slot is resident (one ``present_b`` byte)
+  is all local hits — most of a replay, under Zipf skew — and costs one
+  LRU touch at its last member's timestamp. Any other run is one
+  ``miss_path`` call, the scalar protocol path: per member a probe scan
+  (``bytearray.find`` under ``responder_strategy="first"``), remote
+  serve + placement or origin fetch, then admission and evictions
+  inline, until a copy sticks. Local hits can never change placement in
+  this protocol — EA placement and promotion decisions only happen on
+  *remote* hits, which are local misses at the requesting leaf.
+* **Lazy age cells** — an eviction folds the victim's age into its
+  cache's window (``deque(maxlen=W)`` + running sum, the ``+=``/``-=``
+  sequence of :meth:`RingAgeTracker.record`, so sums are bit-equal) and
+  marks the age stale; :meth:`_FastState.refresh_age` divides at the next
+  *read* (a remote hit, a ``max_age`` scan, the result), formats for headers.
 * **First-occurrence / compulsory-miss masks (the cold regime)** — while
   no cache has ever filled, every expiration age is ``inf``, EA placement
   decisions are constants, every admission succeeds, and a request can
@@ -43,15 +49,22 @@ whole-chunk batch precomputation:
   leaf) slot*. Those first occurrences are found vectorially (one stable
   argsort per chunk, memoised for whole-trace replay), a split index is
   computed where the regime provably ends (first admission that would
-  evict, reject, or trip the replica cap), and the prefix replays with a
-  Python loop over first occurrences *only* — local hits are pure
+  evict, reject, or trip the replica cap), and the prefix replays as
+  array operations over first occurrences *only* — local hits are pure
   post-pass arithmetic. The general loop takes over at the split.
-* **Outcome post-pass** — the loop records one outcome byte per request
-  (0 local hit / 2 remote hit / 3 origin miss) plus the served size;
-  metrics, per-cache stats, bus counters, and the latency fold are then
-  computed from those columns in bulk. The ordered float latency
-  accumulation uses ``np.add.accumulate`` (a strict left fold), which is
-  bit-identical to the serial ``+=`` sequence.
+* **Outcome post-pass** — the loop records one byte per request and the
+  served size (an ``array('q')`` in the warm regime: no numpy store per
+  request). The low two bits are the class (0 local hit / 2 remote hit /
+  3 origin miss); the warm regime adds 4 for a declined placement and 8
+  for a copy larger than the cache. Metrics, per-cache stats, bus
+  counters and the latency fold come from those columns in bulk; so do
+  admissions, admitted bytes, rejections and declines (per-leaf counts
+  of the bytes), and then ``copies = len(lru[c])``, ``evictions =
+  admissions - copies`` and ``bytes_evicted = bytes_admitted - used`` by
+  conservation. The loop tallies only what needs the responder or a live
+  age: remote serves, promotions, age-dependent header bytes. The
+  ordered float latency accumulation uses ``np.add.accumulate`` (a
+  strict left fold), bit-identical to the serial ``+=`` sequence.
 
 Byte identity with both existing engines is the contract: the
 differential matrix in ``tests/fastpath`` asserts equal ``to_json`` text
@@ -75,7 +88,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import List, Optional
 
 from repro.fastpath._frame import ReplayFrame, check_envelope
@@ -167,9 +180,9 @@ class _FastState(ReplayFrame):
         self.cap = self.capacity[0]  # equal shares: one scalar serves every admit check
         self.num_docs = 0
         # Per-slot metadata lives in buffer-protocol columns — ``array`` /
-        # ``bytearray`` — so the scalar protocol path (miss_path/_admit,
-        # which runs once per *state-changing* request and dominates
-        # evicting replay) gets Python-speed element access, while the
+        # ``bytearray`` — so the scalar protocol path (miss_path, which
+        # runs once per *state-changing* request and dominates evicting
+        # replay) gets Python-speed element access, while the
         # cold regime takes zero-copy ``np.frombuffer`` views for bulk
         # scatters. Views are created where needed and dropped before the
         # next growth (a buffer with an exported view cannot be resized).
@@ -182,6 +195,16 @@ class _FastState(ReplayFrame):
         # Per cache: resident slot -> last-touch timestamp, least recently
         # touched first. Empty until the cold regime ends.
         self.lru: List[OrderedDict] = [OrderedDict() for _ in range(self.num_caches)]
+        # Expiration-age window per cache: ``wsum`` is the running sum
+        # miss_path folds victim ages into — the count window's (``win[c]``
+        # holds its ages) or the cumulative one (``wtot[c]`` evictions).
+        # The age and its wire-text length are cells (:meth:`refresh_age`).
+        self.count_mode = config.window_mode == "count"
+        self.win = [deque(maxlen=config.window_size) for _ in range(self.num_caches)]
+        self.wsum = [0.0] * self.num_caches
+        self.wtot = [0] * self.num_caches
+        self.cur_age = [_INF] * self.num_caches
+        self.age_len = [3] * self.num_caches  # len("inf")
 
         # Per-doc protocol columns (engine-owned copies, grown per chunk).
         self.url_len_g = _NpGrow(np)
@@ -252,6 +275,24 @@ class _FastState(ReplayFrame):
             cols = memo[key] = _columns_np(self, chunk, cached_source)
         return cols
 
+    def refresh_age(self, c: int, wire: bool = False) -> float:
+        """Cache ``c``'s age, recomputed from its window if stale.
+
+        The one place a window sum becomes an age: a reader of ``cur_age``
+        / ``age_len`` comes here first when ``age_len[c]`` is negative
+        (stale: an eviction happened, so the divisor is not zero) or, for
+        a header, 0 (a fresh age nobody needed as text yet). Only headers
+        ask for ``wire``, so ``format_expiration_age`` checks exactly the
+        ages the object core puts on the wire.
+        """
+        if self.age_len[c] < 0:
+            evictions = len(self.win[c]) if self.count_mode else self.wtot[c]
+            self.cur_age[c] = self.wsum[c] / evictions
+            self.age_len[c] = 0
+        if wire:
+            self.age_len[c] = len(format_expiration_age(self.cur_age[c]))
+        return self.cur_age[c]
+
     def leave_cold(self) -> None:
         """End the cold regime: hand recency from the columns to ``lru``.
 
@@ -301,233 +342,169 @@ def _simulate_fast(
     dsz = st.dsz
     lru = st.lru
     used = st.used
-    copies = st.copies
     st_remote_served = st.st_remote_served
-    st_admissions = st.st_admissions
-    st_rejections = st.st_rejections
-    st_evictions = st.st_evictions
     st_bytes_remote = st.st_bytes_remote
-    st_bytes_admitted = st.st_bytes_admitted
-    st_bytes_evicted = st.st_bytes_evicted
-    st_declined = st.st_declined
     st_promo_granted = st.st_promo_granted
     st_promo_withheld = st.st_promo_withheld
     bus = st.bus
     ea = st.ea
     tie_requester = st.tie_requester
-    replica_cap = st.replica_cap
-    rc_on = replica_cap is not None
+    rc_limit = _INF if st.replica_cap is None else st.replica_cap * cap
     max_age_strategy = st.max_age_strategy
-    fmt_age = format_expiration_age
-
-    # Inline expiration-age window state (same arithmetic sequence as
-    # RingAgeTracker / the object deque tracker, so sums are bit-equal).
-    count_mode = config.window_mode == "count"
+    count_mode = st.count_mode
     W = config.window_size
-    ring: List[List[float]] = [[0.0] * (W if count_mode else 0) for _ in range(NC)]
-    rhead = [0] * NC
-    rcount = [0] * NC
-    rsum = [0.0] * NC
-    csum = [0.0] * NC
-    tot = [0] * NC
-    # Cached age value + formatted-age text length per cache; ages change
-    # only when an eviction records into the window, so reads are O(1).
-    cur_age = [_INF] * NC
-    age_len = [3] * NC  # len("inf")
+    win = st.win
+    wsum = st.wsum
+    wtot = st.wtot
+    cur_age = st.cur_age
+    age_len = st.age_len
+    refresh_age = st.refresh_age
     sdig: dict = {}  # stored-size -> len(str(size)), bounded by doc count
 
-    # Rebound per chunk; miss_path reads them as free variables (the
-    # lists only for a chunk whose stateful tail runs).
-    # repro: domains[out=chunk-offset->any:uint8]
-    leaf_l: List[int] = []
-    rsz_l: List[int] = []
+    # Rebound per chunk, like the scalar lists and run columns of a chunk
+    # whose stateful tail runs; the kernel reads them as free variables.
+    # repro: domains[out=chunk-offset->any:uint8, served=chunk-offset->byte-size:int64]
     out = bytearray()
-    served: List[int] = []
+    served = array("q")
     # Lean mode is only sound while *every* request so far matched its
     # doc's first-seen size: one deviating chunk can leave a stored size
     # that differs from the size column, so the flag latches off.
     lean = True
 
-    def miss_path(i: int, slot: int, now: float) -> None:
-        """Everything after a failed local lookup for request ``i``.
+    def miss_path(slot: int, i: int, e: int, now: float) -> None:
+        """Members ``i..e`` of a run whose slot is not resident.
 
         Mirrors the columnar engine's miss branch for the distributed
-        architecture: ICP probe scan, remote serve + placement decision,
-        or origin fetch + admission — with all outcome-classifiable
-        accounting (bus/metrics/latency) deferred to the post-pass via
-        ``out``/``served``.
+        architecture, one member at a time until a copy sticks: ICP probe
+        scan, remote serve + placement decision or origin fetch, then
+        ProxyCache.admit for a non-resident doc (its refresh branch is
+        unreachable here, ``entry_time``/``hit_count`` are dead state
+        under LRU). The rest of the run is local hits on the new copy:
+        one recency write. Everything a request's outcome byte classifies
+        (see the module docstring) is left to the post-pass.
         """
         cache = leaf_l[i]
         base = slot - cache
-        # Probe scan in the engine's target order (ascending siblings).
-        responder = -1
-        if max_age_strategy:
-            best_age = 0.0
-            for t in probe_targets[cache]:
-                if present_b[base + t]:
-                    t_age = cur_age[t]
-                    if responder < 0 or t_age > best_age:
-                        responder = t
-                        best_age = t_age
-        else:  # "first": lowest holder index == first hit in ascending scan
-            for t in probe_targets[cache]:
-                if present_b[base + t]:
-                    responder = t
-                    break
-
-        if responder >= 0:
-            # Remote hit. Scheme decision reads requester then responder age.
-            req_age = cur_age[cache]
-            resp_age = cur_age[responder]
-            if ea:
-                if req_age > resp_age:
-                    store = True
-                elif req_age == resp_age:
-                    store = tie_requester
-                else:
-                    store = False
-                refresh = resp_age > req_age
+        while True:
+            if max_age_strategy:
+                rslot = -1
+                best_age = 0.0
+                for t in probe_targets[cache]:
+                    if present_b[base + t]:
+                        t_age = refresh_age(t) if age_len[t] < 0 else cur_age[t]
+                        if rslot < 0 or t_age > best_age:
+                            rslot = base + t
+                            best_age = t_age
             else:
-                store = True
+                # "first": the lowest holder (the requester's own byte is 0).
+                rslot = present_b.find(1, base, base + NC)
+
+            if rslot < 0:
+                # Group-wide miss: origin fetch, store at the requester.
+                # The engine's own-age decision read is side-effect-free
+                # in pure window modes, so only the admission remains.
+                size = rsz_l[i]
+                code = 3
+            else:
+                # Remote hit. Scheme decision reads requester then
+                # responder age; a stale cell is refreshed on the way.
+                responder = rslot - base
+                if age_len[cache] <= 0:
+                    refresh_age(cache, True)
+                if age_len[responder] <= 0:
+                    refresh_age(responder, True)
+                size = dsz[rslot]
+                code = 2
                 refresh = True
-            rslot = base + responder
-            size = dsz[rslot]
-            if rc_on and store and size > replica_cap * cap:
-                store = False
-                refresh = True
-            # Header bytes that need the responder / the live ages stay
-            # inline; the (doc, leaf)-only request-header base is summed in
-            # the post-pass from the precomputed column.
-            al = age_len[cache]
-            if al < 0:
-                al = len(fmt_age(req_age))
-                age_len[cache] = al
-            alr = age_len[responder]
-            if alr < 0:
-                alr = len(fmt_age(resp_age))
-                age_len[responder] = alr
-            sd = sdig.get(size)
-            if sd is None:
-                sd = len(str(size))
-                sdig[size] = sd
-            bus[5] += al + alr + 70 + sd + sender_len[responder]
-            # serve_remote at the responder.
-            st_remote_served[responder] += 1
-            st_bytes_remote[responder] += size
-            if refresh:
-                st_promo_granted[responder] += 1
-                od = lru[responder]
-                od[rslot] = now
-                od.move_to_end(rslot)
-            else:
-                st_promo_withheld[responder] += 1
-            if store:
-                _admit(cache, slot, size, now)
-            else:
-                st_declined[cache] += 1
-            out[i] = 2
-            served[i] = size
-            return
-
-        # Group-wide miss: origin fetch, store at the requester. The
-        # engine's own-age decision read is side-effect-free in pure
-        # window modes, so only the admission remains.
-        size = rsz_l[i]
-        _admit(cache, slot, size, now)
-        out[i] = 3
-        served[i] = size
-
-    def _admit(cache: int, slot: int, size: int, now: float) -> None:
-        """Mirror of ProxyCache.admit for a non-resident doc.
-
-        The refresh branch is unreachable here (every caller just saw
-        ``present_b[slot] == 0``), and ``entry_time``/``hit_count`` are
-        dead state under LRU — both are elided.
-        """
-        if size > cap:
-            st_rejections[cache] += 1
-            return
-        in_use = used[cache]
-        od = lru[cache]
-        if in_use + size > cap:
-            evicted = 0
-            ebytes = 0
-            rg = ring[cache]
-            while in_use + size > cap:
-                victim, last = od.popitem(last=False)
-                present_b[victim] = 0
-                vs = dsz[victim]
-                in_use -= vs
-                age = now - last
-                # Window record: same +=/-= sequence as RingAgeTracker.
-                if count_mode:
-                    rsum[cache] += age
-                    wc = rcount[cache]
-                    h = rhead[cache]
-                    if wc == W:
-                        rsum[cache] -= rg[h]
-                        rg[h] = age
-                        rhead[cache] = h + 1 if h + 1 < W else 0
-                    else:
-                        rg[(h + wc) % W] = age
-                        rcount[cache] = wc + 1
+                if ea:
+                    req_age = cur_age[cache]
+                    resp_age = cur_age[responder]
+                    refresh = resp_age > req_age
+                    if refresh or (req_age == resp_age and not tie_requester):
+                        code = 6  # placement declined
+                    elif size > rc_limit:  # EA's size-aware replica cap
+                        code = 6
+                        refresh = True
+                # Header bytes that need the responder / the live ages stay
+                # inline; the (doc, leaf)-only request-header base is summed in
+                # the post-pass from the precomputed column.
+                sd = sdig.get(size)
+                if sd is None:
+                    sd = sdig[size] = len(str(size))
+                bus[5] += age_len[cache] + age_len[responder] + 70 + sd + sender_len[responder]
+                # serve_remote at the responder.
+                st_remote_served[responder] += 1
+                st_bytes_remote[responder] += size
+                if refresh:
+                    st_promo_granted[responder] += 1
+                    od = lru[responder]
+                    od[rslot] = now
+                    od.move_to_end(rslot)
                 else:
-                    tot[cache] += 1
-                    csum[cache] += age
-                evicted += 1
-                ebytes += vs
-            st_evictions[cache] += evicted
-            st_bytes_evicted[cache] += ebytes
-            copies[cache] -= evicted
-            # Refresh the cached age value; the text length lazily.
-            if count_mode:
-                wc = rcount[cache]
-                cur_age[cache] = rsum[cache] / wc if wc else _INF
-            else:
-                cur_age[cache] = csum[cache] / tot[cache]
-            age_len[cache] = -1
-        present_b[slot] = 1
-        dsz[slot] = size
-        od[slot] = now
-        used[cache] = in_use + size
-        st_admissions[cache] += 1
-        st_bytes_admitted[cache] += size
-        copies[cache] += 1
+                    st_promo_withheld[responder] += 1
+                served[i] = size
 
-    def warm_loop():
+            if code != 6:
+                if size <= cap:
+                    in_use = used[cache] + size
+                    od = lru[cache]
+                    if in_use > cap:
+                        # Window record per victim: the same +=/-= sequence
+                        # as RingAgeTracker.record, so sums are bit-equal.
+                        s = wsum[cache]
+                        dq = win[cache]
+                        while in_use > cap:
+                            victim, last = od.popitem(last=False)
+                            present_b[victim] = 0
+                            in_use -= dsz[victim]
+                            age = now - last
+                            s += age
+                            if count_mode:
+                                if len(dq) == W:
+                                    s -= dq[0]
+                                dq.append(age)
+                            else:
+                                wtot[cache] += 1
+                        wsum[cache] = s
+                        age_len[cache] = -1
+                    present_b[slot] = 1
+                    dsz[slot] = size
+                    used[cache] = in_use
+                    out[i] = code
+                    if e - i > 1:  # the rest of the run hits the new copy
+                        now = ts_l[e - 1]
+                        if not lean:
+                            served[i + 1 : e] = array("q", [size]) * (e - i - 1)
+                    od[slot] = now
+                    return
+                code += 8  # larger than the cache: rejected
+            out[i] = code
+            i += 1
+            if i == e:
+                return
+            now = ts_l[i]
+
+    def warm_loop() -> None:
         """The stateful tail of one chunk: one pass over its run columns.
 
-        A run whose slot is not resident sends its members through
-        :func:`miss_path` one by one until an admission sticks (a
-        rejected or declined copy re-misses). From the first resident
-        member on, the rest of the run is local hits, whose only state
-        effect is one LRU touch at the last member's timestamp. Returns
-        ``(hit_run_requests, scalar_requests)``: members covered by a
-        touch, and members that executed the protocol path.
+        A run whose slot is resident is all local hits (outcome byte 0),
+        whose only state effect is one LRU touch at the last member's
+        timestamp — ``now``, the run's first, for the 99% of runs with one
+        member; any other run is one :func:`miss_path` call.
         """
-        hit_req = 0
-        scal_req = 0
-        for r in range(len(starts_l)):
-            slot = sslots_l[r]
-            i = starts_l[r]
-            e = ends_l[r]
-            if not present_b[slot]:
-                miss_path(i, slot, sts_l[r])
-                j = i + 1
-                while j < e and not present_b[slot]:
-                    miss_path(j, slot, ts_l[j])
-                    j += 1
-                scal_req += j - i
-                if j == e:
-                    continue
-                i = j
-            od = lru[leaf_l[i]]
-            od[slot] = ts_l[e - 1]
-            od.move_to_end(slot)
-            if not lean:
-                served[i:e] = dsz[slot]
-            hit_req += e - i
-        return hit_req, scal_req
+        for slot, i, e, now in zip(sslots_l, starts_l, ends_l, sts_l):
+            if present_b[slot]:
+                if e - i > 1:
+                    now = ts_l[e - 1]
+                    if not lean:
+                        served[i + 1 : e] = array("q", [dsz[slot]]) * (e - i - 1)
+                od = lru[leaf_l[i]]
+                od[slot] = now
+                od.move_to_end(slot)
+                if not lean:
+                    served[i] = dsz[slot]
+            else:
+                miss_path(slot, i, e, now)
 
     # Requests handled per path (see ``regimes``).
     tally = {"cold": 0, "hit_run": 0, "scalar": 0}
@@ -553,7 +530,6 @@ def _simulate_fast(
         lean = lean and cols.lean
         gbase = chunk.base_records  # repro: domains[gbase=global-seq]
         out = bytearray(n)
-        served_np = None  # set after a cold prefix: first-size served column
         tail_start = 0  # first request index the general loop replays
 
         # Cold-regime prefix: replay first-slot-occurrences only, up to
@@ -564,25 +540,35 @@ def _simulate_fast(
             tail_start = _cold_prefix(
                 st, n, gbase, cached_source, npx, post[0], out
             )
-            if tail_start:
-                served_np = npx[3]  # never mutated: may be memo-shared
             if traced:
                 spans.end(requests=tail_start)
         tally["cold"] += tail_start
 
+        # While cold every copy holds its doc's first size, and a lean
+        # tail serves the size column, which equals it: ``npx[3]`` (never
+        # mutated: may be memo-shared) unless a non-lean tail runs.
+        served_np = npx[3]
+
         # The stateful tail (see warm_loop), the only consumer of Python
-        # lists: a chunk that stayed cold never builds them. The served
-        # column is only materialised when this path (whose miss branch
-        # records into it) actually runs; lean mode derives every served
-        # size from the precomputed column instead, so the writes are dead
-        # there — the zeros allocation is one memset.
+        # lists: a chunk that stayed cold never builds them. The loop
+        # stores served sizes into an ``array`` at Python speed. Lean mode
+        # never reads it; otherwise it starts as the cold prefix's first
+        # sizes, then the request sizes — what an origin miss serves —
+        # and the loop overwrites the hits with their copy's size.
         if tail_start < n:
             if traced:
                 spans.begin("warm", "regime")
             leaf_l, rsz_l, ts_l = cols.scalar_lists()
             starts_l, sslots_l, sts_l, ends_l = cols.runs(np, tail_start)
-            served = np.zeros(n, dtype=np.int64)
-            hit_req, scal_req = warm_loop()
+            served = array("q", (0,)) * n
+            if not lean:
+                served_np = np.frombuffer(served, dtype=np.int64)
+                served_np[:tail_start] = npx[3][:tail_start]
+                served_np[tail_start:] = post[4][tail_start:]
+            warm_loop()
+            # Every scalar request wrote a non-zero outcome byte.
+            hit_req = out.count(0, tail_start)
+            scal_req = n - tail_start - hit_req
             tally["hit_run"] += hit_req
             tally["scalar"] += scal_req
             if traced:
@@ -591,15 +577,7 @@ def _simulate_fast(
         # Outcome post-pass: bus, per-cache stats, metrics, latency.
         if traced:
             spans.begin("post", "replay")
-        if served_np is None:
-            served_np = post[4] if lean else served
-        elif not lean and tail_start < n:
-            # Cold prefix served from the first-size column; the
-            # stateful tail recorded into the served array. Copy
-            # before patching: the column may be memo-shared.
-            served_np = served_np.copy()
-            served_np[tail_start:] = served[tail_start:]
-        _post_pass(st, n, gbase, out, served_np, post)
+        _post_pass(st, n, gbase, out, served_np, post, tail_start)
         if traced:
             spans.end()
         if timeseries is not None:
@@ -613,8 +591,7 @@ def _simulate_fast(
         unique_documents = int(
             (held.reshape(st.num_docs, NC) != 0).any(axis=1).sum()
         )
-    # cur_age is refreshed after every eviction, so it holds the final ages.
-    return st.result(cur_age, unique_documents)
+    return st.result([refresh_age(c) for c in range(NC)], unique_documents)
 
 
 # repro: domains[present_b=cache-slot->any:uint8, dsz=cache-slot->byte-size:int64]
@@ -806,14 +783,19 @@ def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
 # repro: domains[remote_base_np=chunk-offset->byte-size:int64]
 # repro: domains[origin_hdr_np=chunk-offset->byte-size:int64]
 # repro: domains[gbase=global-seq, out=chunk-offset->any:uint8]
+# repro: domains[out_np=chunk-offset->any:uint8, key=chunk-offset->any:intp]
 # repro: domains[served_np=chunk-offset->byte-size:int64]
-def _post_pass(st, n, gbase, out, served_np, post):
+def _post_pass(st, n, gbase, out, served_np, post, tail_start):
     """Fold one chunk's outcome columns into the frame's tallies.
 
-    ``out`` holds one outcome byte per request (0 local hit / 2 remote
-    hit / 3 origin miss) and ``served_np`` the served size; bus counters,
-    per-cache lookup stats, metrics and the ordered latency fold are all
-    computed from those columns in bulk.
+    ``out`` holds one outcome byte per request (class in the low two
+    bits: 0 local hit / 2 remote hit / 3 origin miss) and ``served_np``
+    the served size; bus counters, per-cache lookup stats, metrics and
+    the ordered latency fold are all computed from those columns in bulk.
+    From ``tail_start`` on — the requests ``warm_loop`` replayed — the
+    byte is also the only record of the admission (+4 declined, +8
+    rejected): its tallies are counted here and the eviction ones follow
+    from conservation. ``_cold_prefix`` tallies its own admissions.
     """
     np = st.np
     NC = st.num_caches
@@ -823,6 +805,24 @@ def _post_pass(st, n, gbase, out, served_np, post):
     w_start = min(max(st.warmup - gbase, 0), n)  # first measured request
     leaf_np, icp_req_np, remote_base_np, origin_hdr_np, _rsz_np = post
     out_np = np.frombuffer(out, dtype=np.uint8)
+    if tail_start < n:
+        # One (leaf, outcome byte) histogram of the tail, by count and by
+        # served bytes (an admitted copy has the size that was served).
+        key = leaf_np[tail_start:] * 16 + out_np[tail_start:]
+        count = np.bincount(key, minlength=16 * NC).reshape(NC, 16)
+        size = np.bincount(
+            key, weights=served_np[tail_start:], minlength=16 * NC
+        ).reshape(NC, 16)
+        for c in range(NC):
+            st.st_admissions[c] += int(count[c, 2] + count[c, 3])
+            st.st_bytes_admitted[c] += int(size[c, 2] + size[c, 3])
+            st.st_rejections[c] += int(count[c, 10] + count[c, 11])
+            st.st_declined[c] += int(count[c, 6])
+            # Every admitted copy is resident or was evicted.
+            st.copies[c] = len(st.lru[c])
+            st.st_evictions[c] = st.st_admissions[c] - st.copies[c]
+            st.st_bytes_evicted[c] = st.st_bytes_admitted[c] - st.used[c]
+        out_np = out_np & 3
     nonlocal_mask = out_np != 0
     nl = int(nonlocal_mask.sum())
     if nl:
