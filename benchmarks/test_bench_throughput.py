@@ -14,7 +14,7 @@ from repro.cache import Document, LRUPolicy, ProxyCache
 from repro.protocol import icp
 from repro.simulation import CooperativeSimulator, SimulationConfig
 from repro.simulation.simulator import run_simulation
-from repro.trace import SyntheticTraceConfig, generate_trace
+from repro.trace import SyntheticTraceConfig, bu_like_config, generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +269,21 @@ def test_bench_synthetic_stream_chunks(benchmark):
     assert records == config.num_requests
 
 
+def test_bench_generate_trace_interned(benchmark):
+    """Set-up of a BU-like job on the fast engines: ``generate_trace``
+    drawn straight into the trace's interned view, no record built (the
+    trace of ``paper_grid`` / ``variant_grid`` of ``benchmarks/e2e``).
+    Records per second is ``115_155 / median``.
+    """
+    config = bu_like_config().scaled(0.2)
+
+    def run():
+        return generate_trace(config).interned()
+
+    interned = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    assert interned.num_records == config.num_requests
+
+
 @pytest.fixture(scope="module")
 def bu_trace():
     """The BU-scale trace (575,775 requests): the ISSUE's warm-regime
@@ -277,8 +292,6 @@ def bu_trace():
     three regimes: a vectorised cold prefix (94% of the requests), the
     one-off materialisation of the per-cache ``OrderedDict`` LRUs, then
     resident runs and the scalar protocol path around every eviction."""
-    from repro.trace import bu_like_config
-
     return generate_trace(bu_like_config())
 
 

@@ -145,7 +145,9 @@ class ExpirationAgeTracker:
             self._trim_time(now)
         if not self._window:
             return math.inf
-        return self._window_sum / len(self._window)
+        # The running sum of non-negative ages can end a few ulps below
+        # zero once the large ones have left the window; an age cannot.
+        return max(0.0, self._window_sum / len(self._window))
 
     @property
     def total_evictions(self) -> int:

@@ -53,6 +53,7 @@ from repro.simulation.simulator import (
     run_simulation,
 )
 from repro.trace.readers import read_trace
+from repro.trace.record import Trace
 from repro.trace.synthetic import generate_trace
 from repro.trace.writers import write_bu_trace
 
@@ -472,7 +473,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.sanitize:
             # Sanitizing needs the simulator instance for the report (and
             # forces the object engine anyway — the dispatcher would fall back).
-            if not hasattr(trace, "records"):
+            if not isinstance(trace, Trace):
                 raise ReproError(
                     "--sanitize runs the object engine, which replays "
                     "materialised traces only (not packed/streamed sources)"

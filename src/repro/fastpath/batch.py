@@ -287,7 +287,9 @@ class _FastState(ReplayFrame):
         """
         if self.age_len[c] < 0:
             evictions = len(self.win[c]) if self.count_mode else self.wtot[c]
-            self.cur_age[c] = self.wsum[c] / evictions
+            # Floored like the trackers' reads: a running sum of
+            # non-negative ages can end a few ulps below zero.
+            self.cur_age[c] = max(0.0, self.wsum[c] / evictions)
             self.age_len[c] = 0
         if wire:
             self.age_len[c] = len(format_expiration_age(self.cur_age[c]))

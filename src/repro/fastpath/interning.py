@@ -202,36 +202,21 @@ class InternedTrace:
         return self._derived  # repro: noqa[RPR134]
 
     @classmethod
-    # repro: domains[doc=interned-id, doc_ids=global-seq->interned-id]
-    # repro: domains[sizes=global-seq->byte-size, timestamps=global-seq->age-tick]
+    def from_chunk(cls, chunk: "InternedChunk") -> "InternedTrace":
+        """The trace that a single chunk covering all of it is.
+
+        A chunk that starts at request 0 carries the whole intern tables
+        as its deltas; the columns are adopted, not copied.
+        """
+        return cls(
+            chunk.doc_ids, chunk.sizes, chunk.timestamps, chunk.clients,
+            chunk.new_urls, chunk.new_client_names,
+        )
+
+    @classmethod
     def from_records(cls, records: Iterable[TraceRecord]) -> "InternedTrace":
         """Intern ``records`` in order; ids follow first appearance."""
-        doc_index: dict = {}
-        client_index: dict = {}
-        urls: List[str] = []
-        client_names: List[str] = []
-        doc_ids: List[int] = []
-        sizes: List[int] = []
-        timestamps: List[float] = []
-        clients: List[int] = []
-        for record in records:
-            url = record.url
-            doc = doc_index.get(url)
-            if doc is None:
-                doc = len(urls)
-                doc_index[url] = doc
-                urls.append(url)
-            client_name = record.client_id
-            client = client_index.get(client_name)
-            if client is None:
-                client = len(client_names)
-                client_index[client_name] = client
-                client_names.append(client_name)
-            doc_ids.append(doc)
-            sizes.append(record.size)
-            timestamps.append(record.timestamp)
-            clients.append(client)
-        return cls(doc_ids, sizes, timestamps, clients, urls, client_names)
+        return cls.from_chunk(ChunkingInterner().intern_chunk(records))
 
     # repro: domains[base_docs=interned-id, next_docs=interned-id]
     # repro: domains[chunk_docs=chunk-offset->interned-id, start=global-seq]
@@ -453,8 +438,8 @@ class ChunkingInterner:
     """Incremental interner for streaming record sources.
 
     Holds the URL/client intern tables across calls so successive chunks
-    receive globally consistent dense ids — the streaming equivalent of
-    :meth:`InternedTrace.from_records`. Feed it consecutive record batches
+    receive globally consistent dense ids (:meth:`InternedTrace.from_records`
+    is one batch holding everything). Feed it consecutive record batches
     in trace order; each call returns an :class:`InternedChunk`.
     """
 

@@ -10,7 +10,9 @@ expiration ages to the object tracker, and the window sum is a running
 float accumulation whose value depends on operation order. This port
 performs the *same sequence* of ``+=``/``-=`` on the sum as the deque
 implementation (add the new age first, then subtract evictees), so the
-sums — and every decision derived from them — are bit-equal.
+sums — and every decision derived from them — are bit-equal. Like it,
+every age read off a window sum is floored at ``0.0``: the running sum of
+non-negative ages can end a few ulps below zero.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class RingAgeTracker:
                 count += 1
                 self._count = count
             self._window_sum = window_sum
-            return window_sum / count
+            return max(0.0, window_sum / count)
         # time mode: append (growing if full), then trim lazily. The trim
         # cannot reach the victim just appended, so the window is not empty.
         if self._count == self._capacity:
@@ -135,7 +137,7 @@ class RingAgeTracker:
         self._count += 1
         self._window_sum += age
         self._trim_time(evict_time)
-        return self._window_sum / self._count
+        return max(0.0, self._window_sum / self._count)
 
     def record_eviction(self, record: EvictionRecord) -> float:
         """Object-tracker-compatible entry point: score, record, return the
@@ -187,7 +189,7 @@ class RingAgeTracker:
             self._trim_time(now)
         if not self._count:
             return math.inf
-        return self._window_sum / self._count
+        return max(0.0, self._window_sum / self._count)
 
     @property
     def total_evictions(self) -> int:

@@ -1,7 +1,8 @@
 """Canonical request-trace record used throughout the simulator.
 
 All trace readers normalise their input into :class:`TraceRecord` instances;
-the synthetic generator produces them directly. A record captures one HTTP
+the synthetic generator draws columns and builds records when a reader
+asks for them (see :class:`Trace`). A record captures one HTTP
 request observed at (or destined for) a proxy: who asked, when, for which
 URL, and how large the response body was.
 """
@@ -9,8 +10,8 @@ URL, and how large the response body was.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.errors import TraceError
 
@@ -124,22 +125,66 @@ def require_chunk_size(chunk_size: int) -> None:
         raise TraceError(f"chunk_size must be positive, got {chunk_size}")
 
 
-@dataclass
 class Trace:
-    """A materialised, validated request trace.
+    """A validated request trace: a record list, a columnar view, or both.
 
-    Thin wrapper over a list of :class:`TraceRecord` adding the aggregate
+    A thin wrapper over a list of :class:`TraceRecord` adding the aggregate
     properties the paper reports for the BU trace (total requests, unique
-    documents, unique clients) and convenience slicing.
+    documents, unique clients) and convenience slicing. ``Trace(records)``
+    validates and keeps the list, as every reader-built trace does.
+
+    A generated trace is born the other way round (:meth:`from_interned`):
+    its columnar view exists, and :attr:`records` is built and validated
+    the first time a record-level reader asks — iteration, indexing,
+    ``==``, the aggregates, :meth:`fingerprint`. ``len()``,
+    :attr:`num_records`, :meth:`interned` and :meth:`interned_chunks` never
+    build it, so the columnar and batch engines replay such a trace
+    without constructing a record.
     """
 
-    records: List[TraceRecord] = field(default_factory=list)
+    def __init__(self, records: Iterable[TraceRecord] = ()):
+        self._records: Optional[List[TraceRecord]] = validate_monotone(records)
+        self._build_records: Optional[Callable[[], Iterable[TraceRecord]]] = None
+        self._interned = None
+        self._fingerprint: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        self.records = validate_monotone(self.records)
+    @classmethod
+    def from_interned(
+        cls, interned, build_records: Callable[[], Iterable[TraceRecord]]
+    ) -> "Trace":
+        """A trace handed its finished ``InternedTrace``; records deferred.
+
+        ``build_records`` is called once, at the first read of
+        :attr:`records`, then dropped with whatever it holds. It must
+        pickle (a trace crosses the sweep pool's process boundary) and
+        yield exactly the records ``interned`` was built from.
+        """
+        trace = cls()
+        trace._records, trace._build_records = None, build_records
+        trace._interned = interned
+        return trace
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The record list (built and validated on first use if deferred)."""
+        records = self._records
+        if records is None:
+            records = self._records = validate_monotone(self._build_records())
+            self._build_records = None
+        return records
+
+    def __repr__(self) -> str:
+        return f"Trace(records={self.records!r})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.records == other.records  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is None:
+            return self._interned.num_records
+        return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -179,18 +224,19 @@ class Trace:
         """Columnar view with URLs/clients interned to dense integer ids.
 
         Returns an :class:`repro.fastpath.interning.InternedTrace`.
-        Computed once and cached on the instance (records are append-never
+        Computed once and kept on the instance (records are append-never
         after construction, same contract as :meth:`fingerprint`), so the
         columnar engine pays the interning cost once per trace even across
-        many simulations — including pool workers that pin one trace.
+        many simulations — including pool workers that pin one trace. A
+        trace made by :meth:`from_interned` was handed its view and never
+        interns anything.
         """
-        cached = self.__dict__.get("_interned")
+        cached = self._interned
         if cached is None:
             # Imported here: repro.fastpath sits above the trace layer.
             from repro.fastpath.interning import InternedTrace
 
-            cached = InternedTrace.from_records(self.records)
-            self.__dict__["_interned"] = cached
+            cached = self._interned = InternedTrace.from_records(self.records)
         return cached
 
     def interned_chunks(self, chunk_size: int, spans=None):
@@ -219,7 +265,7 @@ class Trace:
     @property
     def num_records(self) -> int:
         """Total request count (the streamed-source protocol's spelling)."""
-        return len(self.records)
+        return len(self)
 
     def fingerprint(self) -> str:
         """Stable content hash of every record (hex SHA-256).
@@ -230,15 +276,13 @@ class Trace:
         construction, so the digest cannot go stale. The sweep memo store
         uses this as the trace half of its content address.
         """
-        cached = self.__dict__.get("_fingerprint")
-        if cached is not None:
-            return cached
+        if self._fingerprint is not None:
+            return self._fingerprint
         digest = hashlib.sha256()
         for r in self.records:
             digest.update(
                 f"{r.timestamp!r}|{r.client_id}|{r.url}|{r.size}|"
                 f"{r.session_id}|{r.method}|{r.status}\n".encode("utf-8")
             )
-        fingerprint = digest.hexdigest()
-        self.__dict__["_fingerprint"] = fingerprint
-        return fingerprint
+        self._fingerprint = digest.hexdigest()
+        return self._fingerprint

@@ -28,16 +28,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.errors import TraceError
 from repro.trace.record import TraceRecord, require_chunk_size
-from repro.trace.synthetic import (
-    BULikeTraceGenerator,
-    SyntheticTraceConfig,
-    client_name,
-    document_url,
-)
+from repro.trace.synthetic import BULikeTraceGenerator, SyntheticTraceConfig
 
 
 def source_fingerprint(source, strict: bool = False) -> str:
@@ -68,15 +63,12 @@ def source_fingerprint(source, strict: bool = False) -> str:
 def source_num_records(source) -> Optional[int]:
     """Total request count of a trace source, or None when unknowable.
 
-    A materialised ``Trace`` is counted directly; streamed sources
-    declare ``num_records`` (a packed reader reads it from the file
-    footer before decoding any chunk). Progress reporting must use this
-    instead of ``len(trace.records)`` — a streamed source has no
-    ``records`` list to measure.
+    Every source spells it ``num_records``: a ``Trace`` answers with its
+    length (without building the record list of a generated one), a
+    packed reader reads it from the file footer before decoding any
+    chunk. Progress reporting must use this instead of
+    ``len(trace.records)`` — a streamed source has no ``records`` list.
     """
-    records = getattr(source, "records", None)
-    if records is not None:
-        return len(records)
     return getattr(source, "num_records", None)
 
 
@@ -146,42 +138,12 @@ class RecordStream:
                 yield interner.intern_chunk(batch)
 
 
-# repro: domains[numbers=chunk-offset->doc-id, dense_of=doc-id->interned-id]
-# repro: domains[ids=chunk-offset->interned-id, number=doc-id, dense=interned-id]
-def _densify(
-    numbers: List[int], dense_of: List[int], base: int, name: Callable[[int], str]
-) -> Tuple[List[int], List[str]]:
-    """Map one block column of universe numbers to first-appearance ids.
-
-    ``dense_of`` is the number -> dense id table (``-1`` = not seen yet),
-    updated in place; ``base`` is how many ids are already assigned.
-    Returns the dense column and the names of the numbers first seen in
-    it, in id order — ``name`` is called only for those.
-    """
-    ids = [dense_of[number] for number in numbers]
-    new_names: List[str] = []
-    # Hop between the unseen positions at C speed; a number that repeats
-    # within the block finds its id in the table the second time.
-    at = -1
-    try:
-        while True:
-            at = ids.index(-1, at + 1)
-            number = numbers[at]
-            dense = dense_of[number]
-            if dense < 0:
-                dense = dense_of[number] = base + len(new_names)
-                new_names.append(name(number))
-            ids[at] = dense
-    except ValueError:
-        return ids, new_names
-
-
 class SyntheticTraceStream(RecordStream):
     """Chunked synthetic generation: the BU-like workload as a stream.
 
     The chunk view of :meth:`BULikeTraceGenerator.draw_blocks` — the
-    *same* draw loop ``generate_trace`` wraps in records, so the RNG
-    consumption order and every emitted request are identical by
+    *same* draw loop and column builder behind ``generate_trace``, so the
+    RNG consumption order and every emitted request are identical by
     construction::
 
         stream = SyntheticTraceStream(SyntheticTraceConfig(num_requests=10**8))
@@ -212,45 +174,14 @@ class SyntheticTraceStream(RecordStream):
     ) -> Iterator["InternedChunk"]:
         """Draw the stream straight into ``chunk_size``-record chunks.
 
-        Identical, field for field, to interning the record view — but no
-        record, URL or session string is built per request: each drawn
-        block *is* a chunk once its document and client numbers are
-        mapped to first-appearance dense ids through two integer tables,
-        and a URL or client name is formatted only when its number first
-        appears. There is no interning pass, so ``spans`` receives no
-        ``intern`` span here; the engine's source span is all generation.
+        :meth:`BULikeTraceGenerator.drawn_chunks`, the builder
+        ``generate_trace`` uses too: identical, field for field, to
+        interning the record view, with no record built per request.
+        There is no interning pass, so ``spans`` receives no ``intern``
+        span here; the engine's source span is all generation.
         """
         require_chunk_size(chunk_size)
-        return self._drawn_chunks(chunk_size)
-
-    def _drawn_chunks(self, chunk_size: int) -> Iterator["InternedChunk"]:
-        # Imported here: repro.fastpath sits above the trace layer.
-        from repro.fastpath.interning import InternedChunk
-
-        dense_doc = [-1] * self.config.num_documents
-        dense_client = [-1] * self.config.num_clients
-        base_docs = base_clients = base_records = 0
-        for timestamps, clients, documents, sizes, _ in self._generator.draw_blocks(
-            chunk_size
-        ):
-            doc_ids, new_urls = _densify(documents, dense_doc, base_docs, document_url)
-            client_ids, new_client_names = _densify(
-                clients, dense_client, base_clients, client_name
-            )
-            yield InternedChunk(
-                doc_ids=doc_ids,
-                sizes=sizes,
-                timestamps=timestamps,
-                clients=client_ids,
-                new_urls=new_urls,
-                new_client_names=new_client_names,
-                base_docs=base_docs,
-                base_clients=base_clients,
-                base_records=base_records,
-            )
-            base_docs += len(new_urls)
-            base_clients += len(new_client_names)
-            base_records += len(doc_ids)
+        return (chunk for chunk, _ in self._generator.drawn_chunks(chunk_size))
 
 
 __all__ = [

@@ -27,8 +27,9 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.trace.record import Trace, TraceRecord
@@ -166,13 +167,43 @@ def document_url(number: int) -> str:
     return f"http://origin{number % 97}.example.com/doc/{number}"
 
 
-#: Requests the record view draws at a time (bounds its column memory).
+#: Requests the streaming record view draws at a time (bounds its memory).
 _RECORD_VIEW_BLOCK = 4096
 
 #: One drawn block, as parallel columns indexed by offset into the block:
 #: timestamps, client numbers (``0..num_clients-1``), document numbers
 #: (``0..num_documents-1``), sizes, and per-client session indices.
 Block = Tuple[List[float], List[int], List[int], List[int], List[int]]
+
+
+# repro: domains[numbers=chunk-offset->doc-id, dense_of=doc-id->interned-id]
+# repro: domains[ids=chunk-offset->interned-id, number=doc-id, dense=interned-id]
+def _densify(
+    numbers: List[int], dense_of: List[int], base: int, name: Callable[[int], str]
+) -> Tuple[List[int], List[str]]:
+    """Map one block column of universe numbers to first-appearance ids.
+
+    ``dense_of`` is the number -> dense id table (``-1`` = not seen yet),
+    updated in place; ``base`` is how many ids are already assigned.
+    Returns the dense column and the names of the numbers first seen in
+    it, in id order — ``name`` is called only for those.
+    """
+    ids = [dense_of[number] for number in numbers]
+    new_names: List[str] = []
+    # Hop between the unseen positions at C speed; a number that repeats
+    # within the block finds its id in the table the second time.
+    at = -1
+    try:
+        while True:
+            at = ids.index(-1, at + 1)
+            number = numbers[at]
+            dense = dense_of[number]
+            if dense < 0:
+                dense = dense_of[number] = base + len(new_names)
+                new_names.append(name(number))
+            ids[at] = dense
+    except ValueError:
+        return ids, new_names
 
 
 class BULikeTraceGenerator:
@@ -182,9 +213,11 @@ class BULikeTraceGenerator:
 
         trace = BULikeTraceGenerator(SyntheticTraceConfig(seed=7)).generate()
 
-    :meth:`draw_blocks` is the only place the request stream is drawn;
-    :meth:`iter_records` (and so :meth:`generate`) and
-    :meth:`repro.trace.stream.SyntheticTraceStream.interned_chunks` are
+    :meth:`draw_blocks` is the only place the request stream is drawn.
+    :meth:`records_of` (the record view, behind :meth:`iter_records` and
+    a generated trace's ``records``) and :meth:`drawn_chunks` (the chunk
+    view, behind :meth:`generate` and
+    :meth:`repro.trace.stream.SyntheticTraceStream.interned_chunks`) are
     two views over its columns, so they cannot disagree on a request.
     """
 
@@ -299,24 +332,78 @@ class BULikeTraceGenerator:
                 sessions.append(session_of[ci])
             yield timestamps, clients, documents, sizes, sessions
 
+    def drawn_chunks(self, chunk_size: int) -> Iterator[Tuple["InternedChunk", Block]]:
+        """Draw the stream straight into ``chunk_size``-request chunks.
+
+        The chunk view of :meth:`draw_blocks`: each drawn block *is* a
+        chunk once its document and client numbers are mapped to
+        first-appearance dense ids through two integer tables, and a URL
+        or client name is formatted only when its number first appears —
+        field for field what interning the record view would give, with no
+        record, URL or session string built per request. Each chunk comes
+        with the block it was cut from (they share the timestamp and size
+        columns), which is all :meth:`records_of` needs.
+        """
+        # Imported here: repro.fastpath sits above the trace layer.
+        from repro.fastpath.interning import InternedChunk
+
+        dense_doc = [-1] * self.config.num_documents
+        dense_client = [-1] * self.config.num_clients
+        base_docs = base_clients = base_records = 0
+        for block in self.draw_blocks(chunk_size):
+            timestamps, clients, documents, sizes, _ = block
+            doc_ids, new_urls = _densify(documents, dense_doc, base_docs, document_url)
+            client_ids, new_client_names = _densify(
+                clients, dense_client, base_clients, client_name
+            )
+            yield InternedChunk(
+                doc_ids=doc_ids,
+                sizes=sizes,
+                timestamps=timestamps,
+                clients=client_ids,
+                new_urls=new_urls,
+                new_client_names=new_client_names,
+                base_docs=base_docs,
+                base_clients=base_clients,
+                base_records=base_records,
+            ), block
+            base_docs += len(new_urls)
+            base_clients += len(new_client_names)
+            base_records += len(doc_ids)
+
     def generate(self) -> Trace:
-        """Produce the full trace as a :class:`~repro.trace.record.Trace`."""
-        return Trace(list(self.iter_records()))
+        """Produce the full trace as a :class:`~repro.trace.record.Trace`.
+
+        Drawn here, once, as a single chunk the length of the trace: its
+        columns are the trace's finished interned view, and the block it
+        was cut from is kept until the first record-level read turns it
+        into :class:`TraceRecord` objects (see :meth:`Trace.from_interned`).
+        """
+        # Imported here: repro.fastpath sits above the trace layer.
+        from repro.fastpath.interning import InternedTrace
+
+        ((chunk, block),) = self.drawn_chunks(self.config.num_requests)
+        return Trace.from_interned(
+            InternedTrace.from_chunk(chunk), partial(self.records_of, (block,))
+        )
 
     def iter_records(self) -> Iterator[TraceRecord]:
-        """Yield the trace's records one at a time, in trace order.
+        """Yield the trace's records one at a time, in trace order."""
+        return self.records_of(self.draw_blocks(_RECORD_VIEW_BLOCK))
 
-        The record view of :meth:`draw_blocks`: each drawn row wrapped in
-        a :class:`TraceRecord`, with client, URL and session strings
-        formatted once per client, document and session rather than once
-        per request.
+    def records_of(self, blocks: Iterable[Block]) -> Iterator[TraceRecord]:
+        """The record view of drawn ``blocks``, consecutive from the first.
+
+        Each drawn row wrapped in a :class:`TraceRecord`, with client, URL
+        and session strings formatted once per client, document and
+        session rather than once per request.
         """
         cfg = self.config
         names = [client_name(i) for i in range(cfg.num_clients)]
         urls: List[Optional[str]] = [None] * cfg.num_documents
         session_ids = [""] * cfg.num_clients
         session_seen = [-1] * cfg.num_clients
-        for block in self.draw_blocks(_RECORD_VIEW_BLOCK):
+        for block in blocks:
             for now, ci, doc, size, session in zip(*block):
                 url = urls[doc]
                 if url is None:
@@ -324,13 +411,9 @@ class BULikeTraceGenerator:
                 if session != session_seen[ci]:
                     session_seen[ci] = session
                     session_ids[ci] = f"s{ci}.{session}"
-                yield TraceRecord(
-                    timestamp=now,
-                    client_id=names[ci],
-                    url=url,
-                    size=size,
-                    session_id=session_ids[ci],
-                )
+                # Positional (timestamp, client_id, url, size, session_id):
+                # keyword matching is a sixth of this call's cost.
+                yield TraceRecord(now, names[ci], url, size, session_ids[ci])
 
 
 def generate_trace(config: Optional[SyntheticTraceConfig] = None) -> Trace:

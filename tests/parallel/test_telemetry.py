@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.experiments.sweep import run_capacity_sweep
+from repro.fastpath.batch import batch_fastloop_reason
 from repro.obs.schema import validate_events_file
 from repro.obs.session import sweep_event_filename
 from repro.parallel import SweepMemoStore, SweepProgress, SweepTelemetry, TaskReport
@@ -200,6 +201,12 @@ class TestSweepObservability:
         reports = sweep.telemetry.reports
         assert all(r.regimes is not None for r in reports)
         occupancy = sweep.telemetry.regime_occupancy()
+        reason = batch_fastloop_reason(SimulationConfig(engine="batch"))
+        if reason is not None:
+            # No numpy: every point replayed on the columnar core and says why.
+            assert all(r.regimes == {"fallback_reason": reason} for r in reports)
+            assert not any(occupancy.get(k) for k in ("cold", "hit_run", "scalar"))
+            return
         per_point = len(trace)
         for report in reports:
             assert sum(

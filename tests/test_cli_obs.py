@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.fastpath.batch import batch_fastloop_reason
+from repro.simulation.simulator import SimulationConfig
 
 
 def simulate_with_events(path, engine="object", extra=()):
@@ -143,7 +145,11 @@ class TestSimulateSpansAndTimeseries:
         capsys.readouterr()
         assert main(["obs", "timeline", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "timeline:" in out and "engine:batch" in out
+        # Without numpy the batch engine replays on the columnar core,
+        # under that core's root span.
+        fast = batch_fastloop_reason(SimulationConfig(engine="batch")) is None
+        assert "timeline:" in out
+        assert ("engine:batch" if fast else "engine:columnar") in out
         assert main(["obs", "report", str(series)]) == 0
         out = capsys.readouterr().out
         assert "timeseries: engine=batch" in out

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 
 from repro.errors import TraceError
+from repro.experiments.sweep import run_capacity_sweep
+from repro.fastpath.interning import InternedTrace
+from repro.simulation.simulator import SimulationConfig, run_simulation
+from repro.trace import synthetic
+from repro.trace.record import Trace
 from repro.trace.stats import compute_stats, fit_zipf_alpha
+from repro.trace.stream import source_num_records
 from repro.trace.synthetic import (
     BULikeTraceGenerator,
     SyntheticTraceConfig,
@@ -195,3 +202,123 @@ class TestGenerator:
         a = BULikeTraceGenerator(config).generate()
         b = generate_trace(config)
         assert [r.url for r in a] == [r.url for r in b]
+
+
+INTERNED_FIELDS = (
+    "doc_ids", "sizes", "timestamps", "clients", "urls", "client_names",
+    "url_lens", "icp_probe_bytes", "num_records", "num_docs", "num_clients",
+    "has_zero_sizes",
+)
+
+TWO_VIEW_CONFIGS = [
+    make(seed)
+    for seed in (42, 1337)
+    for make in (
+        lambda seed: SyntheticTraceConfig(seed=seed, num_requests=6_000),
+        lambda seed: bu_like_config(seed).scaled(0.01),
+        lambda seed: SyntheticTraceConfig(seed=seed, num_requests=3_000, zero_size_fraction=0.0),
+        lambda seed: SyntheticTraceConfig(seed=seed, num_requests=3_000, zero_size_fraction=0.3),
+        lambda seed: SyntheticTraceConfig(seed=seed, num_requests=3_000, num_clients=1),
+        # Fewer requests than one block of the streaming record view.
+        lambda seed: SyntheticTraceConfig(seed=seed, num_requests=100),
+    )
+]
+
+
+def assert_same_interned(got, wanted):
+    for name in INTERNED_FIELDS:
+        assert getattr(got, name) == getattr(wanted, name), name
+
+
+class TestTwoViews:
+    """``generate_trace`` draws columns; the record list is built on demand."""
+
+    @pytest.mark.parametrize("records_first", (True, False))
+    @pytest.mark.parametrize("config", TWO_VIEW_CONFIGS)
+    def test_both_views_equal_the_streamed_record_view(self, config, records_first):
+        wanted = list(BULikeTraceGenerator(config).iter_records())
+        trace = generate_trace(config)
+        if records_first:
+            assert trace.records == wanted
+        assert_same_interned(trace.interned(), InternedTrace.from_records(wanted))
+        assert trace.records == wanted
+        assert len(trace) == trace.num_records == config.num_requests
+
+    def test_trace_semantics_after_materialisation(self):
+        config = SyntheticTraceConfig(seed=7, num_requests=500)
+        trace = generate_trace(config)
+        reader_built = Trace(list(BULikeTraceGenerator(config).iter_records()))
+        assert trace == reader_built and not trace != reader_built
+        assert trace != generate_trace(SyntheticTraceConfig(seed=8, num_requests=500))
+        assert trace != reader_built.records  # a Trace equals only a Trace
+        assert isinstance(trace[10:20], Trace) and trace[10:20] == reader_built[10:20]
+        assert trace.head(5) == reader_built.head(5)
+        assert trace[3] is trace.records[3] and list(trace) == trace.records
+        for name in ("unique_urls", "unique_clients", "total_bytes", "duration"):
+            assert getattr(trace, name) == getattr(reader_built, name)
+        assert repr(trace.head(1)) == f"Trace(records=[{trace[0]!r}])"
+        with pytest.raises(TypeError):
+            hash(trace)
+
+    def test_fingerprint_comes_from_the_deferred_records(self):
+        # One of the pins of tests/trace/test_stream.py::test_draw_order_is_pinned.
+        trace = generate_trace(bu_like_config(1337).scaled(0.01))
+        trace.interned()
+        assert trace.fingerprint() == (
+            "118da1db8c2004d2a28d4780a897433005668e43927c2c1f87360ab9293c376e"
+        )
+
+    def test_the_kept_draw_is_released_once_records_exist(self):
+        trace = generate_trace(SyntheticTraceConfig(num_requests=200))
+        assert trace._records is None and trace._build_records is not None
+        records = trace.records
+        assert trace._build_records is None and trace.records is records
+
+    def test_unmaterialised_trace_pickles(self):
+        config = SyntheticTraceConfig(seed=5, num_requests=2_000)
+        simulation = SimulationConfig(scheme="ea", aggregate_capacity=1 << 20, engine="batch")
+        trace = generate_trace(config)
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone._records is None
+        assert (
+            run_simulation(simulation, clone).to_json()
+            == run_simulation(simulation, trace).to_json()
+        )
+        assert clone.records == list(BULikeTraceGenerator(config).iter_records())
+        assert pickle.loads(pickle.dumps(clone)) == trace
+
+    def test_reader_built_trace_is_unchanged(self):
+        records = list(BULikeTraceGenerator(SyntheticTraceConfig(num_requests=50)).iter_records())
+        trace = Trace(records)
+        assert trace.records == records and trace.records is not records
+        assert Trace(records=records) == trace and Trace() == Trace([])
+        with pytest.raises(TraceError, match="not monotone at index 1"):
+            Trace(records[::-1])
+
+
+class TestRecordsStayUnbuilt:
+    """No fast-engine path may build (or count) the record list."""
+
+    @pytest.fixture
+    def trace(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record-level view was built")
+
+        monkeypatch.setattr(BULikeTraceGenerator, "records_of", refuse)
+        monkeypatch.setattr(synthetic, "TraceRecord", refuse)
+        monkeypatch.setattr(InternedTrace, "from_records", refuse)
+        return generate_trace(bu_like_config().scaled(0.005))
+
+    def test_counts_and_columns(self, trace):
+        assert source_num_records(trace) == len(trace) == trace.num_records == 2_878
+        assert trace.interned() is trace.interned()
+        assert sum(chunk.num_records for chunk in trace.interned_chunks(1_000)) == 2_878
+        with pytest.raises(AssertionError, match="record-level view"):
+            trace.records
+
+    @pytest.mark.parametrize("engine", ("batch", "columnar"))
+    def test_fast_engines_and_a_serial_sweep(self, trace, engine):
+        result = run_simulation(SimulationConfig(engine=engine), trace)
+        assert result.metrics.requests == 2_878
+        sweep = run_capacity_sweep(trace, [("1MB", 1 << 20)], engine=engine)
+        assert len(sweep.points) == 2
