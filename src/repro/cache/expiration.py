@@ -76,7 +76,8 @@ class ExpirationAgeTracker:
     """Maintains the cache expiration age over a configurable window.
 
     The tracker is fed one :class:`~repro.cache.document.EvictionRecord` per
-    eviction via :meth:`record_eviction` and answers
+    eviction via :meth:`record_eviction` (or the victim's already computed
+    age via :meth:`record`, as the columnar core does) and answers
     :meth:`cache_expiration_age` in O(1) (count/cumulative modes) or
     amortised O(1) (time mode).
     """
@@ -107,21 +108,36 @@ class ExpirationAgeTracker:
         self._cumulative_sum = 0.0
         self._total_evictions = 0
 
-    def record_eviction(self, record: EvictionRecord) -> float:
-        """Fold one eviction into the window; returns its document age."""
-        age = document_expiration_age(record, self.kind)
+    def record(self, age: float, evict_time: float) -> float:
+        """Fold one eviction, given its pre-computed document age.
+
+        Returns the cache expiration age that now holds — what
+        :meth:`cache_expiration_age` would answer at ``evict_time``. In the
+        cumulative and count modes that value stands until the next
+        ``record``, so the columnar core keeps it in a cell and never
+        calls back for it; in the time mode any later read may trim the
+        window.
+        """
         self._total_evictions += 1
         self._cumulative_sum += age
         if self.window_mode == "cumulative":
-            return age
-        self._window.append((record.evict_time, age))
+            return self._cumulative_sum / self._total_evictions
+        window = self._window
+        window.append((evict_time, age))
         self._window_sum += age
         if self.window_mode == "count":
-            while len(self._window) > self.window_size:
-                _, old = self._window.popleft()
+            while len(window) > self.window_size:
+                _, old = window.popleft()
                 self._window_sum -= old
         else:  # time mode: trim lazily against the newest eviction time
-            self._trim_time(record.evict_time)
+            # (which cannot reach the victim just appended)
+            self._trim_time(evict_time)
+        return max(0.0, self._window_sum / len(window))
+
+    def record_eviction(self, record: EvictionRecord) -> float:
+        """Fold one eviction into the window; returns its document age."""
+        age = document_expiration_age(record, self.kind)
+        self.record(age, record.evict_time)
         return age
 
     def _trim_time(self, now: float) -> None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.atomicio import atomic_write_text
 from repro.errors import ExperimentError, SimulationError
 from repro.experiments.report import ExperimentReport
 from repro.simulation.results import SimulationResult
@@ -96,8 +97,9 @@ class SimulationResultStore:
     everything that determines a result (simulation config + trace). Because
     the key covers all inputs, artifacts never go stale — invalidation is
     simply "a different input hashes to a different key". Writes are
-    atomic (temp file + rename) so a crashed run cannot leave a truncated
-    artifact that later loads would trip over.
+    atomic (:func:`repro.atomicio.atomic_write_text`), so a crashed run
+    cannot leave a truncated artifact that later loads would trip over and
+    two runs sharing a store may save the same key at once.
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -116,9 +118,7 @@ class SimulationResultStore:
     def save(self, key: str, result: SimulationResult) -> Path:
         """Persist ``result`` under ``key``; returns the artifact path."""
         path = self._path(key)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(result.to_json(), encoding="utf-8")
-        tmp.replace(path)
+        atomic_write_text(path, result.to_json())
         return path
 
     def load(self, key: str) -> Optional[SimulationResult]:

@@ -3,11 +3,13 @@
 ``repro.fastpath`` replays a trace through the same protocol sequence as
 the object core (``repro.architecture`` + ``repro.cache``) but over
 columnar state: URLs and clients are interned to dense integer ids at
-trace load (:meth:`repro.trace.record.Trace.interned`), per-cache entry
-metadata lives in parallel arrays indexed by doc id, LRU recency is an
-array-backed intrusive doubly-linked list, and the expiration-age window
-is a preallocated ring buffer. The replay loop allocates nothing per
-request.
+trace load (:meth:`repro.trace.record.Trace.interned` — the whole trace
+as one :class:`~repro.fastpath.interning.InternedChunk`, the same
+container every streamed source yields), per-cache entry metadata lives
+in parallel arrays indexed by doc id, LRU recency is an array-backed
+intrusive doubly-linked list, and the expiration-age window is the object
+core's own tracker fed pre-computed victim ages. The replay loop
+allocates nothing per request.
 
 The engine is selected via ``SimulationConfig(engine="columnar")`` and is
 **byte-identical** to the object core: same
@@ -171,18 +173,14 @@ def columnar_unsupported_reason(config: object) -> Optional[str]:
 
 from repro.fastpath.engine import simulate_columnar  # noqa: E402
 from repro.fastpath.batch import batch_fastloop_reason, simulate_batch  # noqa: E402
-from repro.fastpath.interning import InternedTrace  # noqa: E402
-from repro.fastpath.ringtracker import RingAgeTracker  # noqa: E402
 from repro.fastpath.structures import IntrusiveLRUList, LFUVictimHeap  # noqa: E402
 
 __all__ = [
     "COLUMNAR_NEUTRAL_FIELDS",
     "FALLBACK_MATRIX",
     "FallbackRule",
-    "InternedTrace",
     "IntrusiveLRUList",
     "LFUVictimHeap",
-    "RingAgeTracker",
     "batch_fastloop_reason",
     "columnar_unsupported_reason",
     "simulate_batch",

@@ -4,7 +4,8 @@ Everything *around* the per-request protocol kernel is the same for
 :func:`repro.fastpath.engine.simulate_columnar` and the batch fast loop:
 the envelope guards, the topology and capacity split, the per-cache
 tally columns, the scheme and latency constants, client→leaf growth, the
-streamed-chunk leaf/size columns, the span-wrapped chunk stream, the
+per-run leaf/size/digit columns of a chunk (one list derivation, one
+numpy derivation), the span-wrapped chunk stream, the
 per-chunk timeseries sample and the :class:`SimulationResult` assembly.
 :class:`ReplayFrame` holds the one copy. An engine builds a frame, binds
 the fields its loop touches to locals once (so the hot closures still see
@@ -19,6 +20,7 @@ from repro.cache.stats import CacheStats
 from repro.errors import SimulationError, TraceError
 from repro.fastpath import columnar_unsupported_reason
 from repro.fastpath.interning import InternedChunk, client_leaf_positions
+from repro.fastpath.numeric import decimal_digits
 from repro.network.bus import MessageCounters
 from repro.network.latency import ComponentLatencyModel, ConstantLatencyModel
 from repro.network.topology import StarTopology, two_level_tree
@@ -33,57 +35,39 @@ from repro.trace.record import Trace
 DEFAULT_CHUNK_SIZE = 1 << 18
 
 
-def _chunk_stream(trace, chunk_size: Optional[int], spans=None) -> Iterator[Tuple]:
-    """Yield ``(chunk, cached_source)`` pairs for the replay loop.
+def _chunk_stream(
+    trace, chunk_size: Optional[int], spans=None
+) -> Iterator[InternedChunk]:
+    """The chunks the replay loop consumes, in trace order.
 
-    ``cached_source`` is the backing :class:`InternedTrace` when the chunk
-    covers a whole materialised trace — the engine then uses the per-trace
-    memoised columns (record sizes, digits, leaf assignment) instead of
-    recomputing them. Streamed sources (anything exposing
-    ``interned_chunks(chunk_size)``) and genuinely chunked traces yield
-    ``None`` and the engine derives per-chunk columns from the intern
-    deltas.
+    A materialised :class:`Trace` replayed whole is its one interned chunk
+    — the only chunk with a ``memo``, so the per-run columns derived from
+    it (record sizes, digits, leaf assignment) are kept for the next
+    replay. Slices of it and streamed sources (anything exposing
+    ``interned_chunks(chunk_size)``) give chunks that are replayed once;
+    their columns are derived from the intern deltas and dropped.
 
     ``spans`` (an optional :class:`repro.obs.spans.SpanTracer`) is handed
     to sources that accept it, so generation/decoding work inside the
     source shows up as child spans of the engine's source spans; sources
     without span support are called plain.
     """
-    if isinstance(trace, Trace):
+    if isinstance(trace, Trace) and (
+        chunk_size is None or chunk_size >= max(len(trace), 1)
+    ):
         if spans is not None:
             with spans.span("intern", "source"):
-                interned = trace.interned()
-        else:
-            interned = trace.interned()
-        if chunk_size is None or chunk_size >= max(interned.num_records, 1):
-            whole = InternedChunk(
-                doc_ids=interned.doc_ids,
-                sizes=interned.sizes,
-                timestamps=interned.timestamps,
-                clients=interned.clients,
-                new_urls=interned.urls,
-                new_client_names=interned.client_names,
-                base_docs=0,
-                base_clients=0,
-                base_records=0,
-                # Share the per-doc protocol columns already computed at
-                # intern time instead of re-deriving them.
-                new_url_lens=interned.url_lens,
-                new_icp_probe_bytes=interned.icp_probe_bytes,
-            )
-            return iter(((whole, interned),))
-        return ((chunk, None) for chunk in interned.chunks(chunk_size))
+                return iter((trace.interned(),))
+        return iter((trace.interned(),))
     size = chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE
     if spans is not None:
         try:
             # Generator functions validate keywords at call time, so an
             # unsupported source raises here, not mid-iteration.
-            chunks = trace.interned_chunks(size, spans=spans)
+            return trace.interned_chunks(size, spans=spans)
         except TypeError:
-            chunks = trace.interned_chunks(size)
-    else:
-        chunks = trace.interned_chunks(size)
-    return ((chunk, None) for chunk in chunks)
+            pass  # a source without span support: called plain
+    return trace.interned_chunks(size)
 
 
 def check_envelope(config, engine: str) -> None:
@@ -190,9 +174,10 @@ class ReplayFrame:
             self.wan_bw = model.wan_bandwidth
         self.warmup = config.warmup_requests
 
-    def chunks(self, trace, chunk_size: Optional[int], spans) -> Iterator[Tuple]:
-        """The replay's ``(chunk, cached_source)`` stream (see
-        :func:`_chunk_stream`).
+    def chunks(
+        self, trace, chunk_size: Optional[int], spans
+    ) -> Iterator[InternedChunk]:
+        """The replay's chunk stream (see :func:`_chunk_stream`).
 
         With a span tracer the stream is bracketed by one
         ``engine:<name>`` span, every source pull (generation/decoding)
@@ -208,11 +193,11 @@ class ReplayFrame:
 
         requests = 0
         spans.begin(f"engine:{self.engine}", "engine")
-        for item in spans.wrap_source(stream, source_label(trace)):
+        for chunk in spans.wrap_source(stream, source_label(trace)):
             spans.begin("chunk", "replay")
-            yield item
-            requests += item[0].num_records
-            spans.end(records=item[0].num_records)
+            yield chunk
+            requests += chunk.num_records
+            spans.end(records=chunk.num_records)
         spans.end(requests=requests)
 
     def _client_leaves(self, chunk) -> List[int]:
@@ -234,45 +219,66 @@ class ReplayFrame:
             )
         return client_leaf
 
-    def chunk_columns(self, chunk, cached_source) -> Tuple[list, list]:
-        """``(leaf, record size)`` per chunk request, as lists.
+    def _leaf_list(self, chunk) -> List[int]:
+        """Cache index receiving each chunk request.
 
-        A whole materialised trace (``cached_source``) serves the
-        per-trace memoised columns; a streamed chunk derives them from
-        its intern deltas (:meth:`chunk_columns_np` is the same
-        derivation over numpy columns).
+        The three partitioners over interned client ids: the hash
+        partitioner's MD5 is computed once per distinct client;
+        round-robin by client is first-appearance order — exactly the
+        intern order — modulo the leaf count; round-robin by request is
+        the global record index.
         """
-        if cached_source is not None:
-            return (
-                cached_source.leaf_column(self.partitioner, self.leaves),
-                cached_source.record_sizes(self.patch),
-            )
         if self.partitioner == "round-robin-request":
             leaves = self.leaves
             num_leaves = self.num_leaves
             base_record = chunk.base_records
-            leaf_column = [
+            return [
                 leaves[(base_record + i) % num_leaves]
                 for i in range(chunk.num_records)
             ]
-        else:
-            client_leaf = self._client_leaves(chunk)
-            leaf_column = [client_leaf[client] for client in chunk.clients]
+        client_leaf = self._client_leaves(chunk)
+        return [client_leaf[client] for client in chunk.clients]
+
+    def _size_lists(self, chunk) -> Tuple[List[int], List[int]]:
+        """Patched record sizes and their Content-Length digit counts.
+
+        A chunk without zero-size records shares its raw ``sizes`` column.
+        """
         record_sizes = chunk.sizes
         if 0 in record_sizes:
             patch = self.patch
             record_sizes = [patch if size == 0 else size for size in record_sizes]
-        return leaf_column, record_sizes
+        return record_sizes, [len(str(size)) for size in record_sizes]
+
+    def chunk_columns(self, chunk) -> Tuple[List[int], List[int], List[int]]:
+        """``(leaf, record size, size digits)`` per chunk request, as lists.
+
+        The list route of the per-run columns (:meth:`chunk_columns_np` is
+        the numpy one), kept in the chunk's memo when it has one: per
+        (partitioner, leaf layout) and per patch size.
+        """
+        leaf_column = chunk.memoised(
+            "leaf", (self.partitioner, tuple(self.leaves)),
+            lambda: self._leaf_list(chunk),
+        )
+        record_sizes, size_digits = chunk.memoised(
+            "sizes", self.patch, lambda: self._size_lists(chunk)
+        )
+        return leaf_column, record_sizes, size_digits
 
     # repro: domains[clients_np=chunk-offset->any:int64, sizes_np=chunk-offset->byte-size:int64]
     # repro: domains[leaf_np=chunk-offset->any:intp, table=any->any:intp, leaves_np=any->any:intp]
+    # repro: domains[rsz_np=chunk-offset->byte-size:int64]
     def chunk_columns_np(self, np, chunk, clients_np, sizes_np) -> tuple:
-        """:meth:`chunk_columns` for a streamed chunk, over numpy columns.
+        """:meth:`chunk_columns` over numpy columns.
 
         ``clients_np`` / ``sizes_np`` are the chunk's own columns
         (:meth:`InternedChunk.columns_np`). The leaf column is one take
         through the client -> leaf table (or the record index modulo the
-        leaf count), the patched sizes one ``np.where``.
+        leaf count), the patched sizes one ``np.where``, the digit counts
+        :func:`~repro.fastpath.numeric.decimal_digits`. Not memoised here:
+        the batch precompute, the only consumer, keeps what it builds from
+        them (:meth:`repro.fastpath.batch._FastState.columns`).
         """
         if self.partitioner == "round-robin-request":
             leaves_np = np.array(self.leaves, dtype=np.intp)
@@ -288,7 +294,8 @@ class ReplayFrame:
             if table is None or len(table) != len(client_leaf):
                 table = self._client_leaf_np = np.array(client_leaf, dtype=np.intp)
             leaf_np = table[clients_np]
-        return leaf_np, np.where(sizes_np == 0, self.patch, sizes_np)
+        rsz_np = np.where(sizes_np == 0, self.patch, sizes_np)
+        return leaf_np, rsz_np, decimal_digits(np, rsz_np)
 
     def sample(self, timeseries, requests: int, t_last: float, **regimes) -> None:
         """Hand ``timeseries`` one cumulative counter reading."""

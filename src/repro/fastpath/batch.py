@@ -6,7 +6,11 @@ request-independent computation out of the per-request loop into
 whole-chunk batch precomputation:
 
 * **Leaf assignment, patched record sizes, Content-Length digit counts**
-  — per-request columns computed in one vectorised numpy pass.
+  — per-request columns computed in one vectorised numpy pass
+  (:meth:`ReplayFrame.chunk_columns_np
+  <repro.fastpath._frame.ReplayFrame.chunk_columns_np>`). The precompute
+  built on them is kept in the memo of a whole-trace chunk, the one kind
+  of chunk replayed more than once (:meth:`_FastState.columns`).
 * **Wire-length components** — the request-header byte count of a remote
   fetch and the full origin request+response header bytes depend only on
   the (doc, leaf) pair, so they are precomputed per request and summed by
@@ -39,7 +43,8 @@ whole-chunk batch precomputation:
   *remote* hits, which are local misses at the requesting leaf.
 * **Lazy age cells** — an eviction folds the victim's age into its
   cache's window (``deque(maxlen=W)`` + running sum, the ``+=``/``-=``
-  sequence of :meth:`RingAgeTracker.record`, so sums are bit-equal) and
+  sequence of :meth:`repro.cache.expiration.ExpirationAgeTracker.record`,
+  so sums are bit-equal) and
   marks the age stale; :meth:`_FastState.refresh_age` divides at the next
   *read* (a remote hit, a ``max_age`` scan, the result), formats for headers.
 * **First-occurrence / compulsory-miss masks (the cold regime)** — while
@@ -47,7 +52,7 @@ whole-chunk batch precomputation:
   decisions are constants, every admission succeeds, and a request can
   change cache state only if it is the *first occurrence of its (doc,
   leaf) slot*. Those first occurrences are found vectorially (one stable
-  argsort per chunk, memoised for whole-trace replay), a split index is
+  argsort per chunk, kept with the chunk's precompute), a split index is
   computed where the regime provably ends (first admission that would
   evict, reject, or trip the replica cap), and the prefix replays as
   array operations over first occurrences *only* — local hits are pure
@@ -93,7 +98,7 @@ from typing import List, Optional
 
 from repro.fastpath._frame import ReplayFrame, check_envelope
 from repro.fastpath.engine import simulate_columnar
-from repro.fastpath.numeric import load_numpy
+from repro.fastpath.numeric import decimal_digits, load_numpy
 from repro.protocol.http import format_expiration_age
 from repro.simulation.results import SimulationResult
 
@@ -211,7 +216,6 @@ class _FastState(ReplayFrame):
         self.icp_g = _NpGrow(np)
         self.first_size_g = _NpGrow(np)  # -1 until a doc's first request lands
         self.sender_np = np.array(self.sender_len, dtype=np.int64)
-        self.pow10 = np.power(10, np.arange(1, 19, dtype=np.int64))
         # Outcome-code-indexed latency components (index 1 unused).
         self.lat_lookup = np.array(
             [self.lat_local, 0.0, self.lat_remote, self.lat_miss]
@@ -257,23 +261,14 @@ class _FastState(ReplayFrame):
             self.icp_g.extend(np, chunk.new_icp_probe_bytes)
             self.first_size_g.extend(np, np.full(add, -1, dtype=np.int64))
 
-    def columns(self, chunk, cached_source):
+    def columns(self, chunk):
         """The chunk's batch precompute (see :func:`_columns_np`).
 
-        Memoised on the interned trace for whole-trace replay — sweeps
-        re-replay the same trace at many capacities.
+        Kept in the memo of a whole-trace chunk — sweeps re-replay the
+        same trace at many capacities — per everything that shapes it.
         """
-        if cached_source is None:
-            return _columns_np(self, chunk, None)
-        memo = cached_source.derived_cache()
-        key = (
-            "batch_cols", self.patch, self.partitioner, tuple(self.leaves),
-            self.num_caches,
-        )
-        cols = memo.get(key)
-        if cols is None:
-            cols = memo[key] = _columns_np(self, chunk, cached_source)
-        return cols
+        key = (self.patch, self.partitioner, tuple(self.leaves), self.num_caches)
+        return chunk.memoised("batch_cols", key, lambda: _columns_np(self, chunk))
 
     def refresh_age(self, c: int, wire: bool = False) -> float:
         """Cache ``c``'s age, recomputed from its window if stale.
@@ -405,7 +400,7 @@ def _simulate_fast(
                 # Group-wide miss: origin fetch, store at the requester.
                 # The engine's own-age decision read is side-effect-free
                 # in pure window modes, so only the admission remains.
-                size = rsz_l[i]
+                size = rsz_q[i]
                 code = 3
             else:
                 # Remote hit. Scheme decision reads requester then
@@ -452,7 +447,7 @@ def _simulate_fast(
                     od = lru[cache]
                     if in_use > cap:
                         # Window record per victim: the same +=/-= sequence
-                        # as RingAgeTracker.record, so sums are bit-equal.
+                        # as ExpirationAgeTracker.record, so sums are bit-equal.
                         s = wsum[cache]
                         dq = win[cache]
                         while in_use > cap:
@@ -515,7 +510,7 @@ def _simulate_fast(
     # Chunked replay
     # ---------------------------------------------------------------- #
     traced = spans is not None
-    for chunk, cached_source in st.chunks(trace, chunk_size, spans):
+    for chunk in st.chunks(trace, chunk_size, spans):
         n = chunk.num_records
         st.grow(chunk)
         if not n:
@@ -524,7 +519,7 @@ def _simulate_fast(
         # Batch precompute: the per-request numpy columns.
         if traced:
             spans.begin("columns", "replay")
-        cols = st.columns(chunk, cached_source)
+        cols = st.columns(chunk)
         if traced:
             spans.end()
         post = cols.post
@@ -539,9 +534,7 @@ def _simulate_fast(
         if st.cold:
             if traced:
                 spans.begin("cold", "regime")
-            tail_start = _cold_prefix(
-                st, n, gbase, cached_source, npx, post[0], out
-            )
+            tail_start = _cold_prefix(st, n, gbase, cols, out)
             if traced:
                 spans.end(requests=tail_start)
         tally["cold"] += tail_start
@@ -560,7 +553,8 @@ def _simulate_fast(
         if tail_start < n:
             if traced:
                 spans.begin("warm", "regime")
-            leaf_l, rsz_l, ts_l = cols.scalar_lists()
+            leaf_l, rsz_q = cols.scalar_columns()
+            ts_l = chunk.timestamps
             starts_l, sslots_l, sts_l, ends_l = cols.runs(np, tail_start)
             served = array("q", (0,)) * n
             if not lean:
@@ -604,8 +598,8 @@ def _simulate_fast(
 # repro: domains[ts_np=chunk-offset->age-tick:float64]
 # repro: domains[fsreq_np=chunk-offset->byte-size:int64]
 # repro: domains[leaf_np=chunk-offset->any:intp, first_min=interned-id->any:int64]
-# repro: domains[pow10=any->any:int64, sender_np=any->byte-size:int64]
-def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
+# repro: domains[sender_np=any->byte-size:int64]
+def _cold_prefix(st, n, gbase, cols, out):
     """Replay the cold-regime prefix of one chunk, fully vectorised.
 
     Writes the prefix's outcome bytes into ``out`` and its admissions,
@@ -623,21 +617,13 @@ def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
     lh = st.lh
     seq = st.seq
     used = st.used
-    pow10 = st.pow10
     sender_np = st.sender_np
     first_min = st.first_min_g.view()
-    docs_np, slots_np, ts_np, fsreq_np = npx
-    if cached_source is None:
-        grp = _slot_groups(np, slots_np)
-    else:
-        memo = cached_source.derived_cache()
-        gkey = ("batch_grp", st.partitioner, tuple(st.leaves), NC)
-        grp = memo.get(gkey)
-        if grp is None:
-            grp = memo[gkey] = _slot_groups(np, slots_np)
+    leaf_np = cols.post[0]
+    docs_np, slots_np, ts_np, fsreq_np = cols.npx
     # repro: domains[grp_slot=any->cache-slot:intp, grp_first=any->chunk-offset:intp]
     # repro: domains[grp_last=any->chunk-offset:intp]
-    grp_slot, grp_first, grp_last = grp
+    grp_slot, grp_first, grp_last = cols.groups(np)
     # Cold invariant: a slot was seen before iff it is resident.
     # (No reference to the frombuffer view may outlive this
     # statement — present_b.extend() would raise BufferError.)
@@ -717,11 +703,9 @@ def _cold_prefix(st, n, gbase, cached_source, npx, leaf_np, out):
                 fm_r = before[rem]
                 sz_r = e_size[dorder][rem]
                 # 76 + Content-Length digits + sender header.
-                st.bus[5] += int((
-                    np.searchsorted(pow10, sz_r, side="right")
-                    + 77
-                    + sender_np[fm_r]
-                ).sum())
+                st.bus[5] += int(
+                    (decimal_digits(np, sz_r) + 76 + sender_np[fm_r]).sum()
+                )
                 rcnt = np.bincount(fm_r, minlength=NC)
                 rbyt = np.bincount(fm_r, weights=sz_r, minlength=NC)
                 for c in range(NC):
@@ -955,33 +939,40 @@ class _ChunkColumns:
 
     ``post`` and ``npx`` are the numpy columns the cold regime and the
     post-pass consume; ``lean`` says every request matched its doc's
-    first-seen size. The Python lists only ``warm_loop`` / ``miss_path``
-    index — per-request leaf, patched size and timestamp, and the run
-    columns — are built on first request and kept (the object is
-    memoised with the trace for whole-trace replay), so a chunk that
-    stays cold allocates no per-request Python object.
+    first-seen size. What only one regime asks for — the Python lists
+    ``warm_loop`` / ``miss_path`` index (per-request leaf and patched
+    size, the run columns) and the cold regime's slot groups — is built
+    on first request and kept (the object lives in the memo of a
+    whole-trace chunk), so a chunk that stays cold allocates no
+    per-request Python object. It does not refer to its chunk.
     """
 
-    __slots__ = ("post", "npx", "lean", "_chunk", "_lists", "_runs")
+    __slots__ = ("post", "npx", "lean", "_scalar", "_runs", "_groups")
 
-    def __init__(self, chunk, post, npx, lean, leaf_l=None, rsz_l=None):
+    def __init__(self, post, npx, lean):
         self.post = post
         self.npx = npx
         self.lean = lean
-        self._chunk = chunk
-        # The whole-trace path passes the trace-level memoised lists it
-        # shares with the columnar core; a streamed chunk's come from its
-        # numpy columns.
-        self._lists = None if leaf_l is None else (leaf_l, rsz_l, chunk.timestamps)
+        self._scalar = None
         self._runs = None
+        self._groups = None
 
-    def scalar_lists(self):
-        """``(leaf_l, rsz_l, ts_l)``: per-request lists for the scalar path."""
-        if self._lists is None:
-            self._lists = (
-                self.post[0].tolist(), self.post[4].tolist(), self._chunk.timestamps,
+    def scalar_columns(self):
+        """``(leaf_l, rsz_q)``: per-request leaf and patched size as the
+        scalar path indexes them. Leaves are a list (small ints: no object
+        per request); sizes an ``array('q')`` — an int is made at each
+        origin miss that reads one, none is kept per request."""
+        if self._scalar is None:
+            self._scalar = (
+                self.post[0].tolist(), array("q", self.post[4].tobytes()),
             )
-        return self._lists
+        return self._scalar
+
+    def groups(self, np):
+        """:func:`_slot_groups` of the chunk's slot column."""
+        if self._groups is None:
+            self._groups = _slot_groups(np, self.npx[1])
+        return self._groups
 
     def runs(self, np, lo):
         """Run columns of requests ``lo..n`` (see :func:`_run_columns`).
@@ -999,37 +990,26 @@ class _ChunkColumns:
         return self._runs
 
 
-# repro: domains[pow10=any->any:int64, sender_np=any->byte-size:int64]
+# repro: domains[sender_np=any->byte-size:int64]
 # repro: domains[url_len=interned-id->byte-size:int64]
 # repro: domains[icp=interned-id->byte-size:int64]
 # repro: domains[fs=interned-id->byte-size:int64]
-def _columns_np(st, chunk, cached_source):
+def _columns_np(st, chunk):
     """Vectorised per-chunk columns (a :class:`_ChunkColumns`).
 
-    A streamed chunk's columns stay numpy from the chunk's own buffers
-    on; the whole-trace path converts the trace-level memoised lists it
-    shares with the columnar core (once per trace: the result is
-    memoised too).
+    Numpy from the chunk's own columns on
+    (:meth:`InternedChunk.columns_np`: views of a packed chunk's buffers,
+    one conversion per list otherwise).
     """
     np = st.np
     NC = st.num_caches
-    pow10 = st.pow10
     sender_np = st.sender_np
     url_len = st.url_len_g.view()
     icp = st.icp_g.view()
     # repro: domains[docs_np=chunk-offset->interned-id:intp, ts_np=chunk-offset->age-tick:float64]
     # repro: domains[leaf_np=chunk-offset->any:intp, rsz_np=chunk-offset->byte-size:int64]
-    if cached_source is None:
-        leaf_l = rsz_l = None
-        docs_np, sizes_np, ts_np, clients_np = chunk.columns_np(np)
-        leaf_np, rsz_np = st.chunk_columns_np(np, chunk, clients_np, sizes_np)
-    else:
-        leaf_l, rsz_l = st.chunk_columns(chunk, cached_source)
-        docs_np = np.array(chunk.doc_ids, dtype=np.intp)
-        ts_np = np.array(chunk.timestamps, dtype=np.float64)
-        leaf_np = np.array(leaf_l, dtype=np.intp)
-        rsz_np = np.array(rsz_l, dtype=np.int64)
-    digits_np = np.searchsorted(pow10, rsz_np, side="right") + 1
+    docs_np, sizes_np, ts_np, clients_np = chunk.columns_np(np)
+    leaf_np, rsz_np, digits_np = st.chunk_columns_np(np, chunk, clients_np, sizes_np)
     remote_base_np = url_len[docs_np] + sender_np[leaf_np] + 50
     origin_hdr_np = remote_base_np + 24 + digits_np
     icp_req_np = icp[docs_np]
@@ -1048,4 +1028,4 @@ def _columns_np(st, chunk, cached_source):
     # ``known`` is the per-request first-seen-size column — the size any
     # resident copy of the doc holds while the cold regime lasts.
     npx = (docs_np, slots_np, ts_np, known)
-    return _ChunkColumns(chunk, post, npx, lean, leaf_l, rsz_l)
+    return _ChunkColumns(post, npx, lean)

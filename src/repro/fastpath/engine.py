@@ -5,7 +5,7 @@ protocol sequence of the object core — local lookup, ICP probe, remote or
 origin HTTP fetch, placement decisions, hierarchical escalation — over
 columnar state: per-cache parallel arrays indexed by dense doc id, an
 array-backed intrusive LRU list or an LFU heap of one record per resident
-doc for victim order, and a ring-buffer expiration-age tracker per cache.
+doc for victim order, and the object core's expiration-age tracker per cache.
 The replay loop performs no per-request allocation (lint rule RPR009
 enforces this statically): a hit, under either policy, is a handful of
 list writes — the LFU heap is touched by admissions (one push), evictions
@@ -13,12 +13,13 @@ list writes — the LFU heap is touched by admissions (one push), evictions
 hit (see :class:`repro.fastpath.structures.LFUVictimHeap`, whose columns
 the admission step binds and works on directly).
 
-Traces replay either whole (the classic path, using the per-trace memoised
-columns) or as a stream of :class:`repro.fastpath.interning.InternedChunk`
-slices with O(chunk) memory: every per-doc state array grows by exactly
-the chunk's intern-table delta before its requests replay, so chunked and
-whole-trace replay are byte-identical for any chunk size (the chunking
-differential tests assert this, events included).
+A replay is a stream of :class:`repro.fastpath.interning.InternedChunk` —
+one chunk for a materialised trace replayed whole (its per-run columns
+are memoised on it), O(chunk) memory for slices and streamed sources:
+every per-doc state array grows by exactly the chunk's intern-table delta
+before its requests replay, so chunked and whole-trace replay are
+byte-identical for any chunk size (the chunking differential tests assert
+this, events included).
 
 Byte identity with the object core is the contract, not an aspiration:
 
@@ -26,9 +27,9 @@ Byte identity with the object core is the contract, not an aspiration:
   With ``window_mode`` ``count`` or ``cumulative`` a cache's age changes
   only when that cache records an eviction, so the admission step
   refreshes one cell per cache after its eviction loop (the value
-  :meth:`RingAgeTracker.record` hands back) and every read — placement
-  and promotion decisions, responder choice, snapshot rows — is a list
-  read; the length of the age's wire text is a second cell, formatted at
+  :meth:`repro.cache.expiration.ExpirationAgeTracker.record` hands back)
+  and every read — placement and promotion decisions, responder choice,
+  snapshot rows — is a list read; the length of the age's wire text is a second cell, formatted at
   the first header that carries the refreshed age (so
   ``format_expiration_age`` still checks every distinct age that reaches
   the wire), and the digit count of a stored size is memoised per size.
@@ -37,8 +38,8 @@ Byte identity with the object core is the contract, not an aspiration:
   every read stays a tracker call in the object core's order, including
   the reads whose value is unused (the ad-hoc scheme's audit fields), and
   no cell is consulted.
-* Window sums follow the same ``+=``/``-=`` sequence as the deque tracker
-  (see :mod:`repro.fastpath.ringtracker`), so ages are bit-equal floats.
+* The trackers are the object core's own class, fed pre-computed victim
+  ages, so window sums and ages are the same floats.
 * HTTP/ICP wire lengths use the same arithmetic as
   :class:`repro.protocol.http.HttpRequest` / ``HttpResponse`` /
   :mod:`repro.protocol.icp` (asserted by tests against the real classes).
@@ -58,9 +59,9 @@ import math
 from heapq import heappop, heappush, heapreplace
 from typing import List, Optional
 
+from repro.cache.expiration import ExpirationAgeTracker
 from repro.errors import CacheConfigurationError
 from repro.fastpath._frame import ReplayFrame
-from repro.fastpath.ringtracker import RingAgeTracker
 from repro.fastpath.structures import IntrusiveLRUList, LFUVictimHeap
 from repro.protocol.http import format_expiration_age
 from repro.simulation.results import SimulationResult
@@ -128,7 +129,7 @@ def simulate_columnar(
     else:
         order = [LFUVictimHeap(0) for _ in range(num_caches)]
     trackers = [
-        RingAgeTracker(
+        ExpirationAgeTracker(
             kind="lru" if lru_kind else "lfu",
             window_mode=config.window_mode,
             window_size=config.window_size,
@@ -409,7 +410,7 @@ def simulate_columnar(
     # allocation request loop runs over the chunk's columns
     # ---------------------------------------------------------------- #
     processed = 0
-    for chunk, cached_source in frame.chunks(trace, chunk_size, spans):
+    for chunk in frame.chunks(trace, chunk_size, spans):
         new_urls = chunk.new_urls
         if new_urls:
             add = len(new_urls)
@@ -428,11 +429,7 @@ def simulate_columnar(
                 hit_count[c].extend(zero_ints)
                 order[c].grow(num_docs)
 
-        leaf_column, record_sizes = frame.chunk_columns(chunk, cached_source)
-        if cached_source is not None:
-            size_digits = cached_source.size_digits(frame.patch)
-        else:
-            size_digits = [len(str(size)) for size in record_sizes]
+        leaf_column, record_sizes, size_digits = frame.chunk_columns(chunk)
 
         for cache, doc, now, record_size, digits in zip(
             leaf_column, chunk.doc_ids, chunk.timestamps, record_sizes, size_digits

@@ -14,18 +14,22 @@ from that length through :mod:`repro.protocol.icp`'s overhead constants
 (:func:`icp_probe_bytes`), so the engine never touches a URL string
 during replay.
 
-Derived *per-run* columns (patched record sizes, Content-Length digit
-counts, the partitioner's leaf assignment) are memoised per parameter set
-on the interned trace itself: a sweep replays the same trace at many
-capacities, and recomputing an O(n) column per point was measurable
-(both replay engines consume these caches).
+A whole trace is one chunk: :meth:`repro.trace.record.Trace.interned`
+holds the :class:`InternedChunk` that starts at request 0, whose deltas
+are the full intern tables. Only such a chunk carries a ``memo`` for the
+derived *per-run* columns of :mod:`repro.fastpath._frame` (patched record
+sizes, digit counts, leaf assignment, the batch precompute): a sweep
+replays the same trace at many capacities, and recomputing an O(n)
+column per point was measurable.
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.protocol import icp
 from repro.protocol.http import _utf8_length
@@ -66,196 +70,6 @@ def client_leaf_positions(client_names: Sequence[str], num_leaves: int) -> List[
     ]
 
 
-class InternedTrace:
-    """Columnar view of a trace: parallel per-request and per-doc columns.
-
-    Per-request columns (index = request position in the trace):
-
-    * ``doc_ids`` — dense document id of the requested URL.
-    * ``sizes`` — raw record size in bytes (zero-size records *not* patched;
-      patching is a per-run config concern, see the engine).
-    * ``timestamps`` — request arrival time.
-    * ``clients`` — dense client id.
-
-    Per-document columns (index = doc id):
-
-    * ``urls`` — the interned URL strings (id -> URL).
-    * ``url_lens`` — UTF-8 byte length of each URL.
-    * ``icp_probe_bytes`` — ICP query + reply datagram bytes for one probe
-      of this URL (:func:`repro.protocol.icp.query_wire_length` +
-      :func:`~repro.protocol.icp.reply_wire_length`).
-
-    Per-client column (index = client id): ``client_names``.
-    """
-
-    __slots__ = (
-        "doc_ids",
-        "sizes",
-        "timestamps",
-        "clients",
-        "urls",
-        "url_lens",
-        "icp_probe_bytes",
-        "client_names",
-        "num_records",
-        "num_docs",
-        "num_clients",
-        "has_zero_sizes",
-        "_derived",
-    )
-
-    # Whole-trace columns are indexed by global request position; the
-    # per-doc tables are indexed by the dense interned id.
-    # repro: domains[doc_ids=global-seq->interned-id, sizes=global-seq->byte-size]
-    # repro: domains[timestamps=global-seq->age-tick, clients=global-seq->any]
-    # repro: domains[urls=interned-id->any]
-    def __init__(
-        self,
-        doc_ids: List[int],
-        sizes: List[int],
-        timestamps: List[float],
-        clients: List[int],
-        urls: List[str],
-        client_names: List[str],
-    ):
-        self.doc_ids = doc_ids
-        self.sizes = sizes
-        self.timestamps = timestamps
-        self.clients = clients
-        self.urls = urls
-        self.client_names = client_names
-        self.url_lens = [_utf8_length(url) for url in urls]
-        self.icp_probe_bytes = icp_probe_bytes(self.url_lens)
-        self.num_records = len(doc_ids)
-        self.num_docs = len(urls)
-        self.num_clients = len(client_names)
-        self.has_zero_sizes = 0 in sizes
-        # Memoised per-run derived columns, keyed by the parameters that
-        # shape them (patch size, partitioner + leaf layout, engine-private
-        # keys). Shared by both replay engines and the batch precompute.
-        self._derived: Dict[Tuple, object] = {}
-
-    # ------------------------------------------------------------------ #
-    # Cached per-run columns
-    # ------------------------------------------------------------------ #
-
-    # repro: domains[patch_size=byte-size, cached=global-seq->byte-size]
-    def record_sizes(self, patch_size: int) -> List[int]:
-        """Per-request sizes with zero-size records patched to ``patch_size``.
-
-        Cached per patch size; traces without zero-size records share the
-        raw ``sizes`` column unmodified.
-        """
-        if not self.has_zero_sizes:
-            return self.sizes
-        key = ("record_sizes", patch_size)
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = [patch_size if size == 0 else size for size in self.sizes]
-            self._derived[key] = cached
-        return cached  # type: ignore[return-value]
-
-    # repro: domains[patch_size=byte-size]
-    def size_digits(self, patch_size: int) -> List[int]:
-        """Content-Length digit count per request (origin-response header)."""
-        key = ("size_digits", patch_size)
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = [len(str(size)) for size in self.record_sizes(patch_size)]
-            self._derived[key] = cached
-        return cached  # type: ignore[return-value]
-
-    def leaf_column(self, partitioner: str, leaves: Sequence[int]) -> List[int]:
-        """Cache index receiving each request, in trace order.
-
-        Reproduces the three partitioners over interned client ids: the
-        hash partitioner's MD5 is computed once per distinct client;
-        round-robin by client is first-appearance order — exactly the
-        intern order — modulo the leaf count; round-robin by request is
-        the record index. Cached per (partitioner, leaf layout).
-        """
-        key = ("leaf_column", partitioner, tuple(leaves))
-        cached = self._derived.get(key)
-        if cached is None:
-            num_leaves = len(leaves)
-            if partitioner == "round-robin-request":
-                cached = [leaves[i % num_leaves] for i in range(self.num_records)]
-            else:
-                if partitioner == "hash":
-                    positions = client_leaf_positions(self.client_names, num_leaves)
-                    client_leaf = [leaves[pos] for pos in positions]
-                else:  # round-robin-client: intern order == first appearance
-                    client_leaf = [
-                        leaves[client % num_leaves]
-                        for client in range(self.num_clients)
-                    ]
-                cached = [client_leaf[client] for client in self.clients]
-            self._derived[key] = cached
-        return cached  # type: ignore[return-value]
-
-    def derived_cache(self) -> Dict[Tuple, object]:
-        """The raw memo dict (engine-private keys; see fastpath.columns).
-
-        Shared mutability is the API: engines *write* their per-trace
-        memo entries here so repeated sweep points skip recomputation.
-        """
-        return self._derived  # repro: noqa[RPR134]
-
-    @classmethod
-    def from_chunk(cls, chunk: "InternedChunk") -> "InternedTrace":
-        """The trace that a single chunk covering all of it is.
-
-        A chunk that starts at request 0 carries the whole intern tables
-        as its deltas; the columns are adopted, not copied.
-        """
-        return cls(
-            chunk.doc_ids, chunk.sizes, chunk.timestamps, chunk.clients,
-            chunk.new_urls, chunk.new_client_names,
-        )
-
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> "InternedTrace":
-        """Intern ``records`` in order; ids follow first appearance."""
-        return cls.from_chunk(ChunkingInterner().intern_chunk(records))
-
-    # repro: domains[base_docs=interned-id, next_docs=interned-id]
-    # repro: domains[chunk_docs=chunk-offset->interned-id, start=global-seq]
-    def chunks(self, chunk_size: int) -> Iterator["InternedChunk"]:
-        """Slice this interned trace into :class:`InternedChunk` views.
-
-        Because doc and client ids are assigned in first-appearance order,
-        the intern tables seen after any prefix of the trace are exactly the
-        first ``max(id)+1`` entries — so chunking is pure column slicing,
-        and chunked replay is byte-identical to whole-trace replay by
-        construction. ``chunk_size >= num_records`` yields a single chunk;
-        ``chunk_size`` must be positive.
-        """
-        require_chunk_size(chunk_size)
-        doc_ids = self.doc_ids
-        clients = self.clients
-        base_docs = 0
-        base_clients = 0
-        for start in range(0, self.num_records, chunk_size):
-            end = min(start + chunk_size, self.num_records)
-            chunk_docs = doc_ids[start:end]
-            chunk_clients = clients[start:end]
-            next_docs = max(base_docs - 1, max(chunk_docs)) + 1
-            next_clients = max(base_clients - 1, max(chunk_clients)) + 1
-            yield InternedChunk(
-                doc_ids=chunk_docs,
-                sizes=self.sizes[start:end],
-                timestamps=self.timestamps[start:end],
-                clients=chunk_clients,
-                new_urls=self.urls[base_docs:next_docs],
-                new_client_names=self.client_names[base_clients:next_clients],
-                base_docs=base_docs,
-                base_clients=base_clients,
-                base_records=start,
-            )
-            base_docs = next_docs
-            base_clients = next_clients
-
-
 class InternedChunk:
     """One contiguous slice of an interned trace, with intern-table deltas.
 
@@ -285,7 +99,12 @@ class InternedChunk:
     Derived per-new-doc columns (UTF-8 URL length, ICP probe bytes) are
     computed lazily, once per chunk, unless the producer already holds
     them (the packed reader reads the lengths off the file's own string
-    prefixes; a whole interned trace shares its per-doc tables).
+    prefixes).
+
+    **A whole trace** is the chunk with every base 0 (:meth:`from_records`,
+    ``generate_trace``); :meth:`slices` cuts it into smaller ones. Only it
+    is replayed more than once, so only its ``memo`` is a dict and not
+    ``None`` (:meth:`memoised`).
     """
 
     __slots__ = (
@@ -299,6 +118,7 @@ class InternedChunk:
         "num_records",
         "_new_url_lens",
         "_new_icp_probe_bytes",
+        "memo",
     )
 
     # Chunk columns are indexed by chunk-local offset; ids stay global.
@@ -335,6 +155,74 @@ class InternedChunk:
         self.num_records = len(doc_ids)
         self._new_url_lens = new_url_lens
         self._new_icp_probe_bytes = new_icp_probe_bytes
+        # kind -> (layout key, value); see memoised. None: nothing is kept.
+        self.memo: Optional[Dict[str, Tuple[object, object]]] = None
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> "InternedChunk":
+        """Intern ``records`` in order, as the one chunk of a whole trace."""
+        whole = ChunkingInterner().intern_chunk(records)
+        whole.memo = {}
+        return whole
+
+    def memoised(self, kind: str, key: object, build: Callable[[], object]):
+        """``build()``, kept in ``memo`` under ``kind`` while ``key`` holds.
+
+        One entry per kind: another key (partitioner, leaf layout, patch
+        size) drops the held value before building its own, so what a
+        trace keeps does not grow with the layouts it was replayed under.
+        Values must not refer back to the chunk — a trace dies by
+        refcount. Without a ``memo`` this is just ``build()``.
+        """
+        memo = self.memo
+        if memo is None:
+            return build()
+        held = memo.get(kind)
+        if held is not None and held[0] == key:
+            return held[1]
+        memo.pop(kind, None)
+        value = build()
+        memo[kind] = (key, value)
+        return value
+
+    # repro: domains[base_docs=interned-id, next_docs=interned-id]
+    # repro: domains[chunk_docs=chunk-offset->interned-id, start=chunk-offset]
+    def slices(self, chunk_size: int) -> Iterator["InternedChunk"]:
+        """Cut this chunk into consecutive ones of ``chunk_size`` requests.
+
+        Because doc and client ids are assigned in first-appearance order,
+        the intern tables seen after any prefix of the trace are exactly the
+        first ``max(id)+1`` entries — so chunking is pure column slicing,
+        and chunked replay is byte-identical to whole-trace replay by
+        construction. ``chunk_size >= num_records`` yields a single chunk;
+        ``chunk_size`` must be positive. The slices carry no ``memo``.
+        """
+        require_chunk_size(chunk_size)
+        doc_ids = self.doc_ids
+        clients = self.clients
+        first_doc = base_docs = self.base_docs
+        first_client = base_clients = self.base_clients
+        for start in range(0, self.num_records, chunk_size):
+            end = min(start + chunk_size, self.num_records)
+            chunk_docs = doc_ids[start:end]
+            chunk_clients = clients[start:end]
+            next_docs = max(base_docs - 1, max(chunk_docs)) + 1
+            next_clients = max(base_clients - 1, max(chunk_clients)) + 1
+            yield InternedChunk(
+                doc_ids=chunk_docs,
+                sizes=self.sizes[start:end],
+                timestamps=self.timestamps[start:end],
+                clients=chunk_clients,
+                new_urls=self.new_urls[base_docs - first_doc : next_docs - first_doc],
+                new_client_names=self.new_client_names[
+                    base_clients - first_client : next_clients - first_client
+                ],
+                base_docs=base_docs,
+                base_clients=base_clients,
+                base_records=self.base_records + start,
+            )
+            base_docs = next_docs
+            base_clients = next_clients
 
     def _list_column(self, index: int) -> list:
         """Column ``index`` as a list, materialised from its buffer once."""
@@ -438,7 +326,7 @@ class ChunkingInterner:
     """Incremental interner for streaming record sources.
 
     Holds the URL/client intern tables across calls so successive chunks
-    receive globally consistent dense ids (:meth:`InternedTrace.from_records`
+    receive globally consistent dense ids (:meth:`InternedChunk.from_records`
     is one batch holding everything). Feed it consecutive record batches
     in trace order; each call returns an :class:`InternedChunk`.
     """

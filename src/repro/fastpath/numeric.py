@@ -42,3 +42,13 @@ def load_numpy():
     except ImportError:  # pragma: no cover - image bakes numpy in
         return None
     return numpy
+
+
+# repro: domains[pow10=any->any:int64]
+def decimal_digits(np, values):
+    """Decimal digit count of each non-negative int64 in ``values``.
+
+    ``len(str(v))`` as one search of the powers of ten (0 has one digit).
+    """
+    pow10 = np.power(10, np.arange(1, 19, dtype=np.int64))
+    return np.searchsorted(pow10, values, side="right") + 1

@@ -21,6 +21,8 @@ import json
 from functools import lru_cache
 from typing import Any, Dict, Optional
 
+from repro.atomicio import atomic_write_text
+
 #: Schema identifier for manifest payloads.
 MANIFEST_SCHEMA = "repro-manifest/1"
 
@@ -122,7 +124,5 @@ def build_manifest(
 
 
 def write_manifest(manifest: Dict[str, Any], path: str) -> None:
-    """Write a manifest as stable, human-diffable JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write a manifest as stable, human-diffable JSON, atomically."""
+    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -43,14 +43,13 @@ identity requires.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import mmap
-import os
 import struct
 from array import array
 from typing import BinaryIO, Iterator, List, Optional, Tuple
 
+from repro.atomicio import atomic_path
 from repro.errors import TraceError
 
 MAGIC = b"RPCT"
@@ -87,20 +86,13 @@ def write_packed(path: str, source, chunk_size: Optional[int] = None) -> Tuple[i
     memory, not results.
 
     The file is written beside ``path`` and renamed over it only once the
-    footer is down, so a pack that fails or is interrupted leaves
-    whatever was at ``path`` untouched and no partial file behind.
+    footer is down (:func:`repro.atomicio.atomic_path`), so a pack that
+    fails or is interrupted leaves whatever was at ``path`` untouched and
+    no partial file behind.
     """
     size = chunk_size if chunk_size is not None else DEFAULT_PACK_CHUNK
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            totals = _write_stream(fh, source.interned_chunks(size))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    return totals
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
+        return _write_stream(fh, source.interned_chunks(size))
 
 
 def _write_stream(fh: BinaryIO, chunks) -> Tuple[int, int, int]:

@@ -152,7 +152,7 @@ class Trace:
     def from_interned(
         cls, interned, build_records: Callable[[], Iterable[TraceRecord]]
     ) -> "Trace":
-        """A trace handed its finished ``InternedTrace``; records deferred.
+        """A trace handed its finished whole-trace chunk; records deferred.
 
         ``build_records`` is called once, at the first read of
         :attr:`records`, then dropped with whatever it holds. It must
@@ -223,7 +223,9 @@ class Trace:
     def interned(self):
         """Columnar view with URLs/clients interned to dense integer ids.
 
-        Returns an :class:`repro.fastpath.interning.InternedTrace`.
+        Returns the whole trace as one
+        :class:`repro.fastpath.interning.InternedChunk` (every base 0, the
+        full intern tables as its deltas, a ``memo`` for derived columns).
         Computed once and kept on the instance (records are append-never
         after construction, same contract as :meth:`fingerprint`), so the
         columnar engine pays the interning cost once per trace even across
@@ -234,9 +236,9 @@ class Trace:
         cached = self._interned
         if cached is None:
             # Imported here: repro.fastpath sits above the trace layer.
-            from repro.fastpath.interning import InternedTrace
+            from repro.fastpath.interning import InternedChunk
 
-            cached = self._interned = InternedTrace.from_records(self.records)
+            cached = self._interned = InternedChunk.from_records(self.records)
         return cached
 
     def interned_chunks(self, chunk_size: int, spans=None):
@@ -259,8 +261,8 @@ class Trace:
         if spans is not None:
             with spans.span("intern", "source"):
                 interned = self.interned()
-            return interned.chunks(chunk_size)
-        return self.interned().chunks(chunk_size)
+            return interned.slices(chunk_size)
+        return self.interned().slices(chunk_size)
 
     @property
     def num_records(self) -> int:

@@ -374,18 +374,14 @@ class BULikeTraceGenerator:
     def generate(self) -> Trace:
         """Produce the full trace as a :class:`~repro.trace.record.Trace`.
 
-        Drawn here, once, as a single chunk the length of the trace: its
-        columns are the trace's finished interned view, and the block it
+        Drawn here, once, as a single chunk the length of the trace: that
+        chunk is the trace's finished interned view, and the block it
         was cut from is kept until the first record-level read turns it
         into :class:`TraceRecord` objects (see :meth:`Trace.from_interned`).
         """
-        # Imported here: repro.fastpath sits above the trace layer.
-        from repro.fastpath.interning import InternedTrace
-
-        ((chunk, block),) = self.drawn_chunks(self.config.num_requests)
-        return Trace.from_interned(
-            InternedTrace.from_chunk(chunk), partial(self.records_of, (block,))
-        )
+        ((whole, block),) = self.drawn_chunks(self.config.num_requests)
+        whole.memo = {}
+        return Trace.from_interned(whole, partial(self.records_of, (block,)))
 
     def iter_records(self) -> Iterator[TraceRecord]:
         """Yield the trace's records one at a time, in trace order."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -227,3 +228,62 @@ class TestRecordEvictionReturnValue:
     def test_returns_document_age(self):
         tracker = ExpirationAgeTracker(window_mode="count")
         assert tracker.record_eviction(eviction(10.0, last_hit=7.0)) == pytest.approx(3.0)
+
+
+def _random_evictions(rng: random.Random, n: int):
+    """A plausible eviction stream: monotone evict times, varied ages."""
+    now = 0.0
+    records = []
+    for _ in range(n):
+        now += rng.expovariate(1 / 30.0)
+        entry = now - rng.uniform(1.0, 5_000.0)
+        records.append(
+            eviction(
+                now,
+                last_hit=entry + rng.uniform(0.0, now - entry),
+                entry=entry,
+                hits=rng.randint(1, 9),
+            )
+        )
+    return records
+
+
+class TestRecord:
+    """``record(age, evict_time)``: the columnar core's entry point, fed
+    the victim's already computed age. What it hands back is the value the
+    engine keeps in its per-cache age cell, so it must be *bit*-equal to a
+    read at that instant, not approximately equal."""
+
+    @pytest.mark.parametrize(
+        "window_kwargs",
+        [
+            {"window_mode": "cumulative"},
+            {"window_mode": "count", "window_size": 1},
+            {"window_mode": "count", "window_size": 7},
+            {"window_mode": "time", "window_seconds": 120.0},
+        ],
+    )
+    def test_returns_the_refreshed_cache_age(self, window_kwargs):
+        by_record = ExpirationAgeTracker(kind="lfu", **window_kwargs)
+        by_age = ExpirationAgeTracker(kind="lfu", **window_kwargs)
+        for record in _random_evictions(random.Random(12), 300):
+            by_record.record_eviction(record)
+            refreshed = by_age.record(record.lfu_expiration_age, record.evict_time)
+            assert refreshed == by_record.cache_expiration_age(record.evict_time)
+            assert refreshed == by_age.cache_expiration_age(record.evict_time)
+        assert by_age.snapshot() == by_record.snapshot()
+
+    def test_zero_age_victims_count_toward_window(self):
+        tracker = ExpirationAgeTracker(window_mode="count", window_size=3)
+        assert tracker.record(10.0, 10.0) == 10.0
+        assert tracker.record(0.0, 20.0) == 5.0
+        assert tracker.snapshot().victims_in_window == 2
+
+    def test_reset_forgets_everything(self):
+        tracker = ExpirationAgeTracker(window_mode="count", window_size=4)
+        for record in _random_evictions(random.Random(3), 20):
+            tracker.record(record.lru_expiration_age, record.evict_time)
+        tracker.reset()
+        assert tracker.cache_expiration_age() == math.inf
+        assert tracker.total_evictions == 0
+        assert tracker.record(2.0, 1.0) == 2.0  # reusable, window restarted

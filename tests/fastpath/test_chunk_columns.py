@@ -3,7 +3,7 @@
 An :class:`InternedChunk` is list-backed (interners, the synthetic
 stream) or buffer-backed (the packed reader). These tests pin the seams
 that decision created: the vectorised leaf / patched-size columns of a
-streamed chunk against the list derivation the columnar core uses, and
+chunk against the list derivation the columnar core uses, and
 the laziness itself — which list columns exist after a replay.
 """
 
@@ -51,7 +51,7 @@ def packed(tmp_path_factory):
 @pytest.mark.parametrize(
     "partitioner", ("hash", "round-robin-client", "round-robin-request")
 )
-@pytest.mark.parametrize("backing", ("lists", "buffers"))
+@pytest.mark.parametrize("backing", ("lists", "buffers", "whole"))
 def test_vectorised_columns_equal_list_columns(packed, backing, partitioner, patch_size):
     config = SimulationConfig(num_caches=3, partitioner=partitioner, patch_size=patch_size)
     by_list = ReplayFrame(config, "columnar")
@@ -59,17 +59,28 @@ def test_vectorised_columns_equal_list_columns(packed, backing, partitioner, pat
     if backing == "lists":
         source = RecordStream(lambda: iter(_records()))
         chunks = list(source.interned_chunks(CHUNK))
-    else:
+    elif backing == "buffers":
         with PackedTraceReader(packed) as reader:
             chunks = list(reader.interned_chunks(CHUNK))
-    assert len(chunks) == 4 and all(chunk.new_client_names for chunk in chunks)
+    else:  # the one memo-carrying chunk a materialised trace is
+        chunks = [Trace(_records()).interned()]
+    if backing != "whole":
+        assert len(chunks) == 4 and all(chunk.new_client_names for chunk in chunks)
     for chunk in chunks:
         _docs, sizes_np, _ts, clients_np = chunk.columns_np(np)
-        leaf_np, rsz_np = by_numpy.chunk_columns_np(np, chunk, clients_np, sizes_np)
-        leaf_l, rsz_l = by_list.chunk_columns(chunk, None)
+        leaf_np, rsz_np, digits_np = by_numpy.chunk_columns_np(
+            np, chunk, clients_np, sizes_np
+        )
+        leaf_l, rsz_l, digits_l = by_list.chunk_columns(chunk)
         assert leaf_np.tolist() == leaf_l
         assert rsz_np.tolist() == rsz_l
+        assert digits_np.tolist() == digits_l == [len(str(size)) for size in rsz_l]
         assert patch_size in rsz_l and 0 not in rsz_l
+        if backing == "whole":  # kept: the next replay gets the very same lists
+            again = ReplayFrame(config, "columnar").chunk_columns(chunk)
+            assert all(a is b for a, b in zip(again, (leaf_l, rsz_l, digits_l)))
+        else:
+            assert chunk.memo is None
 
 
 def test_numpy_columns_are_the_list_columns(packed):

@@ -8,11 +8,13 @@ so peak memory grows with the number of replays in between.
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
 from repro.fastpath import simulate_batch, simulate_columnar
 from repro.simulation.simulator import SimulationConfig
+from repro.trace import Trace
 
 CAPACITY = 600_000
 
@@ -44,3 +46,25 @@ def test_replay_leaves_no_cyclic_garbage(bu_style_trace, simulate, overrides):
     finally:
         gc.enable()
     assert result.metrics.requests == len(bu_style_trace.records)
+
+
+def test_a_replayed_trace_dies_by_refcount(bu_style_trace):
+    """What the replays keep in the whole-trace chunk's memo must not
+    refer back to the chunk: dropping the trace frees its columns at once."""
+    trace = Trace(bu_style_trace.records)
+    for _name, simulate, overrides in SHAPES:
+        config = SimulationConfig(
+            scheme="ea", num_caches=4, aggregate_capacity=CAPACITY, **overrides
+        )
+        simulate(config, trace)
+    assert trace.interned().memo  # the replays did keep something
+    dead = weakref.ref(trace)
+    gc.collect()
+    gc.disable()
+    try:
+        del trace
+        assert dead() is None
+        # A chunk <-> memo cycle would be found, and counted, here.
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

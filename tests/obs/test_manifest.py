@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+
+import pytest
 
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
@@ -125,6 +128,25 @@ class TestBuildManifest:
         text = path.read_text(encoding="utf-8")
         assert text.endswith("\n")
         assert json.loads(text) == result.manifest
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        """An unserialisable value used to stop json.dump mid-file; a failed
+        rename must not leave its temp file either."""
+        path = tmp_path / "manifest.json"
+        write_manifest({"schema": MANIFEST_SCHEMA}, str(path))
+        before = path.read_text(encoding="utf-8")
+        with pytest.raises(TypeError):
+            write_manifest({"schema": MANIFEST_SCHEMA, "bad": object()}, str(path))
+
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="no space"):
+            write_manifest({"schema": MANIFEST_SCHEMA, "n": 1}, str(path))
+        assert path.read_text(encoding="utf-8") == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 class TestMemoSidecars:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -96,3 +98,29 @@ class TestSimulationResultStore:
         store.save("ff" * 8, result)
         store.save("aa" * 8, result)
         assert store.keys() == ["aa" * 8, "ff" * 8]
+
+    def test_two_interleaved_saves_of_one_key_both_succeed(
+        self, trace, tmp_path, monkeypatch
+    ):
+        """Two invocations sharing a store land on one key: the rival's
+        whole save happens between this one's write and its rename. With a
+        temp file named after the key alone the rival renamed *our* temp
+        away, and our rename raised FileNotFoundError."""
+        store = SimulationResultStore(tmp_path)
+        result = run_simulation(SimulationConfig(aggregate_capacity=1 << 17), trace)
+        key = "ab" * 8
+        pids = iter((111, 222))
+        monkeypatch.setattr(os, "getpid", lambda: next(pids))
+        real_replace = os.replace
+        rival_saved = []
+
+        def replace_after_the_rival(src, dst):
+            if not rival_saved:
+                rival_saved.append(True)
+                store.save(key, result)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_the_rival)
+        store.save(key, result)
+        assert rival_saved and store.load(key).to_json() == result.to_json()
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]

@@ -15,7 +15,7 @@ conservation, expiration ages are refreshed lazily.
 
 The second half pins what the lazy age cells rest on: the window fold the
 loop runs inline is fed chosen age sequences through a real replay and
-compared, sum and age, with ``RingAgeTracker.record`` after every request.
+compared, sum and age, with ``ExpirationAgeTracker.record`` after every request.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.expiration import ExpirationAgeTracker
 from repro.fastpath import batch
 from repro.fastpath.batch import batch_fastloop_reason, simulate_batch
-from repro.fastpath.ringtracker import RingAgeTracker
 from repro.simulation.simulator import CooperativeSimulator, SimulationConfig
 from repro.trace.record import Trace, TraceRecord
 from repro.trace.stream import RecordStream
@@ -126,8 +126,8 @@ _new_documents = st.tuples(
 
 def _reference_windows(records, window_mode, window_size):
     """Per request: ``(window sum, cache age, evictions so far)`` from an
-    LRU of untouched documents feeding :meth:`RingAgeTracker.record`."""
-    tracker = RingAgeTracker(window_mode=window_mode, window_size=window_size)
+    LRU of untouched documents feeding :meth:`ExpirationAgeTracker.record`."""
+    tracker = ExpirationAgeTracker(window_mode=window_mode, window_size=window_size)
     resident: deque = deque()
     used = 0
     rows = []

@@ -12,7 +12,6 @@ from repro.cache.document import EvictionRecord
 from repro.cache.expiration import ExpirationAgeTracker
 from repro.fastpath import simulate_batch, simulate_columnar
 from repro.fastpath.batch import _FastState
-from repro.fastpath.ringtracker import RingAgeTracker
 from repro.protocol.http import format_expiration_age
 from repro.simulation.simulator import CooperativeSimulator, SimulationConfig
 from repro.trace.record import Trace, TraceRecord
@@ -129,7 +128,7 @@ def _object_fold(window, ages):
 
 
 def _ring_fold(window, ages):
-    tracker = RingAgeTracker(window_mode="count", window_size=window)
+    tracker = ExpirationAgeTracker(window_mode="count", window_size=window)
     out = [tracker.record(age, 0.0) for age in ages]
     assert tracker.cache_expiration_age() == out[-1]
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fastpath.interning import InternedTrace
+from repro.fastpath.interning import InternedChunk
 from repro.trace.synthetic import (
     BULikeTraceGenerator,
     SyntheticTraceConfig,
@@ -39,7 +39,9 @@ def test_views_of_a_generated_trace_equal_the_streamed_records(config, records_f
     trace = generate_trace(config)
     if records_first:
         assert trace.records == wanted
-    got, oracle = trace.interned(), InternedTrace.from_records(wanted)
-    for name in ("doc_ids", "sizes", "timestamps", "clients", "urls", "client_names"):
+    got, oracle = trace.interned(), InternedChunk.from_records(wanted)
+    for name in (
+        "doc_ids", "sizes", "timestamps", "clients", "new_urls", "new_client_names"
+    ):
         assert getattr(got, name) == getattr(oracle, name), name
     assert trace.records == wanted and len(trace) == len(wanted)

@@ -76,8 +76,8 @@ def test_totals_and_fingerprint(trace, packed_path):
     interned = trace.interned()
     with PackedTraceReader(packed_path) as reader:
         assert reader.num_records == interned.num_records
-        assert reader.num_docs == interned.num_docs
-        assert reader.num_clients == interned.num_clients
+        assert reader.num_docs == len(interned.new_urls)
+        assert reader.num_clients == len(interned.new_client_names)
         assert isinstance(reader.fingerprint, str)
         assert len(reader.fingerprint) == 64  # sha256 hex
 

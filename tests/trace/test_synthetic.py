@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import TraceError
 from repro.experiments.sweep import run_capacity_sweep
-from repro.fastpath.interning import InternedTrace
+from repro.fastpath.interning import InternedChunk
 from repro.simulation.simulator import SimulationConfig, run_simulation
 from repro.trace import synthetic
 from repro.trace.record import Trace
@@ -205,9 +205,10 @@ class TestGenerator:
 
 
 INTERNED_FIELDS = (
-    "doc_ids", "sizes", "timestamps", "clients", "urls", "client_names",
-    "url_lens", "icp_probe_bytes", "num_records", "num_docs", "num_clients",
-    "has_zero_sizes",
+    "doc_ids", "sizes", "timestamps", "clients", "new_urls", "new_client_names",
+    "new_url_lens", "new_icp_probe_bytes", "num_records",
+    # What makes the chunk a whole trace: every base 0, and a memo.
+    "base_docs", "base_clients", "base_records", "memo",
 )
 
 TWO_VIEW_CONFIGS = [
@@ -240,7 +241,7 @@ class TestTwoViews:
         trace = generate_trace(config)
         if records_first:
             assert trace.records == wanted
-        assert_same_interned(trace.interned(), InternedTrace.from_records(wanted))
+        assert_same_interned(trace.interned(), InternedChunk.from_records(wanted))
         assert trace.records == wanted
         assert len(trace) == trace.num_records == config.num_requests
 
@@ -306,7 +307,7 @@ class TestRecordsStayUnbuilt:
 
         monkeypatch.setattr(BULikeTraceGenerator, "records_of", refuse)
         monkeypatch.setattr(synthetic, "TraceRecord", refuse)
-        monkeypatch.setattr(InternedTrace, "from_records", refuse)
+        monkeypatch.setattr(InternedChunk, "from_records", refuse)
         return generate_trace(bu_like_config().scaled(0.005))
 
     def test_counts_and_columns(self, trace):
