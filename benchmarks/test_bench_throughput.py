@@ -100,11 +100,11 @@ def test_bench_columnar_requests_per_second(benchmark, micro_trace, scheme):
 
 
 def test_bench_columnar_hier_lfu_requests_per_second(benchmark, micro_trace):
-    """The columnar core on the configs that never enter the batch fast
-    loop: hierarchical escalation with LFU replacement (the ``variant_grid``
+    """The replay kernel on configs that have no vector regime:
+    hierarchical escalation with LFU replacement (the ``variant_grid``
     workload of ``benchmarks/e2e``), at the capacity of the two entries
     above, where it evicts 1 766 times in 5 000 requests — the admission
-    step's victim search, window record and age cell refresh are what this
+    site's victim search, window record and escalation are what this
     entry adds to them.
     """
     config = SimulationConfig(
@@ -320,14 +320,15 @@ def test_bench_batch_warm_requests_per_second(benchmark, bu_trace):
 
 
 def test_bench_batch_speedup_warm(bu_trace):
-    """The ISSUE 8 acceptance bar: batch >= 3x columnar on the BU-scale
-    *evicting* replay (cold already cleared 3x in PR 7). Same shape as
-    ``test_bench_batch_speedup_cold``: best-of-three wall times, byte
-    identity asserted alongside the timing, and a non-vacuity check that
-    the workload really evicts at this capacity. This is the point where
-    the exact-LRU kernel pays most for leaving the cold regime (~45,000
-    residents materialised to serve ~4,000 scalar requests): 3.5-3.6x
-    measured.
+    """Batch >= 3x columnar on the BU-scale *evicting* replay. Both
+    engines run the one replay kernel, so the ratio is its vector regimes
+    (numpy precompute, cold prefix, numpy post-pass) on against off. Same
+    shape as ``test_bench_batch_speedup_cold``: best-of-three wall times,
+    byte identity asserted alongside the timing, and a non-vacuity check
+    that the workload really evicts at this capacity. This is the point
+    where the kernel pays most for leaving the cold regime (~45,000
+    residents materialised to serve ~4,000 scalar requests): 3.64-3.91x
+    over five runs when the kernels merged.
     """
     import time
 
@@ -359,9 +360,11 @@ def test_bench_batch_speedup_warm(bu_trace):
 
 
 def test_bench_batch_speedup_cold(cold_trace):
-    """The ISSUE's acceptance bar: batch >= 3x columnar on the benchmark
-    workload. Best-of-three wall times (noise only ever adds time), same
-    trace, same config; byte-identity is asserted alongside the timing.
+    """Batch >= 7x columnar on a fits-in-cache replay: the cold prefix and
+    the numpy post-pass against the same kernel walking every request in
+    Python (11.2-12.8x over five runs when the kernels merged).
+    Best-of-three wall times (noise only ever adds time), same trace, same
+    config; byte-identity is asserted alongside the timing.
     """
     import time
 
@@ -385,6 +388,6 @@ def test_bench_batch_speedup_cold(cold_trace):
     assert batch_result.to_json() == columnar_result.to_json()
     speedup = columnar_time / batch_time
     print(f"\nbatch cold-regime speedup over columnar: {speedup:.2f}x")
-    assert speedup >= 3.0, (
-        f"batch engine {speedup:.2f}x over columnar; acceptance bar is 3x"
+    assert speedup >= 7.0, (
+        f"batch engine {speedup:.2f}x over columnar; acceptance bar is 7x"
     )

@@ -77,7 +77,7 @@ class ExpirationAgeTracker:
 
     The tracker is fed one :class:`~repro.cache.document.EvictionRecord` per
     eviction via :meth:`record_eviction` (or the victim's already computed
-    age via :meth:`record`, as the columnar core does) and answers
+    age via :meth:`record`, as the replay kernel does in a time window) and answers
     :meth:`cache_expiration_age` in O(1) (count/cumulative modes) or
     amortised O(1) (time mode).
     """
@@ -114,9 +114,9 @@ class ExpirationAgeTracker:
         Returns the cache expiration age that now holds — what
         :meth:`cache_expiration_age` would answer at ``evict_time``. In the
         cumulative and count modes that value stands until the next
-        ``record``, so the columnar core keeps it in a cell and never
-        calls back for it; in the time mode any later read may trim the
-        window.
+        ``record`` (the replay kernel folds those windows inline, with
+        the same ``+=``/``-=`` sequence, and keeps the age in a cell); in
+        the time mode any later read may trim the window.
         """
         self._total_evictions += 1
         self._cumulative_sum += age

@@ -72,8 +72,9 @@ class _OrderedPolicy(ReplacementPolicy):
     LRU and FIFO differ only in whether a hit reorders the entry; admission
     at the tail, victim at the head, and eviction removal are identical.
     Keeping that bookkeeping in one place makes it the single canonical
-    behaviour that :class:`repro.fastpath.structures.IntrusiveLRUList`
-    (the columnar engine's array-backed port) mirrors.
+    behaviour that the fast engines' per-cache ``OrderedDict`` of slots
+    (and :class:`repro.fastpath.structures.IntrusiveLRUList`, the
+    array-backed reference the tests hold it to) mirrors.
     """
 
     def __init__(self) -> None:

@@ -707,7 +707,9 @@ def _print_batch_regimes(regimes: dict, stats, elapsed: float) -> None:
     its regime handled requests prints ``n/a``, never a measured-looking 0.
     """
     if "fallback_reason" in regimes:
-        print(f"batch fast loop not engaged: {regimes['fallback_reason']}")
+        # The kernel ran every request through warm_loop / miss_path, so
+        # there is no regime split to report.
+        print(f"batch vector regimes off: {regimes['fallback_reason']}")
         return
     counts = [
         ("cold", regimes.get("cold", 0)),

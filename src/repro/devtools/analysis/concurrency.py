@@ -103,6 +103,7 @@ HOT_ROOTS: Tuple[str, ...] = (
     "repro.simulation.simulator:run_simulation",
     "repro.fastpath.engine:simulate_columnar",
     "repro.fastpath.batch:simulate_batch",
+    "repro.fastpath.batch:replay",
 )
 
 #: Engine entry points that, together with worker roots, bound RPR132.
@@ -111,6 +112,7 @@ ENGINE_ROOTS: Tuple[str, ...] = (
     "repro.simulation.simulator:run_simulation",
     "repro.fastpath.engine:simulate_columnar",
     "repro.fastpath.batch:simulate_batch",
+    "repro.fastpath.batch:replay",
     "repro.parallel.runner:ParallelSweepRunner.run",
 )
 

@@ -66,6 +66,7 @@ DEFAULT_ROOTS: Sequence[str] = (
     "repro.simulation.simulator:run_simulation",
     "repro.fastpath.engine:simulate_columnar",
     "repro.fastpath.batch:simulate_batch",
+    "repro.fastpath.batch:replay",
     "repro.parallel.runner:ParallelSweepRunner.run",
     "repro.parallel.memo:SweepMemoStore.get",
     "repro.parallel.memo:SweepMemoStore.put",
@@ -91,7 +92,9 @@ def analyze_determinism(
     """Audit every function reachable from ``roots``; findings sorted.
 
     ``roots`` defaults to :data:`DEFAULT_ROOTS`; roots absent from the
-    model are ignored, so miniature fixture trees can pass their own.
+    model are ignored, so miniature fixture trees can pass their own
+    (``tests/devtools/test_analysis_model.py`` checks that every default
+    root names a function of the real tree).
     """
     analysis = effect_analysis(model)
     reachable = analysis.reachable(DEFAULT_ROOTS if roots is None else roots)

@@ -1,31 +1,36 @@
-"""Columnar fast-path simulation engine.
+"""Columnar fast-path simulation engines.
 
 ``repro.fastpath`` replays a trace through the same protocol sequence as
 the object core (``repro.architecture`` + ``repro.cache``) but over
 columnar state: URLs and clients are interned to dense integer ids at
 trace load (:meth:`repro.trace.record.Trace.interned` — the whole trace
 as one :class:`~repro.fastpath.interning.InternedChunk`, the same
-container every streamed source yields), per-cache entry metadata lives
-in parallel arrays indexed by doc id, LRU recency is an array-backed
-intrusive doubly-linked list, and the expiration-age window is the object
-core's own tracker fed pre-computed victim ages. The replay loop
-allocates nothing per request.
+container every streamed source yields), and one request loop,
+:func:`repro.fastpath.batch.replay`, works on flat per-(doc, cache)
+columns: a residency bitmap, an ``OrderedDict`` of recency per cache
+(LRU) or a heap of one record per resident copy (LFU), and expiration
+ages kept as cells over a running window sum — or, for a time window,
+read from the object core's own tracker. Per-request tallies are one
+outcome byte per request, folded by a post-pass.
 
-The engine is selected via ``SimulationConfig(engine="columnar")`` and is
-**byte-identical** to the object core: same
+Two engines are two settings of that loop: ``engine="batch"`` runs its
+vector regimes (numpy precompute, vectorised cold prefix, numpy
+post-pass) wherever :func:`batch_fastloop_reason` allows them;
+``engine="columnar"`` runs it with them off. Both are **byte-identical**
+to the object core: same
 :meth:`~repro.simulation.results.SimulationResult.to_dict` (and therefore
-``to_json``) output for every supported configuration — the differential
-harness in ``tests/fastpath`` enforces this across scheme × architecture ×
-policy. Configurations the engine does not support (see
-:data:`FALLBACK_MATRIX`) transparently fall back to the object engine with
-a logged reason.
+``to_json``) output and event streams for every supported configuration
+— the differential harness in ``tests/fastpath`` and the generated
+differentials in ``tests/property`` enforce this. Configurations the
+engines do not support (see :data:`FALLBACK_MATRIX`) transparently fall
+back to the object engine with a logged reason.
 
-The fallback matrix below is the *single* declaration of the engine's
+The fallback matrix below is the *single* declaration of the engines'
 envelope: :func:`columnar_unsupported_reason` interprets it at dispatch
 time, ``repro analyze parity`` diffs it statically against the config
 fields both engines actually read, and ``docs/PERFORMANCE.md`` renders it
 for humans. Adding a :class:`~repro.simulation.simulator.SimulationConfig`
-field therefore requires either porting it to the columnar engine or
+field therefore requires either porting it to the fast engines or
 declaring it here — anything else fails the parity analyzer (RPR101).
 """
 
@@ -161,8 +166,8 @@ def columnar_unsupported_reason(config: object) -> Optional[str]:
     :func:`repro.simulation.simulator.run_simulation` logs the reason and
     falls back transparently. Unknown scheme/policy/tie names also fall
     back so the object engine raises its canonical errors. The batch
-    engine shares this envelope exactly; which of its two loops a config
-    takes is :func:`repro.fastpath.batch.batch_fastloop_reason`.
+    engine shares this envelope exactly; whether it runs the vector
+    regimes is :func:`repro.fastpath.batch.batch_fastloop_reason`.
     """
     for rule in FALLBACK_MATRIX:
         reason = rule.check(config)
@@ -173,13 +178,12 @@ def columnar_unsupported_reason(config: object) -> Optional[str]:
 
 from repro.fastpath.engine import simulate_columnar  # noqa: E402
 from repro.fastpath.batch import batch_fastloop_reason, simulate_batch  # noqa: E402
-from repro.fastpath.structures import IntrusiveLRUList, LFUVictimHeap  # noqa: E402
+from repro.fastpath.structures import LFUVictimHeap  # noqa: E402
 
 __all__ = [
     "COLUMNAR_NEUTRAL_FIELDS",
     "FALLBACK_MATRIX",
     "FallbackRule",
-    "IntrusiveLRUList",
     "LFUVictimHeap",
     "batch_fastloop_reason",
     "columnar_unsupported_reason",

@@ -1,15 +1,15 @@
-"""The replay frame both fast engines run inside.
+"""The replay frame the fast engines' kernel runs inside.
 
-Everything *around* the per-request protocol kernel is the same for
-:func:`repro.fastpath.engine.simulate_columnar` and the batch fast loop:
-the envelope guards, the topology and capacity split, the per-cache
-tally columns, the scheme and latency constants, client→leaf growth, the
-per-run leaf/size/digit columns of a chunk (one list derivation, one
-numpy derivation), the span-wrapped chunk stream, the
-per-chunk timeseries sample and the :class:`SimulationResult` assembly.
-:class:`ReplayFrame` holds the one copy. An engine builds a frame, binds
-the fields its loop touches to locals once (so the hot closures still see
-plain locals), replays, and asks the frame for the result.
+Everything *around* the request loop of :func:`repro.fastpath.batch.replay`
+lives here: the envelope guards, the topology and capacity split, the
+per-cache tally columns, the scheme and latency constants, client→leaf
+growth, the per-run leaf/size/digit columns of a chunk (the list
+derivation the loop reads with its vector regimes off, the numpy one
+their precompute reads), the span-wrapped chunk stream, the per-chunk
+timeseries sample and the :class:`SimulationResult` assembly. The kernel
+extends a frame with its state, binds the fields its loop touches to
+locals once (so the hot closures still see plain locals), replays, and
+asks the frame for the result.
 """
 
 from __future__ import annotations

@@ -1,92 +1,90 @@
-"""The batch replay engine: vectorised precompute + run-compressed loop.
+"""The replay kernel of both fast engines: one request loop, vector regimes.
 
-:func:`simulate_batch` (``engine="batch"``) replays the same protocol
-sequence as the object core and the columnar engine, but hoists every
-request-independent computation out of the per-request loop into
-whole-chunk batch precomputation:
+:func:`replay` replays the object core's protocol sequence — local
+lookup, ICP probe, remote or origin fetch, the placement decisions,
+hierarchical escalation — over flat columnar state. It is the only
+request loop in :mod:`repro.fastpath`; the two engines are two settings
+of it:
 
-* **Leaf assignment, patched record sizes, Content-Length digit counts**
-  — per-request columns computed in one vectorised numpy pass
-  (:meth:`ReplayFrame.chunk_columns_np
-  <repro.fastpath._frame.ReplayFrame.chunk_columns_np>`). The precompute
-  built on them is kept in the memo of a whole-trace chunk, the one kind
-  of chunk replayed more than once (:meth:`_FastState.columns`).
-* **Wire-length components** — the request-header byte count of a remote
-  fetch and the full origin request+response header bytes depend only on
-  the (doc, leaf) pair, so they are precomputed per request and summed by
-  outcome class after the loop.
-* **Flat slot addressing** — per-(cache, doc) state lives in single flat
-  arrays indexed ``slot = doc * num_caches + cache``, so the hit path
-  costs one index computation, no nested list hops.
-* **Exact O(1) LRU** — once any cache has filled, recency is one
-  ``collections.OrderedDict`` per cache mapping ``slot -> last-touch
-  timestamp`` (a C-implemented linked list, as in the object core's
-  :class:`~repro.cache.replacement.LRUPolicy`): a local hit is
-  ``od[slot] = ts; od.move_to_end(slot)``, an admission is
-  ``od[slot] = now`` and an eviction is ``od.popitem(last=False)``. The
-  order is the true touch order at every instant, so the victim (and
-  therefore every expiration age) is the LRU list's victim by
-  construction — no stale entries, nothing deferred.
-* **Run-length segmentation** — consecutive requests for the same (doc,
-  leaf) pair cannot change any observable decision after the first one
-  resolves to a resident copy, so the stateful loop iterates *run starts*
-  only; members are accounted in the vectorised post-pass.
-* **Resident runs (the warm regime)** — ``warm_loop`` is one pass over
-  the run columns. A run whose slot is resident (one ``present_b`` byte)
-  is all local hits — most of a replay, under Zipf skew — and costs one
-  LRU touch at its last member's timestamp. Any other run is one
-  ``miss_path`` call, the scalar protocol path: per member a probe scan
-  (``bytearray.find`` under ``responder_strategy="first"``), remote
-  serve + placement or origin fetch, then admission and evictions
-  inline, until a copy sticks. Local hits can never change placement in
-  this protocol — EA placement and promotion decisions only happen on
-  *remote* hits, which are local misses at the requesting leaf.
-* **Lazy age cells** — an eviction folds the victim's age into its
-  cache's window (``deque(maxlen=W)`` + running sum, the ``+=``/``-=``
-  sequence of :meth:`repro.cache.expiration.ExpirationAgeTracker.record`,
-  so sums are bit-equal) and
-  marks the age stale; :meth:`_FastState.refresh_age` divides at the next
-  *read* (a remote hit, a ``max_age`` scan, the result), formats for headers.
-* **First-occurrence / compulsory-miss masks (the cold regime)** — while
-  no cache has ever filled, every expiration age is ``inf``, EA placement
-  decisions are constants, every admission succeeds, and a request can
-  change cache state only if it is the *first occurrence of its (doc,
-  leaf) slot*. Those first occurrences are found vectorially (one stable
-  argsort per chunk, kept with the chunk's precompute), a split index is
-  computed where the regime provably ends (first admission that would
-  evict, reject, or trip the replica cap), and the prefix replays as
-  array operations over first occurrences *only* — local hits are pure
-  post-pass arithmetic. The general loop takes over at the split.
+* ``engine="batch"`` (:func:`simulate_batch`) switches the **vector
+  regimes** on wherever :func:`batch_fastloop_reason` allows them —
+  distributed architecture, LRU, a ``count`` or ``cumulative`` window,
+  no observer, numpy present: a numpy precompute per chunk, a vectorised
+  cold prefix, and the numpy body of the post-pass.
+* ``engine="columnar"`` (:func:`repro.fastpath.engine.simulate_columnar`),
+  and ``engine="batch"`` everywhere else, is the same loop with them off:
+  it reads :meth:`ReplayFrame.chunk_columns
+  <repro.fastpath._frame.ReplayFrame.chunk_columns>` lists, one request
+  per iteration, and the post-pass runs its pure-Python body. That is the
+  only path when numpy is absent (``REPRO_NO_NUMPY``).
+
+The state and its loop:
+
+* **Flat slot addressing** — per-(cache, doc) state lives in flat columns
+  indexed ``slot = doc * num_caches + cache``: a ``bytearray`` residency
+  bitmap and an ``array('q')`` of resident copy sizes.
+* **Victim order** — LRU is one ``collections.OrderedDict`` per cache
+  mapping ``slot -> last-touch timestamp`` (a hit is ``od[slot] = ts;
+  od.move_to_end(slot)``, an eviction ``od.popitem(last=False)``). LFU is
+  :class:`~repro.fastpath.structures.LFUVictimHeap`'s columns per cache:
+  a heap of one ``(hit count, seq, slot)`` record per resident copy and a
+  sequence counter, with the live count and seq per slot, re-keyed at the
+  victim search and never touched by a hit.
+* **Runs** — :func:`warm_loop` walks ``(slot, first, end, timestamp)``
+  runs. A resident run is all local hits: one LRU touch at its last
+  member's timestamp, or k ticks of the LFU sequence for k members. Any
+  other run goes to :func:`miss_path`, the scalar protocol path: per
+  member an ICP probe scan, remote serve + placement or origin fetch (or,
+  in a hierarchy, escalation to the parent, which stores by the same age
+  test), then the one admission-and-eviction site, until a copy sticks.
+  The vector regimes segment a chunk into runs of equal slots; with them
+  off every request is a run of one.
+* **Age cells** — in the ``count`` and ``cumulative`` windows an eviction
+  folds the victim's age into its cache's window (``deque(maxlen=W)`` +
+  running sum, the ``+=``/``-=`` sequence of
+  :meth:`repro.cache.expiration.ExpirationAgeTracker.record`, so sums are
+  bit-equal) and marks the age stale; :meth:`_FastState.refresh_age`
+  divides at the next read, :meth:`_FastState.wire_len` formats for
+  headers. A time window trims on every read, and the order of trims and
+  records shows in the float sum, so there every read and every fold is
+  a call on the object core's own tracker, in the object core's order.
 * **Outcome post-pass** — the loop records one byte per request and the
-  served size (an ``array('q')`` in the warm regime: no numpy store per
-  request). The low two bits are the class (0 local hit / 2 remote hit /
-  3 origin miss); the warm regime adds 4 for a declined placement and 8
-  for a copy larger than the cache. Metrics, per-cache stats, bus
-  counters and the latency fold come from those columns in bulk; so do
-  admissions, admitted bytes, rejections and declines (per-leaf counts
-  of the bytes), and then ``copies = len(lru[c])``, ``evictions =
-  admissions - copies`` and ``bytes_evicted = bytes_admitted - used`` by
-  conservation. The loop tallies only what needs the responder or a live
-  age: remote serves, promotions, age-dependent header bytes. The
-  ordered float latency accumulation uses ``np.add.accumulate`` (a
-  strict left fold), bit-identical to the serial ``+=`` sequence.
+  served size. The low two bits are the class (0 local hit / 2 remote hit
+  / 3 origin miss); 4 marks a declined placement and 8 a copy larger than
+  the cache. Per-cache lookups, hits, admissions, rejections and
+  declines, the bus counters and the metrics come from those columns in
+  one post-pass (:func:`_post_pass`, with a numpy body and a Python body
+  of the same tallies); ``copies`` is the residents count, and evictions
+  follow by conservation. The loop tallies inline only what needs the
+  responder, a live age or the parent: remote serves, promotions,
+  age-dependent header bytes, the hop through a parent. The latency is
+  folded in request order (``np.add.accumulate`` is a strict left fold),
+  bit-identical to the serial ``+=`` sequence.
+* **Observer** — with a :class:`~repro.obs.events.RunRecorder` attached
+  the loop emits at the object core's decision sites, per request; a
+  snapshot row is the frame's tallies plus a fold of the chunk's outcome
+  bytes so far.
 
-Byte identity with both existing engines is the contract: the
-differential matrix in ``tests/fastpath`` asserts equal ``to_json`` text
-across object/columnar/batch for every supported configuration and every
-chunking choice.
+The vector regimes:
 
-The vectorised fast loop covers the paper's evaluation envelope —
-distributed architecture, LRU replacement, pure expiration-age windows
-(``count``/``cumulative``), no observer — and needs numpy (see
-:mod:`repro.fastpath.numeric`). Everything else inside the engine
-envelope (hierarchical escalation, LFU, time windows, an attached
-``RunRecorder``, a platform without numpy) replays on the chunked
-columnar core via
-:func:`repro.fastpath.engine.simulate_columnar`, which is already
-byte-identical — :func:`batch_fastloop_reason` reports which path a
-config takes. Configs outside the shared envelope raise, exactly like
-``simulate_columnar`` (``run_simulation`` falls back to the object core).
+* **Batch precompute** — leaf assignment, patched record sizes, digit
+  counts, URL and ICP byte columns per request in one numpy pass
+  (:func:`_columns_np`), kept in the memo of a whole-trace chunk, the one
+  kind of chunk replayed more than once (:meth:`_FastState.columns`).
+* **The cold regime** — while no cache has ever filled, every expiration
+  age is ``inf``, EA placement decisions are constants, every admission
+  succeeds, and a request can change cache state only if it is the first
+  occurrence of its slot. :func:`_cold_prefix` finds those vectorially,
+  computes where the regime provably ends (the first admission that
+  would evict, reject or trip the replica cap) and replays the prefix as
+  array operations; local hits are pure post-pass arithmetic. The loop
+  takes over at the split (:meth:`_FastState.leave_cold`).
+
+Byte identity with the object core is the contract: the differential
+matrix in ``tests/fastpath`` and the generated differentials in
+``tests/property`` assert equal ``to_json`` text (and event streams)
+across engines, regimes and chunkings. Configs outside the shared
+envelope raise (``run_simulation`` falls back to the object core).
 """
 
 from __future__ import annotations
@@ -94,10 +92,13 @@ from __future__ import annotations
 import math
 from array import array
 from collections import OrderedDict, deque
+from heapq import heappop, heappush, heapreplace
+from itertools import islice
+from operator import add
 from typing import List, Optional
 
+from repro.cache.expiration import ExpirationAgeTracker
 from repro.fastpath._frame import ReplayFrame, check_envelope
-from repro.fastpath.engine import simulate_columnar
 from repro.fastpath.numeric import decimal_digits, load_numpy
 from repro.protocol.http import format_expiration_age
 from repro.simulation.results import SimulationResult
@@ -106,123 +107,162 @@ _INF = math.inf
 
 
 def batch_fastloop_reason(config, obs=None) -> Optional[str]:
-    """Why ``config`` replays on the chunked columnar core instead of the
-    batch fast loop, or None when the vectorised loop applies.
+    """Why ``config`` replays with the kernel's vector regimes off, or None
+    when ``engine="batch"`` runs them.
 
-    Purely informational (both paths are byte-identical); the run
-    manifest and ``repro analyze`` surface it so fast-loop coverage is
+    Purely informational (results are byte-identical either way); the run
+    manifest and ``repro analyze`` surface it so their coverage is
     observable. The last row reads the platform, not the config: the
-    fast loop is numpy code.
+    vector regimes are numpy code.
     """
     if obs is not None:
-        return "an attached observer requires the event-emitting columnar loop"
-    if config.architecture != "distributed":
-        return "hierarchical escalation replays on the columnar core"
-    if config.policy != "lru":
-        return "lfu victim accounting replays on the columnar core"
-    if config.window_mode not in ("count", "cumulative"):
-        return "time-window age reads have trim side effects; columnar core"
-    if load_numpy() is None:
-        return "numpy unavailable (not installed, or REPRO_NO_NUMPY set); columnar core"
-    return None
+        why = "an attached observer needs events from every request"
+    elif config.architecture != "distributed":
+        why = "hierarchical escalation is not vectorised"
+    elif config.policy != "lru":
+        why = "lfu victim accounting is not vectorised"
+    elif config.window_mode not in ("count", "cumulative"):
+        why = "time-window age reads have trim side effects"
+    elif load_numpy() is None:
+        why = "numpy unavailable (not installed, or REPRO_NO_NUMPY set)"
+    else:
+        return None
+    return f"{why} (no cold prefix, numpy precompute or numpy post-pass)"
 
 
 def simulate_batch(
     config, trace, obs=None, chunk_size: Optional[int] = None,
     regimes: Optional[dict] = None, spans=None, timeseries=None,
 ) -> SimulationResult:
-    """Replay ``trace`` under ``config`` on the batch engine.
+    """Replay ``trace`` under ``config`` on the kernel, vector regimes on
+    wherever :func:`batch_fastloop_reason` allows them.
 
-    Accepts the same sources as :func:`simulate_columnar`: a materialised
-    :class:`~repro.trace.record.Trace` or any streamed source exposing
-    ``interned_chunks(chunk_size)`` (packed columnar readers, chunked
-    synthetic generators); streamed sources replay with O(chunk) memory.
-    Raises :class:`SimulationError` for configs outside the shared
-    engine envelope — use ``run_simulation`` for transparent fallback.
+    Args:
+        trace: A :class:`~repro.trace.record.Trace`, or any streamed
+            source exposing ``interned_chunks(chunk_size)`` (packed
+            columnar readers, chunked synthetic generators); streamed
+            sources replay with O(chunk) memory.
+        obs: Optional :class:`repro.obs.events.RunRecorder`. Emission
+            points mirror the object core — same events, same order, same
+            payloads — so every engine produces byte-identical
+            ``repro-events/1`` streams.
+        chunk_size: Replay in interned chunks of this many requests.
+            ``None`` replays a materialised trace whole (and a streamed
+            source in :data:`repro.fastpath._frame.DEFAULT_CHUNK_SIZE`
+            chunks). Results and event streams are identical for every
+            choice.
+        regimes: When given a dict, receives the per-regime request counts
+            after the run: ``cold`` (vectorised first-occurrence replay),
+            ``hit_run`` (members of resident runs) and ``scalar`` (the
+            per-request protocol path) — or only ``fallback_reason`` when
+            the vector regimes are off. Counts only — the kernel never
+            reads a clock; ``repro profile`` derives wall-time shares from
+            the profiler's per-function attribution.
+        spans: Optional :class:`repro.obs.spans.SpanTracer`: one
+            ``engine:<name>`` span, each source pull and chunk, and — with
+            the vector regimes on — the precompute, regime and post-pass
+            segments. Out of band: results and event bytes are identical
+            with or without it.
+        timeseries: Optional
+            :class:`repro.obs.timeseries.TimeseriesRecorder`; receives one
+            cumulative counter reading per replayed chunk. Out of band.
 
-    ``regimes``, when given a dict, receives the per-regime request
-    counts after the run: ``cold`` (vectorised first-occurrence replay),
-    ``hit_run`` (members of warm resident runs: local hits covered by
-    one LRU touch per run), and ``scalar`` (per-request protocol path). Configs that replay on the chunked
-    columnar core instead record ``fallback_reason``. Counts only — the
-    engine never reads a clock; ``repro profile`` derives wall-time
-    shares from the profiler's per-function attribution.
-
-    ``spans`` / ``timeseries`` are the out-of-band telemetry channels
-    shared with :func:`simulate_columnar` (span tracer; per-chunk sample
-    recorder). Unlike an attached observer they do *not* force the
-    columnar fallback — the fast loop reports into them at chunk/regime
-    granularity, with the wall-clock reads quarantined inside
-    ``repro.obs``. Results are byte-identical with or without them.
+    Raises :class:`SimulationError` for configs outside the shared engine
+    envelope — use ``run_simulation`` for transparent fallback.
     """
     check_envelope(config, "batch")
-    loop_reason = batch_fastloop_reason(config, obs)
-    if loop_reason is not None:
-        # Envelope configs the fast loop does not vectorise replay on the
-        # chunked columnar core — byte-identical by its own contract.
-        if regimes is not None:
-            regimes["fallback_reason"] = loop_reason
-        return simulate_columnar(
-            config, trace, obs=obs, chunk_size=chunk_size,
-            spans=spans, timeseries=timeseries,
-        )
-    return _simulate_fast(config, trace, chunk_size, regimes, spans, timeseries)
+    reason = batch_fastloop_reason(config, obs)
+    if reason is not None and regimes is not None:
+        regimes["fallback_reason"] = reason
+    return replay(
+        config, trace, None if reason else load_numpy(), obs, chunk_size,
+        regimes, spans, timeseries,
+    )
 
 
 class _FastState(ReplayFrame):
-    """The replay frame plus the fast loop's flat doc-major state.
+    """The replay frame plus the kernel's flat doc-major state.
 
     ``slot = doc * NC + cache``; growth per chunk is a pure extend, so
-    slot numbering never changes. Recency has one representation per
-    regime: while cold, the ``lh``/``seq`` columns (last-touch timestamp
-    and global request index, written by vectorised scatters); from the
-    transition on, ``lru[c]`` (see :meth:`leave_cold`).
+    slot numbering never changes. ``np`` is numpy with the vector regimes
+    on, None with them off (the frame then runs as ``engine="columnar"``).
+    Recency has one representation per regime: while cold, the
+    ``lh``/``seq`` columns (last-touch timestamp and global request index,
+    written by vectorised scatters); from the transition on, ``lru[c]``
+    (see :meth:`leave_cold`).
     """
 
-    def __init__(self, config, np):
-        super().__init__(config, "batch")
+    def __init__(self, config, np, obs=None):
+        super().__init__(config, "columnar" if np is None else "batch")
         self.np = np
+        num_caches = self.num_caches
         self.cap = self.capacity[0]  # equal shares: one scalar serves every admit check
         self.num_docs = 0
         # Per-slot metadata lives in buffer-protocol columns — ``array`` /
-        # ``bytearray`` — so the scalar protocol path (miss_path, which
-        # runs once per *state-changing* request and dominates evicting
-        # replay) gets Python-speed element access, while the
-        # cold regime takes zero-copy ``np.frombuffer`` views for bulk
-        # scatters. Views are created where needed and dropped before the
-        # next growth (a buffer with an exported view cannot be resized).
-        # ``array("d")`` holds C doubles, so ``lh`` arithmetic stays bit-
-        # and serialisation-identical to the object core's floats.
+        # ``bytearray`` — so the scalar path gets Python-speed element
+        # access, while the cold regime takes zero-copy ``np.frombuffer``
+        # views for bulk scatters. Views are created where needed and
+        # dropped before the next growth (a buffer with an exported view
+        # cannot be resized). ``array("d")`` holds C doubles, so timestamp
+        # arithmetic stays bit- and serialisation-identical to floats.
         self.present_b = bytearray()  # residency bitmap
         self.dsz = array("q")  # resident copy size
         self.lh = array("d")  # last-touch timestamp (cold regime only)
         self.seq = array("q")  # last-touch global request index (cold only)
         # Per cache: resident slot -> last-touch timestamp, least recently
-        # touched first. Empty until the cold regime ends.
-        self.lru: List[OrderedDict] = [OrderedDict() for _ in range(self.num_caches)]
+        # touched first. Empty until the cold regime ends, and under LFU.
+        self.lru: List[OrderedDict] = [OrderedDict() for _ in range(num_caches)]
+        # LFU: a heap and a sequence counter per cache; per slot the entry
+        # time, the live hit count and the live heap sequence.
+        self.lfu = config.policy == "lfu"
+        self.heaps: List[list] = [[] for _ in range(num_caches)]
+        self.hseq = [0] * num_caches
+        self.entry = array("d")
+        self.hits = array("q")
+        self.live_seq = array("q")
         # Expiration-age window per cache: ``wsum`` is the running sum
-        # miss_path folds victim ages into — the count window's (``win[c]``
-        # holds its ages) or the cumulative one (``wtot[c]`` evictions).
-        # The age and its wire-text length are cells (:meth:`refresh_age`).
+        # the admission site folds victim ages into — the count window's
+        # (``win[c]`` holds its ages) or the cumulative one (``wtot[c]``
+        # evictions). The age and its wire-text length are cells
+        # (:meth:`refresh_age`); a time window reads the trackers instead
+        # and keeps ``age_len`` at -1, so every reader asks.
         self.count_mode = config.window_mode == "count"
-        self.win = [deque(maxlen=config.window_size) for _ in range(self.num_caches)]
-        self.wsum = [0.0] * self.num_caches
-        self.wtot = [0] * self.num_caches
-        self.cur_age = [_INF] * self.num_caches
-        self.age_len = [3] * self.num_caches  # len("inf")
+        self.win = [deque(maxlen=config.window_size) for _ in range(num_caches)]
+        self.wsum = [0.0] * num_caches
+        self.wtot = [0] * num_caches
+        self.cur_age = [_INF] * num_caches
+        self.trackers = None
+        if config.window_mode == "time":
+            self.trackers = [
+                ExpirationAgeTracker(
+                    kind=config.policy, window_mode="time",
+                    window_seconds=config.window_seconds,
+                )
+                for _ in range(num_caches)
+            ]
+        self.age_len = [3 if self.trackers is None else -1] * num_caches  # len("inf")
+        # Per outcome class (0 local / 2 remote / 3 miss): the latency a
+        # request adds is lat + size / bw (bw inf: no transfer term).
+        self.lat_class = [self.lat_local, 0.0, self.lat_remote, self.lat_miss]
+        self.bw_class = [_INF, _INF, _INF, _INF]
+        if not self.constant_latency:
+            self.bw_class[2:] = [self.lan_bw, self.wan_bw]
+        self.url_of = None if obs is None else []  # event lines name the URL
 
-        # Per-doc protocol columns (engine-owned copies, grown per chunk).
+        if np is None:
+            # Per-doc protocol columns, grown per chunk.
+            self.url_len: List[int] = []
+            self.icp: List[int] = []
+            self.cold = False
+            return
         self.url_len_g = _NpGrow(np)
         self.icp_g = _NpGrow(np)
         self.first_size_g = _NpGrow(np)  # -1 until a doc's first request lands
         self.sender_np = np.array(self.sender_len, dtype=np.int64)
-        # Outcome-code-indexed latency components (index 1 unused).
-        self.lat_lookup = np.array(
-            [self.lat_local, 0.0, self.lat_remote, self.lat_miss]
-        )
-
+        self.lat_np = np.array(self.lat_class)
+        self.bw_np = np.array(self.bw_class)
         # Cold regime (see module docstring): sound while no eviction has
-        # ever happened anywhere, which this engine guarantees by
+        # ever happened anywhere, which the kernel guarantees by
         # construction — the flag latches off *before* the first request
         # that could evict runs. EA with tie_break="responder" never
         # stores on a remote hit, so seen slots would not all be resident;
@@ -231,8 +271,8 @@ class _FastState(ReplayFrame):
         # Per doc: min leaf holding a copy (-1 until first seen). Cold-only.
         self.first_min_g = _NpGrow(np)
         # Deferred last-touch fixups from cold segments: (slot, touch
-        # index, timestamp) arrays, applied only if the general loop
-        # (which needs exact recency at evictions) ever takes over. ``seq`` is
+        # index, timestamp) arrays, applied only if the loop (which needs
+        # exact recency at evictions) ever takes over. ``seq`` is
         # touch-monotone, so replaying fixups oldest-first under a
         # ``g > seq[slot]`` guard commutes with any direct writes the cold
         # replay already made (responder promotions). Slots are unique
@@ -242,24 +282,35 @@ class _FastState(ReplayFrame):
     def grow(self, chunk) -> None:
         """Extend every per-doc/per-slot column by the chunk's intern delta."""
         new_urls = chunk.new_urls
-        if new_urls:
-            np = self.np
-            add = len(new_urls)
-            self.num_docs += add
-            grown = add * self.num_caches
-            self.present_b.extend(bytes(grown))
-            # Zero-fill appends (8-byte elements for the q/d arrays); no
-            # numpy view of these buffers is live here — the vector
-            # paths create theirs after growth and drop them before the
-            # next chunk.
-            self.dsz.frombytes(bytes(8 * grown))
-            if self.cold:
-                self.lh.frombytes(bytes(8 * grown))
-                self.seq.frombytes(bytes(8 * grown))
-            self.first_min_g.extend(np, np.full(add, -1, dtype=np.int64))
-            self.url_len_g.extend(np, chunk.new_url_lens)
-            self.icp_g.extend(np, chunk.new_icp_probe_bytes)
-            self.first_size_g.extend(np, np.full(add, -1, dtype=np.int64))
+        if not new_urls:
+            return
+        add_docs = len(new_urls)
+        self.num_docs += add_docs
+        grown = add_docs * self.num_caches
+        self.present_b.extend(bytes(grown))
+        # Zero-fill appends (8-byte elements); no numpy view of these
+        # buffers is live here — the vector paths create theirs after
+        # growth and drop them before the next chunk.
+        zeros = bytes(8 * grown)
+        self.dsz.frombytes(zeros)
+        if self.cold:
+            self.lh.frombytes(zeros)
+            self.seq.frombytes(zeros)
+        if self.lfu:
+            self.entry.frombytes(zeros)
+            self.hits.frombytes(zeros)
+            self.live_seq.frombytes(zeros)
+        if self.url_of is not None:
+            self.url_of.extend(new_urls)
+        np = self.np
+        if np is None:
+            self.url_len.extend(chunk.new_url_lens)
+            self.icp.extend(chunk.new_icp_probe_bytes)
+            return
+        self.first_min_g.extend(np, np.full(add_docs, -1, dtype=np.int64))
+        self.url_len_g.extend(np, chunk.new_url_lens)
+        self.icp_g.extend(np, chunk.new_icp_probe_bytes)
+        self.first_size_g.extend(np, np.full(add_docs, -1, dtype=np.int64))
 
     def columns(self, chunk):
         """The chunk's batch precompute (see :func:`_columns_np`).
@@ -270,16 +321,21 @@ class _FastState(ReplayFrame):
         key = (self.patch, self.partitioner, tuple(self.leaves), self.num_caches)
         return chunk.memoised("batch_cols", key, lambda: _columns_np(self, chunk))
 
-    def refresh_age(self, c: int, wire: bool = False) -> float:
-        """Cache ``c``'s age, recomputed from its window if stale.
+    def refresh_age(self, c: int, wire: bool = False, now=None) -> float:
+        """Cache ``c``'s age: a tracker read at ``now`` in a time window,
+        otherwise the cell, recomputed from its window if stale.
 
         The one place a window sum becomes an age: a reader of ``cur_age``
         / ``age_len`` comes here first when ``age_len[c]`` is negative
-        (stale: an eviction happened, so the divisor is not zero) or, for
-        a header, 0 (a fresh age nobody needed as text yet). Only headers
-        ask for ``wire``, so ``format_expiration_age`` checks exactly the
-        ages the object core puts on the wire.
+        (stale: an eviction happened, so the divisor is not zero; or a
+        time window, where nothing is cached) or, for a header, 0 (a fresh
+        age nobody needed as text yet). Only headers ask for ``wire``
+        (:meth:`wire_len`), so ``format_expiration_age`` checks exactly
+        the ages the object core puts on the wire.
         """
+        if self.trackers is not None:
+            age = self.cur_age[c] = self.trackers[c].cache_expiration_age(now)
+            return age
         if self.age_len[c] < 0:
             evictions = len(self.win[c]) if self.count_mode else self.wtot[c]
             # Floored like the trackers' reads: a running sum of
@@ -289,6 +345,19 @@ class _FastState(ReplayFrame):
         if wire:
             self.age_len[c] = len(format_expiration_age(self.cur_age[c]))
         return self.cur_age[c]
+
+    def wire_len(self, c: int, now) -> int:
+        """Length of cache ``c``'s age as header text (a read of the age)."""
+        age = self.refresh_age(c, True, now)
+        if self.trackers is None:
+            return self.age_len[c]
+        return len(format_expiration_age(age))
+
+    def residents(self, c: int) -> int:
+        """Copies cache ``c`` holds (while cold, nothing was ever evicted)."""
+        if self.cold:
+            return self.st_admissions[c]
+        return len(self.heaps[c] if self.lfu else self.lru[c])
 
     def leave_cold(self) -> None:
         """End the cold regime: hand recency from the columns to ``lru``.
@@ -320,29 +389,50 @@ class _FastState(ReplayFrame):
         self.lh = self.seq = None
 
 
-def _simulate_fast(
-    config, trace, chunk_size: Optional[int], regimes: Optional[dict] = None,
-    spans=None, timeseries=None,
+def replay(
+    config, trace, np, obs=None, chunk_size: Optional[int] = None,
+    regimes: Optional[dict] = None, spans=None, timeseries=None,
 ) -> SimulationResult:
-    """The vectorised fast loop (distributed + LRU + pure windows, no obs)."""
-    np = load_numpy()
-    st = _FastState(config, np)
+    """The request loop of both fast engines (module docstring).
 
-    # Frame and state fields the per-request kernel touches, bound once so
-    # its closures see plain locals.
+    ``np`` is numpy to run the vector regimes with, or None to run the
+    loop alone; the caller has checked that the config allows them
+    (:func:`simulate_batch`). The other arguments are
+    :func:`simulate_batch`'s.
+    """
+    st = _FastState(config, np, obs)
+    vector = np is not None
+
+    # Frame and state fields the loop touches, bound once so its closures
+    # see plain locals.
     NC = st.num_caches
+    parent = st.parent
     probe_targets = st.probe_targets
+    flat = not st.hierarchical  # no parents: every group-wide miss goes to the origin
+    # The "first" responder over every sibling is one search of the slots;
+    # otherwise the probe scans the targets.
+    scan = st.max_age_strategy or not flat
     cap = st.cap
     sender_len = st.sender_len
     # repro: domains[present_b=cache-slot->any:uint8, dsz=cache-slot->byte-size:int64]
     present_b = st.present_b
     dsz = st.dsz
     lru = st.lru
+    lfu = st.lfu
+    heaps = st.heaps
+    hseq = st.hseq
+    entry = st.entry
+    hits = st.hits
+    live_seq = st.live_seq
     used = st.used
     st_remote_served = st.st_remote_served
     st_bytes_remote = st.st_bytes_remote
     st_promo_granted = st.st_promo_granted
     st_promo_withheld = st.st_promo_withheld
+    st_admissions = st.st_admissions
+    st_bytes_admitted = st.st_bytes_admitted
+    st_rejections = st.st_rejections
+    st_declined = st.st_declined
     bus = st.bus
     ea = st.ea
     tie_requester = st.tie_requester
@@ -353,167 +443,363 @@ def _simulate_fast(
     win = st.win
     wsum = st.wsum
     wtot = st.wtot
+    trackers = st.trackers
+    timed = trackers is not None
     cur_age = st.cur_age
     age_len = st.age_len
     refresh_age = st.refresh_age
+    wire_len = st.wire_len
+    url_len = None if vector else st.url_len
     sdig: dict = {}  # stored-size -> len(str(size)), bounded by doc count
+    rec = obs
+    emit = rec is not None
+    audit = emit or timed  # reads whose value only events use
+    url_of = st.url_of
+    probe_hops = 1 if st.hierarchical else 0
 
-    # Rebound per chunk, like the scalar lists and run columns of a chunk
-    # whose stateful tail runs; the kernel reads them as free variables.
+    # Rebound per chunk; the closures read them as free variables.
     # repro: domains[out=chunk-offset->any:uint8, served=chunk-offset->byte-size:int64]
     out = bytearray()
     served = array("q")
-    # Lean mode is only sound while *every* request so far matched its
-    # doc's first-seen size: one deviating chunk can leave a stored size
-    # that differs from the size column, so the flag latches off.
-    lean = True
+    leaf_l = rsz = ts_l = docs_l = digits_l = None
+    # Lean mode (vector regimes only) is sound while *every* request so
+    # far matched its doc's first-seen size: one deviating chunk can leave
+    # a stored size that differs from the size column, so it latches off.
+    lean = vector
+    # The snapshot fold (observer only): chunk requests before ``cursor``
+    # are folded into the per-cache seen / local / admitted counts.
+    cursor = folded = 0
+    seen = local = admitted = None
 
-    def miss_path(slot: int, i: int, e: int, now: float) -> None:
+    def miss_path(slot: int, i: int, e: int, now: float) -> int:
         """Members ``i..e`` of a run whose slot is not resident.
 
-        Mirrors the columnar engine's miss branch for the distributed
-        architecture, one member at a time until a copy sticks: ICP probe
-        scan, remote serve + placement decision or origin fetch, then
-        ProxyCache.admit for a non-resident doc (its refresh branch is
-        unreachable here, ``entry_time``/``hit_count`` are dead state
-        under LRU). The rest of the run is local hits on the new copy:
-        one recency write. Everything a request's outcome byte classifies
-        (see the module docstring) is left to the post-pass.
+        One member at a time until a copy sticks: the ICP probe scan,
+        remote serve + placement decision, origin fetch, or escalation to
+        the parent, then the admission site unless the placement was
+        declined. Returns the first member left for the hit path (``e``:
+        none). Everything a request's outcome byte classifies (module
+        docstring) is left to the post-pass.
         """
         cache = leaf_l[i]
         base = slot - cache
         while True:
-            if max_age_strategy:
+            if scan:
                 rslot = -1
-                best_age = 0.0
                 for t in probe_targets[cache]:
                     if present_b[base + t]:
-                        t_age = refresh_age(t) if age_len[t] < 0 else cur_age[t]
-                        if rslot < 0 or t_age > best_age:
+                        if max_age_strategy:
+                            t_age = cur_age[t] if age_len[t] >= 0 else refresh_age(t, False, now)
+                            if rslot < 0 or t_age > best_age:
+                                rslot = base + t
+                                best_age = t_age
+                        elif rslot < 0 or base + t < rslot:
                             rslot = base + t
-                            best_age = t_age
             else:
-                # "first": the lowest holder (the requester's own byte is 0).
+                # The lowest holder (the requester's own byte is 0).
                 rslot = present_b.find(1, base, base + NC)
 
-            if rslot < 0:
-                # Group-wide miss: origin fetch, store at the requester.
-                # The engine's own-age decision read is side-effect-free
-                # in pure window modes, so only the admission remains.
-                size = rsz_q[i]
-                code = 3
-            else:
-                # Remote hit. Scheme decision reads requester then
-                # responder age; a stale cell is refreshed on the way.
+            target = cache  # where the admission site stores first
+            if rslot >= 0:
+                # Remote hit. The scheme reads the requester's age, then
+                # the responder's; both ride on the exchange's headers.
                 responder = rslot - base
-                if age_len[cache] <= 0:
-                    refresh_age(cache, True)
-                if age_len[responder] <= 0:
-                    refresh_age(responder, True)
+                req_len = age_len[cache]
+                if req_len <= 0:
+                    req_len = wire_len(cache, now)
+                peer_len = age_len[responder]
+                if peer_len <= 0:
+                    peer_len = wire_len(responder, now)
+                req_age = cur_age[cache]
+                peer_age = cur_age[responder]
                 size = dsz[rslot]
                 code = 2
                 refresh = True
                 if ea:
-                    req_age = cur_age[cache]
-                    resp_age = cur_age[responder]
-                    refresh = resp_age > req_age
-                    if refresh or (req_age == resp_age and not tie_requester):
+                    refresh = peer_age > req_age
+                    if refresh or (req_age == peer_age and not tie_requester):
                         code = 6  # placement declined
                     elif size > rc_limit:  # EA's size-aware replica cap
                         code = 6
                         refresh = True
-                # Header bytes that need the responder / the live ages stay
-                # inline; the (doc, leaf)-only request-header base is summed in
-                # the post-pass from the precomputed column.
                 sd = sdig.get(size)
                 if sd is None:
                     sd = sdig[size] = len(str(size))
-                bus[5] += age_len[cache] + age_len[responder] + 70 + sd + sender_len[responder]
+                bus[5] += req_len + peer_len + 70 + sd + sender_len[responder]
                 # serve_remote at the responder.
                 st_remote_served[responder] += 1
                 st_bytes_remote[responder] += size
                 if refresh:
                     st_promo_granted[responder] += 1
-                    od = lru[responder]
-                    od[rslot] = now
-                    od.move_to_end(rslot)
+                    if lfu:
+                        hits[rslot] += 1
+                        tick = hseq[responder] + 1
+                        hseq[responder] = tick
+                        live_seq[rslot] = tick
+                    else:
+                        od = lru[responder]
+                        od[rslot] = now
+                        od.move_to_end(rslot)
                 else:
                     st_promo_withheld[responder] += 1
                 served[i] = size
+                if emit:
+                    rec.promotion(
+                        now, responder, url_of[docs_l[i]], req_age, peer_age, refresh
+                    )
+            elif flat or parent[cache] is None:
+                # Group-wide miss: origin fetch, stored at the requester.
+                # The fetch decision's own-age read has an effect only in
+                # a time window (it trims, before the admission's records)
+                # and a reader only in the placement event.
+                size = rsz[i]
+                code = 3
+                if audit:
+                    req_age = cur_age[cache] if age_len[cache] >= 0 else refresh_age(cache, False, now)
+            else:
+                # Hierarchical escalation: every probe missed, the parent's
+                # included, so the leaf asks its parent, with its age on
+                # the request. The parent is a root (two_level_tree): it
+                # fetches from the origin and stores by the same age test
+                # (the admission site's first pass), then answers with its
+                # own age (below). Its reads of the leaf's age and its own
+                # repeat at the same instant with no eviction between, so
+                # they are the values already read.
+                up = parent[cache]
+                size = rsz[i]
+                req_len = age_len[cache]
+                if req_len <= 0:
+                    req_len = wire_len(cache, now)
+                req_age = cur_age[cache]
+                own_age = cur_age[up] if age_len[up] >= 0 else refresh_age(up, False, now)
+                code = 7 if ea and not own_age > req_age else 3
+                target = up
 
-            if code != 6:
-                if size <= cap:
-                    in_use = used[cache] + size
-                    od = lru[cache]
-                    if in_use > cap:
-                        # Window record per victim: the same +=/-= sequence
-                        # as ExpirationAgeTracker.record, so sums are bit-equal.
-                        s = wsum[cache]
-                        dq = win[cache]
-                        while in_use > cap:
-                            victim, last = od.popitem(last=False)
-                            present_b[victim] = 0
-                            in_use -= dsz[victim]
-                            age = now - last
-                            s += age
-                            if count_mode:
-                                if len(dq) == W:
-                                    s -= dq[0]
-                                dq.append(age)
-                            else:
-                                wtot[cache] += 1
-                        wsum[cache] = s
-                        age_len[cache] = -1
-                    present_b[slot] = 1
-                    dsz[slot] = size
-                    used[cache] = in_use
-                    out[i] = code
-                    if e - i > 1:  # the rest of the run hits the new copy
-                        now = ts_l[e - 1]
-                        if not lean:
-                            served[i + 1 : e] = array("q", [size]) * (e - i - 1)
-                    od[slot] = now
-                    return
-                code += 8  # larger than the cache: rejected
+            # The admission site: ProxyCache.admit of a copy the cache does
+            # not hold (its refresh branch is unreachable after a local
+            # miss), unless the placement was declined. An escalated miss
+            # passes twice, parent first. A stored copy keeps code < 4.
+            while True:
+                if code < 4:
+                    if size > cap:
+                        code += 8  # larger than the cache: rejected
+                    else:
+                        tslot = base + target
+                        in_use = used[target] + size
+                        od = lru[target]
+                        if in_use > cap:
+                            s = wsum[target]
+                            dq = win[target]
+                            while in_use > cap:
+                                if lfu:
+                                    heap = heaps[target]
+                                    while True:
+                                        _count, tick, victim = heap[0]
+                                        live = live_seq[victim]
+                                        if live == tick:
+                                            break
+                                        heapreplace(heap, (hits[victim], live, victim))  # stale key
+                                    heappop(heap)
+                                    age = (now - entry[victim]) / hits[victim]
+                                else:
+                                    victim, last = od.popitem(False)
+                                    age = now - last
+                                present_b[victim] = 0
+                                in_use -= dsz[victim]
+                                if timed:
+                                    trackers[target].record(age, now)
+                                else:
+                                    # The +=/-= sequence of
+                                    # ExpirationAgeTracker.record: bit-equal sums.
+                                    s += age
+                                    if count_mode:
+                                        if len(dq) == W:
+                                            s -= dq[0]
+                                        dq.append(age)
+                                    else:
+                                        wtot[target] += 1
+                                if emit:
+                                    rec.eviction(now, target, url_of[victim // NC], dsz[victim], age)
+                            # (Both unread in a time window: s is its
+                            # unchanged sum and age_len stays -1.)
+                            wsum[target] = s
+                            age_len[target] = -1
+                        present_b[tslot] = 1
+                        dsz[tslot] = size
+                        used[target] = in_use
+                        if lfu:
+                            entry[tslot] = now
+                            hits[tslot] = 1
+                            tick = hseq[target] + 1
+                            hseq[target] = tick
+                            live_seq[tslot] = tick
+                            heappush(heaps[target], (1, tick, tslot))
+                        else:
+                            od[tslot] = now
+                if target == cache:
+                    break
+                # The parent's outcome (its tallies are not in the leaf's
+                # outcome byte) and its answer. The post-pass counts the
+                # leaf's side as an origin fetch (its request, the origin's
+                # response); the hop through the parent adds a request and
+                # a response, the parent's Via headers and the two ages.
+                if code < 4:
+                    st_admissions[up] += 1
+                    st_bytes_admitted[up] += size
+                elif code & 8:
+                    st_rejections[up] += 1
+                else:
+                    st_declined[up] += 1
+                if emit:
+                    rec.placement_node(
+                        now, "parent", up, url_of[docs_l[i]], size, own_age, req_age,
+                        code < 4,
+                    )
+                peer_len = age_len[up]
+                if peer_len <= 0:
+                    peer_len = wire_len(up, now)
+                peer_age = cur_age[up]
+                bus[2] += 1
+                bus[3] += 1
+                bus[5] += (
+                    req_len + peer_len + url_len[docs_l[i]] + 2 * sender_len[up] + 120
+                    + digits_l[i]
+                )
+                bus[6] += size
+                # The child-store rule, then the leaf's pass.
+                if not ea or req_age > peer_age or (req_age == peer_age and tie_requester):
+                    code = 3
+                else:
+                    code = 7
+                target = cache
+
             out[i] = code
+            if emit:
+                url = url_of[docs_l[i]]
+                stored = code < 4
+                if rslot >= 0:
+                    rec.placement_remote(
+                        now, cache, url, size, req_age, peer_age, stored, refresh
+                    )
+                    rec.request(
+                        now, cache, url, "remote_hit", size, responder, stored, refresh,
+                        probe_hops,
+                    )
+                elif flat or parent[cache] is None:
+                    rec.placement_origin(now, cache, url, size, req_age, stored)
+                    rec.request(now, cache, url, "miss", size, None, stored, False, 0)
+                else:
+                    rec.placement_node(
+                        now, "child", cache, url, size, req_age, peer_age, stored
+                    )
+                    rec.request(now, cache, url, "miss", size, None, stored, False, 1)
+            if code < 4:
+                return i + 1
             i += 1
             if i == e:
-                return
+                return e
             now = ts_l[i]
 
-    def warm_loop() -> None:
-        """The stateful tail of one chunk: one pass over its run columns.
+    def warm_loop(runs) -> None:
+        """The stateful part of one chunk (all of it with the vector
+        regimes off): one pass over its runs.
 
         A run whose slot is resident is all local hits (outcome byte 0),
         whose only state effect is one LRU touch at the last member's
         timestamp — ``now``, the run's first, for the 99% of runs with one
-        member; any other run is one :func:`miss_path` call.
+        member — or, under LFU, k ticks of the heap sequence for k members;
+        any other run goes to :func:`miss_path` first, and what it leaves is
+        such a run. With a recorder attached every run is one request, and
+        its events are emitted where the object core emits them.
         """
-        for slot, i, e, now in zip(sslots_l, starts_l, ends_l, sts_l):
-            if present_b[slot]:
-                if e - i > 1:
-                    now = ts_l[e - 1]
-                    if not lean:
-                        served[i + 1 : e] = array("q", [dsz[slot]]) * (e - i - 1)
-                od = lru[leaf_l[i]]
+        nonlocal cursor
+        for slot, i, e, now in runs:
+            if emit:
+                cursor = i
+                rec.maybe_snapshot(now, snapshot_rows)
+            if not present_b[slot]:
+                i = miss_path(slot, i, e, now)
+                if i == e:
+                    continue
+                now = ts_l[i]
+            cache = leaf_l[i]
+            if e - i > 1:
+                now = ts_l[e - 1]
+                if not lean:
+                    served[i + 1 : e] = array("q", [dsz[slot]]) * (e - i - 1)
+            if not lean:
+                served[i] = dsz[slot]
+            if lfu:
+                hits[slot] += e - i
+                tick = hseq[cache] + e - i
+                hseq[cache] = tick
+                live_seq[slot] = tick
+            else:
+                od = lru[cache]
                 od[slot] = now
                 od.move_to_end(slot)
-                if not lean:
-                    served[i] = dsz[slot]
-            else:
-                miss_path(slot, i, e, now)
+            if emit:
+                rec.request(
+                    now, cache, url_of[docs_l[i]], "local_hit", dsz[slot], None,
+                    False, False, 0,
+                )
 
-    # Requests handled per path (see ``regimes``).
+    def snapshot_rows(due: float):
+        """Per-cache gauge rows (CooperativeSimulator._snapshot_rows) before
+        request ``cursor`` of the chunk: the frame's tallies plus a fold of
+        the chunk's outcome bytes so far."""
+        nonlocal folded
+        for leaf, code in zip(leaf_l[folded:cursor], out[folded:cursor]):
+            seen[leaf] += 1
+            if code == 0:
+                local[leaf] += 1
+            elif code < 4:
+                admitted[leaf] += 1
+        folded = cursor
+        rows = []
+        for c in range(NC):
+            copies = st.residents(c)
+            rows.append((
+                cur_age[c] if age_len[c] >= 0 else refresh_age(c, False, due),
+                used[c],
+                copies,
+                st.st_lookups[c] + seen[c],
+                st.st_local_hits[c] + local[c],
+                st_remote_served[c],
+                st_admissions[c] + admitted[c] - copies,
+            ))
+        return rows
+
+    # Requests handled per regime (see ``regimes``).
     tally = {"cold": 0, "hit_run": 0, "scalar": 0}
 
     # ---------------------------------------------------------------- #
     # Chunked replay
     # ---------------------------------------------------------------- #
-    traced = spans is not None
+    traced = vector and spans is not None
     for chunk in st.chunks(trace, chunk_size, spans):
         n = chunk.num_records
         st.grow(chunk)
         if not n:
+            continue
+        gbase = chunk.base_records  # repro: domains[gbase=global-seq]
+        w_start = min(max(st.warmup - gbase, 0), n)  # first measured request
+        out = bytearray(n)
+
+        if not vector:
+            # The loop alone: list columns, one request per run.
+            leaf_l, rsz, digits_l = st.chunk_columns(chunk)
+            docs_l = chunk.doc_ids
+            ts_l = chunk.timestamps
+            served = array("q", rsz)
+            cursor = folded = 0
+            seen, local, admitted = [0] * NC, [0] * NC, [0] * NC
+            # slot = doc * NC + leaf per request, zipped without a list.
+            slots = map(add, map(NC.__mul__, docs_l), leaf_l)
+            warm_loop(zip(slots, range(n), range(1, n + 1), ts_l))
+            _post_pass(st, *_tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l))
+            if timeseries is not None:
+                st.sample(timeseries, gbase + n, float(ts_l[-1]))
             continue
 
         # Batch precompute: the per-request numpy columns.
@@ -522,12 +808,9 @@ def _simulate_fast(
         cols = st.columns(chunk)
         if traced:
             spans.end()
-        post = cols.post
         npx = cols.npx
         lean = lean and cols.lean
-        gbase = chunk.base_records  # repro: domains[gbase=global-seq]
-        out = bytearray(n)
-        tail_start = 0  # first request index the general loop replays
+        tail_start = 0  # first request index the loop replays
 
         # Cold-regime prefix: replay first-slot-occurrences only, up to
         # the split where an admission would first evict/reject/decline.
@@ -553,15 +836,15 @@ def _simulate_fast(
         if tail_start < n:
             if traced:
                 spans.begin("warm", "regime")
-            leaf_l, rsz_q = cols.scalar_columns()
+            leaf_l, rsz = cols.scalar_columns()
             ts_l = chunk.timestamps
             starts_l, sslots_l, sts_l, ends_l = cols.runs(np, tail_start)
             served = array("q", (0,)) * n
             if not lean:
                 served_np = np.frombuffer(served, dtype=np.int64)
                 served_np[:tail_start] = npx[3][:tail_start]
-                served_np[tail_start:] = post[4][tail_start:]
-            warm_loop()
+                served_np[tail_start:] = cols.post[4][tail_start:]
+            warm_loop(zip(sslots_l, starts_l, ends_l, sts_l))
             # Every scalar request wrote a non-zero outcome byte.
             hit_req = out.count(0, tail_start)
             scal_req = n - tail_start - hit_req
@@ -573,20 +856,17 @@ def _simulate_fast(
         # Outcome post-pass: bus, per-cache stats, metrics, latency.
         if traced:
             spans.begin("post", "replay")
-        _post_pass(st, n, gbase, out, served_np, post, tail_start)
+        _post_pass(st, *_tally_np(st, w_start, out, served_np, cols.post))
         if traced:
             spans.end()
         if timeseries is not None:
             st.sample(timeseries, gbase + n, float(npx[2][n - 1]), **tally)
 
-    if regimes is not None:
+    if regimes is not None and vector:
         regimes.update(tally)
-    unique_documents = 0
-    if st.num_docs:
-        held = np.frombuffer(present_b, dtype=np.uint8)
-        unique_documents = int(
-            (held.reshape(st.num_docs, NC) != 0).any(axis=1).sum()
-        )
+    # A document counts once however many caches hold it: any() over each
+    # doc's NC residency bytes.
+    unique_documents = sum(map(any, zip(*[iter(present_b)] * NC)))
     return st.result([refresh_age(c) for c in range(NC)], unique_documents)
 
 
@@ -602,10 +882,11 @@ def _simulate_fast(
 def _cold_prefix(st, n, gbase, cols, out):
     """Replay the cold-regime prefix of one chunk, fully vectorised.
 
-    Writes the prefix's outcome bytes into ``out`` and its admissions,
-    remote serves and deferred touch fixups into ``st``. Returns the
-    split: the first request index the stateful loop must replay (``n``
-    when the whole chunk stayed cold — the regime latches off otherwise).
+    Writes the prefix's outcome bytes into ``out`` (its admissions are
+    codes 2 and 3, counted by the post-pass), and its admissions, remote
+    serves and deferred touch fixups into ``st``. Returns the split: the
+    first request index the loop must replay (``n`` when the whole chunk
+    stayed cold — the regime latches off otherwise).
     """
     np = st.np
     NC = st.num_caches
@@ -730,16 +1011,9 @@ def _cold_prefix(st, n, gbase, cols, out):
             dszv[e_slot] = e_size
             lhv[e_slot] = e_ts
             seqv[e_slot] = e_g
-            acnt = np.bincount(e_leaf, minlength=NC)
             abyt = np.bincount(e_leaf, weights=e_size, minlength=NC)
             for c in range(NC):
-                k = int(acnt[c])
-                if not k:
-                    continue
                 used[c] += int(abyt[c])
-                st.st_admissions[c] += k
-                st.st_bytes_admitted[c] += int(abyt[c])
-                st.copies[c] += k
             if not ea and bool(rem.any()):
                 # Responder promotions touch the serving slot.
                 # Applied *after* the admission scatter: a slot
@@ -759,105 +1033,130 @@ def _cold_prefix(st, n, gbase, cols, out):
             st.pending.append((p_slot, p_last + gbase, ts_np[p_last]))
     if split < n:
         # The next admission can evict: ages stop being inf, so the regime
-        # is over for good. The general loop needs the exact recency order.
+        # is over for good. The loop needs the exact recency order.
         st.leave_cold()
     return split
 
 
+def _tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l):
+    """The post-pass's Python body: the tallies of :func:`_tally_np` from
+    the chunk's list columns, one request at a time."""
+    num_caches = st.num_caches
+    count = [0] * (16 * num_caches)
+    size = [0] * (16 * num_caches)
+    icp = [0] * num_caches
+    hdr = 0
+    url_len = st.url_len
+    icp_pair = st.icp
+    for leaf, doc, code, served_size, digits in zip(leaf_l, docs_l, out, served, digits_l):
+        key = leaf << 4 | code
+        count[key] += 1
+        size[key] += served_size
+        if code:
+            icp[leaf] += icp_pair[doc]
+            hdr += url_len[doc] + digits if code & 1 else url_len[doc]
+    lat = st.lat_class
+    bw = st.bw_class
+    per_class = [0] * 4
+    class_bytes = [0] * 4
+    latency = st.latency_sum
+    for code, served_size in zip(islice(out, w_start, None), islice(served, w_start, None)):
+        cls = code & 3
+        per_class[cls] += 1
+        class_bytes[cls] += served_size
+        latency += lat[cls] + served_size / bw[cls]
+    return count, size, icp, hdr, per_class, class_bytes, latency
+
+
 # repro: domains[leaf_np=chunk-offset->any:intp]
 # repro: domains[icp_req_np=chunk-offset->byte-size:int64]
-# repro: domains[remote_base_np=chunk-offset->byte-size:int64]
-# repro: domains[origin_hdr_np=chunk-offset->byte-size:int64]
-# repro: domains[gbase=global-seq, out=chunk-offset->any:uint8]
-# repro: domains[out_np=chunk-offset->any:uint8, key=chunk-offset->any:intp]
+# repro: domains[url_req_np=chunk-offset->byte-size:int64]
+# repro: domains[digits_np=chunk-offset->byte-size:int64]
+# repro: domains[out=chunk-offset->any:uint8, out_np=chunk-offset->any:uint8]
+# repro: domains[key=chunk-offset->any:int64, cls=chunk-offset->any:uint8]
 # repro: domains[served_np=chunk-offset->byte-size:int64]
-def _post_pass(st, n, gbase, out, served_np, post, tail_start):
-    """Fold one chunk's outcome columns into the frame's tallies.
+def _tally_np(st, w_start, out, served_np, post):
+    """The post-pass's numpy body over one chunk's outcome columns.
 
-    ``out`` holds one outcome byte per request (class in the low two
-    bits: 0 local hit / 2 remote hit / 3 origin miss) and ``served_np``
-    the served size; bus counters, per-cache lookup stats, metrics and
-    the ordered latency fold are all computed from those columns in bulk.
-    From ``tail_start`` on — the requests ``warm_loop`` replayed — the
-    byte is also the only record of the admission (+4 declined, +8
-    rejected): its tallies are counted here and the eviction ones follow
-    from conservation. ``_cold_prefix`` tallies its own admissions.
+    Returns, like :func:`_tally_py`: the ``(leaf, outcome byte)``
+    histogram by count and by served bytes (16 buckets per cache), the
+    ICP probe bytes per leaf and the URL + Content-Length header bytes of
+    the requests that left their leaf, and the measured window's count
+    and served bytes per outcome class, and ``st.latency_sum`` with the
+    window's latencies folded on in request order.
     """
     np = st.np
     NC = st.num_caches
-    num_targets = NC - 1  # every sibling is probed
-    bus = st.bus
-    met = st.met
-    w_start = min(max(st.warmup - gbase, 0), n)  # first measured request
-    leaf_np, icp_req_np, remote_base_np, origin_hdr_np, _rsz_np = post
+    leaf_np, icp_req_np, url_req_np, digits_np, _rsz_np = post
     out_np = np.frombuffer(out, dtype=np.uint8)
-    if tail_start < n:
-        # One (leaf, outcome byte) histogram of the tail, by count and by
-        # served bytes (an admitted copy has the size that was served).
-        key = leaf_np[tail_start:] * 16 + out_np[tail_start:]
-        count = np.bincount(key, minlength=16 * NC).reshape(NC, 16)
-        size = np.bincount(
-            key, weights=served_np[tail_start:], minlength=16 * NC
-        ).reshape(NC, 16)
-        for c in range(NC):
-            st.st_admissions[c] += int(count[c, 2] + count[c, 3])
-            st.st_bytes_admitted[c] += int(size[c, 2] + size[c, 3])
-            st.st_rejections[c] += int(count[c, 10] + count[c, 11])
-            st.st_declined[c] += int(count[c, 6])
-            # Every admitted copy is resident or was evicted.
-            st.copies[c] = len(st.lru[c])
-            st.st_evictions[c] = st.st_admissions[c] - st.copies[c]
-            st.st_bytes_evicted[c] = st.st_bytes_admitted[c] - st.used[c]
-        out_np = out_np & 3
-    nonlocal_mask = out_np != 0
-    nl = int(nonlocal_mask.sum())
-    if nl:
-        remote_mask = out_np == 2
-        miss_mask = out_np == 3
-        bus[0] += num_targets * nl
-        bus[1] += num_targets * nl
-        bus[2] += nl
-        bus[3] += nl
-        bus[4] += num_targets * int(icp_req_np[nonlocal_mask].sum())
-        bus[5] += int(remote_base_np[remote_mask].sum())
-        bus[5] += int(origin_hdr_np[miss_mask].sum())
-        bus[6] += int(served_np[nonlocal_mask].sum())
-    local_mask = out_np == 0
-    lookup_counts = np.bincount(leaf_np, minlength=NC)
-    hit_counts = np.bincount(leaf_np[local_mask], minlength=NC)
-    leaf_loc = leaf_np[local_mask]
-    srv_loc = served_np[local_mask]
-    for c in range(NC):
-        st.st_lookups[c] += int(lookup_counts[c])
-        hits_c = int(hit_counts[c])
-        st.st_local_hits[c] += hits_c
-        st.st_local_misses[c] += int(lookup_counts[c]) - hits_c
-        st.st_bytes_local[c] += int(srv_loc[leaf_loc == c].sum())
-    m = n - w_start
-    if m:
-        outm = out_np[w_start:]
-        srvm = served_np[w_start:]
-        loc_m = outm == 0
-        rem_m = outm == 2
-        mis_m = outm == 3
-        met[0] += m
-        met[1] += int(loc_m.sum())
-        met[2] += int(rem_m.sum())
-        met[3] += int(mis_m.sum())
-        met[4] += int(srvm.sum())
-        met[5] += int(srvm[loc_m].sum())
-        met[6] += int(srvm[rem_m].sum())
-        met[7] += int(srvm[mis_m].sum())
-        vals = st.lat_lookup[outm]
-        if not st.constant_latency:
-            srvf = srvm.astype(np.float64)
-            add_term = srvf / np.where(rem_m, st.lan_bw, st.wan_bw)
-            vals = np.where(loc_m, vals, vals + add_term)
-        fold = np.empty(m + 1, dtype=np.float64)
-        fold[0] = st.latency_sum
-        fold[1:] = vals
-        np.add.accumulate(fold, out=fold)
-        st.latency_sum = float(fold[m])
+    key = leaf_np * 16 + out_np
+    count = np.bincount(key, minlength=16 * NC).tolist()
+    size = np.bincount(key, weights=served_np, minlength=16 * NC).tolist()
+    cls = out_np & 3
+    left = cls != 0
+    icp = np.bincount(leaf_np[left], weights=icp_req_np[left], minlength=NC).tolist()
+    hdr = int(url_req_np[left].sum()) + int(digits_np[cls == 3].sum())
+    cls_w = cls[w_start:]
+    served_w = served_np[w_start:]
+    per_class = np.bincount(cls_w, minlength=4).tolist()
+    class_bytes = np.bincount(cls_w, weights=served_w, minlength=4).tolist()
+    fold = np.empty(len(cls_w) + 1, dtype=np.float64)
+    fold[0] = st.latency_sum
+    fold[1:] = st.lat_np[cls_w] + served_w / st.bw_np[cls_w]
+    np.add.accumulate(fold, out=fold)
+    return count, size, icp, hdr, per_class, class_bytes, float(fold[-1])
+
+
+def _post_pass(st, count, size, icp, hdr, per_class, class_bytes, latency):
+    """Fold one chunk's outcome tallies into the frame's.
+
+    The tallies come from :func:`_tally_np` or :func:`_tally_py`. The
+    outcome byte is the only record of a leaf's admission (2 or 3), its
+    declined placement (6 or 7) or rejected copy (10 or 11); a parent's
+    are tallied inline. Every admitted copy is resident or was evicted,
+    so evictions and evicted bytes follow from conservation. Sums of
+    served bytes may arrive as floats (numpy's weighted bincount); they
+    are exact integers.
+    """
+    bus = st.bus
+    for c in range(st.num_caches):
+        row = count[16 * c : 16 * c + 16]
+        nbytes = size[16 * c : 16 * c + 16]
+        lookups = sum(row)
+        misses = lookups - row[0]
+        targets = len(st.probe_targets[c])
+        st.st_lookups[c] += lookups
+        st.st_local_hits[c] += row[0]
+        st.st_local_misses[c] += misses
+        st.st_bytes_local[c] += int(nbytes[0])
+        st.st_admissions[c] += row[2] + row[3]
+        st.st_bytes_admitted[c] += int(nbytes[2] + nbytes[3])
+        st.st_declined[c] += row[6] + row[7]
+        st.st_rejections[c] += row[10] + row[11]
+        # Per local miss: a probe of every target, then one HTTP exchange
+        # whose headers carry the URL, the sender and (origin) 24 bytes
+        # and the Content-Length.
+        bus[0] += targets * misses
+        bus[1] += targets * misses
+        bus[2] += misses
+        bus[3] += misses
+        bus[4] += targets * int(icp[c])
+        bus[5] += (st.sender_len[c] + 50) * misses + 24 * (row[3] + row[7] + row[11])
+        bus[6] += int(sum(nbytes) - nbytes[0])
+        copies = st.copies[c] = st.residents(c)
+        st.st_evictions[c] = st.st_admissions[c] - copies
+        st.st_bytes_evicted[c] = st.st_bytes_admitted[c] - st.used[c]
+    bus[5] += hdr
+    met = st.met
+    met[0] += sum(per_class)
+    met[1] += per_class[0]
+    met[2] += per_class[2]
+    met[3] += per_class[3]
+    met[4] += int(sum(class_bytes))
+    met[5] += int(class_bytes[0])
+    met[6] += int(class_bytes[2])
+    met[7] += int(class_bytes[3])
+    st.latency_sum = latency
 
 
 class _NpGrow:
@@ -990,7 +1289,6 @@ class _ChunkColumns:
         return self._runs
 
 
-# repro: domains[sender_np=any->byte-size:int64]
 # repro: domains[url_len=interned-id->byte-size:int64]
 # repro: domains[icp=interned-id->byte-size:int64]
 # repro: domains[fs=interned-id->byte-size:int64]
@@ -1003,16 +1301,12 @@ def _columns_np(st, chunk):
     """
     np = st.np
     NC = st.num_caches
-    sender_np = st.sender_np
     url_len = st.url_len_g.view()
     icp = st.icp_g.view()
     # repro: domains[docs_np=chunk-offset->interned-id:intp, ts_np=chunk-offset->age-tick:float64]
     # repro: domains[leaf_np=chunk-offset->any:intp, rsz_np=chunk-offset->byte-size:int64]
     docs_np, sizes_np, ts_np, clients_np = chunk.columns_np(np)
     leaf_np, rsz_np, digits_np = st.chunk_columns_np(np, chunk, clients_np, sizes_np)
-    remote_base_np = url_len[docs_np] + sender_np[leaf_np] + 50
-    origin_hdr_np = remote_base_np + 24 + digits_np
-    icp_req_np = icp[docs_np]
     # Lean-mode eligibility: every doc's patched size constant so far.
     # First-occurrence assignment: reversed fancy indexing makes the
     # earliest duplicate win; docs seen in prior chunks keep their value.
@@ -1024,7 +1318,7 @@ def _columns_np(st, chunk):
         known = fs[docs_np]
     lean = bool((known == rsz_np).all())
     slots_np = docs_np * NC + leaf_np  # repro: domains[slots_np=chunk-offset->cache-slot:intp]
-    post = (leaf_np, icp_req_np, remote_base_np, origin_hdr_np, rsz_np)
+    post = (leaf_np, icp[docs_np], url_len[docs_np], digits_np, rsz_np)
     # ``known`` is the per-request first-seen-size column — the size any
     # resident copy of the doc holds while the cold regime lasts.
     npx = (docs_np, slots_np, ts_np, known)

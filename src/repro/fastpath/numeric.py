@@ -1,13 +1,13 @@
 """Optional numpy acceleration gate.
 
-numpy is an *optional extra*. The batch engine's fast loop is numpy code;
-without it the batch engine replays on the chunked columnar core (see
-:func:`repro.fastpath.batch.batch_fastloop_reason`) — byte-identically,
-at reduced speed. The packed trace decoder does not use it: chunks come
-out as typed ``array`` buffers on every platform, and the gate only
-decides which view of them gets taken
-(:meth:`~repro.fastpath.interning.InternedChunk.columns_np` by the fast
-loop, the lazily built lists by the columnar core).
+numpy is an *optional extra*. The replay kernel's vector regimes are
+numpy code; without it the batch engine runs the kernel with them off
+(see :func:`repro.fastpath.batch.batch_fastloop_reason`) —
+byte-identically, at reduced speed. The packed trace decoder does not use
+it: chunks come out as typed ``array`` buffers on every platform, and the
+gate only decides which view of them gets taken
+(:meth:`~repro.fastpath.interning.InternedChunk.columns_np` by the vector
+regimes, the lazily built lists by the loop without them).
 
 Set ``REPRO_NO_NUMPY=1`` to take the no-numpy paths with numpy installed
 (the CI matrix leg proving them uses this; the container image cannot

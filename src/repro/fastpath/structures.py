@@ -5,8 +5,12 @@ These mirror the object policies' victim semantics exactly —
 (an ``OrderedDict`` by recency) and :class:`LFUVictimHeap` reproduces
 :class:`repro.cache.replacement.LFUPolicy` (a min-heap keyed on
 ``(hit_count, push_seq)``, re-keyed at the victim search instead of
-re-pushed on every hit) — but are indexed by integer doc id so the replay
-loop never hashes a string and never allocates per request.
+re-pushed on every hit) — but are indexed by integer doc id, never
+hashing a string or allocating per request. They are the references the
+replay kernel (:func:`repro.fastpath.batch.replay`) is tested against:
+its LRU is an ``OrderedDict`` of slots per cache, checked against
+:class:`IntrusiveLRUList` operation by operation, and its LFU runs
+:class:`LFUVictimHeap`'s protocol inline on flat per-slot columns.
 """
 
 from __future__ import annotations
@@ -134,10 +138,12 @@ class LFUVictimHeap:
     resident set, whatever the hit count.
 
     ``heap``, ``live_count``, ``live_seq`` and ``seq`` are public the way
-    :class:`IntrusiveLRUList`'s arrays are: the columnar core binds them in
-    its admission step and runs :meth:`push` / :meth:`victim` /
-    :meth:`remove` on them without the calls. The lists are only ever
-    mutated in place, so a binding stays valid across :meth:`grow`.
+    :class:`IntrusiveLRUList`'s arrays are. The replay kernel
+    (:func:`repro.fastpath.batch.replay`) runs this protocol inline on
+    flat per-slot columns — a heap and a sequence per cache, the live
+    count being its hit-count column — and the tests hold it to this
+    class. The lists are only ever mutated in place, so a binding stays
+    valid across :meth:`grow`.
     """
 
     __slots__ = ("heap", "live_count", "live_seq", "seq")

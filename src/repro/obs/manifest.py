@@ -89,8 +89,8 @@ def build_manifest(
 
     ``fastloop_reason`` is what
     :func:`repro.fastpath.batch.batch_fastloop_reason` returned for a
-    batch run that replayed on the columnar core (``None`` when the fast
-    loop ran, and for the other engines): which loop runs depends on the
+    batch run whose kernel ran with its vector regimes off (``None`` when
+    they ran, and for the other engines): whether they run depends on the
     platform as well as the config, so ``engine_resolved`` alone does not
     say.
 

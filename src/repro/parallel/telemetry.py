@@ -49,9 +49,9 @@ class TaskReport:
 
     @property
     def fastloop_reason(self) -> Optional[str]:
-        """Why the point's batch replay ran on the columnar core — the
-        string :func:`repro.fastpath.batch.batch_fastloop_reason` returned.
-        None when the fast loop ran (or the point has no ``regimes``)."""
+        """Why the point's batch replay ran with the vector regimes off —
+        the string :func:`repro.fastpath.batch.batch_fastloop_reason`
+        returned. None when they ran (or the point has no ``regimes``)."""
         if self.regimes is None:
             return None
         return self.regimes.get("fallback_reason")  # type: ignore[return-value]
@@ -123,9 +123,9 @@ class SweepTelemetry:
         """Summed batch regime occupancy across every point that has one.
 
         Request counts per regime (``cold`` / ``hit_run`` / ``scalar``)
-        plus ``fallbacks`` — how many batch points fell back to the
-        columnar core instead of engaging the fast loop. ``None`` when no
-        point ran the batch engine (nothing to aggregate).
+        plus ``fallbacks`` — how many batch points ran the kernel with its
+        vector regimes off. ``None`` when no point ran the batch engine
+        (nothing to aggregate).
         """
         total: Dict[str, int] = {"cold": 0, "hit_run": 0, "scalar": 0}
         fallbacks = 0
@@ -179,7 +179,7 @@ class SweepTelemetry:
             for reason in sorted(
                 {r.fastloop_reason for r in self.reports if r.fastloop_reason}
             ):
-                lines.append(f"    fast loop not engaged: {reason}")
+                lines.append(f"    vector regimes off: {reason}")
         peak = self.peak_memory_bytes
         if peak is not None:
             lines.append(f"  peak worker memory: {peak:,} bytes (tracemalloc)")

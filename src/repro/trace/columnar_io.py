@@ -24,9 +24,9 @@ column of a chunk is copied out of the page cache into a typed buffer
 (``array('q')`` / ``array('d')``, one ``frombytes`` — the same path with
 or without numpy) and handed to
 :class:`~repro.fastpath.interning.InternedChunk` as that buffer. The
-chunk owns what happens next: the batch engine takes numpy views of the
-buffers, the columnar core asks for lists and gets them built on first
-access, and :func:`write_packed` writes a buffer-backed chunk's bytes
+chunk owns what happens next: the kernel's vector regimes take numpy
+views of the buffers, the loop without them asks for lists and gets them
+built on first access, and :func:`write_packed` writes a buffer-backed chunk's bytes
 back out unchanged. Resident memory stays O(chunk) no matter the file
 size. The UTF-8 length of every stored string is its own ``u32`` prefix,
 so the per-document URL lengths the engines need are read, not

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.devtools.analysis import AnalysisError, CallGraph, ProjectModel
+from repro.devtools.analysis.concurrency import ENGINE_ROOTS, HOT_ROOTS
+from repro.devtools.analysis.determinism import DEFAULT_ROOTS
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestProjectModel:
@@ -198,3 +204,17 @@ class TestCallGraph:
         )
         assert "repro.simulation.driver:c" in reached
         assert "repro.simulation.driver:island" not in reached
+
+
+class TestProductionRoots:
+    """The analyzers skip roots absent from the model (fixture trees pass
+    their own), so a root left behind by a move would shrink an audit
+    without a word. Every root they default to must name a function of
+    the real tree."""
+
+    @pytest.mark.parametrize(
+        "root", sorted(set(DEFAULT_ROOTS) | set(HOT_ROOTS) | set(ENGINE_ROOTS))
+    )
+    def test_every_default_root_resolves_in_src(self, root):
+        model = ProjectModel.load(REPO_SRC)
+        assert model.function_node(root) is not None, root

@@ -8,15 +8,24 @@ so peak memory grows with the number of replays in between.
 from __future__ import annotations
 
 import gc
+import io
 import weakref
 
 import pytest
 
 from repro.fastpath import simulate_batch, simulate_columnar
+from repro.obs.events import RunRecorder
 from repro.simulation.simulator import SimulationConfig
 from repro.trace import Trace
 
 CAPACITY = 600_000
+
+
+def _observed(config, trace):
+    """A batch replay with a recorder attached, snapshots included."""
+    recorder = RunRecorder(io.StringIO(), snapshot_interval=600.0)
+    return simulate_batch(config, trace, obs=recorder)
+
 
 SHAPES = [
     ("columnar-distributed-lru", simulate_columnar, {}),
@@ -26,6 +35,13 @@ SHAPES = [
         {"architecture": "hierarchical", "policy": "lfu"},
     ),
     ("batch", simulate_batch, {}),
+    # Escalation runs the admission site twice in one request.
+    (
+        "batch-hierarchical-lfu",
+        simulate_batch,
+        {"architecture": "hierarchical", "policy": "lfu"},
+    ),
+    ("observed", _observed, {}),
 ]
 
 

@@ -5,7 +5,7 @@ hit, promotion and refresh and drop the stale ones when they surfaced at
 an eviction — so at a capacity that never evicts, nothing was ever popped
 and a streamed replay's heap grew by one tuple per hit, O(requests)
 instead of O(residents). These tests count the ``heapq`` calls where the
-core imports them: pushes are admissions, nothing else.
+replay kernel imports them: pushes are admissions, nothing else.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import heapq
 
 import pytest
 
-import repro.fastpath.engine as engine_module
+import repro.fastpath.batch as kernel_module
 import repro.fastpath.structures as structures_module
 from repro.fastpath import simulate_columnar
 from repro.simulation.simulator import SimulationConfig
@@ -33,7 +33,7 @@ STREAM = SyntheticTraceConfig(
 
 @pytest.fixture
 def heap_calls(monkeypatch):
-    """Counts of heappush / heappop / heapreplace made by the core."""
+    """Counts of heappush / heappop / heapreplace made by the kernel."""
     calls = {"heappush": 0, "heappop": 0, "heapreplace": 0}
 
     def counted(name, inner):
@@ -43,12 +43,10 @@ def heap_calls(monkeypatch):
 
         return wrapper
 
-    for module in (engine_module, structures_module):
+    for module in (kernel_module, structures_module):
         for name in calls:
             inner = getattr(heapq, name)
-            # raising=False: the engine module binds the three only since
-            # its admission step runs on the heap's columns.
-            monkeypatch.setattr(module, name, counted(name, inner), raising=False)
+            monkeypatch.setattr(module, name, counted(name, inner))
     return calls
 
 

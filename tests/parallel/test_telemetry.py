@@ -175,7 +175,7 @@ class TestRegimeOccupancy:
         summary = telemetry.summary()
         assert "batch regimes: cold 120" in summary
         assert "1 fallback point(s)" in summary
-        assert "fast loop not engaged: obs attached" in summary
+        assert "vector regimes off: obs attached" in summary
         assert [r.fastloop_reason for r in telemetry.reports] == [
             None, None, "obs attached", None,
         ]
