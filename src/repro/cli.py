@@ -5,7 +5,7 @@ The subcommands cover the library's workflows::
     repro generate-trace --scale default --out trace.bu
     repro simulate --scheme ea --caches 4 --capacity 10MB --trace trace.bu
     repro simulate --sanitize          # same, with runtime invariant checks
-    repro simulate --engine columnar   # columnar fast path (byte-identical)
+    repro simulate --engine batch      # the fast kernel (byte-identical)
     repro simulate --events run.jsonl --snapshot-interval 600
     repro experiment fig1 --scale tiny
     repro experiment fig1 --jobs 4 --memo .repro-memo
@@ -13,11 +13,16 @@ The subcommands cover the library's workflows::
     repro sweep --jobs 4 --progress --events events/
     repro obs summarize run.jsonl      # roll up a repro-events/1 stream
     repro obs diff a.jsonl b.jsonl     # first divergence between streams
-    repro profile --scale tiny         # cProfile the request hot path
+    repro profile --scale tiny         # cProfile + span timeline of one run
     repro lint src tests               # repro-specific per-file lint rules
     repro analyze                      # whole-program engine-parity /
                                        # determinism / config-flow analysis
     repro analyze trace --scale tiny   # characterise a workload trace
+
+Two engines replay a trace: ``object``, the readable reference core (the
+default), and ``batch``, the fast replay kernel of :mod:`repro.fastpath`.
+``--engine columnar`` runs that same kernel with its vector regimes off.
+Results are byte-identical whichever engine runs.
 
 ``repro experiment all`` regenerates every paper artifact in sequence and
 prints the rendered tables (this is what EXPERIMENTS.md quotes). ``--jobs``
@@ -40,11 +45,13 @@ import inspect
 import json
 import os
 import sys
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.experiments import EXPERIMENTS
 from repro.experiments.workload import WORKLOAD_SCALES, workload_config, workload_trace
+from repro.obs.spans import SpanTracer, load_trace_events, render_timeline
 from repro.simulation.simulator import (
     ARCHITECTURES,
     ENGINES,
@@ -70,6 +77,135 @@ def parse_size(text: str) -> int:
     return int(lowered)
 
 
+def _size(text: str) -> Tuple[str, int]:
+    """The argparse type of a capacity: the text as typed and its bytes."""
+    try:
+        return text, parse_size(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid size {text!r} (expected e.g. 100KB, 10MB, 1GB or a byte count)"
+        ) from None
+
+
+#: Flag -> add_argument keywords of every option that sets one
+#: SimulationConfig field; _config_from_args maps them onto the fields.
+_CONFIG_OPTIONS = {
+    "--scheme": {"choices": ("adhoc", "ea"), "default": "ea"},
+    "--caches": {"type": int, "default": 4},
+    "--capacity": {"type": _size, "default": "10MB",
+                   "help": "aggregate size, e.g. 100KB / 10MB"},
+    "--policy": {"default": "lru"},
+    "--architecture": {"choices": ARCHITECTURES, "default": "distributed"},
+    "--partitioner": {"choices": PARTITIONERS, "default": "hash"},
+    "--engine": {
+        "choices": ENGINES, "default": "object",
+        "help": "replay engine: 'object' (the reference core) or 'batch' "
+        "(the fast kernel); 'columnar' is that kernel with its vector "
+        "regimes off. Results are byte-identical on every engine; a config "
+        "the kernel does not model falls back to 'object' with a logged reason",
+    },
+}
+
+_TRACE_FORMATS = ("bu", "squid", "clf")
+
+
+def _config_options(parser, *flags: str, capacity: Optional[str] = None) -> None:
+    """Declare the config options ``flags`` (default: all of them).
+
+    ``capacity`` replaces the --capacity default.
+    """
+    for flag in flags or _CONFIG_OPTIONS:
+        keywords = _CONFIG_OPTIONS[flag]
+        if flag == "--capacity" and capacity is not None:
+            keywords = {**keywords, "default": capacity}
+        parser.add_argument(flag, **keywords)
+
+
+def _workload_options(parser) -> None:
+    """--scale / --seed: the synthetic BU-like workload."""
+    parser.add_argument("--scale", choices=WORKLOAD_SCALES, default="default",
+                        help="synthetic workload scale")
+    parser.add_argument("--seed", type=int, default=42)
+
+
+def _trace_options(parser, streamed: bool = False) -> None:
+    """--trace / --trace-format, and --scale / --seed for the synthetic fallback.
+
+    ``streamed`` adds the ``packed`` format, which only the subcommands
+    that replay through a chunked engine can read.
+    """
+    parser.add_argument("--trace", help="trace file; the synthetic --scale "
+                        "workload if omitted")
+    formats = _TRACE_FORMATS + ("packed",) if streamed else _TRACE_FORMATS
+    parser.add_argument(
+        "--trace-format", default="bu", choices=formats,
+        help="input format" + (
+            "; 'packed' (auto-detected from a .rpct suffix) streams the "
+            "file with O(chunk) memory and needs a chunked --engine"
+            if streamed else ""
+        ),
+    )
+    _workload_options(parser)
+
+
+def _event_options(parser, metavar: str, events_help: str) -> None:
+    """--events / --snapshot-interval: a repro-events/1 capture."""
+    parser.add_argument("--events", metavar=metavar, help=events_help)
+    parser.add_argument("--snapshot-interval", type=float, default=0.0,
+                        metavar="SECONDS",
+                        help="simulation-seconds between per-cache snapshot "
+                        "events in the stream(s) (0 = no snapshots)")
+
+
+def _sweep_options(parser, jobs_help: str, events_help: str) -> None:
+    """--jobs / --memo / --progress plus per-point event capture."""
+    parser.add_argument("--jobs", type=int, metavar="N", help=jobs_help)
+    parser.add_argument("--memo", metavar="DIR",
+                        help="content-addressed result cache; sweep points "
+                        "already simulated for this config+trace are reused")
+    parser.add_argument("--progress", action="store_true",
+                        help="print one line per completed sweep point")
+    _event_options(parser, "DIR", events_help)
+
+
+def _span_options(parser) -> None:
+    """--trace-out / --track-memory: where a replay's wall time and memory went."""
+    parser.add_argument("--trace-out", metavar="FILE",
+                        help="write a Chrome Trace Event Format span timeline "
+                        "(repro-trace-events/1; load it in Perfetto or render "
+                        "with 'repro obs timeline'); a sweep puts each freshly "
+                        "simulated point on its own lane")
+    parser.add_argument("--track-memory", action="store_true",
+                        help="record the tracemalloc high-water mark of each "
+                        "replay (simulate: the manifest and --timeseries; "
+                        "sweep: the telemetry summary)")
+
+
+def _findings_options(parser, baseline: Optional[str] = None,
+                      write_baseline: bool = True, root: bool = True) -> None:
+    """The flags lint, analyze and check share for reporting findings."""
+    if root:
+        parser.add_argument("--root", default="src",
+                            help="directory containing the repro package "
+                            "(default: src)")
+    parser.add_argument("--json", action="store_true",
+                        help="emit findings in the shared repro-findings/1 schema")
+    parser.add_argument(
+        "--baseline", metavar="FILE", default=baseline,
+        help="accepted-findings file (repro-analysis-baseline/1 schema); "
+        "matching findings are absorbed, stale entries fail the run, a "
+        "missing file is empty" + (f" (default: {baseline})" if baseline else ""),
+    )
+    if write_baseline:
+        parser.add_argument("--write-baseline", action="store_true",
+                            help="rewrite --baseline from the current findings "
+                            "and exit 0; edit each entry's 'why' afterwards")
+    parser.add_argument("--fail-on", choices=("note", "warn", "error"),
+                        default="note", metavar="SEVERITY",
+                        help="minimum finding severity that fails the run "
+                        "(note/warn/error; default: note = any finding)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -78,8 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate-trace", help="write a synthetic BU-like trace")
-    gen.add_argument("--scale", choices=WORKLOAD_SCALES, default="default")
-    gen.add_argument("--seed", type=int, default=42)
+    _workload_options(gen)
     gen.add_argument("--out", required=True, help="output path (BU condensed format)")
 
     pack = sub.add_parser(
@@ -95,11 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "original trace."
         ),
     )
-    pack.add_argument("--trace", help="input trace file; synthetic stream if omitted")
-    pack.add_argument("--trace-format", default="bu", choices=("bu", "squid", "clf"))
-    pack.add_argument("--scale", choices=WORKLOAD_SCALES, default="default",
-                      help="synthetic workload scale when --trace is omitted")
-    pack.add_argument("--seed", type=int, default=42)
+    _trace_options(pack)
     pack.add_argument("--requests", type=int, metavar="N",
                       help="override the synthetic request count (generation "
                       "is streamed, so N is not bounded by memory)")
@@ -109,29 +240,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       "reader memory only, never results")
 
     sim = sub.add_parser("simulate", help="run one simulation and print the result")
-    sim.add_argument("--scheme", choices=("adhoc", "ea"), default="ea")
-    sim.add_argument("--caches", type=int, default=4)
-    sim.add_argument("--capacity", default="10MB", help="aggregate size, e.g. 100KB / 10MB")
-    sim.add_argument("--policy", default="lru")
-    sim.add_argument("--architecture", choices=ARCHITECTURES, default="distributed")
-    sim.add_argument("--partitioner", choices=PARTITIONERS, default="hash")
-    sim.add_argument("--trace", help="trace file (BU format); synthetic if omitted")
-    sim.add_argument("--trace-format", default="bu",
-                     choices=("bu", "squid", "clf", "packed"),
-                     help="input format; 'packed' (auto-detected from a "
-                     ".rpct suffix) streams the file with O(chunk) memory "
-                     "and needs a chunked --engine")
+    _config_options(sim)
+    _trace_options(sim, streamed=True)
     sim.add_argument("--chunk-size", type=int, metavar="N",
                      help="interned-chunk granularity for the chunked "
                      "engines; results are chunking-invariant, so this "
                      "shapes memory only")
-    sim.add_argument("--scale", choices=WORKLOAD_SCALES, default="default",
-                     help="synthetic workload scale when --trace is omitted")
-    sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--engine", choices=ENGINES, default="object",
-                     help="execution engine; 'columnar' is a byte-identical "
-                     "fast path (falls back with a logged reason if the "
-                     "config needs an object-engine feature)")
     sim.add_argument("--json", action="store_true", help="emit the full result as JSON")
     sim.add_argument(
         "--sanitize",
@@ -140,96 +254,48 @@ def _build_parser() -> argparse.ArgumentParser:
         "one-fresh-lease, event order) after every operation; exit 3 on any "
         "violation",
     )
-    sim.add_argument("--events", metavar="FILE",
-                     help="write a repro-events/1 JSONL stream of the run; a "
-                     "run manifest lands next to it as FILE.manifest.json")
-    sim.add_argument("--snapshot-interval", type=float, default=0.0,
-                     metavar="SECONDS",
-                     help="simulation-seconds between per-cache snapshot "
-                     "events in the stream (0 = no snapshots)")
-    sim.add_argument("--trace-out", metavar="FILE",
-                     help="write a Chrome Trace Event Format span timeline "
-                     "of the run (repro-trace-events/1) — load it in "
-                     "Perfetto or render with 'repro obs timeline'")
+    _event_options(sim, "FILE", "write a repro-events/1 JSONL stream of the "
+                   "run; a run manifest lands next to it as FILE.manifest.json")
+    _span_options(sim)
     sim.add_argument("--timeseries", metavar="FILE",
                      help="write a repro-timeseries/1 stream of per-chunk "
                      "samples (req/s, hit ratios, EA placements, regime "
                      "occupancy); render with 'repro obs report'")
-    sim.add_argument("--track-memory", action="store_true",
-                     help="record the run's tracemalloc high-water mark "
-                     "(peak_memory_bytes in the manifest, mem_hwm in "
-                     "--timeseries samples)")
 
     exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
     exp.add_argument("name", choices=sorted(EXPERIMENTS) + ["all"])
-    exp.add_argument("--scale", choices=WORKLOAD_SCALES, default="default")
-    exp.add_argument("--seed", type=int, default=42)
+    _workload_options(exp)
+    _config_options(exp, "--engine")
     exp.add_argument("--json", action="store_true", help="emit the report as JSON")
     exp.add_argument("--save-json", metavar="DIR",
                      help="also persist the report(s) into an ExperimentStore directory")
-    exp.add_argument("--jobs", type=int, metavar="N",
-                     help="fan sweep points over N worker processes "
-                     "(default: serial; 0 = one per CPU)")
-    exp.add_argument("--memo", metavar="DIR",
-                     help="content-addressed result cache; sweep points already "
-                     "simulated for this config+trace are reused")
-    exp.add_argument("--engine", choices=ENGINES,
-                     help="execution engine for sweep-backed drivers "
-                     "(default: object); results are byte-identical")
-    exp.add_argument("--events", metavar="DIR",
-                     help="write repro-events/1 streams for every freshly "
-                     "simulated sweep point under DIR/<experiment>/")
-    exp.add_argument("--snapshot-interval", type=float, default=0.0,
-                     metavar="SECONDS",
-                     help="simulation-seconds between snapshot events in "
-                     "those streams (0 = no snapshots)")
-    exp.add_argument("--progress", action="store_true",
-                     help="print one line per completed sweep point")
+    _sweep_options(
+        exp,
+        "fan sweep points over N worker processes (default: serial; "
+        "0 = one per CPU)",
+        "write repro-events/1 streams for every freshly simulated sweep "
+        "point under DIR/<experiment>/",
+    )
 
     swp = sub.add_parser(
         "sweep", help="run a raw {scheme} x {capacity} sweep, optionally in parallel"
     )
-    swp.add_argument("--scale", choices=WORKLOAD_SCALES, default="default")
-    swp.add_argument("--seed", type=int, default=42)
-    swp.add_argument("--trace", help="trace file; synthetic if omitted")
-    swp.add_argument("--trace-format", default="bu",
-                     choices=("bu", "squid", "clf", "packed"),
-                     help="input format; 'packed' (auto-detected from a "
-                     ".rpct suffix) streams the file with O(chunk) memory "
-                     "and needs a chunked --engine")
-    swp.add_argument("--caches", type=int, default=4)
-    swp.add_argument("--policy", default="lru")
-    swp.add_argument("--architecture", choices=ARCHITECTURES, default="distributed")
+    _trace_options(swp, streamed=True)
+    _config_options(swp, "--caches", "--policy", "--architecture", "--engine")
     swp.add_argument("--schemes", default="adhoc,ea",
                      help="comma-separated placement schemes (default: adhoc,ea)")
-    swp.add_argument("--capacity", action="append", metavar="SIZE", dest="capacities",
+    swp.add_argument("--capacity", action="append", type=_size, metavar="SIZE",
+                     dest="capacities",
                      help="aggregate capacity, e.g. 10MB; repeatable "
                      "(default: the paper grid for --scale)")
-    swp.add_argument("--jobs", type=int, metavar="N",
-                     help="worker processes (default: one per CPU; 1 = serial)")
-    swp.add_argument("--memo", metavar="DIR",
-                     help="content-addressed result cache directory")
-    swp.add_argument("--engine", choices=ENGINES, default="object",
-                     help="execution engine for every sweep point; results "
-                     "are byte-identical either way")
     swp.add_argument("--json", action="store_true", help="emit all points as JSON")
-    swp.add_argument("--events", metavar="DIR",
-                     help="write repro-events/1 streams for every freshly "
-                     "simulated point into DIR")
-    swp.add_argument("--snapshot-interval", type=float, default=0.0,
-                     metavar="SECONDS",
-                     help="simulation-seconds between snapshot events in "
-                     "those streams (0 = no snapshots)")
-    swp.add_argument("--progress", action="store_true",
-                     help="print one line per completed point plus a "
-                     "per-worker telemetry summary")
-    swp.add_argument("--trace-out", metavar="FILE",
-                     help="span-trace every freshly simulated point and "
-                     "write the merged Chrome Trace Event Format timeline "
-                     "(one lane per point; Perfetto-loadable)")
-    swp.add_argument("--track-memory", action="store_true",
-                     help="record each worker's tracemalloc high-water "
-                     "mark per point (reported in the telemetry summary)")
+    _sweep_options(
+        swp,
+        "worker processes (default: one per CPU; 1 = serial)",
+        "write repro-events/1 streams for every freshly simulated point "
+        "into DIR",
+    )
+    _span_options(swp)
 
     obs = sub.add_parser(
         "obs", help="inspect observability files (events, span traces, "
@@ -248,21 +314,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="[summarize] emit the roll-up as JSON")
 
     prof = sub.add_parser(
-        "profile", help="cProfile one simulation and print the hottest functions"
+        "profile", help="cProfile one simulation: regime counts, span "
+        "timeline and the hottest functions"
     )
-    prof.add_argument("--scheme", choices=("adhoc", "ea"), default="ea")
-    prof.add_argument("--caches", type=int, default=4)
-    prof.add_argument("--capacity", default="10MB")
-    prof.add_argument("--policy", default="lru")
-    prof.add_argument("--architecture", choices=ARCHITECTURES, default="distributed")
-    prof.add_argument("--partitioner", choices=PARTITIONERS, default="hash")
-    prof.add_argument("--trace", help="trace file; synthetic if omitted")
-    prof.add_argument("--trace-format", default="bu",
-                      choices=("bu", "squid", "clf", "packed"))
-    prof.add_argument("--scale", choices=WORKLOAD_SCALES, default="default")
-    prof.add_argument("--seed", type=int, default=42)
-    prof.add_argument("--engine", choices=ENGINES, default="object",
-                     help="execution engine to profile")
+    _config_options(prof)
+    _trace_options(prof, streamed=True)
     prof.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative",
                       help="stat ordering for the report")
     prof.add_argument("--top", type=int, default=25, metavar="N",
@@ -290,44 +346,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "configflow, effects, concurrency, domains, or trace (default: all "
         "static analyzers); 'trace' must be the only target",
     )
-    ana.add_argument("--root", default="src",
-                     help="directory containing the repro package (default: src)")
-    ana.add_argument("--json", action="store_true",
-                     help="emit findings in the shared repro-findings/1 schema")
-    ana.add_argument("--baseline", metavar="FILE",
-                     default="analysis-baseline.json",
-                     help="checked-in accepted-findings file "
-                     "(default: analysis-baseline.json; missing file = empty)")
-    ana.add_argument("--write-baseline", action="store_true",
-                     help="rewrite the baseline file from the current findings "
-                     "and exit 0; edit each entry's 'why' afterwards")
-    ana.add_argument("--fail-on", choices=("note", "warn", "error"),
-                     default="note", metavar="SEVERITY",
-                     help="minimum finding severity that fails the run "
-                     "(note/warn/error; default: note = any finding)")
+    _findings_options(ana, baseline="analysis-baseline.json")
     ana.add_argument("--effects-out", metavar="FILE",
                      help="also write the repro-effects/1 per-function "
                      "effect inventory to FILE")
     ana.add_argument("--domains-out", metavar="FILE",
                      help="also write the repro-domains/1 per-function "
                      "index-domain inventory to FILE")
-    ana.add_argument("--trace", help="[trace] trace file; synthetic if omitted")
-    ana.add_argument("--trace-format", default="bu", choices=("bu", "squid", "clf"),
-                     help="[trace] input format")
-    ana.add_argument("--scale", choices=WORKLOAD_SCALES, default="default",
-                     help="[trace] synthetic workload scale")
-    ana.add_argument("--seed", type=int, default=42, help="[trace] synthetic seed")
+    _trace_options(ana)
 
     cmp_parser = sub.add_parser(
         "compare", help="run ad-hoc and EA side by side at one capacity"
     )
-    cmp_parser.add_argument("--caches", type=int, default=4)
-    cmp_parser.add_argument("--capacity", default="1MB")
-    cmp_parser.add_argument("--policy", default="lru")
-    cmp_parser.add_argument("--scale", choices=WORKLOAD_SCALES, default="default")
-    cmp_parser.add_argument("--seed", type=int, default=42)
-    cmp_parser.add_argument("--trace", help="trace file; synthetic if omitted")
-    cmp_parser.add_argument("--trace-format", default="bu", choices=("bu", "squid", "clf"))
+    _config_options(cmp_parser, "--caches", "--capacity", "--policy", capacity="1MB")
+    _trace_options(cmp_parser)
 
     lint = sub.add_parser(
         "lint", help="run the repro-specific static analysis pass"
@@ -347,31 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    lint.add_argument(
-        "--json",
-        action="store_true",
-        help="emit findings in the shared repro-findings/1 schema",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="accepted-findings file (repro-analysis-baseline/1 schema); "
-        "matching findings are absorbed, stale entries fail the run",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline from the current findings and exit 0; "
-        "edit each entry's 'why' afterwards",
-    )
-    lint.add_argument(
-        "--fail-on",
-        choices=("note", "warn", "error"),
-        default="note",
-        metavar="SEVERITY",
-        help="minimum finding severity that fails the run "
-        "(note/warn/error; default: note = any finding)",
-    )
+    _findings_options(lint, root=False)
 
     chk = sub.add_parser(
         "check",
@@ -382,22 +390,27 @@ def _build_parser() -> argparse.ArgumentParser:
             "noqa/baseline/severity filter to the merged findings."
         ),
     )
-    chk.add_argument("--root", default="src",
-                     help="directory containing the repro package (default: src)")
     chk.add_argument("paths", nargs="*", default=["tests"],
                      help="extra files/directories to lint from disk "
                      "(default: tests)")
-    chk.add_argument("--json", action="store_true",
-                     help="emit findings in the shared repro-findings/1 schema")
-    chk.add_argument("--baseline", metavar="FILE",
-                     default="analysis-baseline.json",
-                     help="accepted-findings file applied to the merged "
-                     "lint+analysis findings (default: analysis-baseline.json)")
-    chk.add_argument("--fail-on", choices=("note", "warn", "error"),
-                     default="note", metavar="SEVERITY",
-                     help="minimum finding severity that fails the run "
-                     "(note/warn/error; default: note = any finding)")
+    _findings_options(chk, baseline="analysis-baseline.json", write_baseline=False)
     return parser
+
+
+def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
+    """The SimulationConfig a subcommand's options describe.
+
+    Reads only the options the subcommand declares; every other field
+    keeps its SimulationConfig default.
+    """
+    names = {"scheme": "scheme", "caches": "num_caches", "policy": "policy",
+             "architecture": "architecture", "partitioner": "partitioner",
+             "seed": "seed", "engine": "engine", "sanitize": "sanitize"}
+    fields = {field: getattr(args, dest) for dest, field in names.items()
+              if hasattr(args, dest)}
+    if hasattr(args, "capacity"):
+        fields["aggregate_capacity"] = args.capacity[1]
+    return SimulationConfig(**fields)
 
 
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
@@ -434,23 +447,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.simulation.simulator import CooperativeSimulator
 
     trace = _load_or_generate(args)
-    config = SimulationConfig(
-        scheme=args.scheme,
-        num_caches=args.caches,
-        aggregate_capacity=parse_size(args.capacity),
-        policy=args.policy,
-        architecture=args.architecture,
-        partitioner=args.partitioner,
-        seed=args.seed,
-        sanitize=args.sanitize,
-        engine=args.engine,
-    )
+    config = _config_from_args(args)
     observed = None
-    spans = None
-    if args.trace_out:
-        from repro.obs.spans import SpanTracer
-
-        spans = SpanTracer()
+    spans = SpanTracer() if args.trace_out else None
     if (args.events or args.snapshot_interval > 0.0 or args.trace_out
             or args.timeseries or args.track_memory):
         from repro.obs.session import ObservedRun
@@ -533,25 +532,23 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         jobs = args.jobs if args.jobs > 0 else default_jobs()
     for name in names:
         driver = EXPERIMENTS[name]
-        kwargs = {"scale": args.scale, "seed": args.seed}
-        # Only the sweep-backed drivers take jobs/memo (and the obs knobs);
-        # ablation and extension drivers run serially regardless.
+        # Only the sweep-backed drivers take jobs/memo/engine and the obs
+        # knobs; ablation and extension drivers run serially regardless.
+        # Each driver writes its point files under its own --events
+        # subdirectory, so 'experiment all' shares one root.
+        offered = {
+            "jobs": jobs,
+            "memo": memo,
+            "engine": args.engine,
+            "events_dir": os.path.join(args.events, name) if args.events else None,
+            "snapshot_interval": (
+                args.snapshot_interval if args.snapshot_interval > 0.0 else None
+            ),
+            "progress": _print_progress if args.progress else None,
+        }
         accepted = inspect.signature(driver).parameters
-        if "jobs" in accepted and jobs is not None:
-            kwargs["jobs"] = jobs
-        if "memo" in accepted and memo is not None:
-            kwargs["memo"] = memo
-        if "engine" in accepted and args.engine is not None:
-            kwargs["engine"] = args.engine
-        if "events_dir" in accepted and args.events:
-            # Per-driver subdirectory: 'experiment all' shares one --events
-            # root without the drivers' point files colliding.
-            kwargs["events_dir"] = os.path.join(args.events, name)
-        if "snapshot_interval" in accepted and args.snapshot_interval > 0.0:
-            kwargs["snapshot_interval"] = args.snapshot_interval
-        if "progress" in accepted and args.progress:
-            kwargs["progress"] = _print_progress
-        report = driver(**kwargs)
+        kwargs = {k: v for k, v in offered.items() if k in accepted and v is not None}
+        report = driver(scale=args.scale, seed=args.seed, **kwargs)
         if store is not None:
             store.save(report)
         if args.json:
@@ -565,23 +562,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import render_table
     from repro.experiments.sweep import run_capacity_sweep
     from repro.experiments.workload import capacities_for
     from repro.parallel import SweepMemoStore, default_jobs
 
     trace = _load_or_generate(args)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    if args.capacities:
-        capacities = [(text, parse_size(text)) for text in args.capacities]
-    else:
-        capacities = capacities_for(args.scale)
-    base_config = SimulationConfig(
-        num_caches=args.caches,
-        policy=args.policy,
-        architecture=args.architecture,
-        seed=args.seed,
-    )
+    capacities = args.capacities or capacities_for(args.scale)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     memo = SweepMemoStore(args.memo) if args.memo else None
     if args.progress:
@@ -597,14 +584,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{requests} per point",
             flush=True,
         )
-    spans = None
-    if args.trace_out:
-        from repro.obs.spans import SpanTracer
-
-        spans = SpanTracer()
+    spans = SpanTracer() if args.trace_out else None
     sweep = run_capacity_sweep(
-        trace, capacities, schemes=schemes, base_config=base_config,
-        jobs=jobs, memo=memo, engine=args.engine,
+        trace, capacities, schemes=schemes, base_config=_config_from_args(args),
+        jobs=jobs, memo=memo,
         events_dir=args.events, snapshot_interval=args.snapshot_interval,
         progress=_print_progress if args.progress else None,
         track_memory=args.track_memory, spans=spans,
@@ -621,25 +604,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ]
         print(json.dumps(payload, indent=2))
     else:
-        rows = [
-            [
-                p.scheme,
-                p.capacity_label,
-                round(p.result.metrics.hit_rate, 4),
-                round(p.result.metrics.byte_hit_rate, 4),
-                round(p.result.estimated_latency * 1000.0, 1),
-            ]
-            for p in sweep.points
-        ]
-        print(
-            render_table(
-                ["scheme", "aggregate", "hit", "byte_hit", "latency_ms"],
-                rows,
-                title=(
-                    f"Capacity sweep: {args.caches} caches, "
-                    f"{args.architecture}, jobs={jobs}"
-                ),
-            )
+        _print_points(
+            sweep, ("scheme", "aggregate", "hit", "byte_hit", "latency_ms"),
+            f"Capacity sweep: {args.caches} caches, {args.architecture}, jobs={jobs}",
         )
     if memo is not None:
         print(f"memo: {memo.hits} hit(s), {memo.misses} miss(es) in {memo.root}")
@@ -654,29 +621,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    """Profile one replay: regime counts, the span timeline, hot functions.
+
+    Where the wall time went by layer comes from the span tracer (the
+    batch kernel's ``columns`` / ``cold`` / ``warm`` / ``post`` segments)
+    and the request counts per regime from the engine's ``regimes``
+    tally; cProfile only ranks functions.
+    """
     import cProfile
     import io
     import pstats
     import time
 
     trace = _load_or_generate(args)
-    config = SimulationConfig(
-        scheme=args.scheme,
-        num_caches=args.caches,
-        aggregate_capacity=parse_size(args.capacity),
-        policy=args.policy,
-        architecture=args.architecture,
-        partitioner=args.partitioner,
-        seed=args.seed,
-        engine=args.engine,
-    )
     regimes: dict = {}
+    spans = SpanTracer()
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
-    result = run_simulation(
-        config, trace, regimes=regimes if args.engine == "batch" else None
-    )
+    result = run_simulation(_config_from_args(args), trace, regimes=regimes, spans=spans)
     profiler.disable()
     elapsed = time.perf_counter() - start
     requests = result.metrics.requests
@@ -685,71 +648,25 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"{requests} requests in {elapsed:.3f}s "
         f"({throughput:,.0f} req/s, profiler overhead included)"
     )
+    if args.engine == "batch" and "fallback_reason" in regimes:
+        print(f"batch vector regimes off: {regimes['fallback_reason']}")
+    elif args.engine == "batch":
+        counts = [
+            ("cold", regimes.get("cold", 0)),
+            ("resident runs", regimes.get("hit_run", 0)),
+            ("scalar", regimes.get("scalar", 0)),
+        ]
+        total = sum(c for _, c in counts) or 1
+        print(
+            "batch regime breakdown (requests): "
+            + ", ".join(f"{k} {c:,} ({100.0 * c / total:.1f}%)" for k, c in counts)
+        )
+    print(render_timeline(spans.to_chrome()))
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    if args.engine == "batch":
-        _print_batch_regimes(regimes, stats, elapsed)
     print(stream.getvalue().rstrip())
     return 0
-
-
-def _print_batch_regimes(regimes: dict, stats, elapsed: float) -> None:
-    """Report how the batch engine's three regimes split the run.
-
-    Request counts come from the engine (it tallies, never clocks — see
-    ``docs/ANALYSIS.md`` on determinism); wall-time shares come from the
-    profiler's attribution to the engine's named frames: ``miss_path``
-    cumulative time is the scalar protocol path, the rest of
-    ``warm_loop`` is its resident runs (one LRU touch each), and
-    everything else (vectorised cold replay, precompute, post-pass) is
-    the remainder. A share whose frame is missing from the stats although
-    its regime handled requests prints ``n/a``, never a measured-looking 0.
-    """
-    if "fallback_reason" in regimes:
-        # The kernel ran every request through warm_loop / miss_path, so
-        # there is no regime split to report.
-        print(f"batch vector regimes off: {regimes['fallback_reason']}")
-        return
-    counts = [
-        ("cold", regimes.get("cold", 0)),
-        ("resident runs", regimes.get("hit_run", 0)),
-        ("scalar", regimes.get("scalar", 0)),
-    ]
-    total = sum(c for _, c in counts) or 1
-    print(
-        "batch regime breakdown (requests): "
-        + ", ".join(f"{k} {c:,} ({100.0 * c / total:.1f}%)" for k, c in counts)
-    )
-    frames = {
-        func: entry[3]
-        for (fname, _line, func), entry in stats.stats.items()
-        if fname == "batch.py" and func in ("warm_loop", "miss_path")
-    }
-    # A regime that handled requests ran its frame: if the profiler has no
-    # such frame (renamed, inlined), its time is unknown, not zero.
-    ran = {
-        "warm_loop": regimes.get("hit_run", 0) + regimes.get("scalar", 0) > 0,
-        "miss_path": regimes.get("scalar", 0) > 0,
-    }
-    wall = elapsed or 1.0
-
-    def share(label: str, seconds: float, *read_from: str) -> str:
-        for name in read_from:
-            if ran[name] and name not in frames:
-                return f"{label} n/a (frame {name} not found)"
-        return f"{label} {seconds:.3f}s ({100.0 * seconds / wall:.1f}%)"
-
-    warm_c = frames.get("warm_loop", 0.0)
-    scalar_c = frames.get("miss_path", 0.0)
-    print(
-        "batch wall-time share: "
-        + ", ".join((
-            share("resident runs", max(warm_c - scalar_c, 0.0), "warm_loop", "miss_path"),
-            share("scalar path", scalar_c, "miss_path"),
-            share("cold+precompute+post-pass", max(elapsed - warm_c, 0.0), "warm_loop"),
-        ))
-    )
 
 
 def _load_or_generate(args: argparse.Namespace):
@@ -762,84 +679,37 @@ def _load_or_generate(args: argparse.Namespace):
     return workload_trace(args.scale, args.seed)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    targets = list(args.target or [])
-    known = {"all", "parity", "determinism", "configflow",
-             "effects", "concurrency", "domains", "trace"}
-    unknown = [t for t in targets if t not in known]
-    if unknown:
-        print(
-            f"error: unknown analyze target(s): {', '.join(unknown)} "
-            f"(choose from {', '.join(sorted(known))})",
-            file=sys.stderr,
-        )
-        return 2
-    if "trace" in targets:
-        if targets != ["trace"]:
-            print(
-                "error: 'trace' cannot be combined with static analyzers",
-                file=sys.stderr,
-            )
-            return 2
-        return _cmd_analyze_trace(args)
-    from pathlib import Path
+def _write_baseline(tool: str, args: argparse.Namespace, findings) -> int:
+    """--write-baseline: accept ``findings`` into the --baseline file."""
+    from repro.devtools.analysis.baseline import write_baseline
 
-    from repro.devtools.analysis import (
-        domain_analysis,
-        effect_analysis,
-        filter_findings,
-        run_analyzers,
-        select_analyzers,
-        write_baseline,
+    entries = write_baseline(
+        Path(args.baseline), findings, why="accepted; edit this entry"
     )
-    from repro.devtools.analysis.model import ProjectModel
+    print(f"repro {tool}: wrote {len(entries)} entrie(s) to {Path(args.baseline)}")
+    return 0
+
+
+def _report_findings(args: argparse.Namespace, tool: str, report, head: str,
+                     extra: dict, tail: str = "") -> int:
+    """Print a findings report, plain or as JSON; 1 if the run fails.
+
+    ``report`` has the surviving ``findings``, the ``suppressed`` and
+    ``baselined`` counts and the ``stale_baseline`` entries. The plain
+    summary reads ``<head>: <N finding(s)><tail> (<absorbed>)``; the JSON
+    envelope carries ``extra``'s keys in order, then ``stale_baseline``.
+    """
     from repro.devtools.catalog import fails
     from repro.devtools.report import findings_payload
 
-    selected_names = None if (not targets or "all" in targets) else targets
-    selected = select_analyzers(selected_names)
-    baseline_path = Path(args.baseline)
-    model = ProjectModel.load(Path(args.root))
-    raw = run_analyzers(model, selected)
-    if args.effects_out:
-        effects_path = Path(args.effects_out)
-        effects_path.write_text(
-            json.dumps(effect_analysis(model).report(), indent=2,
-                       sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"repro analyze: wrote effect inventory to {effects_path}")
-    if args.domains_out:
-        domains_path = Path(args.domains_out)
-        domains_path.write_text(
-            json.dumps(domain_analysis(model).report(), indent=2,
-                       sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"repro analyze: wrote domain inventory to {domains_path}")
-    if args.write_baseline:
-        report = filter_findings(model, raw, selected, baseline_path=None)
-        entries = write_baseline(
-            baseline_path, report.findings, why="accepted; edit this entry"
-        )
-        print(f"repro analyze: wrote {len(entries)} entrie(s) to {baseline_path}")
-        return 0
-    report = filter_findings(model, raw, selected, baseline_path=baseline_path)
     failed = fails(report.findings, args.fail_on) or bool(report.stale_baseline)
     if args.json:
+        stale = [
+            {"rule": e.rule, "path": e.path, "message": e.message}
+            for e in report.stale_baseline
+        ]
         payload = findings_payload(
-            "analyze",
-            report.findings,
-            extra={
-                "analyzers": list(report.analyzers),
-                "fail_on": args.fail_on,
-                "suppressed": report.suppressed,
-                "baselined": len(report.baselined),
-                "stale_baseline": [
-                    {"rule": e.rule, "path": e.path, "message": e.message}
-                    for e in report.stale_baseline
-                ],
-            },
+            tool, report.findings, extra={**extra, "stale_baseline": stale}
         )
         print(json.dumps(payload, indent=2))
         return 1 if failed else 0
@@ -848,24 +718,71 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for entry in report.stale_baseline:
         print(
             f"stale baseline entry: {entry.rule} {entry.path} — fixed or "
-            f"reworded; remove it from {baseline_path}"
+            f"reworded; remove it from {Path(args.baseline)}"
         )
-    summary = (
-        f"repro analyze [{', '.join(report.analyzers)}]: "
-        f"{len(report.findings)} finding(s)"
-    )
     absorbed = []
     if report.suppressed:
         absorbed.append(f"{report.suppressed} noqa-suppressed")
     if report.baselined:
         absorbed.append(f"{len(report.baselined)} baselined")
-    if absorbed:
-        summary += f" ({', '.join(absorbed)})"
-    if report.clean:
-        print(summary.replace("0 finding(s)", "clean"))
-    else:
-        print(summary)
+    count = "clean" if report.clean else f"{len(report.findings)} finding(s)"
+    absorbed_text = f" ({', '.join(absorbed)})" if absorbed else ""
+    print(f"{head}: {count}{tail}{absorbed_text}")
     return 1 if failed else 0
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.devtools.analysis import (
+        ANALYZERS,
+        domain_analysis,
+        effect_analysis,
+        filter_findings,
+        run_analyzers,
+        select_analyzers,
+    )
+    from repro.devtools.analysis.model import ProjectModel
+
+    targets = list(args.target or [])
+    known = {"all", "trace", *ANALYZERS}
+    unknown = [t for t in targets if t not in known]
+    error = None
+    if unknown:
+        error = (f"unknown analyze target(s): {', '.join(unknown)} "
+                 f"(choose from {', '.join(sorted(known))})")
+    elif "trace" in targets and targets != ["trace"]:
+        error = "'trace' cannot be combined with static analyzers"
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if targets == ["trace"]:
+        return _cmd_analyze_trace(args)
+    selected_names = None if (not targets or "all" in targets) else targets
+    selected = select_analyzers(selected_names)
+    model = ProjectModel.load(Path(args.root))
+    raw = run_analyzers(model, selected)
+    for out, analysis, what in (
+        (args.effects_out, effect_analysis, "effect"),
+        (args.domains_out, domain_analysis, "domain"),
+    ):
+        if out:
+            Path(out).write_text(
+                json.dumps(analysis(model).report(), indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+            print(f"repro analyze: wrote {what} inventory to {Path(out)}")
+    if args.write_baseline:
+        report = filter_findings(model, raw, selected, baseline_path=None)
+        return _write_baseline("analyze", args, report.findings)
+    report = filter_findings(model, raw, selected, baseline_path=Path(args.baseline))
+    return _report_findings(
+        args, "analyze", report, f"repro analyze [{', '.join(report.analyzers)}]",
+        extra={
+            "analyzers": list(report.analyzers),
+            "fail_on": args.fail_on,
+            "suppressed": report.suppressed,
+            "baselined": len(report.baselined),
+        },
+    )
 
 
 def _cmd_analyze_trace(args: argparse.Namespace) -> int:
@@ -896,94 +813,121 @@ def _cmd_analyze_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+#: Column -> cell of one sweep point, for the sweep and compare tables.
+_POINT_COLUMNS = {
+    "scheme": lambda p: p.scheme,
+    "aggregate": lambda p: p.capacity_label,
+    "hit": lambda p: round(p.result.metrics.hit_rate, 4),
+    "byte_hit": lambda p: round(p.result.metrics.byte_hit_rate, 4),
+    "local": lambda p: round(p.result.metrics.local_hit_rate, 4),
+    "remote": lambda p: round(p.result.metrics.remote_hit_rate, 4),
+    "latency_ms": lambda p: round(p.result.estimated_latency * 1000.0, 1),
+    "replication": lambda p: round(p.result.replication_factor, 3),
+}
+
+
+def _print_points(sweep, columns: Tuple[str, ...], title: str) -> None:
+    """One table row per sweep point, in ``columns``."""
     from repro.analysis.tables import render_table
 
-    trace = _load_or_generate(args)
-    capacity = parse_size(args.capacity)
-    rows = []
-    for scheme in ("adhoc", "ea"):
-        config = SimulationConfig(
-            scheme=scheme,
-            num_caches=args.caches,
-            aggregate_capacity=capacity,
-            policy=args.policy,
-            seed=args.seed,
-        )
-        result = run_simulation(config, trace)
-        rows.append(
-            [
-                scheme,
-                round(result.metrics.hit_rate, 4),
-                round(result.metrics.byte_hit_rate, 4),
-                round(result.metrics.local_hit_rate, 4),
-                round(result.metrics.remote_hit_rate, 4),
-                round(result.estimated_latency * 1000.0, 1),
-                round(result.replication_factor, 3),
-            ]
-        )
-    print(
-        render_table(
-            ["scheme", "hit", "byte_hit", "local", "remote", "latency_ms", "replication"],
-            rows,
-            title=(
-                f"Ad-hoc vs EA: {args.caches} caches, {args.capacity} aggregate, "
-                f"{args.policy.upper()} replacement"
-            ),
-        )
+    rows = [[_POINT_COLUMNS[c](p) for c in columns] for p in sweep.points]
+    print(render_table(list(columns), rows, title=title))
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments.sweep import run_capacity_sweep
+
+    sweep = run_capacity_sweep(
+        _load_or_generate(args), [args.capacity], base_config=_config_from_args(args)
+    )
+    _print_points(
+        sweep,
+        ("scheme", "hit", "byte_hit", "local", "remote", "latency_ms", "replication"),
+        f"Ad-hoc vs EA: {args.caches} caches, {args.capacity[0]} aggregate, "
+        f"{args.policy.upper()} replacement",
     )
     return 0
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs.registry import ObsError
-
     try:
         return _run_obs(args)
-    except (ObsError, OSError) as exc:
-        # Malformed inputs (missing, empty, truncated, corrupted files)
-        # are a user-facing condition, not a crash: one line, exit 2.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        # A missing or unreadable input is a user-facing condition like a
+        # malformed one (ObsError): one line, exit 2.
+        raise ReproError(str(exc)) from exc
 
 
-def _sniff_obs_file(path: str) -> str:
-    """Classify an observability file by its leading bytes.
+def _validate_obs_files(paths: List[str]) -> int:
+    """``repro obs validate``: one verdict per file; 1 if any is invalid.
 
-    ``"trace"`` for Chrome Trace Event Format JSON (a ``--trace-out``
-    payload), ``"timeseries"`` for a ``repro-timeseries/1`` stream,
-    ``"manifest"`` for a ``repro-manifest/1`` run manifest, ``"events"``
-    otherwise (the ``repro-events/1`` default).
+    A file's kind is the first whose marker appears in its leading 4 KB:
+    Chrome Trace Event Format JSON (a ``--trace-out`` payload), a
+    ``repro-manifest/1`` run manifest, a ``repro-timeseries/1`` stream,
+    else a ``repro-events/1`` stream. Each kind names the noun of its
+    verdict and a check returning ``(errors, detail)``; a check that
+    raises ObsError prints the exception as the verdict.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        head = handle.read(4096)
-    if '"traceEvents"' in head:
-        return "trace"
-    if '"repro-manifest/1"' in head:
-        return "manifest"
-    if '"repro-timeseries/1"' in head:
-        return "timeseries"
-    return "events"
+    from repro.obs.registry import ObsError
+    from repro.obs.schema import validate_events_file, validate_manifest
+    from repro.obs.timeseries import read_timeseries
+
+    def spans(path):
+        events = load_trace_events(path)["traceEvents"]
+        return [], f"{sum(1 for e in events if e.get('ph') == 'X')} span(s), nested"
+
+    def samples(path):
+        return [], f"{len(read_timeseries(path)['samples'])} sample(s)"
+
+    def manifest(path):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return validate_manifest(json.load(handle)), None
+        except ValueError as exc:
+            return [f"invalid JSON ({exc})"], None
+
+    def events(path):
+        errors, counts = validate_events_file(path)
+        return errors, f"{sum(counts.values())} event(s)"
+
+    kinds = (
+        ('"traceEvents"', "span trace", spans),
+        ('"repro-manifest/1"', "manifest", manifest),
+        ('"repro-timeseries/1"', "timeseries", samples),
+        ("", "", events),
+    )
+    failed = False
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            head = handle.read(4096)
+        noun, check = next((n, c) for marker, n, c in kinds if marker in head)
+        try:
+            errors, detail = check(path)
+        except ObsError as exc:
+            failed = True
+            print(f"{path}: INVALID ({exc})")
+            continue
+        if not errors:
+            print(f"{path}: " + f"valid {noun}".strip()
+                  + (f" ({detail})" if detail else ""))
+            continue
+        failed = True
+        for error in errors[:20]:
+            print(f"{path}: {error}")
+        if len(errors) > 20:
+            print(f"{path}: ... {len(errors) - 20} more error(s)")
+        print(f"{path}: INVALID ({len(errors)} error(s)"
+              + (f", {detail})" if detail else ")"))
+    return 1 if failed else 0
 
 
 def _run_obs(args: argparse.Namespace) -> int:
     from repro.analysis.tables import render_table
-    from repro.obs.schema import validate_events_file
+    from repro.obs.timeseries import read_timeseries, render_report
     from repro.obs.tools import diff_events, summarize_events, tail_events
 
-    if args.action == "timeline":
-        from repro.obs.spans import load_trace_events, render_timeline
-
-        for path in args.paths:
-            print(render_timeline(load_trace_events(path)))
-        return 0
-
-    if args.action == "report":
-        from repro.obs.timeseries import read_timeseries, render_report
-
-        for path in args.paths:
-            print(render_report(read_timeseries(path)))
-        return 0
+    if args.action == "validate":
+        return _validate_obs_files(args.paths)
 
     if args.action == "diff":
         if len(args.paths) != 2:
@@ -999,76 +943,19 @@ def _run_obs(args: argparse.Namespace) -> int:
         print(f"  {args.paths[1]}: {right if right is not None else '<ended>'}")
         return 1
 
-    if args.action == "tail":
-        for path in args.paths:
+    for path in args.paths:
+        if args.action == "timeline":
+            print(render_timeline(load_trace_events(path)))
+            continue
+        if args.action == "report":
+            print(render_report(read_timeseries(path)))
+            continue
+        if args.action == "tail":
             if len(args.paths) > 1:
                 print(f"==> {path} <==")
             for line in tail_events(path, args.count):
                 print(line)
-        return 0
-
-    if args.action == "validate":
-        from repro.obs.registry import ObsError
-        from repro.obs.spans import load_trace_events
-        from repro.obs.timeseries import read_timeseries
-
-        failed = False
-        for path in args.paths:
-            kind = _sniff_obs_file(path)
-            if kind == "trace":
-                try:
-                    payload = load_trace_events(path)
-                except ObsError as exc:
-                    failed = True
-                    print(f"{path}: INVALID ({exc})")
-                else:
-                    spans = sum(
-                        1 for e in payload["traceEvents"] if e.get("ph") == "X"
-                    )
-                    print(f"{path}: valid span trace ({spans} span(s), nested)")
-                continue
-            if kind == "timeseries":
-                try:
-                    data = read_timeseries(path)
-                except ObsError as exc:
-                    failed = True
-                    print(f"{path}: INVALID ({exc})")
-                else:
-                    print(
-                        f"{path}: valid timeseries "
-                        f"({len(data['samples'])} sample(s))"
-                    )
-                continue
-            if kind == "manifest":
-                from repro.obs.schema import validate_manifest
-
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        errors = validate_manifest(json.load(handle))
-                except ValueError as exc:
-                    errors = [f"invalid JSON ({exc})"]
-                for error in errors:
-                    print(f"{path}: {error}")
-                if errors:
-                    failed = True
-                    print(f"{path}: INVALID ({len(errors)} error(s))")
-                else:
-                    print(f"{path}: valid manifest")
-                continue
-            errors, counts = validate_events_file(path)
-            total = sum(counts.values())
-            if errors:
-                failed = True
-                for error in errors[:20]:
-                    print(f"{path}: {error}")
-                if len(errors) > 20:
-                    print(f"{path}: ... {len(errors) - 20} more error(s)")
-                print(f"{path}: INVALID ({len(errors)} error(s), {total} event(s))")
-            else:
-                print(f"{path}: valid ({total} event(s))")
-        return 1 if failed else 0
-
-    for path in args.paths:
+            continue
         summary = summarize_events(path)
         if args.json:
             print(json.dumps(summary, indent=2, sort_keys=True))
@@ -1104,14 +991,8 @@ def _run_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.devtools.analysis.baseline import (
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
-    from repro.devtools.catalog import fails
+    from repro.devtools.analysis.baseline import apply_baseline, load_baseline
+    from repro.devtools.analysis.runner import AnalysisReport
     from repro.devtools.lint import all_rules, lint_paths
 
     if args.list_rules:
@@ -1131,60 +1012,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.write_baseline and not args.baseline:
+        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
+        return 2
     if args.write_baseline:
-        if not args.baseline:
-            print("error: --write-baseline requires --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        entries = write_baseline(
-            Path(args.baseline), findings, why="accepted; edit this entry"
-        )
-        print(f"repro lint: wrote {len(entries)} entrie(s) to {args.baseline}")
-        return 0
-    baselined: List = []
-    stale: List = []
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        entries = load_baseline(baseline_path) if baseline_path.exists() else []
-        findings, baselined, stale = apply_baseline(findings, entries)
-    failed = fails(findings, args.fail_on) or bool(stale)
-    if args.json:
-        from repro.devtools.report import findings_payload
-
-        extra = {
-            "fail_on": args.fail_on,
-            "baselined": len(baselined),
-            "stale_baseline": [
-                {"rule": e.rule, "path": e.path, "message": e.message}
-                for e in stale
-            ],
-        }
-        print(json.dumps(findings_payload("lint", findings, extra=extra),
-                         indent=2))
-        return 1 if failed else 0
-    for finding in findings:
-        print(finding.render())
-    for entry in stale:
-        print(
-            f"stale baseline entry: {entry.rule} {entry.path} — fixed or "
-            f"reworded; remove it from {args.baseline}"
-        )
-    summary = f"repro lint: {len(findings)} finding(s)"
-    if baselined:
-        summary += f" ({len(baselined)} baselined)"
-    if not findings and not stale:
-        print(summary.replace("0 finding(s)", "clean"))
-    else:
-        print(summary)
-    return 1 if failed else 0
+        return _write_baseline("lint", args, findings)
+    baseline = Path(args.baseline) if args.baseline else None
+    entries = load_baseline(baseline) if baseline and baseline.exists() else []
+    kept, baselined, stale = apply_baseline(findings, entries)
+    report = AnalysisReport(findings=kept, baselined=baselined, stale_baseline=stale)
+    return _report_findings(
+        args, "lint", report, "repro lint",
+        extra={"fail_on": args.fail_on, "baselined": len(baselined)},
+    )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.devtools.catalog import fails
     from repro.devtools.check import run_check
-    from repro.devtools.report import findings_payload
 
     baseline_path = Path(args.baseline)
     report = run_check(
@@ -1192,50 +1036,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         extra_paths=args.paths,
         baseline_path=baseline_path if baseline_path.exists() else None,
     )
-    failed = fails(report.findings, args.fail_on) or bool(report.stale_baseline)
-    if args.json:
-        payload = findings_payload(
-            "check",
-            report.findings,
-            extra={
-                "analyzers": list(report.analyzers),
-                "fail_on": args.fail_on,
-                "suppressed": report.suppressed,
-                "baselined": len(report.baselined),
-                "linted_modules": report.linted_modules,
-                "linted_files": report.linted_files,
-                "stale_baseline": [
-                    {"rule": e.rule, "path": e.path, "message": e.message}
-                    for e in report.stale_baseline
-                ],
-            },
-        )
-        print(json.dumps(payload, indent=2))
-        return 1 if failed else 0
-    for finding in report.findings:
-        print(finding.render())
-    for entry in report.stale_baseline:
-        print(
-            f"stale baseline entry: {entry.rule} {entry.path} — fixed or "
-            f"reworded; remove it from {baseline_path}"
-        )
-    summary = (
-        f"repro check [{', '.join(report.analyzers)}]: "
-        f"{len(report.findings)} finding(s) across "
-        f"{report.linted_modules + report.linted_files} file(s)"
+    return _report_findings(
+        args, "check", report, f"repro check [{', '.join(report.analyzers)}]",
+        extra={
+            "analyzers": list(report.analyzers),
+            "fail_on": args.fail_on,
+            "suppressed": report.suppressed,
+            "baselined": len(report.baselined),
+            "linted_modules": report.linted_modules,
+            "linted_files": report.linted_files,
+        },
+        tail=f" across {report.linted_modules + report.linted_files} file(s)",
     )
-    absorbed = []
-    if report.suppressed:
-        absorbed.append(f"{report.suppressed} noqa-suppressed")
-    if report.baselined:
-        absorbed.append(f"{len(report.baselined)} baselined")
-    if absorbed:
-        summary += f" ({', '.join(absorbed)})"
-    if report.clean:
-        print(summary.replace("0 finding(s)", "clean"))
-    else:
-        print(summary)
-    return 1 if failed else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

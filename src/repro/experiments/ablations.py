@@ -21,16 +21,9 @@ from typing import Optional, Sequence, Tuple
 
 from repro.experiments.report import ExperimentReport
 from repro.experiments.sweep import run_capacity_sweep
-from repro.experiments.workload import capacities_for, workload_trace
+from repro.experiments.workload import resolve_workload
 from repro.simulation.simulator import SimulationConfig
 from repro.trace.record import Trace
-
-
-def _resolve(scale: str, seed: int, trace: Optional[Trace],
-             capacities: Optional[Sequence[Tuple[str, int]]]):
-    trace = trace if trace is not None else workload_trace(scale, seed)
-    capacities = capacities if capacities is not None else capacities_for(scale)
-    return trace, capacities
 
 
 def run_window_ablation(
@@ -41,7 +34,7 @@ def run_window_ablation(
     window_modes: Sequence[str] = ("cumulative", "count", "time"),
 ) -> ExperimentReport:
     """EA hit rate under each expiration-age window interpretation."""
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ablation-window",
         title="Ablation: EA hit rate by expiration-age window mode",
@@ -71,7 +64,7 @@ def run_tie_break_ablation(
     capacities: Optional[Sequence[Tuple[str, int]]] = None,
 ) -> ExperimentReport:
     """EA hit rate with requester-wins vs responder-wins tie breaking."""
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ablation-ties",
         title="Ablation: EA hit rate by tie-break rule (equal expiration ages)",
@@ -105,7 +98,7 @@ def run_policy_ablation(
     The paper claims scheme/policy independence but evaluates only LRU; a
     positive delta under LFU and GDSF supports the claim.
     """
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ablation-policy",
         title="Ablation: EA benefit (hit-rate delta vs ad-hoc) by replacement policy",
@@ -150,7 +143,7 @@ def run_measure_ablation(
     from repro.core.placement import make_scheme
     from repro.simulation.replay import replay_trace
 
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ablation-measure",
         title="Ablation: contention measure — expiration age vs document lifetime",
@@ -187,7 +180,7 @@ def run_architecture_ablation(
     also probes whether spending disk on a shared parent beats spreading it
     across peers.
     """
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ablation-architecture",
         title="Ablation: hit rate by architecture (distributed vs hierarchical)",

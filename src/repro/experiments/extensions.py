@@ -24,17 +24,10 @@ from repro.architecture.hashrouted import HashRoutedGroup
 from repro.core.placement import make_scheme
 from repro.digest.group import DigestDistributedGroup
 from repro.experiments.report import ExperimentReport
-from repro.experiments.workload import capacities_for, workload_trace
+from repro.experiments.workload import resolve_workload, workload_trace
 from repro.prefetch.engine import PrefetchEngine
 from repro.simulation.replay import replay_trace
 from repro.trace.record import Trace
-
-
-def _resolve(scale: str, seed: int, trace: Optional[Trace],
-             capacities: Optional[Sequence[Tuple[str, int]]]):
-    trace = trace if trace is not None else workload_trace(scale, seed)
-    capacities = capacities if capacities is not None else capacities_for(scale)
-    return trace, capacities
 
 
 def run_locator_comparison(
@@ -46,7 +39,7 @@ def run_locator_comparison(
     rebuild_interval: float = 60.0,
 ) -> ExperimentReport:
     """EA scheme under ICP location vs Bloom-digest location."""
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ext-locator",
         title="Extension: ICP vs Summary-Cache digests (EA scheme)",
@@ -95,7 +88,7 @@ def run_baseline_comparison(
     num_caches: int = 4,
 ) -> ExperimentReport:
     """Ad-hoc vs EA vs consistent-hash routing across the capacity grid."""
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ext-baselines",
         title="Extension: placement spectrum — ad-hoc / EA / hash-routed",
@@ -138,7 +131,7 @@ def run_prefetch_study(
     num_caches: int = 4,
 ) -> ExperimentReport:
     """Lazy vs eager (Markov prefetch) placement under both schemes."""
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ext-prefetch",
         title="Extension: lazy vs eager placement (first-order Markov prefetch)",

@@ -23,16 +23,9 @@ from repro.coherence.model import ChangeModel, TTLModel
 from repro.core.demotion import DemotionGroup
 from repro.core.placement import make_scheme
 from repro.experiments.report import ExperimentReport
-from repro.experiments.workload import capacities_for, workload_trace
+from repro.experiments.workload import resolve_workload
 from repro.simulation.replay import replay_trace
 from repro.trace.record import Trace
-
-
-def _resolve(scale: str, seed: int, trace: Optional[Trace],
-             capacities: Optional[Sequence[Tuple[str, int]]]):
-    trace = trace if trace is not None else workload_trace(scale, seed)
-    capacities = capacities if capacities is not None else capacities_for(scale)
-    return trace, capacities
 
 
 def run_coherence_study(
@@ -45,7 +38,7 @@ def run_coherence_study(
     mean_change_interval: float = 86_400.0,
 ) -> ExperimentReport:
     """Placement comparison with a TTL/validation consistency layer."""
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ext-coherence",
         title=f"Extension: placement under coherence (TTL={base_ttl:.0f}s)",
@@ -94,7 +87,7 @@ def run_demotion_study(
     least once (``min_hits=2``) keeps only documents with demonstrated
     reuse. Both variants are reported against plain EA.
     """
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ext-demotion",
         title="Extension: EA scheme with last-copy demotion (naive vs filtered)",
@@ -148,7 +141,7 @@ def run_replica_cap_study(
     neutral document-hit effect with a byte-hit improvement when the
     workload has heavy-tailed sizes.
     """
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     report = ExperimentReport(
         experiment_id="ext-replica-cap",
         title=f"Extension: EA size-aware replica cap ({cap_fraction:.0%} of cache)",
@@ -194,7 +187,7 @@ def run_admission_study(
     filtering (second-hit) should help at contended sizes — web workloads
     are dominated by one-timer documents that waste cache bytes.
     """
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     gates = (
         ("none", None, None),
         ("size64k", "size-threshold", {"max_bytes": 64 * 1024}),
@@ -232,7 +225,7 @@ def run_heterogeneity_study(
     skew: Sequence[float] = (1.0, 1.0, 3.0, 7.0),
 ) -> ExperimentReport:
     """EA-vs-ad-hoc deltas on equal vs skewed capacity splits."""
-    trace, capacities = _resolve(scale, seed, trace, capacities)
+    trace, capacities = resolve_workload(scale, seed, trace, capacities)
     if len(skew) != num_caches:
         raise ValueError("skew must have one weight per cache")
     report = ExperimentReport(

@@ -14,7 +14,7 @@ scales trade fidelity for runtime:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.trace.record import Trace
@@ -84,3 +84,15 @@ def capacities_for(scale: str = "default") -> List[Tuple[str, int]]:
     if scale == "tiny":
         return PAPER_CAPACITIES[:3]
     return list(PAPER_CAPACITIES)
+
+
+def resolve_workload(
+    scale: str,
+    seed: int,
+    trace: Optional[Trace],
+    capacities: Optional[Sequence[Tuple[str, int]]],
+) -> Tuple[Trace, Sequence[Tuple[str, int]]]:
+    """A driver's trace and capacity grid: the ones given, else the scale's."""
+    trace = trace if trace is not None else workload_trace(scale, seed)
+    capacities = capacities if capacities is not None else capacities_for(scale)
+    return trace, capacities

@@ -156,8 +156,8 @@ def simulate_batch(
             ``hit_run`` (members of resident runs) and ``scalar`` (the
             per-request protocol path) — or only ``fallback_reason`` when
             the vector regimes are off. Counts only — the kernel never
-            reads a clock; ``repro profile`` derives wall-time shares from
-            the profiler's per-function attribution.
+            reads a clock; ``repro profile`` reads wall time from the
+            regime segments of ``spans``.
         spans: Optional :class:`repro.obs.spans.SpanTracer`: one
             ``engine:<name>`` span, each source pull and chunk, and — with
             the vector regimes on — the precompute, regime and post-pass

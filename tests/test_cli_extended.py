@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 
@@ -65,48 +63,3 @@ class TestExperimentSaveJson:
         assert report.experiment_id == "table1"
         assert report.rows
 
-
-class TestProfileFrameAttribution:
-    """``repro profile`` reads wall-time shares from profiler frames by
-    name; a frame that is not in the stats is unknown, not zero."""
-
-    @staticmethod
-    def _shares(capsys, regimes, frames) -> str:
-        from types import SimpleNamespace
-
-        from repro.cli import _print_batch_regimes
-
-        stats = SimpleNamespace(
-            stats={
-                ("batch.py", 1, name): (1, 1, seconds, seconds, {})
-                for name, seconds in frames.items()
-            }
-        )
-        _print_batch_regimes(regimes, stats, elapsed=2.0)
-        return capsys.readouterr().out.splitlines()[1]
-
-    def test_missing_scalar_frame_is_not_reported_as_zero(self, capsys):
-        regimes = {"cold": 10, "hit_run": 30, "scalar": 60}
-        line = self._shares(capsys, regimes, {"warm_loop": 1.0})
-        assert "scalar path n/a (frame miss_path not found)" in line
-        assert "resident runs n/a (frame miss_path not found)" in line
-        assert "cold+precompute+post-pass 1.000s (50.0%)" in line
-        assert "0.000s" not in line
-
-    def test_missing_warm_frame_is_not_reported_as_zero(self, capsys):
-        regimes = {"cold": 10, "hit_run": 30, "scalar": 0}
-        line = self._shares(capsys, regimes, {})
-        assert "resident runs n/a (frame warm_loop not found)" in line
-        assert "cold+precompute+post-pass n/a (frame warm_loop not found)" in line
-        # No scalar request ran, so no miss_path frame is a measured zero.
-        assert "scalar path 0.000s (0.0%)" in line
-
-    def test_present_frames_and_an_all_cold_run_print_seconds(self, capsys):
-        regimes = {"cold": 10, "hit_run": 30, "scalar": 60}
-        line = self._shares(capsys, regimes, {"warm_loop": 1.0, "miss_path": 0.75})
-        assert line == (
-            "batch wall-time share: resident runs 0.250s (12.5%), "
-            "scalar path 0.750s (37.5%), cold+precompute+post-pass 1.000s (50.0%)"
-        )
-        line = self._shares(capsys, {"cold": 100, "hit_run": 0, "scalar": 0}, {})
-        assert "n/a" not in line and "cold+precompute+post-pass 2.000s (100.0%)" in line

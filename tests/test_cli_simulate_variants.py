@@ -55,8 +55,9 @@ class TestSimulateVariants:
         assert len(payload["cache_stats"]) == 3
 
     def test_invalid_capacity_string_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exit_info:
             main(["simulate", "--capacity", "lots", "--scale", "tiny"])
+        assert exit_info.value.code == 2
 
     def test_adhoc_and_ea_differ_when_contended(self, capsys):
         outputs = {}
