@@ -3,9 +3,11 @@
 Two halves keep the simulation trustworthy as the codebase grows:
 
 * :mod:`repro.devtools.lint` — an AST-based lint pass with repo-specific
-  rules (virtual-clock discipline, seeded randomness, float tie-break
-  hygiene, iteration-order determinism, frozen public dataclasses) run as
-  ``repro lint [paths]`` and in CI.
+  rules (float tie-break hygiene, frozen public dataclasses, hot-loop
+  allocation and I/O) run as ``repro lint [paths]`` and in CI; the
+  whole-program :mod:`repro.devtools.analysis` audits determinism
+  (virtual clock, seeded randomness, iteration order) over the call
+  graph.
 * :mod:`repro.devtools.sanitizer` — toggleable runtime invariant checks
   (byte accounting, recency monotonicity, the EA "exactly one fresh lease
   of life" rule, event-time ordering) wired into the simulator behind

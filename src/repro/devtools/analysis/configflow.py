@@ -21,7 +21,7 @@ lets two different traces share a memo entry (poisoned cache hits).
 from __future__ import annotations
 
 import ast
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.devtools.analysis import decls
 from repro.devtools.analysis.dataflow import union_config_reads
@@ -38,81 +38,42 @@ RULES = {
     "collision risk)",
 }
 
-#: Config fields that steer dispatch/bookkeeping outside both engines.
-#: ``engine`` selects which engine runs; it is read by ``run_simulation``
-#: (object package) so it needs no carve-out, but is listed for clarity.
-_DISPATCH_FIELDS = frozenset({"engine"})
+#: Coverage status -> (rule, message template) for the statuses that are
+#: configflow findings.
+_STATUS_FINDINGS: Dict[str, Tuple[str, str]] = {
+    "dead": (
+        "RPR121",
+        "config field `{name}` is never read by either engine and is not "
+        "in the fallback matrix; it is dead — plumb it or remove it",
+    ),
+    "fastpath-only": (
+        "RPR122",
+        "config field `{name}` is read only by the columnar engine; the "
+        "object core is the reference — plumb it there first",
+    ),
+}
 
 
 def analyze_configflow(model: ProjectModel) -> List[Finding]:
     """Run the three config-flow checks over ``model``; findings sorted."""
-    findings: List[Finding] = []
-    config_fields, config_path = decls.config_field_table(model)
-    field_names = set(config_fields)
-    matrix, _ = decls.matrix_declarations(model)
-    neutral, _ = decls.neutral_declarations(model)
-    declared = set(matrix) | set(neutral)
-
-    fastpath_reads = union_config_reads(
-        list(model.iter_package(decls.FASTPATH_PACKAGE)), field_names
+    return sorted(
+        coverage_findings(model, _STATUS_FINDINGS) + _fingerprint_findings(model)
     )
-    object_modules = [
-        module
-        for package in decls.OBJECT_CORE_PACKAGES
-        for module in model.iter_package(package)
-    ]
-    object_reads = union_config_reads(object_modules, field_names)
-
-    for name in sorted(config_fields):
-        line = config_fields[name]
-        read_anywhere = name in object_reads or name in fastpath_reads
-        if not read_anywhere and name not in declared:
-            findings.append(
-                Finding(
-                    path=config_path,
-                    line=line,
-                    col=0,
-                    rule="RPR121",
-                    message=(
-                        f"config field `{name}` is never read by either "
-                        "engine and is not in the fallback matrix; it is "
-                        "dead — plumb it or remove it"
-                    ),
-                )
-            )
-        elif (
-            name in fastpath_reads
-            and name not in object_reads
-            and name not in _DISPATCH_FIELDS
-        ):
-            findings.append(
-                Finding(
-                    path=config_path,
-                    line=line,
-                    col=0,
-                    rule="RPR122",
-                    message=(
-                        f"config field `{name}` is read only by the columnar "
-                        "engine; the object core is the reference — plumb it "
-                        "there first"
-                    ),
-                )
-            )
-    findings.extend(_fingerprint_findings(model))
-    return sorted(findings)
 
 
 def coverage_table(model: ProjectModel) -> List[Tuple[str, str]]:
-    """Human-readable plumbing status per config field.
+    """Plumbing status per config field: the one coverage classification.
 
-    Returns ``(field, status)`` rows where status is one of
-    ``both`` / ``object-only`` / ``fastpath-only`` / ``fallback-declared``
-    / ``dead`` — the data behind ``repro analyze configflow``'s summary.
+    Returns ``(field, status)`` rows where status is one of ``both`` /
+    ``object+fallback`` / ``object-only`` / ``fastpath-only`` /
+    ``fallback-declared`` / ``dead``. RPR101 reads ``object-only``, RPR121
+    ``dead`` and RPR122 ``fastpath-only`` off these rows.
     """
     config_fields, _ = decls.config_field_table(model)
     field_names = set(config_fields)
     matrix, _ = decls.matrix_declarations(model)
     neutral, _ = decls.neutral_declarations(model)
+    declared = set(matrix) | set(neutral)
     fastpath_reads = union_config_reads(
         list(model.iter_package(decls.FASTPATH_PACKAGE)), field_names
     )
@@ -130,19 +91,34 @@ def coverage_table(model: ProjectModel) -> List[Tuple[str, str]]:
         if in_object and in_fast:
             status = "both"
         elif in_object:
-            status = (
-                "object+fallback"
-                if name in matrix or name in neutral
-                else "object-only"
-            )
+            status = "object+fallback" if name in declared else "object-only"
         elif in_fast:
             status = "fastpath-only"
-        elif name in matrix or name in neutral:
+        elif name in declared:
             status = "fallback-declared"
         else:
             status = "dead"
         rows.append((name, status))
     return rows
+
+
+def coverage_findings(
+    model: ProjectModel, rules: Dict[str, Tuple[str, str]]
+) -> List[Finding]:
+    """One finding per config field whose coverage status is in ``rules``,
+    anchored at the field's definition line."""
+    config_fields, config_path = decls.config_field_table(model)
+    return [
+        Finding(
+            path=config_path,
+            line=config_fields[name],
+            col=0,
+            rule=rules[status][0],
+            message=rules[status][1].format(name=name),
+        )
+        for name, status in coverage_table(model)
+        if status in rules
+    ]
 
 
 def _fingerprint_findings(model: ProjectModel) -> List[Finding]:

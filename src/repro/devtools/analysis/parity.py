@@ -22,10 +22,10 @@ it by construction:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.devtools.analysis import decls
-from repro.devtools.analysis.dataflow import union_config_reads
+from repro.devtools.analysis.configflow import coverage_findings
 from repro.devtools.analysis.model import ProjectModel
 from repro.devtools.lint.findings import Finding
 
@@ -49,41 +49,24 @@ RESULT_DATACLASSES: Tuple[Tuple[str, str], ...] = (
 )
 
 
+#: The coverage status parity flags (RPR101), read off
+#: :func:`~repro.devtools.analysis.configflow.coverage_table`.
+_STATUS_FINDINGS: Dict[str, Tuple[str, str]] = {
+    "object-only": (
+        "RPR101",
+        "config field `{name}` is read by the object core but the columnar "
+        "engine neither reads it nor declares it in FALLBACK_MATRIX / "
+        "COLUMNAR_NEUTRAL_FIELDS; port it or declare the fallback",
+    ),
+}
+
+
 def analyze_parity(model: ProjectModel) -> List[Finding]:
     """Run the three parity checks over ``model``; findings sorted."""
-    findings: List[Finding] = []
-    config_fields, config_path = decls.config_field_table(model)
+    findings = coverage_findings(model, _STATUS_FINDINGS)
+    field_names = set(decls.config_field_table(model)[0])
     matrix, matrix_path = decls.matrix_declarations(model)
     neutral, neutral_path = decls.neutral_declarations(model)
-    field_names = set(config_fields)
-
-    fastpath_reads = union_config_reads(
-        list(model.iter_package(decls.FASTPATH_PACKAGE)), field_names
-    )
-    object_modules = [
-        module
-        for package in decls.OBJECT_CORE_PACKAGES
-        for module in model.iter_package(package)
-    ]
-    object_reads = union_config_reads(object_modules, field_names)
-
-    declared: Set[str] = set(matrix) | set(neutral)
-    for name in sorted(config_fields):
-        if name in object_reads and name not in fastpath_reads and name not in declared:
-            findings.append(
-                Finding(
-                    path=config_path,
-                    line=config_fields[name],
-                    col=0,
-                    rule="RPR101",
-                    message=(
-                        f"config field `{name}` is read by the object core but "
-                        "the columnar engine neither reads it nor declares it "
-                        "in FALLBACK_MATRIX / COLUMNAR_NEUTRAL_FIELDS; port it "
-                        "or declare the fallback"
-                    ),
-                )
-            )
     for name, line, path in sorted(
         [(n, ln, matrix_path) for n, ln in matrix.items() if n not in field_names]
         + [(n, ln, neutral_path) for n, ln in neutral.items() if n not in field_names]

@@ -4,10 +4,10 @@ Running ``repro lint`` and ``repro analyze`` back to back parses the
 whole tree twice and applies two separately-configured gates. This
 module is the single entry point CI and pre-push hooks want: it loads
 one :class:`~repro.devtools.analysis.model.ProjectModel`, lints its
-already-parsed modules via :func:`~repro.devtools.lint.runner
-.lint_context` (no re-read, no re-parse), runs every selected analyzer
-against the same model, and applies one noqa/baseline/severity filter to
-the merged findings.
+already-parsed modules (no re-read, no re-parse), runs every selected
+analyzer against the same model, and passes the merged findings through
+the analyzer's own noqa/baseline filter,
+:func:`~repro.devtools.analysis.runner.filter_findings`.
 
 Paths *outside* the model root (the ``tests`` tree, scripts) still need
 linting; those are linted from disk the classic way and merged in.
@@ -15,79 +15,34 @@ linting; those are linted from disk the classic way and merged in.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.devtools.analysis.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-)
-from repro.devtools.analysis.model import ModuleInfo, ProjectModel
+from repro.devtools.analysis.model import ProjectModel
 from repro.devtools.analysis.runner import (
-    LazySuppressions,
+    AnalysisReport,
+    filter_findings,
     run_analyzers,
     select_analyzers,
 )
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import FileContext
-from repro.devtools.lint.runner import iter_python_files, lint_context
-from repro.devtools.lint.suppress import is_suppressed
-
-
-def _context_for_module(info: ModuleInfo) -> FileContext:
-    """A lint :class:`FileContext` built from a parsed module.
-
-    The package is derived from the dotted module *name* rather than the
-    path, so scoped rules behave identically however the root was
-    spelled: ``repro.fastpath.engine`` -> package ``"fastpath"``,
-    ``repro.cli`` -> ``""`` (directly under repro), anything outside the
-    ``repro`` namespace -> None.
-    """
-    package: Optional[str] = None
-    parts = info.name.split(".")
-    if parts and parts[0] == "repro":
-        package = parts[1] if len(parts) > 2 else ""
-    is_test = "tests" in Path(info.path).parts or Path(
-        info.path
-    ).name.startswith("test_")
-    return FileContext(
-        path=info.path,
-        source=info.source,
-        tree=info.tree,
-        package=package,
-        is_test=is_test,
-    )
+from repro.devtools.lint.runner import iter_python_files, lint_context, lint_file
 
 
 @dataclass
-class CheckReport:
-    """Outcome of one ``repro check`` run.
+class CheckReport(AnalysisReport):
+    """Outcome of one ``repro check`` run: an :class:`AnalysisReport`
+    over lint + analysis findings, plus what was linted.
 
     Attributes:
-        findings: Surviving findings (lint + analysis), sorted.
-        suppressed: Count silenced by ``# repro: noqa`` pragmas.
-        baselined: Findings absorbed by the baseline.
-        stale_baseline: Baseline entries matching no current finding.
-        analyzers: Analyzer names that ran.
         linted_modules: Modules linted from the shared model.
         linted_files: Extra files linted from disk.
     """
 
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
-    analyzers: Tuple[str, ...] = ()
     linted_modules: int = 0
     linted_files: int = 0
-
-    @property
-    def clean(self) -> bool:
-        """Whether everything passes: no findings, no stale entries."""
-        return not self.findings and not self.stale_baseline
 
 
 def run_check(
@@ -109,14 +64,12 @@ def run_check(
     selected = select_analyzers(analyzers)
     model = ProjectModel.load(root)
 
-    # Lint the model's modules without touching the filesystem again.
     # Files that do not parse never enter the model, so RPR000 for them
-    # comes from the disk pass below (when the caller listed their path).
-    lint_findings: List[Finding] = []
+    # comes from the disk pass (when the caller listed their path).
+    findings: List[Finding] = []
     for info in model.modules.values():
-        lint_findings.extend(lint_context(_context_for_module(info)))
-    linted_modules = len(model.modules)
-
+        ctx = FileContext(info.path, info.source, info.tree)
+        findings.extend(lint_context(ctx))
     model_paths = {info.path for info in model.modules.values()}
     extra_files = [
         path
@@ -124,65 +77,14 @@ def run_check(
         if str(path) not in model_paths
     ]
     for path in extra_files:
-        source = path.read_text(encoding="utf-8", errors="replace")
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            lint_findings.append(
-                Finding(
-                    path=str(path),
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    rule="RPR000",
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
-            continue
-        lint_findings.extend(_lint_parsed_file(path, source, tree))
+        findings.extend(lint_file(path))
 
-    analysis_findings = run_analyzers(model, selected)
-
-    # Lint findings already passed their per-file pragma filter inside
-    # lint_context/lint_source; analysis findings have not. One lazy map
-    # serves the analysis side.
-    suppressions = LazySuppressions(model)
-    merged: List[Finding] = list(lint_findings)
-    suppressed = 0
-    for finding in analysis_findings:
-        pragmas = suppressions.for_path(finding.path)
-        if pragmas is not None and is_suppressed(finding, pragmas):
-            suppressed += 1
-        else:
-            merged.append(finding)
-    merged = sorted(set(merged))
-
-    entries: List[BaselineEntry] = []
-    if baseline_path is not None and baseline_path.exists():
-        entries = load_baseline(baseline_path)
-    kept, baselined, stale = apply_baseline(merged, entries)
-
+    # Lint findings already survived their file's pragmas, so the shared
+    # filter only silences analysis findings (the `suppressed` count).
+    findings.extend(run_analyzers(model, selected))
+    report = filter_findings(model, sorted(set(findings)), selected, baseline_path)
     return CheckReport(
-        findings=kept,
-        suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
-        analyzers=selected,
-        linted_modules=linted_modules,
+        **vars(report),
+        linted_modules=len(model.modules),
         linted_files=len(extra_files),
     )
-
-
-def _lint_parsed_file(
-    path: Path, source: str, tree: ast.Module
-) -> List[Finding]:
-    """Lint one on-disk file whose source/tree are already in hand."""
-    from repro.devtools.lint.runner import _is_test_file, _module_package
-
-    ctx = FileContext(
-        path=str(path),
-        source=source,
-        tree=tree,
-        package=_module_package(path),
-        is_test=_is_test_file(path),
-    )
-    return lint_context(ctx)

@@ -13,7 +13,7 @@ class Finding:
         path: File the violation was found in (as given to the runner).
         line: 1-based line number of the offending node.
         col: 0-based column offset of the offending node.
-        rule: Rule code, e.g. ``"RPR001"``.
+        rule: Rule code, e.g. ``"RPR003"``.
         message: Human-readable explanation with the fix direction.
     """
 

@@ -24,37 +24,54 @@ files outside the ``repro`` tree (e.g. ``tests/``). Rules with
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.devtools.lint.findings import Finding
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileContext:
     """Everything a rule may need to know about the file being linted.
+
+    Rule scoping is derived from ``path`` alone, so a file linted from
+    disk and the same module linted out of a ProjectModel see the same
+    rules.
 
     Attributes:
         path: Display path (relative when the runner was given one).
         source: Full file text.
         tree: Parsed AST of ``source``.
-        package: First-level ``repro`` subpackage this module lives in
-            (``"core"``, ``"cache"``, ...), ``""`` for modules directly
-            under ``repro/``, or ``None`` for files outside the tree.
-        is_test: Whether this is a test file (under ``tests/``, named
-            ``test_*.py`` / ``conftest.py``).
     """
 
     path: str
     source: str
     tree: ast.Module
-    package: Optional[str] = None
-    is_test: bool = False
-    lines: List[str] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
+    @property
+    def package(self) -> Optional[str]:
+        """First-level ``repro`` subpackage of the file (``"core"``, ...),
+        ``""`` directly under ``repro/``, None outside the tree."""
+        parts = Path(self.path).parts
+        for index in range(len(parts) - 1, -1, -1):
+            if parts[index] == "repro":
+                remainder = parts[index + 1 :]
+                if not remainder:
+                    return None
+                return "" if len(remainder) == 1 else remainder[0]
+        return None
+
+    @property
+    def is_test(self) -> bool:
+        """Whether this is a test file (under ``tests/``, named
+        ``test_*.py`` / ``conftest.py``)."""
+        path = Path(self.path)
+        return (
+            "tests" in path.parts
+            or path.name.startswith("test_")
+            or path.name == "conftest.py"
+        )
 
 
 class RuleVisitor(ast.NodeVisitor):

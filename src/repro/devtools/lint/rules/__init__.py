@@ -1,13 +1,9 @@
 """Lint rule implementations; importing this package registers every rule."""
 
 from repro.devtools.lint.rules import (  # noqa: F401  (import-for-side-effect)
-    configaccess,
     dataclasses,
-    determinism,
     floats,
     hotloop,
-    obsio,
-    ordering,
     parallel,
     scalarization,
     style,

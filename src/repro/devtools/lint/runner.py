@@ -15,16 +15,23 @@ import repro.devtools.lint.rules  # noqa: F401  (registers every rule)
 from repro.devtools.lint.findings import Finding
 from repro.devtools.lint.registry import REGISTRY, FileContext, RuleVisitor, all_rules
 from repro.devtools.lint.suppress import collect_suppressions, filter_suppressed
+from repro.errors import ReproError
 
 #: Directories never descended into.
 _SKIP_DIRS = {".git", "__pycache__", ".mypy_cache", ".pytest_cache", "build", "dist"}
 
 
 def iter_python_files(paths: Sequence[str]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
+    """Expand files/directories into a sorted list of ``.py`` files.
+
+    A path that does not exist raises :class:`ReproError`: a typo in a CI
+    invocation must fail, not lint nothing and pass.
+    """
     files: Set[Path] = set()
     for raw in paths:
         path = Path(raw)
+        if not path.exists():
+            raise ReproError(f"no such file or directory: {raw}")
         if path.is_dir():
             for candidate in path.rglob("*.py"):
                 if not _SKIP_DIRS.intersection(candidate.parts):
@@ -32,29 +39,6 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
         elif path.suffix == ".py":
             files.add(path)
     return sorted(files)
-
-
-def _module_package(path: Path) -> Optional[str]:
-    """First-level ``repro`` subpackage of ``path``, or None if outside."""
-    parts = path.parts
-    for index in range(len(parts) - 1, -1, -1):
-        if parts[index] == "repro":
-            remainder = parts[index + 1 :]
-            if not remainder:
-                return None
-            if len(remainder) == 1:
-                return ""  # module directly under repro/
-            return remainder[0]
-    return None
-
-
-def _is_test_file(path: Path) -> bool:
-    name = path.name
-    return (
-        "tests" in path.parts
-        or name.startswith("test_")
-        or name == "conftest.py"
-    )
 
 
 def _selected_rules(select: Optional[Iterable[str]]) -> List[Type[RuleVisitor]]:
@@ -100,7 +84,6 @@ def lint_source(
     ``"src/repro/core/x.py"`` to exercise core-scoped rules) and appears in
     the findings. Unparseable source yields a single ``RPR000`` finding.
     """
-    as_path = Path(path)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -113,14 +96,7 @@ def lint_source(
                 message=f"file does not parse: {exc.msg}",
             )
         ]
-    ctx = FileContext(
-        path=path,
-        source=source,
-        tree=tree,
-        package=_module_package(as_path),
-        is_test=_is_test_file(as_path),
-    )
-    return lint_context(ctx, select=select)
+    return lint_context(FileContext(path, source, tree), select=select)
 
 
 def lint_file(path: Path, select: Optional[Iterable[str]] = None) -> List[Finding]:

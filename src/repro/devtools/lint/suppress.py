@@ -5,7 +5,7 @@ pragma naming its rule code — or a bare ``# repro: noqa`` which silences
 every rule on that line. Multiple codes are comma-separated::
 
     entry.hit_count = 3  # repro: noqa[RPR003]
-    thing = {"a", "b"}   # repro: noqa[RPR004, RPR006] intentional
+    def f(x=[]):         # repro: noqa[RPR006, RPR007] intentional
     legacy_call()        # repro: noqa — grandfathered
 
 Suppressions are deliberately line-scoped (no file- or block-level escape

@@ -106,13 +106,14 @@ def run_capacity_sweep(
             makes results byte-identical to the serial path.
         memo: Optional :class:`repro.parallel.SweepMemoStore`; memoized
             points are loaded instead of re-simulated.
-        engine: Execution engine for every point (``"object"`` /
-            ``"columnar"``); overrides ``base_config.engine`` when given.
-            Results are byte-identical either way — ``"columnar"`` is purely
-            a throughput knob (unsupported configs fall back per point with
-            a logged reason). Workers in a parallel sweep pin one trace, so
-            the columnar interning cost is paid once per worker, not per
-            point.
+        engine: Execution engine for every point (``"object"``, the
+            reference core; ``"batch"``, the replay kernel; ``"columnar"``,
+            that kernel with its vector regimes off); overrides
+            ``base_config.engine`` when given. Results are byte-identical
+            on all three — the engine is purely a throughput knob
+            (unsupported configs fall back per point with a logged
+            reason). Workers in a parallel sweep pin one trace, so the
+            interning cost is paid once per worker, not per point.
         events_dir: When given, each freshly simulated point writes a
             ``repro-events/1`` stream into this directory (see
             :mod:`repro.obs`); memoized points emit no events.

@@ -59,11 +59,12 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _init_worker(trace: Trace) -> None:
+def _init_worker(trace: Optional[Trace]) -> None:
     """Pool initializer: pin the shared trace in this worker process.
 
     The global write is the *point*: each worker caches the trace once so
-    tasks do not re-pickle it, and the parent never needs to see it.
+    tasks do not re-pickle it, and the parent never needs to see it. An
+    in-process sweep pins it in the caller and unpins it with ``None``.
     """
     global _WORKER_TRACE
     _WORKER_TRACE = trace  # repro: noqa[RPR131]
@@ -330,8 +331,13 @@ class ParallelSweepRunner:
         """Yield ``(result, pid, wall, extra)`` per payload, in submission order."""
         if self.jobs <= 1 or len(payloads) <= 1:
             _init_worker(trace)
-            for payload in payloads:
-                yield _run_task(payload)
+            try:
+                for payload in payloads:
+                    yield _run_task(payload)
+            finally:
+                # The caller's process must not keep the trace (and its
+                # memoised batch columns) alive after the sweep returns.
+                _init_worker(None)
             return
         processes = min(self.jobs, len(payloads))
         with _pool_context().Pool(

@@ -98,13 +98,12 @@ class SimulationConfig:
         timeseries_window: When positive, bucket outcomes into windows of
             this many seconds (``simulator.timeseries``).
         engine: Execution engine: ``"object"`` (the reference core),
-            ``"columnar"`` (:mod:`repro.fastpath` — interned ids, array
-            state, byte-identical results), or ``"batch"``
-            (:mod:`repro.fastpath.batch` — vectorised whole-trace
-            precompute over the same columnar state, byte-identical
-            results, numpy-accelerated when available). Configurations the
-            fast engines do not support fall back to the object engine
-            with a logged reason (see
+            ``"batch"`` (the replay kernel, :mod:`repro.fastpath.batch`:
+            interned ids, array state, vector regimes, numpy-accelerated
+            when available), or ``"columnar"`` (the same kernel with its
+            vector regimes off). Results are byte-identical on all three.
+            Configurations the kernel does not support fall back to the
+            object core with a logged reason (see
             :func:`repro.fastpath.columnar_unsupported_reason`).
         sanitize: Instrument the run with the runtime invariant sanitizer
             (:class:`~repro.devtools.sanitizer.SimulationSanitizer`): byte
@@ -214,8 +213,8 @@ class CooperativeSimulator:
             never perturb memo keys, fallback decisions, or results. When
             set, the simulator emits the ``repro-events/1`` stream —
             request outcomes, placement/promotion verdicts, evictions,
-            snapshot ticks — at the same protocol points the columnar
-            engine mirrors.
+            snapshot ticks — at the same protocol points the replay
+            kernel mirrors.
     """
 
     def __init__(self, config: SimulationConfig, obs=None):
@@ -402,8 +401,9 @@ class CooperativeSimulator:
 def resolved_engine(config: SimulationConfig) -> str:
     """The engine that will actually run ``config`` (fallback applied).
 
-    ``"columnar"`` only when requested *and* supported; the run manifest
-    records this next to the requested engine so fallback is observable.
+    The requested ``"batch"`` or ``"columnar"`` only when the kernel
+    supports ``config``, else ``"object"``; the run manifest records this
+    next to the requested engine so fallback is observable.
     """
     if config.engine in ("columnar", "batch"):
         from repro.fastpath import columnar_unsupported_reason
@@ -424,10 +424,11 @@ def run_simulation(
 ) -> SimulationResult:
     """One-shot convenience: replay ``trace`` under ``config``.
 
-    Dispatches on ``config.engine``: the columnar fast path
-    (:mod:`repro.fastpath`) when selected and supported — results are
-    byte-identical to the object core — otherwise the object engine. An
-    unsupported columnar request falls back transparently, logging the
+    Dispatches on ``config.engine``: ``"batch"`` runs the replay kernel
+    (:mod:`repro.fastpath.batch`), ``"columnar"`` the same kernel with its
+    vector regimes off, ``"object"`` the reference core. Results are
+    byte-identical on all three. A kernel request the kernel does not
+    support falls back to the object core transparently, logging the
     reason on the ``repro.fastpath`` logger.
 
     ``trace`` may also be a *streamed source* (any object exposing

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.devtools.analysis import ProjectModel, analyze_determinism
+import pytest
+
+from repro.devtools.analysis import ProjectModel, analyze_determinism, analyze_project
 
 from tests.devtools.conftest import FIXTURE_ROOTS
 
@@ -246,3 +248,120 @@ class TestRPR115SetAccumulation:
             }
         )
         assert rules(root) == []
+
+
+#: The fixture simulator, calling `hazard` from the determinism root.
+_CALLS_HAZARD = '''
+    from dataclasses import dataclass
+    from repro.simulation.hazard import hazard
+
+    @dataclass
+    class SimulationConfig:
+        scheme: str = "ea"
+        window_size: int = 1000
+        sanitize: bool = False
+
+    def run_simulation(config, trace):
+        used = (config.scheme, config.window_size, config.sanitize)
+        return hazard(trace)
+'''
+
+
+def reachable_hazard(make_project, module):
+    """A fixture tree whose root calls ``hazard`` in ``module``."""
+    return make_project(
+        {
+            "repro/simulation/simulator.py": _CALLS_HAZARD,
+            "repro/simulation/hazard.py": module,
+        }
+    )
+
+
+class TestRetiredLintTwins:
+    """Every case the retired per-file rules RPR001 (wall clock), RPR002
+    (global RNG) and RPR004 (set iteration) carried, as a reachable
+    function under the call-graph rule that replaced it."""
+
+    @pytest.mark.parametrize(
+        "rule, module",
+        [
+            ("RPR111", "import time\n\ndef hazard(trace):\n    return time.time()\n"),
+            (
+                "RPR111",
+                "from datetime import datetime\n\n"
+                "def hazard(trace):\n    return datetime.now()\n",
+            ),
+            (
+                "RPR111",
+                "from time import monotonic\n\n"
+                "def hazard(trace):\n    return monotonic()\n",
+            ),
+            (
+                "RPR112",
+                "import random\n\ndef hazard(trace):\n    return random.random()\n",
+            ),
+            (
+                "RPR112",
+                "import random\n\nRNG = random.Random()\n\n"
+                "def hazard(trace):\n    return RNG.random()\n",
+            ),
+            (
+                "RPR112",
+                "import random\n\n"
+                "def hazard(trace):\n    return random.Random().random()\n",
+            ),
+            (
+                "RPR112",
+                "from random import choice\n\n"
+                "def hazard(trace):\n    return choice(trace)\n",
+            ),
+            (
+                "RPR113",
+                "def hazard(urls):\n    for u in set(urls):\n        return u\n",
+            ),
+            ("RPR113", "def hazard(urls):\n    return [x for x in {1, 2}]\n"),
+            ("RPR113", "def hazard(urls):\n    return list(set(urls))\n"),
+        ],
+        ids=[
+            "time-time", "datetime-now", "from-time-monotonic",
+            "random-random", "unseeded-Random-module-body",
+            "unseeded-Random-in-function", "from-random-choice-called",
+            "for-over-set-call", "comprehension-over-set-literal",
+            "list-of-set",
+        ],
+    )
+    def test_fires(self, make_project, rule, module):
+        assert rules(reachable_hazard(make_project, module)) == [rule]
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "def hazard(now):\n    return now + 1.0\n",
+            "import random\n\nRNG = random.Random(42)\n\n"
+            "def hazard(trace):\n    return RNG.random()\n",
+            "def hazard(urls):\n    for u in sorted(set(urls)):\n        return u\n",
+            "def hazard(urls):\n    return 'u' in set(urls)\n",
+        ],
+        ids=["virtual-clock", "seeded-Random", "sorted-set", "membership-test"],
+    )
+    def test_silent(self, make_project, module):
+        assert rules(reachable_hazard(make_project, module)) == []
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "import time\n\ndef hazard(trace):\n"
+            "    return time.time()  # repro: noqa[RPR111]\n",
+            "import random\n\nRNG = random.Random()  # repro: noqa[RPR112]\n\n"
+            "def hazard(trace):\n    return RNG.random()\n",
+            "def hazard(urls):\n"
+            "    for u in set(urls):  # repro: noqa[RPR113]\n        return u\n",
+        ],
+        ids=["wall-clock", "unseeded-Random", "set-iteration"],
+    )
+    def test_suppressed_with_pragma(self, make_project, module):
+        root = reachable_hazard(make_project, module)
+        assert len(rules(root)) == 1
+        report = analyze_project(root, analyzers=["determinism"])
+        assert report.findings == []
+        assert report.suppressed == 1

@@ -226,15 +226,15 @@ class TestLintJsonCli:
         pkg = tmp_path / "src" / "repro" / "simulation"
         pkg.mkdir(parents=True)
         (pkg / "dirty.py").write_text(
-            '"""A module."""\nimport time\n\n\ndef stamp():\n'
-            '    """Wall clock."""\n    return time.time()\n'
+            '"""A module."""\n\n\ndef tie(a_age, b_age):\n'
+            '    """Compare ages."""\n    return a_age == b_age\n'
         )
         assert main(["lint", "--json", str(pkg)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-findings/1"
         assert payload["tool"] == "lint"
         assert payload["count"] == 1
-        assert payload["findings"][0]["rule"] == "RPR001"
+        assert payload["findings"][0]["rule"] == "RPR003"
         assert payload["findings"][0]["severity"] == "error"
         assert set(payload["findings"][0]) == {
             "path", "line", "col", "rule", "severity", "message",

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.devtools.check import run_check
 
@@ -13,8 +15,8 @@ REPO = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO / "src"
 
 DIRTY_MODULE = (
-    '"""A module."""\nimport time\n\n\ndef stamp():\n    """Wall clock."""\n'
-    "    return time.time()\n"
+    '"""A module."""\n\n\ndef tie(a_age, b_age):\n    """Compare ages."""\n'
+    "    return a_age == b_age\n"
 )
 
 
@@ -33,7 +35,7 @@ class TestRunCheck:
     def test_lint_findings_from_model_modules(self, make_project):
         root = make_project({"repro/simulation/dirty.py": DIRTY_MODULE})
         report = run_check(root)
-        assert "RPR001" in [f.rule for f in report.findings]
+        assert "RPR003" in [f.rule for f in report.findings]
 
     def test_extra_paths_do_not_double_lint_model_files(self, make_project):
         root = make_project({"repro/simulation/dirty.py": DIRTY_MODULE})
@@ -64,7 +66,7 @@ class TestCheckCli:
         assert payload["tool"] == "check"
         assert payload["fail_on"] == "note"
         assert "linted_modules" in payload
-        assert any(f["rule"] == "RPR001" for f in payload["findings"])
+        assert any(f["rule"] == "RPR003" for f in payload["findings"])
 
     def test_fail_on_error_ignores_notes(self, make_project, capsys):
         # The fixture tree's modules carry no docstrings, so lint emits
@@ -74,6 +76,17 @@ class TestCheckCli:
         assert main(["check", "--root", str(root), "--fail-on", "warn"]) == 0
         assert main(["check", "--root", str(root), "--fail-on", "error"]) == 0
         capsys.readouterr()
+
+
+class TestMissingPath:
+    @pytest.mark.parametrize("command", ["lint", "check"])
+    def test_missing_path_is_an_error(self, command, monkeypatch, capsys):
+        # A typo in a CI path must fail the step, not lint nothing and pass.
+        monkeypatch.chdir(REPO)
+        assert main([command, "src", "no_such_dir"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "no_such_dir" in captured.err
+        assert "clean" not in captured.out
 
 
 class TestFailOnAnalyze:

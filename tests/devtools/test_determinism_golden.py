@@ -18,10 +18,12 @@ from typing import List
 from repro.devtools.analysis import CallGraph, ProjectModel
 from repro.devtools.analysis.determinism import (
     DEFAULT_ROOTS,
-    GLOBAL_RNG_CALLS,
-    WALL_CLOCK_CALLS,
     _audit_syntactic,
     analyze_determinism,
+)
+from repro.devtools.analysis.effects import (
+    GLOBAL_RNG_CALLS,
+    WALL_CLOCK_CALLS,
     dotted_call_name,
 )
 from repro.devtools.lint.findings import Finding

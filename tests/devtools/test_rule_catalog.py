@@ -48,7 +48,9 @@ class TestCatalogIntegrity:
             "effects": [c for c in catalog if c == "RPR137"],
             "domains": [c for c in catalog if "RPR141" <= c <= "RPR147"],
         }
-        assert len(bands["lint"]) >= 11
+        assert len(bands["lint"]) == 9
+        # Retired: their call-graph twins RPR111-113 audit the same hazards.
+        assert not {"RPR001", "RPR002", "RPR004"} & set(catalog)
         assert len(bands["parity"]) == 3
         assert len(bands["determinism"]) == 5
         assert len(bands["configflow"]) == 3
@@ -75,9 +77,9 @@ class TestCatalogIntegrity:
         import repro.devtools.analysis.parity as parity
 
         monkeypatch.setattr(
-            parity, "RULES", {"RPR001": "collides with a lint code"}
+            parity, "RULES", {"RPR003": "collides with a lint code"}
         )
-        with pytest.raises(ValueError, match="RPR001"):
+        with pytest.raises(ValueError, match="RPR003"):
             rule_catalog()
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -60,6 +63,26 @@ class TestByteIdenticalMerge:
         serial = run_capacity_sweep(trace, CAPACITIES)
         in_process = run_capacity_sweep(trace, CAPACITIES, jobs=1)
         assert point_dicts(in_process) == point_dicts(serial)
+
+
+class TestInProcessSweepReleasesTrace:
+    """An in-process sweep pins the trace in the caller's process for its
+    tasks; once it returns, nothing may keep the trace alive."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"jobs": 1}, {"memo": True}], ids=["serial", "jobs1", "memo"]
+    )
+    def test_trace_is_collectable_after_sweep(self, tmp_path, kwargs):
+        trace = generate_trace(
+            SyntheticTraceConfig(num_requests=300, num_documents=50, num_clients=4, seed=3)
+        )
+        if kwargs.get("memo"):
+            kwargs = {"memo": SweepMemoStore(tmp_path)}
+        run_capacity_sweep(trace, CAPACITIES[:1], **kwargs)
+        ref = weakref.ref(trace)
+        del trace
+        gc.collect()
+        assert ref() is None
 
 
 class TestValidation:
