@@ -72,9 +72,8 @@ class _OrderedPolicy(ReplacementPolicy):
     LRU and FIFO differ only in whether a hit reorders the entry; admission
     at the tail, victim at the head, and eviction removal are identical.
     Keeping that bookkeeping in one place makes it the single canonical
-    behaviour that the fast engines' per-cache ``OrderedDict`` of slots
-    (and :class:`repro.fastpath.structures.IntrusiveLRUList`, the
-    array-backed reference the tests hold it to) mirrors.
+    behaviour that the replay kernel's per-cache ``OrderedDict`` of slots
+    mirrors.
     """
 
     def __init__(self) -> None:
@@ -134,9 +133,9 @@ class _HeapPolicy(ReplacementPolicy):
 
     Every hit pushes, and a record leaves only when it surfaces at a
     victim search, so the heap grows with hits, not with residents. That
-    is left as it is on purpose: this class is the oracle
-    :class:`repro.fastpath.structures.LFUVictimHeap` (one record per
-    resident doc, re-keyed at the search) is tested against.
+    is left as it is on purpose: this class is the oracle the replay
+    kernel's LFU heaps (one record per resident copy, re-keyed at the
+    search) are tested against.
     """
 
     def __init__(self) -> None:

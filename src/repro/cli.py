@@ -343,16 +343,13 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="TARGET",
         help="analyzers to run, space-separated: all, parity, determinism, "
-        "configflow, effects, concurrency, domains, or trace (default: all "
+        "configflow, effects, concurrency, or trace (default: all "
         "static analyzers); 'trace' must be the only target",
     )
     _findings_options(ana, baseline="analysis-baseline.json")
     ana.add_argument("--effects-out", metavar="FILE",
                      help="also write the repro-effects/1 per-function "
                      "effect inventory to FILE")
-    ana.add_argument("--domains-out", metavar="FILE",
-                     help="also write the repro-domains/1 per-function "
-                     "index-domain inventory to FILE")
     _trace_options(ana)
 
     cmp_parser = sub.add_parser(
@@ -734,7 +731,6 @@ def _report_findings(args: argparse.Namespace, tool: str, report, head: str,
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.devtools.analysis import (
         ANALYZERS,
-        domain_analysis,
         effect_analysis,
         filter_findings,
         run_analyzers,
@@ -760,16 +756,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     selected = select_analyzers(selected_names)
     model = ProjectModel.load(Path(args.root))
     raw = run_analyzers(model, selected)
-    for out, analysis, what in (
-        (args.effects_out, effect_analysis, "effect"),
-        (args.domains_out, domain_analysis, "domain"),
-    ):
-        if out:
-            Path(out).write_text(
-                json.dumps(analysis(model).report(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"repro analyze: wrote {what} inventory to {Path(out)}")
+    if args.effects_out:
+        Path(args.effects_out).write_text(
+            json.dumps(effect_analysis(model).report(), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        print(f"repro analyze: wrote effect inventory to {Path(args.effects_out)}")
     if args.write_baseline:
         report = filter_findings(model, raw, selected, baseline_path=None)
         return _write_baseline("analyze", args, report.findings)

@@ -3,7 +3,7 @@
 Built for the dual-engine contract: the object core and the columnar
 fastpath must stay byte-identical, config fields must be plumbed end to
 end, and everything reachable from a simulation run must be
-deterministic (the parallel memo store keys on it). Six analyzers
+deterministic (the parallel memo store keys on it). Five analyzers
 enforce those properties *by construction* rather than by sampled
 differential tests:
 
@@ -20,13 +20,7 @@ differential tests:
 * :func:`~repro.devtools.analysis.concurrency.analyze_concurrency` —
   RPR131-136, fork-unsafe mutation, cross-boundary module state,
   hot-loop IO, internal-state escape, shared dataclass defaults, and
-  blocking service paths;
-* :func:`~repro.devtools.analysis.domains.analyze_domains` — RPR141-147,
-  index-domain and dtype-width hazards on the vectorised hot paths:
-  cross-domain indexing, chunk-local/global offset mixing, narrow
-  accumulators, ``frombuffer`` view lifetimes, mask domain mismatches,
-  ``# repro: domains[...]`` contract drift, and interned-id escape
-  (inferred per-function domain tables export as ``repro-domains/1``).
+  blocking service paths.
 
 Everything is AST-level over :class:`ProjectModel` — analyzed code is
 never imported, so broken or deliberately drifted trees (regression
@@ -54,14 +48,6 @@ from repro.devtools.analysis.concurrency import (
 )
 from repro.devtools.analysis.configflow import analyze_configflow, coverage_table
 from repro.devtools.analysis.determinism import DEFAULT_ROOTS, analyze_determinism
-from repro.devtools.analysis.domains import (
-    DOMAINS_SCHEMA,
-    Dom,
-    DomainAnalysis,
-    FunctionDomains,
-    analyze_domains,
-    domain_analysis,
-)
 from repro.devtools.analysis.effects import (
     EFFECTS_SCHEMA,
     EffectAnalysis,
@@ -89,26 +75,20 @@ __all__ = [
     "BaselineEntry",
     "CallGraph",
     "DEFAULT_ROOTS",
-    "DOMAINS_SCHEMA",
-    "Dom",
-    "DomainAnalysis",
     "EFFECTS_SCHEMA",
     "EffectAnalysis",
     "EffectSite",
-    "FunctionDomains",
     "FunctionEffects",
     "ModuleInfo",
     "ProjectModel",
     "analyze_concurrency",
     "analyze_configflow",
     "analyze_determinism",
-    "analyze_domains",
     "analyze_effects",
     "analyze_parity",
     "analyze_project",
     "apply_baseline",
     "coverage_table",
-    "domain_analysis",
     "effect_analysis",
     "filter_findings",
     "load_baseline",

@@ -28,7 +28,6 @@ from repro.devtools.analysis.baseline import (
 from repro.devtools.analysis.concurrency import analyze_concurrency
 from repro.devtools.analysis.configflow import analyze_configflow
 from repro.devtools.analysis.determinism import analyze_determinism
-from repro.devtools.analysis.domains import analyze_domains
 from repro.devtools.analysis.effects import analyze_effects
 from repro.devtools.analysis.model import AnalysisError, ProjectModel
 from repro.devtools.analysis.parity import analyze_parity
@@ -46,7 +45,6 @@ ANALYZERS: Dict[str, Callable[[ProjectModel], List[Finding]]] = {
     "configflow": analyze_configflow,
     "effects": analyze_effects,
     "concurrency": analyze_concurrency,
-    "domains": analyze_domains,
 }
 
 

@@ -32,7 +32,6 @@ _SEVERITY_OVERRIDES: Dict[str, str] = {
     "RPR006": "note",  # missing docstring
     "RPR007": "warn",  # mutable default argument
     "RPR137": "warn",  # effect-contract drift
-    "RPR146": "warn",  # domain-contract drift
 }
 
 
@@ -83,7 +82,6 @@ def rule_catalog() -> Dict[str, RuleInfo]:
     from repro.devtools.analysis import concurrency as _concurrency
     from repro.devtools.analysis import configflow as _configflow
     from repro.devtools.analysis import determinism as _determinism
-    from repro.devtools.analysis import domains as _domains
     from repro.devtools.analysis import effects as _effects
     from repro.devtools.analysis import parity as _parity
     from repro.devtools.lint.registry import REGISTRY
@@ -112,7 +110,6 @@ def rule_catalog() -> Dict[str, RuleInfo]:
         ("configflow", _configflow.RULES),
         ("effects", _effects.RULES),
         ("concurrency", _concurrency.RULES),
-        ("domains", _domains.RULES),
     )
     for analyzer_name, rules in analyzer_tables:
         for code, summary in rules.items():

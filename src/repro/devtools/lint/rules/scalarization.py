@@ -17,6 +17,12 @@ the batch engine itself, the numpy gate (``fastpath/numeric.py``), and
 the packed-trace decoder (``trace/columnar_io.py``), whose numpy branch
 decodes columns via ``frombuffer`` and must hand them to the interner as
 ``.tolist()`` columns, never by element-wise iteration.
+
+RPR013 guards the other numpy hazard those packages carry: a running sum
+or product whose width numpy picks. Without ``dtype=`` a bool or narrow
+integer input accumulates in the platform default integer, which is
+32-bit on Windows, so totals that scale with trace length overflow there
+and nowhere a Linux test can see.
 """
 
 from __future__ import annotations
@@ -147,4 +153,49 @@ class BatchScalarizationRule(RuleVisitor):
 
     def visit_comprehension(self, node: ast.comprehension) -> None:
         self._check_iterable(node.iter, node.iter)
+        self.generic_visit(node)
+
+
+#: Methods (and ``np`` functions) that accumulate in a numpy-chosen width.
+_ACCUMULATING_METHODS: Set[str] = {"cumsum", "cumprod"}
+
+#: ``np.<ufunc>.accumulate`` ufuncs whose running value grows with length.
+_ACCUMULATING_UFUNCS: Set[str] = {"add", "multiply"}
+
+
+@register
+class AccumulatorWidthRule(RuleVisitor):
+    """RPR013: running sums and products in ``fastpath`` / ``trace`` spell
+    their width.
+
+    Flags ``np.cumsum`` / ``np.cumprod`` and the ``.cumsum()`` /
+    ``.cumprod()`` methods, and ``np.add.accumulate`` /
+    ``np.multiply.accumulate``, unless the call passes ``dtype=`` or
+    ``out=`` (whose array fixes the width). Accumulators that cannot
+    overflow (``np.maximum.accumulate``) and ``itertools.accumulate`` are
+    not flagged.
+    """
+
+    code = "RPR013"
+    summary = "cumulative sum/product without an explicit dtype= or out= width"
+    packages = ("fastpath", "trace")
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and (
+            func.attr in _ACCUMULATING_METHODS
+            or (
+                func.attr == "accumulate"
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr in _ACCUMULATING_UFUNCS
+                and _is_np_call(node)
+            )
+        ) and not any(kw.arg in ("dtype", "out") for kw in node.keywords):
+            self.report(
+                node,
+                f"`{ast.unparse(func)}` without `dtype=` accumulates bool/narrow "
+                "input in the platform default integer, 32-bit on Windows, "
+                "so trace-length totals overflow there; pass "
+                "`dtype=np.int64` (or `out=`)",
+            )
         self.generic_visit(node)

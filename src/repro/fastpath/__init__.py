@@ -178,13 +178,11 @@ def columnar_unsupported_reason(config: object) -> Optional[str]:
 
 from repro.fastpath.engine import simulate_columnar  # noqa: E402
 from repro.fastpath.batch import batch_fastloop_reason, simulate_batch  # noqa: E402
-from repro.fastpath.structures import LFUVictimHeap  # noqa: E402
 
 __all__ = [
     "COLUMNAR_NEUTRAL_FIELDS",
     "FALLBACK_MATRIX",
     "FallbackRule",
-    "LFUVictimHeap",
     "batch_fastloop_reason",
     "columnar_unsupported_reason",
     "simulate_batch",

@@ -266,9 +266,6 @@ class ReplayFrame:
         )
         return leaf_column, record_sizes, size_digits
 
-    # repro: domains[clients_np=chunk-offset->any:int64, sizes_np=chunk-offset->byte-size:int64]
-    # repro: domains[leaf_np=chunk-offset->any:intp, table=any->any:intp, leaves_np=any->any:intp]
-    # repro: domains[rsz_np=chunk-offset->byte-size:int64]
     def chunk_columns_np(self, np, chunk, clients_np, sizes_np) -> tuple:
         """:meth:`chunk_columns` over numpy columns.
 

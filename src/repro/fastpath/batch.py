@@ -26,10 +26,13 @@ The state and its loop:
 * **Victim order** — LRU is one ``collections.OrderedDict`` per cache
   mapping ``slot -> last-touch timestamp`` (a hit is ``od[slot] = ts;
   od.move_to_end(slot)``, an eviction ``od.popitem(last=False)``). LFU is
-  :class:`~repro.fastpath.structures.LFUVictimHeap`'s columns per cache:
-  a heap of one ``(hit count, seq, slot)`` record per resident copy and a
-  sequence counter, with the live count and seq per slot, re-keyed at the
-  victim search and never touched by a hit.
+  a heap per cache of one ``(hit count, seq, slot)`` record per resident
+  copy, a sequence counter per cache, and the live count and seq per
+  slot. A hit advances only the live pair; the victim search re-keys a
+  stale top in place and stops at the first current record. Counts and
+  seqs only rise, so that record holds the lowest live key: the victim
+  order of :class:`repro.cache.replacement.LFUPolicy`, whose heap grows
+  with hits where this one never outgrows the residents.
 * **Runs** — :func:`warm_loop` walks ``(slot, first, end, timestamp)``
   runs. A resident run is all local hits: one LRU touch at its last
   member's timestamp, or k ticks of the LFU sequence for k members. Any
@@ -369,8 +372,6 @@ class _FastState(ReplayFrame):
         are released — nothing reads them again.
         """
         np = self.np
-        # repro: domains[seq_v=cache-slot->global-seq:int64, lh_v=cache-slot->age-tick:float64]
-        # repro: domains[slots_p=any->cache-slot:intp, resident=any->cache-slot:intp]
         seq_v = np.frombuffer(self.seq, dtype=np.int64)
         lh_v = np.frombuffer(self.lh)
         for slots_p, gs_p, tss_p in self.pending:
@@ -414,7 +415,6 @@ def replay(
     scan = st.max_age_strategy or not flat
     cap = st.cap
     sender_len = st.sender_len
-    # repro: domains[present_b=cache-slot->any:uint8, dsz=cache-slot->byte-size:int64]
     present_b = st.present_b
     dsz = st.dsz
     lru = st.lru
@@ -458,7 +458,6 @@ def replay(
     probe_hops = 1 if st.hierarchical else 0
 
     # Rebound per chunk; the closures read them as free variables.
-    # repro: domains[out=chunk-offset->any:uint8, served=chunk-offset->byte-size:int64]
     out = bytearray()
     served = array("q")
     leaf_l = rsz = ts_l = docs_l = digits_l = None
@@ -782,7 +781,7 @@ def replay(
         st.grow(chunk)
         if not n:
             continue
-        gbase = chunk.base_records  # repro: domains[gbase=global-seq]
+        gbase = chunk.base_records
         w_start = min(max(st.warmup - gbase, 0), n)  # first measured request
         out = bytearray(n)
 
@@ -870,15 +869,6 @@ def replay(
     return st.result([refresh_age(c) for c in range(NC)], unique_documents)
 
 
-# repro: domains[present_b=cache-slot->any:uint8, dsz=cache-slot->byte-size:int64]
-# repro: domains[lh=cache-slot->age-tick:float64, seq=cache-slot->global-seq:int64]
-# repro: domains[gbase=global-seq, out=chunk-offset->any:uint8]
-# repro: domains[docs_np=chunk-offset->interned-id:intp]
-# repro: domains[slots_np=chunk-offset->cache-slot:intp]
-# repro: domains[ts_np=chunk-offset->age-tick:float64]
-# repro: domains[fsreq_np=chunk-offset->byte-size:int64]
-# repro: domains[leaf_np=chunk-offset->any:intp, first_min=interned-id->any:int64]
-# repro: domains[sender_np=any->byte-size:int64]
 def _cold_prefix(st, n, gbase, cols, out):
     """Replay the cold-regime prefix of one chunk, fully vectorised.
 
@@ -902,8 +892,6 @@ def _cold_prefix(st, n, gbase, cols, out):
     first_min = st.first_min_g.view()
     leaf_np = cols.post[0]
     docs_np, slots_np, ts_np, fsreq_np = cols.npx
-    # repro: domains[grp_slot=any->cache-slot:intp, grp_first=any->chunk-offset:intp]
-    # repro: domains[grp_last=any->chunk-offset:intp]
     grp_slot, grp_first, grp_last = cols.groups(np)
     # Cold invariant: a slot was seen before iff it is resident.
     # (No reference to the frombuffer view may outlive this
@@ -1068,13 +1056,6 @@ def _tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l):
     return count, size, icp, hdr, per_class, class_bytes, latency
 
 
-# repro: domains[leaf_np=chunk-offset->any:intp]
-# repro: domains[icp_req_np=chunk-offset->byte-size:int64]
-# repro: domains[url_req_np=chunk-offset->byte-size:int64]
-# repro: domains[digits_np=chunk-offset->byte-size:int64]
-# repro: domains[out=chunk-offset->any:uint8, out_np=chunk-offset->any:uint8]
-# repro: domains[key=chunk-offset->any:int64, cls=chunk-offset->any:uint8]
-# repro: domains[served_np=chunk-offset->byte-size:int64]
 def _tally_np(st, w_start, out, served_np, post):
     """The post-pass's numpy body over one chunk's outcome columns.
 
@@ -1205,7 +1186,6 @@ def _segments(np, values):
     return starts, ends
 
 
-# repro: domains[slots=any->cache-slot:intp]
 def _slot_groups(np, slots):
     """``(slot, first index, last index)`` per distinct slot in ``slots``."""
     order = np.argsort(slots, kind="stable")
@@ -1216,9 +1196,6 @@ def _slot_groups(np, slots):
     return ss[gpos], order[gpos], order[gend - 1]
 
 
-# repro: domains[slots_np=chunk-offset->cache-slot:intp]
-# repro: domains[ts_np=chunk-offset->age-tick:float64]
-# repro: domains[starts_np=any->chunk-offset:intp]
 def _run_columns(np, slots_np, ts_np, lo, n):
     """Run-length segmentation of requests ``lo..n`` by slot.
 
@@ -1289,9 +1266,6 @@ class _ChunkColumns:
         return self._runs
 
 
-# repro: domains[url_len=interned-id->byte-size:int64]
-# repro: domains[icp=interned-id->byte-size:int64]
-# repro: domains[fs=interned-id->byte-size:int64]
 def _columns_np(st, chunk):
     """Vectorised per-chunk columns (a :class:`_ChunkColumns`).
 
@@ -1303,8 +1277,6 @@ def _columns_np(st, chunk):
     NC = st.num_caches
     url_len = st.url_len_g.view()
     icp = st.icp_g.view()
-    # repro: domains[docs_np=chunk-offset->interned-id:intp, ts_np=chunk-offset->age-tick:float64]
-    # repro: domains[leaf_np=chunk-offset->any:intp, rsz_np=chunk-offset->byte-size:int64]
     docs_np, sizes_np, ts_np, clients_np = chunk.columns_np(np)
     leaf_np, rsz_np, digits_np = st.chunk_columns_np(np, chunk, clients_np, sizes_np)
     # Lean-mode eligibility: every doc's patched size constant so far.
@@ -1317,7 +1289,7 @@ def _columns_np(st, chunk):
         fs[docs_np[unseen][::-1]] = rsz_np[unseen][::-1]
         known = fs[docs_np]
     lean = bool((known == rsz_np).all())
-    slots_np = docs_np * NC + leaf_np  # repro: domains[slots_np=chunk-offset->cache-slot:intp]
+    slots_np = docs_np * NC + leaf_np
     post = (leaf_np, icp[docs_np], url_len[docs_np], digits_np, rsz_np)
     # ``known`` is the per-request first-seen-size column — the size any
     # resident copy of the doc holds while the cold regime lasts.

@@ -45,7 +45,6 @@ COLUMN_CODES = "qqdq"
 _ICP_PROBE_OVERHEAD = icp.QUERY_OVERHEAD + icp.REPLY_OVERHEAD
 
 
-# repro: domains[url_lens=interned-id->byte-size]
 def icp_probe_bytes(url_lens: Sequence[int]) -> List[int]:
     """ICP query + reply datagram bytes per URL, from UTF-8 URL lengths.
 
@@ -122,9 +121,6 @@ class InternedChunk:
     )
 
     # Chunk columns are indexed by chunk-local offset; ids stay global.
-    # repro: domains[doc_ids=chunk-offset->interned-id, sizes=chunk-offset->byte-size]
-    # repro: domains[timestamps=chunk-offset->age-tick, clients=chunk-offset->any]
-    # repro: domains[base_docs=interned-id, base_records=global-seq]
     def __init__(
         self,
         doc_ids: Union[List[int], array],
@@ -185,8 +181,6 @@ class InternedChunk:
         memo[kind] = (key, value)
         return value
 
-    # repro: domains[base_docs=interned-id, next_docs=interned-id]
-    # repro: domains[chunk_docs=chunk-offset->interned-id, start=chunk-offset]
     def slices(self, chunk_size: int) -> Iterator["InternedChunk"]:
         """Cut this chunk into consecutive ones of ``chunk_size`` requests.
 
@@ -265,8 +259,6 @@ class InternedChunk:
             if column is not None
         )
 
-    # repro: domains[doc_ids=chunk-offset->interned-id:int64, sizes=chunk-offset->byte-size:int64]
-    # repro: domains[timestamps=chunk-offset->age-tick:float64, clients=chunk-offset->any:int64]
     def columns_np(self, np) -> tuple:
         """``(doc_ids, sizes, timestamps, clients)`` as numpy arrays.
 
@@ -343,8 +335,6 @@ class ChunkingInterner:
         """Total records interned so far."""
         return self._records_seen
 
-    # repro: domains[doc=interned-id, base_docs=interned-id, base_records=global-seq]
-    # repro: domains[doc_ids=chunk-offset->interned-id, sizes=chunk-offset->byte-size]
     def intern_chunk(self, records: Iterable[TraceRecord]) -> InternedChunk:
         """Intern one batch of records; ids continue from prior batches."""
         doc_index = self._doc_index

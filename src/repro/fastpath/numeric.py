@@ -12,15 +12,6 @@ regimes, the lazily built lists by the loop without them).
 Set ``REPRO_NO_NUMPY=1`` to take the no-numpy paths with numpy installed
 (the CI matrix leg proving them uses this; the container image cannot
 uninstall the extra).
-
-The index-domain analyzer (``repro analyze domains``, docs/ANALYSIS.md)
-treats locals bound from this gate — ``np = load_numpy()`` — as the numpy
-root, so dtype-width and index-domain checks (RPR141–147) apply to the
-gated vectorised paths exactly as they would to a plain ``import numpy as
-np``. Trace-length-scaled accumulators behind the gate must spell their
-dtype (``np.cumsum(..., dtype=np.int64)``): numpy promotes bool/narrow
-inputs only to the *platform default* integer, which is 32-bit on
-Windows (RPR143).
 """
 
 from __future__ import annotations
@@ -44,7 +35,6 @@ def load_numpy():
     return numpy
 
 
-# repro: domains[pow10=any->any:int64]
 def decimal_digits(np, values):
     """Decimal digit count of each non-negative int64 in ``values``.
 

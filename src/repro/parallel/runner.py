@@ -1,13 +1,14 @@
 """Process-parallel capacity-sweep execution.
 
 Each sweep point is one independent, deterministic simulation, so the sweep
-fans out over a ``multiprocessing`` pool and merges results back in task
-order. Determinism is preserved by construction:
+fans out over a process pool (``concurrent.futures.ProcessPoolExecutor``)
+and merges results back in task order. Determinism is preserved by
+construction:
 
 * Tasks are enumerated in the serial path's exact order (capacity outer,
-  scheme inner) and results merged positionally (``Pool.imap`` is ordered),
-  so the assembled :class:`SweepResult` is indistinguishable from the
-  serial one.
+  scheme inner) and results merged positionally (futures are read in
+  submission order), so the assembled :class:`SweepResult` is
+  indistinguishable from the serial one.
 * Workers receive the trace once via the pool initializer (inherited by
   fork where available) instead of once per task. Streamed sources ride
   the same channel: synthetic streams pickle their config, and packed
@@ -17,6 +18,9 @@ order. Determinism is preserved by construction:
 * Every callable submitted to the pool is module-level — nested functions
   and lambdas do not pickle across process boundaries (lint rule RPR008
   guards this statically).
+* A worker that dies (OOM kill, signal) breaks the pool, which fails every
+  unfinished point at once: the sweep raises :class:`ExperimentError`
+  naming the first lost point instead of waiting for it forever.
 
 Execution telemetry (worker pids, per-point wall time, memo-hit accounting)
 is collected into :class:`repro.parallel.telemetry.SweepTelemetry` on
@@ -339,11 +343,26 @@ class ParallelSweepRunner:
                 # memoised batch columns) alive after the sweep returns.
                 _init_worker(None)
             return
-        processes = min(self.jobs, len(payloads))
-        with _pool_context().Pool(
-            processes=processes, initializer=_init_worker, initargs=(trace,)
-        ) as pool:
-            # Pool.imap preserves submission order — the deterministic
-            # merge — while letting the caller stream progress ticks.
-            for item in pool.imap(_run_task, payloads, chunksize=1):
-                yield item
+        # Imported here so serial sweeps never pay for the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(payloads)),
+            mp_context=_pool_context(),
+            initializer=_init_worker,
+            initargs=(trace,),
+        ) as executor:
+            # Read in submission order — the deterministic merge — while
+            # the caller streams progress ticks.
+            futures = [executor.submit(_run_task, payload) for payload in payloads]
+            for payload, future in zip(payloads, futures):
+                try:
+                    yield future.result()
+                except BrokenProcessPool as exc:
+                    config = payload[0]
+                    raise ExperimentError(
+                        "a sweep worker died before returning the point at "
+                        f"capacity {config.aggregate_capacity} bytes, scheme "
+                        f"{config.scheme}"
+                    ) from exc

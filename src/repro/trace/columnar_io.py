@@ -217,7 +217,6 @@ class PackedTraceReader:
     def _corrupt(self, detail: str, off: int) -> TraceError:
         return TraceError(f"packed trace {self.path!r}: {detail} at offset {off}")
 
-    # repro: domains[off=byte-size, end=byte-size, pos=byte-size, blob_len=byte-size]
     def _read_strings(
         self, off: int, end: int, count: int, what: str
     ) -> Tuple[List[str], List[int], int]:
@@ -265,11 +264,8 @@ class PackedTraceReader:
             raise self._corrupt(f"{what} blob length mismatch", off)
         return strings, lengths, start + blob_len
 
-    # Decoded columns carry the same domains the packer wrote: chunk-local
-    # request offsets over global interned ids, with byte offsets into the
-    # backing mmap kept strictly in the byte-size domain.
-    # repro: domains[off=byte-size, width=byte-size, records_seen=global-seq]
-    # repro: domains[base_docs=interned-id, base_records=global-seq]
+    # Decoded columns index as the packer wrote them: chunk-local request
+    # offsets over global interned ids.
     def interned_chunks(
         self, chunk_size: int, spans=None
     ) -> Iterator["InternedChunk"]:

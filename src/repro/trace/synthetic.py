@@ -176,8 +176,6 @@ _RECORD_VIEW_BLOCK = 4096
 Block = Tuple[List[float], List[int], List[int], List[int], List[int]]
 
 
-# repro: domains[numbers=chunk-offset->doc-id, dense_of=doc-id->interned-id]
-# repro: domains[ids=chunk-offset->interned-id, number=doc-id, dense=interned-id]
 def _densify(
     numbers: List[int], dense_of: List[int], base: int, name: Callable[[int], str]
 ) -> Tuple[List[int], List[str]]:
@@ -245,9 +243,6 @@ class BULikeTraceGenerator:
 
     # Block columns are indexed by offset into the block; documents are
     # raw universe numbers here, interning is the chunk view's business.
-    # repro: domains[timestamps=chunk-offset->age-tick, documents=chunk-offset->doc-id]
-    # repro: domains[sizes=chunk-offset->byte-size, doc_sizes=doc-id->byte-size]
-    # repro: domains[doc_of_rank=any->doc-id, doc=doc-id]
     def draw_blocks(self, block_size: int) -> Iterator[Block]:
         """Draw the request stream, ``block_size`` requests at a time.
 

@@ -72,6 +72,17 @@ class TestLRU:
         policy.on_hit(a)
         assert policy.recency_order() == ["b", "c", "a"]
 
+    def test_evicting_from_the_middle_keeps_the_order(self):
+        policy = LRUPolicy()
+        a, b, c, d = (entry(url) for url in "abcd")
+        admit_all(policy, a, b, c, d)
+        policy.on_hit(a)
+        policy.on_evict(c)
+        assert policy.recency_order() == ["b", "d", "a"]
+        policy.on_hit(d)
+        assert policy.recency_order() == ["b", "a", "d"]
+        assert policy.select_victim() == "b"
+
     def test_clear(self):
         policy = LRUPolicy()
         admit_all(policy, entry("a"))
@@ -128,6 +139,53 @@ class TestLFU:
         admit_all(policy, a, b)
         policy.on_evict(a)
         assert policy.select_victim() == "b"
+
+    def test_count_ties_break_by_least_recent_refresh(self):
+        policy = LFUPolicy()
+        a, b = entry("a"), entry("b")
+        admit_all(policy, a, b)
+        for refreshed in (b, a):  # both reach 2; b was refreshed first
+            refreshed.record_hit(1.0)
+            policy.on_hit(refreshed)
+        assert policy.select_victim() == "b"
+
+    def test_evicting_a_non_victim_keeps_the_order(self):
+        policy = LFUPolicy()
+        a, b, c, d = (entry(url) for url in "abcd")
+        admit_all(policy, a, b, c, d)
+        a.record_hit(1.0)
+        policy.on_hit(a)  # a's admission record stays behind, stale
+        policy.on_evict(c)
+        assert policy.select_victim() == "b"
+        policy.on_evict(b)
+        assert policy.select_victim() == "d"
+        policy.on_admit(entry("c", t=2.0))  # readmitted after d
+        assert policy.select_victim() == "d"
+        policy.on_evict(d)
+        assert policy.select_victim() == "c"
+
+    def test_readmission_starts_a_fresh_count(self):
+        policy = LFUPolicy()
+        a, b = entry("a"), entry("b")
+        admit_all(policy, a, b)
+        for t in (1.0, 2.0):
+            a.record_hit(t)
+            policy.on_hit(a)
+        b.record_hit(3.0)
+        policy.on_hit(b)
+        policy.on_evict(a)  # its count-3 record stays behind
+        policy.on_admit(entry("a", t=4.0))
+        assert policy.select_victim() == "a"
+
+    def test_empty_after_evicting_everything_raises(self):
+        policy = LFUPolicy()
+        a = entry("a")
+        policy.on_admit(a)
+        a.record_hit(1.0)
+        policy.on_hit(a)
+        policy.on_evict(a)
+        with pytest.raises(CacheConfigurationError, match="empty"):
+            policy.select_victim()
 
     def test_expiration_age_kind(self):
         assert LFUPolicy().expiration_age_kind == "lfu"

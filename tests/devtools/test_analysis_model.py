@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.analysis import AnalysisError, CallGraph, ProjectModel
-from repro.devtools.analysis.concurrency import ENGINE_ROOTS, HOT_ROOTS
+from repro.devtools.analysis.concurrency import ENGINE_ROOTS, HOT_ROOTS, worker_roots
 from repro.devtools.analysis.determinism import DEFAULT_ROOTS
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -218,3 +218,13 @@ class TestProductionRoots:
     def test_every_default_root_resolves_in_src(self, root):
         model = ProjectModel.load(REPO_SRC)
         assert model.function_node(root) is not None, root
+
+    def test_sweep_worker_path_is_a_worker_root(self):
+        # RPR131/132 audit what pool workers run from worker_roots only; a
+        # submission idiom it does not know (``executor.map``) would drop
+        # the sweep's task and initializer without a word.
+        roots = worker_roots(ProjectModel.load(REPO_SRC))
+        assert {
+            "repro.parallel.runner:_run_task",
+            "repro.parallel.runner:_init_worker",
+        } <= roots

@@ -154,7 +154,6 @@ class TestAnalyzeCli:
         assert payload["count"] == 0
         assert payload["analyzers"] == [
             "parity", "determinism", "configflow", "effects", "concurrency",
-            "domains",
         ]
 
     def test_single_analyzer_selection(self, capsys):

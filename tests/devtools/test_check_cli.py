@@ -27,7 +27,6 @@ class TestRunCheck:
         assert report.findings == [], f"unexpected findings:\n{rendered}"
         assert report.analyzers == (
             "parity", "determinism", "configflow", "effects", "concurrency",
-            "domains",
         )
         assert report.linted_modules > 50
         assert report.linted_files > 10
@@ -199,78 +198,18 @@ class TestEffectsSnapshot:
         assert "effects changed: m:f" in out
 
 
-class TestDomainsSnapshot:
-    def test_domains_out_writes_schema(self, tmp_path, capsys):
+class TestRetiredDomainsAnalyzer:
+    """The index-domain analyzer is deleted; nothing of its CLI is left."""
+
+    def test_domains_target_is_unknown(self, capsys):
+        assert main(["analyze", "domains", "--root", str(REPO_SRC)]) == 2
+        assert "unknown analyze target(s): domains" in capsys.readouterr().err
+
+    def test_domains_out_flag_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "dom.json"
-        assert main(
-            ["analyze", "domains", "--root", str(REPO_SRC),
-             "--baseline", str(REPO / "analysis-baseline.json"),
-             "--domains-out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["schema"] == "repro-domains/1"
-        assert payload["functions"]
-        assert payload["totals"]["annotated-functions"] > 0
-        assert payload["totals"]["declared-names"] > 0
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--domains-out", str(out)])
+        assert exc.value.code == 2
+        assert "--domains-out" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_checked_in_snapshot_matches_tree(self, tmp_path, capsys):
-        """The committed domains-snapshot.json must not drift from src."""
-        import sys
-
-        sys.path.insert(0, str(REPO / "scripts"))
-        try:
-            import diff_domains
-        finally:
-            sys.path.pop(0)
-
-        out = tmp_path / "dom.json"
-        assert main(
-            ["analyze", "domains", "--root", str(REPO_SRC),
-             "--baseline", str(REPO / "analysis-baseline.json"),
-             "--domains-out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        code = diff_domains.main(
-            [str(out), str(REPO / "domains-snapshot.json")]
-        )
-        drift = capsys.readouterr().out
-        assert code == 0, f"snapshot drift:\n{drift}"
-
-    def test_diff_detects_drift(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, str(REPO / "scripts"))
-        try:
-            import diff_domains
-        finally:
-            sys.path.pop(0)
-
-        current = {
-            "schema": "repro-domains/1",
-            "functions": {
-                "m:f": {
-                    "declared": {"ids": "chunk-offset->interned-id:intp"},
-                    "inferred": {"off": "byte-size:int64"},
-                }
-            },
-            "totals": {},
-        }
-        snapshot = {
-            "schema": "repro-domains/1",
-            "functions": {
-                "m:f": {
-                    "declared": {"ids": "chunk-offset->cache-slot:intp"},
-                    "inferred": {},
-                }
-            },
-            "totals": {},
-        }
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(current))
-        b.write_text(json.dumps(snapshot))
-        assert diff_domains.main([str(a), str(b)]) == 1
-        out = capsys.readouterr().out
-        assert "declared domain of ids changed" in out
-        assert "new inferred name off" in out

@@ -558,6 +558,90 @@ class TestRPR012BatchScalarization:
         assert_silent("RPR012", src, self.BATCH)
 
 
+class TestRPR013AccumulatorWidth:
+    FASTPATH = "src/repro/fastpath/hot.py"
+
+    @staticmethod
+    def body(*lines):
+        return '"""m."""\n\ndef f(x, flags):\n    """D."""\n' + "".join(
+            f"    {line}\n" for line in lines
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "np.cumsum(x)",
+            "np.cumprod(x)",
+            "x.cumsum()",
+            "x[1:].cumprod(0)",
+            "np.add.accumulate(x)",
+            "np.multiply.accumulate(x)",
+            "x.astype(bool).cumsum(axis=0)",
+        ],
+    )
+    def test_unwidthed_accumulator_flagged(self, call):
+        assert_fires("RPR013", self.body(f"return {call}"), self.FASTPATH)
+
+    def test_cumsum_over_bool_mask_flagged(self):
+        # bool input promotes only to the platform default integer.
+        src = self.body(
+            "starts = np.empty(len(x), dtype=bool)",
+            "starts[0] = True",
+            "return np.cumsum(starts) - 1",
+        )
+        assert_fires("RPR013", src, TRACE)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "np.cumsum(x, dtype=np.int64)",
+            "x.cumsum(dtype=np.int64)",
+            "np.add.accumulate(x, out=x)",
+            "np.maximum.accumulate(x)",
+            "itertools.accumulate(x)",
+            "np.cumprod(x, dtype=np.float64)",
+            "np.multiply.accumulate(x, dtype=np.int64)",
+        ],
+    )
+    def test_widthed_or_non_summing_silent(self, call):
+        assert_silent("RPR013", self.body(f"return {call}"), self.FASTPATH)
+
+    def test_suppressed_with_pragma(self):
+        src = self.body("return np.cumsum(x)  # repro: noqa[RPR013]")
+        assert_silent("RPR013", src, self.FASTPATH)
+
+    def test_outside_fastpath_and_trace_not_flagged(self):
+        assert_silent("RPR013", self.body("return np.cumsum(x)"), SIM)
+
+    def test_message_keeps_the_windows_rationale(self):
+        source = self.body("return np.cumsum(x)")
+        (finding,) = [
+            f for f in lint_source(source, path=self.FASTPATH) if f.rule == "RPR013"
+        ]
+        assert "32-bit on Windows" in finding.message
+        assert "dtype=np.int64" in finding.message
+
+    def test_kernel_cumsums_flagged_once_their_dtypes_are_dropped(self):
+        """Both trace-scaled ``cumsum`` calls of the batch kernel's cold
+        prefix. The retired RPR143 saw only the second: ``ev_size`` lost
+        its width through a tuple unpack."""
+        path = "src/repro/fastpath/batch.py"
+        source = (REPRO / "fastpath" / "batch.py").read_text(encoding="utf-8")
+        sites = ["np.cumsum(ev_size[cm]", "np.cumsum(gstart"]
+        mutated = source
+        for site in sites:
+            assert source.count(f"{site}, dtype=np.int64)") == 1
+            mutated = mutated.replace(f"{site}, dtype=np.int64)", f"{site})")
+        assert_silent("RPR013", source, path)
+        lines = mutated.splitlines()
+        flagged = sorted(
+            f.line for f in lint_source(mutated, path=path) if f.rule == "RPR013"
+        )
+        assert len(flagged) == len(sites)
+        for site, line in zip(sites, flagged):
+            assert f"{site})" in lines[line - 1]
+
+
 class TestRuleScopes:
     """A mis-scoped rule silently never fires, so every scope must name
     something that exists in src."""

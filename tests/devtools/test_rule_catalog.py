@@ -46,17 +46,19 @@ class TestCatalogIntegrity:
             "configflow": [c for c in catalog if "RPR121" <= c <= "RPR123"],
             "concurrency": [c for c in catalog if "RPR131" <= c <= "RPR136"],
             "effects": [c for c in catalog if c == "RPR137"],
-            "domains": [c for c in catalog if "RPR141" <= c <= "RPR147"],
         }
-        assert len(bands["lint"]) == 9
+        assert len(bands["lint"]) == 10
         # Retired: their call-graph twins RPR111-113 audit the same hazards.
         assert not {"RPR001", "RPR002", "RPR004"} & set(catalog)
+        # Retired with the index-domain analyzer; RPR143's accumulator
+        # check lives on as lint RPR013.
+        assert "RPR013" in bands["lint"]
+        assert not [c for c in catalog if "RPR140" <= c <= "RPR149"]
         assert len(bands["parity"]) == 3
         assert len(bands["determinism"]) == 5
         assert len(bands["configflow"]) == 3
         assert len(bands["concurrency"]) == 6
         assert len(bands["effects"]) == 1
-        assert len(bands["domains"]) == 7
 
     def test_each_code_has_tool_source_and_summary(self):
         for code, info in rule_catalog().items():
@@ -93,9 +95,7 @@ class TestSeverityModel:
         assert severity_for("RPR006") == "note"
         assert severity_for("RPR007") == "warn"
         assert severity_for("RPR137") == "warn"
-        assert severity_for("RPR146") == "warn"
-        assert severity_for("RPR141") == "error"
-        assert severity_for("RPR143") == "error"
+        assert severity_for("RPR013") == "error"
         assert severity_for("RPR999") == "error"  # unknown fails loud
 
     def _finding(self, rule):

@@ -15,7 +15,6 @@ import heapq
 import pytest
 
 import repro.fastpath.batch as kernel_module
-import repro.fastpath.structures as structures_module
 from repro.fastpath import simulate_columnar
 from repro.simulation.simulator import SimulationConfig
 from repro.trace import SyntheticTraceConfig
@@ -43,10 +42,8 @@ def heap_calls(monkeypatch):
 
         return wrapper
 
-    for module in (kernel_module, structures_module):
-        for name in calls:
-            inner = getattr(heapq, name)
-            monkeypatch.setattr(module, name, counted(name, inner))
+    for name in calls:
+        monkeypatch.setattr(kernel_module, name, counted(name, getattr(heapq, name)))
     return calls
 
 

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import gc
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +106,68 @@ class TestValidation:
 
     def test_default_jobs_positive(self):
         assert default_jobs() >= 1
+
+
+#: A 2-point sweep whose ``ea`` task fails in its worker process by running
+#: ``{failure}``; prints the type and text of the error the sweep raised.
+_FAILING_WORKER_SWEEP = textwrap.dedent(
+    """
+    import os
+
+    import repro.parallel.runner as runner
+    from repro.experiments.sweep import run_capacity_sweep
+    from repro.trace.synthetic import SyntheticTraceConfig, generate_trace
+
+    run_task = runner._run_task
+
+    def failing_task(payload):
+        if payload[0].scheme == "ea":
+            {failure}
+        return run_task(payload)
+
+    runner._run_task = failing_task
+    trace = generate_trace(
+        SyntheticTraceConfig(num_requests=300, num_documents=50, num_clients=4, seed=3)
+    )
+    try:
+        run_capacity_sweep(trace, [("64KB", 65536)], jobs=2)
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+    """
+)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched task reaches the workers by fork",
+)
+class TestKilledWorker:
+    @staticmethod
+    def sweep_output(failure: str) -> str:
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        # A pool that cannot tell a dead worker from a slow one never
+        # returns: the deadline turns that hang into a failure.
+        done = subprocess.run(
+            [sys.executable, "-c", _FAILING_WORKER_SWEEP.format(failure=failure)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_dead_worker_raises_naming_a_lost_point(self):
+        # os._exit is what an OOM kill looks like to the pool.
+        out = self.sweep_output("os._exit(1)")
+        assert out.startswith("ExperimentError a sweep worker died")
+        assert "capacity 65536 bytes" in out
+
+    def test_task_error_reaches_the_caller_unchanged(self):
+        # Only a lost worker is reported as one: a task that raises keeps
+        # its own exception.
+        out = self.sweep_output("raise ValueError('bad point')")
+        assert out == "ValueError bad point\n"
 
 
 class TestMemoIntegration:

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cache.replacement import LRUPolicy
 from repro.fastpath.batch import _FastState, simulate_batch
-from repro.fastpath.structures import IntrusiveLRUList
 from repro.simulation.simulator import CooperativeSimulator, SimulationConfig
 from repro.trace.record import Trace
 from repro.trace.stream import RecordStream
@@ -226,23 +226,23 @@ def test_materialised_lru_is_seq_order_and_tracks_the_lru_list(
         )
         assert list(od.items()) == [(slot, last[slot][1]) for slot in mine]
 
-    # The kernel's three idioms against the array-linked list the columnar
-    # core evicts from, on the same operations.
+    # The kernel's three idioms against the object core's LRU policy, on
+    # the same operations (the policy reads only an entry's ``url``).
     od = state.lru[0]
-    reference = IntrusiveLRUList(NUM_DOCS)
+    reference = LRUPolicy()
     for slot in od:
-        reference.push(slot // NC)
+        reference.on_admit(SimpleNamespace(url=slot // NC))
     for now, (op, doc) in enumerate(ops):
         slot = doc * NC
         if op == "hit" and slot in od:
             od[slot] = float(now)
             od.move_to_end(slot)
-            reference.touch(doc)
+            reference.on_hit(SimpleNamespace(url=doc))
         elif op == "admit" and slot not in od:
             od[slot] = float(now)
-            reference.push(doc)
+            reference.on_admit(SimpleNamespace(url=doc))
         elif op == "evict" and od:
             victim, _ = od.popitem(last=False)
-            assert victim // NC == reference.head()
-            reference.remove(reference.head())
-        assert [slot // NC for slot in od] == reference.order()
+            assert victim // NC == reference.select_victim()
+            reference.on_evict(SimpleNamespace(url=victim // NC))
+        assert [slot // NC for slot in od] == reference.recency_order()

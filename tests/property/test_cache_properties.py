@@ -5,6 +5,8 @@ Core invariants checked against arbitrary operation sequences:
 * a ProxyCache never exceeds its byte capacity;
 * used bytes always equals the sum of resident entry sizes;
 * LRU evicts exactly the least-recently-used resident entry;
+* LFU evicts the least frequently used one, ties to the least recently
+  refreshed;
 * eviction records carry non-negative, well-formed expiration ages.
 """
 
@@ -146,3 +148,29 @@ def test_stats_counters_consistent(ops):
     assert stats.lookups == stats.local_hits + stats.local_misses
     assert stats.admissions - stats.evictions == len(cache)
     assert stats.bytes_admitted - stats.bytes_evicted == cache.used_bytes
+
+
+@given(ops=operations)
+@settings(max_examples=100, deadline=None)
+def test_lfu_evicts_least_frequent_then_least_recently_refreshed(ops):
+    """Shadow-model check: ProxyCache+LFUPolicy evicts the minimum
+    ``(hit count, last refresh)`` of a plain dict, with that hit count."""
+    cache = ProxyCache(5 * 100, policy=LFUPolicy())
+    keys = {}  # url -> (hit count, step of admission or last hit)
+    now = 0.0
+    for step, (url_index, _seed, is_lookup) in enumerate(ops):
+        now += 1.0
+        url = f"http://p/{url_index}"
+        if url in cache:
+            cache.lookup(url, now)
+            keys[url] = (keys[url][0] + 1, step)
+        elif not is_lookup:
+            outcome = cache.admit(Document(url, 100), now)
+            for record in outcome.evicted:
+                victim = min(keys, key=keys.__getitem__)
+                assert record.url == victim
+                assert record.hit_count == keys.pop(victim)[0]
+            keys[url] = (1, step)
+        else:
+            cache.lookup(url, now)
+        assert set(keys) == set(cache.urls())
