@@ -332,8 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "(engine drift vs the fallback matrix, RPR101-103), 'determinism' "
             "(simulation-reachable nondeterminism, RPR111-115), 'configflow' "
             "(dead/one-sided config fields and memo-key coverage, RPR121-123), "
-            "'effects' (effect-contract drift, RPR137), 'concurrency' "
-            "(fork/IO/blocking safety, RPR131-136) — or 'trace' to "
+            "'concurrency' (fork/IO/blocking safety, RPR131-136) — or 'trace' to "
             "characterise a workload trace instead."
         ),
     )
@@ -343,13 +342,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="TARGET",
         help="analyzers to run, space-separated: all, parity, determinism, "
-        "configflow, effects, concurrency, or trace (default: all "
+        "configflow, concurrency, or trace (default: all "
         "static analyzers); 'trace' must be the only target",
     )
     _findings_options(ana, baseline="analysis-baseline.json")
-    ana.add_argument("--effects-out", metavar="FILE",
-                     help="also write the repro-effects/1 per-function "
-                     "effect inventory to FILE")
     _trace_options(ana)
 
     cmp_parser = sub.add_parser(
@@ -731,7 +727,6 @@ def _report_findings(args: argparse.Namespace, tool: str, report, head: str,
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.devtools.analysis import (
         ANALYZERS,
-        effect_analysis,
         filter_findings,
         run_analyzers,
         select_analyzers,
@@ -756,12 +751,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     selected = select_analyzers(selected_names)
     model = ProjectModel.load(Path(args.root))
     raw = run_analyzers(model, selected)
-    if args.effects_out:
-        Path(args.effects_out).write_text(
-            json.dumps(effect_analysis(model).report(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        print(f"repro analyze: wrote effect inventory to {Path(args.effects_out)}")
     if args.write_baseline:
         report = filter_findings(model, raw, selected, baseline_path=None)
         return _write_baseline("analyze", args, report.findings)

@@ -3,7 +3,7 @@
 Built for the dual-engine contract: the object core and the columnar
 fastpath must stay byte-identical, config fields must be plumbed end to
 end, and everything reachable from a simulation run must be
-deterministic (the parallel memo store keys on it). Five analyzers
+deterministic (the parallel memo store keys on it). Four analyzers
 enforce those properties *by construction* rather than by sampled
 differential tests:
 
@@ -13,10 +13,6 @@ differential tests:
   RPR111-115, nondeterminism on simulation-reachable call paths;
 * :func:`~repro.devtools.analysis.configflow.analyze_configflow` —
   RPR121-123, dead / one-sided config fields and memo-key coverage;
-* :func:`~repro.devtools.analysis.effects.analyze_effects` — RPR137,
-  drift between inferred per-function effect summaries and declared
-  ``# repro: effects[...]`` contracts (the summaries themselves export
-  as ``repro-effects/1`` JSON);
 * :func:`~repro.devtools.analysis.concurrency.analyze_concurrency` —
   RPR131-136, fork-unsafe mutation, cross-boundary module state,
   hot-loop IO, internal-state escape, shared dataclass defaults, and
@@ -49,11 +45,8 @@ from repro.devtools.analysis.concurrency import (
 from repro.devtools.analysis.configflow import analyze_configflow, coverage_table
 from repro.devtools.analysis.determinism import DEFAULT_ROOTS, analyze_determinism
 from repro.devtools.analysis.effects import (
-    EFFECTS_SCHEMA,
     EffectAnalysis,
     EffectSite,
-    FunctionEffects,
-    analyze_effects,
     effect_analysis,
 )
 from repro.devtools.analysis.model import AnalysisError, ModuleInfo, ProjectModel
@@ -75,16 +68,13 @@ __all__ = [
     "BaselineEntry",
     "CallGraph",
     "DEFAULT_ROOTS",
-    "EFFECTS_SCHEMA",
     "EffectAnalysis",
     "EffectSite",
-    "FunctionEffects",
     "ModuleInfo",
     "ProjectModel",
     "analyze_concurrency",
     "analyze_configflow",
     "analyze_determinism",
-    "analyze_effects",
     "analyze_parity",
     "analyze_project",
     "apply_baseline",

@@ -5,7 +5,7 @@ trace through two codebases, and the planned asyncio live cluster will
 multiplex protocol handling on one event loop. Each of those execution
 shapes dies quietly when code relies on shared mutable state, hot-path
 IO, or blocking calls — failure modes invisible to per-file lint. This
-pass reads the shared per-function effect summaries
+pass reads the shared per-function effect sites
 (:mod:`repro.devtools.analysis.effects`) and audits the specific
 boundaries this codebase has:
 
@@ -58,6 +58,7 @@ from repro.devtools.analysis.effects import (
     MUTATES_GLOBAL,
     EffectAnalysis,
     _is_mutable_value,
+    declared_globals,
     effect_analysis,
     local_bound_names,
     module_mutable_names,
@@ -203,10 +204,7 @@ def _global_reads_writes(
     info: ModuleInfo, func: ast.AST, candidates: FrozenSet[str]
 ) -> Tuple[Set[str], Set[str]]:
     """``(reads, writes)`` of module-level ``candidates`` by ``func``."""
-    declared_global: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
+    declared_global = declared_globals(func)
     shadowed = local_bound_names(func)
     mutables = set(module_mutable_names(info))
     reads: Set[str] = set()
@@ -251,9 +249,7 @@ def _audit_shared_module_state(
         defined = module_state(info)
         rebindable: Set[str] = set()
         for func in info.functions.values():
-            for node in ast.walk(func):
-                if isinstance(node, ast.Global):
-                    rebindable.update(node.names)
+            rebindable |= declared_globals(func)
         candidates = frozenset(
             (set(module_mutable_names(info)) | rebindable) & set(defined)
         )
@@ -304,12 +300,11 @@ def _io_closure_without_obs(analysis: EffectAnalysis) -> Dict[str, bool]:
     def is_obs(node_id: str) -> bool:
         return _in_package(node_id.partition(":")[0], _OBS_PACKAGE)
 
-    direct: Dict[str, FrozenSet[str]] = {}
-    for node_id, summary in analysis.functions.items():
-        if is_obs(node_id):
-            continue
-        if IO in summary.direct_labels:
-            direct[node_id] = frozenset({IO})
+    direct: Dict[str, FrozenSet[str]] = {
+        node_id: frozenset({IO})
+        for node_id, sites in analysis.direct.items()
+        if not is_obs(node_id) and any(site.effect == IO for site in sites)
+    }
     filtered_edges = {
         caller: [c for c in callees if not is_obs(c)]
         for caller, callees in analysis.precise_graph.edges.items()

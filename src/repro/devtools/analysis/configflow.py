@@ -3,7 +3,7 @@
 Every :class:`~repro.simulation.simulator.SimulationConfig` field should
 be *plumbed*: read by at least one engine (or declared as a fallback
 trigger), and — because the sweep memo keys on
-``sha256(config.to_dict() + Trace.fingerprint())`` — every
+``sha256(config_hash(config) + Trace.fingerprint())`` — every
 :class:`~repro.trace.record.TraceRecord` field must flow into
 ``Trace.fingerprint``. A field that misses either pipe fails silently:
 a dead config knob ships as documentation-only, and a fingerprint gap

@@ -5,9 +5,9 @@ treats ``sha256(config + trace fingerprint)`` as a proof of byte-identity
 — both stake correctness on every simulation-reachable function being
 deterministic. This auditor checks exactly the functions a simulation,
 a trace generator or an experiment driver can execute, wherever they
-live, using the shared per-function effect summaries from
+live, using the shared per-function effect sites from
 :mod:`repro.devtools.analysis.effects` (one model, one call graph, one
-fixpoint — the concurrency pass reads the same data):
+scan — the concurrency pass reads the same data):
 
 * **RPR111** — wall-clock reads (``time.time`` and friends,
   ``datetime.now``): results would depend on host speed. These are the

@@ -1,103 +1,44 @@
-"""Per-function effect inference (``repro analyze effects``, RPR137).
+"""Direct effect sites per function, shared by the determinism and
+concurrency audits.
 
 The parallel sweep runner, the dual-engine parity contract, and the
 planned asyncio cluster all rest on the same unstated assumption: nothing
 on a hot or worker-reachable path secretly mutates shared state, touches
-IO, or blocks. This module makes that assumption checkable by inferring,
-for every project function, a conservative *effect summary* — a set of
-labels from a small lattice — and propagating the summaries to a fixpoint
-over the three-tier :class:`~repro.devtools.analysis.callgraph.CallGraph`:
+IO, reads the wall clock, draws from the global RNG, or blocks. This
+module scans every project function once for the sites that break that
+assumption, each tagged with one label that a rule reads:
 
-* ``reads-config`` — reads an attribute off a ``SimulationConfig``
-  receiver (the same conventions as :mod:`repro.devtools.analysis.dataflow`);
-* ``mutates-self`` — stores to / deletes / calls a mutating container
-  method on state rooted at ``self`` (or ``cls``);
-* ``mutates-param`` — the same, rooted at any other parameter;
+* ``time`` — wall-clock reads (``time.time`` and friends), RPR111;
+* ``rng`` — process-global ``random`` module calls, RPR112;
 * ``mutates-global`` — rebinds a ``global`` name or mutates a
-  module-level mutable binding;
+  module-level mutable binding, RPR131;
 * ``io`` — console/file IO (``print``, ``open``, ``os``/``shutil`` file
-  ops, ``Path.write_text`` idioms);
-* ``rng`` — process-global ``random`` module calls;
-* ``time`` — wall-clock reads (``time.time`` and friends);
+  ops, ``Path.write_text`` idioms), RPR133;
 * ``blocking`` — calls that park the thread (``time.sleep``, synchronous
-  socket/subprocess ops, ``input``).
+  socket/subprocess ops, ``input``), RPR136.
 
-A function with the empty set is *pure* for our purposes. Transitive
-summaries deliberately over-approximate in the same direction as the call
-graph: a caller inherits every callee label (including ``mutates-self``,
-which at the caller means "may mutate state reachable from objects it
-touches"), and unknown receivers fan out through ``method_index``. The
-audits built on top (:mod:`repro.devtools.analysis.concurrency`, the
-determinism pass) are reachability filters over these summaries, so a
-path must never be lost to a receiver whose type was not statically
-evident.
-
-Functions may declare a contract as a pragma on their ``def`` line::
-
-    def query_wire_length(url):  # repro: effects[pure]
-    def record(self, age):       # repro: effects[mutates-self]
-
-The declaration is an upper bound; **RPR137** fires when inference finds
-an effect the contract does not admit (or an unknown label). The full
-inventory exports as a machine-readable ``repro-effects/1`` document
-(``repro analyze --effects-out``), snapshot-diffed in CI so effect
-regressions surface in review.
+The audits are reachability filters over these direct sites: determinism
+walks the three-tier :class:`~repro.devtools.analysis.callgraph.CallGraph`
+and concurrency its precise variant. RPR133 alone needs a transitive
+label, which it closes with :func:`propagate` over its own filtered graph.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.devtools.analysis.callgraph import CallGraph
-from repro.devtools.analysis.dataflow import CONFIG_RECEIVER_NAMES
 from repro.devtools.analysis.model import ModuleInfo, ProjectModel
-from repro.devtools.lint.findings import Finding
 
-#: Version tag of the machine-readable effect inventory.
-EFFECTS_SCHEMA = "repro-effects/1"
-
-#: Rule code -> one-line summary (the catalog / docs-index source of truth).
-RULES: Dict[str, str] = {
-    "RPR137": "inferred effects escape the declared "
-    "`# repro: effects[...]` contract",
-}
-
-#: The effect labels, in canonical (report) order.
-READS_CONFIG = "reads-config"
-MUTATES_SELF = "mutates-self"
-MUTATES_PARAM = "mutates-param"
+#: The effect labels, one per consuming rule.
 MUTATES_GLOBAL = "mutates-global"
 IO = "io"
 RNG = "rng"
 TIME = "time"
 BLOCKING = "blocking"
-
-ALL_EFFECTS: Tuple[str, ...] = (
-    READS_CONFIG,
-    MUTATES_SELF,
-    MUTATES_PARAM,
-    MUTATES_GLOBAL,
-    IO,
-    RNG,
-    TIME,
-    BLOCKING,
-)
-
-#: Contract label meaning "no effects at all".
-PURE = "pure"
 
 #: Fully-dotted callables that read the wall clock.
 WALL_CLOCK_CALLS = frozenset(
@@ -234,9 +175,6 @@ _MUTABLE_DISPLAYS = (
     ast.SetComp,
 )
 
-#: ``# repro: effects[...]`` contract pragma on a ``def`` line.
-_CONTRACT_RE = re.compile(r"#\s*repro:\s*effects\[(?P<labels>[a-z\-,\s]*)\]")
-
 _FunctionNode = ast.AST
 
 
@@ -245,50 +183,18 @@ class EffectSite:
     """One source location contributing a direct effect.
 
     Attributes:
-        effect: The label contributed (one of :data:`ALL_EFFECTS`).
+        effect: The label contributed.
         line: 1-based line of the contributing node.
         col: 0-based column of the contributing node.
-        detail: What contributed — a dotted callable (``"time.sleep"``),
-            a mutation target (``"global _WORKER_TRACE"``,
-            ``"self._entries"``), or a config field name.
+        detail: What contributed — a dotted callable (``"time.sleep"``)
+            or a mutation target (``"global _WORKER_TRACE"``,
+            ``"_SEEN[url]"``).
     """
 
     effect: str
     line: int
     col: int
     detail: str
-
-
-@dataclass
-class FunctionEffects:
-    """Inferred summary of one project function.
-
-    Attributes:
-        node_id: ``"module:qualname"`` id in the call graph.
-        direct: Sites contributed by this function's own body, in source
-            order.
-        effects: Direct plus transitive labels (the fixpoint result).
-        declared: Contract labels from a ``# repro: effects[...]`` pragma
-            on the ``def`` line, or None when undeclared. ``pure``
-            declares the empty set.
-        unknown_labels: Declared labels that are not in the lattice.
-    """
-
-    node_id: str
-    direct: Tuple[EffectSite, ...]
-    effects: FrozenSet[str]
-    declared: Optional[FrozenSet[str]] = None
-    unknown_labels: Tuple[str, ...] = ()
-
-    @property
-    def direct_labels(self) -> FrozenSet[str]:
-        """The labels this function contributes itself."""
-        return frozenset(site.effect for site in self.direct)
-
-    @property
-    def is_pure(self) -> bool:
-        """Whether the transitive summary is empty."""
-        return not self.effects
 
 
 def dotted_call_name(info: ModuleInfo, func: ast.expr) -> Optional[str]:
@@ -361,19 +267,31 @@ def module_mutable_names(info: ModuleInfo) -> Dict[str, int]:
     return names
 
 
-def local_bound_names(func: _FunctionNode) -> Set[str]:
-    """Names bound (plain ``Name`` store) anywhere inside ``func``.
-
-    Includes assignment targets, loop/comprehension variables, and
-    ``with ... as`` names — everything that shadows a module-level
-    binding for the rest of the function. ``global``-declared names are
-    excluded: storing to those writes the module binding.
-    """
-    declared_global: Set[str] = set()
+def declared_globals(func: _FunctionNode) -> Set[str]:
+    """Names ``func`` (or a def nested in it) declares ``global``."""
+    names: Set[str] = set()
     for node in ast.walk(func):
         if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-    bound: Set[str] = set()
+            names.update(node.names)
+    return names
+
+
+def local_bound_names(func: _FunctionNode) -> Set[str]:
+    """Names bound anywhere inside ``func``, its parameters included.
+
+    Includes parameters, assignment targets, loop/comprehension
+    variables, and ``with ... as`` names — everything that shadows a
+    module-level binding for the rest of the function. ``global``-declared
+    names are excluded: storing to those writes the module binding.
+    """
+    declared_global = declared_globals(func)
+    args = getattr(func, "args", None)
+    params = (
+        [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if args is not None
+        else []
+    )
+    bound = {arg.arg for arg in params if arg is not None}
     for node in ast.walk(func):
         if isinstance(node, ast.Name) and isinstance(
             node.ctx, (ast.Store, ast.Del)
@@ -399,65 +317,15 @@ def _chain_display(node: ast.expr) -> str:
         return "<target>"
 
 
-def _parameters(func: _FunctionNode) -> Tuple[Optional[str], Set[str]]:
-    """``(receiver_name, other_params)`` for a function node."""
-    if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return None, set()
-    args = list(func.args.posonlyargs) + list(func.args.args)
-    names = [arg.arg for arg in args]
-    names += [arg.arg for arg in func.args.kwonlyargs]
-    if func.args.vararg is not None:
-        names.append(func.args.vararg.arg)
-    if func.args.kwarg is not None:
-        names.append(func.args.kwarg.arg)
-    receiver: Optional[str] = None
-    if names and names[0] in ("self", "cls"):
-        receiver = names[0]
-        names = names[1:]
-    return receiver, set(names)
-
-
-def parse_contract(
-    info: ModuleInfo, func: _FunctionNode
-) -> Tuple[Optional[FrozenSet[str]], Tuple[str, ...]]:
-    """``(declared_labels, unknown_labels)`` from the def-line pragma."""
-    lineno = getattr(func, "lineno", 0)
-    lines = info.source.splitlines()
-    if not 1 <= lineno <= len(lines):
-        return None, ()
-    match = _CONTRACT_RE.search(lines[lineno - 1])
-    if match is None:
-        return None, ()
-    labels = [
-        label.strip()
-        for label in match.group("labels").split(",")
-        if label.strip()
-    ]
-    declared: Set[str] = set()
-    unknown: List[str] = []
-    for label in labels:
-        if label == PURE:
-            continue
-        elif label in ALL_EFFECTS:
-            declared.add(label)
-        else:
-            unknown.append(label)
-    return frozenset(declared), tuple(unknown)
-
-
 class _DirectEffectScanner:
     """Single-pass extraction of one function's direct effect sites."""
 
     def __init__(self, info: ModuleInfo, func: _FunctionNode) -> None:
         self.info = info
         self.func = func
-        self.receiver, self.params = _parameters(func)
         self.module_mutables = module_mutable_names(info)
         self.locals = local_bound_names(func)
-        self.declared_global: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Global):
-                self.declared_global.update(node.names)
+        self.declared_global = declared_globals(func)
         self.sites: List[EffectSite] = []
 
     def scan(self) -> Tuple[EffectSite, ...]:
@@ -473,10 +341,6 @@ class _DirectEffectScanner:
                     self._mutation_target(target)
             elif isinstance(node, ast.Call):
                 self._call(node)
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Load
-            ):
-                self._config_read(node)
         self.sites.sort(key=lambda site: (site.line, site.col, site.effect))
         return tuple(self.sites)
 
@@ -490,17 +354,11 @@ class _DirectEffectScanner:
             )
         )
 
-    def _classify_root(self, root: str) -> Optional[str]:
-        """Which mutation label a chain rooted at ``root`` carries."""
-        if self.receiver is not None and root == self.receiver:
-            return MUTATES_SELF
-        if root in self.params:
-            return MUTATES_PARAM
-        if root in self.declared_global:
-            return MUTATES_GLOBAL
-        if root in self.module_mutables and root not in self.locals:
-            return MUTATES_GLOBAL
-        return None
+    def _is_global(self, root: str) -> bool:
+        """Whether a chain rooted at ``root`` reaches module state."""
+        return root in self.declared_global or (
+            root in self.module_mutables and root not in self.locals
+        )
 
     def _mutation_target(self, target: ast.expr) -> None:
         if isinstance(target, ast.Name):
@@ -517,9 +375,8 @@ class _DirectEffectScanner:
         root = _chain_root(target)
         if root is None:
             return
-        effect = self._classify_root(root.id)
-        if effect is not None:
-            self._site(target, effect, _chain_display(target))
+        if self._is_global(root.id):
+            self._site(target, MUTATES_GLOBAL, _chain_display(target))
 
     def _call(self, node: ast.Call) -> None:
         func = node.func
@@ -543,22 +400,12 @@ class _DirectEffectScanner:
                 self._site(node, IO, f".{func.attr}")
             if func.attr in MUTATING_METHODS:
                 root = _chain_root(func.value)
-                if root is not None:
-                    effect = self._classify_root(root.id)
-                    if effect is not None:
-                        self._site(
-                            node,
-                            effect,
-                            f"{_chain_display(func.value)}.{func.attr}()",
-                        )
-
-    def _config_read(self, node: ast.Attribute) -> None:
-        value = node.value
-        is_config = (
-            isinstance(value, ast.Name) and value.id in CONFIG_RECEIVER_NAMES
-        ) or (isinstance(value, ast.Attribute) and value.attr == "config")
-        if is_config:
-            self._site(node, READS_CONFIG, node.attr)
+                if root is not None and self._is_global(root.id):
+                    self._site(
+                        node,
+                        MUTATES_GLOBAL,
+                        f"{_chain_display(func.value)}.{func.attr}()",
+                    )
 
 
 def propagate(
@@ -592,48 +439,23 @@ def propagate(
 
 
 class EffectAnalysis:
-    """Effect summaries for every function in a :class:`ProjectModel`.
+    """Direct effect sites of every function in a :class:`ProjectModel`.
 
     Attributes:
         model: The analyzed model.
         graph: The shared three-tier call graph.
-        functions: Node id -> :class:`FunctionEffects` (fixpoint result).
+        direct: Node id -> the function's own sites, in source order.
     """
 
     def __init__(self, model: ProjectModel) -> None:
         self.model = model
         self.graph = CallGraph.build(model)
         self._precise_graph: Optional[CallGraph] = None
-        direct_sites: Dict[str, Tuple[EffectSite, ...]] = {}
-        contracts: Dict[
-            str, Tuple[Optional[FrozenSet[str]], Tuple[str, ...]]
-        ] = {}
-        for info in model.modules.values():
-            for qualname, func in info.functions.items():
-                node_id = f"{info.name}:{qualname}"
-                direct_sites[node_id] = _DirectEffectScanner(
-                    info, func
-                ).scan()
-                contracts[node_id] = parse_contract(info, func)
-        transitive = propagate(
-            {
-                node_id: frozenset(site.effect for site in sites)
-                for node_id, sites in direct_sites.items()
-            },
-            self.graph,
-        )
-        self.functions: Dict[str, FunctionEffects] = {}
-        for node_id, sites in direct_sites.items():
-            declared, unknown = contracts[node_id]
-            self.functions[node_id] = FunctionEffects(
-                node_id=node_id,
-                direct=sites,
-                effects=transitive.get(
-                    node_id, frozenset(site.effect for site in sites)
-                ),
-                declared=declared,
-                unknown_labels=unknown,
-            )
+        self.direct: Dict[str, Tuple[EffectSite, ...]] = {
+            f"{info.name}:{qualname}": _DirectEffectScanner(info, func).scan()
+            for info in model.modules.values()
+            for qualname, func in info.functions.items()
+        }
 
     @property
     def precise_graph(self) -> CallGraph:
@@ -656,50 +478,10 @@ class EffectAnalysis:
         self, node_id: str, effect: Optional[str] = None
     ) -> Tuple[EffectSite, ...]:
         """Direct sites of ``node_id``, optionally filtered by label."""
-        summary = self.functions.get(node_id)
-        if summary is None:
-            return ()
+        sites = self.direct.get(node_id, ())
         if effect is None:
-            return summary.direct
-        return tuple(s for s in summary.direct if s.effect == effect)
-
-    def report(self) -> Dict[str, object]:
-        """The ``repro-effects/1`` document for this model.
-
-        Functions with an empty transitive summary are folded into the
-        ``totals.pure`` count instead of listed, so the document (and the
-        CI snapshot diffed against it) stays focused on effect-bearing
-        code and is stable across line-number-only edits.
-        """
-        functions: Dict[str, Dict[str, List[str]]] = {}
-        totals: Dict[str, int] = {label: 0 for label in ALL_EFFECTS}
-        pure = 0
-        for node_id in sorted(self.functions):
-            summary = self.functions[node_id]
-            if summary.is_pure:
-                pure += 1
-                continue
-            ordered = [
-                label for label in ALL_EFFECTS if label in summary.effects
-            ]
-            for label in ordered:
-                totals[label] += 1
-            functions[node_id] = {
-                "direct": [
-                    label
-                    for label in ALL_EFFECTS
-                    if label in summary.direct_labels
-                ],
-                "effects": ordered,
-            }
-        return {
-            "schema": EFFECTS_SCHEMA,
-            "functions": functions,
-            "totals": {
-                "pure": pure,
-                **{label: totals[label] for label in ALL_EFFECTS},
-            },
-        }
+            return sites
+        return tuple(s for s in sites if s.effect == effect)
 
 
 #: Memoized analyses, keyed weakly so models are collectable.
@@ -712,7 +494,7 @@ def effect_analysis(model: ProjectModel) -> EffectAnalysis:
     """The (cached) :class:`EffectAnalysis` for ``model``.
 
     Every analyzer in one ``repro analyze`` / ``repro check`` invocation
-    shares a single model, so this memo makes the effect fixpoint and the
+    shares a single model, so this memo makes the effect scan and the
     call graph a build-once cost.
     """
     analysis = _ANALYSIS_CACHE.get(model)
@@ -720,72 +502,3 @@ def effect_analysis(model: ProjectModel) -> EffectAnalysis:
         analysis = EffectAnalysis(model)
         _ANALYSIS_CACHE[model] = analysis
     return analysis
-
-
-def analyze_effects(model: ProjectModel) -> List[Finding]:
-    """RPR137: inferred effects escaping a declared contract; sorted."""
-    analysis = effect_analysis(model)
-    findings: List[Finding] = []
-    for node_id in sorted(analysis.functions):
-        summary = analysis.functions[node_id]
-        func = model.function_node(node_id)
-        info = model.get(node_id.partition(":")[0])
-        if func is None or info is None:
-            continue
-        line = getattr(func, "lineno", 1)
-        for label in summary.unknown_labels:
-            findings.append(
-                Finding(
-                    path=info.path,
-                    line=line,
-                    col=0,
-                    rule="RPR137",
-                    message=(
-                        f"effect contract on `{node_id}` names unknown "
-                        f"label `{label}`; known labels: pure, "
-                        + ", ".join(ALL_EFFECTS)
-                    ),
-                )
-            )
-        if summary.declared is None:
-            continue
-        extras = sorted(summary.effects - summary.declared)
-        if extras:
-            evidence = _drift_evidence(analysis, node_id, extras)
-            findings.append(
-                Finding(
-                    path=info.path,
-                    line=line,
-                    col=0,
-                    rule="RPR137",
-                    message=(
-                        f"`{node_id}` declares effects "
-                        f"[{_render_contract(summary.declared)}] but "
-                        f"analysis also infers [{', '.join(extras)}]"
-                        f"{evidence}; fix the function or widen the "
-                        "contract"
-                    ),
-                )
-            )
-    return sorted(set(findings))
-
-
-def _render_contract(declared: FrozenSet[str]) -> str:
-    return ", ".join(sorted(declared)) if declared else PURE
-
-
-def _drift_evidence(
-    analysis: EffectAnalysis, node_id: str, extras: List[str]
-) -> str:
-    """`` (via ...)`` pointing at one concrete contributing site."""
-    own = {site.effect: site for site in analysis.sites(node_id)}
-    for label in extras:
-        site = own.get(label)
-        if site is not None:
-            return f" (via `{site.detail}` at line {site.line})"
-    # Transitive: name one callee that carries the first extra label.
-    for callee in analysis.graph.edges.get(node_id, ()):
-        summary = analysis.functions.get(callee)
-        if summary is not None and extras[0] in summary.effects:
-            return f" (via call into `{callee}`)"
-    return ""

@@ -31,7 +31,6 @@ SEVERITIES: Tuple[str, ...] = ("note", "warn", "error")
 _SEVERITY_OVERRIDES: Dict[str, str] = {
     "RPR006": "note",  # missing docstring
     "RPR007": "warn",  # mutable default argument
-    "RPR137": "warn",  # effect-contract drift
 }
 
 
@@ -82,7 +81,6 @@ def rule_catalog() -> Dict[str, RuleInfo]:
     from repro.devtools.analysis import concurrency as _concurrency
     from repro.devtools.analysis import configflow as _configflow
     from repro.devtools.analysis import determinism as _determinism
-    from repro.devtools.analysis import effects as _effects
     from repro.devtools.analysis import parity as _parity
     from repro.devtools.lint.registry import REGISTRY
 
@@ -108,21 +106,12 @@ def rule_catalog() -> Dict[str, RuleInfo]:
         ("parity", _parity.RULES),
         ("determinism", _determinism.RULES),
         ("configflow", _configflow.RULES),
-        ("effects", _effects.RULES),
         ("concurrency", _concurrency.RULES),
     )
     for analyzer_name, rules in analyzer_tables:
         for code, summary in rules.items():
             add(code, summary, "analyze", analyzer_name)
     return catalog
-
-
-def worst_severity(findings: Iterable[Finding]) -> str:
-    """The highest severity present in ``findings`` (``note`` if empty)."""
-    worst = -1
-    for finding in findings:
-        worst = max(worst, severity_rank(severity_for(finding.rule)))
-    return SEVERITIES[worst] if worst >= 0 else "note"
 
 
 def fails(findings: Iterable[Finding], fail_on: str) -> bool:

@@ -23,8 +23,10 @@ from repro.coherence.model import ChangeModel, TTLModel
 from repro.core.demotion import DemotionGroup
 from repro.core.placement import make_scheme
 from repro.experiments.report import ExperimentReport
+from repro.experiments.sweep import run_capacity_sweep
 from repro.experiments.workload import resolve_workload
 from repro.simulation.replay import replay_trace
+from repro.simulation.simulator import SimulationConfig
 from repro.trace.record import Trace
 
 
@@ -153,22 +155,26 @@ def run_replica_cap_study(
             "capped_byte_hit",
         ],
     )
-    for label, capacity in capacities:
-        metrics = {}
-        for kind, scheme in (
-            ("plain", make_scheme("ea")),
-            ("capped", make_scheme("ea", max_replica_fraction=cap_fraction)),
-        ):
-            group = DistributedGroup(
-                build_caches(num_caches, capacity), scheme, seed=seed
-            )
-            metrics[kind] = replay_trace(group, trace)
+    sweeps = {
+        kind: run_capacity_sweep(
+            trace,
+            capacities,
+            schemes=("ea",),
+            base_config=SimulationConfig(
+                num_caches=num_caches, seed=seed, max_replica_fraction=fraction
+            ),
+        )
+        for kind, fraction in (("plain", None), ("capped", cap_fraction))
+    }
+    for label, _ in capacities:
+        plain = sweeps["plain"].get("ea", label).result.metrics
+        capped = sweeps["capped"].get("ea", label).result.metrics
         report.add_row(
             label,
-            metrics["plain"].hit_rate,
-            metrics["capped"].hit_rate,
-            metrics["plain"].byte_hit_rate,
-            metrics["capped"].byte_hit_rate,
+            plain.hit_rate,
+            capped.hit_rate,
+            plain.byte_hit_rate,
+            capped.byte_hit_rate,
         )
     return report
 

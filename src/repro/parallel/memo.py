@@ -1,11 +1,13 @@
 """Content-addressed memoization of simulation results.
 
 A sweep point is fully determined by its :class:`SimulationConfig` and the
-trace it replays, so ``sha256(canonical_config_json + trace_fingerprint)``
-is a sound content address: equal keys mean byte-identical results, and any
-change to either input (capacity, scheme, seed, trace records, ...) lands on
-a fresh key. There is no explicit invalidation — stale entries are simply
-never addressed again.
+trace it replays, so ``sha256(config_hash + trace_fingerprint)`` is a sound
+content address: equal keys mean byte-identical results, and any change to
+either input (capacity, scheme, seed, trace records, ...) lands on a fresh
+key. The engine is not part of the key — :func:`repro.obs.manifest.config_hash`
+drops it, because every engine produces the same bytes — so one entry
+serves every engine. There is no explicit invalidation — stale entries are
+simply never addressed again.
 
 The on-disk layer is :class:`repro.experiments.store.SimulationResultStore`;
 this module adds the key derivation and an in-process cache so repeated
@@ -14,12 +16,14 @@ lookups within one run never touch the filesystem twice.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.experiments.store import SimulationResultStore
+from repro.obs.manifest import config_hash
 from repro.simulation.results import SimulationResult
 from repro.simulation.simulator import SimulationConfig
 from repro.trace.record import Trace
@@ -29,7 +33,8 @@ from repro.trace.stream import source_fingerprint
 #: artifacts then miss instead of reviving into the wrong shape.
 #: v2: CacheStats grew the EA decision counters (placements_declined,
 #: promotions_granted, promotions_withheld), changing the result round trip.
-MEMO_SCHEMA_VERSION = 2
+#: v3: the config part of the key is ``config_hash``, which drops ``engine``.
+MEMO_SCHEMA_VERSION = 3
 
 
 def sweep_memo_key(config: SimulationConfig, trace: Trace) -> str:
@@ -45,7 +50,7 @@ def sweep_memo_key(config: SimulationConfig, trace: Trace) -> str:
     payload = json.dumps(
         {
             "schema": MEMO_SCHEMA_VERSION,
-            "config": config.to_dict(),
+            "config": config_hash(config),
             "trace": source_fingerprint(trace, strict=True),
         },
         sort_keys=True,
@@ -81,7 +86,11 @@ class SweepMemoStore:
         return sweep_memo_key(config, trace)
 
     def get(self, config: SimulationConfig, trace: Trace) -> Optional[SimulationResult]:
-        """The memoized result for ``(config, trace)``, or None on a miss."""
+        """The memoized result for ``(config, trace)``, or None on a miss.
+
+        A hit echoes ``config.engine``, whichever engine filled the entry,
+        so its ``to_json()`` is the bytes a fresh run would produce.
+        """
         key = sweep_memo_key(config, trace)
         result = self._hot.get(key)
         if result is None:
@@ -90,8 +99,12 @@ class SweepMemoStore:
                 self._hot[key] = result
         if result is None:
             self.misses += 1
-        else:
-            self.hits += 1
+            return None
+        self.hits += 1
+        if result.config.get("engine") != config.engine:
+            result = dataclasses.replace(
+                result, config={**result.config, "engine": config.engine}
+            )
         return result
 
     def put(

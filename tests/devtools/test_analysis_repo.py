@@ -153,7 +153,7 @@ class TestAnalyzeCli:
         assert payload["tool"] == "analyze"
         assert payload["count"] == 0
         assert payload["analyzers"] == [
-            "parity", "determinism", "configflow", "effects", "concurrency",
+            "parity", "determinism", "configflow", "concurrency",
         ]
 
     def test_single_analyzer_selection(self, capsys):

@@ -1,5 +1,5 @@
 """Coverage for ``repro check``, the shared ``--fail-on`` severity gate,
-lint baseline support, and the effect-inventory snapshot tooling."""
+lint baseline support, and the retired analyzers' absent CLI."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ class TestRunCheck:
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.findings == [], f"unexpected findings:\n{rendered}"
         assert report.analyzers == (
-            "parity", "determinism", "configflow", "effects", "concurrency",
+            "parity", "determinism", "configflow", "concurrency",
         )
         assert report.linted_modules > 50
         assert report.linted_files > 10
@@ -88,22 +88,30 @@ class TestMissingPath:
         assert "clean" not in captured.out
 
 
-class TestFailOnAnalyze:
-    def test_warn_threshold_passes_note_findings(self, tmp_path, capsys):
-        # RPR137 is warn; a tree with only contract drift passes
-        # --fail-on error but fails --fail-on warn.
-        pkg = tmp_path / "src" / "repro" / "simulation"
-        pkg.mkdir(parents=True)
-        (pkg / "__init__.py").write_text('"""Pkg."""\n')
-        (pkg / "mod.py").write_text(
-            '"""Mod."""\nimport time\n\n\n'
-            "def stamp():  # repro: effects[]\n"
-            '    """Clock."""\n    return time.time()\n'
+class TestFailOnWarn:
+    def test_warn_threshold_passes_note_findings(
+        self, make_project, tmp_path, capsys
+    ):
+        # RPR007 is warn and RPR006 (the fixture's missing docstrings) is
+        # note; a tree with nothing stronger passes --fail-on error but
+        # fails --fail-on warn.
+        root = make_project(
+            {
+                "repro/simulation/mod.py": '''
+                    """Mod."""
+
+                    def collect(item, into=[]):
+                        """Append and return."""
+                        into.append(item)
+                        return into
+                '''
+            }
         )
-        root = str(tmp_path / "src")
-        args = ["analyze", "effects", "--root", root,
+        args = ["check", "--root", str(root),
                 "--baseline", str(tmp_path / "none.json")]
-        assert main(args) == 1
+        assert main(args + ["--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert {f["rule"] for f in payload["findings"]} == {"RPR006", "RPR007"}
         assert main(args + ["--fail-on", "warn"]) == 1
         assert main(args + ["--fail-on", "error"]) == 0
         capsys.readouterr()
@@ -133,71 +141,6 @@ class TestLintBaseline:
         assert "--baseline" in capsys.readouterr().err
 
 
-class TestEffectsSnapshot:
-    def test_effects_out_writes_schema(self, tmp_path, capsys):
-        out = tmp_path / "fx.json"
-        assert main(
-            ["analyze", "effects", "--root", str(REPO_SRC),
-             "--baseline", str(REPO / "analysis-baseline.json"),
-             "--effects-out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["schema"] == "repro-effects/1"
-        assert payload["functions"]
-        assert payload["totals"]["pure"] > 0
-
-    def test_checked_in_snapshot_matches_tree(self, tmp_path, capsys):
-        """The committed effects-snapshot.json must not drift from src."""
-        import sys
-
-        sys.path.insert(0, str(REPO / "scripts"))
-        try:
-            import diff_effects
-        finally:
-            sys.path.pop(0)
-
-        out = tmp_path / "fx.json"
-        assert main(
-            ["analyze", "effects", "--root", str(REPO_SRC),
-             "--baseline", str(REPO / "analysis-baseline.json"),
-             "--effects-out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        code = diff_effects.main(
-            [str(out), str(REPO / "effects-snapshot.json")]
-        )
-        drift = capsys.readouterr().out
-        assert code == 0, f"snapshot drift:\n{drift}"
-
-    def test_diff_detects_drift(self, tmp_path, capsys):
-        import sys
-
-        sys.path.insert(0, str(REPO / "scripts"))
-        try:
-            import diff_effects
-        finally:
-            sys.path.pop(0)
-
-        current = {
-            "schema": "repro-effects/1",
-            "functions": {"m:f": {"direct": ["io"], "effects": ["io"]}},
-            "totals": {},
-        }
-        snapshot = {
-            "schema": "repro-effects/1",
-            "functions": {"m:f": {"direct": [], "effects": ["time"]}},
-            "totals": {},
-        }
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(current))
-        b.write_text(json.dumps(snapshot))
-        assert diff_effects.main([str(a), str(b)]) == 1
-        out = capsys.readouterr().out
-        assert "effects changed: m:f" in out
-
-
 class TestRetiredDomainsAnalyzer:
     """The index-domain analyzer is deleted; nothing of its CLI is left."""
 
@@ -213,3 +156,50 @@ class TestRetiredDomainsAnalyzer:
         assert "--domains-out" in capsys.readouterr().err
         assert not out.exists()
 
+
+class TestRetiredEffectsContracts:
+    """RPR137, its contracts and the repro-effects/1 inventory are deleted."""
+
+    def test_effects_target_is_unknown(self, capsys):
+        assert main(["analyze", "effects", "--root", str(REPO_SRC)]) == 2
+        assert "unknown analyze target(s): effects" in capsys.readouterr().err
+
+    def test_effects_out_flag_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "fx.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--effects-out", str(out)])
+        assert exc.value.code == 2
+        assert "--effects-out" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rule_and_inventory_are_gone(self):
+        from repro.devtools import catalog
+        from repro.devtools.analysis import ANALYZERS, effects
+
+        assert "effects" not in ANALYZERS
+        assert "RPR137" not in catalog.rule_catalog()
+        assert not hasattr(effects, "RULES")
+        assert not hasattr(effects.EffectAnalysis, "report")
+        assert not (REPO / "effects-snapshot.json").exists()
+        assert not (REPO / "scripts" / "diff_effects.py").exists()
+
+    def test_contract_pragma_is_an_inert_comment(
+        self, make_project, tmp_path, capsys
+    ):
+        # A def-line `# repro: effects[]` used to declare a contract; now
+        # the analyzers read nothing from it.
+        root = make_project(
+            {
+                "repro/simulation/mod.py": '''
+                    import time
+
+                    def stamp():  # repro: effects[]
+                        return time.time()
+                '''
+            }
+        )
+        assert main(
+            ["analyze", "--root", str(root), "--json",
+             "--baseline", str(tmp_path / "none.json")]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["findings"] == []

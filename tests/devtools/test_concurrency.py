@@ -105,6 +105,33 @@ class TestRPR131ForkUnsafeWorkers:
         )
         assert "RPR131" in rules(root)
 
+    def test_parameter_named_like_module_mutable_is_clean(self, make_project):
+        # The worker mutates its own argument, which merely shares the
+        # module-level dict's name.
+        root = make_project(
+            {
+                "repro/parallel/__init__.py": "",
+                "repro/parallel/runner.py": '''
+                    from multiprocessing import Pool
+
+                    from repro.parallel.tasks import run_task
+
+                    def sweep(configs):
+                        with Pool() as pool:
+                            return pool.imap_unordered(run_task, configs)
+                ''',
+                "repro/parallel/tasks.py": '''
+                    _STATE = {}
+
+                    def run_task(_STATE):
+                        _STATE["last"] = 1
+                        _STATE.update(done=True)
+                        return _STATE
+                ''',
+            }
+        )
+        assert rules(root) == []
+
 
 class TestRPR132SharedModuleState:
     def test_read_and_written_across_boundary_fires(self, make_project):
@@ -166,6 +193,38 @@ class TestRPR132SharedModuleState:
 
                     def bump():
                         _HITS["n"] = 1
+                ''',
+            }
+        )
+        assert "RPR132" not in rules(root)
+
+    def test_parameter_named_like_state_is_not_a_reader(self, make_project):
+        root = make_project(
+            {
+                "repro/simulation/simulator.py": '''
+                    from dataclasses import dataclass
+
+                    from repro.simulation.shared import bump, peek
+
+                    @dataclass
+                    class SimulationConfig:
+                        scheme: str = "ea"
+                        window_size: int = 1000
+                        sanitize: bool = False
+
+                    def run_simulation(config, trace):
+                        used = (config.scheme, config.window_size, config.sanitize)
+                        bump()
+                        return peek({})
+                ''',
+                "repro/simulation/shared.py": '''
+                    _HITS = {}
+
+                    def bump():
+                        _HITS["n"] = 1
+
+                    def peek(_HITS):
+                        return dict(_HITS)
                 ''',
             }
         )

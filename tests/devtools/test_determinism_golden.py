@@ -1,7 +1,7 @@
 """Golden comparison: the determinism analyzer before and after the port.
 
 RPR111/RPR112 used to be found by a dedicated call-scan inside the
-determinism walk; they are now read off the shared effect summaries. The
+determinism walk; they are now read off the shared effect sites. The
 port must be behaviour-preserving, so this test carries an independent
 reimplementation of the *old* algorithm (call-graph reachability + a
 per-function AST scan against the same constant sets + the unchanged

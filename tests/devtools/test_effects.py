@@ -1,38 +1,42 @@
-"""Fixture tests for the effect-summary engine and RPR137 contract drift."""
+"""Fixture tests for the direct effect sites and the :func:`propagate` closure."""
 
 from __future__ import annotations
 
-from repro.devtools.analysis import (
-    ProjectModel,
-    analyze_effects,
-    effect_analysis,
-)
+from repro.devtools.analysis import CallGraph, ProjectModel, effect_analysis
 from repro.devtools.analysis.effects import (
-    EFFECTS_SCHEMA,
+    BLOCKING,
     IO,
     MUTATES_GLOBAL,
-    MUTATES_PARAM,
-    MUTATES_SELF,
-    READS_CONFIG,
     RNG,
     TIME,
+    propagate,
 )
 
 
-def effects_of(root, node_id):
+def labels_of(root, node_id):
     analysis = effect_analysis(ProjectModel.load(root))
-    summary = analysis.functions.get(node_id)
-    return summary.effects if summary else None
+    return {site.effect for site in analysis.sites(node_id)}
+
+
+def closure_of(root):
+    """Transitive labels over the fixture's call graph, via ``propagate``."""
+    model = ProjectModel.load(root)
+    analysis = effect_analysis(model)
+    direct = {
+        node_id: frozenset(site.effect for site in sites)
+        for node_id, sites in analysis.direct.items()
+    }
+    return propagate(direct, CallGraph.build(model))
 
 
 class TestDirectEffects:
-    def test_clean_tree_engine_reads_config_only(self, make_project):
-        labels = effects_of(
+    def test_clean_engine_has_no_sites(self, make_project):
+        # Config reads are dataflow's business, not an effect label.
+        assert labels_of(
             make_project(), "repro.fastpath.engine:simulate_columnar"
-        )
-        assert labels == {READS_CONFIG}
+        ) == set()
 
-    def test_self_mutation_vs_param_mutation(self, make_project):
+    def test_self_and_param_mutation_carry_no_label(self, make_project):
         root = make_project(
             {
                 "repro/simulation/state.py": '''
@@ -45,12 +49,8 @@ class TestDirectEffects:
                 '''
             }
         )
-        assert effects_of(root, "repro.simulation.state:Tracker.bump") == {
-            MUTATES_SELF
-        }
-        assert effects_of(root, "repro.simulation.state:Tracker.drain") == {
-            MUTATES_PARAM
-        }
+        assert labels_of(root, "repro.simulation.state:Tracker.bump") == set()
+        assert labels_of(root, "repro.simulation.state:Tracker.drain") == set()
 
     def test_global_statement_and_module_mutable(self, make_project):
         root = make_project(
@@ -68,10 +68,10 @@ class TestDirectEffects:
                 '''
             }
         )
-        assert effects_of(root, "repro.simulation.registry:record") == {
+        assert labels_of(root, "repro.simulation.registry:record") == {
             MUTATES_GLOBAL
         }
-        assert effects_of(root, "repro.simulation.registry:count") == {
+        assert labels_of(root, "repro.simulation.registry:count") == {
             MUTATES_GLOBAL
         }
 
@@ -88,7 +88,22 @@ class TestDirectEffects:
                 '''
             }
         )
-        assert effects_of(root, "repro.simulation.shadow:isolated") == set()
+        assert labels_of(root, "repro.simulation.shadow:isolated") == set()
+
+    def test_parameter_shadow_of_module_name_is_not_global(self, make_project):
+        root = make_project(
+            {
+                "repro/simulation/shadow.py": '''
+                    _CACHE = {}
+
+                    def fill(_CACHE, key, *_EXTRA, **_OPTS):
+                        _CACHE[key] = 1
+                        _CACHE.update(_OPTS)
+                        return _CACHE
+                '''
+            }
+        )
+        assert labels_of(root, "repro.simulation.shadow:fill") == set()
 
     def test_io_time_rng_labels(self, make_project):
         root = make_project(
@@ -108,9 +123,60 @@ class TestDirectEffects:
                 '''
             }
         )
-        assert effects_of(root, "repro.simulation.side:stamp") == {TIME}
-        assert effects_of(root, "repro.simulation.side:roll") == {RNG}
-        assert effects_of(root, "repro.simulation.side:report") == {IO}
+        assert labels_of(root, "repro.simulation.side:stamp") == {TIME}
+        assert labels_of(root, "repro.simulation.side:roll") == {RNG}
+        assert labels_of(root, "repro.simulation.side:report") == {IO}
+
+    def test_blocking_label(self, make_project):
+        root = make_project(
+            {
+                "repro/protocol/__init__.py": "",
+                "repro/protocol/wait.py": '''
+                    import subprocess
+                    import time
+
+                    def nap():
+                        time.sleep(0.1)
+
+                    def ask():
+                        return input()
+
+                    def shell(cmd):
+                        return subprocess.run(cmd)
+                '''
+            }
+        )
+        for name in ("nap", "ask", "shell"):
+            assert labels_of(root, f"repro.protocol.wait:{name}") == {
+                BLOCKING
+            }
+
+    def test_sites_are_in_source_order_and_filter_by_label(
+        self, make_project
+    ):
+        root = make_project(
+            {
+                "repro/simulation/mixed.py": '''
+                    import time
+
+                    _LOG = []
+
+                    def step(line):
+                        began = time.perf_counter()
+                        print(line)
+                        _LOG.append(began)
+                '''
+            }
+        )
+        analysis = effect_analysis(ProjectModel.load(root))
+        node_id = "repro.simulation.mixed:step"
+        sites = analysis.sites(node_id)
+        assert [s.effect for s in sites] == [TIME, IO, MUTATES_GLOBAL]
+        assert [s.line for s in sites] == sorted(s.line for s in sites)
+        assert [s.detail for s in analysis.sites(node_id, MUTATES_GLOBAL)] == [
+            "_LOG.append()"
+        ]
+        assert analysis.sites("repro.simulation.mixed:absent") == ()
 
 
 class TestPropagation:
@@ -131,9 +197,9 @@ class TestPropagation:
                 '''
             }
         )
-        assert effects_of(root, "repro.simulation.deep:top") == {TIME}
+        assert closure_of(root)["repro.simulation.deep:top"] == {TIME}
 
-    def test_pure_helper_stays_pure(self, make_project):
+    def test_pure_helper_stays_empty(self, make_project):
         root = make_project(
             {
                 "repro/simulation/pure.py": '''
@@ -145,124 +211,34 @@ class TestPropagation:
                 '''
             }
         )
-        analysis = effect_analysis(ProjectModel.load(root))
-        assert analysis.functions["repro.simulation.pure:quad"].is_pure
+        assert closure_of(root)["repro.simulation.pure:quad"] == frozenset()
 
     def test_recursive_cycle_converges(self, make_project):
         root = make_project(
             {
                 "repro/simulation/cycle.py": '''
-                    def ping(n, log):
-                        log.append(n)
-                        return pong(n - 1, log) if n else n
+                    def ping(n):
+                        print(n)
+                        return pong(n - 1) if n else n
 
-                    def pong(n, log):
-                        return ping(n - 1, log) if n else n
+                    def pong(n):
+                        return ping(n - 1) if n else n
                 '''
             }
         )
-        assert effects_of(root, "repro.simulation.cycle:pong") == {
-            MUTATES_PARAM
-        }
+        assert closure_of(root)["repro.simulation.cycle:pong"] == {IO}
+
+    def test_only_graph_nodes_are_returned(self):
+        class Graph:
+            edges = {"a": ["b"], "b": []}
+
+        closure = propagate(
+            {"b": frozenset({IO}), "outside": frozenset({TIME})}, Graph()
+        )
+        assert closure == {"a": frozenset({IO}), "b": frozenset({IO})}
 
 
-class TestReport:
-    def test_report_shape_and_totals(self, make_project):
-        analysis = effect_analysis(ProjectModel.load(make_project()))
-        report = analysis.report()
-        assert report["schema"] == EFFECTS_SCHEMA
-        engine = report["functions"]["repro.fastpath.engine:simulate_columnar"]
-        assert engine["effects"] == [READS_CONFIG]
-        assert report["totals"]["pure"] >= 1
-        # Pure functions are counted but not listed.
-        listed = set(report["functions"])
-        assert all(analysis.functions[n].effects for n in listed)
-
+class TestMemo:
     def test_memoized_per_model(self, make_project):
         model = ProjectModel.load(make_project())
         assert effect_analysis(model) is effect_analysis(model)
-
-
-class TestRPR137ContractDrift:
-    def test_matching_contract_is_clean(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/contract.py": '''
-                    def merge(results, out):  # repro: effects[mutates-param]
-                        out.extend(results)
-                '''
-            }
-        )
-        assert analyze_effects(ProjectModel.load(root)) == []
-
-    def test_contract_as_upper_bound_is_clean(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/contract.py": '''
-                    def maybe(out):  # repro: effects[mutates-param, io]
-                        return len(out)
-                '''
-            }
-        )
-        assert analyze_effects(ProjectModel.load(root)) == []
-
-    def test_escaping_effect_fires_with_evidence(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/contract.py": '''
-                    import time
-
-                    def pure_by_decree():  # repro: effects[]
-                        return time.time()
-                '''
-            }
-        )
-        findings = analyze_effects(ProjectModel.load(root))
-        assert [f.rule for f in findings] == ["RPR137"]
-        assert "time" in findings[0].message
-        assert "time.time" in findings[0].message
-
-    def test_transitive_escape_names_the_callee(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/contract.py": '''
-                    from repro.simulation.sink import dump
-
-                    def quiet(data):  # repro: effects[]
-                        dump(data)
-                ''',
-                "repro/simulation/sink.py": '''
-                    def dump(data):
-                        print(data)
-                ''',
-            }
-        )
-        findings = analyze_effects(ProjectModel.load(root))
-        assert [f.rule for f in findings] == ["RPR137"]
-        assert "dump" in findings[0].message
-
-    def test_unknown_label_fires(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/contract.py": '''
-                    def typo():  # repro: effects[moo]
-                        return 1
-                '''
-            }
-        )
-        findings = analyze_effects(ProjectModel.load(root))
-        assert [f.rule for f in findings] == ["RPR137"]
-        assert "moo" in findings[0].message
-
-    def test_undeclared_function_never_drifts(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/free.py": '''
-                    import time
-
-                    def anything_goes():
-                        print(time.time())
-                '''
-            }
-        )
-        assert analyze_effects(ProjectModel.load(root)) == []

@@ -18,7 +18,6 @@ from repro.devtools.catalog import (
     rule_catalog,
     severity_for,
     severity_rank,
-    worst_severity,
 )
 from repro.devtools.lint.findings import Finding
 
@@ -45,7 +44,6 @@ class TestCatalogIntegrity:
             "determinism": [c for c in catalog if "RPR111" <= c <= "RPR115"],
             "configflow": [c for c in catalog if "RPR121" <= c <= "RPR123"],
             "concurrency": [c for c in catalog if "RPR131" <= c <= "RPR136"],
-            "effects": [c for c in catalog if c == "RPR137"],
         }
         assert len(bands["lint"]) == 10
         # Retired: their call-graph twins RPR111-113 audit the same hazards.
@@ -58,7 +56,6 @@ class TestCatalogIntegrity:
         assert len(bands["determinism"]) == 5
         assert len(bands["configflow"]) == 3
         assert len(bands["concurrency"]) == 6
-        assert len(bands["effects"]) == 1
 
     def test_each_code_has_tool_source_and_summary(self):
         for code, info in rule_catalog().items():
@@ -94,18 +91,11 @@ class TestSeverityModel:
         assert severity_for("RPR101") == "error"
         assert severity_for("RPR006") == "note"
         assert severity_for("RPR007") == "warn"
-        assert severity_for("RPR137") == "warn"
         assert severity_for("RPR013") == "error"
         assert severity_for("RPR999") == "error"  # unknown fails loud
 
     def _finding(self, rule):
         return Finding(path="x.py", line=1, col=0, rule=rule, message="m")
-
-    def test_worst_severity(self):
-        findings = [self._finding("RPR006"), self._finding("RPR007")]
-        assert worst_severity(findings) == "warn"
-        assert worst_severity([self._finding("RPR101")]) == "error"
-        assert worst_severity([]) == "note"  # documented floor for empty
 
     def test_fails_thresholds(self):
         docstring_only = [self._finding("RPR006")]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -46,6 +47,15 @@ class TestSweepMemoKey:
         config = SimulationConfig()
         assert sweep_memo_key(config, trace) != sweep_memo_key(config, other_trace)
 
+    def test_engine_does_not_change_key(self, trace):
+        # Every engine produces the same bytes, so one entry serves all.
+        base = SimulationConfig()
+        keys = {
+            sweep_memo_key(dataclasses.replace(base, engine=engine), trace)
+            for engine in ("object", "columnar", "batch")
+        }
+        assert len(keys) == 1
+
 
 class TestSweepMemoStore:
     def test_put_then_get_round_trips_exactly(self, trace, tmp_path):
@@ -57,6 +67,19 @@ class TestSweepMemoStore:
         loaded = fresh.get(config, trace)
         assert loaded is not None
         assert loaded.to_json() == result.to_json()
+
+    def test_entry_filled_on_batch_serves_object_bytes(self, trace, tmp_path):
+        batch = SimulationConfig(aggregate_capacity=1 << 17, engine="batch")
+        on_object = dataclasses.replace(batch, engine="object")
+        filled = run_simulation(batch, trace)
+        SweepMemoStore(tmp_path).put(batch, trace, filled)
+        memo = SweepMemoStore(tmp_path)  # read back from disk
+        loaded = memo.get(on_object, trace)
+        assert (memo.hits, memo.misses) == (1, 0)
+        assert loaded.config["engine"] == "object"
+        assert loaded.to_json() == run_simulation(on_object, trace).to_json()
+        # The hot entry still answers the engine that filled it.
+        assert memo.get(batch, trace).to_json() == filled.to_json()
 
     def test_miss_returns_none_and_counts(self, trace, tmp_path):
         memo = SweepMemoStore(tmp_path)

@@ -39,7 +39,6 @@ EXPERIMENT_NAMES = (
 EXPECTED = {
     "analyze": {
         "--baseline": ("baseline", "analysis-baseline.json", None, None, STORE),
-        "--effects-out": ("effects_out", None, None, None, STORE),
         "--fail-on": ("fail_on", "note", SEVERITIES, None, STORE),
         "--json": ("json", False, None, 0, TRUE),
         "--root": ("root", "src", None, None, STORE),
