@@ -43,6 +43,7 @@ import argparse
 import contextlib
 import inspect
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -85,6 +86,19 @@ def _size(text: str) -> Tuple[str, int]:
         raise argparse.ArgumentTypeError(
             f"invalid size {text!r} (expected e.g. 100KB, 10MB, 1GB or a byte count)"
         ) from None
+
+
+def _interval(text: str) -> float:
+    """The argparse type of a snapshot interval: finite seconds, not negative."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 <= seconds < math.inf:  # NaN fails both
+        raise argparse.ArgumentTypeError(
+            f"invalid interval {text!r} (expected a finite number of seconds >= 0)"
+        )
+    return seconds
 
 
 #: Flag -> add_argument keywords of every option that sets one
@@ -151,7 +165,7 @@ def _trace_options(parser, streamed: bool = False) -> None:
 def _event_options(parser, metavar: str, events_help: str) -> None:
     """--events / --snapshot-interval: a repro-events/1 capture."""
     parser.add_argument("--events", metavar=metavar, help=events_help)
-    parser.add_argument("--snapshot-interval", type=float, default=0.0,
+    parser.add_argument("--snapshot-interval", type=_interval, default=0.0,
                         metavar="SECONDS",
                         help="simulation-seconds between per-cache snapshot "
                         "events in the stream(s) (0 = no snapshots)")
@@ -850,7 +864,7 @@ def _validate_obs_files(paths: List[str]) -> int:
     raises ObsError prints the exception as the verdict.
     """
     from repro.obs.registry import ObsError
-    from repro.obs.schema import validate_events_file, validate_manifest
+    from repro.obs.schema import strict_loads, validate_events_file, validate_manifest
     from repro.obs.timeseries import read_timeseries
 
     def spans(path):
@@ -863,7 +877,7 @@ def _validate_obs_files(paths: List[str]) -> int:
     def manifest(path):
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return validate_manifest(json.load(handle)), None
+                return validate_manifest(strict_loads(handle.read())), None
         except ValueError as exc:
             return [f"invalid JSON ({exc})"], None
 

@@ -64,9 +64,17 @@ The state and its loop:
   folded in request order (``np.add.accumulate`` is a strict left fold),
   bit-identical to the serial ``+=`` sequence.
 * **Observer** — with a :class:`~repro.obs.events.RunRecorder` attached
-  the loop emits at the object core's decision sites, per request; a
-  snapshot row is the frame's tallies plus a fold of the chunk's outcome
-  bytes so far.
+  the loop emits the decision lines (``promotion``, ``evict``,
+  ``placement``) at the object core's decision sites. ``request`` lines
+  are data: a local hit writes nothing, a remote hit also notes its
+  responder and promotion verdict in two per-chunk columns, and the
+  recorder writes the lines of requests ``pend..i-1`` from the outcome
+  and ``served`` columns (:meth:`~repro.obs.events.RunRecorder.requests`)
+  before request ``i``'s first decision line, before a due snapshot tick
+  and at the chunk's end — every other line comes from :func:`miss_path`
+  or a snapshot, so the stream keeps the object core's order. A snapshot
+  row is the frame's tallies plus a fold of the chunk's outcome bytes so
+  far.
 
 The vector regimes:
 
@@ -103,6 +111,7 @@ from typing import List, Optional
 from repro.cache.expiration import ExpirationAgeTracker
 from repro.fastpath._frame import ReplayFrame, check_envelope
 from repro.fastpath.numeric import decimal_digits, load_numpy
+from repro.obs.events import string_json
 from repro.protocol.http import format_expiration_age
 from repro.simulation.results import SimulationResult
 
@@ -250,7 +259,9 @@ class _FastState(ReplayFrame):
         self.bw_class = [_INF, _INF, _INF, _INF]
         if not self.constant_latency:
             self.bw_class[2:] = [self.lan_bw, self.wan_bw]
-        self.url_of = None if obs is None else []  # event lines name the URL
+        # Event lines name the URL; ``request`` lines read its JSON text.
+        self.url_of = None if obs is None else []
+        self.url_json = None if obs is None else []
 
         if np is None:
             # Per-doc protocol columns, grown per chunk.
@@ -305,6 +316,7 @@ class _FastState(ReplayFrame):
             self.live_seq.frombytes(zeros)
         if self.url_of is not None:
             self.url_of.extend(new_urls)
+            self.url_json.extend(map(string_json, new_urls))
         np = self.np
         if np is None:
             self.url_len.extend(chunk.new_url_lens)
@@ -453,9 +465,12 @@ def replay(
     sdig: dict = {}  # stored-size -> len(str(size)), bounded by doc count
     rec = obs
     emit = rec is not None
+    snapshots = emit and rec.snapshot_interval > 0
     audit = emit or timed  # reads whose value only events use
     url_of = st.url_of
+    url_json = st.url_json
     probe_hops = 1 if st.hierarchical else 0
+    miss_hops = [0 if flat or parent[c] is None else 1 for c in range(NC)]
 
     # Rebound per chunk; the closures read them as free variables.
     out = bytearray()
@@ -469,6 +484,20 @@ def replay(
     # are folded into the per-cache seen / local / admitted counts.
     cursor = folded = 0
     seen = local = admitted = None
+    # Request lines (observer only): requests before ``pend`` have theirs;
+    # a remote hit's responder and promotion verdict, per chunk request.
+    pend = 0
+    resp = refr = None
+
+    def flush(i: int) -> None:
+        """Write the ``request`` lines of chunk requests ``pend..i-1``."""
+        nonlocal pend
+        if pend < i:
+            rec.requests(
+                pend, i, ts_l, leaf_l, docs_l, url_json, out, served, resp, refr,
+                probe_hops, miss_hops,
+            )
+            pend = i
 
     def miss_path(slot: int, i: int, e: int, now: float) -> int:
         """Members ``i..e`` of a run whose slot is not resident.
@@ -543,6 +572,9 @@ def replay(
                     st_promo_withheld[responder] += 1
                 served[i] = size
                 if emit:
+                    flush(i)
+                    resp[i] = responder
+                    refr[i] = refresh
                     rec.promotion(
                         now, responder, url_of[docs_l[i]], req_age, peer_age, refresh
                     )
@@ -618,6 +650,7 @@ def replay(
                                     else:
                                         wtot[target] += 1
                                 if emit:
+                                    flush(i)
                                     rec.eviction(now, target, url_of[victim // NC], dsz[victim], age)
                             # (Both unread in a time window: s is its
                             # unchanged sum and age_len stays -1.)
@@ -650,6 +683,7 @@ def replay(
                 else:
                     st_declined[up] += 1
                 if emit:
+                    flush(i)
                     rec.placement_node(
                         now, "parent", up, url_of[docs_l[i]], size, own_age, req_age,
                         code < 4,
@@ -674,24 +708,19 @@ def replay(
 
             out[i] = code
             if emit:
+                flush(i)
                 url = url_of[docs_l[i]]
                 stored = code < 4
                 if rslot >= 0:
                     rec.placement_remote(
                         now, cache, url, size, req_age, peer_age, stored, refresh
                     )
-                    rec.request(
-                        now, cache, url, "remote_hit", size, responder, stored, refresh,
-                        probe_hops,
-                    )
                 elif flat or parent[cache] is None:
                     rec.placement_origin(now, cache, url, size, req_age, stored)
-                    rec.request(now, cache, url, "miss", size, None, stored, False, 0)
                 else:
                     rec.placement_node(
                         now, "child", cache, url, size, req_age, peer_age, stored
                     )
-                    rec.request(now, cache, url, "miss", size, None, stored, False, 1)
             if code < 4:
                 return i + 1
             i += 1
@@ -709,11 +738,12 @@ def replay(
         member — or, under LFU, k ticks of the heap sequence for k members;
         any other run goes to :func:`miss_path` first, and what it leaves is
         such a run. With a recorder attached every run is one request, and
-        its events are emitted where the object core emits them.
+        its decision lines are emitted where the object core emits them
+        (its ``request`` line by a later :func:`flush`).
         """
         nonlocal cursor
         for slot, i, e, now in runs:
-            if emit:
+            if snapshots:
                 cursor = i
                 rec.maybe_snapshot(now, snapshot_rows)
             if not present_b[slot]:
@@ -737,17 +767,14 @@ def replay(
                 od = lru[cache]
                 od[slot] = now
                 od.move_to_end(slot)
-            if emit:
-                rec.request(
-                    now, cache, url_of[docs_l[i]], "local_hit", dsz[slot], None,
-                    False, False, 0,
-                )
 
     def snapshot_rows(due: float):
         """Per-cache gauge rows (CooperativeSimulator._snapshot_rows) before
         request ``cursor`` of the chunk: the frame's tallies plus a fold of
-        the chunk's outcome bytes so far."""
+        the chunk's outcome bytes so far. Called only when a tick is due,
+        so the requests before the tick get their lines first."""
         nonlocal folded
+        flush(cursor)
         for leaf, code in zip(leaf_l[folded:cursor], out[folded:cursor]):
             seen[leaf] += 1
             if code == 0:
@@ -791,11 +818,17 @@ def replay(
             docs_l = chunk.doc_ids
             ts_l = chunk.timestamps
             served = array("q", rsz)
-            cursor = folded = 0
-            seen, local, admitted = [0] * NC, [0] * NC, [0] * NC
+            if emit:
+                cursor = folded = pend = 0
+                seen, local, admitted = [0] * NC, [0] * NC, [0] * NC
+                # A cache index fits a byte in every group but a huge one.
+                resp = bytearray(n) if NC <= 256 else array("q", bytes(8 * n))
+                refr = bytearray(n)
             # slot = doc * NC + leaf per request, zipped without a list.
             slots = map(add, map(NC.__mul__, docs_l), leaf_l)
             warm_loop(zip(slots, range(n), range(1, n + 1), ts_l))
+            if emit:
+                flush(n)
             _post_pass(st, *_tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l))
             if timeseries is not None:
                 st.sample(timeseries, gbase + n, float(ts_l[-1]))

@@ -8,11 +8,14 @@ ticks), then an ``end`` trailer. The stream is the inspectable form of the
 EA scheme's internal dynamics — the drifting per-proxy expiration ages and
 one-sided placement decisions the paper's argument rests on.
 
-Byte identity across engines is achieved *by construction*: both the
-object core and the columnar engine call the same :class:`RunRecorder`
-methods, at protocol-equivalent points, with scalar arguments, and every
-line is serialised here. The differential tests in ``tests/obs`` then only
-need to compare file text.
+Byte identity across engines is achieved *by construction*: the object
+core and the replay kernel (:mod:`repro.fastpath.batch`) call the same
+:class:`RunRecorder` emitters, at protocol-equivalent points, with scalar
+arguments, and every line is serialised here. The one exception is the
+``request`` line: the object core writes it per request with
+:meth:`RunRecorder.request`, the kernel in ranges of its chunk columns
+with :meth:`RunRecorder.requests`. The differential tests in
+``tests/obs`` then only need to compare file text.
 
 Serialisation contract. Every line equals
 ``json.dumps(payload, separators=(",", ":")) + "\\n"`` for the payload dict
@@ -29,9 +32,18 @@ exact for what an engine passes (finite ``float``/``int`` times, ``int``
 cache/size/hops/responder, ``float`` ages including ±inf, real ``bool``
 verdicts, any ``str``); a value outside it — another type, a subclass, a
 non-finite non-age float — is handed to ``json.dumps`` on its own, so the
-line is the oracle's for those too. Only the framing events ``run``,
-``end`` and ``snapshot`` still go through ``json.dumps`` whole: they are
-O(1) / O(ticks) per run and ``snapshot`` carries a nested list.
+line is the oracle's for those too. The range writer
+:meth:`RunRecorder.requests` applies the same key text and the same
+per-value tests row by row, still one ``sink.write`` per line; it reads a
+URL's JSON text from a table the kernel fills once per document with
+:func:`string_json` (the template's own converter), and the kind and
+``stored`` from the kernel's outcome byte. The lines of one request carry
+one timestamp object, so the recorder keeps the text of the last float it
+formatted and reuses it when the same object comes back (an identity test,
+exact by construction). Only the framing
+events ``run``, ``end`` and ``snapshot`` still go through ``json.dumps``
+whole: they are O(1) / O(ticks) per run and ``snapshot`` carries a nested
+list.
 
 Determinism rules (docs/ANALYSIS.md) apply to event payloads: timestamps
 are **simulation time only** — the recorder never reads a wall clock.
@@ -50,6 +62,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.placement import ages_equal, classify_age_comparison
+from repro.obs.registry import ObsError
 
 #: Schema identifier carried by every stream's ``run`` header.
 EVENTS_SCHEMA = "repro-events/1"
@@ -67,6 +80,7 @@ def age_json(age: float) -> Any:
 
 
 _INF = math.inf
+_NO_TIME = object()  # what ``RunRecorder._time`` holds before its first float
 # The converters the templates call: what ``json`` itself uses for an exact
 # ``float`` / ``int`` / ``str``, and ``json.dumps`` for any other value.
 _float = float.__repr__
@@ -89,6 +103,11 @@ def _age(age: Any) -> str:
         if age == _INF or age == -_INF:
             return _AGE_INF
     return _other(age_json(age))
+
+
+def string_json(value: Any) -> str:
+    """JSON text of a string field (a URL), as every line template writes it."""
+    return _quote(value) if type(value) is str else _other(value)
 
 
 def age_ranks(ages: Sequence[float]) -> List[int]:
@@ -122,19 +141,31 @@ class RunRecorder:
             request (first tick due one interval after the first
             timestamp), so streams do not depend on wall clocks or trace
             start offsets.
+
+    Raises :class:`~repro.obs.registry.ObsError` for a negative or
+    non-finite ``snapshot_interval``: the ``run`` header carries it, and
+    JSON has no NaN or Infinity.
     """
 
-    __slots__ = ("snapshot_interval", "counts", "_write", "_next_snapshot", "_requests")
+    __slots__ = (
+        "snapshot_interval", "counts", "_write", "_next_snapshot", "_requests",
+        "_last_t", "_last_t_text",
+    )
 
     def __init__(self, sink, snapshot_interval: float = 0.0):
-        if snapshot_interval < 0:
-            snapshot_interval = 0.0
+        if not 0 <= snapshot_interval < _INF:  # NaN fails both
+            raise ObsError(
+                f"snapshot interval must be a finite number of seconds >= 0, "
+                f"got {snapshot_interval!r}"
+            )
         self.snapshot_interval = snapshot_interval
         #: Lines emitted so far, by event type (feeds the run manifest).
         self.counts: Dict[str, int] = {}
         self._write = sink.write
         self._next_snapshot: Optional[float] = None
         self._requests = 0
+        self._last_t: Any = _NO_TIME
+        self._last_t_text = ""
 
     # ------------------------------------------------------------------ #
     # Emission core
@@ -153,6 +184,22 @@ class RunRecorder:
         counts = self.counts
         counts[kind] = counts.get(kind, 0) + 1
         self._write(line)
+
+    def _time(self, t: Any) -> str:
+        """JSON text of a timestamp; a float's is kept for the next line.
+
+        ``float.__repr__`` is the dearest conversion on a line, and every
+        line of one request carries the same float object, so its text is
+        made once. The test is identity with an object the recorder holds,
+        so a different value can never match.
+        """
+        if t is self._last_t:
+            return self._last_t_text
+        if type(t) is float and -_INF < t < _INF:
+            self._last_t = t
+            self._last_t_text = text = _float(t)
+            return text
+        return _other(t)
 
     # ------------------------------------------------------------------ #
     # Stream framing
@@ -176,14 +223,16 @@ class RunRecorder:
         self._emit("end", {"e": "end", "requests": self._requests})
 
     # ------------------------------------------------------------------ #
-    # Per-request events (called by both engines at mirrored points)
+    # Per-request events (called by both engines at mirrored points, but
+    # for ``request``: the kernel writes those through ``requests``)
     #
     # One template per event type, one key per source line: the value's
     # exact type picks the converter ``json`` would use, anything else is
     # ``json.dumps``-ed on its own. The tests are spelt out in the template
     # rather than wrapped in helpers: at ~10 values a line, a Python-level
     # call per value was a tenth of an observed replay. Only ages, which a
-    # quarter of the lines carry, go through one (``_age``).
+    # quarter of the lines carry, go through one (``_age``), and timestamps
+    # (``_time``), where the call saves a repeated ``float.__repr__``.
     # ------------------------------------------------------------------ #
 
     def request(
@@ -207,7 +256,7 @@ class RunRecorder:
         self._line(
             "request",
             f'{{"e":"request"'
-            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"t":{self._time(t)}'
             f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
             f',"url":{_quote(url) if type(url) is str else _other(url)}'
             f',"kind":{_quote(kind) if type(kind) is str else _other(kind)}'
@@ -218,6 +267,81 @@ class RunRecorder:
             f',"hops":{_int(hops) if type(hops) is int else _other(hops)}'
             f'}}\n',
         )
+
+    def requests(
+        self,
+        lo: int,
+        hi: int,
+        ts: Sequence[float],
+        caches: Sequence[int],
+        docs: Sequence[int],
+        urls: Sequence[str],
+        outcomes: Sequence[int],
+        served: Sequence[int],
+        responders: Sequence[int],
+        refreshed: Sequence[int],
+        remote_hops: int,
+        miss_hops: Sequence[int],
+    ) -> None:
+        """The ``request`` lines of rows ``lo..hi-1`` of the kernel's columns.
+
+        Row ``i`` is the request at ``ts[i]`` from cache ``caches[i]`` for
+        document ``docs[i]``, whose URL's JSON text is ``urls[docs[i]]``
+        (:func:`string_json`). ``outcomes[i]`` is the kernel's outcome byte
+        (:mod:`repro.fastpath.batch`): its low two bits are the kind (0
+        local hit, 2 remote hit, 3 miss), and a copy was stored iff it is
+        below 4. ``served[i]`` is the size served. A remote hit's
+        responder and promotion verdict are ``responders[i]`` and
+        ``refreshed[i]`` (0 or 1), and it travelled ``remote_hops``; a miss
+        at cache ``c`` travelled ``miss_hops[c]``. Each line is the one
+        :meth:`request` writes for those values.
+        """
+        if hi <= lo:
+            return
+        write = self._write
+        last_t, last_t_text = self._last_t, self._last_t_text
+        for i in range(lo, hi):
+            t = ts[i]
+            cache = caches[i]
+            size = served[i]
+            code = outcomes[i]
+            # Row ``lo`` is usually the request whose decision lines were
+            # just written, so its timestamp text is the one ``_time`` kept.
+            t_text = (
+                last_t_text if t is last_t
+                else _float(t) if type(t) is float and -_INF < t < _INF
+                else _other(t)
+            )
+            cache_text = _int(cache) if type(cache) is int else _other(cache)
+            size_text = _int(size) if type(size) is int else _other(size)
+            if not code:
+                write(
+                    f'{{"e":"request","t":{t_text},"cache":{cache_text}'
+                    f',"url":{urls[docs[i]]},"kind":"local_hit","size":{size_text}'
+                    f',"responder":null,"stored":false,"refreshed":false,"hops":0}}\n'
+                )
+            elif code & 3 == 2:
+                who = responders[i]
+                write(
+                    f'{{"e":"request","t":{t_text},"cache":{cache_text}'
+                    f',"url":{urls[docs[i]]},"kind":"remote_hit","size":{size_text}'
+                    f',"responder":{_int(who) if type(who) is int else _other(who)}'
+                    f',"stored":{_FLAG[code < 4]}'
+                    f',"refreshed":{_FLAG[refreshed[i]]}'
+                    f',"hops":{_int(remote_hops) if type(remote_hops) is int else _other(remote_hops)}'
+                    f'}}\n'
+                )
+            else:
+                hops = miss_hops[cache]
+                write(
+                    f'{{"e":"request","t":{t_text},"cache":{cache_text}'
+                    f',"url":{urls[docs[i]]},"kind":"miss","size":{size_text}'
+                    f',"responder":null,"stored":{_FLAG[code < 4]},"refreshed":false'
+                    f',"hops":{_int(hops) if type(hops) is int else _other(hops)}}}\n'
+                )
+        counts = self.counts
+        counts["request"] = counts.get("request", 0) + hi - lo
+        self._requests += hi - lo
 
     def placement_remote(
         self,
@@ -238,7 +362,7 @@ class RunRecorder:
         self._line(
             "placement",
             f'{{"e":"placement"'
-            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"t":{self._time(t)}'
             f',"role":"remote"'
             f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
             f',"url":{_quote(url) if type(url) is str else _other(url)}'
@@ -258,7 +382,7 @@ class RunRecorder:
         self._line(
             "placement",
             f'{{"e":"placement"'
-            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"t":{self._time(t)}'
             f',"role":"origin"'
             f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
             f',"url":{_quote(url) if type(url) is str else _other(url)}'
@@ -288,7 +412,7 @@ class RunRecorder:
         self._line(
             "placement",
             f'{{"e":"placement"'
-            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"t":{self._time(t)}'
             f',"role":{_quote(role) if type(role) is str else _other(role)}'
             f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
             f',"url":{_quote(url) if type(url) is str else _other(url)}'
@@ -313,7 +437,7 @@ class RunRecorder:
         self._line(
             "promotion",
             f'{{"e":"promotion"'
-            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"t":{self._time(t)}'
             f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
             f',"url":{_quote(url) if type(url) is str else _other(url)}'
             f',"requester_age":{_age(requester_age)}'
@@ -328,7 +452,7 @@ class RunRecorder:
         self._line(
             "evict",
             f'{{"e":"evict"'
-            f',"t":{_float(t) if type(t) is float and -_INF < t < _INF else _other(t)}'
+            f',"t":{self._time(t)}'
             f',"cache":{_int(cache) if type(cache) is int else _other(cache)}'
             f',"url":{_quote(url) if type(url) is str else _other(url)}'
             f',"size":{_int(size) if type(size) is int else _other(size)}'

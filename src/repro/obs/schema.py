@@ -21,6 +21,15 @@ from repro.obs.manifest import MANIFEST_SCHEMA
 Predicate = Callable[[Any], bool]
 
 
+def _reject_constant(token: str) -> Any:
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_loads(text: str) -> Any:
+    """``json.loads`` without Python's ``NaN`` / ``Infinity`` extension."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def _is_str(value: Any) -> bool:
     return isinstance(value, str)
 
@@ -243,7 +252,7 @@ def validate_stream(lines: Iterable[str]) -> Tuple[List[str], Dict[str, int]]:
             errors.append(f"line {number}: blank line")
             continue
         try:
-            obj = json.loads(line)
+            obj = strict_loads(line)
         except ValueError as exc:
             errors.append(f"line {number}: invalid JSON ({exc})")
             continue

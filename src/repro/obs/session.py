@@ -15,10 +15,12 @@ the engines, not this session layer).
 
 from __future__ import annotations
 
+import contextlib
 import re
 import time
 from typing import Optional
 
+from repro.atomicio import atomic_path
 from repro.obs.events import RunRecorder
 from repro.obs.manifest import build_manifest, config_hash, write_manifest
 from repro.simulation.results import SimulationResult
@@ -31,6 +33,10 @@ from repro.trace.record import Trace
 from repro.trace.stream import source_fingerprint
 
 
+class _Unfinished(Exception):
+    """Unwinds :class:`ObservedRun`'s uncommitted ``atomic_path`` blocks."""
+
+
 class ObservedRun:
     """Event sink + wall timer for one run; call :meth:`finish` exactly once.
 
@@ -38,6 +44,12 @@ class ObservedRun:
     it started one, its root span — and :meth:`release` gives all of it back.
     :meth:`finish` ends with ``release()``; use the session as a context
     manager so a replay that raises releases them too.
+
+    Both files are written through :func:`repro.atomicio.atomic_path`:
+    they appear at ``events_path`` / ``timeseries_path`` only when
+    :meth:`finish` completes. A run released unfinished — a replay that
+    raised, a Ctrl-C — leaves whatever was at those paths before and no
+    temp file.
 
     Args:
         config: The run's configuration (hashed into the header/manifest).
@@ -84,6 +96,8 @@ class ObservedRun:
         self.timeseries = None
         self._sink = None
         self._ts_sink = None
+        # The temp-file side of each atomic_path, entered per opened file.
+        self._paths = contextlib.ExitStack()
         self._tracing_memory = False
         self._span_depth: Optional[int] = None
         self._trace_fp = source_fingerprint(trace)
@@ -101,7 +115,8 @@ class ObservedRun:
         self, config: SimulationConfig, track_memory: bool, timeseries_path: Optional[str]
     ) -> None:
         if self.events_path is not None:
-            self._sink = open(self.events_path, "w", encoding="utf-8", newline="\n")
+            tmp = self._paths.enter_context(atomic_path(self.events_path))
+            self._sink = open(tmp, "w", encoding="utf-8", newline="\n")
             self.recorder = RunRecorder(self._sink, self.snapshot_interval)
             self.recorder.begin(config_hash(config), self._trace_fp)
         if track_memory:
@@ -115,9 +130,8 @@ class ObservedRun:
         if timeseries_path is not None:
             from repro.obs.timeseries import TimeseriesRecorder
 
-            self._ts_sink = open(
-                timeseries_path, "w", encoding="utf-8", newline="\n"
-            )
+            tmp = self._paths.enter_context(atomic_path(timeseries_path))
+            self._ts_sink = open(tmp, "w", encoding="utf-8", newline="\n")
             self.timeseries = TimeseriesRecorder(
                 self._ts_sink, track_memory=track_memory
             )
@@ -133,16 +147,14 @@ class ObservedRun:
 
         Closes both sinks, stops the allocation tracer if this session
         started it, and ends the root span together with any span a failed
-        engine left open under it. After a replay that raised, the events
-        file stays on disk flushed and closed — a valid prefix without its
-        ``end`` trailer, which ``repro obs validate`` reports.
+        engine left open under it. Files :meth:`finish` has not committed
+        are dropped: their temp files are removed and nothing is renamed.
         """
-        if self._sink is not None:
-            self._sink.close()
-            self._sink = None
-        if self._ts_sink is not None:
-            self._ts_sink.close()
-            self._ts_sink = None
+        self._close_sinks()
+        # Unwinding the stack with an exception is how atomic_path drops its
+        # temp file; after finish() the stack is empty and this is a no-op.
+        with contextlib.suppress(_Unfinished), self._paths:
+            raise _Unfinished
         if self._tracing_memory:
             import tracemalloc
 
@@ -152,6 +164,14 @@ class ObservedRun:
             while self.spans.depth > self._span_depth:
                 self.spans.end()
             self._span_depth = None
+
+    def _close_sinks(self) -> None:
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
+        if self._ts_sink is not None:
+            self._ts_sink.close()
+            self._ts_sink = None
 
     def __enter__(self) -> "ObservedRun":
         return self
@@ -178,6 +198,8 @@ class ObservedRun:
         if self.timeseries is not None:
             self.timeseries.end()
             self.timeseries = None
+        self._close_sinks()
+        self._paths.close()  # every atomic_path renames its temp file over its path
         self.release()
         engine = resolved_engine(self.config)
         fastloop_reason = None

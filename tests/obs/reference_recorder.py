@@ -7,7 +7,9 @@ the class below is the parent commit's recorder moved here verbatim
 (dict-building emitters, ``_emit``, framing, snapshots, eviction hook),
 with its own copy of ``age_json`` so a change to the sentinel in
 ``events.py`` cannot move both sides at once. ``age_ranks`` and
-``classify_age_comparison`` are not serialisation and are shared.
+``classify_age_comparison`` are not serialisation and are shared. One
+method was added since: ``requests``, the kernel's range form of
+``request``, written as a loop over this class's own ``request``.
 ``tests/obs/test_line_templates.py`` drives both recorders with the same
 calls and compares the streams line by line.
 """
@@ -117,6 +119,35 @@ class ReferenceRecorder:
                 "hops": hops,
             },
         )
+
+    def requests(
+        self, lo, hi, ts, caches, docs, urls, outcomes, served, responders, refreshed,
+        remote_hops, miss_hops,
+    ) -> None:
+        """The kernel's range form of :meth:`request`, as one call per row.
+
+        Not the parent commit's code (the kernel called ``request`` per
+        row then): ``urls`` holds each URL's JSON text, so it is decoded
+        back and the row goes through the ``json.dumps`` above, keeping
+        this an independent serialiser.
+        """
+        for i in range(lo, hi):
+            code = outcomes[i]
+            cache = caches[i]
+            responder = None
+            refresh = False
+            if code == 0:
+                kind, hops = "local_hit", 0
+            elif code & 3 == 2:
+                kind, hops = "remote_hit", remote_hops
+                responder = responders[i]
+                refresh = refreshed[i] == 1
+            else:
+                kind, hops = "miss", miss_hops[cache]
+            self.request(
+                ts[i], cache, json.loads(urls[docs[i]]), kind, served[i], responder,
+                code != 0 and code < 4, refresh, hops,
+            )
 
     def placement_remote(
         self,

@@ -6,7 +6,10 @@ import io
 import json
 import math
 
+import pytest
+
 from repro.obs.events import RunRecorder, age_json, age_ranks
+from repro.obs.registry import ObsError
 
 INF = math.inf
 
@@ -100,8 +103,18 @@ class TestRunRecorder:
             "e": "evict", "t": 12.0, "cache": 3, "url": "doc", "size": 256, "age": 5.5
         }
 
-    def test_negative_snapshot_interval_disables(self):
-        assert RunRecorder(io.StringIO(), -1.0).snapshot_interval == 0.0
+    @pytest.mark.parametrize("interval", [-1.0, -0.5, math.nan, INF, -INF])
+    def test_negative_or_non_finite_snapshot_interval_is_rejected(self, interval):
+        """The header carries the interval: NaN / Infinity are not JSON, and
+        a negative one used to be clamped to 0 without a word."""
+        sink = io.StringIO()
+        with pytest.raises(ObsError, match="snapshot interval"):
+            RunRecorder(sink, interval)
+        assert sink.getvalue() == ""
+
+    def test_zero_and_finite_intervals_are_kept(self):
+        assert RunRecorder(io.StringIO(), 0).snapshot_interval == 0
+        assert RunRecorder(io.StringIO(), 600.0).snapshot_interval == 600.0
 
 
 class TestMaybeSnapshot:

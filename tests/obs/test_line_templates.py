@@ -11,6 +11,8 @@ compare two independent serialisers:
   ``placement_node``;
 * one hypothesis property per emitter over the values engines pass and the
   out-of-domain values the templates hand to ``json.dumps`` one by one;
+* the kernel's range writer ``requests``, each row against ``request()``
+  and against the oracle's own loop over its ``request()``;
 * key order of every emitted line against the validator's table;
 * digests of one small stream per architecture, computed at the parent
   commit before the rewrite.
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs.events import RunRecorder
+from repro.obs.events import RunRecorder, string_json
 from repro.obs.schema import _FIELDS, _SNAPSHOT_ROW_FIELDS
 from repro.simulation.simulator import SimulationConfig
 
@@ -250,3 +252,131 @@ def test_numpy_scalars_take_the_fallback():
     for recorder_cls in (RunRecorder, ReferenceRecorder):
         with pytest.raises(TypeError, match="not JSON serializable"):
             emit(recorder_cls, "eviction", (1.0, numpy.int64(3), "u", 1, 2.0))
+
+
+# --------------------------------------------------------------------- #
+# (b') the kernel's range writer, row by row
+# --------------------------------------------------------------------- #
+
+#: The kernel's outcome bytes (``repro.fastpath.batch``) -> the kind and
+#: ``stored`` of the request line: 4 marks a declined placement, 8 a copy
+#: larger than the cache.
+OUTCOMES = {
+    0: ("local_hit", False),
+    2: ("remote_hit", True),
+    3: ("miss", True),
+    6: ("remote_hit", False),
+    7: ("miss", False),
+    10: ("remote_hit", False),
+    11: ("miss", False),
+}
+NUM_CACHES = 6
+
+
+@st.composite
+def request_columns(draw, times=times, sizes=ints, responder_values=ints):
+    """Chunk columns of ``requests`` plus the ``request()`` argument tuples
+    their rows stand for, and a row range."""
+    rows = draw(st.integers(min_value=0, max_value=12))
+    miss_hops = draw(st.lists(st.sampled_from((0, 1)), min_size=NUM_CACHES, max_size=NUM_CACHES))
+    remote_hops = draw(st.sampled_from((0, 1)))
+    ts, caches, docs, outcomes, served, responders, refreshed = ([] for _ in range(7))
+    url_texts, calls = [], []
+    for _ in range(rows):
+        t, cache, url = draw(times), draw(st.integers(0, NUM_CACHES - 1)), draw(urls)
+        code, size = draw(st.sampled_from(sorted(OUTCOMES))), draw(sizes)
+        responder, refresh = draw(responder_values), draw(st.sampled_from((0, 1)))
+        docs.append(draw(st.integers(0, len(url_texts))))
+        if docs[-1] == len(url_texts):
+            url_texts.append(None)
+        url_texts[docs[-1]] = url  # a document's latest URL, as an intern table holds one
+        for column, value in zip(
+            (ts, caches, outcomes, served, responders, refreshed),
+            (t, cache, code, size, responder, refresh),
+        ):
+            column.append(value)
+    for i in range(rows):
+        kind, stored = OUTCOMES[outcomes[i]]
+        remote = kind == "remote_hit"
+        hops = 0 if kind == "local_hit" else remote_hops if remote else miss_hops[caches[i]]
+        calls.append((
+            ts[i], caches[i], url_texts[docs[i]], kind, served[i],
+            responders[i] if remote else None, stored, remote and refreshed[i] == 1, hops,
+        ))
+    lo = draw(st.integers(0, rows))
+    hi = draw(st.integers(lo, rows))
+    columns = (
+        ts, caches, docs, [string_json(url) for url in url_texts], bytearray(outcomes),
+        served, responders, bytearray(refreshed), remote_hops, miss_hops,
+    )
+    return lo, hi, columns, calls[lo:hi]
+
+
+def assert_range_matches_rows(lo, hi, columns, calls):
+    writes, counts, requests = emit(RunRecorder, "requests", (lo, hi, *columns))
+    row_writes, row_counts, row_requests = [], {}, 0
+    for call in calls:
+        one, one_counts, one_requests = emit(RunRecorder, "request", call)
+        row_writes += one
+        row_requests += one_requests
+        for kind, count in one_counts.items():
+            row_counts[kind] = row_counts.get(kind, 0) + count
+    reference = emit(ReferenceRecorder, "requests", (lo, hi, *columns))
+    assert writes == row_writes == reference[0]
+    assert all(line.count("\n") == 1 and line.endswith("\n") for line in writes)
+    assert counts == row_counts == reference[1]
+    assert requests == row_requests == reference[2] == hi - lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(request_columns())
+def test_range_writer_rows_equal_request_and_reference(case):
+    """Every row of ``RunRecorder.requests`` is byte-equal to the line
+    ``request()`` writes for its values and to the ``json.dumps`` oracle:
+    float corners and int timestamps, escaped and astral URLs, every
+    outcome byte, hops 0 and 1, any responder."""
+    assert_range_matches_rows(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(request_columns(times=times | wild, sizes=wild, responder_values=wild))
+def test_range_writer_falls_back_like_request(case):
+    """Values no kernel column holds take the same per-value ``json.dumps``."""
+    assert_range_matches_rows(*case)
+
+
+def test_empty_range_writes_and_counts_nothing():
+    columns = ([1.0], [0], [0], ['"u"'], bytearray(1), [5], bytearray(1), bytearray(1), 0, [0])
+    for lo, hi in ((0, 0), (1, 1), (1, 0)):
+        assert emit(RunRecorder, "requests", (lo, hi, *columns)) == ([], {}, 0)
+
+
+#: Timestamps as objects: equal floats that are distinct objects, the two
+#: zeros, and values the templates hand to ``json.dumps``.
+TIME_OBJECTS = (0.0, -0.0, float("2.5"), float("2.5"), 1e16, 5e-324, 7, math.nan, INF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_calls_sharing_timestamp_objects_equal_reference(data):
+    """The recorder keeps the text of the last float timestamp it wrote,
+    matched by identity. Calls whose ``t`` repeats, changes value or
+    changes object write the oracle's bytes all the same."""
+    pool = st.sampled_from(TIME_OBJECTS)
+    calls = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        emitter = data.draw(st.sampled_from(sorted(EMITTERS) + ["requests"]))
+        if emitter == "requests":
+            lo, hi, columns, _rows = data.draw(request_columns(times=pool))
+            calls.append((emitter, (lo, hi, *columns)))
+        else:
+            args = data.draw(st.tuples(*EMITTERS[emitter][1:]))
+            calls.append((emitter, (data.draw(pool), *args)))
+    outputs = []
+    for recorder_cls in (RunRecorder, ReferenceRecorder):
+        sink = WriteLog()
+        recorder = recorder_cls(sink)
+        for emitter, args in calls:
+            getattr(recorder, emitter)(*args)
+        outputs.append((sink.writes, recorder.counts, recorder._requests))
+    assert outputs[0] == outputs[1]

@@ -2,8 +2,9 @@
 
 ``ObservedRun`` owns two file sinks, possibly the allocation tracer and a
 root span. A replay that raises must leave none of them behind — in a
-sweep worker they would otherwise last for the worker's life — and must
-leave the partial event stream on disk, flushed and closed.
+sweep worker they would otherwise last for the worker's life. Its event
+and timeseries files are written through ``atomic_path``: an unfinished
+run leaves whatever was at those paths before and no temp file.
 """
 
 from __future__ import annotations
@@ -55,19 +56,21 @@ def leaks():
         tracemalloc.stop()  # a failing assertion must not tax the rest of the suite
 
 
-def assert_partial_stream(path) -> None:
-    """Flushed prefix: header and events on disk, no ``end`` trailer."""
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].startswith('{"e":"run"')
-    assert sum(line.startswith('{"e":"request"') for line in lines) >= 400
-    assert not any(line.startswith('{"e":"end"') for line in lines)
-    errors, _counts = validate_events_file(str(path))
-    assert any("end" in error for error in errors)
+PREVIOUS = "what an earlier run left here\n"
+
+
+def assert_untouched(tmp_path, *paths) -> None:
+    """Each path holds what it held before the run; no temp file is left."""
+    for path in paths:
+        assert path.read_text(encoding="utf-8") == PREVIOUS
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def test_run_observed_releases_everything_when_the_replay_raises(obs_trace, tmp_path, leaks):
     events = tmp_path / "e.jsonl"
     timeseries = tmp_path / "t.jsonl"
+    events.write_text(PREVIOUS, encoding="utf-8")
+    timeseries.write_text(PREVIOUS, encoding="utf-8")
     spans = SpanTracer()
     try:
         run_observed(
@@ -89,8 +92,38 @@ def test_run_observed_releases_everything_when_the_replay_raises(obs_trace, tmp_
     assert spans.depth == 0
     assert [row[0] for row in spans.rows][-1] == "run"
     spans.to_chrome()  # exportable: the trace of a failed run shows where it died
-    assert_partial_stream(events)
-    assert timeseries.read_text(encoding="utf-8").count("\n") >= 3
+    assert_untouched(tmp_path, events, timeseries)
+
+
+def test_interrupted_run_leaves_no_file_and_no_temp(obs_trace, tmp_path, monkeypatch):
+    """A Ctrl-C mid-replay: the paths stay as they were (here: absent)."""
+
+    def interrupted(config, trace, obs=None, **kwargs):
+        obs.request(1.0, 0, "u", "miss", 10, None, True, False, 0)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("repro.obs.session.run_simulation", interrupted)
+    events = tmp_path / "e.jsonl"
+    timeseries = tmp_path / "t.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        run_observed(
+            CONFIG, obs_trace, events_path=str(events), timeseries_path=str(timeseries)
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_finished_run_commits_both_files(obs_trace, tmp_path):
+    events = tmp_path / "e.jsonl"
+    timeseries = tmp_path / "t.jsonl"
+    events.write_text(PREVIOUS, encoding="utf-8")
+    run_observed(
+        CONFIG, obs_trace, events_path=str(events), timeseries_path=str(timeseries),
+        chunk_size=500,
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.jsonl", "t.jsonl"]
+    errors, counts = validate_events_file(str(events))
+    assert errors == [] and counts["request"] == len(obs_trace.records)
+    assert timeseries.read_text(encoding="utf-8").count("\n") >= 5
 
 
 def test_context_manager_releases_once_and_release_is_idempotent(obs_trace, tmp_path):
@@ -122,6 +155,7 @@ def test_an_already_running_tracer_is_left_alone(obs_trace, leaks):
 
 def test_init_failure_closes_the_events_sink(obs_trace, tmp_path, leaks):
     events = tmp_path / "e.jsonl"
+    events.write_text(PREVIOUS, encoding="utf-8")
     try:
         ObservedRun(
             CONFIG,
@@ -137,7 +171,7 @@ def test_init_failure_closes_the_events_sink(obs_trace, tmp_path, leaks):
     gc.collect()
     assert leaks() == []
     assert not tracemalloc.is_tracing()
-    assert events.read_text(encoding="utf-8").startswith('{"e":"run"')
+    assert_untouched(tmp_path, events)
 
 
 def test_cli_simulate_releases_the_observed_run_on_failure(tmp_path, monkeypatch, capsys, leaks):
@@ -147,6 +181,7 @@ def test_cli_simulate_releases_the_observed_run_on_failure(tmp_path, monkeypatch
 
     monkeypatch.setattr("repro.cli.run_simulation", broken_replay)
     events = tmp_path / "e.jsonl"
+    events.write_text(PREVIOUS, encoding="utf-8")
     code = main([
         "simulate", "--scale", "tiny", "--engine", "columnar", "--track-memory",
         "--events", str(events), "--timeseries", str(tmp_path / "t.jsonl"),
@@ -156,5 +191,5 @@ def test_cli_simulate_releases_the_observed_run_on_failure(tmp_path, monkeypatch
     gc.collect()
     assert leaks() == []
     assert not tracemalloc.is_tracing()
-    lines = events.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2 and lines[1].startswith('{"e":"request"')
+    assert_untouched(tmp_path, events)
+    assert not (tmp_path / "t.jsonl").exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -115,6 +116,46 @@ class TestObsTailSummarizeValidate:
         )
         assert main(["obs", "validate", str(corrupt)]) == 1
         assert "INVALID" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_validate_rejects_non_json_number_tokens(self, events_file, token, capsys):
+        """Python's json reads NaN / Infinity; JSON has neither."""
+        lines = events_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert header["snapshot_interval"] == 600.0
+        lines[0] = lines[0].replace('"snapshot_interval":600.0', f'"snapshot_interval":{token}')
+        bad = events_file.parent / "bad.jsonl"
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert main(["obs", "validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert f"line 1: invalid JSON ({token} is not JSON)" in out
+
+    def test_validate_rejects_a_manifest_with_nan(self, tmp_path, capsys):
+        events_file = tmp_path / "run.jsonl"
+        assert simulate_with_events(events_file) == 0
+        manifest_path = tmp_path / "run.jsonl.manifest.json"
+        text, replaced = re.subn(
+            r'"wall_time_s": [^,}]+', '"wall_time_s": NaN',
+            manifest_path.read_text(encoding="utf-8"),
+        )
+        assert replaced == 1
+        manifest_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["obs", "validate", str(manifest_path)]) == 1
+        assert "NaN is not JSON" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("interval", ["nan", "inf", "-inf", "-1", "-0.5"])
+    def test_bad_snapshot_interval_is_a_usage_error(self, tmp_path, interval, capsys):
+        """Used to write NaN / Infinity into the header, or clamp to 0."""
+        events_file = tmp_path / "run.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "simulate", "--scale", "tiny", "--events", str(events_file),
+                f"--snapshot-interval={interval}",
+            ])
+        assert exit_info.value.code == 2
+        assert "argument --snapshot-interval: invalid interval" in capsys.readouterr().err
+        assert not events_file.exists()
 
 
 class TestSimulateSpansAndTimeseries:
