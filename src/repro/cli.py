@@ -101,6 +101,19 @@ def _interval(text: str) -> float:
     return seconds
 
 
+def _chunk_size(text: str) -> int:
+    """The argparse type of a chunk size: a positive whole number."""
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if size <= 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid chunk size {text!r} (expected a positive whole number)"
+        )
+    return size
+
+
 #: Flag -> add_argument keywords of every option that sets one
 #: SimulationConfig field; _config_from_args maps them onto the fields.
 _CONFIG_OPTIONS = {
@@ -249,14 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="override the synthetic request count (generation "
                       "is streamed, so N is not bounded by memory)")
     pack.add_argument("--out", required=True, help="output path (.rpct)")
-    pack.add_argument("--chunk-size", type=int, metavar="N",
+    pack.add_argument("--chunk-size", type=_chunk_size, metavar="N",
                       help="records per stored chunk (default 262144); shapes "
                       "reader memory only, never results")
 
     sim = sub.add_parser("simulate", help="run one simulation and print the result")
     _config_options(sim)
     _trace_options(sim, streamed=True)
-    sim.add_argument("--chunk-size", type=int, metavar="N",
+    sim.add_argument("--chunk-size", type=_chunk_size, metavar="N",
                      help="interned-chunk granularity for the chunked "
                      "engines; results are chunking-invariant, so this "
                      "shapes memory only")

@@ -104,7 +104,7 @@ import math
 from array import array
 from collections import OrderedDict, deque
 from heapq import heappop, heappush, heapreplace
-from itertools import islice
+from itertools import chain, islice
 from operator import add
 from typing import List, Optional
 
@@ -116,6 +116,8 @@ from repro.protocol.http import format_expiration_age
 from repro.simulation.results import SimulationResult
 
 _INF = math.inf
+# Runs per block of the warm regime's run iterator (see _runs).
+_RUN_BLOCK = 1024
 
 
 def batch_fastloop_reason(config, obs=None) -> Optional[str]:
@@ -870,13 +872,12 @@ def replay(
                 spans.begin("warm", "regime")
             leaf_l, rsz = cols.scalar_columns()
             ts_l = chunk.timestamps
-            starts_l, sslots_l, sts_l, ends_l = cols.runs(np, tail_start)
             served = array("q", (0,)) * n
             if not lean:
                 served_np = np.frombuffer(served, dtype=np.int64)
                 served_np[:tail_start] = npx[3][:tail_start]
                 served_np[tail_start:] = cols.post[4][tail_start:]
-            warm_loop(zip(sslots_l, starts_l, ends_l, sts_l))
+            warm_loop(cols.runs(np, tail_start))
             # Every scalar request wrote a non-zero outcome byte.
             hit_req = out.count(0, tail_start)
             scal_req = n - tail_start - hit_req
@@ -1229,18 +1230,25 @@ def _slot_groups(np, slots):
     return ss[gpos], order[gpos], order[gend - 1]
 
 
-def _run_columns(np, slots_np, ts_np, lo, n):
-    """Run-length segmentation of requests ``lo..n`` by slot.
+def _runs(np, starts, slots_np, ts_np, lo):
+    """``(slot, start, end, first timestamp)`` per run of requests
+    ``lo..n``, made from the chunk's run ``starts`` one block of
+    ``_RUN_BLOCK`` runs at a time; no tuple outlives its block's walk.
 
-    Returns the list columns ``(starts_l, sslots_l, sts_l, ends_l)`` —
-    run start, slot, first timestamp, run end — that ``warm_loop`` walks.
+    A tail cut at ``lo`` is ``lo`` plus the starts after it — a run
+    straddling the cut re-enters as a fresh start, as segmenting
+    ``slots[lo:n]`` would give; ends are the next start, then ``n``.
     """
-    starts_np = _segments(np, slots_np[lo:n])[0]
-    starts_np += lo
-    starts_l = starts_np.tolist()
-    ends_l = starts_l[1:]  # shares the int objects with starts_l
-    ends_l.append(n)
-    return starts_l, slots_np[starts_np].tolist(), ts_np[starts_np].tolist(), ends_l
+    starts = np.concatenate(((lo,), starts[np.searchsorted(starts, lo, "right") :]))
+    ends = np.append(starts[1:], len(slots_np))
+    blocks = (
+        (starts[b : b + _RUN_BLOCK], ends[b : b + _RUN_BLOCK])
+        for b in range(0, len(starts), _RUN_BLOCK)
+    )
+    return chain.from_iterable(
+        zip(slots_np[s].tolist(), s.tolist(), e.tolist(), ts_np[s].tolist())
+        for s, e in blocks
+    )
 
 
 class _ChunkColumns:
@@ -1250,20 +1258,20 @@ class _ChunkColumns:
     post-pass consume; ``lean`` says every request matched its doc's
     first-seen size. What only one regime asks for — the Python lists
     ``warm_loop`` / ``miss_path`` index (per-request leaf and patched
-    size, the run columns) and the cold regime's slot groups — is built
+    size), the run starts and the cold regime's slot groups — is built
     on first request and kept (the object lives in the memo of a
     whole-trace chunk), so a chunk that stays cold allocates no
     per-request Python object. It does not refer to its chunk.
     """
 
-    __slots__ = ("post", "npx", "lean", "_scalar", "_runs", "_groups")
+    __slots__ = ("post", "npx", "lean", "_scalar", "_starts", "_groups")
 
     def __init__(self, post, npx, lean):
         self.post = post
         self.npx = npx
         self.lean = lean
         self._scalar = None
-        self._runs = None
+        self._starts = None
         self._groups = None
 
     def scalar_columns(self):
@@ -1284,19 +1292,11 @@ class _ChunkColumns:
         return self._groups
 
     def runs(self, np, lo):
-        """Run columns of requests ``lo..n`` (see :func:`_run_columns`).
-
-        A tail cut by the cold split is re-segmented from ``lo`` — a run
-        straddling the split re-enters as a fresh run start, which the
-        loop handles identically; the whole-chunk segmentation is kept.
-        """
-        if lo or self._runs is None:
-            _docs_np, slots_np, ts_np, _known = self.npx
-            runs = _run_columns(np, slots_np, ts_np, lo, len(slots_np))
-            if lo:
-                return runs
-            self._runs = runs
-        return self._runs
+        """:func:`_runs` of requests ``lo..n``; the chunk's run starts
+        are segmented once and kept as one numpy column."""
+        if self._starts is None:
+            self._starts = _segments(np, self.npx[1])[0]
+        return _runs(np, self._starts, self.npx[1], self.npx[2], lo)
 
 
 def _columns_np(st, chunk):

@@ -47,7 +47,7 @@ from repro.trace.partition import (
     RoundRobinClientPartitioner,
     RoundRobinRequestPartitioner,
 )
-from repro.trace.record import DEFAULT_PATCH_SIZE, Trace, patch_zero_sizes
+from repro.trace.record import DEFAULT_PATCH_SIZE, Trace, patch_zero_sizes, require_chunk_size
 
 ARCHITECTURES = ("distributed", "hierarchical")
 PARTITIONERS = ("hash", "round-robin-client", "round-robin-request")
@@ -444,6 +444,8 @@ def run_simulation(
             feed it the same event stream (see ``docs/OBSERVABILITY.md``).
         chunk_size: Interned-chunk granularity for the chunked engines;
             results are chunking-invariant, so this shapes memory only.
+            Checked on every engine and source: anything but a positive
+            ``int`` raises :class:`~repro.errors.TraceError`.
         regimes: Optional dict; with ``engine="batch"`` it receives the
             per-regime request counts (``cold`` / ``hit_run`` /
             ``scalar``, or ``fallback_reason``) after the run — see
@@ -459,6 +461,8 @@ def run_simulation(
             per-chunk sample by the chunked engines (the object engine
             has no chunk boundary and ignores it).
     """
+    if chunk_size is not None:
+        require_chunk_size(chunk_size)
     streamed = not isinstance(trace, Trace) and hasattr(trace, "interned_chunks")
     if config.engine in ("columnar", "batch"):
         from repro.fastpath import (

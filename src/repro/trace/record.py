@@ -116,11 +116,14 @@ def validate_monotone(records: Iterable[TraceRecord]) -> List[TraceRecord]:
 
 
 def require_chunk_size(chunk_size: int) -> None:
-    """Raise :class:`TraceError` unless ``chunk_size`` is positive.
+    """Raise :class:`TraceError` unless ``chunk_size`` is a positive
+    ``int`` (a ``bool`` is not one).
 
     Every ``interned_chunks`` entry point calls this *before* returning
     its iterator, so a bad size fails at the call, not at the first pull.
     """
+    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
+        raise TraceError(f"chunk_size must be an int, got {chunk_size!r}")
     if chunk_size <= 0:
         raise TraceError(f"chunk_size must be positive, got {chunk_size}")
 

@@ -36,13 +36,18 @@ class TestSimulateVariants:
         ])
         assert code == 0
 
-    def test_chunk_size_zero_is_a_clean_error(self, capsys):
-        code = main([
-            "simulate", "--scale", "tiny", "--engine", "batch",
-            "--chunk-size", "0",
-        ])
-        assert code == 2
-        assert "error: chunk_size must be positive" in capsys.readouterr().err
+    @pytest.mark.parametrize("size", ["0", "-5", "1.5", "many"])
+    @pytest.mark.parametrize("command", ["simulate", "pack-trace"])
+    def test_chunk_size_zero_is_a_clean_error(self, tmp_path, command, size, capsys):
+        # A usage error from the parser: ``simulate --chunk-size 0`` used
+        # to be ignored on the object engine and with a packed trace.
+        packed = tmp_path / "t.rpct"
+        args = ["--out", str(packed)] if command == "pack-trace" else ["--engine", "object"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--scale", "tiny", f"--chunk-size={size}", *args])
+        assert exit_info.value.code == 2
+        assert f"argument --chunk-size: invalid chunk size '{size}'" in capsys.readouterr().err
+        assert not packed.exists()
 
     def test_json_includes_architecture(self, capsys):
         main([

@@ -175,7 +175,7 @@ def test_record_stream_is_replayable(materialised):
 
 
 @pytest.mark.parametrize("kind", ("Trace", "RecordStream", "SyntheticTraceStream"))
-@pytest.mark.parametrize("chunk_size", (0, -5))
+@pytest.mark.parametrize("chunk_size", (0, -5, 1.5, True))
 def test_bad_chunk_size_fails_at_the_call(materialised, kind, chunk_size):
     """Rejected before any chunk is pulled, not at the first ``next()``."""
     source = {
@@ -185,6 +185,26 @@ def test_bad_chunk_size_fails_at_the_call(materialised, kind, chunk_size):
     }[kind]
     with pytest.raises(TraceError, match="chunk_size"):
         source.interned_chunks(chunk_size)
+
+
+@pytest.mark.parametrize("engine", ("object", "columnar", "batch"))
+@pytest.mark.parametrize("kind", ("Trace", "SyntheticTraceStream", "PackedTraceReader"))
+@pytest.mark.parametrize("chunk_size", (0, -5, 1.5, True, "97"))
+def test_run_simulation_rejects_a_bad_chunk_size(
+    materialised, tmp_path, engine, kind, chunk_size
+):
+    """On every engine and source, before anything else is checked: the
+    object engine and a packed reader used to ignore 0 and -5, and 1.5
+    died as a raw TypeError from ``range()``."""
+    if kind == "PackedTraceReader":
+        path = tmp_path / "t.rpct"
+        write_packed(str(path), materialised, chunk_size=700)
+        source = PackedTraceReader(str(path))
+    else:
+        source = {"Trace": materialised, "SyntheticTraceStream": SyntheticTraceStream(CFG)}[kind]
+    config = SimulationConfig(aggregate_capacity=200_000, engine=engine)
+    with pytest.raises(TraceError, match="chunk_size must be"):
+        run_simulation(config, source, chunk_size=chunk_size)
 
 
 def test_only_an_interning_source_emits_intern_spans(materialised):
