@@ -358,9 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "Run the whole-program analyzers over the source tree: 'parity' "
             "(engine drift vs the fallback matrix, RPR101-103), 'determinism' "
             "(simulation-reachable nondeterminism, RPR111-115), 'configflow' "
-            "(dead/one-sided config fields and memo-key coverage, RPR121-123), "
-            "'concurrency' (fork/IO/blocking safety, RPR131-136) — or 'trace' to "
-            "characterise a workload trace instead."
+            "(dead/one-sided config fields and memo-key coverage, RPR121-123) "
+            "— or 'trace' to characterise a workload trace instead."
         ),
     )
     ana.add_argument(
@@ -369,8 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="TARGET",
         help="analyzers to run, space-separated: all, parity, determinism, "
-        "configflow, concurrency, or trace (default: all "
-        "static analyzers); 'trace' must be the only target",
+        "configflow, or trace (default: all static analyzers); 'trace' "
+        "must be the only target",
     )
     _findings_options(ana, baseline="analysis-baseline.json")
     _trace_options(ana)

@@ -3,7 +3,7 @@
 Built for the dual-engine contract: the object core and the columnar
 fastpath must stay byte-identical, config fields must be plumbed end to
 end, and everything reachable from a simulation run must be
-deterministic (the parallel memo store keys on it). Four analyzers
+deterministic (the parallel memo store keys on it). Three analyzers
 enforce those properties *by construction* rather than by sampled
 differential tests:
 
@@ -12,17 +12,13 @@ differential tests:
 * :func:`~repro.devtools.analysis.determinism.analyze_determinism` —
   RPR111-115, nondeterminism on simulation-reachable call paths;
 * :func:`~repro.devtools.analysis.configflow.analyze_configflow` —
-  RPR121-123, dead / one-sided config fields and memo-key coverage;
-* :func:`~repro.devtools.analysis.concurrency.analyze_concurrency` —
-  RPR131-136, fork-unsafe mutation, cross-boundary module state,
-  hot-loop IO, internal-state escape, shared dataclass defaults, and
-  blocking service paths.
+  RPR121-123, dead / one-sided config fields and memo-key coverage.
 
 Everything is AST-level over :class:`ProjectModel` — analyzed code is
 never imported, so broken or deliberately drifted trees (regression
-fixtures) analyze fine. The determinism and concurrency passes share one
-memoized :class:`~repro.devtools.analysis.effects.EffectAnalysis` per
-model. Entry point: :func:`analyze_project`; CLI: ``repro analyze`` (or
+fixtures) analyze fine. The determinism pass reads one memoized
+:class:`~repro.devtools.analysis.effects.EffectAnalysis` per model.
+Entry point: :func:`analyze_project`; CLI: ``repro analyze`` (or
 ``repro check`` for lint + analysis off one parse).
 """
 
@@ -33,15 +29,7 @@ from repro.devtools.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.devtools.analysis.callgraph import (
-    CallGraph,
-    resolve_call,
-    resolve_callable_ref,
-)
-from repro.devtools.analysis.concurrency import (
-    analyze_concurrency,
-    worker_roots,
-)
+from repro.devtools.analysis.callgraph import CallGraph
 from repro.devtools.analysis.configflow import analyze_configflow, coverage_table
 from repro.devtools.analysis.determinism import DEFAULT_ROOTS, analyze_determinism
 from repro.devtools.analysis.effects import (
@@ -72,7 +60,6 @@ __all__ = [
     "EffectSite",
     "ModuleInfo",
     "ProjectModel",
-    "analyze_concurrency",
     "analyze_configflow",
     "analyze_determinism",
     "analyze_parity",
@@ -82,10 +69,7 @@ __all__ = [
     "effect_analysis",
     "filter_findings",
     "load_baseline",
-    "resolve_call",
-    "resolve_callable_ref",
     "run_analyzers",
     "select_analyzers",
-    "worker_roots",
     "write_baseline",
 ]

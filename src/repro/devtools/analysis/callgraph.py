@@ -74,25 +74,13 @@ class CallGraph:
         self.edges = edges
 
     @classmethod
-    def build(cls, model: ProjectModel, precise: bool = False) -> "CallGraph":
-        """Construct the graph for every function in ``model``.
-
-        With ``precise=True`` the receiver-agnostic method-index tier is
-        dropped: only calls whose target is statically certain (local or
-        imported names, ``self.method``) produce edges. Reachability
-        analyses that *flag* per-node properties want the default
-        over-approximation; closure analyses that *propagate* properties
-        (the hot-loop IO audit) want the precise graph, because one
-        ubiquitous method name (``get``, ``put``) would otherwise smear
-        its effects over every call site in the tree.
-        """
+    def build(cls, model: ProjectModel) -> "CallGraph":
+        """Construct the graph for every function in ``model``."""
         edges: Dict[str, List[str]] = {}
         for info in model.modules.values():
             for qualname, node in info.functions.items():
                 caller = f"{info.name}:{qualname}"
-                edges[caller] = sorted(
-                    _callees(model, info, node, precise=precise)
-                )
+                edges[caller] = sorted(_callees(model, info, node))
         return cls(edges)
 
     def reachable(self, roots: Iterable[str]) -> Set[str]:
@@ -109,53 +97,7 @@ class CallGraph:
         return seen
 
 
-def resolve_call(
-    model: ProjectModel,
-    info: ModuleInfo,
-    node: ast.Call,
-    precise: bool = False,
-) -> Set[str]:
-    """Node ids a single call expression may dispatch to.
-
-    The public per-call variant of the edge builder, for analyses that
-    need callee sets at *specific* sites (e.g. the hot-loop IO audit)
-    rather than whole-function adjacency. ``precise`` as in
-    :meth:`CallGraph.build`.
-    """
-    target = node.func
-    if isinstance(target, ast.Name):
-        resolved = _resolve_name(model, info, target.id)
-        return {resolved} if resolved is not None else set()
-    if isinstance(target, ast.Attribute):
-        return _resolve_attribute(model, info, target, precise=precise)
-    return set()
-
-
-def resolve_callable_ref(
-    model: ProjectModel, info: ModuleInfo, node: ast.expr
-) -> Optional[str]:
-    """Resolve a callable passed *by reference* (not called) to a node id.
-
-    Handles the pool-submission idiom: ``pool.imap(func, ...)`` or
-    ``Pool(initializer=_init_worker)`` name a function without calling
-    it, so the edge builder never sees it — but it still runs, in a
-    worker process.
-    """
-    if isinstance(node, ast.Name):
-        return _resolve_name(model, info, node.id)
-    if isinstance(node, ast.Attribute):
-        resolved = _resolve_attribute(model, info, node)
-        if len(resolved) == 1:
-            return next(iter(resolved))
-    return None
-
-
-def _callees(
-    model: ProjectModel,
-    info: ModuleInfo,
-    func: ast.AST,
-    precise: bool = False,
-) -> Set[str]:
+def _callees(model: ProjectModel, info: ModuleInfo, func: ast.AST) -> Set[str]:
     """Resolved callee node ids for one function body."""
     callees: Set[str] = set()
     for node in ast.walk(func):
@@ -167,9 +109,7 @@ def _callees(
             if resolved is not None:
                 callees.add(resolved)
         elif isinstance(target, ast.Attribute):
-            callees.update(
-                _resolve_attribute(model, info, target, precise=precise)
-            )
+            callees.update(_resolve_attribute(model, info, target))
     return callees
 
 
@@ -191,10 +131,7 @@ def _resolve_name(
 
 
 def _resolve_attribute(
-    model: ProjectModel,
-    info: ModuleInfo,
-    target: ast.Attribute,
-    precise: bool = False,
+    model: ProjectModel, info: ModuleInfo, target: ast.Attribute
 ) -> Set[str]:
     """Resolve an ``x.y.z(...)`` callee inside ``info``."""
     # Reconstruct the dotted receiver chain when it is made of plain names.
@@ -222,7 +159,5 @@ def _resolve_attribute(
             if local:
                 return set(local)
     # Unknown receiver: fall back to the project-wide method-name index
-    # (the deliberate over-approximation), unless precision was asked for.
-    if precise:
-        return set()
+    # (the deliberate over-approximation).
     return set(model.method_index.get(target.attr, ()))

@@ -7,7 +7,7 @@ deterministic. This auditor checks exactly the functions a simulation,
 a trace generator or an experiment driver can execute, wherever they
 live, using the shared per-function effect sites from
 :mod:`repro.devtools.analysis.effects` (one model, one call graph, one
-scan — the concurrency pass reads the same data):
+scan):
 
 * **RPR111** — wall-clock reads (``time.time`` and friends,
   ``datetime.now``): results would depend on host speed. These are the

@@ -25,7 +25,6 @@ from repro.devtools.analysis.baseline import (
     apply_baseline,
     load_baseline,
 )
-from repro.devtools.analysis.concurrency import analyze_concurrency
 from repro.devtools.analysis.configflow import analyze_configflow
 from repro.devtools.analysis.determinism import analyze_determinism
 from repro.devtools.analysis.model import AnalysisError, ProjectModel
@@ -42,7 +41,6 @@ ANALYZERS: Dict[str, Callable[[ProjectModel], List[Finding]]] = {
     "parity": analyze_parity,
     "determinism": analyze_determinism,
     "configflow": analyze_configflow,
-    "concurrency": analyze_concurrency,
 }
 
 

@@ -78,7 +78,6 @@ def rule_catalog() -> Dict[str, RuleInfo]:
     # Imported here so importing the catalog never drags the analyzer
     # stack in before it is needed (and to keep import cycles impossible).
     import repro.devtools.lint.rules  # noqa: F401  (registers every rule)
-    from repro.devtools.analysis import concurrency as _concurrency
     from repro.devtools.analysis import configflow as _configflow
     from repro.devtools.analysis import determinism as _determinism
     from repro.devtools.analysis import parity as _parity
@@ -106,7 +105,6 @@ def rule_catalog() -> Dict[str, RuleInfo]:
         ("parity", _parity.RULES),
         ("determinism", _determinism.RULES),
         ("configflow", _configflow.RULES),
-        ("concurrency", _concurrency.RULES),
     )
     for analyzer_name, rules in analyzer_tables:
         for code, summary in rules.items():

@@ -19,9 +19,7 @@ Three rules share one loop-depth visitor, :class:`LoopRule`:
   sanctioned output channel from the engines. A stray ``print`` or
   ad-hoc write inside a simulation loop costs syscalls per request even
   with observability off, and produces output the event schema never
-  sees. The call-graph audit RPR133 covers project callees over the
-  precise graph only, so it never sees a direct ``print()`` in a loop or
-  a write through dynamic dispatch; this rule stays in force for those.
+  sees.
 
 Each rule flags only inside a loop: a ``for`` target and body, or a
 ``while`` condition and body (the ``for`` iterable evaluates once).

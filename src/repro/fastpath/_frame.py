@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
+from repro.cache.expiration import ExpirationAgeTracker
 from repro.cache.stats import CacheStats
+from repro.core.placement import EAScheme
 from repro.errors import SimulationError, TraceError
 from repro.fastpath import columnar_unsupported_reason
 from repro.fastpath.interning import InternedChunk, client_leaf_positions
@@ -80,6 +82,14 @@ def check_envelope(config, engine: str) -> None:
     if config.patch_size <= 0:
         # Same guard (and message) patch_zero_sizes raises in the object path.
         raise TraceError(f"patch_size must be positive, got {config.patch_size}")
+    # The object core's own validators, so both cores refuse the same
+    # scheme and window parameters with the same error.
+    if config.scheme == "ea":
+        EAScheme(config.tie_break, config.max_replica_fraction)
+    ExpirationAgeTracker(
+        config.policy, config.window_mode, config.window_size,
+        config.window_seconds,
+    )
 
 
 class ReplayFrame:

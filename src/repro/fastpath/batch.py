@@ -236,12 +236,16 @@ class _FastState(ReplayFrame):
         self.live_seq = array("q")
         # Expiration-age window per cache: ``wsum`` is the running sum
         # the admission site folds victim ages into — the count window's
-        # (``win[c]`` holds its ages) or the cumulative one (``wtot[c]``
+        # (``win[c]`` holds its ages; None in other modes, where a
+        # window size is never read) or the cumulative one (``wtot[c]``
         # evictions). The age and its wire-text length are cells
         # (:meth:`refresh_age`); a time window reads the trackers instead
         # and keeps ``age_len`` at -1, so every reader asks.
         self.count_mode = config.window_mode == "count"
-        self.win = [deque(maxlen=config.window_size) for _ in range(num_caches)]
+        self.win = [
+            deque(maxlen=config.window_size) if self.count_mode else None
+            for _ in range(num_caches)
+        ]
         self.wsum = [0.0] * num_caches
         self.wtot = [0] * num_caches
         self.cur_age = [_INF] * num_caches

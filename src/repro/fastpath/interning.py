@@ -301,7 +301,7 @@ class InternedChunk:
         """
         if self._new_url_lens is None:
             self._new_url_lens = [_utf8_length(url) for url in self.new_urls]
-        return self._new_url_lens  # repro: noqa[RPR134]
+        return self._new_url_lens
 
     @property
     def new_icp_probe_bytes(self) -> List[int]:
@@ -311,7 +311,7 @@ class InternedChunk:
         """
         if self._new_icp_probe_bytes is None:
             self._new_icp_probe_bytes = icp_probe_bytes(self.new_url_lens)
-        return self._new_icp_probe_bytes  # repro: noqa[RPR134]
+        return self._new_icp_probe_bytes
 
 
 class ChunkingInterner:

@@ -2,8 +2,8 @@
 
 Three pieces, one contract:
 
-* :mod:`repro.obs.registry` — counters/gauges/histograms that no-op when
-  disabled (aggregated telemetry);
+* :mod:`repro.obs.registry` — the fixed-bucket histograms behind
+  ``repro obs summarize`` (aggregated telemetry);
 * :mod:`repro.obs.events` — the ``repro-events/1`` structured JSONL stream
   both engines emit byte-identically (per-decision telemetry), validated
   by :mod:`repro.obs.schema` and inspected via :mod:`repro.obs.tools`;
@@ -29,16 +29,7 @@ from repro.obs.manifest import (
     result_digest,
     write_manifest,
 )
-from repro.obs.registry import (
-    HISTOGRAM_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ObsError,
-    merge_snapshots,
-)
+from repro.obs.registry import HISTOGRAM_BUCKETS, Histogram, ObsError
 from repro.obs.schema import validate_event, validate_events_file, validate_stream
 from repro.obs.session import ObservedRun, run_observed, sweep_event_filename
 from repro.obs.spans import (
@@ -58,14 +49,10 @@ from repro.obs.timeseries import (
 from repro.obs.tools import diff_events, summarize_events, tail_events
 
 __all__ = [
-    "Counter",
     "EVENTS_SCHEMA",
-    "Gauge",
     "HISTOGRAM_BUCKETS",
     "Histogram",
     "MANIFEST_SCHEMA",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
     "ObsError",
     "ObservedRun",
     "RunRecorder",
@@ -80,7 +67,6 @@ __all__ = [
     "diff_events",
     "file_digest",
     "load_trace_events",
-    "merge_snapshots",
     "read_timeseries",
     "render_report",
     "render_timeline",

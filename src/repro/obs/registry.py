@@ -1,123 +1,36 @@
-"""In-process metrics registry: counters, gauges, and histograms.
+"""Fixed-bucket histograms and the observability error type.
 
-The registry is the *aggregated* half of ``repro.obs`` (the structured
-event stream in :mod:`repro.obs.events` is the per-decision half): cheap
-named instruments that hot paths bump and reporting surfaces read out in
-one :meth:`MetricsRegistry.snapshot` call.
+:class:`Histogram` is the aggregated half of ``repro.obs`` (the structured
+event stream in :mod:`repro.obs.events` is the per-decision half):
+``repro obs summarize`` folds an event stream's request sizes, evicted
+sizes and eviction ages into one each and reads out their summaries.
 
-Design constraints, in order:
+Two constraints:
 
-1. **Disabled must cost nothing.** Instrumented code holds either a real
-   instrument or the shared null instrument; the null variants' methods are
-   empty and allocation-free, so a disabled registry adds one attribute
-   call per event and nothing else. Hot loops that want even that gone
-   guard on ``registry.enabled`` (a plain bool) instead.
-2. **Deterministic read-out.** ``snapshot()`` orders instruments by name,
-   so two runs that bump the same instruments serialise identically —
-   the same rule the event stream follows (docs/ANALYSIS.md determinism).
-3. **No wall clock.** Instruments carry values the caller hands them (sim
-   time, byte counts, durations measured *outside* the simulation-reachable
-   graph); the registry itself never reads a clock.
+1. **Deterministic read-out.** A summary is a pure function of the
+   observed values, so two streams with the same events summarise
+   identically — the same rule the event stream follows
+   (docs/ANALYSIS.md determinism).
+2. **No wall clock.** A histogram carries the values the caller hands it
+   (sim time, byte counts); it never reads a clock.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ReproError
 
 
 class ObsError(ReproError):
-    """Raised for observability-layer misuse (bad names, malformed streams)."""
-
-
-def _check_name(name: str) -> str:
-    if not name or any(ch.isspace() for ch in name):
-        raise ObsError(f"instrument name must be non-empty and space-free, got {name!r}")
-    return name
-
-
-class Counter:
-    """Monotonic counter (events, bytes, decisions)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (negative increments are a bug, not an API)."""
-        self.value += amount
-
-
-class Gauge:
-    """Last-write-wins instantaneous value (bytes in use, queue depth)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
+    """Raised for observability-layer misuse (bad arguments, malformed streams)."""
 
 
 #: Histogram bucket upper bounds: powers of two from 1 up, plus +inf.
-#: Fixed (not configurable per-instrument) so merged snapshots align.
 HISTOGRAM_BUCKETS: Tuple[float, ...] = tuple(
     float(1 << exp) for exp in range(0, 31)
 ) + (math.inf,)
-
-
-def _bucket_quantile(
-    q: float,
-    count: int,
-    bucket_counts: List[int],
-    lo_clamp: Optional[float],
-    hi_clamp: Optional[float],
-) -> Optional[float]:
-    """Estimate the ``q``-quantile from power-of-two bucket counts.
-
-    Linear interpolation within the bucket holding the target rank
-    (Prometheus-style), clamped to the exact observed min/max so the
-    estimate never leaves the data's range. ``None`` before any
-    observation. Shared by :meth:`Histogram.quantile` and
-    :func:`merge_snapshots` so per-worker and merged quantiles use one
-    estimator.
-    """
-    if not count:
-        return None
-    rank = q * count
-    cumulative = 0.0
-    for i, in_bucket in enumerate(bucket_counts):
-        if not in_bucket:
-            continue
-        below = cumulative
-        cumulative += in_bucket
-        if cumulative >= rank:
-            upper = HISTOGRAM_BUCKETS[i]
-            lower = HISTOGRAM_BUCKETS[i - 1] if i else 0.0
-            if math.isinf(upper):
-                estimate = lower if hi_clamp is None else hi_clamp
-            else:
-                estimate = lower + (upper - lower) * ((rank - below) / in_bucket)
-            if lo_clamp is not None and estimate < lo_clamp:
-                estimate = lo_clamp
-            if hi_clamp is not None and estimate > hi_clamp:
-                estimate = hi_clamp
-            return estimate
-    return hi_clamp
-
-
-#: Quantiles every histogram snapshot carries, as (key, q) pairs.
-SNAPSHOT_QUANTILES: Tuple[Tuple[str, float], ...] = (
-    ("p50", 0.50),
-    ("p95", 0.95),
-    ("p99", 0.99),
-)
 
 
 class Histogram:
@@ -171,144 +84,20 @@ class Histogram:
             raise ObsError(f"quantile must be in [0, 1], got {q}")
         if not self.count:
             return None
-        return _bucket_quantile(q, self.count, self.bucket_counts, self.min, self.max)
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:  # pragma: no cover - trivial
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # pragma: no cover - trivial
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # pragma: no cover - trivial
-        pass
-
-
-#: Shared do-nothing instruments handed out by a disabled registry, so
-#: instrumented code never branches on enablement itself.
-NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
-NULL_HISTOGRAM = _NullHistogram("null")
-
-
-class MetricsRegistry:
-    """Named instrument registry.
-
-    Args:
-        enabled: When False, every factory returns the shared null
-            instrument and :meth:`snapshot` is empty — the no-op
-            configuration instrumented code points at by default.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        """The counter called ``name`` (created on first use)."""
-        if not self.enabled:
-            return NULL_COUNTER
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(_check_name(name))
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge called ``name`` (created on first use)."""
-        if not self.enabled:
-            return NULL_GAUGE
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(_check_name(name))
-        return instrument
-
-    def histogram(self, name: str) -> Histogram:
-        """The histogram called ``name`` (created on first use)."""
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = self._histograms[name] = Histogram(_check_name(name))
-        return instrument
-
-    def snapshot(self) -> Dict[str, object]:
-        """All instruments, name-sorted, as JSON-safe primitives."""
-        counters = {n: c.value for n, c in sorted(self._counters.items())}
-        gauges = {n: g.value for n, g in sorted(self._gauges.items())}
-        histograms = {}
-        for name, hist in sorted(self._histograms.items()):
-            summary = {
-                "count": hist.count,
-                "total": hist.total,
-                "mean": hist.mean,
-                "min": None if hist.count == 0 else hist.min,
-                "max": None if hist.count == 0 else hist.max,
-                "buckets": list(hist.bucket_counts),
-            }
-            for key, q in SNAPSHOT_QUANTILES:
-                summary[key] = hist.quantile(q)
-            histograms[name] = summary
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-#: Process-wide disabled registry: the default target of instrumentation
-#: that nobody asked to observe.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-def merge_snapshots(snapshots: List[Dict[str, object]]) -> Dict[str, object]:
-    """Element-wise merge of :meth:`MetricsRegistry.snapshot` payloads.
-
-    Counters sum; gauges keep the last write (list order); histogram
-    summaries sum counts, totals, and per-bucket counts, extremise
-    min/max, and recompute p50/p95/p99 from the merged buckets — because
-    all histograms share :data:`HISTOGRAM_BUCKETS`, merged quantiles are
-    exactly what a single registry observing every value would have
-    estimated. Used to fold per-worker registries into one sweep-level
-    read-out.
-    """
-    merged = MetricsRegistry()
-    last_gauges: Dict[str, float] = {}
-    mins: Dict[str, Optional[float]] = {}
-    maxs: Dict[str, Optional[float]] = {}
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():  # type: ignore[union-attr]
-            merged.counter(name).inc(value)
-        for name, value in snap.get("gauges", {}).items():  # type: ignore[union-attr]
-            last_gauges[name] = value
-        for name, summary in snap.get("histograms", {}).items():  # type: ignore[union-attr]
-            hist = merged.histogram(name)
-            hist.count += summary["count"]
-            hist.total += summary["total"]
-            for i, in_bucket in enumerate(summary.get("buckets", ())):
-                hist.bucket_counts[i] += in_bucket
-            for table, key, pick in ((mins, "min", min), (maxs, "max", max)):
-                value = summary.get(key)
-                if value is None:
-                    continue
-                table[name] = value if table.get(name) is None else pick(table[name], value)
-    for name, value in last_gauges.items():
-        merged.gauge(name).set(value)
-    out = merged.snapshot()
-    for name, summary in out["histograms"].items():  # type: ignore[union-attr]
-        summary["mean"] = summary["total"] / summary["count"] if summary["count"] else 0.0
-        summary["min"] = mins.get(name)
-        summary["max"] = maxs.get(name)
-        for key, q in SNAPSHOT_QUANTILES:
-            summary[key] = _bucket_quantile(
-                q, summary["count"], summary["buckets"], mins.get(name), maxs.get(name)
-            )
-    return out
+        # Linear interpolation within the bucket holding the target rank
+        # (Prometheus-style), clamped to the observed min/max.
+        rank = q * self.count
+        cumulative = 0.0
+        for i, in_bucket in enumerate(self.bucket_counts):
+            if not in_bucket:
+                continue
+            below = cumulative
+            cumulative += in_bucket
+            if cumulative >= rank:
+                upper = HISTOGRAM_BUCKETS[i]
+                if math.isinf(upper):
+                    return self.max
+                lower = HISTOGRAM_BUCKETS[i - 1] if i else 0.0
+                estimate = lower + (upper - lower) * ((rank - below) / in_bucket)
+                return min(max(estimate, self.min), self.max)
+        return self.max

@@ -14,7 +14,7 @@ import json
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.registry import MetricsRegistry, ObsError
+from repro.obs.registry import Histogram, ObsError
 
 
 def _parse_event(path: str, number: int, line: str) -> Dict[str, Any]:
@@ -83,10 +83,9 @@ def summarize_events(path: str) -> Dict[str, Any]:
     stored_requests = 0
     t_first: Optional[float] = None
     t_last: Optional[float] = None
-    registry = MetricsRegistry()
-    request_sizes = registry.histogram("request.size_bytes")
-    evict_sizes = registry.histogram("evict.size_bytes")
-    evict_ages = registry.histogram("evict.age_s")
+    request_sizes = Histogram("request.size_bytes")
+    evict_sizes = Histogram("evict.size_bytes")
+    evict_ages = Histogram("evict.age_s")
     number = 0
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -135,12 +134,17 @@ def summarize_events(path: str) -> Dict[str, Any]:
     if not number:
         raise ObsError(f"{path}: empty event file (nothing to summarize)")
     distributions = {
-        name: {
-            key: summary[key]
-            for key in ("count", "mean", "min", "max", "p50", "p95", "p99")
+        hist.name: {
+            "count": hist.count,
+            "mean": hist.mean,
+            "min": hist.min,
+            "max": hist.max,
+            "p50": hist.quantile(0.50),
+            "p95": hist.quantile(0.95),
+            "p99": hist.quantile(0.99),
         }
-        for name, summary in registry.snapshot()["histograms"].items()
-        if summary["count"]
+        for hist in (evict_ages, evict_sizes, request_sizes)  # name order
+        if hist.count
     }
     return {
         "events": counts,

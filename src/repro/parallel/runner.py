@@ -47,11 +47,10 @@ from repro.simulation.simulator import SimulationConfig, run_simulation
 from repro.trace.record import Trace
 
 #: Trace replayed by every task in the current worker process (set once per
-#: worker by :func:`_init_worker`). This is the sanctioned pool-initializer
-#: idiom — the trace is pinned exactly once per worker, before any task
-#: runs, and never mutated afterwards — so the cross-process-state audit
-#: is waived here.
-_WORKER_TRACE: Optional[Trace] = None  # repro: noqa[RPR132]
+#: worker by :func:`_init_worker`): the pool-initializer idiom — the trace
+#: is pinned exactly once per worker, before any task runs, and never
+#: mutated afterwards.
+_WORKER_TRACE: Optional[Trace] = None
 
 #: One pool task:
 #: ``(config, events_path, snapshot_interval, track_memory, trace_spans)``.
@@ -71,7 +70,7 @@ def _init_worker(trace: Optional[Trace]) -> None:
     in-process sweep pins it in the caller and unpins it with ``None``.
     """
     global _WORKER_TRACE
-    _WORKER_TRACE = trace  # repro: noqa[RPR131]
+    _WORKER_TRACE = trace
 
 
 def _run_task(

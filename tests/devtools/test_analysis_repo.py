@@ -153,7 +153,7 @@ class TestAnalyzeCli:
         assert payload["tool"] == "analyze"
         assert payload["count"] == 0
         assert payload["analyzers"] == [
-            "parity", "determinism", "configflow", "concurrency",
+            "parity", "determinism", "configflow",
         ]
 
     def test_single_analyzer_selection(self, capsys):

@@ -26,7 +26,7 @@ class TestRunCheck:
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.findings == [], f"unexpected findings:\n{rendered}"
         assert report.analyzers == (
-            "parity", "determinism", "configflow", "concurrency",
+            "parity", "determinism", "configflow",
         )
         assert report.linted_modules > 50
         assert report.linted_files > 10
@@ -203,3 +203,68 @@ class TestRetiredEffectsContracts:
              "--baseline", str(tmp_path / "none.json")]
         ) == 0
         assert json.loads(capsys.readouterr().out)["findings"] == []
+
+
+class TestRetiredConcurrencyRules:
+    """RPR131-136, the concurrency analyzer and the effect labels only it
+    read are deleted."""
+
+    RETIRED = ("RPR131", "RPR132", "RPR133", "RPR134", "RPR135", "RPR136")
+
+    def test_concurrency_target_is_unknown(self, capsys):
+        assert main(["analyze", "concurrency", "--root", str(REPO_SRC)]) == 2
+        assert (
+            "unknown analyze target(s): concurrency" in capsys.readouterr().err
+        )
+
+    def test_codes_and_labels_are_gone(self):
+        from repro.devtools import catalog
+        from repro.devtools.analysis import ANALYZERS, EffectAnalysis, effects
+
+        assert "concurrency" not in ANALYZERS
+        assert not set(self.RETIRED) & set(catalog.rule_catalog())
+        assert not (REPO_SRC / "repro/devtools/analysis/concurrency.py").exists()
+        for name in ("IO", "BLOCKING", "MUTATES_GLOBAL", "propagate"):
+            assert not hasattr(effects, name), name
+        assert not hasattr(EffectAnalysis, "precise_graph")
+
+    def test_codes_are_out_of_the_docs_rule_index(self):
+        for doc in ("DEVTOOLS.md", "ANALYSIS.md"):
+            rows = [
+                line
+                for line in (REPO / "docs" / doc).read_text().splitlines()
+                if line.startswith("| RPR13")
+            ]
+            assert rows == [], doc
+
+    def test_retired_pragmas_are_inert(self, make_project, tmp_path, capsys):
+        # The pool-initializer idiom RPR131/132 flagged, with the pragmas
+        # that used to silence it: it analyzes clean and they suppress
+        # nothing.
+        root = make_project(
+            {
+                "repro/parallel/__init__.py": "",
+                "repro/parallel/runner.py": '''
+                    from multiprocessing import Pool
+
+                    _TRACE = None  # repro: noqa[RPR132]
+
+                    def _init_worker(trace):
+                        global _TRACE
+                        _TRACE = trace  # repro: noqa[RPR131]
+
+                    def _run_task(config):
+                        return (config, _TRACE)
+
+                    def sweep(trace, configs):
+                        with Pool(initializer=_init_worker, initargs=(trace,)) as pool:
+                            return pool.imap_unordered(_run_task, configs)
+                ''',
+            }
+        )
+        assert main(
+            ["analyze", "--root", str(root), "--json",
+             "--baseline", str(tmp_path / "none.json")]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["findings"] == [] and payload["suppressed"] == 0

@@ -1,32 +1,14 @@
-"""Fixture tests for the direct effect sites and the :func:`propagate` closure."""
+"""Fixture tests for the direct effect sites the determinism audit reads."""
 
 from __future__ import annotations
 
-from repro.devtools.analysis import CallGraph, ProjectModel, effect_analysis
-from repro.devtools.analysis.effects import (
-    BLOCKING,
-    IO,
-    MUTATES_GLOBAL,
-    RNG,
-    TIME,
-    propagate,
-)
+from repro.devtools.analysis import ProjectModel, effect_analysis
+from repro.devtools.analysis.effects import RNG, TIME
 
 
 def labels_of(root, node_id):
     analysis = effect_analysis(ProjectModel.load(root))
     return {site.effect for site in analysis.sites(node_id)}
-
-
-def closure_of(root):
-    """Transitive labels over the fixture's call graph, via ``propagate``."""
-    model = ProjectModel.load(root)
-    analysis = effect_analysis(model)
-    direct = {
-        node_id: frozenset(site.effect for site in sites)
-        for node_id, sites in analysis.direct.items()
-    }
-    return propagate(direct, CallGraph.build(model))
 
 
 class TestDirectEffects:
@@ -52,60 +34,7 @@ class TestDirectEffects:
         assert labels_of(root, "repro.simulation.state:Tracker.bump") == set()
         assert labels_of(root, "repro.simulation.state:Tracker.drain") == set()
 
-    def test_global_statement_and_module_mutable(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/registry.py": '''
-                    _SEEN = {}
-                    _TOTAL = 0
-
-                    def record(url):
-                        _SEEN[url] = True
-
-                    def count():
-                        global _TOTAL
-                        _TOTAL += 1
-                '''
-            }
-        )
-        assert labels_of(root, "repro.simulation.registry:record") == {
-            MUTATES_GLOBAL
-        }
-        assert labels_of(root, "repro.simulation.registry:count") == {
-            MUTATES_GLOBAL
-        }
-
-    def test_local_shadow_of_module_name_is_not_global(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/shadow.py": '''
-                    _CACHE = {}
-
-                    def isolated():
-                        _CACHE = {}
-                        _CACHE["x"] = 1
-                        return _CACHE
-                '''
-            }
-        )
-        assert labels_of(root, "repro.simulation.shadow:isolated") == set()
-
-    def test_parameter_shadow_of_module_name_is_not_global(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/shadow.py": '''
-                    _CACHE = {}
-
-                    def fill(_CACHE, key, *_EXTRA, **_OPTS):
-                        _CACHE[key] = 1
-                        _CACHE.update(_OPTS)
-                        return _CACHE
-                '''
-            }
-        )
-        assert labels_of(root, "repro.simulation.shadow:fill") == set()
-
-    def test_io_time_rng_labels(self, make_project):
+    def test_time_and_rng_labels(self, make_project):
         root = make_project(
             {
                 "repro/simulation/side.py": '''
@@ -125,31 +54,9 @@ class TestDirectEffects:
         )
         assert labels_of(root, "repro.simulation.side:stamp") == {TIME}
         assert labels_of(root, "repro.simulation.side:roll") == {RNG}
-        assert labels_of(root, "repro.simulation.side:report") == {IO}
-
-    def test_blocking_label(self, make_project):
-        root = make_project(
-            {
-                "repro/protocol/__init__.py": "",
-                "repro/protocol/wait.py": '''
-                    import subprocess
-                    import time
-
-                    def nap():
-                        time.sleep(0.1)
-
-                    def ask():
-                        return input()
-
-                    def shell(cmd):
-                        return subprocess.run(cmd)
-                '''
-            }
-        )
-        for name in ("nap", "ask", "shell"):
-            assert labels_of(root, f"repro.protocol.wait:{name}") == {
-                BLOCKING
-            }
+        # Console IO is not an effect label: the engines' byte-identity
+        # tests catch output that reaches a result.
+        assert labels_of(root, "repro.simulation.side:report") == set()
 
     def test_sites_are_in_source_order_and_filter_by_label(
         self, make_project
@@ -157,85 +64,101 @@ class TestDirectEffects:
         root = make_project(
             {
                 "repro/simulation/mixed.py": '''
+                    import random
                     import time
-
-                    _LOG = []
 
                     def step(line):
                         began = time.perf_counter()
                         print(line)
-                        _LOG.append(began)
+                        return began, random.random()
                 '''
             }
         )
         analysis = effect_analysis(ProjectModel.load(root))
         node_id = "repro.simulation.mixed:step"
         sites = analysis.sites(node_id)
-        assert [s.effect for s in sites] == [TIME, IO, MUTATES_GLOBAL]
+        assert [s.effect for s in sites] == [TIME, RNG]
         assert [s.line for s in sites] == sorted(s.line for s in sites)
-        assert [s.detail for s in analysis.sites(node_id, MUTATES_GLOBAL)] == [
-            "_LOG.append()"
+        assert [s.detail for s in analysis.sites(node_id, RNG)] == [
+            "random.random"
         ]
         assert analysis.sites("repro.simulation.mixed:absent") == ()
 
-
-class TestPropagation:
-    def test_effects_flow_to_transitive_callers(self, make_project):
+    def test_aliased_and_from_imports_resolve(self, make_project):
         root = make_project(
             {
-                "repro/simulation/deep.py": '''
-                    import time
+                "repro/simulation/alias.py": '''
+                    import time as clock
+                    from datetime import datetime
+                    from random import shuffle as mix
+                    from time import perf_counter
 
-                    def leaf():
-                        return time.time()
+                    def stamp():
+                        return clock.monotonic(), perf_counter()
 
-                    def middle():
-                        return leaf()
+                    def today():
+                        return datetime.now()
 
+                    def scramble(items):
+                        mix(items)
+                '''
+            }
+        )
+        analysis = effect_analysis(ProjectModel.load(root))
+        assert [
+            s.detail for s in analysis.sites("repro.simulation.alias:stamp")
+        ] == ["time.monotonic", "time.perf_counter"]
+        assert labels_of(root, "repro.simulation.alias:today") == {TIME}
+        assert [
+            s.detail for s in analysis.sites("repro.simulation.alias:scramble")
+        ] == ["random.shuffle"]
+
+    def test_seeded_instance_and_local_names_carry_no_label(
+        self, make_project
+    ):
+        root = make_project(
+            {
+                "repro/simulation/seeded.py": '''
+                    import random
+
+                    def draw(seed, time):
+                        rng = random.Random(seed)
+                        return rng.random(), time.time()
+                '''
+            }
+        )
+        # ``random.Random`` builds a private generator, and ``time`` is
+        # never imported here: ``time.time`` is a call on a parameter.
+        assert labels_of(root, "repro.simulation.seeded:draw") == set()
+
+
+class TestReachable:
+    def test_follows_calls_from_the_roots_only(self, make_project):
+        root = make_project(
+            {
+                "repro/simulation/chain.py": '''
                     def top():
                         return middle()
+
+                    def middle():
+                        return bottom()
+
+                    def bottom():
+                        return 1
+
+                    def elsewhere():
+                        return bottom()
                 '''
             }
         )
-        assert closure_of(root)["repro.simulation.deep:top"] == {TIME}
-
-    def test_pure_helper_stays_empty(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/pure.py": '''
-                    def double(x):
-                        return x * 2
-
-                    def quad(x):
-                        return double(double(x))
-                '''
-            }
-        )
-        assert closure_of(root)["repro.simulation.pure:quad"] == frozenset()
-
-    def test_recursive_cycle_converges(self, make_project):
-        root = make_project(
-            {
-                "repro/simulation/cycle.py": '''
-                    def ping(n):
-                        print(n)
-                        return pong(n - 1) if n else n
-
-                    def pong(n):
-                        return ping(n - 1) if n else n
-                '''
-            }
-        )
-        assert closure_of(root)["repro.simulation.cycle:pong"] == {IO}
-
-    def test_only_graph_nodes_are_returned(self):
-        class Graph:
-            edges = {"a": ["b"], "b": []}
-
-        closure = propagate(
-            {"b": frozenset({IO}), "outside": frozenset({TIME})}, Graph()
-        )
-        assert closure == {"a": frozenset({IO}), "b": frozenset({IO})}
+        analysis = effect_analysis(ProjectModel.load(root))
+        reached = analysis.reachable(["repro.simulation.chain:top"])
+        assert {
+            "repro.simulation.chain:top",
+            "repro.simulation.chain:middle",
+            "repro.simulation.chain:bottom",
+        } <= reached
+        assert "repro.simulation.chain:elsewhere" not in reached
 
 
 class TestMemo:

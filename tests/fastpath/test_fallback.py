@@ -7,7 +7,11 @@ import logging
 import pytest
 
 from repro.errors import SimulationError
-from repro.fastpath import columnar_unsupported_reason, simulate_columnar
+from repro.fastpath import (
+    columnar_unsupported_reason,
+    simulate_batch,
+    simulate_columnar,
+)
 from repro.simulation.simulator import (
     CooperativeSimulator,
     SimulationConfig,
@@ -88,3 +92,55 @@ def test_object_engine_never_touches_fastpath(uniform_trace, caplog):
 def test_unknown_engine_rejected():
     with pytest.raises(SimulationError, match="engine must be one of"):
         SimulationConfig(engine="vectorised")
+
+
+#: Scheme and window parameters the object core validates; the kernel must
+#: refuse (or run) each one exactly as the object core does.
+BAD_PARAMETERS = [
+    {"scheme": "ea", "max_replica_fraction": 1.5},
+    {"scheme": "ea", "max_replica_fraction": 0.0},
+    {"scheme": "ea", "max_replica_fraction": -0.5},
+    {"window_size": 0},
+    {"window_size": -3},
+    {"window_mode": "cumulative", "window_size": -3},
+    {"window_mode": "time", "window_size": -3},
+    {"scheme": "adhoc", "window_size": 0},
+    {"window_mode": "time", "window_seconds": 0.0},
+    {"window_mode": "time", "window_seconds": -5.0},
+]
+
+#: Values on the accepting side of each bound, and values the configured
+#: scheme or window mode never reads: the kernel must run all of them.
+BOUNDARY_PARAMETERS = [
+    {"scheme": "ea", "max_replica_fraction": 1.0},
+    {"scheme": "ea", "max_replica_fraction": 1e-9},
+    {"scheme": "adhoc", "max_replica_fraction": 1.5},
+    {"scheme": "adhoc", "max_replica_fraction": 0.0},
+    {"window_size": 1},
+    {"window_mode": "cumulative", "window_size": 0},
+    {"window_mode": "time", "window_size": 0},
+    {"window_mode": "time", "window_seconds": 1e-6},
+    {"window_mode": "count", "window_seconds": -5.0},
+]
+
+
+def _outcome(replay, config, trace):
+    """``to_json`` of a replay, or the type and message it raised."""
+    try:
+        return replay(config, trace).to_json()
+    except Exception as error:  # the comparison is the assertion
+        return (type(error), str(error))
+
+
+@pytest.mark.parametrize("engine", [simulate_columnar, simulate_batch])
+@pytest.mark.parametrize(
+    "overrides", BAD_PARAMETERS + BOUNDARY_PARAMETERS, ids=str
+)
+def test_kernel_validates_like_the_object_core(overrides, engine, bu_style_trace):
+    config = SimulationConfig(aggregate_capacity=1_000_000, **overrides)
+    expected = _outcome(
+        lambda c, t: CooperativeSimulator(c).run(t), config, bu_style_trace
+    )
+    if overrides in BOUNDARY_PARAMETERS:
+        assert isinstance(expected, str), expected
+    assert _outcome(engine, config, bu_style_trace) == expected

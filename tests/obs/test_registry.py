@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry and its null-object disabled mode."""
+"""Unit tests for the fixed-bucket histogram behind ``repro obs summarize``."""
 
 from __future__ import annotations
 
@@ -6,47 +6,12 @@ import math
 
 import pytest
 
-from repro.obs.registry import (
-    HISTOGRAM_BUCKETS,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    MetricsRegistry,
-    ObsError,
-    merge_snapshots,
-)
+from repro.obs.registry import HISTOGRAM_BUCKETS, Histogram, ObsError
 
 
 class TestInstruments:
-    def test_counter_increments(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("requests")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_same_name_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
-        assert registry.histogram("h") is registry.histogram("h")
-
-    def test_gauge_last_write_wins(self):
-        gauge = MetricsRegistry().gauge("bytes")
-        gauge.set(10.0)
-        gauge.set(3.0)
-        assert gauge.value == 3.0
-
-    def test_bad_names_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ObsError):
-            registry.counter("")
-        with pytest.raises(ObsError):
-            registry.gauge("has space")
-
     def test_histogram_exact_aggregates(self):
-        hist = MetricsRegistry().histogram("sizes")
+        hist = Histogram("sizes")
         for value in (4.0, 16.0, 1.0):
             hist.observe(value)
         assert hist.count == 3
@@ -56,12 +21,12 @@ class TestInstruments:
         assert hist.mean == 7.0
 
     def test_histogram_mean_zero_when_empty(self):
-        assert MetricsRegistry().histogram("h").mean == 0.0
+        assert Histogram("h").mean == 0.0
 
     def test_histogram_bucket_edges(self):
         """Upper bounds are inclusive: 1.0 lands in bucket 0 (<=1), 1.5 in
         bucket 1 (<=2); anything beyond 2**30 lands in the +inf bucket."""
-        hist = MetricsRegistry().histogram("h")
+        hist = Histogram("h")
         hist.observe(1.0)
         hist.observe(1.5)
         hist.observe(float(1 << 32))
@@ -70,107 +35,31 @@ class TestInstruments:
         assert hist.bucket_counts[-1] == 1
         assert HISTOGRAM_BUCKETS[-1] == math.inf
 
+    def test_zero_and_negative_values_land_in_the_first_bucket(self):
+        hist = Histogram("h")
+        hist.observe(0.0)
+        hist.observe(-3.0)
+        assert hist.bucket_counts[0] == 2
+        assert (hist.min, hist.max, hist.total) == (-3.0, 0.0, -3.0)
 
-class TestDisabledRegistry:
-    def test_factories_return_shared_nulls(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.counter("x") is NULL_COUNTER
-        assert registry.gauge("x") is NULL_GAUGE
-        assert registry.histogram("x") is NULL_HISTOGRAM
-
-    def test_null_instruments_ignore_writes(self):
-        NULL_COUNTER.inc(100)
-        NULL_GAUGE.set(9.0)
-        NULL_HISTOGRAM.observe(5.0)
-        assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0.0
-        assert NULL_HISTOGRAM.count == 0
-
-    def test_snapshot_is_empty(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.counter("x").inc()
-        assert registry.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def test_process_wide_null_registry_disabled(self):
-        assert NULL_REGISTRY.enabled is False
-
-
-class TestSnapshot:
-    def test_name_sorted_and_json_safe(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc(2)
-        registry.counter("a").inc(1)
-        registry.gauge("depth").set(4.0)
-        registry.histogram("ages").observe(8.0)
-        snap = registry.snapshot()
-        assert list(snap["counters"]) == ["a", "b"]
-        assert snap["gauges"] == {"depth": 4.0}
-        ages = snap["histograms"]["ages"]
-        assert {k: ages[k] for k in ("count", "total", "mean", "min", "max")} == {
-            "count": 1, "total": 8.0, "mean": 8.0, "min": 8.0, "max": 8.0
-        }
-        # A single observation pins every quantile to the observed value,
-        # and the bucket row merges element-wise across snapshots.
-        assert (ages["p50"], ages["p95"], ages["p99"]) == (8.0, 8.0, 8.0)
-        assert ages["buckets"][3] == 1 and sum(ages["buckets"]) == 1
-
-    def test_empty_histogram_min_max_null(self):
-        registry = MetricsRegistry()
-        registry.histogram("empty")
-        summary = registry.snapshot()["histograms"]["empty"]
-        assert summary["min"] is None and summary["max"] is None
-
-
-class TestMergeSnapshots:
-    def _snap(self, counters=None, gauges=None, hist=None):
-        registry = MetricsRegistry()
-        for name, value in (counters or {}).items():
-            registry.counter(name).inc(value)
-        for name, value in (gauges or {}).items():
-            registry.gauge(name).set(value)
-        for name, values in (hist or {}).items():
-            instrument = registry.histogram(name)
-            for value in values:
-                instrument.observe(value)
-        return registry.snapshot()
-
-    def test_counters_sum(self):
-        merged = merge_snapshots(
-            [self._snap(counters={"req": 3}), self._snap(counters={"req": 4, "ev": 1})]
-        )
-        assert merged["counters"] == {"ev": 1, "req": 7}
-
-    def test_gauges_last_write_wins_in_list_order(self):
-        merged = merge_snapshots(
-            [self._snap(gauges={"g": 1.0}), self._snap(gauges={"g": 9.0})]
-        )
-        assert merged["gauges"] == {"g": 9.0}
-
-    def test_histograms_sum_counts_and_extremise_min_max(self):
-        merged = merge_snapshots(
-            [self._snap(hist={"h": [2.0, 10.0]}), self._snap(hist={"h": [6.0]})]
-        )
-        summary = merged["histograms"]["h"]
-        assert {
-            k: summary[k] for k in ("count", "total", "mean", "min", "max")
-        } == {"count": 3, "total": 18.0, "mean": 6.0, "min": 2.0, "max": 10.0}
-
-    def test_empty_histograms_merge_to_null_extremes(self):
-        merged = merge_snapshots([self._snap(hist={"h": []}), self._snap(hist={"h": []})])
-        summary = merged["histograms"]["h"]
-        assert summary["count"] == 0
-        assert summary["min"] is None and summary["max"] is None
-
-    def test_merge_of_nothing_is_empty(self):
-        assert merge_snapshots([]) == {"counters": {}, "gauges": {}, "histograms": {}}
+    def test_bucket_counts_sum_to_count(self):
+        hist = Histogram("h")
+        for value in (0.5, 3.0, 3.0, 700.0, 2.0**40):
+            hist.observe(value)
+        assert sum(hist.bucket_counts) == hist.count == 5
 
 
 class TestQuantiles:
     def _hist(self, values):
-        hist = MetricsRegistry().histogram("h")
+        hist = Histogram("h")
         for value in values:
             hist.observe(value)
         return hist
+
+    def test_single_observation_pins_every_quantile(self):
+        assert [self._hist([8.0]).quantile(q) for q in (0.5, 0.95, 0.99)] == [
+            8.0, 8.0, 8.0
+        ]
 
     def test_empty_histogram_has_no_quantiles(self):
         assert self._hist([]).quantile(0.5) is None
@@ -202,15 +91,13 @@ class TestQuantiles:
         estimate = hist.quantile(0.5)
         assert 64.0 < estimate <= 128.0
 
-    def test_merged_quantiles_equal_single_registry(self):
-        """Sharded observation then merge == one registry seeing everything."""
-        values = [1.5, 3.0, 7.0, 7.5, 20.0, 90.0, 1000.0, 6.0, 2.2]
-        whole = MetricsRegistry()
-        shards = [MetricsRegistry() for _ in range(3)]
-        for i, value in enumerate(values):
-            whole.histogram("h").observe(value)
-            shards[i % 3].histogram("h").observe(value)
-        merged = merge_snapshots([s.snapshot() for s in shards])["histograms"]["h"]
-        single = whole.snapshot()["histograms"]["h"]
-        for key in ("count", "min", "max", "p50", "p95", "p99"):
-            assert merged[key] == single[key], key
+    def test_quantiles_are_monotone_in_q(self):
+        hist = self._hist([1.5, 3.0, 7.0, 7.5, 20.0, 90.0, 1000.0, 6.0, 2.2])
+        estimates = [hist.quantile(i / 20) for i in range(21)]
+        assert estimates == sorted(estimates)
+        assert estimates[0] == 1.5 and estimates[-1] == 1000.0
+
+    def test_overflow_bucket_reports_the_observed_max(self):
+        # The +inf bucket has no upper edge to interpolate towards.
+        hist = self._hist([2.0**31 + 5, 2.0**33])
+        assert hist.quantile(0.5) == 2.0**33

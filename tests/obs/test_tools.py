@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -94,6 +95,26 @@ class TestSummarize:
         ages = summary["distributions"]["evict.age_s"]
         assert ages["count"] == 2
         assert ages["min"] == 2.0 and ages["max"] == 3.0
+
+    def test_distributions_are_name_sorted_and_json_safe(self, tmp_path):
+        summary = summarize_events(str(write_stream(tmp_path / "s.jsonl")))
+        names = list(summary["distributions"])
+        assert names == sorted(names) == [
+            "evict.age_s", "evict.size_bytes", "request.size_bytes"
+        ]
+        # ``repro obs summarize`` prints this dict as JSON; a stray inf or
+        # NaN from an empty histogram would not be valid JSON.
+        json.dumps(summary, allow_nan=False)
+
+    def test_empty_distributions_are_omitted(self, tmp_path):
+        # No evictions: the evict histograms stay empty and are left out
+        # rather than reported with inf/-inf extremes.
+        path = write_stream(
+            tmp_path / "s.jsonl",
+            mutate=lambda ls: [ln for ln in ls if '"e":"evict"' not in ln],
+        )
+        summary = summarize_events(str(path))
+        assert list(summary["distributions"]) == ["request.size_bytes"]
 
 
 class TestDiff:
