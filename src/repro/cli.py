@@ -82,7 +82,7 @@ def _size(text: str) -> Tuple[str, int]:
     """The argparse type of a capacity: the text as typed and its bytes."""
     try:
         return text, parse_size(text)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an infinite size
         raise argparse.ArgumentTypeError(
             f"invalid size {text!r} (expected e.g. 100KB, 10MB, 1GB or a byte count)"
         ) from None
@@ -101,17 +101,25 @@ def _interval(text: str) -> float:
     return seconds
 
 
-def _chunk_size(text: str) -> int:
-    """The argparse type of a chunk size: a positive whole number."""
-    try:
-        size = int(text)
-    except ValueError:
-        size = 0
-    if size <= 0:
-        raise argparse.ArgumentTypeError(
-            f"invalid chunk size {text!r} (expected a positive whole number)"
-        )
-    return size
+def _whole_number(noun: str, minimum: int):
+    """The argparse type of a ``noun``: a whole number >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"invalid {noun} {text!r} (expected a whole number >= {minimum})"
+            )
+        return value
+
+    return parse
+
+
+_chunk_size = _whole_number("chunk size", 1)
+_count = _whole_number("count", 0)
 
 
 #: Flag -> add_argument keywords of every option that sets one
@@ -186,7 +194,7 @@ def _event_options(parser, metavar: str, events_help: str) -> None:
 
 def _sweep_options(parser, jobs_help: str, events_help: str) -> None:
     """--jobs / --memo / --progress plus per-point event capture."""
-    parser.add_argument("--jobs", type=int, metavar="N", help=jobs_help)
+    parser.add_argument("--jobs", type=_count, metavar="N", help=jobs_help)
     parser.add_argument("--memo", metavar="DIR",
                         help="content-addressed result cache; sweep points "
                         "already simulated for this config+trace are reused")
@@ -206,31 +214,6 @@ def _span_options(parser) -> None:
                         help="record the tracemalloc high-water mark of each "
                         "replay (simulate: the manifest and --timeseries; "
                         "sweep: the telemetry summary)")
-
-
-def _findings_options(parser, baseline: Optional[str] = None,
-                      write_baseline: bool = True, root: bool = True) -> None:
-    """The flags lint, analyze and check share for reporting findings."""
-    if root:
-        parser.add_argument("--root", default="src",
-                            help="directory containing the repro package "
-                            "(default: src)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings in the shared repro-findings/1 schema")
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=baseline,
-        help="accepted-findings file (repro-analysis-baseline/1 schema); "
-        "matching findings are absorbed, stale entries fail the run, a "
-        "missing file is empty" + (f" (default: {baseline})" if baseline else ""),
-    )
-    if write_baseline:
-        parser.add_argument("--write-baseline", action="store_true",
-                            help="rewrite --baseline from the current findings "
-                            "and exit 0; edit each entry's 'why' afterwards")
-    parser.add_argument("--fail-on", choices=("note", "warn", "error"),
-                        default="note", metavar="SEVERITY",
-                        help="minimum finding severity that fails the run "
-                        "(note/warn/error; default: note = any finding)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--json", action="store_true", help="emit all points as JSON")
     _sweep_options(
         swp,
-        "worker processes (default: one per CPU; 1 = serial)",
+        "worker processes (default and 0: one per CPU; 1 = serial)",
         "write repro-events/1 streams for every freshly simulated point "
         "into DIR",
     )
@@ -335,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      "'timeline' reads --trace-out JSON, 'report' reads "
                      "--timeseries streams, 'validate' auto-detects "
                      "events, span-trace, timeseries and manifest files")
-    obs.add_argument("-n", "--count", type=int, default=10, metavar="N",
+    obs.add_argument("-n", "--count", type=_count, default=10, metavar="N",
                      help="[tail] number of trailing events to print")
     obs.add_argument("--json", action="store_true",
                      help="[summarize] emit the roll-up as JSON")
@@ -348,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _trace_options(prof, streamed=True)
     prof.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative",
                       help="stat ordering for the report")
-    prof.add_argument("--top", type=int, default=25, metavar="N",
+    prof.add_argument("--top", type=_count, default=25, metavar="N",
                       help="number of functions to print")
 
     ana = sub.add_parser(
@@ -371,7 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "configflow, or trace (default: all static analyzers); 'trace' "
         "must be the only target",
     )
-    _findings_options(ana, baseline="analysis-baseline.json")
+    ana.add_argument("--root", default="src",
+                     help="directory containing the repro package (default: src)")
+    ana.add_argument("--json", action="store_true",
+                     help="emit findings in the shared repro-findings/1 schema")
     _trace_options(ana)
 
     cmp_parser = sub.add_parser(
@@ -398,21 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    _findings_options(lint, root=False)
-
-    chk = sub.add_parser(
-        "check",
-        help="lint + every analyzer off one parse (the CI gate)",
-        description=(
-            "Build the ProjectModel once, lint its parsed modules, run all "
-            "whole-program analyzers against the same model, and apply one "
-            "noqa/baseline/severity filter to the merged findings."
-        ),
-    )
-    chk.add_argument("paths", nargs="*", default=["tests"],
-                     help="extra files/directories to lint from disk "
-                     "(default: tests)")
-    _findings_options(chk, baseline="analysis-baseline.json", write_baseline=False)
+    lint.add_argument("--json", action="store_true",
+                      help="emit findings in the shared repro-findings/1 schema")
     return parser
 
 
@@ -546,9 +519,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     names = sorted(EXPERIMENTS) if args.name == "all" else [args.name]
     store = ExperimentStore(args.save_json) if args.save_json else None
     memo = SweepMemoStore(args.memo) if args.memo else None
-    jobs = None
-    if args.jobs is not None:
-        jobs = args.jobs if args.jobs > 0 else default_jobs()
+    jobs = None if args.jobs is None else args.jobs or default_jobs()
     for name in names:
         driver = EXPERIMENTS[name]
         # Only the sweep-backed drivers take jobs/memo/engine and the obs
@@ -588,7 +559,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     trace = _load_or_generate(args)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     capacities = args.capacities or capacities_for(args.scale)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
+    jobs = args.jobs or default_jobs()
     memo = SweepMemoStore(args.memo) if args.memo else None
     if args.progress:
         # Totals via source_num_records: a streamed source (packed file,
@@ -698,66 +669,28 @@ def _load_or_generate(args: argparse.Namespace):
     return workload_trace(args.scale, args.seed)
 
 
-def _write_baseline(tool: str, args: argparse.Namespace, findings) -> int:
-    """--write-baseline: accept ``findings`` into the --baseline file."""
-    from repro.devtools.analysis.baseline import write_baseline
+def _report_findings(args: argparse.Namespace, tool: str, head: str,
+                     findings, suppressed: int = 0, extra=None) -> int:
+    """Print ``findings``, plain or as JSON; 1 if there are any.
 
-    entries = write_baseline(
-        Path(args.baseline), findings, why="accepted; edit this entry"
-    )
-    print(f"repro {tool}: wrote {len(entries)} entrie(s) to {Path(args.baseline)}")
-    return 0
-
-
-def _report_findings(args: argparse.Namespace, tool: str, report, head: str,
-                     extra: dict, tail: str = "") -> int:
-    """Print a findings report, plain or as JSON; 1 if the run fails.
-
-    ``report`` has the surviving ``findings``, the ``suppressed`` and
-    ``baselined`` counts and the ``stale_baseline`` entries. The plain
-    summary reads ``<head>: <N finding(s)><tail> (<absorbed>)``; the JSON
-    envelope carries ``extra``'s keys in order, then ``stale_baseline``.
+    The plain summary reads ``<head>: <N finding(s)> (<M> noqa-suppressed)``;
+    the JSON envelope carries ``extra``'s keys.
     """
-    from repro.devtools.catalog import fails
     from repro.devtools.report import findings_payload
 
-    failed = fails(report.findings, args.fail_on) or bool(report.stale_baseline)
     if args.json:
-        stale = [
-            {"rule": e.rule, "path": e.path, "message": e.message}
-            for e in report.stale_baseline
-        ]
-        payload = findings_payload(
-            tool, report.findings, extra={**extra, "stale_baseline": stale}
-        )
-        print(json.dumps(payload, indent=2))
-        return 1 if failed else 0
-    for finding in report.findings:
-        print(finding.render())
-    for entry in report.stale_baseline:
-        print(
-            f"stale baseline entry: {entry.rule} {entry.path} — fixed or "
-            f"reworded; remove it from {Path(args.baseline)}"
-        )
-    absorbed = []
-    if report.suppressed:
-        absorbed.append(f"{report.suppressed} noqa-suppressed")
-    if report.baselined:
-        absorbed.append(f"{len(report.baselined)} baselined")
-    count = "clean" if report.clean else f"{len(report.findings)} finding(s)"
-    absorbed_text = f" ({', '.join(absorbed)})" if absorbed else ""
-    print(f"{head}: {count}{tail}{absorbed_text}")
-    return 1 if failed else 0
+        print(json.dumps(findings_payload(tool, findings, extra=extra), indent=2))
+    else:
+        for finding in findings:
+            print(finding.render())
+        count = f"{len(findings)} finding(s)" if findings else "clean"
+        absorbed = f" ({suppressed} noqa-suppressed)" if suppressed else ""
+        print(f"{head}: {count}{absorbed}")
+    return 1 if findings else 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.devtools.analysis import (
-        ANALYZERS,
-        filter_findings,
-        run_analyzers,
-        select_analyzers,
-    )
-    from repro.devtools.analysis.model import ProjectModel
+    from repro.devtools.analysis import ANALYZERS, analyze_project
 
     targets = list(args.target or [])
     known = {"all", "trace", *ANALYZERS}
@@ -773,22 +706,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return 2
     if targets == ["trace"]:
         return _cmd_analyze_trace(args)
-    selected_names = None if (not targets or "all" in targets) else targets
-    selected = select_analyzers(selected_names)
-    model = ProjectModel.load(Path(args.root))
-    raw = run_analyzers(model, selected)
-    if args.write_baseline:
-        report = filter_findings(model, raw, selected, baseline_path=None)
-        return _write_baseline("analyze", args, report.findings)
-    report = filter_findings(model, raw, selected, baseline_path=Path(args.baseline))
+    selected = None if (not targets or "all" in targets) else targets
+    report = analyze_project(Path(args.root), selected)
     return _report_findings(
-        args, "analyze", report, f"repro analyze [{', '.join(report.analyzers)}]",
-        extra={
-            "analyzers": list(report.analyzers),
-            "fail_on": args.fail_on,
-            "suppressed": report.suppressed,
-            "baselined": len(report.baselined),
-        },
+        args, "analyze", f"repro analyze [{', '.join(report.analyzers)}]",
+        report.findings, report.suppressed,
+        extra={"analyzers": list(report.analyzers), "suppressed": report.suppressed},
     )
 
 
@@ -998,8 +921,6 @@ def _run_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.analysis.baseline import apply_baseline, load_baseline
-    from repro.devtools.analysis.runner import AnalysisReport
     from repro.devtools.lint import all_rules, lint_paths
 
     if args.list_rules:
@@ -1019,42 +940,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline and not args.baseline:
-        print("error: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
-    if args.write_baseline:
-        return _write_baseline("lint", args, findings)
-    baseline = Path(args.baseline) if args.baseline else None
-    entries = load_baseline(baseline) if baseline and baseline.exists() else []
-    kept, baselined, stale = apply_baseline(findings, entries)
-    report = AnalysisReport(findings=kept, baselined=baselined, stale_baseline=stale)
-    return _report_findings(
-        args, "lint", report, "repro lint",
-        extra={"fail_on": args.fail_on, "baselined": len(baselined)},
-    )
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.devtools.check import run_check
-
-    baseline_path = Path(args.baseline)
-    report = run_check(
-        Path(args.root),
-        extra_paths=args.paths,
-        baseline_path=baseline_path if baseline_path.exists() else None,
-    )
-    return _report_findings(
-        args, "check", report, f"repro check [{', '.join(report.analyzers)}]",
-        extra={
-            "analyzers": list(report.analyzers),
-            "fail_on": args.fail_on,
-            "suppressed": report.suppressed,
-            "baselined": len(report.baselined),
-            "linted_modules": report.linted_modules,
-            "linted_files": report.linted_files,
-        },
-        tail=f" across {report.linted_modules + report.linted_files} file(s)",
-    )
+    return _report_findings(args, "lint", "repro lint", findings)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1071,7 +957,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "analyze": _cmd_analyze,
         "compare": _cmd_compare,
         "lint": _cmd_lint,
-        "check": _cmd_check,
         "obs": _cmd_obs,
     }
     try:

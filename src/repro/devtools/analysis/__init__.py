@@ -18,17 +18,9 @@ Everything is AST-level over :class:`ProjectModel` — analyzed code is
 never imported, so broken or deliberately drifted trees (regression
 fixtures) analyze fine. The determinism pass reads one memoized
 :class:`~repro.devtools.analysis.effects.EffectAnalysis` per model.
-Entry point: :func:`analyze_project`; CLI: ``repro analyze`` (or
-``repro check`` for lint + analysis off one parse).
+Entry point: :func:`analyze_project`; CLI: ``repro analyze``.
 """
 
-from repro.devtools.analysis.baseline import (
-    BASELINE_SCHEMA,
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.devtools.analysis.callgraph import CallGraph
 from repro.devtools.analysis.configflow import analyze_configflow, coverage_table
 from repro.devtools.analysis.determinism import DEFAULT_ROOTS, analyze_determinism
@@ -52,8 +44,6 @@ __all__ = [
     "ANALYZERS",
     "AnalysisError",
     "AnalysisReport",
-    "BASELINE_SCHEMA",
-    "BaselineEntry",
     "CallGraph",
     "DEFAULT_ROOTS",
     "EffectAnalysis",
@@ -64,12 +54,9 @@ __all__ = [
     "analyze_determinism",
     "analyze_parity",
     "analyze_project",
-    "apply_baseline",
     "coverage_table",
     "effect_analysis",
     "filter_findings",
-    "load_baseline",
     "run_analyzers",
     "select_analyzers",
-    "write_baseline",
 ]

@@ -170,8 +170,8 @@ _ANALYSIS_CACHE: "WeakKeyDictionary[ProjectModel, EffectAnalysis]" = (
 def effect_analysis(model: ProjectModel) -> EffectAnalysis:
     """The (cached) :class:`EffectAnalysis` for ``model``.
 
-    Every analyzer in one ``repro analyze`` / ``repro check`` invocation
-    shares a single model, so this memo makes the effect scan and the
+    Every analyzer in one ``repro analyze`` invocation shares a single
+    model, so this memo makes the effect scan and the
     call graph a build-once cost.
     """
     analysis = _ANALYSIS_CACHE.get(model)

@@ -1,17 +1,11 @@
 """Orchestration for ``repro analyze``: model build, analyzers, filtering.
 
 One :class:`~repro.devtools.analysis.model.ProjectModel` is built per
-invocation and shared by every selected analyzer (``repro check`` reuses
-the same model for lint too, via :func:`run_analyzers`). Raw findings
-then pass through two filters, in order:
-
-1. line-scoped ``# repro: noqa[CODE]`` pragmas in the analyzed sources
-   (the same mechanism, and the same parser, as ``repro lint``);
-2. the checked-in JSON baseline (matched on rule/path/message, see
-   :mod:`repro.devtools.analysis.baseline`).
-
-The result is an :class:`AnalysisReport` carrying what survived, what
-was absorbed where, and which baseline entries went stale.
+invocation and shared by every selected analyzer. Raw findings then pass
+through line-scoped ``# repro: noqa[CODE]`` pragmas in the analyzed
+sources (the same mechanism, and the same parser, as ``repro lint``).
+The result is an :class:`AnalysisReport` carrying what survived and how
+many findings a pragma silenced.
 """
 
 from __future__ import annotations
@@ -20,11 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.devtools.analysis.baseline import (
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-)
 from repro.devtools.analysis.configflow import analyze_configflow
 from repro.devtools.analysis.determinism import analyze_determinism
 from repro.devtools.analysis.model import AnalysisError, ProjectModel
@@ -49,23 +38,19 @@ class AnalysisReport:
     """Outcome of one ``repro analyze`` run.
 
     Attributes:
-        findings: Findings that survived pragmas and the baseline, sorted.
+        findings: Findings that survived the pragmas, sorted.
         suppressed: Count of findings silenced by ``# repro: noqa``.
-        baselined: Findings absorbed by the checked-in baseline.
-        stale_baseline: Baseline entries that matched no current finding.
         analyzers: Names of the analyzers that ran, in execution order.
     """
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     analyzers: Tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:
-        """Whether the tree passes: nothing surviving, nothing stale."""
-        return not self.findings and not self.stale_baseline
+        """Whether the tree passes: no finding survived."""
+        return not self.findings
 
 
 def select_analyzers(
@@ -120,47 +105,31 @@ def filter_findings(
     model: ProjectModel,
     raw: Sequence[Finding],
     selected: Tuple[str, ...],
-    baseline_path: Optional[Path] = None,
 ) -> AnalysisReport:
-    """Apply noqa pragmas, then the baseline, to ``raw`` findings."""
+    """Apply noqa pragmas to ``raw`` findings."""
     suppressions = LazySuppressions(model)
-    unsuppressed: List[Finding] = []
+    kept: List[Finding] = []
     suppressed = 0
     for finding in raw:
         pragmas = suppressions.for_path(finding.path)
         if pragmas is not None and is_suppressed(finding, pragmas):
             suppressed += 1
         else:
-            unsuppressed.append(finding)
-
-    entries: List[BaselineEntry] = []
-    if baseline_path is not None and baseline_path.exists():
-        entries = load_baseline(baseline_path)
-    kept, baselined, stale = apply_baseline(unsuppressed, entries)
-
-    return AnalysisReport(
-        findings=kept,
-        suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
-        analyzers=selected,
-    )
+            kept.append(finding)
+    return AnalysisReport(findings=kept, suppressed=suppressed, analyzers=selected)
 
 
 def analyze_project(
     root: Path,
     analyzers: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Path] = None,
 ) -> AnalysisReport:
     """Run ``analyzers`` (default: all) over the tree rooted at ``root``.
 
     Args:
         root: Directory containing the ``repro`` package (usually ``src``).
         analyzers: Subset of :data:`ANALYZERS` keys; unknown names raise.
-        baseline_path: Optional baseline file; when given, its entries
-            absorb matching findings and stale entries are reported.
     """
     selected = select_analyzers(analyzers)
     model = ProjectModel.load(root)
     raw = run_analyzers(model, selected)
-    return filter_findings(model, raw, selected, baseline_path)
+    return filter_findings(model, raw, selected)

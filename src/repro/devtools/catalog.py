@@ -1,37 +1,17 @@
-"""Unified RPR rule catalog and severity model for the devtools suite.
+"""Unified RPR rule catalog for the devtools suite.
 
 Two tools emit ``RPR`` findings — the per-file lint pass and the
 whole-program analyzers — and nothing previously guaranteed their code
 spaces stayed disjoint or documented. This module is the single merge
 point: :func:`rule_catalog` collects every registered rule from both
-registries, *raising* on a code collision, and assigns each a severity
-consumed by the shared ``--fail-on`` flag:
-
-* ``error`` — correctness or reproducibility is at stake (the default);
-* ``warn`` — contract/hygiene drift worth surfacing but not worth
-  failing a local iteration loop (``--fail-on error`` skips these);
-* ``note`` — stylistic.
-
-``--fail-on note`` (the default everywhere) preserves the historical
-behaviour: any finding fails the run.
+registries, *raising* on a code collision. Every finding fails its run
+unless a ``# repro: noqa`` pragma on its line silences it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
-
-from repro.devtools.lint.findings import Finding
-
-#: Severity levels, weakest first (index = rank).
-SEVERITIES: Tuple[str, ...] = ("note", "warn", "error")
-
-#: Rules that do not gate correctness: stylistic (note) and
-#: contract-hygiene (warn) codes. Everything unlisted is an error.
-_SEVERITY_OVERRIDES: Dict[str, str] = {
-    "RPR006": "note",  # missing docstring
-    "RPR007": "warn",  # mutable default argument
-}
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -43,27 +23,12 @@ class RuleInfo:
         summary: One-line description.
         tool: ``"lint"`` or ``"analyze"``.
         source: Registering module/analyzer name (for diagnostics).
-        severity: One of :data:`SEVERITIES`.
     """
 
     code: str
     summary: str
     tool: str
     source: str
-    severity: str
-
-
-def severity_for(code: str) -> str:
-    """The severity of ``code`` (unknown codes default to ``error``)."""
-    return _SEVERITY_OVERRIDES.get(code, "error")
-
-
-def severity_rank(severity: str) -> int:
-    """Rank of a severity name; unknown names rank as ``error``."""
-    try:
-        return SEVERITIES.index(severity)
-    except ValueError:
-        return len(SEVERITIES) - 1
 
 
 def rule_catalog() -> Dict[str, RuleInfo]:
@@ -91,13 +56,7 @@ def rule_catalog() -> Dict[str, RuleInfo]:
                 f"rule code {code} registered twice: by "
                 f"{catalog[code].source} and by {source}"
             )
-        catalog[code] = RuleInfo(
-            code=code,
-            summary=summary,
-            tool=tool,
-            source=source,
-            severity=severity_for(code),
-        )
+        catalog[code] = RuleInfo(code=code, summary=summary, tool=tool, source=source)
 
     for code, rule_cls in REGISTRY.items():
         add(code, rule_cls.summary, "lint", rule_cls.__module__)
@@ -111,10 +70,3 @@ def rule_catalog() -> Dict[str, RuleInfo]:
             add(code, summary, "analyze", analyzer_name)
     return catalog
 
-
-def fails(findings: Iterable[Finding], fail_on: str) -> bool:
-    """Whether any finding meets the ``--fail-on`` threshold."""
-    threshold = severity_rank(fail_on)
-    return any(
-        severity_rank(severity_for(f.rule)) >= threshold for f in findings
-    )

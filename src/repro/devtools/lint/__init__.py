@@ -20,7 +20,6 @@ from repro.devtools.lint.registry import (
     register,
 )
 from repro.devtools.lint.runner import (
-    lint_context,
     lint_file,
     lint_paths,
     lint_source,
@@ -32,7 +31,6 @@ __all__ = [
     "REGISTRY",
     "RuleVisitor",
     "all_rules",
-    "lint_context",
     "lint_file",
     "lint_paths",
     "lint_source",

@@ -54,25 +54,6 @@ def _selected_rules(select: Optional[Iterable[str]]) -> List[Type[RuleVisitor]]:
     return rules
 
 
-def lint_context(
-    ctx: FileContext, select: Optional[Iterable[str]] = None
-) -> List[Finding]:
-    """Run the rule set over an already-parsed :class:`FileContext`.
-
-    This is the shared back half of :func:`lint_source`, split out so
-    ``repro check`` can lint the modules of a ProjectModel without
-    re-reading or re-parsing any file. Suppression pragmas are applied
-    from the context's source.
-    """
-    findings: List[Finding] = []
-    for rule_cls in _selected_rules(select):
-        if rule_cls.applies(ctx):
-            findings.extend(rule_cls(ctx).run())
-    return sorted(
-        filter_suppressed(findings, collect_suppressions(ctx.source))
-    )
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -96,7 +77,12 @@ def lint_source(
                 message=f"file does not parse: {exc.msg}",
             )
         ]
-    return lint_context(FileContext(path, source, tree), select=select)
+    ctx = FileContext(path, source, tree)
+    findings: List[Finding] = []
+    for rule_cls in _selected_rules(select):
+        if rule_cls.applies(ctx):
+            findings.extend(rule_cls(ctx).run())
+    return sorted(filter_suppressed(findings, collect_suppressions(source)))
 
 
 def lint_file(path: Path, select: Optional[Iterable[str]] = None) -> List[Finding]:

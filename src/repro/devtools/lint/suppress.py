@@ -2,7 +2,8 @@
 
 A finding is suppressed when the physical line it is anchored to carries a
 pragma naming its rule code — or a bare ``# repro: noqa`` which silences
-every rule on that line. Multiple codes are comma-separated::
+every rule on that line. Multiple codes are comma-separated (a second
+pragma on the same line adds its codes)::
 
     entry.hit_count = 3  # repro: noqa[RPR003]
     def f(x=[]):         # repro: noqa[RPR006, RPR007] intentional
@@ -31,21 +32,16 @@ def collect_suppressions(source: str) -> SuppressionMap:
     """Map 1-based line numbers to the rule codes suppressed on them."""
     suppressions: SuppressionMap = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _PRAGMA_RE.search(line)
-        if match is None:
-            continue
-        raw_codes = match.group("codes")
-        if raw_codes is None:
-            suppressions[lineno] = None  # bare noqa: everything
-        else:
-            codes = frozenset(
-                code.strip() for code in raw_codes.split(",") if code.strip()
-            )
-            existing = suppressions.get(lineno)
-            if existing is not None:
-                codes = codes | existing
-            if lineno in suppressions and suppressions[lineno] is None:
-                continue
+        for match in _PRAGMA_RE.finditer(line):
+            raw_codes = match.group("codes")
+            codes: Optional[FrozenSet[str]] = None  # bare noqa: everything
+            if raw_codes is not None:
+                codes = frozenset(
+                    code.strip() for code in raw_codes.split(",") if code.strip()
+                )
+            if lineno in suppressions:  # a repeated pragma merges its codes
+                prior = suppressions[lineno]
+                codes = None if prior is None or codes is None else prior | codes
             suppressions[lineno] = codes
     return suppressions
 

@@ -11,22 +11,19 @@ finding::
       "count": 2,
       "findings": [
         {"path": "...", "line": 3, "col": 0, "rule": "RPR101",
-         "severity": "error", "message": "..."},
+         "message": "..."},
         ...
       ]
     }
 
-Extra top-level keys (analyzer selection, baseline statistics) are
-allowed and additive; consumers must ignore keys they do not know. The
-``severity`` key (``note``/``warn``/``error``, from
-:mod:`repro.devtools.catalog`) drives the shared ``--fail-on`` flag.
+Extra top-level keys (analyzer selection, the ``suppressed`` count) are
+allowed and additive; consumers must ignore keys they do not know.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.devtools.catalog import severity_for
 from repro.devtools.lint.findings import Finding
 
 #: Version tag of the shared finding envelope.
@@ -40,7 +37,6 @@ def finding_to_dict(finding: Finding) -> Dict[str, Any]:
         "line": finding.line,
         "col": finding.col,
         "rule": finding.rule,
-        "severity": severity_for(finding.rule),
         "message": finding.message,
     }
 

@@ -54,17 +54,10 @@ class TestShippedTreeIsClean:
         report = analyze_project(REPO_SRC)
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.findings == [], f"unexpected findings:\n{rendered}"
-        assert report.stale_baseline == []
 
-    def test_cli_analyze_clean_with_checked_in_baseline(self, capsys):
+    def test_cli_analyze_clean(self, capsys):
         assert main(["analyze"]) == 0
         assert "clean" in capsys.readouterr().out
-
-    def test_checked_in_baseline_is_empty(self):
-        baseline = REPO_SRC.parent / "analysis-baseline.json"
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        assert document["schema"] == "repro-analysis-baseline/1"
-        assert document["entries"] == []
 
 
 class TestSeededDriftRegression:
@@ -175,50 +168,6 @@ class TestAnalyzeCli:
         out = capsys.readouterr().out
         assert "RPR101" in out and "drift_knob" in out
 
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        root = _copy_src(tmp_path)
-        _graft_config_field(
-            root,
-            '"""Drift probe: reads a config field the fastpath ignores."""\n'
-            "\n"
-            "\n"
-            "def probe(config):\n"
-            '    """Read the drifted knob like an engine would."""\n'
-            "    return config.drift_knob\n",
-        )
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [
-                "analyze", "parity", "--root", str(root),
-                "--baseline", str(baseline), "--write-baseline",
-            ]
-        ) == 0
-        assert main(
-            ["analyze", "parity", "--root", str(root), "--baseline", str(baseline)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_stale_baseline_fails(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema": "repro-analysis-baseline/1",
-                    "entries": [
-                        {
-                            "rule": "RPR101",
-                            "path": "src/repro/simulation/simulator.py",
-                            "message": "long-fixed finding",
-                            "why": "obsolete",
-                        }
-                    ],
-                }
-            )
-        )
-        assert main(["analyze", "--baseline", str(baseline)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-
 
 class TestLintJsonCli:
     def test_lint_json_shares_schema(self, tmp_path, capsys):
@@ -234,7 +183,6 @@ class TestLintJsonCli:
         assert payload["tool"] == "lint"
         assert payload["count"] == 1
         assert payload["findings"][0]["rule"] == "RPR003"
-        assert payload["findings"][0]["severity"] == "error"
         assert set(payload["findings"][0]) == {
-            "path", "line", "col", "rule", "severity", "message",
+            "path", "line", "col", "rule", "message",
         }

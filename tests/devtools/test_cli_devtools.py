@@ -1,8 +1,12 @@
 """CLI coverage for ``repro lint`` and ``repro simulate --sanitize``."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parents[2]
 
 CLEAN_MODULE = '"""A module."""\n\n\ndef helper(now):\n    """Return now."""\n    return now\n'
 DIRTY_MODULE = (
@@ -55,6 +59,57 @@ class TestLintCommand:
         # The acceptance bar for this PR: the linter passes on its own repo.
         assert main(["lint", "src", "tests"]) == 0
         capsys.readouterr()
+
+
+class TestMissingPath:
+    def test_missing_path_is_an_error(self, monkeypatch, capsys):
+        # A typo in a CI path must fail the step, not lint nothing and pass.
+        monkeypatch.chdir(REPO)
+        assert main(["lint", "src", "no_such_dir"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "no_such_dir" in captured.err
+        assert "clean" not in captured.out
+
+
+class TestEveryFindingFails:
+    """With default flags, a finding of any rule fails its run (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "rule, body",
+        [
+            ("RPR006", '"""m."""\n\n\ndef public():\n    return 1\n'),
+            ("RPR007", '"""m."""\n\n\ndef f(items=[]):\n    """D."""\n'),
+        ],
+    )
+    def test_lint_finding_fails(self, fake_tree, rule, body, capsys):
+        (fake_tree / "seeded.py").write_text(body)
+        assert main(["lint", str(fake_tree)]) == 1
+        out = capsys.readouterr().out
+        assert rule in out and "1 finding(s)" in out
+
+    def test_wall_clock_on_a_replay_path_fails_analyze(self, make_project, capsys):
+        root = make_project(
+            {
+                "repro/simulation/simulator.py": '''
+                    import time
+                    from dataclasses import dataclass
+
+                    @dataclass
+                    class SimulationConfig:
+                        scheme: str = "ea"
+                        window_size: int = 1000
+                        sanitize: bool = False
+
+                    def run_simulation(config, trace):
+                        started = time.time()
+                        used = (config.scheme, config.window_size, config.sanitize)
+                        return used, started
+                '''
+            }
+        )
+        assert main(["analyze", "--root", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert "RPR111" in out and "time.time" in out
 
 
 class TestSimulateSanitize:

@@ -1,7 +1,7 @@
 """Meta-tests over the unified rule catalog.
 
-Every RPR code must be unique, registered by exactly one tool, carry a
-severity, and appear in the docs rule index — a rule that exists in code
+Every RPR code must be unique, registered by exactly one tool, and
+appear in the docs rule index — a rule that exists in code
 but not in docs (or vice versa) is a finding nobody can look up.
 """
 
@@ -12,14 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.catalog import (
-    SEVERITIES,
-    fails,
-    rule_catalog,
-    severity_for,
-    severity_rank,
-)
-from repro.devtools.lint.findings import Finding
+from repro.devtools.catalog import rule_catalog
 
 REPO = Path(__file__).resolve().parents[2]
 DOCS = (REPO / "docs" / "DEVTOOLS.md", REPO / "docs" / "ANALYSIS.md")
@@ -64,7 +57,6 @@ class TestCatalogIntegrity:
             assert info.tool in ("lint", "analyze")
             assert info.source
             assert info.summary
-            assert info.severity in SEVERITIES
 
     def test_every_code_is_in_the_docs_rule_index(self):
         docs_text = "\n".join(
@@ -82,26 +74,3 @@ class TestCatalogIntegrity:
         with pytest.raises(ValueError, match="RPR003"):
             rule_catalog()
 
-
-class TestSeverityModel:
-    def test_ordering(self):
-        assert severity_rank("note") < severity_rank("warn")
-        assert severity_rank("warn") < severity_rank("error")
-
-    def test_defaults_and_overrides(self):
-        assert severity_for("RPR101") == "error"
-        assert severity_for("RPR006") == "note"
-        assert severity_for("RPR007") == "warn"
-        assert severity_for("RPR013") == "error"
-        assert severity_for("RPR999") == "error"  # unknown fails loud
-
-    def _finding(self, rule):
-        return Finding(path="x.py", line=1, col=0, rule=rule, message="m")
-
-    def test_fails_thresholds(self):
-        docstring_only = [self._finding("RPR006")]
-        assert fails(docstring_only, "note")
-        assert not fails(docstring_only, "warn")
-        assert not fails(docstring_only, "error")
-        assert fails([self._finding("RPR101")], "error")
-        assert not fails([], "note")

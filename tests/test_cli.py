@@ -155,6 +155,17 @@ class TestSweepCommand:
         assert serial.replace("jobs=1", "") == parallel.replace("jobs=2", "")
         assert "scheme" in serial and "adhoc" in serial and "ea" in serial
 
+    def test_jobs_zero_means_one_worker_per_cpu(self, monkeypatch, capsys):
+        # As on 'experiment': 0 picks default_jobs(), which it used to
+        # reject with "jobs must be >= 1".
+        monkeypatch.setattr("repro.parallel.default_jobs", lambda: 1)
+        argv = ["sweep", "--scale", "tiny", "--capacity", "64KB", "--jobs"]
+        assert main(argv + ["0"]) == 0
+        zero = capsys.readouterr().out
+        assert main(argv + ["1"]) == 0
+        assert zero == capsys.readouterr().out
+        assert "jobs=1" in zero
+
     def test_json_output_parses(self, capsys):
         code = main([
             "sweep", "--scale", "tiny", "--capacity", "64KB",

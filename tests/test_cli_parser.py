@@ -22,7 +22,6 @@ SCALES = ("tiny", "default", "full")
 FORMATS = ("bu", "squid", "clf")
 STREAMED = ("bu", "squid", "clf", "packed")
 ENGINES = ("object", "columnar", "batch")
-SEVERITIES = ("note", "warn", "error")
 ARCHITECTURES = ("distributed", "hierarchical")
 PARTITIONERS = ("hash", "round-robin-client", "round-robin-request")
 OBS_ACTIONS = ("tail", "summarize", "diff", "validate", "timeline", "report")
@@ -38,23 +37,13 @@ EXPERIMENT_NAMES = (
 
 EXPECTED = {
     "analyze": {
-        "--baseline": ("baseline", "analysis-baseline.json", None, None, STORE),
-        "--fail-on": ("fail_on", "note", SEVERITIES, None, STORE),
         "--json": ("json", False, None, 0, TRUE),
         "--root": ("root", "src", None, None, STORE),
         "--scale": ("scale", "default", SCALES, None, STORE),
         "--seed": ("seed", 42, None, None, STORE),
         "--trace": ("trace", None, None, None, STORE),
         "--trace-format": ("trace_format", "bu", FORMATS, None, STORE),
-        "--write-baseline": ("write_baseline", False, None, 0, TRUE),
         "target": ("target", None, None, "*", STORE),
-    },
-    "check": {
-        "--baseline": ("baseline", "analysis-baseline.json", None, None, STORE),
-        "--fail-on": ("fail_on", "note", SEVERITIES, None, STORE),
-        "--json": ("json", False, None, 0, TRUE),
-        "--root": ("root", "src", None, None, STORE),
-        "paths": ("paths", ["tests"], None, "*", STORE),
     },
     "compare": {
         "--caches": ("caches", 4, None, None, STORE),
@@ -86,12 +75,9 @@ EXPECTED = {
         "--seed": ("seed", 42, None, None, STORE),
     },
     "lint": {
-        "--baseline": ("baseline", None, None, None, STORE),
-        "--fail-on": ("fail_on", "note", SEVERITIES, None, STORE),
         "--json": ("json", False, None, 0, TRUE),
         "--list-rules": ("list_rules", False, None, 0, TRUE),
         "--select": ("select", None, None, None, STORE),
-        "--write-baseline": ("write_baseline", False, None, 0, TRUE),
         "paths": ("paths", ["src", "tests"], None, "*", STORE),
     },
     "obs": {
@@ -204,15 +190,28 @@ def test_help_renders(command):
     assert command in _subparsers()[command].format_help()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--scale", "tiny", "--capacity", "10XB"],
-    ["profile", "--scale", "tiny", "--capacity", "10XB"],
-    ["compare", "--scale", "tiny", "--capacity", "10XB"],
-    ["sweep", "--scale", "tiny", "--capacity", "10XB"],
+@pytest.mark.parametrize("size", ["10XB", "infMB", "1e400KB"])
+@pytest.mark.parametrize("command", ["simulate", "profile", "compare", "sweep"])
+def test_malformed_size_is_a_usage_error(command, size, capsys):
+    # An infinite size (infMB, or 1e400KB past the float range) used to
+    # escape parse_size as a raw OverflowError traceback.
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--scale", "tiny", "--capacity", size])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --capacity: invalid size '{size}'" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["experiment", "fig1", "--scale", "tiny", "--jobs", "-3"], "--jobs"),
+    (["sweep", "--scale", "tiny", "--jobs", "-1"], "--jobs"),
+    (["sweep", "--scale", "tiny", "--jobs", "two"], "--jobs"),
+    (["obs", "tail", "events.jsonl", "-n", "-3"], "-n/--count"),
+    (["profile", "--scale", "tiny", "--top", "-1"], "--top"),
 ])
-def test_malformed_size_is_a_usage_error(argv, capsys):
+def test_negative_count_is_a_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert "error: argument --capacity: invalid size '10XB'" in err
+    assert f"error: argument {flag}: invalid count" in err
