@@ -95,9 +95,11 @@ class ExpirationAgeTracker:
             raise CacheConfigurationError(
                 f"unknown window mode {window_mode!r}; expected one of {WINDOW_MODES}"
             )
-        if window_mode == "count" and window_size <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: a NaN window must be
+        # refused, not accepted as a window that never trims.
+        if window_mode == "count" and not window_size > 0:
             raise CacheConfigurationError("window_size must be positive")
-        if window_mode == "time" and window_seconds <= 0:
+        if window_mode == "time" and not window_seconds > 0:
             raise CacheConfigurationError("window_seconds must be positive")
         self.kind = kind
         self.window_mode = window_mode

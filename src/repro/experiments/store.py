@@ -42,9 +42,13 @@ class ExperimentStore:
         return self.root / f"{experiment_id}.json"
 
     def save(self, report: ExperimentReport) -> Path:
-        """Persist ``report`` as JSON; returns the file path."""
+        """Persist ``report`` as JSON, atomically; returns the file path.
+
+        A write that fails or is interrupted leaves the previous report
+        (or none) in place, never a truncated one.
+        """
         path = self._path(report.experiment_id)
-        path.write_text(report.to_json(), encoding="utf-8")
+        atomic_write_text(path, report.to_json())
         return path
 
     def load(self, experiment_id: str) -> ExperimentReport:

@@ -111,26 +111,6 @@ FALLBACK_MATRIX: Tuple[FallbackRule, ...] = (
         reason="sanitize=True instruments the object core's structures",
     ),
     FallbackRule(
-        field="use_engine",
-        supported=(False,),
-        reason="use_engine=True replays through the discrete-event scheduler",
-    ),
-    FallbackRule(
-        field="keep_outcomes",
-        supported=(False,),
-        reason="keep_outcomes=True materialises per-request outcome objects",
-    ),
-    FallbackRule(
-        field="collect_histogram",
-        supported=(False,),
-        reason="collect_histogram=True streams per-request latencies",
-    ),
-    FallbackRule(
-        field="timeseries_window",
-        supported=(0.0,),
-        reason="timeseries_window>0 buckets per-request outcomes",
-    ),
-    FallbackRule(
         field="latency",
         supported=("constant", "component"),
         reason="stochastic latency draws per-request random noise",

@@ -1,13 +1,5 @@
-"""Simulation layer: event engine, trace-driven simulator, metrics, results."""
+"""Simulation layer: trace-driven simulator, metrics, results."""
 
-from repro.simulation.engine import EventHandle, EventScheduler
-from repro.simulation.export import (
-    CSV_FIELDS,
-    read_outcomes_csv,
-    write_outcomes_csv,
-    write_outcomes_jsonl,
-)
-from repro.simulation.latencystats import LatencyHistogram
 from repro.simulation.replay import replay_trace
 from repro.simulation.timeseries import TimeSeriesCollector, WindowPoint
 from repro.simulation.metrics import (
@@ -29,13 +21,9 @@ from repro.simulation.simulator import (
 
 __all__ = [
     "ARCHITECTURES",
-    "CSV_FIELDS",
     "CooperativeSimulator",
-    "EventHandle",
-    "EventScheduler",
     "GroupMetrics",
     "LATENCY_MODELS",
-    "LatencyHistogram",
     "PARTITIONERS",
     "PlacementDecisionSummary",
     "SimulationConfig",
@@ -44,10 +32,7 @@ __all__ = [
     "WindowPoint",
     "average_cache_expiration_age",
     "estimate_average_latency",
-    "read_outcomes_csv",
     "replay_trace",
     "run_simulation",
     "summarize_placement_decisions",
-    "write_outcomes_csv",
-    "write_outcomes_jsonl",
 ]

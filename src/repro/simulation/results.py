@@ -1,4 +1,4 @@
-"""Simulation result container with JSON/CSV serialisation."""
+"""Simulation result container with JSON serialisation."""
 
 from __future__ import annotations
 

@@ -2,8 +2,8 @@
 
 :class:`CooperativeSimulator` wires every substrate together: it builds the
 cache group described by a :class:`SimulationConfig`, partitions the trace's
-clients across the proxies, replays each record through the group (directly
-or via the discrete-event engine), and assembles a
+clients across the proxies, replays each record through the group in
+timestamp order, and assembles a
 :class:`~repro.simulation.results.SimulationResult`.
 
 This mirrors the paper's methodology (Section 4.1): equal per-cache shares
@@ -14,8 +14,8 @@ zero-size records patched to 4 KB, and requests replayed in timestamp order.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, Optional
 
 from repro.architecture.base import (
     RESPONDER_STRATEGIES,
@@ -25,7 +25,6 @@ from repro.architecture.base import (
 from repro.architecture.distributed import DistributedGroup
 from repro.architecture.hierarchical import HierarchicalGroup
 from repro.cache.expiration import WINDOW_MODES
-from repro.core.outcomes import RequestOutcome
 from repro.core.placement import make_scheme
 from repro.errors import SimulationError
 from repro.network.bus import MessageBus
@@ -36,10 +35,7 @@ from repro.network.latency import (
     StochasticLatencyModel,
 )
 from repro.network.topology import two_level_tree
-from repro.simulation.engine import EventScheduler
-from repro.simulation.latencystats import LatencyHistogram
 from repro.simulation.metrics import GroupMetrics, average_cache_expiration_age
-from repro.simulation.timeseries import TimeSeriesCollector
 from repro.simulation.results import SimulationResult
 from repro.trace.partition import (
     HashPartitioner,
@@ -56,6 +52,18 @@ ENGINES = ("object", "columnar", "batch")
 
 #: Logger for engine dispatch; fallback reasons are logged at INFO here.
 _fastpath_logger = logging.getLogger("repro.fastpath")
+
+#: Four retired config fields, echoed at the only value any run gave them
+#: (``collect_histogram: False``, ``keep_outcomes: False``,
+#: ``timeseries_window: 0.0``, ``use_engine: False``), keyed by the field
+#: each pair stood before. The echo feeds every result's ``to_json``, and
+#: through :func:`repro.obs.manifest.config_hash` the memo keys and the
+#: ``repro-events/1`` run header; dropping the keys would change all of
+#: those bytes, and is a format change of its own.
+RETIRED_ECHO = {
+    "warmup_requests": {"keep_outcomes": False, "use_engine": False},
+    "sanitize": {"collect_histogram": False, "timeseries_window": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -85,18 +93,9 @@ class SimulationConfig:
             (failure injection; 0 = the paper's lossless setting).
         patch_size: Replacement size for zero-size records (paper: 4 KB).
         seed: Master seed for all stochastic pieces.
-        keep_outcomes: Retain the full per-request outcome log on the
-            simulator (memory-proportional to the trace).
-        use_engine: Replay through the discrete-event engine instead of a
-            plain loop (identical results; exercises the DES path).
         warmup_requests: Exclude the first N requests from *metrics* (cache
             state still updates) — standard steady-state measurement; 0
             reproduces the paper's whole-trace accounting.
-        collect_histogram: Maintain a streaming latency histogram
-            (:class:`~repro.simulation.latencystats.LatencyHistogram`)
-            available as ``simulator.histogram``.
-        timeseries_window: When positive, bucket outcomes into windows of
-            this many seconds (``simulator.timeseries``).
         engine: Execution engine: ``"object"`` (the reference core),
             ``"batch"`` (the replay kernel, :mod:`repro.fastpath.batch`:
             interned ids, array state, vector regimes, numpy-accelerated
@@ -131,11 +130,7 @@ class SimulationConfig:
     icp_loss_rate: float = 0.0
     patch_size: int = DEFAULT_PATCH_SIZE
     seed: int = 0
-    keep_outcomes: bool = False
-    use_engine: bool = False
     warmup_requests: int = 0
-    collect_histogram: bool = False
-    timeseries_window: float = 0.0
     sanitize: bool = False
     engine: str = "object"
 
@@ -172,8 +167,6 @@ class SimulationConfig:
             raise SimulationError("icp_loss_rate must be within [0, 1]")
         if self.warmup_requests < 0:
             raise SimulationError("warmup_requests must be non-negative")
-        if self.timeseries_window < 0:
-            raise SimulationError("timeseries_window must be non-negative")
 
     def with_scheme(self, scheme: str) -> "SimulationConfig":
         """Copy of this config running a different placement scheme."""
@@ -184,8 +177,16 @@ class SimulationConfig:
         return replace(self, aggregate_capacity=aggregate_capacity)
 
     def to_dict(self) -> Dict:
-        """Plain-dict echo for result serialisation."""
-        return asdict(self)
+        """Plain-dict echo for result serialisation.
+
+        Carries :data:`RETIRED_ECHO`'s keys at their old positions, so the
+        echo has the same keys, order and values as before they retired.
+        """
+        echo: Dict = {}
+        for name, value in asdict(self).items():
+            echo.update(RETIRED_ECHO.get(name, ()))
+            echo[name] = value
+        return echo
 
 
 def _make_partitioner(name: str, num_targets: int) -> Partitioner:
@@ -226,15 +227,6 @@ class CooperativeSimulator:
             for cache_index, cache in enumerate(self.group.caches):
                 cache.eviction_observer = obs.eviction_hook(cache_index)
         self.metrics = GroupMetrics()
-        self.outcomes: List[RequestOutcome] = []
-        #: Streaming latency distribution (when collect_histogram is set).
-        self.histogram = LatencyHistogram() if config.collect_histogram else None
-        #: Windowed metrics (when timeseries_window > 0).
-        self.timeseries = (
-            TimeSeriesCollector(config.timeseries_window)
-            if config.timeseries_window > 0
-            else None
-        )
         #: Runtime invariant sanitizer (when config.sanitize is set).
         self.sanitizer = None
         if config.sanitize:
@@ -299,17 +291,14 @@ class CooperativeSimulator:
     # ------------------------------------------------------------------ #
 
     def run(self, trace: Trace) -> SimulationResult:
-        """Replay ``trace`` and return the assembled result.
+        """Replay ``trace`` in timestamp order and return the result.
 
-        Plain-loop mode streams records straight from the patching iterator,
-        so memory stays flat regardless of trace length (the engine mode
-        must still materialise: it builds its event queue up front).
+        Records stream straight from the patching iterator, so memory
+        stays flat regardless of trace length.
         """
         records = patch_zero_sizes(iter(trace), self.config.patch_size)
-        if self.config.use_engine:
-            self._run_engine(list(records))
-        else:
-            self._run_loop(records)
+        for leaf_position, record in self._partitioner.split(records):
+            self._process(leaf_position, record)
         return self.result()
 
     def _process(self, leaf_position: int, record) -> None:
@@ -323,10 +312,6 @@ class CooperativeSimulator:
         self._processed += 1
         if self._processed > self.config.warmup_requests:
             self.metrics.observe(outcome)
-            if self.histogram is not None:
-                self.histogram.observe(outcome.latency)
-            if self.timeseries is not None:
-                self.timeseries.observe(outcome)
         if obs is not None:
             obs.request(
                 outcome.timestamp,
@@ -339,8 +324,6 @@ class CooperativeSimulator:
                 outcome.responder_refreshed,
                 outcome.hops,
             )
-        if self.config.keep_outcomes:
-            self.outcomes.append(outcome)
 
     def _snapshot_rows(self, due: float):
         """Per-cache gauge rows for one obs snapshot tick at time ``due``."""
@@ -359,23 +342,6 @@ class CooperativeSimulator:
                 )
             )
         return rows
-
-    def _run_loop(self, records) -> None:
-        for leaf_position, record in self._partitioner.split(records):
-            self._process(leaf_position, record)
-
-    def _run_engine(self, records) -> None:
-        start = records[0].timestamp if records else 0.0
-        scheduler = EventScheduler(
-            start_time=min(0.0, start), sanitize=self.config.sanitize
-        )
-        for leaf_position, record in self._partitioner.split(records):
-            scheduler.schedule(
-                record.timestamp,
-                # bind loop variables eagerly
-                lambda pos=leaf_position, rec=record: self._process(pos, rec),
-            )
-        scheduler.run()
 
     # ------------------------------------------------------------------ #
     # Results

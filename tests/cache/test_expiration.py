@@ -56,6 +56,36 @@ class TestTrackerValidation:
         with pytest.raises(CacheConfigurationError):
             ExpirationAgeTracker(window_mode="time", window_seconds=0.0)
 
+    # NaN compares False with everything, so a ``<= 0`` check let it
+    # through as a window that never trims.
+    @pytest.mark.parametrize("seconds", [-1.0, math.nan, -math.inf])
+    def test_window_seconds_must_be_positive(self, seconds):
+        with pytest.raises(CacheConfigurationError, match="window_seconds"):
+            ExpirationAgeTracker(window_mode="time", window_seconds=seconds)
+
+    @pytest.mark.parametrize("size", [-1, math.nan])
+    def test_window_size_must_be_positive(self, size):
+        with pytest.raises(CacheConfigurationError, match="window_size"):
+            ExpirationAgeTracker(window_mode="count", window_size=size)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"window_mode": "cumulative", "window_size": math.nan, "window_seconds": math.nan},
+            {"window_mode": "count", "window_seconds": math.nan},
+            {"window_mode": "time", "window_size": math.nan},
+        ],
+        ids=["cumulative", "count", "time"],
+    )
+    def test_only_the_mode_in_use_checks_its_window(self, kwargs):
+        assert ExpirationAgeTracker(**kwargs).window_mode == kwargs["window_mode"]
+
+    def test_infinite_window_seconds_keeps_every_victim(self):
+        tracker = ExpirationAgeTracker(window_mode="time", window_seconds=math.inf)
+        tracker.record_eviction(eviction(10.0, last_hit=8.0))
+        tracker.record_eviction(eviction(1e9, last_hit=1e9 - 4.0))
+        assert tracker.cache_expiration_age(now=1e12) == 3.0
+
 
 class TestEmptyTracker:
     @pytest.mark.parametrize("mode", ["cumulative", "count", "time"])

@@ -46,6 +46,25 @@ class TestStore:
         with pytest.raises(ExperimentError, match="corrupt"):
             store.load("bad")
 
+    def test_save_replaces_an_existing_report(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        store.save(make_report(hit=0.5))
+        store.save(make_report(hit=0.9))
+        assert store.load("figX").rows == [["100KB", 0.9]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["figX.json"]
+
+    def test_failed_save_keeps_the_old_report(self, tmp_path, monkeypatch):
+        store = ExperimentStore(tmp_path)
+        store.save(make_report(hit=0.5))
+        failing = make_report(hit=0.9)
+        # A lone surrogate cannot be encoded as UTF-8: the write fails
+        # part-way, after the target would have been opened.
+        monkeypatch.setattr(failing, "to_json", lambda: '{"rows": "\ud800"}')
+        with pytest.raises(UnicodeEncodeError):
+            store.save(failing)
+        assert store.load("figX").rows == [["100KB", 0.5]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["figX.json"]
+
     def test_list_and_exists(self, tmp_path):
         store = ExperimentStore(tmp_path)
         assert store.list_ids() == []

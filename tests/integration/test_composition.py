@@ -1,14 +1,12 @@
 """Composition tests: the substrates must stack cleanly.
 
 Each test combines two or more layers (digest location, coherence wrapper,
-demotion, prefetch engine, time-series collection, export) on a real
+demotion, prefetch engine, time-series collection, latency histogram) on a real
 workload and checks the composed system still conserves accounting — the
 classic failure mode of layered wrappers.
 """
 
 from __future__ import annotations
-
-import io
 
 import pytest
 
@@ -22,8 +20,8 @@ from repro.core.placement import EAScheme
 from repro.digest.group import DigestDistributedGroup
 from repro.network.topology import two_level_tree
 from repro.prefetch.engine import PrefetchEngine
-from repro.simulation.export import write_outcomes_csv
-from repro.simulation.latencystats import LatencyHistogram
+from repro.obs.registry import Histogram
+from repro.simulation.metrics import GroupMetrics
 from repro.simulation.replay import replay_trace
 from repro.simulation.timeseries import TimeSeriesCollector
 from repro.trace.partition import HashPartitioner
@@ -90,34 +88,32 @@ class TestPrefetchDigest:
 
 
 class TestObservabilityStack:
-    def test_timeseries_histogram_and_export_together(self, workload, tmp_path):
+    def test_timeseries_histogram_and_outcome_log_together(self, workload):
         group = DistributedGroup(build_caches(4, 300_000), EAScheme())
         collector = TimeSeriesCollector(window_seconds=workload.duration / 8)
-        histogram = LatencyHistogram()
+        latency_ms = Histogram("request.latency_ms")
         outcomes = []
         partitioner = HashPartitioner(4)
         for index, record in partitioner.split(patch_zero_sizes(iter(workload))):
             outcome = group.process(index, record)
             collector.observe(outcome)
-            histogram.observe(outcome.latency)
+            latency_ms.observe(outcome.latency * 1000.0)
             outcomes.append(outcome)
 
-        assert histogram.count == len(workload)
+        assert latency_ms.count == len(workload)
         assert sum(w.metrics.requests for w in collector.windows) == len(workload)
         # p99 is miss-dominated (2784 ms >> mean) while the median is a hit.
-        assert histogram.percentile(99.0) > histogram.percentile(50.0)
-
-        path = tmp_path / "outcomes.csv"
-        assert write_outcomes_csv(outcomes, path) == len(workload)
-        assert path.stat().st_size > 0
+        assert latency_ms.quantile(0.99) > latency_ms.quantile(0.5)
+        assert len(outcomes) == len(workload)
+        assert [o.timestamp for o in outcomes] == sorted(o.timestamp for o in outcomes)
 
     def test_histogram_matches_metrics_mean(self, workload):
         group = DistributedGroup(build_caches(4, 300_000), EAScheme())
-        histogram = LatencyHistogram()
+        latency_ms = Histogram("request.latency_ms")
+        metrics = GroupMetrics()
         partitioner = HashPartitioner(4)
-        total = 0.0
         for index, record in partitioner.split(patch_zero_sizes(iter(workload))):
             outcome = group.process(index, record)
-            histogram.observe(outcome.latency)
-            total += outcome.latency
-        assert histogram.mean == pytest.approx(total / len(workload))
+            latency_ms.observe(outcome.latency * 1000.0)
+            metrics.observe(outcome)
+        assert latency_ms.mean == pytest.approx(metrics.mean_measured_latency * 1000.0)

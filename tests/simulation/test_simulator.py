@@ -7,6 +7,8 @@ import math
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.manifest import config_hash
+from repro.parallel.memo import sweep_memo_key
 from repro.simulation.simulator import (
     CooperativeSimulator,
     SimulationConfig,
@@ -58,6 +60,67 @@ class TestConfigValidation:
         assert d["num_caches"] == 8
 
 
+class TestConfigEcho:
+    """The config echo is a format: result JSON, ``config_hash``, memo keys
+    and event run headers are all computed from it."""
+
+    #: The echo's keys, in order. Four of them (keep_outcomes, use_engine,
+    #: collect_histogram, timeseries_window) are retired fields, echoed at
+    #: the only value they ever took.
+    KEYS = [
+        "scheme", "num_caches", "aggregate_capacity", "policy",
+        "architecture", "num_parents", "partitioner", "responder_strategy",
+        "tie_break", "max_replica_fraction", "window_mode", "window_size",
+        "window_seconds", "latency", "latency_sigma", "icp_loss_rate",
+        "patch_size", "seed", "keep_outcomes", "use_engine",
+        "warmup_requests", "collect_histogram", "timeseries_window",
+        "sanitize", "engine",
+    ]
+
+    def test_keys_and_retired_values(self):
+        echo = SimulationConfig().to_dict()
+        assert list(echo) == self.KEYS
+        assert echo["keep_outcomes"] is False
+        assert echo["use_engine"] is False
+        assert echo["collect_histogram"] is False
+        assert echo["timeseries_window"] == 0.0
+
+    def test_config_hash_pinned(self):
+        assert config_hash(SimulationConfig()) == (
+            "1dbfebf33c6b4a05f66a66b376285acb993f1148b8264d1112a5a89f6d09f854"
+        )
+
+    def test_memo_key_pinned(self):
+        tiny = Trace([
+            TraceRecord(0.0, "c1", "http://a/1", 100),
+            TraceRecord(1.0, "c2", "http://a/2", 0),
+            TraceRecord(2.5, "c1", "http://a/1", 100),
+        ])
+        assert sweep_memo_key(SimulationConfig(), tiny) == (
+            "4e489b5cd6652e0da4b39f20e7752cfb9c6a04195de657b88eac80a4f20c7d14"
+        )
+
+    def test_retired_values_do_not_follow_the_config(self):
+        config = SimulationConfig(
+            scheme="adhoc", warmup_requests=7, sanitize=True, engine="batch"
+        )
+        echo = config.to_dict()
+        assert list(echo) == self.KEYS
+        assert (echo["warmup_requests"], echo["sanitize"], echo["engine"]) == (7, True, "batch")
+        assert (
+            echo["keep_outcomes"], echo["use_engine"],
+            echo["collect_histogram"], echo["timeseries_window"],
+        ) == (False, False, False, 0.0)
+
+    @pytest.mark.parametrize(
+        "keyword",
+        ["keep_outcomes", "use_engine", "collect_histogram", "timeseries_window"],
+    )
+    def test_retired_keywords_rejected(self, keyword):
+        with pytest.raises(TypeError):
+            SimulationConfig(**{keyword: False})
+
+
 class TestSimulatorRun:
     def test_all_requests_accounted(self, trace):
         result = run_simulation(SimulationConfig(aggregate_capacity=1 << 18, seed=3), trace)
@@ -71,30 +134,11 @@ class TestSimulatorRun:
         b = run_simulation(config, trace)
         assert a.to_dict() == b.to_dict()
 
-    def test_engine_replay_equals_loop_replay(self, trace):
-        loop = run_simulation(SimulationConfig(aggregate_capacity=1 << 18), trace)
-        engine = run_simulation(
-            SimulationConfig(aggregate_capacity=1 << 18, use_engine=True), trace
-        )
-        assert loop.to_dict()["metrics"] == engine.to_dict()["metrics"]
-
     def test_zero_sizes_patched(self, trace):
         # The fixture trace contains zero-size records; the simulator must
         # patch them rather than crash.
         result = run_simulation(SimulationConfig(aggregate_capacity=1 << 18), trace)
         assert result.metrics.bytes_requested > 0
-
-    def test_keep_outcomes(self, trace):
-        sim = CooperativeSimulator(
-            SimulationConfig(aggregate_capacity=1 << 18, keep_outcomes=True)
-        )
-        sim.run(trace)
-        assert len(sim.outcomes) == len(trace)
-
-    def test_outcomes_not_kept_by_default(self, trace):
-        sim = CooperativeSimulator(SimulationConfig(aggregate_capacity=1 << 18))
-        sim.run(trace)
-        assert sim.outcomes == []
 
     def test_hierarchical_architecture_runs(self, trace):
         config = SimulationConfig(

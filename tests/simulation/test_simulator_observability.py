@@ -1,4 +1,4 @@
-"""Tests for the simulator's warm-up exclusion and observability hooks."""
+"""Tests for the simulator's warm-up exclusion."""
 
 from __future__ import annotations
 
@@ -45,61 +45,6 @@ class TestWarmupExclusion:
         result = sim.run(trace)
         assert result.metrics.requests == 0
 
-    def test_outcome_log_unaffected_by_warmup(self, trace):
-        sim = CooperativeSimulator(
-            SimulationConfig(
-                aggregate_capacity=1 << 18, warmup_requests=500, keep_outcomes=True
-            )
-        )
-        sim.run(trace)
-        assert len(sim.outcomes) == len(trace)
-
     def test_negative_warmup_rejected(self):
         with pytest.raises(SimulationError):
             SimulationConfig(warmup_requests=-1)
-
-
-class TestHistogramHook:
-    def test_disabled_by_default(self, trace):
-        sim = CooperativeSimulator(SimulationConfig(aggregate_capacity=1 << 18))
-        sim.run(trace)
-        assert sim.histogram is None
-
-    def test_collects_every_measured_request(self, trace):
-        sim = CooperativeSimulator(
-            SimulationConfig(aggregate_capacity=1 << 18, collect_histogram=True)
-        )
-        sim.run(trace)
-        assert sim.histogram is not None
-        assert sim.histogram.count == len(trace)
-        assert sim.histogram.mean == pytest.approx(sim.metrics.mean_measured_latency)
-
-    def test_percentiles_sane(self, trace):
-        sim = CooperativeSimulator(
-            SimulationConfig(aggregate_capacity=1 << 18, collect_histogram=True)
-        )
-        sim.run(trace)
-        assert sim.histogram.percentile(99.0) >= sim.histogram.percentile(50.0)
-
-
-class TestTimeseriesHook:
-    def test_disabled_by_default(self, trace):
-        sim = CooperativeSimulator(SimulationConfig(aggregate_capacity=1 << 18))
-        sim.run(trace)
-        assert sim.timeseries is None
-
-    def test_windows_cover_trace(self, trace):
-        sim = CooperativeSimulator(
-            SimulationConfig(
-                aggregate_capacity=1 << 18,
-                timeseries_window=trace.duration / 10,
-            )
-        )
-        sim.run(trace)
-        assert sim.timeseries is not None
-        total = sum(w.metrics.requests for w in sim.timeseries.windows)
-        assert total == len(trace)
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(SimulationError):
-            SimulationConfig(timeseries_window=-1.0)
