@@ -592,7 +592,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             }
             for p in sweep.points
         ]
-        print(json.dumps(payload, indent=2))
+        # Sorted like ``to_json``: a memo hit revives its result from that
+        # text, so a fresh run must print the same key order.
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         _print_points(
             sweep, ("scheme", "aggregate", "hit", "byte_hit", "latency_ms"),

@@ -3,9 +3,9 @@
 Everything *around* the request loop of :func:`repro.fastpath.batch.replay`
 lives here: the envelope guards, the topology and capacity split, the
 per-cache tally columns, the scheme and latency constants, client→leaf
-growth, the per-run leaf/size/digit columns of a chunk (the list
-derivation the loop reads with its vector regimes off, the numpy one
-their precompute reads), the span-wrapped chunk stream, the per-chunk
+growth, the per-run leaf/size columns of a chunk (the list derivation
+the loop reads with its vector regimes off, with digit counts, and the
+numpy one their precompute reads), the span-wrapped chunk stream, the per-chunk
 timeseries sample and the :class:`SimulationResult` assembly. The kernel
 extends a frame with its state, binds the fields its loop touches to
 locals once (so the hot closures still see plain locals), replays, and
@@ -22,7 +22,6 @@ from repro.core.placement import EAScheme
 from repro.errors import SimulationError, TraceError
 from repro.fastpath import columnar_unsupported_reason
 from repro.fastpath.interning import InternedChunk, client_leaf_positions
-from repro.fastpath.numeric import decimal_digits
 from repro.network.bus import MessageCounters
 from repro.network.latency import ComponentLatencyModel, ConstantLatencyModel
 from repro.network.topology import StarTopology, two_level_tree
@@ -277,18 +276,21 @@ class ReplayFrame:
         return leaf_column, record_sizes, size_digits
 
     def chunk_columns_np(self, np, chunk, clients_np, sizes_np) -> tuple:
-        """:meth:`chunk_columns` over numpy columns.
+        """``(leaf, record size)`` of :meth:`chunk_columns` over numpy
+        columns (the digit counts are read where they are needed:
+        :func:`~repro.fastpath.numeric.decimal_digits`).
 
         ``clients_np`` / ``sizes_np`` are the chunk's own columns
         (:meth:`InternedChunk.columns_np`). The leaf column is one take
         through the client -> leaf table (or the record index modulo the
-        leaf count), the patched sizes one ``np.where``, the digit counts
-        :func:`~repro.fastpath.numeric.decimal_digits`. Not memoised here:
-        the batch precompute, the only consumer, keeps what it builds from
-        them (:meth:`repro.fastpath.batch._FastState.columns`).
+        leaf count), ``uint8`` in a group of up to 256 caches; the patched
+        sizes are one ``np.where``. Not memoised here: the batch
+        precompute, the only consumer, keeps what it builds from them
+        (:meth:`repro.fastpath.batch._FastState.columns`).
         """
+        leaf_dtype = np.uint8 if self.num_caches <= 256 else np.intp
         if self.partitioner == "round-robin-request":
-            leaves_np = np.array(self.leaves, dtype=np.intp)
+            leaves_np = np.array(self.leaves, dtype=leaf_dtype)
             index = np.arange(
                 chunk.base_records,
                 chunk.base_records + chunk.num_records,
@@ -299,10 +301,9 @@ class ReplayFrame:
             client_leaf = self._client_leaves(chunk)
             table = self._client_leaf_np
             if table is None or len(table) != len(client_leaf):
-                table = self._client_leaf_np = np.array(client_leaf, dtype=np.intp)
+                table = self._client_leaf_np = np.array(client_leaf, dtype=leaf_dtype)
             leaf_np = table[clients_np]
-        rsz_np = np.where(sizes_np == 0, self.patch, sizes_np)
-        return leaf_np, rsz_np, decimal_digits(np, rsz_np)
+        return leaf_np, np.where(sizes_np == 0, self.patch, sizes_np)
 
     def sample(self, timeseries, requests: int, t_last: float, **regimes) -> None:
         """Hand ``timeseries`` one cumulative counter reading."""

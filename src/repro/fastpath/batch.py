@@ -8,9 +8,9 @@ of it:
 
 * ``engine="batch"`` (:func:`simulate_batch`) switches the **vector
   regimes** on wherever :func:`batch_fastloop_reason` allows them —
-  distributed architecture, LRU, a ``count`` or ``cumulative`` window,
-  no observer, numpy present: a numpy precompute per chunk, a vectorised
-  cold prefix, and the numpy body of the post-pass.
+  distributed architecture, LRU, any window, no snapshot ticks, numpy
+  present: a numpy precompute per chunk, a vectorised cold prefix, and
+  the numpy body of the post-pass.
 * ``engine="columnar"`` (:func:`repro.fastpath.engine.simulate_columnar`),
   and ``engine="batch"`` everywhere else, is the same loop with them off:
   it reads :meth:`ReplayFrame.chunk_columns
@@ -74,14 +74,19 @@ The state and its loop:
   and at the chunk's end — every other line comes from :func:`miss_path`
   or a snapshot, so the stream keeps the object core's order. A snapshot
   row is the frame's tallies plus a fold of the chunk's outcome bytes so
-  far.
+  far. The cold prefix has no decision site of its own: its requests'
+  lines, decision lines included, are written whole after it from the
+  outcome bytes and a responder column it fills (:func:`_cold_lines`).
 
 The vector regimes:
 
-* **Batch precompute** — leaf assignment, patched record sizes, digit
-  counts, URL and ICP byte columns per request in one numpy pass
+* **Batch precompute** — leaf assignment, slots, timestamps and patched
+  record sizes per request, each doc's first size, in one numpy pass
   (:func:`_columns_np`), kept in the memo of a whole-trace chunk, the one
-  kind of chunk replayed more than once (:meth:`_FastState.columns`).
+  kind of chunk replayed more than once (:meth:`_FastState.columns`), in
+  the narrowest type that holds them (a byte per leaf, int32 slots and
+  sizes where they fit). Digit counts and the URL and ICP byte columns
+  are read per block in the post-pass and not kept.
 * **The cold regime** — while no cache has ever filled, every expiration
   age is ``inf``, EA placement decisions are constants, every admission
   succeeds, and a request can change cache state only if it is the first
@@ -118,6 +123,8 @@ from repro.simulation.results import SimulationResult
 _INF = math.inf
 # Runs per block of the warm regime's run iterator (see _runs).
 _RUN_BLOCK = 1024
+# Requests per block of the post-pass tallies and the cold prefix's lines.
+_BLOCK = 1 << 14
 
 
 def batch_fastloop_reason(config, obs=None) -> Optional[str]:
@@ -126,17 +133,16 @@ def batch_fastloop_reason(config, obs=None) -> Optional[str]:
 
     Purely informational (results are byte-identical either way); the run
     manifest and ``repro analyze`` surface it so their coverage is
-    observable. The last row reads the platform, not the config: the
-    vector regimes are numpy code.
+    observable. The first row reads the observer, the last the platform,
+    not the config: a snapshot tick can fall between two members of a
+    run, and the vector regimes are numpy code.
     """
-    if obs is not None:
-        why = "an attached observer needs events from every request"
+    if obs is not None and obs.snapshot_interval > 0:
+        why = "an attached observer takes snapshots between any two requests"
     elif config.architecture != "distributed":
         why = "hierarchical escalation is not vectorised"
     elif config.policy != "lru":
         why = "lfu victim accounting is not vectorised"
-    elif config.window_mode not in ("count", "cumulative"):
-        why = "time-window age reads have trim side effects"
     elif load_numpy() is None:
         why = "numpy unavailable (not installed, or REPRO_NO_NUMPY set)"
     else:
@@ -298,6 +304,7 @@ class _FastState(ReplayFrame):
         # replay already made (responder promotions). Slots are unique
         # within each tuple, so the masked scatters are conflict-free.
         self.pending: List[tuple] = []
+        self.largest = 0  # the largest patched size replayed so far
 
     def grow(self, chunk) -> None:
         """Extend every per-doc/per-slot column by the chunk's intern delta."""
@@ -380,14 +387,21 @@ class _FastState(ReplayFrame):
             return self.st_admissions[c]
         return len(self.heaps[c] if self.lfu else self.lru[c])
 
-    def leave_cold(self) -> None:
-        """End the cold regime: hand recency from the columns to ``lru``.
+    def leave_cold(self, cols=None, split: int = 0, gbase: int = 0) -> None:
+        """End the cold regime before request ``split`` of the chunk whose
+        columns are ``cols`` (global index ``gbase`` at its request 0):
+        hand recency from the columns to ``lru``.
 
-        Applies the cold segments' deferred last-touch fixups, then fills
+        Applies the deferred last-touch fixups of earlier cold chunks, then
+        the touches of this chunk's cold prefix: every request there
+        touched its own slot, so a slot's last touch is its largest index
+        (``np.maximum.at`` applies every one), and its timestamp is read
+        at that index (duplicate slots write equal values). Then fills
         each cache's ``OrderedDict`` with its resident slots in ascending
         ``seq`` order (a request touches at most one slot per cache, so
-        the order is total). O(residents), once per replay; the columns
-        are released — nothing reads them again.
+        the order is total). O(residents + split), once per replay, a
+        block at a time; the columns are released — nothing reads them
+        again.
         """
         np = self.np
         seq_v = np.frombuffer(self.seq, dtype=np.int64)
@@ -398,6 +412,15 @@ class _FastState(ReplayFrame):
             seq_v[sm] = gs_p[m]
             lh_v[sm] = tss_p[m]
         self.pending.clear()
+        if split:
+            slots = cols.slots
+            for b in range(0, split, _BLOCK):
+                e = min(b + _BLOCK, split)
+                touches = np.arange(b + gbase, e + gbase, dtype=np.int64)
+                np.maximum.at(seq_v, slots[b:e], touches)
+            for b in range(0, split, _BLOCK):
+                touched = slots[b : min(b + _BLOCK, split)]
+                lh_v[touched] = cols.ts[seq_v[touched] - gbase]
         resident = np.flatnonzero(np.frombuffer(self.present_b, dtype=np.uint8))
         resident = resident[np.argsort(seq_v[resident])]
         owner = resident % self.num_caches
@@ -761,7 +784,7 @@ def replay(
             if e - i > 1:
                 now = ts_l[e - 1]
                 if not lean:
-                    served[i + 1 : e] = array("q", [dsz[slot]]) * (e - i - 1)
+                    served[i + 1 : e] = array(served.typecode, [dsz[slot]]) * (e - i - 1)
             if not lean:
                 served[i] = dsz[slot]
             if lfu:
@@ -817,6 +840,10 @@ def replay(
         gbase = chunk.base_records
         w_start = min(max(st.warmup - gbase, 0), n)  # first measured request
         out = bytearray(n)
+        if emit:
+            # A cache index fits a byte in every group but a huge one.
+            resp = bytearray(n) if NC <= 256 else array("q", bytes(8 * n))
+            refr = bytearray(n)
 
         if not vector:
             # The loop alone: list columns, one request per run.
@@ -827,9 +854,6 @@ def replay(
             if emit:
                 cursor = folded = pend = 0
                 seen, local, admitted = [0] * NC, [0] * NC, [0] * NC
-                # A cache index fits a byte in every group but a huge one.
-                resp = bytearray(n) if NC <= 256 else array("q", bytes(8 * n))
-                refr = bytearray(n)
             # slot = doc * NC + leaf per request, zipped without a list.
             slots = map(add, map(NC.__mul__, docs_l), leaf_l)
             warm_loop(zip(slots, range(n), range(1, n + 1), ts_l))
@@ -846,42 +870,63 @@ def replay(
         cols = st.columns(chunk)
         if traced:
             spans.end()
-        npx = cols.npx
         lean = lean and cols.lean
+        st.largest = max(st.largest, cols.largest)
         tail_start = 0  # first request index the loop replays
+        if emit:
+            docs_l = chunk.doc_ids
+            ts_l = chunk.timestamps
 
         # Cold-regime prefix: replay first-slot-occurrences only, up to
         # the split where an admission would first evict/reject/decline.
+        # Its lines are written here, whole: it has no other decision site.
         if st.cold:
             if traced:
                 spans.begin("cold", "regime")
-            tail_start = _cold_prefix(st, n, gbase, cols, out)
+            tail_start = _cold_prefix(st, n, gbase, cols, out, resp)
+            if tail_start < n:
+                # The next admission can evict: ages stop being inf, so the
+                # regime is over for good. The loop needs the exact recency
+                # order.
+                st.leave_cold(cols, tail_start, gbase)
+            if emit:
+                _cold_lines(st, rec, tail_start, ts_l, docs_l, out, cols, resp)
             if traced:
                 spans.end(requests=tail_start)
         tally["cold"] += tail_start
+        pend = tail_start
 
-        # While cold every copy holds its doc's first size, and a lean
-        # tail serves the size column, which equals it: ``npx[3]`` (never
-        # mutated: may be memo-shared) unless a non-lean tail runs.
-        served_np = npx[3]
+        # While cold every copy holds its doc's first size; a lean chunk's
+        # requests all have it, so it serves the size column ``cols.rsz``
+        # (never mutated: may be memo-shared) unless a non-lean tail runs.
+        served_np = cols.rsz
 
         # The stateful tail (see warm_loop), the only consumer of Python
         # lists: a chunk that stayed cold never builds them. The loop
         # stores served sizes into an ``array`` at Python speed. Lean mode
         # never reads it; otherwise it starts as the cold prefix's first
         # sizes, then the request sizes — what an origin miss serves —
-        # and the loop overwrites the hits with their copy's size.
+        # and the loop overwrites the hits with their copy's size. The
+        # ``request`` lines read the tail's served sizes in either mode: a
+        # lean hit serves its request size.
         if tail_start < n:
             if traced:
                 spans.begin("warm", "regime")
             leaf_l, rsz = cols.scalar_columns()
             ts_l = chunk.timestamps
-            served = array("q", (0,)) * n
-            if not lean:
-                served_np = np.frombuffer(served, dtype=np.int64)
-                served_np[:tail_start] = npx[3][:tail_start]
-                served_np[tail_start:] = cols.post[4][tail_start:]
+            # A copy holds some request's size, so the largest so far
+            # bounds every size served.
+            served = _size_array(st.largest, n)
+            if not lean or emit:
+                served_v = np.frombuffer(served, dtype=f"i{served.itemsize}")
+                served_v[tail_start:] = cols.rsz[tail_start:]
+                if not lean:
+                    cols.first_sizes(0, tail_start, served_v)
+                    served_np = served_v
+                del served_v
             warm_loop(cols.runs(np, tail_start))
+            if emit:
+                flush(n)
             # Every scalar request wrote a non-zero outcome byte.
             hit_req = out.count(0, tail_start)
             scal_req = n - tail_start - hit_req
@@ -889,15 +934,17 @@ def replay(
             tally["scalar"] += scal_req
             if traced:
                 spans.end(hit_run=hit_req, scalar=scal_req)
+        elif not lean:
+            served_np = cols.first_sizes(0, n, np.empty(n, dtype=np.int64))
 
         # Outcome post-pass: bus, per-cache stats, metrics, latency.
         if traced:
             spans.begin("post", "replay")
-        _post_pass(st, *_tally_np(st, w_start, out, served_np, cols.post))
+        _post_pass(st, *_tally_np(st, w_start, out, served_np, cols))
         if traced:
             spans.end()
         if timeseries is not None:
-            st.sample(timeseries, gbase + n, float(npx[2][n - 1]), **tally)
+            st.sample(timeseries, gbase + n, float(cols.ts[n - 1]), **tally)
 
     if regimes is not None and vector:
         regimes.update(tally)
@@ -907,14 +954,16 @@ def replay(
     return st.result([refresh_age(c) for c in range(NC)], unique_documents)
 
 
-def _cold_prefix(st, n, gbase, cols, out):
+def _cold_prefix(st, n, gbase, cols, out, resp):
     """Replay the cold-regime prefix of one chunk, fully vectorised.
 
     Writes the prefix's outcome bytes into ``out`` (its admissions are
-    codes 2 and 3, counted by the post-pass), and its admissions, remote
-    serves and deferred touch fixups into ``st``. Returns the split: the
-    first request index the loop must replay (``n`` when the whole chunk
-    stayed cold — the regime latches off otherwise).
+    codes 2 and 3, counted by the post-pass), the responder of each remote
+    hit into ``resp`` (the observer's column; None without one), and its
+    admissions, remote serves and deferred touch fixups into ``st``.
+    Returns the split: the first request index the loop must replay
+    (``n`` when the whole chunk stayed cold; otherwise the caller ends
+    the regime, :meth:`_FastState.leave_cold`).
     """
     np = st.np
     NC = st.num_caches
@@ -928,8 +977,8 @@ def _cold_prefix(st, n, gbase, cols, out):
     used = st.used
     sender_np = st.sender_np
     first_min = st.first_min_g.view()
-    leaf_np = cols.post[0]
-    docs_np, slots_np, ts_np, fsreq_np = cols.npx
+    slots_np = cols.slots
+    ts_np = cols.ts
     grp_slot, grp_first, grp_last = cols.groups(np)
     # Cold invariant: a slot was seen before iff it is resident.
     # (No reference to the frombuffer view may outlive this
@@ -938,9 +987,9 @@ def _cold_prefix(st, n, gbase, cols, out):
     ev_ord = np.argsort(grp_first[new_g])
     ev_idx = grp_first[new_g][ev_ord]
     ev_slot = grp_slot[new_g][ev_ord]
-    ev_doc = docs_np[ev_idx]
-    ev_size = fsreq_np[ev_idx]  # admitted size is always the first size
-    ev_leaf = leaf_np[ev_idx]
+    ev_doc = ev_slot // NC
+    ev_size = cols.first_size[ev_doc]  # admitted size is always the first size
+    ev_leaf = ev_slot - ev_doc * NC
     split = n
     bad = ev_size > cap
     if replica_cap is not None:
@@ -970,7 +1019,7 @@ def _cold_prefix(st, n, gbase, cols, out):
             e_leaf = ev_leaf[:ecount]
             e_size = ev_size[:ecount]
             e_ts = ts_np[e_idx]
-            e_g = e_idx + gbase
+            e_g = e_idx.astype(np.int64) + gbase
             dorder = np.argsort(ev_doc[:ecount], kind="stable")
             d_doc = ev_doc[:ecount][dorder]
             d_leaf = e_leaf[dorder]
@@ -1008,6 +1057,9 @@ def _cold_prefix(st, n, gbase, cols, out):
             rem = ~compulsory
             if bool(rem.any()):
                 fm_r = before[rem]
+                if resp is not None:
+                    dtype = np.uint8 if type(resp) is bytearray else np.int64
+                    np.frombuffer(resp, dtype=dtype)[d_idx[rem]] = fm_r
                 sz_r = e_size[dorder][rem]
                 # 76 + Content-Length digits + sender header.
                 st.bus[5] += int(
@@ -1053,15 +1105,25 @@ def _cold_prefix(st, n, gbase, cols, out):
                 seqv[rslot_r] = e_g[dorder][rem]
             del dszv, lhv, seqv
         if split == n:
-            st.pending.append((grp_slot, grp_last + gbase, ts_np[grp_last]))
-        else:
-            p_slot, _p_first, p_last = _slot_groups(np, slots_np[:split])
-            st.pending.append((p_slot, p_last + gbase, ts_np[p_last]))
-    if split < n:
-        # The next admission can evict: ages stop being inf, so the regime
-        # is over for good. The loop needs the exact recency order.
-        st.leave_cold()
+            st.pending.append((grp_slot, grp_last.astype(np.int64) + gbase, ts_np[grp_last]))
     return split
+
+
+def _cold_lines(st, rec, split, ts_l, docs_l, out, cols, resp):
+    """Write every line of chunk requests ``0..split-1``, the cold prefix
+    (:meth:`~repro.obs.events.RunRecorder.cold_requests`), one block of
+    ``_BLOCK`` rows at a time: the numpy columns become Python values a
+    block at a time. While cold, every request is served its doc's first
+    size."""
+    granted = not st.ea  # a promotion under EA needs an age above inf
+    urls = st.url_json
+    sizes = cols.first_sizes
+    for b in range(0, split, _BLOCK):
+        e = min(b + _BLOCK, split)
+        rec.cold_requests(
+            ts_l[b:e], cols.leaf[b:e].tolist(), docs_l[b:e], urls, out[b:e],
+            sizes(b, e).tolist(), resp[b:e], granted,
+        )
 
 
 def _tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l):
@@ -1094,7 +1156,7 @@ def _tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l):
     return count, size, icp, hdr, per_class, class_bytes, latency
 
 
-def _tally_np(st, w_start, out, served_np, post):
+def _tally_np(st, w_start, out, served_np, cols):
     """The post-pass's numpy body over one chunk's outcome columns.
 
     Returns, like :func:`_tally_py`: the ``(leaf, outcome byte)``
@@ -1102,28 +1164,54 @@ def _tally_np(st, w_start, out, served_np, post):
     ICP probe bytes per leaf and the URL + Content-Length header bytes of
     the requests that left their leaf, and the measured window's count
     and served bytes per outcome class, and ``st.latency_sum`` with the
-    window's latencies folded on in request order.
+    window's latencies folded on in request order. One block of
+    ``_BLOCK`` requests at a time, so no temporary is as long as the
+    chunk; the per-document byte columns are gathered per block, and the
+    fold carries its running sum from block to block (the same strict
+    left fold as one pass).
     """
     np = st.np
     NC = st.num_caches
-    leaf_np, icp_req_np, url_req_np, digits_np, _rsz_np = post
+    n = len(out)
     out_np = np.frombuffer(out, dtype=np.uint8)
-    key = leaf_np * 16 + out_np
-    count = np.bincount(key, minlength=16 * NC).tolist()
-    size = np.bincount(key, weights=served_np, minlength=16 * NC).tolist()
-    cls = out_np & 3
-    left = cls != 0
-    icp = np.bincount(leaf_np[left], weights=icp_req_np[left], minlength=NC).tolist()
-    hdr = int(url_req_np[left].sum()) + int(digits_np[cls == 3].sum())
-    cls_w = cls[w_start:]
-    served_w = served_np[w_start:]
-    per_class = np.bincount(cls_w, minlength=4).tolist()
-    class_bytes = np.bincount(cls_w, weights=served_w, minlength=4).tolist()
-    fold = np.empty(len(cls_w) + 1, dtype=np.float64)
-    fold[0] = st.latency_sum
-    fold[1:] = st.lat_np[cls_w] + served_w / st.bw_np[cls_w]
-    np.add.accumulate(fold, out=fold)
-    return count, size, icp, hdr, per_class, class_bytes, float(fold[-1])
+    url_len = st.url_len_g.view()
+    icp_pair = st.icp_g.view()
+    count = np.zeros(16 * NC, dtype=np.int64)
+    size = np.zeros(16 * NC, dtype=np.int64)
+    icp = np.zeros(NC, dtype=np.int64)
+    per_class = np.zeros(4, dtype=np.int64)
+    class_bytes = np.zeros(4, dtype=np.int64)
+    hdr = 0
+    latency = st.latency_sum
+    for b in range(0, n, _BLOCK):
+        e = min(b + _BLOCK, n)
+        leaf = cols.leaf[b:e].astype(np.intp)
+        code = out_np[b:e]
+        served = served_np[b:e]
+        key = leaf * 16 + code
+        count += np.bincount(key, minlength=16 * NC)
+        size += np.bincount(key, weights=served, minlength=16 * NC).astype(np.int64)
+        cls = code & 3
+        left = cls != 0
+        docs = cols.slots[b:e][left] // NC
+        icp += np.bincount(leaf[left], weights=icp_pair[docs], minlength=NC).astype(np.int64)
+        hdr += int(url_len[docs].sum())
+        hdr += int(decimal_digits(np, cols.rsz[b:e][cls == 3]).sum())
+        w = max(w_start - b, 0)
+        if w < e - b:
+            cls_w = cls[w:]
+            served_w = served[w:]
+            per_class += np.bincount(cls_w, minlength=4)
+            class_bytes += np.bincount(cls_w, weights=served_w, minlength=4).astype(np.int64)
+            fold = np.empty(len(cls_w) + 1, dtype=np.float64)
+            fold[0] = latency
+            fold[1:] = st.lat_np[cls_w] + served_w / st.bw_np[cls_w]
+            np.add.accumulate(fold, out=fold)
+            latency = float(fold[-1])
+    return (
+        count.tolist(), size.tolist(), icp.tolist(), hdr, per_class.tolist(),
+        class_bytes.tolist(), latency,
+    )
 
 
 def _post_pass(st, count, size, icp, hdr, per_class, class_bytes, latency):
@@ -1224,9 +1312,17 @@ def _segments(np, values):
     return starts, ends
 
 
+def _size_array(largest: int, n: int) -> array:
+    """A zeroed ``array`` of ``n`` sizes none above ``largest``: 4-byte
+    ints (``"i"``) when they hold it, else ``"q"``."""
+    code = "i" if largest < 1 << 31 and array("i").itemsize == 4 else "q"
+    return array(code, bytes(array(code).itemsize * n))
+
+
 def _slot_groups(np, slots):
-    """``(slot, first index, last index)`` per distinct slot in ``slots``."""
-    order = np.argsort(slots, kind="stable")
+    """``(slot, first index, last index)`` per distinct slot in ``slots``;
+    the indices in the narrowest type that holds them (:func:`_narrow`)."""
+    order = np.argsort(slots, kind="stable").astype(_narrow(np, len(slots)))
     ss = slots[order]
     # Stable sort keeps each group's original indices ascending, so group
     # boundaries give first/last occurrence directly.
@@ -1234,73 +1330,113 @@ def _slot_groups(np, slots):
     return ss[gpos], order[gpos], order[gend - 1]
 
 
+def _narrow(np, bound: int):
+    """int32 for indices below ``bound`` when it fits, else int64: the
+    kept index columns take half the room in any trace that fits."""
+    return np.int32 if bound <= 1 << 31 else np.int64
+
+
 def _runs(np, starts, slots_np, ts_np, lo):
     """``(slot, start, end, first timestamp)`` per run of requests
     ``lo..n``, made from the chunk's run ``starts`` one block of
-    ``_RUN_BLOCK`` runs at a time; no tuple outlives its block's walk.
+    ``_RUN_BLOCK`` runs at a time; no tuple or array outlives its block's
+    walk.
 
     A tail cut at ``lo`` is ``lo`` plus the starts after it — a run
     straddling the cut re-enters as a fresh start, as segmenting
     ``slots[lo:n]`` would give; ends are the next start, then ``n``.
     """
-    starts = np.concatenate(((lo,), starts[np.searchsorted(starts, lo, "right") :]))
-    ends = np.append(starts[1:], len(slots_np))
-    blocks = (
-        (starts[b : b + _RUN_BLOCK], ends[b : b + _RUN_BLOCK])
-        for b in range(0, len(starts), _RUN_BLOCK)
-    )
-    return chain.from_iterable(
-        zip(slots_np[s].tolist(), s.tolist(), e.tolist(), ts_np[s].tolist())
-        for s, e in blocks
-    )
+    n = len(slots_np)
+    k = int(np.searchsorted(starts, lo, "right"))
+    count = len(starts) - k + 1  # runs in the tail: run r > 0 starts at starts[k + r - 1]
+
+    def block(b):
+        e = min(b + _RUN_BLOCK, count)
+        if b:
+            s = starts[k + b - 1 : k + e - 1]
+        else:
+            s = np.concatenate(((lo,), starts[k : k + e - 1]))
+        ends = starts[k + b : k + e].tolist()
+        if e == count:
+            ends.append(n)
+        return zip(slots_np[s].tolist(), s.tolist(), ends, ts_np[s].tolist())
+
+    return chain.from_iterable(map(block, range(0, count, _RUN_BLOCK)))
 
 
 class _ChunkColumns:
     """One chunk's batch precompute (see :func:`_columns_np`).
 
-    ``post`` and ``npx`` are the numpy columns the cold regime and the
-    post-pass consume; ``lean`` says every request matched its doc's
-    first-seen size. What only one regime asks for — the Python lists
-    ``warm_loop`` / ``miss_path`` index (per-request leaf and patched
-    size), the run starts and the cold regime's slot groups — is built
-    on first request and kept (the object lives in the memo of a
-    whole-trace chunk), so a chunk that stays cold allocates no
-    per-request Python object. It does not refer to its chunk.
+    Per request: ``leaf`` (``uint8`` in a group of up to 256 caches),
+    ``slots``, ``ts`` and ``rsz``, the patched sizes — a view of the
+    ``array`` the scalar path indexes (4-byte ints when they fit), so they
+    are kept once, and ``largest`` of them. Per
+    document: ``first_size``, the size every copy of it holds while the
+    cold regime lasts (its first patched size); ``lean`` says every
+    request has it. A request's document is its slot divided by the group
+    size, so the per-document byte columns are gathered where they are
+    read, a block at a time, and not kept. What only one regime asks
+    for — the leaf column the scalar path indexes, the run starts and the
+    cold regime's slot groups — is built on first request and kept (the
+    object lives in the memo of a whole-trace chunk), so a chunk that
+    stays cold allocates no per-request Python object. It does not refer
+    to its chunk.
     """
 
-    __slots__ = ("post", "npx", "lean", "_scalar", "_starts", "_groups")
+    __slots__ = (
+        "leaf", "slots", "ts", "rsz", "rsz_q", "largest", "first_size", "num_caches", "lean",
+        "_leaf_l", "_starts", "_groups",
+    )
 
-    def __init__(self, post, npx, lean):
-        self.post = post
-        self.npx = npx
+    def __init__(self, leaf, slots, ts, rsz, rsz_q, largest, first_size, num_caches, lean):
+        self.leaf = leaf
+        self.slots = slots
+        self.ts = ts
+        self.rsz = rsz
+        self.rsz_q = rsz_q
+        self.largest = largest
+        self.first_size = first_size
+        self.num_caches = num_caches
         self.lean = lean
-        self._scalar = None
+        self._leaf_l = None
         self._starts = None
         self._groups = None
 
     def scalar_columns(self):
         """``(leaf_l, rsz_q)``: per-request leaf and patched size as the
-        scalar path indexes them. Leaves are a list (small ints: no object
-        per request); sizes an ``array('q')`` — an int is made at each
-        origin miss that reads one, none is kept per request."""
-        if self._scalar is None:
-            self._scalar = (
-                self.post[0].tolist(), array("q", self.post[4].tobytes()),
-            )
-        return self._scalar
+        scalar path indexes them. Leaves are ``bytes`` (a list in a group
+        of more than 256 caches): small ints, no object per request;
+        sizes the ``array`` — an int is made at each origin miss that
+        reads one, none is kept per request."""
+        if self._leaf_l is None:
+            leaf = self.leaf
+            self._leaf_l = leaf.tobytes() if leaf.itemsize == 1 else leaf.tolist()
+        return self._leaf_l, self.rsz_q
+
+    def first_sizes(self, lo, hi, out=None):
+        """The first size of each request's doc, requests ``lo..hi-1``
+        (what a copy serves while cold); written into ``out`` (an integer
+        array of ``hi - lo``) one block at a time when given."""
+        first, slots, num_caches = self.first_size, self.slots, self.num_caches
+        if out is None:
+            return first[slots[lo:hi] // num_caches]
+        for b in range(lo, hi, _BLOCK):
+            e = min(b + _BLOCK, hi)
+            out[b - lo : e - lo] = first[slots[b:e] // num_caches]
+        return out
 
     def groups(self, np):
         """:func:`_slot_groups` of the chunk's slot column."""
         if self._groups is None:
-            self._groups = _slot_groups(np, self.npx[1])
+            self._groups = _slot_groups(np, self.slots)
         return self._groups
 
     def runs(self, np, lo):
         """:func:`_runs` of requests ``lo..n``; the chunk's run starts
         are segmented once and kept as one numpy column."""
         if self._starts is None:
-            self._starts = _segments(np, self.npx[1])[0]
-        return _runs(np, self._starts, self.npx[1], self.npx[2], lo)
+            self._starts = _segments(np, self.slots)[0].astype(_narrow(np, len(self.slots)))
+        return _runs(np, self._starts, self.slots, self.ts, lo)
 
 
 def _columns_np(st, chunk):
@@ -1308,14 +1444,19 @@ def _columns_np(st, chunk):
 
     Numpy from the chunk's own columns on
     (:meth:`InternedChunk.columns_np`: views of a packed chunk's buffers,
-    one conversion per list otherwise).
+    one conversion per list otherwise); the doc and client columns and
+    every temporary are dropped once the kept columns are made.
     """
     np = st.np
     NC = st.num_caches
-    url_len = st.url_len_g.view()
-    icp = st.icp_g.view()
     docs_np, sizes_np, ts_np, clients_np = chunk.columns_np(np)
-    leaf_np, rsz_np, digits_np = st.chunk_columns_np(np, chunk, clients_np, sizes_np)
+    leaf_np, rsz_np = st.chunk_columns_np(np, chunk, clients_np, sizes_np)
+    del sizes_np, clients_np
+    # Sizes are kept as int32 when this chunk's fit (see _size_array).
+    largest = int(rsz_np.max())
+    rsz_q = _size_array(largest, len(rsz_np))
+    rsz = np.frombuffer(rsz_q, dtype=f"i{rsz_q.itemsize}")
+    rsz[:] = rsz_np
     # Lean-mode eligibility: every doc's patched size constant so far.
     # First-occurrence assignment: reversed fancy indexing makes the
     # earliest duplicate win; docs seen in prior chunks keep their value.
@@ -1326,9 +1467,6 @@ def _columns_np(st, chunk):
         fs[docs_np[unseen][::-1]] = rsz_np[unseen][::-1]
         known = fs[docs_np]
     lean = bool((known == rsz_np).all())
-    slots_np = docs_np * NC + leaf_np
-    post = (leaf_np, icp[docs_np], url_len[docs_np], digits_np, rsz_np)
-    # ``known`` is the per-request first-seen-size column — the size any
-    # resident copy of the doc holds while the cold regime lasts.
-    npx = (docs_np, slots_np, ts_np, known)
-    return _ChunkColumns(post, npx, lean)
+    del known, unseen, rsz_np
+    slots_np = docs_np.astype(_narrow(np, st.num_docs * NC)) * NC + leaf_np
+    return _ChunkColumns(leaf_np, slots_np, ts_np, rsz, rsz_q, largest, fs, NC, lean)

@@ -11,11 +11,12 @@ one-sided placement decisions the paper's argument rests on.
 Byte identity across engines is achieved *by construction*: the object
 core and the replay kernel (:mod:`repro.fastpath.batch`) call the same
 :class:`RunRecorder` emitters, at protocol-equivalent points, with scalar
-arguments, and every line is serialised here. The one exception is the
-``request`` line: the object core writes it per request with
-:meth:`RunRecorder.request`, the kernel in ranges of its chunk columns
-with :meth:`RunRecorder.requests`. The differential tests in
-``tests/obs`` then only need to compare file text.
+arguments, and every line is serialised here. The exceptions are the
+kernel's column writers: the object core writes a ``request`` line per
+request with :meth:`RunRecorder.request`, the kernel in ranges of its
+chunk columns with :meth:`RunRecorder.requests`, and every line of its
+vectorised cold prefix with :meth:`RunRecorder.cold_requests`. The
+differential tests in ``tests/obs`` then only need to compare file text.
 
 Serialisation contract. Every line equals
 ``json.dumps(payload, separators=(",", ":")) + "\\n"`` for the payload dict
@@ -37,7 +38,10 @@ line is the oracle's for those too. The range writer
 per-value tests row by row, still one ``sink.write`` per line; it reads a
 URL's JSON text from a table the kernel fills once per document with
 :func:`string_json` (the template's own converter), and the kind and
-``stored`` from the kernel's outcome byte. The lines of one request carry
+``stored`` from the kernel's outcome byte. The cold writer does the same
+for the regime in which every age is ``inf``: its ``promotion`` and
+``placement`` lines carry the age and ``cmp`` text as constants. The
+lines of one request carry
 one timestamp object, so the recorder keeps the text of the last float it
 formatted and reuses it when the same object comes back (an identity test,
 exact by construction). Only the framing
@@ -93,6 +97,8 @@ _other = json.dumps
 #: yet reports ``+inf`` on every exchange, so at a capacity that fits the
 #: working set most ages are this string.
 _AGE_INF = _other(age_json(_INF))
+#: JSON text of the ``cmp`` of two ``+inf`` ages (what every cold exchange carries).
+_CMP_INF = _quote(classify_age_comparison(_INF, _INF))
 
 
 def _age(age: Any) -> str:
@@ -342,6 +348,86 @@ class RunRecorder:
         counts = self.counts
         counts["request"] = counts.get("request", 0) + hi - lo
         self._requests += hi - lo
+
+    def cold_requests(
+        self,
+        ts: Sequence[float],
+        caches: Sequence[int],
+        docs: Sequence[int],
+        urls: Sequence[str],
+        outcomes: Sequence[int],
+        served: Sequence[int],
+        responders: Sequence[int],
+        granted: bool,
+    ) -> None:
+        """Every line of a block of rows of the kernel's cold regime.
+
+        The columns are :meth:`requests`'s, one row per request, from row
+        0. While no cache has evicted, every age is ``inf``, every
+        placement is stored, a responder's promotion verdict is
+        ``granted`` for every remote hit (a constant of the scheme), and
+        the group is flat (every hop count is 0). So a row's outcome byte
+        (0 local hit, 2 remote hit, 3 miss) decides its lines: a remote
+        hit writes its ``promotion``, ``placement`` and ``request`` lines,
+        a miss its ``placement`` and ``request`` lines, a local hit its
+        ``request`` line, each the line the per-decision emitter writes
+        for those values, in the object core's order.
+        """
+        rows = len(outcomes)
+        if not rows:
+            return
+        write = self._write
+        flag = _FLAG[granted]
+        for t, cache, doc, code, size, who in zip(
+            ts, caches, docs, outcomes, served, responders
+        ):
+            t_text = _float(t) if type(t) is float and -_INF < t < _INF else _other(t)
+            cache_text = _int(cache) if type(cache) is int else _other(cache)
+            size_text = _int(size) if type(size) is int else _other(size)
+            url = urls[doc]
+            if not code:
+                write(
+                    f'{{"e":"request","t":{t_text},"cache":{cache_text}'
+                    f',"url":{url},"kind":"local_hit","size":{size_text}'
+                    f',"responder":null,"stored":false,"refreshed":false,"hops":0}}\n'
+                )
+            elif code == 2:
+                who_text = _int(who) if type(who) is int else _other(who)
+                write(
+                    f'{{"e":"promotion","t":{t_text},"cache":{who_text},"url":{url}'
+                    f',"requester_age":{_AGE_INF},"responder_age":{_AGE_INF}'
+                    f',"cmp":{_CMP_INF},"granted":{flag}}}\n'
+                )
+                write(
+                    f'{{"e":"placement","t":{t_text},"role":"remote","cache":{cache_text}'
+                    f',"url":{url},"size":{size_text}'
+                    f',"requester_age":{_AGE_INF},"responder_age":{_AGE_INF}'
+                    f',"cmp":{_CMP_INF},"stored":true,"refreshed":{flag}}}\n'
+                )
+                write(
+                    f'{{"e":"request","t":{t_text},"cache":{cache_text}'
+                    f',"url":{url},"kind":"remote_hit","size":{size_text}'
+                    f',"responder":{who_text},"stored":true,"refreshed":{flag},"hops":0}}\n'
+                )
+            else:
+                write(
+                    f'{{"e":"placement","t":{t_text},"role":"origin","cache":{cache_text}'
+                    f',"url":{url},"size":{size_text},"own_age":{_AGE_INF},"stored":true}}\n'
+                )
+                write(
+                    f'{{"e":"request","t":{t_text},"cache":{cache_text}'
+                    f',"url":{url},"kind":"miss","size":{size_text}'
+                    f',"responder":null,"stored":true,"refreshed":false,"hops":0}}\n'
+                )
+        remote = outcomes.count(2)
+        counts = self.counts
+        counts["request"] = counts.get("request", 0) + rows
+        if remote:
+            counts["promotion"] = counts.get("promotion", 0) + remote
+        decided = rows - outcomes.count(0)
+        if decided:
+            counts["placement"] = counts.get("placement", 0) + decided
+        self._requests += rows
 
     def placement_remote(
         self,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fastpath._frame import ReplayFrame
+from repro.fastpath.numeric import decimal_digits
 from repro.simulation.simulator import SimulationConfig, run_simulation
 from repro.trace import Trace, TraceRecord
 from repro.trace.columnar_io import PackedTraceReader, write_packed
@@ -68,11 +69,11 @@ def test_vectorised_columns_equal_list_columns(packed, backing, partitioner, pat
         assert len(chunks) == 4 and all(chunk.new_client_names for chunk in chunks)
     for chunk in chunks:
         _docs, sizes_np, _ts, clients_np = chunk.columns_np(np)
-        leaf_np, rsz_np, digits_np = by_numpy.chunk_columns_np(
-            np, chunk, clients_np, sizes_np
-        )
+        leaf_np, rsz_np = by_numpy.chunk_columns_np(np, chunk, clients_np, sizes_np)
+        digits_np = decimal_digits(np, rsz_np)
         leaf_l, rsz_l, digits_l = by_list.chunk_columns(chunk)
         assert leaf_np.tolist() == leaf_l
+        assert leaf_np.dtype == np.uint8  # three caches: a leaf is a byte
         assert rsz_np.tolist() == rsz_l
         assert digits_np.tolist() == digits_l == [len(str(size)) for size in rsz_l]
         assert patch_size in rsz_l and 0 not in rsz_l

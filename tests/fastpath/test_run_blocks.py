@@ -141,7 +141,9 @@ def test_memo_warm_replay_memory(monkeypatch, tie_break):
     assert second == first
     assert (peak - start) / n <= 100
     _key, cols = trace.interned().memo["batch_cols"]
-    slots = cols.npx[1]
+    slots = cols.slots
     run_count = int(np.count_nonzero(slots[1:] != slots[:-1])) + 1
     assert run_count < n
-    assert [len(held) for held in _held_lists(cols) if len(held) >= run_count] == [n]
+    # Not even the scalar path's leaf column: in a group of up to 256
+    # caches it is bytes.
+    assert [len(held) for held in _held_lists(cols) if len(held) >= run_count] == []

@@ -104,12 +104,18 @@ class TestBuildManifest:
         with_events = run_observed(
             batch, obs_trace, events_path=str(tmp_path / "run.jsonl")
         ).manifest
-        assert "observer" in with_events["fastloop_reason"]
+        # An event stream alone leaves the vector regimes on; snapshots
+        # turn them off.
+        assert with_events["fastloop_reason"] == plain["fastloop_reason"]
+        ticking = run_observed(
+            batch, obs_trace, events_path=str(tmp_path / "tick.jsonl"), snapshot_interval=300.0
+        ).manifest
+        assert "observer" in ticking["fastloop_reason"]
         assert run_observed(CONFIG, obs_trace).manifest["fastloop_reason"] is None
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         no_numpy = run_observed(batch, obs_trace).manifest
         assert "numpy" in no_numpy["fastloop_reason"]
-        for manifest in (plain, with_events, no_numpy):
+        for manifest in (plain, with_events, ticking, no_numpy):
             assert validate_manifest(manifest) == []
 
     def test_manifest_excluded_from_result_serialisation(self, obs_trace):

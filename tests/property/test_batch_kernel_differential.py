@@ -3,8 +3,9 @@
 The batch twin of ``test_core_differential.py``. The hand-written matrices
 in ``tests/fastpath`` run the warm kernel at default windows on traces
 whose documents never change size mid-run; here hypothesis draws the whole
-fast-loop envelope — scheme, group size, both pure windows with a ring
-small enough to wrap, responder strategy, tie-break, replica cap, warm-up,
+fast-loop envelope — scheme, group size, the three windows (a ring small
+enough to wrap, the cumulative sum, a time window that trims between
+requests), responder strategy, tie-break, replica cap, warm-up,
 latency model, chunking — at capacities where some documents are larger
 than a cache and some admissions evict several victims, over traces with
 multi-member runs, equal timestamps and sizes that change per request (so
@@ -56,8 +57,9 @@ configs = st.builds(
     # holds a handful of small ones; 9 000 holds everything but evicts.
     per_cache=st.integers(1_500, 9_000),
     scheme=st.sampled_from(["adhoc", "ea"]),
-    window_mode=st.sampled_from(["count", "cumulative"]),
+    window_mode=st.sampled_from(["count", "cumulative", "time"]),
     window_size=st.integers(1, 10),
+    window_seconds=st.sampled_from([0.5, 2.0, 6.0, 25.0]),
     responder_strategy=st.sampled_from(["first", "max_age"]),
     tie_break=st.sampled_from(["requester", "responder"]),
     max_replica_fraction=st.sampled_from([None, 0.1, 0.4]),

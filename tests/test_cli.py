@@ -190,6 +190,25 @@ class TestSweepCommand:
         assert second.split("memo:")[0] == first.split("memo:")[0]
 
 
+    def test_json_is_byte_identical_memo_cold_and_warm(self, tmp_path, capsys):
+        """A memo hit revives its result from the sorted ``to_json`` text;
+        the fresh run prints the same bytes."""
+        argv = [
+            "sweep", "--scale", "tiny", "--engine", "batch", "--capacity", "1MB",
+            "--json", "--memo", str(tmp_path / "memo"),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        cold_json, cold_memo = cold.split("memo: ")
+        warm_json, warm_memo = warm.split("memo: ")
+        assert cold_memo.startswith("0 hit(s), 2 miss(es)")
+        assert warm_memo.startswith("2 hit(s), 0 miss(es)")
+        assert warm_json == cold_json
+        assert [point["scheme"] for point in json.loads(cold_json)] == ["adhoc", "ea"]
+
+
 class TestExperimentParallelFlags:
     def test_jobs_and_memo_accepted(self, tmp_path, capsys):
         argv = [
