@@ -95,10 +95,16 @@ class ExpirationAgeTracker:
             raise CacheConfigurationError(
                 f"unknown window mode {window_mode!r}; expected one of {WINDOW_MODES}"
             )
+        if window_mode == "count":
+            # A count of victims: 2.5 or True is no such count.
+            if isinstance(window_size, bool) or not isinstance(window_size, int):
+                raise CacheConfigurationError(
+                    f"window_size must be an int, got {window_size!r}"
+                )
+            if window_size <= 0:
+                raise CacheConfigurationError("window_size must be positive")
         # ``not x > 0`` rather than ``x <= 0``: a NaN window must be
         # refused, not accepted as a window that never trims.
-        if window_mode == "count" and not window_size > 0:
-            raise CacheConfigurationError("window_size must be positive")
         if window_mode == "time" and not window_seconds > 0:
             raise CacheConfigurationError("window_seconds must be positive")
         self.kind = kind

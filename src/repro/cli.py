@@ -21,7 +21,8 @@ The subcommands cover the library's workflows::
 
 Two engines replay a trace: ``object``, the readable reference core (the
 default), and ``batch``, the fast replay kernel of :mod:`repro.fastpath`.
-``--engine columnar`` runs that same kernel with its vector regimes off.
+``--engine columnar`` is not a third engine but a reference setting of
+that kernel, with its vector regimes off, for cross-engine diffs.
 Results are byte-identical whichever engine runs.
 
 ``repro experiment all`` regenerates every paper artifact in sequence and
@@ -135,9 +136,11 @@ _CONFIG_OPTIONS = {
     "--engine": {
         "choices": ENGINES, "default": "object",
         "help": "replay engine: 'object' (the reference core) or 'batch' "
-        "(the fast kernel); 'columnar' is that kernel with its vector "
-        "regimes off. Results are byte-identical on every engine; a config "
-        "the kernel does not model falls back to 'object' with a logged reason",
+        "(the fast kernel); 'columnar' is not a third engine but a reference "
+        "setting of that kernel with its vector regimes off, for "
+        "cross-engine diffs. Results are byte-identical on every engine; a "
+        "config the kernel does not model falls back to 'object' with a "
+        "logged reason",
     },
 }
 

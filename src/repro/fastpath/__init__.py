@@ -28,10 +28,11 @@ back to the object engine with a logged reason.
 The fallback matrix below is the *single* declaration of the engines'
 envelope: :func:`columnar_unsupported_reason` interprets it at dispatch
 time, ``repro analyze parity`` diffs it statically against the config
-fields both engines actually read, and ``docs/PERFORMANCE.md`` renders it
-for humans. Adding a :class:`~repro.simulation.simulator.SimulationConfig`
-field therefore requires either porting it to the fast engines or
-declaring it here — anything else fails the parity analyzer (RPR101).
+fields both engines actually read, and ``docs/PERFORMANCE.md`` copies it
+into a table that ``tests/test_docs_code.py`` holds equal to it. Adding a
+:class:`~repro.simulation.simulator.SimulationConfig` field therefore
+requires either porting it to the fast engines or declaring it here —
+anything else fails the parity analyzer (RPR101).
 """
 
 from __future__ import annotations
@@ -110,21 +111,6 @@ FALLBACK_MATRIX: Tuple[FallbackRule, ...] = (
         supported=(False,),
         reason="sanitize=True instruments the object core's structures",
     ),
-    FallbackRule(
-        field="latency",
-        supported=("constant", "component"),
-        reason="stochastic latency draws per-request random noise",
-    ),
-    FallbackRule(
-        field="responder_strategy",
-        supported=("first", "max_age"),
-        reason="random responder strategy draws from the seeded RNG",
-    ),
-    FallbackRule(
-        field="icp_loss_rate",
-        supported=(0.0,),
-        reason="icp_loss_rate>0 draws per-probe loss randomness",
-    ),
 )
 
 #: Config fields that cannot cause engine drift even though the columnar
@@ -133,8 +119,7 @@ FALLBACK_MATRIX: Tuple[FallbackRule, ...] = (
 #: appear in :data:`FALLBACK_MATRIX`.
 COLUMNAR_NEUTRAL_FIELDS: Tuple[Tuple[str, str], ...] = (
     ("engine", "the dispatch selector itself, consumed by run_simulation"),
-    ("seed", "only feeds stochastic features, all of which force fallback"),
-    ("latency_sigma", "only the stochastic latency model reads it, which forces fallback"),
+    ("seed", "only the object core's group RNG reads it, and no config draws from it"),
 )
 
 

@@ -19,15 +19,15 @@ from typing import Iterator, List, Optional, Tuple
 from repro.cache.expiration import ExpirationAgeTracker
 from repro.cache.stats import CacheStats
 from repro.core.placement import EAScheme
-from repro.errors import SimulationError, TraceError
+from repro.errors import SimulationError
 from repro.fastpath import columnar_unsupported_reason
 from repro.fastpath.interning import InternedChunk, client_leaf_positions
 from repro.network.bus import MessageCounters
-from repro.network.latency import ComponentLatencyModel, ConstantLatencyModel
+from repro.network.latency import ConstantLatencyModel
 from repro.network.topology import StarTopology, two_level_tree
 from repro.simulation.metrics import GroupMetrics, average_cache_expiration_age
 from repro.simulation.results import SimulationResult
-from repro.trace.record import Trace
+from repro.trace.record import Trace, require_positive_int
 
 
 #: Requests per chunk when replaying a streamed source that does not name
@@ -78,11 +78,9 @@ def check_envelope(config, engine: str) -> None:
         raise SimulationError(
             f"config unsupported by the {engine} engine: {reason}"
         )
-    if config.patch_size <= 0:
-        # Same guard (and message) patch_zero_sizes raises in the object path.
-        raise TraceError(f"patch_size must be positive, got {config.patch_size}")
     # The object core's own validators, so both cores refuse the same
-    # scheme and window parameters with the same error.
+    # patch size, scheme and window parameters with the same error.
+    require_positive_int("patch_size", config.patch_size)
     if config.scheme == "ea":
         EAScheme(config.tie_break, config.max_replica_fraction)
     ExpirationAgeTracker(
@@ -162,26 +160,14 @@ class ReplayFrame:
         self.met = [0, 0, 0, 0, 0, 0, 0, 0]
         self.latency_sum = 0.0
 
-        # Scheme / latency / strategy parameters.
+        # Scheme parameters and the paper's per-class latencies.
         self.ea = config.scheme == "ea"
         self.tie_requester = config.tie_break == "requester"
         self.replica_cap = config.max_replica_fraction if self.ea else None
-        self.max_age_strategy = config.responder_strategy == "max_age"
-        self.constant_latency = config.latency == "constant"
-        if self.constant_latency:
-            model = ConstantLatencyModel()
-            self.lat_local = model.local_hit
-            self.lat_remote = model.remote_hit
-            self.lat_miss = model.miss
-            self.lan_bw = self.wan_bw = 1.0  # unused
-        else:
-            model = ComponentLatencyModel()
-            self.lat_local = model.local_service
-            self.lat_remote = model.icp_rtt + model.proxy_http_setup
-            self.lat_miss = model.icp_rtt + model.origin_http_setup
-            self.lan_bw = model.lan_bandwidth
-            self.wan_bw = model.wan_bandwidth
-        self.warmup = config.warmup_requests
+        model = ConstantLatencyModel()
+        self.lat_local = model.local_hit
+        self.lat_remote = model.remote_hit
+        self.lat_miss = model.miss
 
     def chunks(
         self, trace, chunk_size: Optional[int], spans

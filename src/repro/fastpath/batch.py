@@ -109,7 +109,7 @@ import math
 from array import array
 from collections import OrderedDict, deque
 from heapq import heappop, heappush, heapreplace
-from itertools import chain, islice
+from itertools import chain
 from operator import add
 from typing import List, Optional
 
@@ -266,11 +266,8 @@ class _FastState(ReplayFrame):
             ]
         self.age_len = [3 if self.trackers is None else -1] * num_caches  # len("inf")
         # Per outcome class (0 local / 2 remote / 3 miss): the latency a
-        # request adds is lat + size / bw (bw inf: no transfer term).
+        # request adds.
         self.lat_class = [self.lat_local, 0.0, self.lat_remote, self.lat_miss]
-        self.bw_class = [_INF, _INF, _INF, _INF]
-        if not self.constant_latency:
-            self.bw_class[2:] = [self.lan_bw, self.wan_bw]
         # Event lines name the URL; ``request`` lines read its JSON text.
         self.url_of = None if obs is None else []
         self.url_json = None if obs is None else []
@@ -286,7 +283,6 @@ class _FastState(ReplayFrame):
         self.first_size_g = _NpGrow(np)  # -1 until a doc's first request lands
         self.sender_np = np.array(self.sender_len, dtype=np.int64)
         self.lat_np = np.array(self.lat_class)
-        self.bw_np = np.array(self.bw_class)
         # Cold regime (see module docstring): sound while no eviction has
         # ever happened anywhere, which the kernel guarantees by
         # construction — the flag latches off *before* the first request
@@ -451,9 +447,9 @@ def replay(
     parent = st.parent
     probe_targets = st.probe_targets
     flat = not st.hierarchical  # no parents: every group-wide miss goes to the origin
-    # The "first" responder over every sibling is one search of the slots;
-    # otherwise the probe scans the targets.
-    scan = st.max_age_strategy or not flat
+    # The first responder over every sibling is one search of the slots;
+    # a hierarchy's probe scans its targets, the parent among them.
+    scan = not flat
     cap = st.cap
     sender_len = st.sender_len
     present_b = st.present_b
@@ -478,7 +474,6 @@ def replay(
     ea = st.ea
     tie_requester = st.tie_requester
     rc_limit = _INF if st.replica_cap is None else st.replica_cap * cap
-    max_age_strategy = st.max_age_strategy
     count_mode = st.count_mode
     W = config.window_size
     win = st.win
@@ -544,14 +539,8 @@ def replay(
             if scan:
                 rslot = -1
                 for t in probe_targets[cache]:
-                    if present_b[base + t]:
-                        if max_age_strategy:
-                            t_age = cur_age[t] if age_len[t] >= 0 else refresh_age(t, False, now)
-                            if rslot < 0 or t_age > best_age:
-                                rslot = base + t
-                                best_age = t_age
-                        elif rslot < 0 or base + t < rslot:
-                            rslot = base + t
+                    if present_b[base + t] and (rslot < 0 or base + t < rslot):
+                        rslot = base + t
             else:
                 # The lowest holder (the requester's own byte is 0).
                 rslot = present_b.find(1, base, base + NC)
@@ -838,7 +827,6 @@ def replay(
         if not n:
             continue
         gbase = chunk.base_records
-        w_start = min(max(st.warmup - gbase, 0), n)  # first measured request
         out = bytearray(n)
         if emit:
             # A cache index fits a byte in every group but a huge one.
@@ -859,7 +847,7 @@ def replay(
             warm_loop(zip(slots, range(n), range(1, n + 1), ts_l))
             if emit:
                 flush(n)
-            _post_pass(st, *_tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l))
+            _post_pass(st, *_tally_py(st, out, served, leaf_l, docs_l, digits_l))
             if timeseries is not None:
                 st.sample(timeseries, gbase + n, float(ts_l[-1]))
             continue
@@ -940,7 +928,7 @@ def replay(
         # Outcome post-pass: bus, per-cache stats, metrics, latency.
         if traced:
             spans.begin("post", "replay")
-        _post_pass(st, *_tally_np(st, w_start, out, served_np, cols))
+        _post_pass(st, *_tally_np(st, out, served_np, cols))
         if traced:
             spans.end()
         if timeseries is not None:
@@ -1126,7 +1114,7 @@ def _cold_lines(st, rec, split, ts_l, docs_l, out, cols, resp):
         )
 
 
-def _tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l):
+def _tally_py(st, out, served, leaf_l, docs_l, digits_l):
     """The post-pass's Python body: the tallies of :func:`_tally_np` from
     the chunk's list columns, one request at a time."""
     num_caches = st.num_caches
@@ -1136,35 +1124,27 @@ def _tally_py(st, w_start, out, served, leaf_l, docs_l, digits_l):
     hdr = 0
     url_len = st.url_len
     icp_pair = st.icp
+    lat = st.lat_class
+    latency = st.latency_sum
     for leaf, doc, code, served_size, digits in zip(leaf_l, docs_l, out, served, digits_l):
         key = leaf << 4 | code
         count[key] += 1
         size[key] += served_size
+        latency += lat[code & 3]
         if code:
             icp[leaf] += icp_pair[doc]
             hdr += url_len[doc] + digits if code & 1 else url_len[doc]
-    lat = st.lat_class
-    bw = st.bw_class
-    per_class = [0] * 4
-    class_bytes = [0] * 4
-    latency = st.latency_sum
-    for code, served_size in zip(islice(out, w_start, None), islice(served, w_start, None)):
-        cls = code & 3
-        per_class[cls] += 1
-        class_bytes[cls] += served_size
-        latency += lat[cls] + served_size / bw[cls]
-    return count, size, icp, hdr, per_class, class_bytes, latency
+    return count, size, icp, hdr, latency
 
 
-def _tally_np(st, w_start, out, served_np, cols):
+def _tally_np(st, out, served_np, cols):
     """The post-pass's numpy body over one chunk's outcome columns.
 
     Returns, like :func:`_tally_py`: the ``(leaf, outcome byte)``
     histogram by count and by served bytes (16 buckets per cache), the
     ICP probe bytes per leaf and the URL + Content-Length header bytes of
-    the requests that left their leaf, and the measured window's count
-    and served bytes per outcome class, and ``st.latency_sum`` with the
-    window's latencies folded on in request order. One block of
+    the requests that left their leaf, and ``st.latency_sum`` with the
+    chunk's latencies folded on in request order. One block of
     ``_BLOCK`` requests at a time, so no temporary is as long as the
     chunk; the per-document byte columns are gathered per block, and the
     fold carries its running sum from block to block (the same strict
@@ -1179,8 +1159,6 @@ def _tally_np(st, w_start, out, served_np, cols):
     count = np.zeros(16 * NC, dtype=np.int64)
     size = np.zeros(16 * NC, dtype=np.int64)
     icp = np.zeros(NC, dtype=np.int64)
-    per_class = np.zeros(4, dtype=np.int64)
-    class_bytes = np.zeros(4, dtype=np.int64)
     hdr = 0
     latency = st.latency_sum
     for b in range(0, n, _BLOCK):
@@ -1197,24 +1175,15 @@ def _tally_np(st, w_start, out, served_np, cols):
         icp += np.bincount(leaf[left], weights=icp_pair[docs], minlength=NC).astype(np.int64)
         hdr += int(url_len[docs].sum())
         hdr += int(decimal_digits(np, cols.rsz[b:e][cls == 3]).sum())
-        w = max(w_start - b, 0)
-        if w < e - b:
-            cls_w = cls[w:]
-            served_w = served[w:]
-            per_class += np.bincount(cls_w, minlength=4)
-            class_bytes += np.bincount(cls_w, weights=served_w, minlength=4).astype(np.int64)
-            fold = np.empty(len(cls_w) + 1, dtype=np.float64)
-            fold[0] = latency
-            fold[1:] = st.lat_np[cls_w] + served_w / st.bw_np[cls_w]
-            np.add.accumulate(fold, out=fold)
-            latency = float(fold[-1])
-    return (
-        count.tolist(), size.tolist(), icp.tolist(), hdr, per_class.tolist(),
-        class_bytes.tolist(), latency,
-    )
+        fold = np.empty(e - b + 1, dtype=np.float64)
+        fold[0] = latency
+        fold[1:] = st.lat_np[cls]
+        np.add.accumulate(fold, out=fold)
+        latency = float(fold[-1])
+    return count.tolist(), size.tolist(), icp.tolist(), hdr, latency
 
 
-def _post_pass(st, count, size, icp, hdr, per_class, class_bytes, latency):
+def _post_pass(st, count, size, icp, hdr, latency):
     """Fold one chunk's outcome tallies into the frame's.
 
     The tallies come from :func:`_tally_np` or :func:`_tally_py`. The
@@ -1226,6 +1195,7 @@ def _post_pass(st, count, size, icp, hdr, per_class, class_bytes, latency):
     are exact integers.
     """
     bus = st.bus
+    met = st.met
     for c in range(st.num_caches):
         row = count[16 * c : 16 * c + 16]
         nbytes = size[16 * c : 16 * c + 16]
@@ -1253,16 +1223,14 @@ def _post_pass(st, count, size, icp, hdr, per_class, class_bytes, latency):
         copies = st.copies[c] = st.residents(c)
         st.st_evictions[c] = st.st_admissions[c] - copies
         st.st_bytes_evicted[c] = st.st_bytes_admitted[c] - st.used[c]
+        # The group metrics: requests and bytes per outcome class (the
+        # byte's low two bits), local hit / remote hit / miss.
+        met[0] += lookups
+        met[4] += int(sum(nbytes))
+        for m, cls in ((1, 0), (2, 2), (3, 3)):
+            met[m] += sum(row[cls::4])
+            met[m + 4] += int(sum(nbytes[cls::4]))
     bus[5] += hdr
-    met = st.met
-    met[0] += sum(per_class)
-    met[1] += per_class[0]
-    met[2] += per_class[2]
-    met[3] += per_class[3]
-    met[4] += int(sum(class_bytes))
-    met[5] += int(class_bytes[0])
-    met[6] += int(class_bytes[2])
-    met[7] += int(class_bytes[3])
     st.latency_sum = latency
 
 

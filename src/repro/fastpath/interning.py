@@ -33,7 +33,7 @@ from typing import (
 
 from repro.protocol import icp
 from repro.protocol.http import _utf8_length
-from repro.trace.record import TraceRecord, require_chunk_size
+from repro.trace.record import TraceRecord, require_positive_int
 
 
 #: The per-request columns of a chunk, in ``.rpct`` order, and the
@@ -191,7 +191,7 @@ class InternedChunk:
         construction. ``chunk_size >= num_records`` yields a single chunk;
         ``chunk_size`` must be positive. The slices carry no ``memo``.
         """
-        require_chunk_size(chunk_size)
+        require_positive_int("chunk_size", chunk_size)
         doc_ids = self.doc_ids
         clients = self.clients
         first_doc = base_docs = self.base_docs

@@ -12,7 +12,6 @@ from repro.simulation.metrics import (
 from repro.simulation.results import SimulationResult
 from repro.simulation.simulator import (
     ARCHITECTURES,
-    LATENCY_MODELS,
     PARTITIONERS,
     CooperativeSimulator,
     SimulationConfig,
@@ -23,7 +22,6 @@ __all__ = [
     "ARCHITECTURES",
     "CooperativeSimulator",
     "GroupMetrics",
-    "LATENCY_MODELS",
     "PARTITIONERS",
     "PlacementDecisionSummary",
     "SimulationConfig",

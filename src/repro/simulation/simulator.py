@@ -17,23 +17,14 @@ import logging
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
-from repro.architecture.base import (
-    RESPONDER_STRATEGIES,
-    CooperativeGroup,
-    build_caches,
-)
+from repro.architecture.base import CooperativeGroup, build_caches
 from repro.architecture.distributed import DistributedGroup
 from repro.architecture.hierarchical import HierarchicalGroup
 from repro.cache.expiration import WINDOW_MODES
 from repro.core.placement import make_scheme
 from repro.errors import SimulationError
 from repro.network.bus import MessageBus
-from repro.network.latency import (
-    ComponentLatencyModel,
-    ConstantLatencyModel,
-    LatencyModel,
-    StochasticLatencyModel,
-)
+from repro.network.latency import ConstantLatencyModel
 from repro.network.topology import two_level_tree
 from repro.simulation.metrics import GroupMetrics, average_cache_expiration_age
 from repro.simulation.results import SimulationResult
@@ -43,26 +34,36 @@ from repro.trace.partition import (
     RoundRobinClientPartitioner,
     RoundRobinRequestPartitioner,
 )
-from repro.trace.record import DEFAULT_PATCH_SIZE, Trace, patch_zero_sizes, require_chunk_size
+from repro.trace.record import (
+    DEFAULT_PATCH_SIZE,
+    Trace,
+    patch_zero_sizes,
+    require_positive_int,
+)
 
 ARCHITECTURES = ("distributed", "hierarchical")
 PARTITIONERS = ("hash", "round-robin-client", "round-robin-request")
-LATENCY_MODELS = ("constant", "component", "stochastic")
 ENGINES = ("object", "columnar", "batch")
 
 #: Logger for engine dispatch; fallback reasons are logged at INFO here.
 _fastpath_logger = logging.getLogger("repro.fastpath")
 
-#: Four retired config fields, echoed at the only value any run gave them
-#: (``collect_histogram: False``, ``keep_outcomes: False``,
-#: ``timeseries_window: 0.0``, ``use_engine: False``), keyed by the field
-#: each pair stood before. The echo feeds every result's ``to_json``, and
-#: through :func:`repro.obs.manifest.config_hash` the memo keys and the
+#: Nine retired config fields, echoed at the only value any run gave them,
+#: keyed by the live field they stood before. The echo feeds every
+#: result's ``to_json``, and through
+#: :func:`repro.obs.manifest.config_hash` the memo keys and the
 #: ``repro-events/1`` run header; dropping the keys would change all of
 #: those bytes, and is a format change of its own.
 RETIRED_ECHO = {
-    "warmup_requests": {"keep_outcomes": False, "use_engine": False},
-    "sanitize": {"collect_histogram": False, "timeseries_window": 0.0},
+    "tie_break": {"responder_strategy": "first"},
+    "patch_size": {"latency": "constant", "latency_sigma": 0.25, "icp_loss_rate": 0.0},
+    "sanitize": {
+        "keep_outcomes": False,
+        "use_engine": False,
+        "warmup_requests": 0,
+        "collect_histogram": False,
+        "timeseries_window": 0.0,
+    },
 }
 
 
@@ -81,29 +82,23 @@ class SimulationConfig:
         num_parents: Parent caches added above the leaves (hierarchical
             only); they join the equal capacity split.
         partitioner: How clients map to proxies.
-        responder_strategy: Which positive ICP replier serves a remote hit.
         tie_break: EA tie-break rule (``"requester"`` or ``"responder"``).
         max_replica_fraction: EA size-aware replica cap (extension; None
             reproduces the paper's size-blind rule).
         window_mode / window_size / window_seconds: Expiration-age window
             (see :class:`repro.cache.ExpirationAgeTracker`).
-        latency: Latency model name: constant / component / stochastic.
-        latency_sigma: Noise parameter for the stochastic model.
-        icp_loss_rate: Probability an ICP reply is lost in transit
-            (failure injection; 0 = the paper's lossless setting).
         patch_size: Replacement size for zero-size records (paper: 4 KB).
-        seed: Master seed for all stochastic pieces.
-        warmup_requests: Exclude the first N requests from *metrics* (cache
-            state still updates) — standard steady-state measurement; 0
-            reproduces the paper's whole-trace accounting.
-        engine: Execution engine: ``"object"`` (the reference core),
+        seed: Seed of the object core's group RNG (no paper mechanism
+            draws from it).
+        engine: Execution engine: ``"object"`` (the reference core) or
             ``"batch"`` (the replay kernel, :mod:`repro.fastpath.batch`:
             interned ids, array state, vector regimes, numpy-accelerated
-            when available), or ``"columnar"`` (the same kernel with its
-            vector regimes off). Results are byte-identical on all three.
-            Configurations the kernel does not support fall back to the
-            object core with a logged reason (see
-            :func:`repro.fastpath.columnar_unsupported_reason`).
+            when available). ``"columnar"`` is not a third engine but a
+            reference setting of the kernel, with its vector regimes off,
+            that tests and cross-engine diffs compare against. Results are
+            byte-identical on all three. Configurations the kernel does
+            not support fall back to the object core with a logged reason
+            (see :func:`repro.fastpath.columnar_unsupported_reason`).
         sanitize: Instrument the run with the runtime invariant sanitizer
             (:class:`~repro.devtools.sanitizer.SimulationSanitizer`): byte
             accounting, LRU recency order, victim expiration ages, the EA
@@ -119,18 +114,13 @@ class SimulationConfig:
     architecture: str = "distributed"
     num_parents: int = 1
     partitioner: str = "hash"
-    responder_strategy: str = "first"
     tie_break: str = "requester"
     max_replica_fraction: Optional[float] = None
     window_mode: str = "count"
     window_size: int = 1000
     window_seconds: float = 3600.0
-    latency: str = "constant"
-    latency_sigma: float = 0.25
-    icp_loss_rate: float = 0.0
     patch_size: int = DEFAULT_PATCH_SIZE
     seed: int = 0
-    warmup_requests: int = 0
     sanitize: bool = False
     engine: str = "object"
 
@@ -147,26 +137,18 @@ class SimulationConfig:
             raise SimulationError(
                 f"partitioner must be one of {PARTITIONERS}, got {self.partitioner!r}"
             )
-        if self.responder_strategy not in RESPONDER_STRATEGIES:
-            raise SimulationError(
-                f"responder_strategy must be one of {RESPONDER_STRATEGIES}"
-            )
-        if self.latency not in LATENCY_MODELS:
-            raise SimulationError(
-                f"latency must be one of {LATENCY_MODELS}, got {self.latency!r}"
-            )
         if self.window_mode not in WINDOW_MODES:
             raise SimulationError(f"window_mode must be one of {WINDOW_MODES}")
+        for name in ("num_caches", "num_parents"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise SimulationError(f"{name} must be an int, got {count!r}")
         if self.num_caches <= 0:
             raise SimulationError("num_caches must be positive")
         if self.aggregate_capacity <= 0:
             raise SimulationError("aggregate_capacity must be positive")
         if self.architecture == "hierarchical" and self.num_parents <= 0:
             raise SimulationError("hierarchical architecture needs num_parents >= 1")
-        if not 0.0 <= self.icp_loss_rate <= 1.0:
-            raise SimulationError("icp_loss_rate must be within [0, 1]")
-        if self.warmup_requests < 0:
-            raise SimulationError("warmup_requests must be non-negative")
 
     def with_scheme(self, scheme: str) -> "SimulationConfig":
         """Copy of this config running a different placement scheme."""
@@ -197,14 +179,6 @@ def _make_partitioner(name: str, num_targets: int) -> Partitioner:
     return RoundRobinRequestPartitioner(num_targets)
 
 
-def _make_latency_model(config: SimulationConfig) -> LatencyModel:
-    if config.latency == "constant":
-        return ConstantLatencyModel()
-    if config.latency == "component":
-        return ComponentLatencyModel()
-    return StochasticLatencyModel(sigma=config.latency_sigma, seed=config.seed)
-
-
 class CooperativeSimulator:
     """Builds a cache group from a config and replays traces through it.
 
@@ -233,7 +207,6 @@ class CooperativeSimulator:
             from repro.devtools.sanitizer import SimulationSanitizer
 
             self.sanitizer = SimulationSanitizer(self.group)
-        self._processed = 0
         self._total_caches = len(self.group.caches)
         # Client requests land on leaves only; for the distributed
         # architecture every cache is a leaf.
@@ -260,11 +233,9 @@ class CooperativeSimulator:
             return DistributedGroup(
                 caches,
                 scheme,
-                latency_model=_make_latency_model(config),
+                latency_model=ConstantLatencyModel(),
                 bus=MessageBus(),
-                responder_strategy=config.responder_strategy,
                 seed=config.seed,
-                icp_loss_rate=config.icp_loss_rate,
             )
         topology = two_level_tree(config.num_caches, config.num_parents)
         caches = build_caches(
@@ -279,11 +250,9 @@ class CooperativeSimulator:
             caches,
             scheme,
             topology,
-            latency_model=_make_latency_model(config),
+            latency_model=ConstantLatencyModel(),
             bus=MessageBus(),
-            responder_strategy=config.responder_strategy,
             seed=config.seed,
-            icp_loss_rate=config.icp_loss_rate,
         )
 
     # ------------------------------------------------------------------ #
@@ -309,9 +278,7 @@ class CooperativeSimulator:
         outcome = self.group.process(index, record)
         if self.sanitizer is not None:
             self.sanitizer.observe(outcome)
-        self._processed += 1
-        if self._processed > self.config.warmup_requests:
-            self.metrics.observe(outcome)
+        self.metrics.observe(outcome)
         if obs is not None:
             obs.request(
                 outcome.timestamp,
@@ -428,7 +395,7 @@ def run_simulation(
             has no chunk boundary and ignores it).
     """
     if chunk_size is not None:
-        require_chunk_size(chunk_size)
+        require_positive_int("chunk_size", chunk_size)
     streamed = not isinstance(trace, Trace) and hasattr(trace, "interned_chunks")
     if config.engine in ("columnar", "batch"):
         from repro.fastpath import (

@@ -85,8 +85,7 @@ def patch_zero_sizes(
     The BU traces contain records whose size field is zero; the paper
     substitutes the average document size of 4 KB for those (Section 4.1).
     """
-    if patch_size <= 0:
-        raise TraceError(f"patch_size must be positive, got {patch_size}")
+    require_positive_int("patch_size", patch_size)
     for record in records:
         yield record.with_size(patch_size) if record.size == 0 else record
 
@@ -115,17 +114,19 @@ def validate_monotone(records: Iterable[TraceRecord]) -> List[TraceRecord]:
     return out
 
 
-def require_chunk_size(chunk_size: int) -> None:
-    """Raise :class:`TraceError` unless ``chunk_size`` is a positive
-    ``int`` (a ``bool`` is not one).
+def require_positive_int(name: str, value: int) -> None:
+    """Raise :class:`TraceError` unless ``value``, the ``name`` argument,
+    is a positive ``int`` (a ``bool`` is not one).
 
-    Every ``interned_chunks`` entry point calls this *before* returning
-    its iterator, so a bad size fails at the call, not at the first pull.
+    It checks the sizes a replay counts in whole units: ``patch_size``
+    (a patched record holds whole bytes) and ``chunk_size``. Every
+    ``interned_chunks`` entry point calls it *before* returning its
+    iterator, so a bad size fails at the call, not at the first pull.
     """
-    if isinstance(chunk_size, bool) or not isinstance(chunk_size, int):
-        raise TraceError(f"chunk_size must be an int, got {chunk_size!r}")
-    if chunk_size <= 0:
-        raise TraceError(f"chunk_size must be positive, got {chunk_size}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TraceError(f"{name} must be an int, got {value!r}")
+    if value <= 0:
+        raise TraceError(f"{name} must be positive, got {value}")
 
 
 class Trace:
@@ -260,7 +261,7 @@ class Trace:
         synthetic generation) expose this same method without ever
         materialising the full trace; see :mod:`repro.trace.stream`.
         """
-        require_chunk_size(chunk_size)
+        require_positive_int("chunk_size", chunk_size)
         if spans is not None:
             with spans.span("intern", "source"):
                 interned = self.interned()

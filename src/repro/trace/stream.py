@@ -31,7 +31,7 @@ from dataclasses import asdict
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.errors import TraceError
-from repro.trace.record import TraceRecord, require_chunk_size
+from repro.trace.record import TraceRecord, require_positive_int
 from repro.trace.synthetic import BULikeTraceGenerator, SyntheticTraceConfig
 
 
@@ -107,7 +107,7 @@ class RecordStream:
         inside the generation-vs-replay wall split. Telemetry only; the
         emitted chunks are identical with or without it.
         """
-        require_chunk_size(chunk_size)
+        require_positive_int("chunk_size", chunk_size)
         return self._interned_chunks(chunk_size, spans)
 
     def _interned_chunks(self, chunk_size: int, spans) -> Iterator["InternedChunk"]:
@@ -180,7 +180,7 @@ class SyntheticTraceStream(RecordStream):
         There is no interning pass, so ``spans`` receives no ``intern``
         span here; the engine's source span is all generation.
         """
-        require_chunk_size(chunk_size)
+        require_positive_int("chunk_size", chunk_size)
         return (chunk for chunk, _ in self._generator.drawn_chunks(chunk_size))
 
 

@@ -25,12 +25,6 @@ class TestLossValidation:
         with pytest.raises(SimulationError):
             DistributedGroup(build_caches(2, 2000), AdHocScheme(), icp_loss_rate=-0.1)
 
-    def test_config_validation(self):
-        from repro.simulation.simulator import SimulationConfig
-
-        with pytest.raises(SimulationError):
-            SimulationConfig(icp_loss_rate=2.0)
-
 
 class TestLossBehaviour:
     def test_total_loss_forces_false_misses(self):

@@ -68,6 +68,12 @@ class TestTrackerValidation:
         with pytest.raises(CacheConfigurationError, match="window_size"):
             ExpirationAgeTracker(window_mode="count", window_size=size)
 
+    # A count window holds a whole number of victims.
+    @pytest.mark.parametrize("size", [2.5, 1000.0, True, "1000"])
+    def test_count_window_size_must_be_an_int(self, size):
+        with pytest.raises(CacheConfigurationError, match="window_size must be an int"):
+            ExpirationAgeTracker(window_mode="count", window_size=size)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -93,7 +93,6 @@ def test_expiration_windows_span_chunk_boundaries(window_mode, churn_trace):
         ("max_replica_fraction", 0.5),
         ("partitioner", "round-robin-client"),
         ("partitioner", "round-robin-request"),
-        ("warmup_requests", 500),
         ("window_size", 16),
     ],
 )

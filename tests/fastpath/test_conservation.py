@@ -90,7 +90,6 @@ def test_expiration_windows_under_churn(window_mode, churn_trace):
         ("tie_break", "responder"),
         ("max_replica_fraction", 0.5),
         ("partitioner", "round-robin-request"),
-        ("warmup_requests", 500),
         ("window_size", 16),
         # Smaller than the largest documents: rejections, which admit nothing.
         ("aggregate_capacity", 40_000),

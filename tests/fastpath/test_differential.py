@@ -94,41 +94,6 @@ def test_partitioners(partitioner, uniform_trace):
     both_engines(config, uniform_trace)
 
 
-@pytest.mark.parametrize("architecture", ARCHITECTURES)
-def test_component_latency(architecture, bu_style_trace):
-    """Size-dependent latency sums are float-order-identical."""
-    config = SimulationConfig(
-        latency="component",
-        architecture=architecture,
-        num_parents=2,
-        aggregate_capacity=CAPACITY,
-        engine="columnar",
-    )
-    both_engines(config, bu_style_trace)
-
-
-@pytest.mark.parametrize("window_mode", ["count", "time"])
-def test_max_age_responder(window_mode, churn_trace):
-    """max_age reads one age per holder, in holder order — trim-order
-    sensitive under the time window."""
-    config = SimulationConfig(
-        responder_strategy="max_age",
-        window_mode=window_mode,
-        window_size=25,
-        window_seconds=450.0,
-        aggregate_capacity=CAPACITY,
-        engine="columnar",
-    )
-    both_engines(config, churn_trace)
-
-
-def test_warmup_requests(bu_style_trace):
-    config = SimulationConfig(
-        warmup_requests=700, aggregate_capacity=CAPACITY, engine="columnar"
-    )
-    both_engines(config, bu_style_trace)
-
-
 def test_single_cache_group(uniform_trace):
     """Degenerate group: no siblings, every miss is an origin fetch."""
     config = SimulationConfig(

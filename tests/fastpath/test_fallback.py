@@ -28,9 +28,6 @@ UNSUPPORTED = [
     ({"policy": "gdsf"}, "replacement policy"),
     ({"scheme": "ea", "tie_break": "coin-flip"}, "tie_break"),
     ({"sanitize": True}, "sanitize"),
-    ({"latency": "stochastic"}, "stochastic"),
-    ({"responder_strategy": "random"}, "random responder"),
-    ({"icp_loss_rate": 0.1}, "icp_loss_rate"),
 ]
 
 
@@ -91,8 +88,8 @@ def test_unknown_engine_rejected():
         SimulationConfig(engine="vectorised")
 
 
-#: Scheme and window parameters the object core refuses; the kernel must
-#: refuse each one with the same error.
+#: Scheme, window, size and count parameters the object core refuses; the
+#: kernel must refuse each one with the same error.
 BAD_PARAMETERS = [
     {"scheme": "ea", "max_replica_fraction": 1.5},
     {"scheme": "ea", "max_replica_fraction": 0.0},
@@ -104,6 +101,14 @@ BAD_PARAMETERS = [
     {"window_mode": "time", "window_seconds": -5.0},
     {"window_mode": "time", "window_seconds": math.nan},
     {"window_size": math.nan},
+    # Whole numbers only: a fractional patch would store fractional bytes,
+    # a fractional or boolean window would count victims the kernel's
+    # ring cannot, and a group has a whole number of caches.
+    {"patch_size": 4096.5},
+    {"window_size": 2.5},
+    {"window_size": 1000.0},
+    {"window_size": True},
+    {"num_caches": 4.0},
 ]
 
 #: Values on the accepting side of each bound, and values the configured
@@ -124,9 +129,11 @@ BOUNDARY_PARAMETERS = [
 ]
 
 
-def _outcome(replay, config, trace):
-    """``to_json`` of a replay, or the type and message it raised."""
+def _outcome(replay, overrides, trace):
+    """``to_json`` of a replay of ``overrides``, or the type and message
+    that building or replaying the config raised."""
     try:
+        config = SimulationConfig(aggregate_capacity=1_000_000, **overrides)
         return replay(config, trace).to_json()
     except Exception as error:  # the comparison is the assertion
         return (type(error), str(error))
@@ -137,10 +144,11 @@ def _outcome(replay, config, trace):
     "overrides", BAD_PARAMETERS + BOUNDARY_PARAMETERS, ids=str
 )
 def test_kernel_validates_like_the_object_core(overrides, engine, bu_style_trace):
-    config = SimulationConfig(aggregate_capacity=1_000_000, **overrides)
     expected = _outcome(
-        lambda c, t: CooperativeSimulator(c).run(t), config, bu_style_trace
+        lambda c, t: CooperativeSimulator(c).run(t), overrides, bu_style_trace
     )
-    # A bad parameter is refused; a boundary one runs.
-    assert isinstance(expected, str) == (overrides in BOUNDARY_PARAMETERS), expected
-    assert _outcome(engine, config, bu_style_trace) == expected
+    # A bad parameter is refused; a boundary one runs. By identity: the
+    # dict {"window_size": True} equals the boundary {"window_size": 1}.
+    boundary = any(overrides is row for row in BOUNDARY_PARAMETERS)
+    assert isinstance(expected, str) == boundary, expected
+    assert _outcome(engine, overrides, bu_style_trace) == expected

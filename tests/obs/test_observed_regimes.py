@@ -41,7 +41,6 @@ PER_CACHE = 40_000
 CONFIGS = {
     "adhoc": {"scheme": "adhoc"},
     "ea": {"scheme": "ea"},
-    "ea-warmup": {"scheme": "ea", "warmup_requests": 700},
     "ea-responder": {"scheme": "ea", "tie_break": "responder"},
 }
 
@@ -98,7 +97,7 @@ def cold_split(config, trace) -> int:
     return regimes["cold"]
 
 
-@pytest.mark.parametrize("name", ["adhoc", "ea", "ea-warmup"])
+@pytest.mark.parametrize("name", ["adhoc", "ea"])
 def test_cold_split_at_every_chunk_edge(trace, expected, name):
     config = config_for(name)
     split = cold_split(config, trace)

@@ -60,11 +60,8 @@ configs = st.builds(
     window_mode=st.sampled_from(["count", "cumulative", "time"]),
     window_size=st.integers(1, 10),
     window_seconds=st.sampled_from([0.5, 2.0, 6.0, 25.0]),
-    responder_strategy=st.sampled_from(["first", "max_age"]),
     tie_break=st.sampled_from(["requester", "responder"]),
     max_replica_fraction=st.sampled_from([None, 0.1, 0.4]),
-    latency=st.sampled_from(["constant", "component"]),
-    warmup_requests=st.sampled_from([0, 10]),
 )
 
 

@@ -3,7 +3,7 @@
 The hand-written matrices in ``tests/fastpath`` and ``tests/obs`` cross
 scheme x architecture x policy at default windows; they never put
 hierarchical + LFU under a ``time`` or ``cumulative`` window, a wrapped
-count ring, ``max_age`` responders or the replica cap. Here hypothesis
+count ring or the replica cap. Here hypothesis
 draws the whole config, a trace whose timestamps tie and jump, and a chunk
 size, and demands what the engine's contract says: equal ``to_json`` and
 equal ``repro-events/1`` bytes, snapshots on. Expiration ages are event
@@ -70,11 +70,8 @@ configs = st.builds(
     window_mode=st.sampled_from(["count", "cumulative", "time"]),
     window_size=st.integers(1, 10),
     window_seconds=st.sampled_from([0.5, 2.0, 6.0, 25.0]),
-    responder_strategy=st.sampled_from(["first", "max_age"]),
     tie_break=st.sampled_from(["requester", "responder"]),
     max_replica_fraction=st.sampled_from([None, 0.1, 0.4]),
-    latency=st.sampled_from(["constant", "component"]),
-    warmup_requests=st.sampled_from([0, 10]),
 )
 
 

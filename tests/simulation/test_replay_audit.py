@@ -129,15 +129,6 @@ def test_ties_replay_in_trace_order(engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_warmup_requests_are_audited_but_not_counted(trace, engine):
-    warmup = 200
-    requests, result = _replay(_config(engine=engine, warmup_requests=warmup), trace)
-    assert len(requests) == len(trace)
-    assert result.metrics.requests == len(trace) - warmup
-    assert _tally(requests[warmup:]) == _counters(result.metrics)
-
-
-@pytest.mark.parametrize("engine", ENGINES)
 def test_event_file_summarizes_to_the_counters(trace, tmp_path, engine):
     path = tmp_path / "events.jsonl"
     result = run_observed(_config(engine=engine), trace, events_path=str(path))

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import math
+import dataclasses
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.network.latency import ConstantLatencyModel
 from repro.obs.manifest import config_hash
 from repro.parallel.memo import sweep_memo_key
 from repro.simulation.simulator import (
@@ -34,10 +35,11 @@ class TestConfigValidation:
         [
             {"architecture": "mesh"},
             {"partitioner": "by-coinflip"},
-            {"responder_strategy": "fastest"},
-            {"latency": "quantum"},
             {"window_mode": "forever"},
             {"num_caches": 0},
+            {"num_caches": 4.0},
+            {"num_caches": True},
+            {"num_parents": 1.0},
             {"aggregate_capacity": 0},
             {"architecture": "hierarchical", "num_parents": 0},
         ],
@@ -64,9 +66,8 @@ class TestConfigEcho:
     """The config echo is a format: result JSON, ``config_hash``, memo keys
     and event run headers are all computed from it."""
 
-    #: The echo's keys, in order. Four of them (keep_outcomes, use_engine,
-    #: collect_histogram, timeseries_window) are retired fields, echoed at
-    #: the only value they ever took.
+    #: The echo's keys, in order. Nine of them are retired fields, echoed
+    #: at the only value they ever took (``RETIRED``).
     KEYS = [
         "scheme", "num_caches", "aggregate_capacity", "policy",
         "architecture", "num_parents", "partitioner", "responder_strategy",
@@ -77,13 +78,31 @@ class TestConfigEcho:
         "sanitize", "engine",
     ]
 
+    #: The retired fields and their echoed values.
+    RETIRED = {
+        "responder_strategy": "first",
+        "latency": "constant",
+        "latency_sigma": 0.25,
+        "icp_loss_rate": 0.0,
+        "keep_outcomes": False,
+        "use_engine": False,
+        "warmup_requests": 0,
+        "collect_histogram": False,
+        "timeseries_window": 0.0,
+    }
+
     def test_keys_and_retired_values(self):
         echo = SimulationConfig().to_dict()
         assert list(echo) == self.KEYS
-        assert echo["keep_outcomes"] is False
-        assert echo["use_engine"] is False
-        assert echo["collect_histogram"] is False
-        assert echo["timeseries_window"] == 0.0
+        assert {key: echo[key] for key in self.RETIRED} == self.RETIRED
+        # Types too: the echo's JSON text tells 0.0 from 0 and false from 0.
+        for key, value in self.RETIRED.items():
+            assert type(echo[key]) is type(value), key
+
+    def test_live_fields_are_the_echo_without_the_retired_keys(self):
+        live = [f.name for f in dataclasses.fields(SimulationConfig)]
+        assert live == [key for key in self.KEYS if key not in self.RETIRED]
+        assert len(live) == 16
 
     def test_config_hash_pinned(self):
         assert config_hash(SimulationConfig()) == (
@@ -102,23 +121,17 @@ class TestConfigEcho:
 
     def test_retired_values_do_not_follow_the_config(self):
         config = SimulationConfig(
-            scheme="adhoc", warmup_requests=7, sanitize=True, engine="batch"
+            scheme="adhoc", window_size=7, sanitize=True, engine="batch"
         )
         echo = config.to_dict()
         assert list(echo) == self.KEYS
-        assert (echo["warmup_requests"], echo["sanitize"], echo["engine"]) == (7, True, "batch")
-        assert (
-            echo["keep_outcomes"], echo["use_engine"],
-            echo["collect_histogram"], echo["timeseries_window"],
-        ) == (False, False, False, 0.0)
+        assert (echo["window_size"], echo["sanitize"], echo["engine"]) == (7, True, "batch")
+        assert {key: echo[key] for key in self.RETIRED} == self.RETIRED
 
-    @pytest.mark.parametrize(
-        "keyword",
-        ["keep_outcomes", "use_engine", "collect_histogram", "timeseries_window"],
-    )
+    @pytest.mark.parametrize("keyword", list(RETIRED))
     def test_retired_keywords_rejected(self, keyword):
         with pytest.raises(TypeError):
-            SimulationConfig(**{keyword: False})
+            SimulationConfig(**{keyword: self.RETIRED[keyword]})
 
 
 class TestSimulatorRun:
@@ -169,17 +182,17 @@ class TestSimulatorRun:
         assert sum(lookups) == len(trace)
         assert all(count > 0 for count in lookups)
 
-    def test_stochastic_latency_model(self, trace):
-        result = run_simulation(
-            SimulationConfig(aggregate_capacity=1 << 18, latency="stochastic"), trace
-        )
-        assert result.metrics.mean_measured_latency > 0
-
-    def test_component_latency_model(self, trace):
-        result = run_simulation(
-            SimulationConfig(aggregate_capacity=1 << 18, latency="component"), trace
-        )
-        assert result.metrics.mean_measured_latency > 0
+    def test_measured_latency_is_the_paper_constants(self, trace):
+        """Every request costs its class's measured constant (LHL, RHL,
+        ML), so the mean is their request-weighted average."""
+        model = ConstantLatencyModel()
+        m = run_simulation(SimulationConfig(aggregate_capacity=1 << 18), trace).metrics
+        expected = (
+            m.local_hits * model.local_hit
+            + m.remote_hits * model.remote_hit
+            + m.misses * model.miss
+        ) / m.requests
+        assert m.mean_measured_latency == pytest.approx(expected, rel=1e-12)
 
 
 class TestResultContents:

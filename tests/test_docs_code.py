@@ -1,9 +1,11 @@
-"""The Python shown in README.md and docs/*.md names code that exists.
+"""The code the docs describe is the code that exists.
 
-Every ```` ```python ```` block must parse; every ``from repro... import
-name`` in one must resolve; every keyword passed to ``SimulationConfig(``
-must be a config field. A rename or a retired field then fails here
-instead of leaving the docs teaching code that raises.
+Every ```` ```python ```` block in README.md and docs/*.md must parse;
+every ``from repro... import name`` in one must resolve; every keyword
+passed to ``SimulationConfig(`` must be a config field. A rename or a
+retired field then fails here instead of leaving the docs teaching code
+that raises. docs/PERFORMANCE.md's fallback tables must be the rows of
+``FALLBACK_MATRIX`` and ``COLUMNAR_NEUTRAL_FIELDS``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import importlib
 import re
 from pathlib import Path
 
-from repro.simulation.simulator import SimulationConfig
+from repro.fastpath import COLUMNAR_NEUTRAL_FIELDS, FALLBACK_MATRIX
+from repro.simulation.simulator import RETIRED_ECHO, SimulationConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
@@ -74,3 +77,41 @@ def test_checker_reports_an_unknown_config_keyword():
     assert list(_problems("snippet", source)) == [
         "snippet: SimulationConfig has no field 'keep_outcomes'"
     ]
+
+
+def test_checker_reports_every_retired_keyword():
+    retired = [name for keys in RETIRED_ECHO.values() for name in keys]
+    assert len(retired) == 9
+    for name in retired:
+        source = f"SimulationConfig({name}=None)\n"
+        assert list(_problems("snippet", source)) == [
+            f"snippet: SimulationConfig has no field {name!r}"
+        ]
+
+
+def _fallback_section() -> str:
+    text = (ROOT / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
+    start = text.index("### Fallback matrix\n")
+    return text[start : text.index("\n### ", start + 1)]
+
+
+def _quoted(values) -> str:
+    return ", ".join(f"`{value!r}`" for value in values)
+
+
+def _matrix_rows():
+    for rule in FALLBACK_MATRIX:
+        when = "always"
+        if rule.when is not None:
+            field, values = rule.when
+            when = f"when `{field}` is {_quoted(values)}"
+        yield f"| `{rule.field}` | {_quoted(rule.supported)} | {rule.reason} | {when} |"
+    for name, why in COLUMNAR_NEUTRAL_FIELDS:
+        yield f"| `{name}` | {why} |"
+
+
+def test_performance_doc_tables_are_the_fallback_matrix():
+    documented = [
+        line for line in _fallback_section().splitlines() if line.startswith("| `")
+    ]
+    assert documented == list(_matrix_rows())

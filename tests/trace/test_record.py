@@ -88,6 +88,17 @@ class TestPatchZeroSizes:
         with pytest.raises(TraceError):
             list(patch_zero_sizes([rec(size=0)], patch_size=0))
 
+    # A patched record holds whole bytes: 4096.5 would store a fractional
+    # size that the replay kernel's integer columns cannot.
+    @pytest.mark.parametrize("patch_size", [4096.5, 4096.0, True, "4096", None])
+    def test_patch_size_must_be_an_int(self, patch_size):
+        with pytest.raises(TraceError, match="patch_size must be an int"):
+            list(patch_zero_sizes([rec(size=0)], patch_size=patch_size))
+
+    def test_patch_size_is_checked_even_without_zero_sizes(self):
+        with pytest.raises(TraceError):
+            list(patch_zero_sizes([rec(size=77)], patch_size=-1))
+
     def test_empty_input(self):
         assert list(patch_zero_sizes([])) == []
 
