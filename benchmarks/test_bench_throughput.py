@@ -100,8 +100,8 @@ def test_bench_columnar_requests_per_second(benchmark, micro_trace, scheme):
 
 
 def test_bench_columnar_hier_lfu_requests_per_second(benchmark, micro_trace):
-    """The replay kernel on configs that have no vector regime:
-    hierarchical escalation with LFU replacement (the ``variant_grid``
+    """The replay kernel with its vector regimes off (``engine="columnar"``)
+    on hierarchical escalation with LFU replacement (the ``variant_grid``
     workload of ``benchmarks/e2e``), at the capacity of the two entries
     above, where it evicts 1 766 times in 5 000 requests — the admission
     site's victim search, window record and escalation are what this

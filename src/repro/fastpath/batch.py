@@ -7,10 +7,11 @@ request loop in :mod:`repro.fastpath`; the two engines are two settings
 of it:
 
 * ``engine="batch"`` (:func:`simulate_batch`) switches the **vector
-  regimes** on wherever :func:`batch_fastloop_reason` allows them —
-  distributed architecture, LRU, any window, no snapshot ticks, numpy
-  present: a numpy precompute per chunk, a vectorised cold prefix, and
-  the numpy body of the post-pass.
+  regimes** on wherever :func:`batch_fastloop_reason` allows them — any
+  architecture, policy and window, no snapshot ticks, numpy present: a
+  numpy precompute per chunk and the run segmentation it feeds, a
+  vectorised cold prefix where its own latch allows one, and the numpy
+  body of the post-pass.
 * ``engine="columnar"`` (:func:`repro.fastpath.engine.simulate_columnar`),
   and ``engine="batch"`` everywhere else, is the same loop with them off:
   it reads :meth:`ReplayFrame.chunk_columns
@@ -47,10 +48,11 @@ The state and its loop:
   running sum, the ``+=``/``-=`` sequence of
   :meth:`repro.cache.expiration.ExpirationAgeTracker.record`, so sums are
   bit-equal) and marks the age stale; :meth:`_FastState.refresh_age`
-  divides at the next read, :meth:`_FastState.wire_len` formats for
-  headers. A time window trims on every read, and the order of trims and
-  records shows in the float sum, so there every read and every fold is
-  a call on the object core's own tracker, in the object core's order.
+  divides at the next read, :meth:`_FastState.wire_len` divides and
+  formats for a header. A time window trims on every read, and the order
+  of trims and records shows in the float sum, so there every read and
+  every fold is a call on the object core's own tracker, in the object
+  core's order.
 * **Outcome post-pass** — the loop records one byte per request and the
   served size. The low two bits are the class (0 local hit / 2 remote hit
   / 3 origin miss); 4 marks a declined placement and 8 a copy larger than
@@ -58,11 +60,12 @@ The state and its loop:
   declines, the bus counters and the metrics come from those columns in
   one post-pass (:func:`_post_pass`, with a numpy body and a Python body
   of the same tallies); ``copies`` is the residents count, and evictions
-  follow by conservation. The loop tallies inline only what needs the
-  responder, a live age or the parent: remote serves, promotions,
-  age-dependent header bytes, the hop through a parent. The latency is
-  folded in request order (``np.add.accumulate`` is a strict left fold),
-  bit-identical to the serial ``+=`` sequence.
+  follow by conservation; a leaf with a parent escalates each origin miss
+  once, so the hop's messages and fixed bytes follow too. The loop tallies
+  inline only what needs the responder, a live age or the parent: remote
+  serves, promotions, age header bytes, the parent's admissions. The
+  latency is folded in request order (``np.add.accumulate`` is a strict
+  left fold), bit-identical to the serial ``+=`` sequence.
 * **Observer** — with a :class:`~repro.obs.events.RunRecorder` attached
   the loop emits the decision lines (``promotion``, ``evict``,
   ``placement``) at the object core's decision sites. ``request`` lines
@@ -94,7 +97,9 @@ The vector regimes:
   computes where the regime provably ends (the first admission that
   would evict, reject or trip the replica cap) and replays the prefix as
   array operations; local hits are pure post-pass arithmetic. The loop
-  takes over at the split (:meth:`_FastState.leave_cold`).
+  takes over at the split (:meth:`_FastState.leave_cold`). Its latch is
+  off from the start in a hierarchy, under LFU and under EA with
+  ``tie_break="responder"``: the loop replays those from request 0.
 
 Byte identity with the object core is the contract: the differential
 matrix in ``tests/fastpath`` and the generated differentials in
@@ -133,16 +138,12 @@ def batch_fastloop_reason(config, obs=None) -> Optional[str]:
 
     Purely informational (results are byte-identical either way); the run
     manifest and ``repro analyze`` surface it so their coverage is
-    observable. The first row reads the observer, the last the platform,
-    not the config: a snapshot tick can fall between two members of a
-    run, and the vector regimes are numpy code.
+    observable. Neither row reads the config: the first reads the
+    observer (a snapshot tick can fall between two members of a run), the
+    second the platform (the vector regimes are numpy code).
     """
     if obs is not None and obs.snapshot_interval > 0:
         why = "an attached observer takes snapshots between any two requests"
-    elif config.architecture != "distributed":
-        why = "hierarchical escalation is not vectorised"
-    elif config.policy != "lru":
-        why = "lfu victim accounting is not vectorised"
     elif load_numpy() is None:
         why = "numpy unavailable (not installed, or REPRO_NO_NUMPY set)"
     else:
@@ -209,7 +210,8 @@ class _FastState(ReplayFrame):
     Recency has one representation per regime: while cold, the
     ``lh``/``seq`` columns (last-touch timestamp and global request index,
     written by vectorised scatters); from the transition on, ``lru[c]``
-    (see :meth:`leave_cold`).
+    (see :meth:`leave_cold`). ``cold`` is the cold regime's latch (module
+    docstring).
     """
 
     def __init__(self, config, np, obs=None):
@@ -284,12 +286,11 @@ class _FastState(ReplayFrame):
         self.sender_np = np.array(self.sender_len, dtype=np.int64)
         self.lat_np = np.array(self.lat_class)
         # Cold regime (see module docstring): sound while no eviction has
-        # ever happened anywhere, which the kernel guarantees by
-        # construction — the flag latches off *before* the first request
-        # that could evict runs. EA with tie_break="responder" never
-        # stores on a remote hit, so seen slots would not all be resident;
-        # that shape replays on the loop.
-        self.cold = not self.ea or self.tie_requester
+        # ever happened anywhere — the flag latches off *before* the first
+        # request that could evict runs. It stores only at the requester
+        # (EA with tie_break="responder" would not store on a remote hit)
+        # and builds no parent copy or LFU heap; those shapes run the loop.
+        self.cold = not (self.hierarchical or self.lfu) and (not self.ea or self.tie_requester)
         # Per doc: min leaf holding a copy (-1 until first seen). Cold-only.
         self.first_min_g = _NpGrow(np)
         # Deferred last-touch fixups from cold segments: (slot, touch
@@ -345,17 +346,14 @@ class _FastState(ReplayFrame):
         key = (self.patch, self.partitioner, tuple(self.leaves), self.num_caches)
         return chunk.memoised("batch_cols", key, lambda: _columns_np(self, chunk))
 
-    def refresh_age(self, c: int, wire: bool = False, now=None) -> float:
+    def refresh_age(self, c: int, now=None) -> float:
         """Cache ``c``'s age: a tracker read at ``now`` in a time window,
         otherwise the cell, recomputed from its window if stale.
 
-        The one place a window sum becomes an age: a reader of ``cur_age``
-        / ``age_len`` comes here first when ``age_len[c]`` is negative
-        (stale: an eviction happened, so the divisor is not zero; or a
-        time window, where nothing is cached) or, for a header, 0 (a fresh
-        age nobody needed as text yet). Only headers ask for ``wire``
-        (:meth:`wire_len`), so ``format_expiration_age`` checks exactly
-        the ages the object core puts on the wire.
+        A reader of ``cur_age`` comes here first when ``age_len[c]`` is
+        negative (stale: an eviction happened, so the divisor is not zero;
+        or a time window, where nothing is cached). A recomputed cell reads
+        0 in ``age_len``: a fresh age nobody needed as text yet.
         """
         if self.trackers is not None:
             age = self.cur_age[c] = self.trackers[c].cache_expiration_age(now)
@@ -366,16 +364,22 @@ class _FastState(ReplayFrame):
             # non-negative ages can end a few ulps below zero.
             self.cur_age[c] = max(0.0, self.wsum[c] / evictions)
             self.age_len[c] = 0
-        if wire:
-            self.age_len[c] = len(format_expiration_age(self.cur_age[c]))
         return self.cur_age[c]
 
     def wire_len(self, c: int, now) -> int:
-        """Length of cache ``c``'s age as header text (a read of the age)."""
-        age = self.refresh_age(c, True, now)
-        if self.trackers is None:
-            return self.age_len[c]
-        return len(format_expiration_age(age))
+        """Length of cache ``c``'s age as header text (a read of the age),
+        for a reader that found ``age_len[c]`` not positive: one call, so a
+        stale cell is recomputed here as in :meth:`refresh_age`, and the
+        text is ``format_expiration_age``'s (a cell age is never negative).
+        """
+        if self.trackers is not None:
+            return len(format_expiration_age(self.refresh_age(c, now)))
+        if self.age_len[c] < 0:
+            evictions = len(self.win[c]) if self.count_mode else self.wtot[c]
+            self.cur_age[c] = max(0.0, self.wsum[c] / evictions)
+        age = self.cur_age[c]
+        length = self.age_len[c] = 3 if age == _INF else len(f"{age:.6f}")
+        return length
 
     def residents(self, c: int) -> int:
         """Copies cache ``c`` holds (while cold, nothing was ever evicted)."""
@@ -447,9 +451,6 @@ def replay(
     parent = st.parent
     probe_targets = st.probe_targets
     flat = not st.hierarchical  # no parents: every group-wide miss goes to the origin
-    # The first responder over every sibling is one search of the slots;
-    # a hierarchy's probe scans its targets, the parent among them.
-    scan = not flat
     cap = st.cap
     sender_len = st.sender_len
     present_b = st.present_b
@@ -485,7 +486,6 @@ def replay(
     age_len = st.age_len
     refresh_age = st.refresh_age
     wire_len = st.wire_len
-    url_len = None if vector else st.url_len
     sdig: dict = {}  # stored-size -> len(str(size)), bounded by doc count
     rec = obs
     emit = rec is not None
@@ -499,7 +499,7 @@ def replay(
     # Rebound per chunk; the closures read them as free variables.
     out = bytearray()
     served = array("q")
-    leaf_l = rsz = ts_l = docs_l = digits_l = None
+    leaf_l = rsz = ts_l = docs_l = None
     # Lean mode (vector regimes only) is sound while *every* request so
     # far matched its doc's first-seen size: one deviating chunk can leave
     # a stored size that differs from the size column, so it latches off.
@@ -536,14 +536,15 @@ def replay(
         cache = leaf_l[i]
         base = slot - cache
         while True:
-            if scan:
+            if flat:
+                # The lowest holder (the requester's own byte is 0).
+                rslot = present_b.find(1, base, base + NC)
+            else:
+                # A hierarchy's probe scans its targets, the parent among them.
                 rslot = -1
                 for t in probe_targets[cache]:
                     if present_b[base + t] and (rslot < 0 or base + t < rslot):
                         rslot = base + t
-            else:
-                # The lowest holder (the requester's own byte is 0).
-                rslot = present_b.find(1, base, base + NC)
 
             target = cache  # where the admission site stores first
             if rslot >= 0:
@@ -604,7 +605,7 @@ def replay(
                 size = rsz[i]
                 code = 3
                 if audit:
-                    req_age = cur_age[cache] if age_len[cache] >= 0 else refresh_age(cache, False, now)
+                    req_age = cur_age[cache] if age_len[cache] >= 0 else refresh_age(cache, now)
             else:
                 # Hierarchical escalation: every probe missed, the parent's
                 # included, so the leaf asks its parent, with its age on
@@ -620,7 +621,7 @@ def replay(
                 if req_len <= 0:
                     req_len = wire_len(cache, now)
                 req_age = cur_age[cache]
-                own_age = cur_age[up] if age_len[up] >= 0 else refresh_age(up, False, now)
+                own_age = cur_age[up] if age_len[up] >= 0 else refresh_age(up, now)
                 code = 7 if ea and not own_age > req_age else 3
                 target = up
 
@@ -690,9 +691,9 @@ def replay(
                     break
                 # The parent's outcome (its tallies are not in the leaf's
                 # outcome byte) and its answer. The post-pass counts the
-                # leaf's side as an origin fetch (its request, the origin's
-                # response); the hop through the parent adds a request and
-                # a response, the parent's Via headers and the two ages.
+                # leaf's side as an origin fetch and the hop through the
+                # parent (its request and response, Via headers, URL,
+                # Content-Length and body); only the two ages are live.
                 if code < 4:
                     st_admissions[up] += 1
                     st_bytes_admitted[up] += size
@@ -710,13 +711,7 @@ def replay(
                 if peer_len <= 0:
                     peer_len = wire_len(up, now)
                 peer_age = cur_age[up]
-                bus[2] += 1
-                bus[3] += 1
-                bus[5] += (
-                    req_len + peer_len + url_len[docs_l[i]] + 2 * sender_len[up] + 120
-                    + digits_l[i]
-                )
-                bus[6] += size
+                bus[5] += req_len + peer_len
                 # The child-store rule, then the leaf's pass.
                 if not ea or req_age > peer_age or (req_age == peer_age and tie_requester):
                     code = 3
@@ -804,7 +799,7 @@ def replay(
         for c in range(NC):
             copies = st.residents(c)
             rows.append((
-                cur_age[c] if age_len[c] >= 0 else refresh_age(c, False, due),
+                cur_age[c] if age_len[c] >= 0 else refresh_age(c, due),
                 used[c],
                 copies,
                 st.st_lookups[c] + seen[c],
@@ -835,7 +830,7 @@ def replay(
 
         if not vector:
             # The loop alone: list columns, one request per run.
-            leaf_l, rsz, digits_l = st.chunk_columns(chunk)
+            leaf_l, rsz, digits = st.chunk_columns(chunk)
             docs_l = chunk.doc_ids
             ts_l = chunk.timestamps
             served = array("q", rsz)
@@ -847,7 +842,7 @@ def replay(
             warm_loop(zip(slots, range(n), range(1, n + 1), ts_l))
             if emit:
                 flush(n)
-            _post_pass(st, *_tally_py(st, out, served, leaf_l, docs_l, digits_l))
+            _post_pass(st, *_tally_py(st, out, served, leaf_l, docs_l, digits))
             if timeseries is not None:
                 st.sample(timeseries, gbase + n, float(ts_l[-1]))
             continue
@@ -1122,6 +1117,7 @@ def _tally_py(st, out, served, leaf_l, docs_l, digits_l):
     size = [0] * (16 * num_caches)
     icp = [0] * num_caches
     hdr = 0
+    legs = [1 if up is None else 2 for up in st.parent]  # an escalation's hop is a second leg
     url_len = st.url_len
     icp_pair = st.icp
     lat = st.lat_class
@@ -1133,7 +1129,7 @@ def _tally_py(st, out, served, leaf_l, docs_l, digits_l):
         latency += lat[code & 3]
         if code:
             icp[leaf] += icp_pair[doc]
-            hdr += url_len[doc] + digits if code & 1 else url_len[doc]
+            hdr += (url_len[doc] + digits) * legs[leaf] if code & 1 else url_len[doc]
     return count, size, icp, hdr, latency
 
 
@@ -1142,13 +1138,13 @@ def _tally_np(st, out, served_np, cols):
 
     Returns, like :func:`_tally_py`: the ``(leaf, outcome byte)``
     histogram by count and by served bytes (16 buckets per cache), the
-    ICP probe bytes per leaf and the URL + Content-Length header bytes of
-    the requests that left their leaf, and ``st.latency_sum`` with the
-    chunk's latencies folded on in request order. One block of
-    ``_BLOCK`` requests at a time, so no temporary is as long as the
-    chunk; the per-document byte columns are gathered per block, and the
-    fold carries its running sum from block to block (the same strict
-    left fold as one pass).
+    ICP probe bytes per leaf, the URL + Content-Length header bytes of the
+    requests that left their leaf (an escalated miss's twice: its hop
+    carries them too), and ``st.latency_sum`` with the chunk's latencies
+    folded on in request order. One block of ``_BLOCK`` requests at a
+    time, so no temporary is as long as the chunk; the per-document byte
+    columns are gathered per block, and the fold carries its running sum
+    from block to block (the same strict left fold as one pass).
     """
     np = st.np
     NC = st.num_caches
@@ -1160,6 +1156,7 @@ def _tally_np(st, out, served_np, cols):
     size = np.zeros(16 * NC, dtype=np.int64)
     icp = np.zeros(NC, dtype=np.int64)
     hdr = 0
+    escalates = np.array([up is not None for up in st.parent]) if st.hierarchical else None
     latency = st.latency_sum
     for b in range(0, n, _BLOCK):
         e = min(b + _BLOCK, n)
@@ -1174,7 +1171,12 @@ def _tally_np(st, out, served_np, cols):
         docs = cols.slots[b:e][left] // NC
         icp += np.bincount(leaf[left], weights=icp_pair[docs], minlength=NC).astype(np.int64)
         hdr += int(url_len[docs].sum())
-        hdr += int(decimal_digits(np, cols.rsz[b:e][cls == 3]).sum())
+        miss = cls == 3
+        hdr += int(decimal_digits(np, cols.rsz[b:e][miss]).sum())
+        if escalates is not None:
+            esc = miss & escalates[leaf]
+            hdr += int(url_len[cols.slots[b:e][esc] // NC].sum())
+            hdr += int(decimal_digits(np, cols.rsz[b:e][esc]).sum())
         fold = np.empty(e - b + 1, dtype=np.float64)
         fold[0] = latency
         fold[1:] = st.lat_np[cls]
@@ -1190,9 +1192,10 @@ def _post_pass(st, count, size, icp, hdr, latency):
     outcome byte is the only record of a leaf's admission (2 or 3), its
     declined placement (6 or 7) or rejected copy (10 or 11); a parent's
     are tallied inline. Every admitted copy is resident or was evicted,
-    so evictions and evicted bytes follow from conservation. Sums of
-    served bytes may arrive as floats (numpy's weighted bincount); they
-    are exact integers.
+    so evictions and evicted bytes follow from conservation. At a leaf
+    with a parent every origin miss is one escalation, so its counts
+    give the hop's. Sums of served bytes may arrive as floats (numpy's
+    weighted bincount); they are exact integers.
     """
     bus = st.bus
     met = st.met
@@ -1220,6 +1223,15 @@ def _post_pass(st, count, size, icp, hdr, latency):
         bus[4] += targets * int(icp[c])
         bus[5] += (st.sender_len[c] + 50) * misses + 24 * (row[3] + row[7] + row[11])
         bus[6] += int(sum(nbytes) - nbytes[0])
+        up = st.parent[c]
+        if up is not None:
+            # The hop through the parent: a request and a response, Via
+            # headers and the body (its URL and Content-Length are in hdr).
+            escalations = sum(row[3::4])
+            bus[2] += escalations
+            bus[3] += escalations
+            bus[5] += (2 * st.sender_len[up] + 120) * escalations
+            bus[6] += int(sum(nbytes[3::4]))
         copies = st.copies[c] = st.residents(c)
         st.st_evictions[c] = st.st_admissions[c] - copies
         st.st_bytes_evicted[c] = st.st_bytes_admitted[c] - st.used[c]

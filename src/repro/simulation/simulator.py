@@ -207,7 +207,6 @@ class CooperativeSimulator:
             from repro.devtools.sanitizer import SimulationSanitizer
 
             self.sanitizer = SimulationSanitizer(self.group)
-        self._total_caches = len(self.group.caches)
         # Client requests land on leaves only; for the distributed
         # architecture every cache is a leaf.
         self._leaves = self.group.topology.leaves()

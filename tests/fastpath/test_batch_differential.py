@@ -13,9 +13,13 @@ many boundaries).
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from repro.fastpath import simulate_batch, simulate_columnar
+from repro.fastpath.numeric import load_numpy
+from repro.obs.events import RunRecorder
 from repro.simulation.simulator import CooperativeSimulator, SimulationConfig
 
 CAPACITY = 1_200_000
@@ -155,12 +159,54 @@ def test_no_numpy_fallback_is_identical(monkeypatch, bu_style_trace):
     assert (
         simulate_batch(config, bu_style_trace, chunk_size=250).to_json() == expected
     )
-    # Config-driven rows still win, so the reason is platform-stable for them.
-    hierarchical = SimulationConfig(
-        scheme="ea", num_caches=4, aggregate_capacity=CAPACITY,
+    # The observer's row still wins, so its reason is platform-stable.
+    ticking = RunRecorder(io.StringIO(), 600.0)
+    assert "snapshots" in batch_fastloop_reason(config, ticking)
+
+
+def test_childless_parents(uniform_trace):
+    """The batch twin of the columnar case: more parents than leaves, so
+    childless parents take client requests and fetch from the origin,
+    while the leaves with a parent escalate (the post-pass must count a
+    hop only for those), whole and chunked."""
+    config = SimulationConfig(
         architecture="hierarchical",
+        num_caches=2,
+        num_parents=3,
+        aggregate_capacity=CAPACITY,
     )
-    assert "hierarchical" in batch_fastloop_reason(hierarchical)
+    expected = three_engines(config, uniform_trace)
+    for chunk_size in (1, 97):
+        assert (
+            simulate_batch(config, uniform_trace, chunk_size=chunk_size).to_json()
+            == expected
+        )
+
+
+@pytest.mark.parametrize(
+    "architecture, policy",
+    [("hierarchical", "lru"), ("distributed", "lfu"), ("hierarchical", "lfu")],
+)
+def test_hierarchy_and_lfu_run_the_vector_regimes(architecture, policy, bu_style_trace):
+    """Neither a hierarchy nor LFU turns the vector regimes off: the
+    precompute's runs carry resident hits, and only the cold regime's own
+    latch is off."""
+    config = SimulationConfig(
+        scheme="ea",
+        architecture=architecture,
+        policy=policy,
+        num_caches=4,
+        aggregate_capacity=CAPACITY,
+    )
+    regimes: dict = {}
+    got = simulate_batch(config, bu_style_trace, regimes=regimes).to_json()
+    assert got == CooperativeSimulator(config).run(bu_style_trace).to_json()
+    if load_numpy() is None:
+        assert "numpy" in regimes["fallback_reason"]
+        return
+    assert "fallback_reason" not in regimes
+    assert regimes["hit_run"] > 0 and regimes["cold"] == 0
+    assert regimes["hit_run"] + regimes["scalar"] == len(bu_style_trace)
 
 
 def test_run_simulation_dispatches_to_batch(bu_style_trace):

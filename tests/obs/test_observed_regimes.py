@@ -9,8 +9,10 @@ object core's and with the columnar loop's (the same kernel with its
 vector regimes off), byte for byte: ad-hoc and EA, EA with the responder
 tie-break (no cold regime, so the loop starts at request 0), a measured
 window after warm-up requests, and a group of more than 256 caches, whose
-leaf and responder columns are not bytes. Snapshots keep the vector
-regimes off, and the manifest says which way a run went.
+leaf and responder columns are not bytes; and a hierarchy under LFU,
+which runs the precompute's runs and the post-pass with no cold regime.
+Snapshots keep the vector regimes off, and the manifest says which way a
+run went.
 """
 
 from __future__ import annotations
@@ -151,6 +153,28 @@ def test_cold_lines_are_every_cold_line(trace, expected):
     if vector():
         assert regimes == {"cold": len(trace), "hit_run": 0, "scalar": 0}
     assert stream(config, trace, "batch", chunk_size=7) == want
+
+
+@pytest.mark.parametrize("scheme", ["adhoc", "ea"])
+def test_hierarchical_lfu_stream(trace, scheme):
+    """A hierarchy under LFU runs the vector regimes with a recorder and no
+    snapshots (no cold regime: its latch is off), and writes the object
+    core's stream byte for byte, whole and chunked."""
+    config = SimulationConfig(
+        scheme=scheme, architecture="hierarchical", policy="lfu", num_caches=8,
+        num_parents=2, aggregate_capacity=10 * PER_CACHE,
+    )
+    want = stream(config, trace, "object")
+    assert '"role":"parent"' in want[0] and '"e":"evict"' in want[0]
+    assert stream(config, trace, "columnar") == want
+    for chunk_size in (None, 97, 1):
+        regimes: dict = {}
+        assert stream(config, trace, "batch", chunk_size, regimes=regimes) == want
+        if vector():
+            assert "fallback_reason" not in regimes
+            assert regimes["cold"] == 0 and regimes["hit_run"] > 0
+        else:
+            assert "numpy" in regimes["fallback_reason"]
 
 
 def test_snapshots_keep_the_vector_regimes_off(trace):

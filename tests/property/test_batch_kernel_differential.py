@@ -3,16 +3,19 @@
 The batch twin of ``test_core_differential.py``. The hand-written matrices
 in ``tests/fastpath`` run the warm kernel at default windows on traces
 whose documents never change size mid-run; here hypothesis draws the whole
-fast-loop envelope — scheme, group size, the three windows (a ring small
-enough to wrap, the cumulative sum, a time window that trims between
-requests), responder strategy, tie-break, replica cap, warm-up,
-latency model, chunking — at capacities where some documents are larger
-than a cache and some admissions evict several victims, over traces with
+fast-loop envelope — scheme, architecture (a hierarchy with one or two
+parents, and one with more parents than leaves, whose childless parents
+are leaves without a parent), LRU and LFU, group size, the three windows
+(a ring small enough to wrap, the cumulative sum, a time window that
+trims between requests), tie-break, replica cap, chunking down to one
+request and at 97 — at capacities where some documents are larger than a
+cache and some admissions evict several victims, over traces with
 multi-member runs, equal timestamps and sizes that change per request (so
 the engine's lean mode is off, or latches off mid-trace). What the kernel
 leaves to the post-pass is exactly what ``to_json`` reports: admissions,
 rejections and declines are read from outcome bytes, evictions follow from
-conservation, expiration ages are refreshed lazily.
+conservation, a parent hop's counts and fixed bytes from a leaf's origin
+misses, expiration ages are refreshed lazily.
 
 The second half pins what the lazy age cells rest on: the window fold the
 loop runs inline is fed chosen age sequences through a real replay and
@@ -35,6 +38,8 @@ from repro.simulation.simulator import CooperativeSimulator, SimulationConfig
 from repro.trace.record import Trace, TraceRecord
 from repro.trace.stream import RecordStream
 
+from tests.property.test_core_differential import group_size, topologies
+
 #: (client, doc, time step, sizes of the run's members): one step is one
 #: run of 1-3 consecutive requests by one client for one document, each
 #: with its own size. Size 0 is patched to 4 KB, above the smaller
@@ -49,14 +54,19 @@ _runs = st.tuples(
 workloads = st.lists(_runs, min_size=25, max_size=120)
 
 configs = st.builds(
-    lambda caches, per_cache, **fields: SimulationConfig(
-        num_caches=caches, aggregate_capacity=caches * per_cache, **fields
+    lambda topology, per_cache, **fields: SimulationConfig(
+        architecture=topology[0],
+        num_caches=topology[1],
+        num_parents=topology[2],
+        aggregate_capacity=per_cache * group_size(topology),
+        **fields,
     ),
-    caches=st.sampled_from([2, 4]),
+    topology=topologies,
     # 1 500 bytes rejects the 3 000-byte and the patched documents and
     # holds a handful of small ones; 9 000 holds everything but evicts.
     per_cache=st.integers(1_500, 9_000),
     scheme=st.sampled_from(["adhoc", "ea"]),
+    policy=st.sampled_from(["lru", "lfu"]),
     window_mode=st.sampled_from(["count", "cumulative", "time"]),
     window_size=st.integers(1, 10),
     window_seconds=st.sampled_from([0.5, 2.0, 6.0, 25.0]),
@@ -85,10 +95,10 @@ def build_trace(steps) -> Trace:
 @given(
     steps=workloads,
     config=configs,
-    chunk_size=st.one_of(st.none(), st.integers(1, 48)),
+    chunk_size=st.one_of(st.none(), st.integers(1, 48), st.just(97)),
     streamed=st.booleans(),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_fast_loop_replays_like_the_object_core(steps, config, chunk_size, streamed):
     trace = build_trace(steps)
     expected = CooperativeSimulator(config).run(trace).to_json()
@@ -101,6 +111,8 @@ def test_fast_loop_replays_like_the_object_core(steps, config, chunk_size, strea
         # The fast loop ran, and every request went through one regime.
         assert "fallback_reason" not in regimes
         assert regimes["cold"] + regimes["hit_run"] + regimes["scalar"] == len(trace)
+        if config.architecture == "hierarchical" or config.policy == "lfu":
+            assert regimes["cold"] == 0  # the cold regime's latch is off
     else:  # REPRO_NO_NUMPY: the columnar core replayed, to the same bytes
         assert regimes == {"fallback_reason": reason}
 

@@ -50,7 +50,7 @@ topologies = st.sampled_from(
 )
 
 
-def _group_size(topology) -> int:
+def group_size(topology) -> int:
     architecture, num_caches, num_parents = topology
     return num_caches + (num_parents if architecture == "hierarchical" else 0)
 
@@ -60,7 +60,7 @@ configs = st.builds(
         architecture=topology[0],
         num_caches=topology[1],
         num_parents=topology[2],
-        aggregate_capacity=per_cache * _group_size(topology),
+        aggregate_capacity=per_cache * group_size(topology),
         **fields,
     ),
     topology=topologies,

@@ -146,7 +146,8 @@ def _batch_fold(window, ages):
         state.win[0].append(age)
         state.wsum[0] = total
         state.age_len[0] = -1
-        out.append(state.refresh_age(0, wire=True))
+        state.wire_len(0, None)  # the header read: recompute and format
+        out.append(state.cur_age[0])
     return out
 
 

@@ -5,7 +5,8 @@ every ``from repro... import name`` in one must resolve; every keyword
 passed to ``SimulationConfig(`` must be a config field. A rename or a
 retired field then fails here instead of leaving the docs teaching code
 that raises. docs/PERFORMANCE.md's fallback tables must be the rows of
-``FALLBACK_MATRIX`` and ``COLUMNAR_NEUTRAL_FIELDS``.
+``FALLBACK_MATRIX`` and ``COLUMNAR_NEUTRAL_FIELDS``, and its fast-loop
+coverage table the reasons ``batch_fastloop_reason`` gives.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import io
+import itertools
 import re
 from pathlib import Path
 
-from repro.fastpath import COLUMNAR_NEUTRAL_FIELDS, FALLBACK_MATRIX
+from repro.fastpath import COLUMNAR_NEUTRAL_FIELDS, FALLBACK_MATRIX, batch_fastloop_reason
+from repro.obs.events import RunRecorder
 from repro.simulation.simulator import RETIRED_ECHO, SimulationConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,9 +93,9 @@ def test_checker_reports_every_retired_keyword():
         ]
 
 
-def _fallback_section() -> str:
+def _section(title: str) -> str:
     text = (ROOT / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
-    start = text.index("### Fallback matrix\n")
+    start = text.index(f"### {title}\n")
     return text[start : text.index("\n### ", start + 1)]
 
 
@@ -112,6 +116,39 @@ def _matrix_rows():
 
 def test_performance_doc_tables_are_the_fallback_matrix():
     documented = [
-        line for line in _fallback_section().splitlines() if line.startswith("| `")
+        line for line in _section("Fallback matrix").splitlines() if line.startswith("| `")
     ]
     assert documented == list(_matrix_rows())
+
+
+def _coverage_reasons():
+    """The reason column of the "Fast-loop coverage" table, in row order."""
+    rows = [line for line in _section("Fast-loop coverage").splitlines() if line.startswith("| ")]
+    return [row.split(" | ")[1] for row in rows[1:]]  # rows[0] is the header
+
+
+def _fastloop_reasons(monkeypatch):
+    """Every answer of ``batch_fastloop_reason`` over the configs and
+    observers that could select a row, with numpy and without it."""
+    observers = (None, RunRecorder(io.StringIO()), RunRecorder(io.StringIO(), 600.0))
+    grid = itertools.product(
+        ("distributed", "hierarchical"), ("lru", "lfu"), ("adhoc", "ea"),
+        ("requester", "responder"), ("count", "cumulative", "time"),
+    )
+    reasons = set()
+    for architecture, policy, scheme, tie_break, window_mode in grid:
+        config = SimulationConfig(
+            architecture=architecture, policy=policy, scheme=scheme,
+            tie_break=tie_break, window_mode=window_mode,
+        )
+        for no_numpy in ("", "1"):
+            monkeypatch.setenv("REPRO_NO_NUMPY", no_numpy)
+            reasons.update(batch_fastloop_reason(config, obs) for obs in observers)
+    return reasons
+
+
+def test_performance_doc_coverage_table_is_the_fastloop_reasons(monkeypatch):
+    documented = _coverage_reasons()
+    assert documented[-1] == "None"  # the "otherwise" row: the regimes run
+    found = _fastloop_reasons(monkeypatch) - {None}
+    assert sorted(documented[:-1]) == sorted(found)
