@@ -20,7 +20,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.cache` — proxy caches, replacement policies, expiration age.
 * :mod:`repro.architecture` — distributed and hierarchical cache groups.
 * :mod:`repro.protocol` / :mod:`repro.network` — ICP, HTTP piggybacking,
-  latency models, message accounting.
+  the paper's latency constants, message accounting.
 * :mod:`repro.trace` — trace records, readers, the synthetic BU-like
   workload generator.
 * :mod:`repro.simulation` — the trace-driven simulator and metrics.

@@ -1,7 +1,6 @@
 """Cooperative cache group architectures: distributed (flat) and hierarchical."""
 
 from repro.architecture.base import (
-    RESPONDER_STRATEGIES,
     CooperativeGroup,
     RemoteHitAudit,
     build_caches,
@@ -15,7 +14,6 @@ __all__ = [
     "DistributedGroup",
     "HashRoutedGroup",
     "HierarchicalGroup",
-    "RESPONDER_STRATEGIES",
     "RemoteHitAudit",
     "build_caches",
 ]

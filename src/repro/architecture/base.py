@@ -1,7 +1,7 @@
 """Shared machinery for cooperative cache groups.
 
 A :class:`CooperativeGroup` owns N proxy caches, a placement scheme, a
-topology, a latency model and a message bus, and exposes one operation —
+topology and a message bus, and exposes one operation —
 :meth:`CooperativeGroup.process` — that resolves a client request exactly
 the way the paper's Section 3.3 walks through it: local lookup, ICP probe,
 HTTP fetch from a responder or the origin, and the scheme's placement
@@ -26,14 +26,10 @@ from repro.core.outcomes import RequestOutcome
 from repro.core.placement import PlacementScheme
 from repro.errors import SimulationError
 from repro.network.bus import MessageBus
-from repro.network.latency import ConstantLatencyModel, LatencyModel, ServiceKind
 from repro.network.topology import Topology
 from repro.protocol import http as sim_http
 from repro.protocol import icp
 from repro.trace.record import TraceRecord
-
-#: Responder-selection strategies for when several siblings hold a document.
-RESPONDER_STRATEGIES = ("first", "random", "max_age")
 
 
 class CooperativeGroup:
@@ -43,14 +39,7 @@ class CooperativeGroup:
         caches: The member proxy caches (index == topology index).
         scheme: Placement scheme making store/refresh decisions.
         topology: Who is sibling/parent of whom.
-        latency_model: Maps service kinds to seconds.
-        bus: Message accounting bus (a fresh one if omitted).
-        responder_strategy: Which holder serves a remote hit when several
-            reply positively: ``"first"`` (lowest index — deterministic
-            stand-in for "first ICP reply"), ``"random"`` (seeded), or
-            ``"max_age"`` (holder with the highest expiration age — an
-            EA-flavoured extension, not in the paper).
-        seed: Seed for the random responder strategy and loss injection.
+        seed: Seed for ICP reply loss injection.
         icp_loss_rate: Probability that an individual ICP reply datagram is
             lost (ICP rides UDP). A lost positive reply makes the requester
             believe that peer misses — a *false miss* — so it may fetch from
@@ -63,20 +52,12 @@ class CooperativeGroup:
         caches: Sequence[ProxyCache],
         scheme: PlacementScheme,
         topology: Topology,
-        latency_model: Optional[LatencyModel] = None,
-        bus: Optional[MessageBus] = None,
-        responder_strategy: str = "first",
         seed: int = 0,
         icp_loss_rate: float = 0.0,
     ):
         if len(caches) != topology.num_caches:
             raise SimulationError(
                 f"{len(caches)} caches but topology declares {topology.num_caches}"
-            )
-        if responder_strategy not in RESPONDER_STRATEGIES:
-            raise SimulationError(
-                f"responder_strategy must be one of {RESPONDER_STRATEGIES}, "
-                f"got {responder_strategy!r}"
             )
         if not 0.0 <= icp_loss_rate <= 1.0:
             raise SimulationError(
@@ -88,9 +69,7 @@ class CooperativeGroup:
         self.caches: List[ProxyCache] = list(caches)
         self.scheme = scheme
         self.topology = topology
-        self.latency_model = latency_model if latency_model is not None else ConstantLatencyModel()
-        self.bus = bus if bus is not None else MessageBus()
-        self.responder_strategy = responder_strategy
+        self.bus = MessageBus()
         #: Optional :class:`repro.obs.events.RunRecorder`; when set, the
         #: protocol steps below emit placement/promotion events at the
         #: exact decision points. Reporting only — never consulted for
@@ -143,15 +122,15 @@ class CooperativeGroup:
         )
         return holders
 
-    def _choose_responder(self, holders: Sequence[int], now: float) -> int:
-        """Pick which positive replier serves the remote hit."""
+    def _choose_responder(self, holders: Sequence[int]) -> int:
+        """The positive replier that serves the remote hit.
+
+        The lowest index: a deterministic stand-in for "the first ICP
+        reply" (Section 3.3).
+        """
         if not holders:
             raise SimulationError("cannot choose a responder from no holders")
-        if self.responder_strategy == "first":
-            return min(holders)
-        if self.responder_strategy == "random":
-            return self._rng.choice(list(holders))
-        return max(holders, key=lambda i: self.caches[i].expiration_age(now))
+        return min(holders)
 
     def _remote_fetch(
         self, requester: int, responder: int, url: str, now: float
@@ -242,9 +221,6 @@ class CooperativeGroup:
             obs.placement_origin(now, requester, url, size, decision.own_age, stored)
         return stored
 
-    def _latency(self, kind: ServiceKind, size: int) -> float:
-        return self.latency_model.latency(kind, size)
-
     # ------------------------------------------------------------------ #
     # Group-level introspection
     # ------------------------------------------------------------------ #
@@ -295,30 +271,19 @@ class RemoteHitAudit:
         self.responder_age = responder_age
 
 
-def build_caches(
-    num_caches: int,
+def split_capacity(
     aggregate_capacity: int,
-    policy_name: str = "lru",
-    window_mode: str = "count",
-    window_size: int = 1000,
-    window_seconds: float = 3600.0,
-    policy_kwargs: Optional[dict] = None,
+    num_caches: int,
     capacity_shares: Optional[Sequence[float]] = None,
-    admission_name: Optional[str] = None,
-    admission_kwargs: Optional[dict] = None,
-    contention_measure: Optional[str] = None,
-) -> List[ProxyCache]:
-    """Construct a group's caches splitting ``aggregate_capacity``.
+) -> List[int]:
+    """Each cache's byte capacity, splitting ``aggregate_capacity``.
 
     By default each cache gets the equal X/N share the paper uses
     (Section 4.1). Pass ``capacity_shares`` — positive weights, one per
     cache — for heterogeneous groups (a small departmental proxy next to a
     big one); weights are normalised, so ``[1, 3]`` gives a 25 %/75 % split.
-
-    ``contention_measure`` overrides the tracker's scoring formula
-    (normally derived from the replacement policy): pass ``"lifetime"`` to
-    run the EA machinery on Section 3.1's rejected Average Document Life
-    Time measure (the ``ablation-measure`` experiment).
+    Both cores split through here, so they refuse the same too-small
+    capacity with the same message.
     """
     if num_caches <= 0:
         raise SimulationError("num_caches must be positive")
@@ -340,9 +305,36 @@ def build_caches(
             f"aggregate capacity {aggregate_capacity} too small for "
             f"{num_caches} caches with shares {weights}"
         )
+    return capacities
+
+
+def build_caches(
+    num_caches: int,
+    aggregate_capacity: int,
+    policy_name: str = "lru",
+    window_mode: str = "count",
+    window_size: int = 1000,
+    window_seconds: float = 3600.0,
+    capacity_shares: Optional[Sequence[float]] = None,
+    admission_name: Optional[str] = None,
+    admission_kwargs: Optional[dict] = None,
+    contention_measure: Optional[str] = None,
+) -> List[ProxyCache]:
+    """Construct a group's caches splitting ``aggregate_capacity``.
+
+    The split is :func:`split_capacity`'s: equal X/N shares unless
+    ``capacity_shares`` weights them.
+
+    ``contention_measure`` overrides the tracker's scoring formula
+    (normally derived from the replacement policy): pass ``"lifetime"`` to
+    run the EA machinery on Section 3.1's rejected Average Document Life
+    Time measure (the ``ablation-measure`` experiment).
+    """
     caches = []
-    for i, capacity in enumerate(capacities):
-        policy = make_policy(policy_name, **(policy_kwargs or {}))
+    for i, capacity in enumerate(
+        split_capacity(aggregate_capacity, num_caches, capacity_shares)
+    ):
+        policy = make_policy(policy_name)
         tracker = ExpirationAgeTracker(
             kind=contention_measure or policy.expiration_age_kind,
             window_mode=window_mode,

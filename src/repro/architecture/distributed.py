@@ -9,15 +9,19 @@ where the request originated retrieves the document from the origin server."
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.architecture.base import CooperativeGroup
 from repro.cache.store import ProxyCache
 from repro.core.outcomes import RequestOutcome
 from repro.core.placement import PlacementScheme
 from repro.errors import SimulationError
-from repro.network.bus import MessageBus
-from repro.network.latency import LatencyModel, ServiceKind
+from repro.network.latency import (
+    PAPER_LOCAL_HIT_LATENCY,
+    PAPER_MISS_LATENCY,
+    PAPER_REMOTE_HIT_LATENCY,
+    ServiceKind,
+)
 from repro.network.topology import StarTopology
 from repro.trace.record import TraceRecord
 
@@ -29,9 +33,6 @@ class DistributedGroup(CooperativeGroup):
         self,
         caches: Sequence[ProxyCache],
         scheme: PlacementScheme,
-        latency_model: Optional[LatencyModel] = None,
-        bus: Optional[MessageBus] = None,
-        responder_strategy: str = "first",
         seed: int = 0,
         icp_loss_rate: float = 0.0,
     ):
@@ -39,9 +40,6 @@ class DistributedGroup(CooperativeGroup):
             caches=caches,
             scheme=scheme,
             topology=StarTopology(len(caches)),
-            latency_model=latency_model,
-            bus=bus,
-            responder_strategy=responder_strategy,
             seed=seed,
             icp_loss_rate=icp_loss_rate,
         )
@@ -72,12 +70,12 @@ class DistributedGroup(CooperativeGroup):
                 url=record.url,
                 size=entry.size,
                 kind=ServiceKind.LOCAL_HIT,
-                latency=self._latency(ServiceKind.LOCAL_HIT, entry.size),
+                latency=PAPER_LOCAL_HIT_LATENCY,
             )
 
         holders = self._icp_probe(index, self._siblings[index], record.url)
         if holders:
-            responder = self._choose_responder(holders, now)
+            responder = self._choose_responder(holders)
             document, audit = self._remote_fetch(index, responder, record.url, now)
             return RequestOutcome(
                 timestamp=now,
@@ -86,7 +84,7 @@ class DistributedGroup(CooperativeGroup):
                 size=document.size,
                 kind=ServiceKind.REMOTE_HIT,
                 responder=responder,
-                latency=self._latency(ServiceKind.REMOTE_HIT, document.size),
+                latency=PAPER_REMOTE_HIT_LATENCY,
                 stored_at_requester=audit.stored_at_requester,
                 responder_refreshed=audit.responder_refreshed,
                 requester_age=audit.requester_age,
@@ -100,6 +98,6 @@ class DistributedGroup(CooperativeGroup):
             url=record.url,
             size=record.size,
             kind=ServiceKind.MISS,
-            latency=self._latency(ServiceKind.MISS, record.size),
+            latency=PAPER_MISS_LATENCY,
             stored_at_requester=stored,
         )

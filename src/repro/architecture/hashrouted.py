@@ -23,7 +23,7 @@ no ``PlacementScheme`` is taken.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.architecture.base import CooperativeGroup
 from repro.cache.document import Document
@@ -31,9 +31,13 @@ from repro.cache.store import ProxyCache
 from repro.core.outcomes import RequestOutcome
 from repro.core.placement import AdHocScheme
 from repro.errors import SimulationError
-from repro.network.bus import MessageBus
 from repro.network.consistent_hash import ConsistentHashRing
-from repro.network.latency import LatencyModel, ServiceKind
+from repro.network.latency import (
+    PAPER_LOCAL_HIT_LATENCY,
+    PAPER_MISS_LATENCY,
+    PAPER_REMOTE_HIT_LATENCY,
+    ServiceKind,
+)
 from repro.network.topology import StarTopology
 from repro.protocol import http as sim_http
 from repro.trace.record import TraceRecord
@@ -45,8 +49,6 @@ class HashRoutedGroup(CooperativeGroup):
     def __init__(
         self,
         caches: Sequence[ProxyCache],
-        latency_model: Optional[LatencyModel] = None,
-        bus: Optional[MessageBus] = None,
         ring_replicas: int = 64,
         seed: int = 0,
     ):
@@ -56,8 +58,6 @@ class HashRoutedGroup(CooperativeGroup):
             # slot for the base class's unused hooks.
             scheme=AdHocScheme(),
             topology=StarTopology(len(caches)),
-            latency_model=latency_model,
-            bus=bus,
             seed=seed,
         )
         self.ring = ConsistentHashRing(range(len(caches)), replicas=ring_replicas)
@@ -84,7 +84,7 @@ class HashRoutedGroup(CooperativeGroup):
                     url=record.url,
                     size=entry.size,
                     kind=ServiceKind.LOCAL_HIT,
-                    latency=self._latency(ServiceKind.LOCAL_HIT, entry.size),
+                    latency=PAPER_LOCAL_HIT_LATENCY,
                 )
             stored = self._origin_fetch(index, record.url, record.size, now)
             return RequestOutcome(
@@ -93,7 +93,7 @@ class HashRoutedGroup(CooperativeGroup):
                 url=record.url,
                 size=record.size,
                 kind=ServiceKind.MISS,
-                latency=self._latency(ServiceKind.MISS, record.size),
+                latency=PAPER_MISS_LATENCY,
                 stored_at_requester=stored,
             )
 
@@ -118,7 +118,7 @@ class HashRoutedGroup(CooperativeGroup):
                 size=entry.size,
                 kind=ServiceKind.REMOTE_HIT,
                 responder=home,
-                latency=self._latency(ServiceKind.REMOTE_HIT, entry.size),
+                latency=PAPER_REMOTE_HIT_LATENCY,
             )
 
         # Home miss: home fetches from origin, stores, relays downstream.
@@ -140,5 +140,5 @@ class HashRoutedGroup(CooperativeGroup):
             size=record.size,
             kind=ServiceKind.MISS,
             responder=home,
-            latency=self._latency(ServiceKind.MISS, record.size),
+            latency=PAPER_MISS_LATENCY,
         )

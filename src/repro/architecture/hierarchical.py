@@ -25,8 +25,12 @@ from repro.cache.store import ProxyCache
 from repro.core.outcomes import RequestOutcome
 from repro.core.placement import PlacementScheme
 from repro.errors import SimulationError
-from repro.network.bus import MessageBus
-from repro.network.latency import LatencyModel, ServiceKind
+from repro.network.latency import (
+    PAPER_LOCAL_HIT_LATENCY,
+    PAPER_MISS_LATENCY,
+    PAPER_REMOTE_HIT_LATENCY,
+    ServiceKind,
+)
 from repro.network.topology import TreeTopology
 from repro.protocol import http as sim_http
 from repro.trace.record import TraceRecord
@@ -40,9 +44,6 @@ class HierarchicalGroup(CooperativeGroup):
         caches: Sequence[ProxyCache],
         scheme: PlacementScheme,
         topology: TreeTopology,
-        latency_model: Optional[LatencyModel] = None,
-        bus: Optional[MessageBus] = None,
-        responder_strategy: str = "first",
         seed: int = 0,
         icp_loss_rate: float = 0.0,
     ):
@@ -52,9 +53,6 @@ class HierarchicalGroup(CooperativeGroup):
             caches=caches,
             scheme=scheme,
             topology=topology,
-            latency_model=latency_model,
-            bus=bus,
-            responder_strategy=responder_strategy,
             seed=seed,
             icp_loss_rate=icp_loss_rate,
         )
@@ -76,7 +74,7 @@ class HierarchicalGroup(CooperativeGroup):
                 url=record.url,
                 size=entry.size,
                 kind=ServiceKind.LOCAL_HIT,
-                latency=self._latency(ServiceKind.LOCAL_HIT, entry.size),
+                latency=PAPER_LOCAL_HIT_LATENCY,
             )
 
         # "A cache that experiences a local miss sends out an ICP query to
@@ -88,7 +86,7 @@ class HierarchicalGroup(CooperativeGroup):
         holders = self._icp_probe(index, probe_targets, record.url)
 
         if holders:
-            responder = self._choose_responder(holders, now)
+            responder = self._choose_responder(holders)
             document, audit = self._remote_fetch(index, responder, record.url, now)
             return RequestOutcome(
                 timestamp=now,
@@ -97,7 +95,7 @@ class HierarchicalGroup(CooperativeGroup):
                 size=document.size,
                 kind=ServiceKind.REMOTE_HIT,
                 responder=responder,
-                latency=self._latency(ServiceKind.REMOTE_HIT, document.size),
+                latency=PAPER_REMOTE_HIT_LATENCY,
                 stored_at_requester=audit.stored_at_requester,
                 responder_refreshed=audit.responder_refreshed,
                 requester_age=audit.requester_age,
@@ -114,7 +112,7 @@ class HierarchicalGroup(CooperativeGroup):
                 url=record.url,
                 size=record.size,
                 kind=ServiceKind.MISS,
-                latency=self._latency(ServiceKind.MISS, record.size),
+                latency=PAPER_MISS_LATENCY,
                 stored_at_requester=stored,
             )
 
@@ -146,7 +144,10 @@ class HierarchicalGroup(CooperativeGroup):
                 stored,
             )
 
-        kind = ServiceKind.REMOTE_HIT if found_at is not None else ServiceKind.MISS
+        if found_at is not None:
+            kind, latency = ServiceKind.REMOTE_HIT, PAPER_REMOTE_HIT_LATENCY
+        else:
+            kind, latency = ServiceKind.MISS, PAPER_MISS_LATENCY
         return RequestOutcome(
             timestamp=now,
             requester=index,
@@ -154,7 +155,7 @@ class HierarchicalGroup(CooperativeGroup):
             size=document.size,
             kind=kind,
             responder=found_at,
-            latency=self._latency(kind, document.size),
+            latency=latency,
             stored_at_requester=stored,
             requester_age=requester_age,
             responder_age=upstream_age,

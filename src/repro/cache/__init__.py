@@ -3,7 +3,6 @@
 from repro.cache.admission import (
     AdmissionPolicy,
     AlwaysAdmit,
-    ProbabilisticAdmission,
     SecondHitAdmission,
     SizeThresholdAdmission,
     make_admission,
@@ -29,7 +28,6 @@ from repro.cache.replacement import (
 )
 from repro.cache.stats import CacheStats
 from repro.cache.store import AdmitOutcome, ProxyCache
-from repro.cache.victim import VictimBufferCache
 
 __all__ = [
     "AdmissionPolicy",
@@ -47,14 +45,12 @@ __all__ = [
     "LFUAgingPolicy",
     "LFUPolicy",
     "LRUPolicy",
-    "ProbabilisticAdmission",
     "ProxyCache",
     "RandomPolicy",
     "ReplacementPolicy",
     "SecondHitAdmission",
     "SizePolicy",
     "SizeThresholdAdmission",
-    "VictimBufferCache",
     "WINDOW_MODES",
     "document_expiration_age",
     "make_admission",

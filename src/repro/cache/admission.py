@@ -13,7 +13,6 @@ and are notified of actual admissions for learning filters.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Optional
 
@@ -89,33 +88,10 @@ class SecondHitAdmission(AdmissionPolicy):
         self._seen.clear()
 
 
-class ProbabilisticAdmission(AdmissionPolicy):
-    """Admit with a size-dependent probability: P = exp(-size / scale).
-
-    A deterministic-per-URL variant of TinyLFU-style size-aware admission:
-    the decision hashes the URL so replays are reproducible without an RNG
-    stream shared across schemes.
-    """
-
-    def __init__(self, scale_bytes: float = 64 * 1024):
-        if scale_bytes <= 0:
-            raise CacheConfigurationError("scale_bytes must be positive")
-        self.scale_bytes = scale_bytes
-
-    def admit(self, document: Document, now: float) -> bool:
-        import math
-
-        probability = math.exp(-document.size / self.scale_bytes)
-        digest = hashlib.md5(f"admit:{document.url}".encode("utf-8")).digest()
-        draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-        return draw < probability
-
-
 _ADMISSION_FACTORIES = {
     "always": AlwaysAdmit,
     "size-threshold": SizeThresholdAdmission,
     "second-hit": SecondHitAdmission,
-    "probabilistic": ProbabilisticAdmission,
 }
 
 

@@ -525,10 +525,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     jobs = None if args.jobs is None else args.jobs or default_jobs()
     for name in names:
         driver = EXPERIMENTS[name]
-        # Only the sweep-backed drivers take jobs/memo/engine and the obs
-        # knobs; ablation and extension drivers run serially regardless.
-        # Each driver writes its point files under its own --events
-        # subdirectory, so 'experiment all' shares one root.
+        # A driver gets only the knobs its signature names. One without
+        # an engine parameter runs the object core whatever --engine asks,
+        # and says so on stderr (stdout stays the report). Each driver
+        # writes its point files under its own --events subdirectory, so
+        # 'experiment all' shares one root.
         offered = {
             "jobs": jobs,
             "memo": memo,
@@ -541,6 +542,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         }
         accepted = inspect.signature(driver).parameters
         kwargs = {k: v for k, v in offered.items() if k in accepted and v is not None}
+        if args.engine != "object" and "engine" not in accepted:
+            print(
+                f"note: {name} takes no --engine; it runs the object core",
+                file=sys.stderr,
+            )
         report = driver(scale=args.scale, seed=args.seed, **kwargs)
         if store is not None:
             store.save(report)

@@ -25,7 +25,7 @@ from repro.architecture.base import CooperativeGroup
 from repro.coherence.model import ChangeModel, TTLModel
 from repro.core.outcomes import RequestOutcome
 from repro.errors import CacheConfigurationError
-from repro.network.latency import ServiceKind
+from repro.network.latency import PAPER_MISS_LATENCY, ServiceKind
 from repro.protocol import http as sim_http
 from repro.trace.record import TraceRecord
 
@@ -172,7 +172,6 @@ class CoherentGroup:
         for cache_index, cache in enumerate(self.group.caches):
             if record.url in cache:
                 self._fetched_at[(cache_index, record.url)] = now
-        miss_latency = self.group.latency_model.latency(ServiceKind.MISS, outcome.size)
         return RequestOutcome(
             timestamp=outcome.timestamp,
             requester=outcome.requester,
@@ -180,6 +179,6 @@ class CoherentGroup:
             size=outcome.size,
             kind=ServiceKind.MISS,
             responder=None,
-            latency=miss_latency,
+            latency=PAPER_MISS_LATENCY,
             stored_at_requester=outcome.stored_at_requester,
         )

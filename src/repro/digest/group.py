@@ -12,7 +12,7 @@ point of the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.architecture.distributed import DistributedGroup
 from repro.cache.store import ProxyCache
@@ -20,8 +20,12 @@ from repro.core.outcomes import RequestOutcome
 from repro.core.placement import PlacementScheme
 from repro.digest.directory import DigestDirectory
 from repro.errors import SimulationError
-from repro.network.bus import MessageBus
-from repro.network.latency import LatencyModel, ServiceKind
+from repro.network.latency import (
+    PAPER_LOCAL_HIT_LATENCY,
+    PAPER_MISS_LATENCY,
+    PAPER_REMOTE_HIT_LATENCY,
+    ServiceKind,
+)
 from repro.protocol import http as sim_http
 from repro.trace.record import TraceRecord
 
@@ -39,21 +43,11 @@ class DigestDistributedGroup(DistributedGroup):
         self,
         caches: Sequence[ProxyCache],
         scheme: PlacementScheme,
-        latency_model: Optional[LatencyModel] = None,
-        bus: Optional[MessageBus] = None,
-        responder_strategy: str = "first",
         seed: int = 0,
         rebuild_interval: float = 60.0,
         false_positive_rate: float = 0.01,
     ):
-        super().__init__(
-            caches=caches,
-            scheme=scheme,
-            latency_model=latency_model,
-            bus=bus,
-            responder_strategy=responder_strategy,
-            seed=seed,
-        )
+        super().__init__(caches=caches, scheme=scheme, seed=seed)
         self.directory = DigestDirectory(
             caches,
             rebuild_interval=rebuild_interval,
@@ -79,7 +73,7 @@ class DigestDistributedGroup(DistributedGroup):
                 url=record.url,
                 size=entry.size,
                 kind=ServiceKind.LOCAL_HIT,
-                latency=self._latency(ServiceKind.LOCAL_HIT, entry.size),
+                latency=PAPER_LOCAL_HIT_LATENCY,
             )
 
         candidates = self.directory.candidates(record.url, exclude=index, now=now)
@@ -94,7 +88,7 @@ class DigestDistributedGroup(DistributedGroup):
                     size=document.size,
                     kind=ServiceKind.REMOTE_HIT,
                     responder=candidate,
-                    latency=self._latency(ServiceKind.REMOTE_HIT, document.size),
+                    latency=PAPER_REMOTE_HIT_LATENCY,
                     stored_at_requester=audit.stored_at_requester,
                     responder_refreshed=audit.responder_refreshed,
                     requester_age=audit.requester_age,
@@ -109,7 +103,7 @@ class DigestDistributedGroup(DistributedGroup):
             url=record.url,
             size=record.size,
             kind=ServiceKind.MISS,
-            latency=self._latency(ServiceKind.MISS, record.size),
+            latency=PAPER_MISS_LATENCY,
             stored_at_requester=stored,
         )
 

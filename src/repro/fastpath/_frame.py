@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
+from repro.architecture.base import split_capacity
 from repro.cache.expiration import ExpirationAgeTracker
 from repro.cache.stats import CacheStats
 from repro.core.placement import EAScheme
@@ -23,7 +24,11 @@ from repro.errors import SimulationError
 from repro.fastpath import columnar_unsupported_reason
 from repro.fastpath.interning import InternedChunk, client_leaf_positions
 from repro.network.bus import MessageCounters
-from repro.network.latency import ConstantLatencyModel
+from repro.network.latency import (
+    PAPER_LOCAL_HIT_LATENCY,
+    PAPER_MISS_LATENCY,
+    PAPER_REMOTE_HIT_LATENCY,
+)
 from repro.network.topology import StarTopology, two_level_tree
 from repro.simulation.metrics import GroupMetrics, average_cache_expiration_age
 from repro.simulation.results import SimulationResult
@@ -116,17 +121,8 @@ class ReplayFrame:
                 targets.append(self.parent[leaf])
             self.probe_targets[leaf] = tuple(targets)
 
-        # Equal split, same arithmetic as build_caches with unit weights.
-        weights = [1.0] * num_caches
-        total_weight = sum(weights)
-        self.capacity = [
-            int(config.aggregate_capacity * w / total_weight) for w in weights
-        ]
-        if any(share <= 0 for share in self.capacity):
-            raise SimulationError(
-                f"aggregate capacity {config.aggregate_capacity} too small for "
-                f"{num_caches} caches with shares {weights}"
-            )
+        # Equal shares: one scalar serves every admit check.
+        self.cap = split_capacity(config.aggregate_capacity, num_caches)[0]
 
         # "cacheN" Via-header lengths, matching build_caches' naming.
         self.sender_len = [5 + len(str(i)) for i in range(num_caches)]
@@ -164,10 +160,9 @@ class ReplayFrame:
         self.ea = config.scheme == "ea"
         self.tie_requester = config.tie_break == "requester"
         self.replica_cap = config.max_replica_fraction if self.ea else None
-        model = ConstantLatencyModel()
-        self.lat_local = model.local_hit
-        self.lat_remote = model.remote_hit
-        self.lat_miss = model.miss
+        self.lat_local = PAPER_LOCAL_HIT_LATENCY
+        self.lat_remote = PAPER_REMOTE_HIT_LATENCY
+        self.lat_miss = PAPER_MISS_LATENCY
 
     def chunks(
         self, trace, chunk_size: Optional[int], spans

@@ -218,7 +218,6 @@ class _FastState(ReplayFrame):
         super().__init__(config, "columnar" if np is None else "batch")
         self.np = np
         num_caches = self.num_caches
-        self.cap = self.capacity[0]  # equal shares: one scalar serves every admit check
         self.num_docs = 0
         # Per-slot metadata lives in buffer-protocol columns — ``array`` /
         # ``bytearray`` — so the scalar path gets Python-speed element

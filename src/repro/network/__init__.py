@@ -1,22 +1,12 @@
-"""Network substrate: latency models, topologies, message accounting."""
+"""Network substrate: the paper's latency constants, topologies, message accounting."""
 
 from repro.network.bus import MessageBus, MessageCounters
-from repro.network.calibration import (
-    CalibrationResult,
-    calibrate,
-    calibrated_constants,
-)
 from repro.network.consistent_hash import ConsistentHashRing
 from repro.network.latency import (
     PAPER_LOCAL_HIT_LATENCY,
     PAPER_MISS_LATENCY,
-    PAPER_PROBE_SIZE,
     PAPER_REMOTE_HIT_LATENCY,
-    ComponentLatencyModel,
-    ConstantLatencyModel,
-    LatencyModel,
     ServiceKind,
-    StochasticLatencyModel,
 )
 from repro.network.topology import (
     StarTopology,
@@ -26,23 +16,15 @@ from repro.network.topology import (
 )
 
 __all__ = [
-    "CalibrationResult",
-    "ComponentLatencyModel",
     "ConsistentHashRing",
-    "ConstantLatencyModel",
-    "LatencyModel",
     "MessageBus",
     "MessageCounters",
     "PAPER_LOCAL_HIT_LATENCY",
     "PAPER_MISS_LATENCY",
-    "PAPER_PROBE_SIZE",
     "PAPER_REMOTE_HIT_LATENCY",
     "ServiceKind",
     "StarTopology",
-    "StochasticLatencyModel",
     "Topology",
     "TreeTopology",
-    "calibrate",
-    "calibrated_constants",
     "two_level_tree",
 ]

@@ -1,34 +1,21 @@
-"""Latency models for serving a document.
+"""The paper's latency constants for serving a document.
 
 The paper measures three service-path latencies once and plugs them into its
 estimator (Section 4.2): a local hit (LHL = 146 ms), a remote hit
 (RHL = 342 ms) and a miss served from the origin (ML = 2784 ms), all for a
-4 KB document averaged over 5000 probes.
-
-:class:`ConstantLatencyModel` reproduces exactly that. The richer models
-decompose latency into protocol components (ICP round-trip, connection
-setup, per-byte transfer) or add seeded stochastic noise, so the simulator
-can also report *measured* per-request latencies rather than only the
-paper's closed-form estimate.
+4 KB document averaged over 5000 probes. Every core charges a request the
+constant of the way it was served, and Eq. 6 weighs the same constants by
+the hit rates.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-import random
-from dataclasses import dataclass
-from typing import Optional
-
-from repro.errors import NetworkError
 
 #: Paper constants, in seconds (Section 4.2).
 PAPER_LOCAL_HIT_LATENCY = 0.146
 PAPER_REMOTE_HIT_LATENCY = 0.342
 PAPER_MISS_LATENCY = 2.784
-
-#: Document size the paper's latency probes used.
-PAPER_PROBE_SIZE = 4096
 
 
 class ServiceKind(enum.Enum):
@@ -37,90 +24,3 @@ class ServiceKind(enum.Enum):
     LOCAL_HIT = "local_hit"
     REMOTE_HIT = "remote_hit"
     MISS = "miss"
-
-
-class LatencyModel:
-    """Maps a service kind (and document size) to seconds of latency."""
-
-    def latency(self, kind: ServiceKind, size: int = PAPER_PROBE_SIZE) -> float:
-        """Latency in seconds to serve a ``size``-byte document via ``kind``."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantLatencyModel(LatencyModel):
-    """Fixed per-kind latency; defaults are the paper's measured constants."""
-
-    local_hit: float = PAPER_LOCAL_HIT_LATENCY
-    remote_hit: float = PAPER_REMOTE_HIT_LATENCY
-    miss: float = PAPER_MISS_LATENCY
-
-    def __post_init__(self) -> None:
-        for value in (self.local_hit, self.remote_hit, self.miss):
-            if value < 0:
-                raise NetworkError("latencies must be non-negative")
-
-    def latency(self, kind: ServiceKind, size: int = PAPER_PROBE_SIZE) -> float:
-        if kind is ServiceKind.LOCAL_HIT:
-            return self.local_hit
-        if kind is ServiceKind.REMOTE_HIT:
-            return self.remote_hit
-        return self.miss
-
-
-@dataclass(frozen=True)
-class ComponentLatencyModel(LatencyModel):
-    """Latency decomposed into protocol steps plus size-dependent transfer.
-
-    * local hit: disk/service time only.
-    * remote hit: ICP query round-trip + inter-proxy HTTP setup + transfer
-      over the LAN bandwidth.
-    * miss: ICP round-trip (all peers answered MISS) + origin HTTP setup +
-      transfer over the (much slower) WAN bandwidth.
-
-    Defaults are calibrated so a 4 KB document reproduces the paper's
-    146 / 342 / 2784 ms constants.
-    """
-
-    local_service: float = 0.146
-    icp_rtt: float = 0.004
-    proxy_http_setup: float = 0.180
-    lan_bandwidth: float = 26_000.0  # bytes/second effective
-    origin_http_setup: float = 2.076
-    wan_bandwidth: float = 5_850.0  # bytes/second effective
-
-    def __post_init__(self) -> None:
-        if self.lan_bandwidth <= 0 or self.wan_bandwidth <= 0:
-            raise NetworkError("bandwidths must be positive")
-        for value in (self.local_service, self.icp_rtt, self.proxy_http_setup, self.origin_http_setup):
-            if value < 0:
-                raise NetworkError("latency components must be non-negative")
-
-    def latency(self, kind: ServiceKind, size: int = PAPER_PROBE_SIZE) -> float:
-        if kind is ServiceKind.LOCAL_HIT:
-            return self.local_service
-        if kind is ServiceKind.REMOTE_HIT:
-            return self.icp_rtt + self.proxy_http_setup + size / self.lan_bandwidth
-        return self.icp_rtt + self.origin_http_setup + size / self.wan_bandwidth
-
-
-class StochasticLatencyModel(LatencyModel):
-    """Wraps a base model with seeded multiplicative lognormal noise.
-
-    ``latency = base * exp(N(0, sigma) - sigma^2/2)`` so the *mean* matches
-    the base model while individual samples vary, as real probes do.
-    """
-
-    def __init__(self, base: Optional[LatencyModel] = None, sigma: float = 0.25, seed: int = 0):
-        if sigma < 0:
-            raise NetworkError("sigma must be non-negative")
-        self._base = base if base is not None else ConstantLatencyModel()
-        self._sigma = sigma
-        self._rng = random.Random(seed)
-
-    def latency(self, kind: ServiceKind, size: int = PAPER_PROBE_SIZE) -> float:
-        base = self._base.latency(kind, size)
-        if self._sigma == 0:
-            return base
-        noise = self._rng.lognormvariate(-self._sigma ** 2 / 2.0, self._sigma)
-        return base * noise

@@ -23,8 +23,6 @@ from repro.architecture.hierarchical import HierarchicalGroup
 from repro.cache.expiration import WINDOW_MODES
 from repro.core.placement import make_scheme
 from repro.errors import SimulationError
-from repro.network.bus import MessageBus
-from repro.network.latency import ConstantLatencyModel
 from repro.network.topology import two_level_tree
 from repro.simulation.metrics import GroupMetrics, average_cache_expiration_age
 from repro.simulation.results import SimulationResult
@@ -229,13 +227,7 @@ class CooperativeSimulator:
                 window_size=config.window_size,
                 window_seconds=config.window_seconds,
             )
-            return DistributedGroup(
-                caches,
-                scheme,
-                latency_model=ConstantLatencyModel(),
-                bus=MessageBus(),
-                seed=config.seed,
-            )
+            return DistributedGroup(caches, scheme, seed=config.seed)
         topology = two_level_tree(config.num_caches, config.num_parents)
         caches = build_caches(
             topology.num_caches,
@@ -245,14 +237,7 @@ class CooperativeSimulator:
             window_size=config.window_size,
             window_seconds=config.window_seconds,
         )
-        return HierarchicalGroup(
-            caches,
-            scheme,
-            topology,
-            latency_model=ConstantLatencyModel(),
-            bus=MessageBus(),
-            seed=config.seed,
-        )
+        return HierarchicalGroup(caches, scheme, topology, seed=config.seed)
 
     # ------------------------------------------------------------------ #
     # Replay

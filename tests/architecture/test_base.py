@@ -8,15 +8,19 @@ import pytest
 
 from repro.architecture.base import CooperativeGroup, build_caches
 from repro.architecture.distributed import DistributedGroup
+from repro.architecture.hashrouted import HashRoutedGroup
+from repro.architecture.hierarchical import HierarchicalGroup
 from repro.cache.document import Document
 from repro.core.placement import AdHocScheme
+from repro.digest.group import DigestDistributedGroup
 from repro.errors import SimulationError
-from repro.network.topology import StarTopology
+from repro.network.topology import StarTopology, two_level_tree
+from repro.simulation.simulator import SimulationConfig, run_simulation
+from repro.trace.record import Trace, TraceRecord
 
 
-def make_group(num_caches=3, capacity=3000, strategy="first", seed=0):
-    caches = build_caches(num_caches, capacity)
-    return DistributedGroup(caches, AdHocScheme(), responder_strategy=strategy, seed=seed)
+def make_group(num_caches=3, capacity=3000):
+    return DistributedGroup(build_caches(num_caches, capacity), AdHocScheme())
 
 
 class TestBuildCaches:
@@ -48,16 +52,58 @@ class TestBuildCaches:
             build_caches(10, 5)
 
 
+@pytest.mark.parametrize("engine", ["object", "columnar", "batch"])
+def test_every_core_refuses_a_too_small_capacity_alike(engine):
+    """The object core's build_caches and the kernel's frame split through
+    one helper, so 3 bytes over 4 caches fails the same way on each."""
+    config = SimulationConfig(num_caches=4, aggregate_capacity=3, engine=engine)
+    trace = Trace([TraceRecord(1.0, "c", "http://x/a", 100)])
+    with pytest.raises(SimulationError) as refused:
+        run_simulation(config, trace)
+    assert str(refused.value) == (
+        "aggregate capacity 3 too small for 4 caches with shares [1.0, 1.0, 1.0, 1.0]"
+    )
+
+
+#: Builders of every group constructor and build_caches, by name.
+BUILDERS = {
+    "DistributedGroup": lambda **kw: DistributedGroup(build_caches(2, 200), AdHocScheme(), **kw),
+    "HierarchicalGroup": lambda **kw: HierarchicalGroup(
+        build_caches(3, 300), AdHocScheme(), two_level_tree(2, 1), **kw
+    ),
+    "HashRoutedGroup": lambda **kw: HashRoutedGroup(build_caches(2, 200), **kw),
+    "DigestDistributedGroup": lambda **kw: DigestDistributedGroup(
+        build_caches(2, 200), AdHocScheme(), **kw
+    ),
+    "build_caches": lambda **kw: build_caches(2, 200, **kw),
+}
+
+#: The knobs no entry point set: the paper's latency constants, a fresh
+#: bus and the lowest-index responder are the only behaviour left.
+RETIRED = [
+    (built, keyword)
+    for built, keywords in (
+        ("DistributedGroup", ("latency_model", "bus", "responder_strategy")),
+        ("HierarchicalGroup", ("latency_model", "bus", "responder_strategy")),
+        ("HashRoutedGroup", ("latency_model", "bus")),
+        ("DigestDistributedGroup", ("latency_model", "bus", "responder_strategy")),
+        ("build_caches", ("policy_kwargs",)),
+    )
+    for keyword in keywords
+]
+
+
 class TestGroupConstruction:
     def test_cache_count_must_match_topology(self):
         caches = build_caches(2, 200)
         with pytest.raises(SimulationError):
             CooperativeGroup(caches, AdHocScheme(), StarTopology(3))
 
-    def test_unknown_responder_strategy(self):
-        caches = build_caches(2, 200)
-        with pytest.raises(SimulationError, match="responder_strategy"):
-            DistributedGroup(caches, AdHocScheme(), responder_strategy="fastest")
+    @pytest.mark.parametrize("built,keyword", RETIRED)
+    def test_retired_keywords_rejected(self, built, keyword):
+        BUILDERS[built]()
+        with pytest.raises(TypeError):
+            BUILDERS[built](**{keyword: None})
 
 
 class TestIcpProbe:
@@ -75,29 +121,12 @@ class TestIcpProbe:
 
 
 class TestChooseResponder:
-    def test_first_strategy_lowest_index(self):
-        group = make_group(strategy="first")
-        assert group._choose_responder([2, 1], now=0.0) == 1
-
-    def test_random_strategy_deterministic_by_seed(self):
-        picks_a = [make_group(strategy="random", seed=5)._choose_responder([0, 1, 2], 0.0)
-                   for _ in range(1)]
-        picks_b = [make_group(strategy="random", seed=5)._choose_responder([0, 1, 2], 0.0)
-                   for _ in range(1)]
-        assert picks_a == picks_b
-
-    def test_max_age_strategy(self):
-        group = make_group(strategy="max_age")
-        # Make cache 2's expiration age finite/high, cache 1's low.
-        group.caches[1].admit(Document("http://w1", 10), 0.0)
-        group.caches[1].evict("http://w1", 1.0)  # age 1
-        group.caches[2].admit(Document("http://w2", 10), 0.0)
-        group.caches[2].evict("http://w2", 50.0)  # age 50
-        assert group._choose_responder([1, 2], now=60.0) == 2
+    def test_lowest_index_serves(self):
+        assert make_group()._choose_responder([2, 1]) == 1
 
     def test_empty_holders_raise(self):
         with pytest.raises(SimulationError):
-            make_group()._choose_responder([], 0.0)
+            make_group()._choose_responder([])
 
 
 class TestGroupIntrospection:

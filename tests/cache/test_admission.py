@@ -6,7 +6,6 @@ import pytest
 
 from repro.cache.admission import (
     AlwaysAdmit,
-    ProbabilisticAdmission,
     SecondHitAdmission,
     SizeThresholdAdmission,
     make_admission,
@@ -69,34 +68,6 @@ class TestSecondHit:
             SecondHitAdmission(0)
 
 
-class TestProbabilistic:
-    def test_deterministic_per_url(self):
-        policy = ProbabilisticAdmission(scale_bytes=1000)
-        results = {policy.admit(doc(f"http://u/{i}", size=500), 0.0) for i in range(1)}
-        again = {policy.admit(doc("http://u/0", size=500), 0.0)}
-        assert policy.admit(doc("http://u/0", size=500), 0.0) == policy.admit(
-            doc("http://u/0", size=500), 1.0
-        )
-
-    def test_small_documents_mostly_admitted(self):
-        policy = ProbabilisticAdmission(scale_bytes=100_000)
-        admitted = sum(
-            policy.admit(doc(f"http://u/{i}", size=100), 0.0) for i in range(200)
-        )
-        assert admitted > 180
-
-    def test_huge_documents_mostly_rejected(self):
-        policy = ProbabilisticAdmission(scale_bytes=1000)
-        admitted = sum(
-            policy.admit(doc(f"http://u/{i}", size=50_000), 0.0) for i in range(200)
-        )
-        assert admitted < 20
-
-    def test_invalid_scale(self):
-        with pytest.raises(CacheConfigurationError):
-            ProbabilisticAdmission(0)
-
-
 class TestFactory:
     @pytest.mark.parametrize(
         "name,cls",
@@ -104,7 +75,6 @@ class TestFactory:
             ("always", AlwaysAdmit),
             ("size-threshold", SizeThresholdAdmission),
             ("second-hit", SecondHitAdmission),
-            ("probabilistic", ProbabilisticAdmission),
         ],
     )
     def test_names(self, name, cls):

@@ -1,103 +1,77 @@
-"""Unit tests for latency models."""
+"""The paper's latency constants, and every group charging them."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.architecture.base import build_caches
+from repro.architecture.distributed import DistributedGroup
+from repro.architecture.hashrouted import HashRoutedGroup
+from repro.architecture.hierarchical import HierarchicalGroup
+from repro.core.placement import AdHocScheme
+from repro.digest.group import DigestDistributedGroup
 from repro.network.latency import (
     PAPER_LOCAL_HIT_LATENCY,
     PAPER_MISS_LATENCY,
-    PAPER_PROBE_SIZE,
     PAPER_REMOTE_HIT_LATENCY,
-    ComponentLatencyModel,
-    ConstantLatencyModel,
     ServiceKind,
-    StochasticLatencyModel,
 )
+from repro.network.topology import two_level_tree
+from repro.trace.record import TraceRecord
+
+CHARGED = {
+    ServiceKind.LOCAL_HIT: PAPER_LOCAL_HIT_LATENCY,
+    ServiceKind.REMOTE_HIT: PAPER_REMOTE_HIT_LATENCY,
+    ServiceKind.MISS: PAPER_MISS_LATENCY,
+}
 
 
-class TestConstantModel:
-    def test_paper_defaults(self):
-        model = ConstantLatencyModel()
-        assert model.latency(ServiceKind.LOCAL_HIT) == pytest.approx(0.146)
-        assert model.latency(ServiceKind.REMOTE_HIT) == pytest.approx(0.342)
-        assert model.latency(ServiceKind.MISS) == pytest.approx(2.784)
-
-    def test_size_ignored(self):
-        model = ConstantLatencyModel()
-        assert model.latency(ServiceKind.MISS, 10) == model.latency(ServiceKind.MISS, 1 << 20)
-
-    def test_custom_values(self):
-        model = ConstantLatencyModel(local_hit=0.01, remote_hit=0.02, miss=0.3)
-        assert model.latency(ServiceKind.REMOTE_HIT) == 0.02
-
-    def test_negative_rejected(self):
-        with pytest.raises(NetworkError):
-            ConstantLatencyModel(local_hit=-0.1)
-
-    def test_ordering_invariant(self):
-        model = ConstantLatencyModel()
-        assert (
-            model.latency(ServiceKind.LOCAL_HIT)
-            < model.latency(ServiceKind.REMOTE_HIT)
-            < model.latency(ServiceKind.MISS)
-        )
+def test_paper_constants():
+    assert (PAPER_LOCAL_HIT_LATENCY, PAPER_REMOTE_HIT_LATENCY, PAPER_MISS_LATENCY) == (
+        0.146,
+        0.342,
+        2.784,
+    )
 
 
-class TestComponentModel:
-    def test_calibrated_to_paper_constants_at_4kb(self):
-        model = ComponentLatencyModel()
-        assert model.latency(ServiceKind.LOCAL_HIT, PAPER_PROBE_SIZE) == pytest.approx(
-            PAPER_LOCAL_HIT_LATENCY, rel=0.05
-        )
-        assert model.latency(ServiceKind.REMOTE_HIT, PAPER_PROBE_SIZE) == pytest.approx(
-            PAPER_REMOTE_HIT_LATENCY, rel=0.05
-        )
-        assert model.latency(ServiceKind.MISS, PAPER_PROBE_SIZE) == pytest.approx(
-            PAPER_MISS_LATENCY, rel=0.05
-        )
-
-    def test_latency_grows_with_size(self):
-        model = ComponentLatencyModel()
-        assert model.latency(ServiceKind.MISS, 1 << 20) > model.latency(ServiceKind.MISS, 1 << 10)
-
-    def test_local_hit_size_independent(self):
-        model = ComponentLatencyModel()
-        assert model.latency(ServiceKind.LOCAL_HIT, 10) == model.latency(
-            ServiceKind.LOCAL_HIT, 1 << 20
-        )
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(NetworkError):
-            ComponentLatencyModel(lan_bandwidth=0.0)
-
-    def test_negative_component(self):
-        with pytest.raises(NetworkError):
-            ComponentLatencyModel(icp_rtt=-1.0)
+def test_ordering_invariant():
+    assert PAPER_LOCAL_HIT_LATENCY < PAPER_REMOTE_HIT_LATENCY < PAPER_MISS_LATENCY
 
 
-class TestStochasticModel:
-    def test_deterministic_with_seed(self):
-        a = StochasticLatencyModel(seed=3)
-        b = StochasticLatencyModel(seed=3)
-        seq_a = [a.latency(ServiceKind.MISS) for _ in range(10)]
-        seq_b = [b.latency(ServiceKind.MISS) for _ in range(10)]
-        assert seq_a == seq_b
+def _distributed():
+    return DistributedGroup(build_caches(2, 20_000), AdHocScheme()), (0, 1)
 
-    def test_sigma_zero_equals_base(self):
-        model = StochasticLatencyModel(sigma=0.0)
-        assert model.latency(ServiceKind.MISS) == pytest.approx(PAPER_MISS_LATENCY)
 
-    def test_mean_close_to_base(self):
-        model = StochasticLatencyModel(sigma=0.25, seed=11)
-        samples = [model.latency(ServiceKind.MISS) for _ in range(5000)]
-        assert sum(samples) / len(samples) == pytest.approx(PAPER_MISS_LATENCY, rel=0.05)
+def _digest():
+    caches = build_caches(2, 20_000)
+    return DigestDistributedGroup(caches, AdHocScheme(), rebuild_interval=0.5), (0, 1)
 
-    def test_samples_positive(self):
-        model = StochasticLatencyModel(sigma=1.0, seed=4)
-        assert all(model.latency(ServiceKind.LOCAL_HIT) > 0 for _ in range(100))
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(NetworkError):
-            StochasticLatencyModel(sigma=-0.5)
+def _hierarchical():
+    tree = two_level_tree(2, 1)
+    caches = build_caches(tree.num_caches, 30_000)
+    return HierarchicalGroup(caches, AdHocScheme(), tree), tuple(tree.leaves())
+
+
+def _hashrouted():
+    group = HashRoutedGroup(build_caches(2, 20_000))
+    home = group.home_of("http://x/a")
+    return group, (home, 1 - home)
+
+
+@pytest.mark.parametrize("build", [_distributed, _digest, _hierarchical, _hashrouted])
+def test_every_group_charges_the_constant_of_its_service_kind(build):
+    """A miss, a local hit and a remote hit of one URL each cost their
+    kind's paper constant, whatever the document's size."""
+    group, (first, second) = build()
+    url = "http://x/a"
+    outcomes = [
+        group.process(first, TraceRecord(1.0, "c", url, 5000)),
+        group.process(first, TraceRecord(2.0, "c", url, 5000)),
+        group.process(second, TraceRecord(3.0, "c", url, 5000)),
+    ]
+    kinds = [o.kind for o in outcomes]
+    assert kinds[:2] == [ServiceKind.MISS, ServiceKind.LOCAL_HIT]
+    assert kinds[2] is not ServiceKind.LOCAL_HIT
+    assert ServiceKind.REMOTE_HIT in kinds
+    assert [o.latency for o in outcomes] == [CHARGED[k] for k in kinds]

@@ -44,8 +44,8 @@ def rec(ts: float, url: str = "http://x/D") -> TraceRecord:
 
 
 def make_group():
-    bus = RecordingBus()
-    group = DistributedGroup(build_caches(2, 2000), EAScheme(), bus=bus)
+    group = DistributedGroup(build_caches(2, 2000), EAScheme())
+    group.bus = bus = RecordingBus()
     return group, bus
 
 

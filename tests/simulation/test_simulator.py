@@ -7,7 +7,11 @@ import dataclasses
 import pytest
 
 from repro.errors import SimulationError
-from repro.network.latency import ConstantLatencyModel
+from repro.network.latency import (
+    PAPER_LOCAL_HIT_LATENCY,
+    PAPER_MISS_LATENCY,
+    PAPER_REMOTE_HIT_LATENCY,
+)
 from repro.obs.manifest import config_hash
 from repro.parallel.memo import sweep_memo_key
 from repro.simulation.simulator import (
@@ -185,12 +189,11 @@ class TestSimulatorRun:
     def test_measured_latency_is_the_paper_constants(self, trace):
         """Every request costs its class's measured constant (LHL, RHL,
         ML), so the mean is their request-weighted average."""
-        model = ConstantLatencyModel()
         m = run_simulation(SimulationConfig(aggregate_capacity=1 << 18), trace).metrics
         expected = (
-            m.local_hits * model.local_hit
-            + m.remote_hits * model.remote_hit
-            + m.misses * model.miss
+            m.local_hits * PAPER_LOCAL_HIT_LATENCY
+            + m.remote_hits * PAPER_REMOTE_HIT_LATENCY
+            + m.misses * PAPER_MISS_LATENCY
         ) / m.requests
         assert m.mean_measured_latency == pytest.approx(expected, rel=1e-12)
 

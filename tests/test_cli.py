@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import re
 
 import pytest
 
 from repro.cli import main, parse_size
+from repro.experiments import EXPERIMENTS, ExperimentReport
 
 
 class TestParseSize:
@@ -264,3 +267,41 @@ class TestProfileCommand:
         code = main(["profile", "--scale", "tiny", "--top", "3", "--sort", "tottime"])
         assert code == 0
         assert "tottime" in capsys.readouterr().out
+
+
+def _stub_driver(driver, seen):
+    """A driver with ``driver``'s signature that records its kwargs."""
+
+    @functools.wraps(driver)
+    def stub(**kwargs):
+        seen.update(kwargs)
+        return ExperimentReport(experiment_id="stub", title="stub", headers=["x"])
+
+    return stub
+
+
+class TestExperimentEngineNote:
+    """``--engine`` reaches only the drivers that take it; every other
+    driver says on stderr that it runs the object core, and stdout is the
+    report either way."""
+
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_driver_without_engine_says_so(self, name, monkeypatch, capsys):
+        takes_engine = "engine" in inspect.signature(EXPERIMENTS[name]).parameters
+        seen = {}
+        monkeypatch.setitem(EXPERIMENTS, name, _stub_driver(EXPERIMENTS[name], seen))
+        assert main(["experiment", name, "--scale", "tiny", "--engine", "batch"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("stub\n")
+        if takes_engine:
+            assert seen["engine"] == "batch"
+            assert captured.err == ""
+        else:
+            assert "engine" not in seen
+            assert captured.err == f"note: {name} takes no --engine; it runs the object core\n"
+
+    def test_object_engine_prints_no_note(self, monkeypatch, capsys):
+        for name in list(EXPERIMENTS):
+            monkeypatch.setitem(EXPERIMENTS, name, _stub_driver(EXPERIMENTS[name], {}))
+        assert main(["experiment", "all", "--scale", "tiny", "--engine", "object"]) == 0
+        assert capsys.readouterr().err == ""

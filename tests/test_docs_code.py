@@ -2,11 +2,13 @@
 
 Every ```` ```python ```` block in README.md and docs/*.md must parse;
 every ``from repro... import name`` in one must resolve; every keyword
-passed to ``SimulationConfig(`` must be a config field. A rename or a
-retired field then fails here instead of leaving the docs teaching code
-that raises. docs/PERFORMANCE.md's fallback tables must be the rows of
-``FALLBACK_MATRIX`` and ``COLUMNAR_NEUTRAL_FIELDS``, and its fast-loop
-coverage table the reasons ``batch_fastloop_reason`` gives.
+passed to ``SimulationConfig(`` must be a config field, and every keyword
+passed to a group constructor or ``build_caches(`` a parameter of its
+signature. A rename or a retired field then fails here instead of
+leaving the docs teaching code that raises. docs/PERFORMANCE.md's
+fallback tables must be the rows of ``FALLBACK_MATRIX`` and
+``COLUMNAR_NEUTRAL_FIELDS``, and its fast-loop coverage table the
+reasons ``batch_fastloop_reason`` gives.
 """
 
 from __future__ import annotations
@@ -14,11 +16,19 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import inspect
 import io
 import itertools
 import re
 from pathlib import Path
 
+from repro.architecture import (
+    DistributedGroup,
+    HashRoutedGroup,
+    HierarchicalGroup,
+    build_caches,
+)
+from repro.digest import DigestDistributedGroup
 from repro.fastpath import COLUMNAR_NEUTRAL_FIELDS, FALLBACK_MATRIX, batch_fastloop_reason
 from repro.obs.events import RunRecorder
 from repro.simulation.simulator import RETIRED_ECHO, SimulationConfig
@@ -27,6 +37,16 @@ ROOT = Path(__file__).resolve().parent.parent
 DOCS = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
 _BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
 _FIELDS = {f.name for f in dataclasses.fields(SimulationConfig)}
+_PARAMETERS = {
+    built.__name__: set(inspect.signature(built).parameters)
+    for built in (
+        DistributedGroup,
+        HierarchicalGroup,
+        HashRoutedGroup,
+        DigestDistributedGroup,
+        build_caches,
+    )
+}
 
 
 def _blocks():
@@ -57,10 +77,15 @@ def _problems(where: str, source: str):
             for alias in node.names:
                 if not _resolves(node.module, alias.name):
                     yield f"{where}: from {node.module} import {alias.name} does not resolve"
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SimulationConfig":
+        called = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+        if called == "SimulationConfig":
             for keyword in node.keywords:
                 if keyword.arg is not None and keyword.arg not in _FIELDS:
                     yield f"{where}: SimulationConfig has no field {keyword.arg!r}"
+        elif called in _PARAMETERS:
+            for keyword in node.keywords:
+                if keyword.arg is not None and keyword.arg not in _PARAMETERS[called]:
+                    yield f"{where}: {called} has no parameter {keyword.arg!r}"
 
 
 def test_docs_code_names_real_code():
@@ -91,6 +116,32 @@ def test_checker_reports_every_retired_keyword():
         assert list(_problems("snippet", source)) == [
             f"snippet: SimulationConfig has no field {name!r}"
         ]
+
+
+def test_checker_reports_an_unknown_group_keyword():
+    source = (
+        "group = DistributedGroup(caches, scheme, seed=1, responder_strategy='max_age')\n"
+        "caches = build_caches(4, 1 << 20, policy_kwargs={}, **extra)\n"
+    )
+    assert list(_problems("snippet", source)) == [
+        "snippet: DistributedGroup has no parameter 'responder_strategy'",
+        "snippet: build_caches has no parameter 'policy_kwargs'",
+    ]
+
+
+def test_checker_reports_every_retired_group_keyword():
+    retired = {
+        "DistributedGroup": ("latency_model", "bus", "responder_strategy"),
+        "HierarchicalGroup": ("latency_model", "bus", "responder_strategy"),
+        "HashRoutedGroup": ("latency_model", "bus"),
+        "DigestDistributedGroup": ("latency_model", "bus", "responder_strategy"),
+        "build_caches": ("policy_kwargs",),
+    }
+    for called, names in retired.items():
+        for name in names:
+            assert list(_problems("snippet", f"{called}({name}=None)\n")) == [
+                f"snippet: {called} has no parameter {name!r}"
+            ]
 
 
 def _section(title: str) -> str:
