@@ -76,7 +76,6 @@ class CooperativeGroup:
         #: behaviour.
         self.observer = None
         self._rng = random.Random(seed)
-        self._request_number = 0
 
     # ------------------------------------------------------------------ #
     # Request entry point
@@ -90,10 +89,6 @@ class CooperativeGroup:
     # Shared protocol steps
     # ------------------------------------------------------------------ #
 
-    def _next_request_number(self) -> int:
-        self._request_number = (self._request_number + 1) % 0xFFFFFFFF
-        return self._request_number
-
     def _icp_probe(self, requester: int, targets: Sequence[int], url: str) -> List[int]:
         """Send an ICP query to every target; return indices that hold ``url``.
 
@@ -104,7 +99,6 @@ class CooperativeGroup:
         object per neighbour; counters and holder sets are identical to the
         datagram-by-datagram path.
         """
-        self._next_request_number()
         holders: List[int] = []
         caches = self.caches
         loss_rate = self.icp_loss_rate

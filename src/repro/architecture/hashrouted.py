@@ -50,7 +50,6 @@ class HashRoutedGroup(CooperativeGroup):
         self,
         caches: Sequence[ProxyCache],
         ring_replicas: int = 64,
-        seed: int = 0,
     ):
         super().__init__(
             caches=caches,
@@ -58,7 +57,6 @@ class HashRoutedGroup(CooperativeGroup):
             # slot for the base class's unused hooks.
             scheme=AdHocScheme(),
             topology=StarTopology(len(caches)),
-            seed=seed,
         )
         self.ring = ConsistentHashRing(range(len(caches)), replicas=ring_replicas)
 

@@ -43,11 +43,10 @@ class DigestDistributedGroup(DistributedGroup):
         self,
         caches: Sequence[ProxyCache],
         scheme: PlacementScheme,
-        seed: int = 0,
         rebuild_interval: float = 60.0,
         false_positive_rate: float = 0.01,
     ):
-        super().__init__(caches=caches, scheme=scheme, seed=seed)
+        super().__init__(caches=caches, scheme=scheme)
         self.directory = DigestDirectory(
             caches,
             rebuild_interval=rebuild_interval,

@@ -32,6 +32,7 @@ def run_window_ablation(
     trace: Optional[Trace] = None,
     capacities: Optional[Sequence[Tuple[str, int]]] = None,
     window_modes: Sequence[str] = ("cumulative", "count", "time"),
+    engine: Optional[str] = None,
 ) -> ExperimentReport:
     """EA hit rate under each expiration-age window interpretation."""
     trace, capacities = resolve_workload(scale, seed, trace, capacities)
@@ -46,6 +47,7 @@ def run_window_ablation(
             capacities,
             schemes=("ea",),
             base_config=SimulationConfig(window_mode=mode),
+            engine=engine,
         )
         for mode in window_modes
     }
@@ -62,6 +64,7 @@ def run_tie_break_ablation(
     seed: int = 42,
     trace: Optional[Trace] = None,
     capacities: Optional[Sequence[Tuple[str, int]]] = None,
+    engine: Optional[str] = None,
 ) -> ExperimentReport:
     """EA hit rate with requester-wins vs responder-wins tie breaking."""
     trace, capacities = resolve_workload(scale, seed, trace, capacities)
@@ -76,6 +79,7 @@ def run_tie_break_ablation(
             capacities,
             schemes=("ea",),
             base_config=SimulationConfig(tie_break=tie),
+            engine=engine,
         )
         for tie in ("requester", "responder")
     }
@@ -92,6 +96,7 @@ def run_policy_ablation(
     trace: Optional[Trace] = None,
     capacities: Optional[Sequence[Tuple[str, int]]] = None,
     policies: Sequence[str] = ("lru", "lfu", "gdsf"),
+    engine: Optional[str] = None,
 ) -> ExperimentReport:
     """EA-minus-ad-hoc hit-rate delta under different replacement policies.
 
@@ -109,6 +114,7 @@ def run_policy_ablation(
             trace,
             capacities,
             base_config=SimulationConfig(policy=policy),
+            engine=engine,
         )
         for policy in policies
     }
@@ -172,6 +178,7 @@ def run_architecture_ablation(
     trace: Optional[Trace] = None,
     capacities: Optional[Sequence[Tuple[str, int]]] = None,
     num_parents: int = 1,
+    engine: Optional[str] = None,
 ) -> ExperimentReport:
     """Distributed vs hierarchical groups under both schemes.
 
@@ -193,7 +200,10 @@ def run_architecture_ablation(
         ],
     )
     distributed = run_capacity_sweep(
-        trace, capacities, base_config=SimulationConfig(architecture="distributed")
+        trace,
+        capacities,
+        base_config=SimulationConfig(architecture="distributed"),
+        engine=engine,
     )
     hierarchical = run_capacity_sweep(
         trace,
@@ -201,6 +211,7 @@ def run_architecture_ablation(
         base_config=SimulationConfig(
             architecture="hierarchical", num_parents=num_parents
         ),
+        engine=engine,
     )
     for label, _ in capacities:
         report.add_row(

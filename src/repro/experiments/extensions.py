@@ -60,7 +60,6 @@ def run_locator_comparison(
         digest_group = DigestDistributedGroup(
             build_caches(num_caches, capacity),
             make_scheme("ea"),
-            seed=seed,
             rebuild_interval=rebuild_interval,
         )
         digest_metrics = replay_trace(digest_group, trace)
@@ -109,7 +108,7 @@ def run_baseline_comparison(
                 build_caches(num_caches, capacity), make_scheme(name), seed=seed
             )
             metrics[name] = replay_trace(group, trace)
-        hash_group = HashRoutedGroup(build_caches(num_caches, capacity), seed=seed)
+        hash_group = HashRoutedGroup(build_caches(num_caches, capacity))
         metrics["hash"] = replay_trace(hash_group, trace)
         report.add_row(
             label,

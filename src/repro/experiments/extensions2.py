@@ -134,6 +134,7 @@ def run_replica_cap_study(
     capacities: Optional[Sequence[Tuple[str, int]]] = None,
     num_caches: int = 4,
     cap_fraction: float = 0.05,
+    engine: Optional[str] = None,
 ) -> ExperimentReport:
     """EA with and without the size-aware replica cap.
 
@@ -163,6 +164,7 @@ def run_replica_cap_study(
             base_config=SimulationConfig(
                 num_caches=num_caches, seed=seed, max_replica_fraction=fraction
             ),
+            engine=engine,
         )
         for kind, fraction in (("plain", None), ("capped", cap_fraction))
     }

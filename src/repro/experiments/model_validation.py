@@ -43,6 +43,7 @@ def run(
     trace: Optional[Trace] = None,
     capacities: Optional[Sequence[Tuple[str, int]]] = None,
     num_caches: int = 4,
+    engine: Optional[str] = None,
 ) -> ExperimentReport:
     """Compare Che-model bounds with simulated scheme hit rates (IRM workload)."""
     trace = trace if trace is not None else irm_workload(scale, seed)
@@ -66,7 +67,7 @@ def run(
         "ea_position: where EA sits between the bounds "
         "(0 = replicated/worst, 1 = shared/ideal); blank when bounds collapse"
     )
-    sweep = run_capacity_sweep(trace, capacities)
+    sweep = run_capacity_sweep(trace, capacities, engine=engine)
     for label, capacity in capacities:
         bounds = group_hit_rate_bounds(patched, num_caches, capacity)
         adhoc = sweep.get("adhoc", label).result.metrics.hit_rate

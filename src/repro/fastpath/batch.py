@@ -35,14 +35,13 @@ The state and its loop:
   order of :class:`repro.cache.replacement.LFUPolicy`, whose heap grows
   with hits where this one never outgrows the residents.
 * **Runs** — :func:`warm_loop` walks ``(slot, first, end, timestamp)``
-  runs. A resident run is all local hits: one LRU touch at its last
-  member's timestamp, or k ticks of the LFU sequence for k members. Any
-  other run goes to :func:`miss_path`, the scalar protocol path: per
-  member an ICP probe scan, remote serve + placement or origin fetch (or,
-  in a hierarchy, escalation to the parent, which stores by the same age
-  test), then the one admission-and-eviction site, until a copy sticks.
-  The vector regimes segment a chunk into runs of equal slots; with them
-  off every request is a run of one.
+  runs, in one loop body. A resident run is all local hits: one LRU touch
+  at its last member's timestamp, or k ticks of the LFU sequence for k
+  members. Any other run first walks the scalar protocol path in place,
+  member by member until a copy sticks, and what it leaves is a resident
+  run (the :func:`warm_loop` docstring has the path). The vector regimes
+  segment a chunk into runs of equal slots; with them off every request
+  is a run of one.
 * **Age cells** — in the ``count`` and ``cumulative`` windows an eviction
   folds the victim's age into its cache's window (``deque(maxlen=W)`` +
   running sum, the ``+=``/``-=`` sequence of
@@ -74,8 +73,9 @@ The state and its loop:
   recorder writes the lines of requests ``pend..i-1`` from the outcome
   and ``served`` columns (:meth:`~repro.obs.events.RunRecorder.requests`)
   before request ``i``'s first decision line, before a due snapshot tick
-  and at the chunk's end — every other line comes from :func:`miss_path`
-  or a snapshot, so the stream keeps the object core's order. A snapshot
+  and at the chunk's end — every other line comes from the scalar path
+  of :func:`warm_loop` or a snapshot, so the stream keeps the object
+  core's order. A snapshot
   row is the frame's tallies plus a fold of the chunk's outcome bytes so
   far. The cold prefix has no decision site of its own: its requests'
   lines, decision lines included, are written whole after it from the
@@ -522,235 +522,24 @@ def replay(
             )
             pend = i
 
-    def miss_path(slot: int, i: int, e: int, now: float) -> int:
-        """Members ``i..e`` of a run whose slot is not resident.
-
-        One member at a time until a copy sticks: the ICP probe scan,
-        remote serve + placement decision, origin fetch, or escalation to
-        the parent, then the admission site unless the placement was
-        declined. Returns the first member left for the hit path (``e``:
-        none). Everything a request's outcome byte classifies (module
-        docstring) is left to the post-pass.
-        """
-        cache = leaf_l[i]
-        base = slot - cache
-        while True:
-            if flat:
-                # The lowest holder (the requester's own byte is 0).
-                rslot = present_b.find(1, base, base + NC)
-            else:
-                # A hierarchy's probe scans its targets, the parent among them.
-                rslot = -1
-                for t in probe_targets[cache]:
-                    if present_b[base + t] and (rslot < 0 or base + t < rslot):
-                        rslot = base + t
-
-            target = cache  # where the admission site stores first
-            if rslot >= 0:
-                # Remote hit. The scheme reads the requester's age, then
-                # the responder's; both ride on the exchange's headers.
-                responder = rslot - base
-                req_len = age_len[cache]
-                if req_len <= 0:
-                    req_len = wire_len(cache, now)
-                peer_len = age_len[responder]
-                if peer_len <= 0:
-                    peer_len = wire_len(responder, now)
-                req_age = cur_age[cache]
-                peer_age = cur_age[responder]
-                size = dsz[rslot]
-                code = 2
-                refresh = True
-                if ea:
-                    refresh = peer_age > req_age
-                    if refresh or (req_age == peer_age and not tie_requester):
-                        code = 6  # placement declined
-                    elif size > rc_limit:  # EA's size-aware replica cap
-                        code = 6
-                        refresh = True
-                sd = sdig.get(size)
-                if sd is None:
-                    sd = sdig[size] = len(str(size))
-                bus[5] += req_len + peer_len + 70 + sd + sender_len[responder]
-                # serve_remote at the responder.
-                st_remote_served[responder] += 1
-                st_bytes_remote[responder] += size
-                if refresh:
-                    st_promo_granted[responder] += 1
-                    if lfu:
-                        hits[rslot] += 1
-                        tick = hseq[responder] + 1
-                        hseq[responder] = tick
-                        live_seq[rslot] = tick
-                    else:
-                        od = lru[responder]
-                        od[rslot] = now
-                        od.move_to_end(rslot)
-                else:
-                    st_promo_withheld[responder] += 1
-                served[i] = size
-                if emit:
-                    flush(i)
-                    resp[i] = responder
-                    refr[i] = refresh
-                    rec.promotion(
-                        now, responder, url_of[docs_l[i]], req_age, peer_age, refresh
-                    )
-            elif flat or parent[cache] is None:
-                # Group-wide miss: origin fetch, stored at the requester.
-                # The fetch decision's own-age read has an effect only in
-                # a time window (it trims, before the admission's records)
-                # and a reader only in the placement event.
-                size = rsz[i]
-                code = 3
-                if audit:
-                    req_age = cur_age[cache] if age_len[cache] >= 0 else refresh_age(cache, now)
-            else:
-                # Hierarchical escalation: every probe missed, the parent's
-                # included, so the leaf asks its parent, with its age on
-                # the request. The parent is a root (two_level_tree): it
-                # fetches from the origin and stores by the same age test
-                # (the admission site's first pass), then answers with its
-                # own age (below). Its reads of the leaf's age and its own
-                # repeat at the same instant with no eviction between, so
-                # they are the values already read.
-                up = parent[cache]
-                size = rsz[i]
-                req_len = age_len[cache]
-                if req_len <= 0:
-                    req_len = wire_len(cache, now)
-                req_age = cur_age[cache]
-                own_age = cur_age[up] if age_len[up] >= 0 else refresh_age(up, now)
-                code = 7 if ea and not own_age > req_age else 3
-                target = up
-
-            # The admission site: ProxyCache.admit of a copy the cache does
-            # not hold (its refresh branch is unreachable after a local
-            # miss), unless the placement was declined. An escalated miss
-            # passes twice, parent first. A stored copy keeps code < 4.
-            while True:
-                if code < 4:
-                    if size > cap:
-                        code += 8  # larger than the cache: rejected
-                    else:
-                        tslot = base + target
-                        in_use = used[target] + size
-                        od = lru[target]
-                        if in_use > cap:
-                            s = wsum[target]
-                            dq = win[target]
-                            while in_use > cap:
-                                if lfu:
-                                    heap = heaps[target]
-                                    while True:
-                                        _count, tick, victim = heap[0]
-                                        live = live_seq[victim]
-                                        if live == tick:
-                                            break
-                                        heapreplace(heap, (hits[victim], live, victim))  # stale key
-                                    heappop(heap)
-                                    age = (now - entry[victim]) / hits[victim]
-                                else:
-                                    victim, last = od.popitem(False)
-                                    age = now - last
-                                present_b[victim] = 0
-                                in_use -= dsz[victim]
-                                if timed:
-                                    trackers[target].record(age, now)
-                                else:
-                                    # The +=/-= sequence of
-                                    # ExpirationAgeTracker.record: bit-equal sums.
-                                    s += age
-                                    if count_mode:
-                                        if len(dq) == W:
-                                            s -= dq[0]
-                                        dq.append(age)
-                                    else:
-                                        wtot[target] += 1
-                                if emit:
-                                    flush(i)
-                                    rec.eviction(now, target, url_of[victim // NC], dsz[victim], age)
-                            # (Both unread in a time window: s is its
-                            # unchanged sum and age_len stays -1.)
-                            wsum[target] = s
-                            age_len[target] = -1
-                        present_b[tslot] = 1
-                        dsz[tslot] = size
-                        used[target] = in_use
-                        if lfu:
-                            entry[tslot] = now
-                            hits[tslot] = 1
-                            tick = hseq[target] + 1
-                            hseq[target] = tick
-                            live_seq[tslot] = tick
-                            heappush(heaps[target], (1, tick, tslot))
-                        else:
-                            od[tslot] = now
-                if target == cache:
-                    break
-                # The parent's outcome (its tallies are not in the leaf's
-                # outcome byte) and its answer. The post-pass counts the
-                # leaf's side as an origin fetch and the hop through the
-                # parent (its request and response, Via headers, URL,
-                # Content-Length and body); only the two ages are live.
-                if code < 4:
-                    st_admissions[up] += 1
-                    st_bytes_admitted[up] += size
-                elif code & 8:
-                    st_rejections[up] += 1
-                else:
-                    st_declined[up] += 1
-                if emit:
-                    flush(i)
-                    rec.placement_node(
-                        now, "parent", up, url_of[docs_l[i]], size, own_age, req_age,
-                        code < 4,
-                    )
-                peer_len = age_len[up]
-                if peer_len <= 0:
-                    peer_len = wire_len(up, now)
-                peer_age = cur_age[up]
-                bus[5] += req_len + peer_len
-                # The child-store rule, then the leaf's pass.
-                if not ea or req_age > peer_age or (req_age == peer_age and tie_requester):
-                    code = 3
-                else:
-                    code = 7
-                target = cache
-
-            out[i] = code
-            if emit:
-                flush(i)
-                url = url_of[docs_l[i]]
-                stored = code < 4
-                if rslot >= 0:
-                    rec.placement_remote(
-                        now, cache, url, size, req_age, peer_age, stored, refresh
-                    )
-                elif flat or parent[cache] is None:
-                    rec.placement_origin(now, cache, url, size, req_age, stored)
-                else:
-                    rec.placement_node(
-                        now, "child", cache, url, size, req_age, peer_age, stored
-                    )
-            if code < 4:
-                return i + 1
-            i += 1
-            if i == e:
-                return e
-            now = ts_l[i]
-
     def warm_loop(runs) -> None:
         """The stateful part of one chunk (all of it with the vector
         regimes off): one pass over its runs.
 
-        A run whose slot is resident is all local hits (outcome byte 0),
-        whose only state effect is one LRU touch at the last member's
-        timestamp — ``now``, the run's first, for the 99% of runs with one
-        member — or, under LFU, k ticks of the heap sequence for k members;
-        any other run goes to :func:`miss_path` first, and what it leaves is
-        such a run. With a recorder attached every run is one request, and
-        its decision lines are emitted where the object core emits them
+        A run whose slot is not resident takes the scalar protocol path
+        first, one member at a time until a copy sticks: the ICP probe
+        scan; then a remote serve and its placement decision, an origin
+        fetch, or (in a hierarchy) escalation to the parent, which stores
+        by the same age test; then the one admission-and-eviction site,
+        unless the placement was declined. Everything a request's outcome
+        byte classifies (module docstring) is left to the post-pass.
+
+        What is left of the run then has its slot resident: all local hits
+        (outcome byte 0), whose only state effect is one LRU touch at the
+        last member's timestamp — ``now``, the run's first, for the 99% of
+        runs with one member — or, under LFU, k ticks of the heap sequence
+        for k members. With a recorder attached every run is one request,
+        and its decision lines are emitted where the object core emits them
         (its ``request`` line by a later :func:`flush`).
         """
         nonlocal cursor
@@ -758,12 +547,221 @@ def replay(
             if snapshots:
                 cursor = i
                 rec.maybe_snapshot(now, snapshot_rows)
+            cache = leaf_l[i]
             if not present_b[slot]:
-                i = miss_path(slot, i, e, now)
+                base = slot - cache
+                while True:
+                    if flat:
+                        # The lowest holder (the requester's own byte is 0).
+                        rslot = present_b.find(1, base, base + NC)
+                    else:
+                        # A hierarchy's probe scans its targets, the parent among them.
+                        rslot = -1
+                        for t in probe_targets[cache]:
+                            if present_b[base + t] and (rslot < 0 or base + t < rslot):
+                                rslot = base + t
+
+                    target = cache  # where the admission site stores first
+                    if rslot >= 0:
+                        # Remote hit. The scheme reads the requester's age, then
+                        # the responder's; both ride on the exchange's headers.
+                        responder = rslot - base
+                        req_len = age_len[cache]
+                        if req_len <= 0:
+                            req_len = wire_len(cache, now)
+                        peer_len = age_len[responder]
+                        if peer_len <= 0:
+                            peer_len = wire_len(responder, now)
+                        req_age = cur_age[cache]
+                        peer_age = cur_age[responder]
+                        size = dsz[rslot]
+                        code = 2
+                        refresh = True
+                        if ea:
+                            refresh = peer_age > req_age
+                            if refresh or (req_age == peer_age and not tie_requester):
+                                code = 6  # placement declined
+                            elif size > rc_limit:  # EA's size-aware replica cap
+                                code = 6
+                                refresh = True
+                        sd = sdig.get(size)
+                        if sd is None:
+                            sd = sdig[size] = len(str(size))
+                        bus[5] += req_len + peer_len + 70 + sd + sender_len[responder]
+                        # serve_remote at the responder.
+                        st_remote_served[responder] += 1
+                        st_bytes_remote[responder] += size
+                        if refresh:
+                            st_promo_granted[responder] += 1
+                            if lfu:
+                                hits[rslot] += 1
+                                tick = hseq[responder] + 1
+                                hseq[responder] = tick
+                                live_seq[rslot] = tick
+                            else:
+                                od = lru[responder]
+                                od[rslot] = now
+                                od.move_to_end(rslot)
+                        else:
+                            st_promo_withheld[responder] += 1
+                        served[i] = size
+                        if emit:
+                            flush(i)
+                            resp[i] = responder
+                            refr[i] = refresh
+                            rec.promotion(
+                                now, responder, url_of[docs_l[i]], req_age, peer_age, refresh
+                            )
+                    elif flat or parent[cache] is None:
+                        # Group-wide miss: origin fetch, stored at the requester.
+                        # The fetch decision's own-age read has an effect only in
+                        # a time window (it trims, before the admission's records)
+                        # and a reader only in the placement event.
+                        size = rsz[i]
+                        code = 3
+                        if audit:
+                            req_age = (
+                                cur_age[cache] if age_len[cache] >= 0 else refresh_age(cache, now)
+                            )
+                    else:
+                        # Hierarchical escalation: every probe missed, the parent's
+                        # included, so the leaf asks its parent, with its age on
+                        # the request. The parent is a root (two_level_tree): it
+                        # fetches from the origin and stores by the same age test
+                        # (the admission site's first pass), then answers with its
+                        # own age (below). Its reads of the leaf's age and its own
+                        # repeat at the same instant with no eviction between, so
+                        # they are the values already read.
+                        up = parent[cache]
+                        size = rsz[i]
+                        req_len = age_len[cache]
+                        if req_len <= 0:
+                            req_len = wire_len(cache, now)
+                        req_age = cur_age[cache]
+                        own_age = cur_age[up] if age_len[up] >= 0 else refresh_age(up, now)
+                        code = 7 if ea and not own_age > req_age else 3
+                        target = up
+
+                    # The admission site: ProxyCache.admit of a copy the cache does
+                    # not hold (its refresh branch is unreachable after a local
+                    # miss), unless the placement was declined. An escalated miss
+                    # passes twice, parent first. A stored copy keeps code < 4.
+                    while True:
+                        if code < 4:
+                            if size > cap:
+                                code += 8  # larger than the cache: rejected
+                            else:
+                                tslot = base + target
+                                in_use = used[target] + size
+                                od = lru[target]
+                                if in_use > cap:
+                                    s = wsum[target]
+                                    dq = win[target]
+                                    while in_use > cap:
+                                        if lfu:
+                                            heap = heaps[target]
+                                            while True:
+                                                _count, tick, victim = heap[0]
+                                                live = live_seq[victim]
+                                                if live == tick:
+                                                    break
+                                                # A stale key: re-key it in place.
+                                                heapreplace(heap, (hits[victim], live, victim))
+                                            heappop(heap)
+                                            age = (now - entry[victim]) / hits[victim]
+                                        else:
+                                            victim, last = od.popitem(False)
+                                            age = now - last
+                                        present_b[victim] = 0
+                                        in_use -= dsz[victim]
+                                        if timed:
+                                            trackers[target].record(age, now)
+                                        else:
+                                            # The +=/-= sequence of
+                                            # ExpirationAgeTracker.record: bit-equal sums.
+                                            s += age
+                                            if count_mode:
+                                                if len(dq) == W:
+                                                    s -= dq[0]
+                                                dq.append(age)
+                                            else:
+                                                wtot[target] += 1
+                                        if emit:
+                                            flush(i)
+                                            rec.eviction(
+                                                now, target, url_of[victim // NC], dsz[victim], age
+                                            )
+                                    # (Both unread in a time window: s is its
+                                    # unchanged sum and age_len stays -1.)
+                                    wsum[target] = s
+                                    age_len[target] = -1
+                                present_b[tslot] = 1
+                                dsz[tslot] = size
+                                used[target] = in_use
+                                if lfu:
+                                    entry[tslot] = now
+                                    hits[tslot] = 1
+                                    tick = hseq[target] + 1
+                                    hseq[target] = tick
+                                    live_seq[tslot] = tick
+                                    heappush(heaps[target], (1, tick, tslot))
+                                else:
+                                    od[tslot] = now
+                        if target == cache:
+                            break
+                        # The parent's outcome (its tallies are not in the leaf's
+                        # outcome byte) and its answer. The post-pass counts the
+                        # leaf's side as an origin fetch and the hop through the
+                        # parent (its request and response, Via headers, URL,
+                        # Content-Length and body); only the two ages are live.
+                        if code < 4:
+                            st_admissions[up] += 1
+                            st_bytes_admitted[up] += size
+                        elif code & 8:
+                            st_rejections[up] += 1
+                        else:
+                            st_declined[up] += 1
+                        if emit:
+                            flush(i)
+                            rec.placement_node(
+                                now, "parent", up, url_of[docs_l[i]], size, own_age, req_age,
+                                code < 4,
+                            )
+                        peer_len = age_len[up]
+                        if peer_len <= 0:
+                            peer_len = wire_len(up, now)
+                        peer_age = cur_age[up]
+                        bus[5] += req_len + peer_len
+                        # The child-store rule, then the leaf's pass.
+                        if not ea or req_age > peer_age or (req_age == peer_age and tie_requester):
+                            code = 3
+                        else:
+                            code = 7
+                        target = cache
+
+                    out[i] = code
+                    if emit:
+                        flush(i)
+                        url = url_of[docs_l[i]]
+                        stored = code < 4
+                        if rslot >= 0:
+                            rec.placement_remote(
+                                now, cache, url, size, req_age, peer_age, stored, refresh
+                            )
+                        elif flat or parent[cache] is None:
+                            rec.placement_origin(now, cache, url, size, req_age, stored)
+                        else:
+                            rec.placement_node(
+                                now, "child", cache, url, size, req_age, peer_age, stored
+                            )
+                    i += 1
+                    if i == e:
+                        break
+                    now = ts_l[i]
+                    if code < 4:
+                        break
                 if i == e:
                     continue
-                now = ts_l[i]
-            cache = leaf_l[i]
             if e - i > 1:
                 now = ts_l[e - 1]
                 if not lean:

@@ -79,14 +79,15 @@ BUILDERS = {
 }
 
 #: The knobs no entry point set: the paper's latency constants, a fresh
-#: bus and the lowest-index responder are the only behaviour left.
+#: bus and the lowest-index responder are the only behaviour left. A group
+#: that never sends an ICP probe has no RNG draw, so it takes no seed.
 RETIRED = [
     (built, keyword)
     for built, keywords in (
         ("DistributedGroup", ("latency_model", "bus", "responder_strategy")),
         ("HierarchicalGroup", ("latency_model", "bus", "responder_strategy")),
-        ("HashRoutedGroup", ("latency_model", "bus")),
-        ("DigestDistributedGroup", ("latency_model", "bus", "responder_strategy")),
+        ("HashRoutedGroup", ("latency_model", "bus", "seed")),
+        ("DigestDistributedGroup", ("latency_model", "bus", "responder_strategy", "seed")),
         ("build_caches", ("policy_kwargs",)),
     )
     for keyword in keywords
